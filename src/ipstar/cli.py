@@ -172,7 +172,6 @@ _SPECS: dict[str, dict] = {
         "r_max": ("posint", False, 4),
         "density_N": ("posint", False, 6),
         "budget": ("posint", False, None),
-        "workers": ("posint", False, None),
         "output": ("str", False, "."),
     },
     "search": {
@@ -612,7 +611,6 @@ def _run_classify(cfg, resume_file) -> int:
         cfg.values["r_max"],
         density_N=cfg.values["density_N"],
         budget=_resolve_budget(cfg),
-        workers=_workers(cfg),
         resume=resume,
     )
     _print_recurrence_summary(sys_, rep)

@@ -26,7 +26,7 @@ from .search import (
     BUDGET_EXCEEDED,
     DONE,
     check_cover_tree,
-    first_hit,
+    first_tuple,
     universal_coloring_search,
 )
 
@@ -173,13 +173,22 @@ def _resolve_pool(group, pool) -> list:
     return list(pool)
 
 
-def _tuple_at(pool, r: int, index: int) -> tuple:
-    # mixed-radix decode, coordinate 1 most significant
-    digits = []
-    for _ in range(r):
-        index, d = divmod(index, len(pool))
-        digits.append(pool[d])
-    return tuple(reversed(digits))
+def _first_fs_tuple(group, elems, r: int, admits, budget, start):
+    """Lexicographically first r-tuple over elems whose finite sums pass
+    ``admits`` (a predicate on a set of sums), scanned by ``first_tuple``.
+
+    A prefix's sums grow incrementally, FS(P + g) = FS(P) | {g} | FS(P) + g,
+    and only the new ones are tested.  FS(prefix) is a subset of FS(tuple),
+    so a prefix with a refused sum rules out every tuple that extends it.
+    """
+    add = group.add
+
+    def extend(sums, g):
+        new = {g}
+        new.update([add(s, g) for s in sums])
+        return sums | new if admits(new) else None
+
+    return first_tuple(elems, r, extend, frozenset(), budget=budget, start=start)
 
 
 def contains_ip_r(
@@ -188,7 +197,6 @@ def contains_ip_r(
     pool,
     *,
     budget: int | None = None,
-    workers: int = 1,
     start: int = 0,
 ) -> IpSearchResult:
     """First generator tuple from the pool whose finite sums all land in S.
@@ -199,13 +207,7 @@ def contains_ip_r(
     if r < 1:
         raise ValueError("r must be >= 1")
     elems = _resolve_pool(S.group, pool)
-    group, members = S.group, S.members
-
-    def probe(i):
-        tup = _tuple_at(elems, r, i)
-        return tup if finite_sums(group, tup).members <= members else None
-
-    out = first_hit(len(elems) ** r, probe, budget=budget, workers=workers, start=start)
+    out = _first_fs_tuple(S.group, elems, r, S.members.issuperset, budget, start)
     return IpSearchResult(out.status, out.value, out.candidates, out.resume_index)
 
 
@@ -227,7 +229,6 @@ def is_ip_r_star(
     r: int,
     *,
     budget: int | None = None,
-    workers: int = 1,
     start: int = 0,
 ) -> IpStarVerdict:
     """Does S meet every r-generator finite-sums family?
@@ -243,17 +244,17 @@ def is_ip_r_star(
         raise ValueError("ambient window required for a dual-family verdict")
     elems = window_enumerate(S.group, S.window)
     windowed = not S.exact
-    ambient = set(elems)
-    group, members = S.group, S.members
+    avoids = S.members.isdisjoint
+    if windowed:
+        # sums escaping the window are not decidable, so not a witness either
+        ambient = frozenset(elems)
 
-    def probe(i):
-        tup = _tuple_at(elems, r, i)
-        sums = finite_sums(group, tup).members
-        if windowed and not sums <= ambient:
-            return None  # sums escape the window: not decidable, not a witness
-        return tup if not (sums & members) else None
+        def admits(sums):
+            return avoids(sums) and sums <= ambient
 
-    out = first_hit(len(elems) ** r, probe, budget=budget, workers=workers, start=start)
+    else:
+        admits = avoids
+    out = _first_fs_tuple(S.group, elems, r, admits, budget, start)
     if out.status == BUDGET_EXCEEDED:
         return IpStarVerdict("budget_exceeded", windowed, None, out.candidates, out.resume_index)
     if out.found:
@@ -281,16 +282,15 @@ class FuRamseyResult:
 def _fu_checks_by_position(r: int, s: int):
     """For each position (mask order), the splits completed there: a list of
     (blocks, union_positions) where union_positions index every union of the
-    blocks and the last one is the position itself."""
-    order = family_order(r)
-    pos_of = {set_to_mask(a): i for i, a in enumerate(order)}
+    blocks and the last one is the position itself.  family_order is in
+    ascending bitmask order, so the set with mask m sits at position m - 1."""
     table = []
-    for alpha in order:
+    for alpha in family_order(r):
         entries = []
         if len(alpha) >= s:
             for blocks in ordered_splits(alpha, s):
                 unions = finite_unions(blocks)
-                entries.append((blocks, tuple(pos_of[set_to_mask(u)] for u in unions)))
+                entries.append((blocks, tuple(set_to_mask(u) - 1 for u in unions)))
         table.append(entries)
     return table
 
@@ -346,9 +346,7 @@ def fu_verify_witness(r: int, s: int, prefix: tuple[int, ...], blocks) -> bool:
         return False
     if any(not u <= frozenset(range(1, r + 1)) for u in unions):
         return False
-    order = family_order(r)
-    pos_of = {set_to_mask(a): i for i, a in enumerate(order)}
-    positions = [pos_of[set_to_mask(u)] for u in unions]
+    positions = [set_to_mask(u) - 1 for u in unions]  # family_order is ascending bitmask
     if max(positions) >= len(prefix):
         return False
     return len({prefix[q] for q in positions}) == 1
@@ -532,19 +530,11 @@ def example_a_checks(ex: BlockExample) -> dict[str, bool]:
     depth_ok = True
     for r, vals in ex.blocks:
         block = set(vals)
-        has_r = any(
-            finite_sums_int(t) <= block for t in _tuples_from(sorted(block), r)
-        )
-        has_r1 = any(
-            finite_sums_int(t) <= block for t in _tuples_from(sorted(block), r + 1)
-        )
+        has_r = any(finite_sums_int(t) <= block for t in product(sorted(block), repeat=r))
+        has_r1 = any(finite_sums_int(t) <= block for t in product(sorted(block), repeat=r + 1))
         depth_ok = depth_ok and has_r and not has_r1
     out["fs_depth"] = depth_ok
     return out
-
-
-def _tuples_from(pool, r):
-    return product(pool, repeat=r)
 
 
 # ---------------------------------------------------------------------------

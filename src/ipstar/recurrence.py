@@ -144,7 +144,6 @@ def classify_ipstar(
     *,
     density_N: int = 6,
     budget: int | None = None,
-    workers: int = 1,
     resume: tuple[int, int] | None = None,
 ) -> RecurrenceReport:
     """Check R against every r-generator finite-sums family, r = 1..r_max.
@@ -158,7 +157,7 @@ def classify_ipstar(
     """
     for r in range(1, r_max + 1):
         start = resume[1] if resume is not None and resume[0] == r else 0
-        verdict = is_ip_r_star(report.R, r, budget=budget, workers=workers, start=start)
+        verdict = is_ip_r_star(report.R, r, budget=budget, start=start)
         report.classification[r] = verdict
         if verdict.kind == "budget_exceeded":
             break  # partial classification: higher r only costs more

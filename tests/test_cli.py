@@ -154,6 +154,24 @@ def test_hj_budget_checkpoint_resume_cycle(tmp_path, capsys):
     assert not cks[0].exists()  # consumed on success
 
 
+@pytest.mark.parametrize(
+    "argv, budget, cert",
+    [
+        (["hj", "k=2", "t=5", "m_max=5"], 3000, "hj-k2-t5-m5-cover.txt"),
+        (["fu-ramsey", "r=7", "s=2", "k=2"], 1000, "fu-r7-s2-k2-cover.txt"),
+    ],
+)
+def test_resumed_cover_certificate_matches_unsplit_run(tmp_path, capsys, argv, budget, cert):
+    full, split = tmp_path / "full", tmp_path / "split"
+    assert _run(capsys, argv + [f"output={full}"])[0] == 0
+    assert _run(capsys, argv + [f"output={split}", f"budget={budget}"])[0] == 2
+    ck = next(split.glob("checkpoint-*.txt"))
+    assert _run(capsys, argv + [f"output={split}", "--resume", str(ck)])[0] == 0
+    assert (split / cert).read_bytes() == (full / cert).read_bytes()
+    rc, out, _ = _run(capsys, ["--check", str(split / cert)])
+    assert rc == 0 and "certificate valid" in out
+
+
 def test_checkpoint_for_wrong_command_refused(tmp_path, capsys):
     _run(capsys, ["hj", "k=2", "t=3", "m_max=4", "budget=5", f"output={tmp_path}"])
     ck = next(tmp_path.glob("checkpoint-*.txt"))

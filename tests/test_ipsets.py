@@ -146,11 +146,12 @@ def test_contains_ip_r_budget():
     assert res.status == BUDGET_EXCEEDED and res.resume_index == 1000
 
 
-def test_contains_ip_r_parallel_matches_serial():
+def test_contains_ip_r_matches_oracle():
+    # a tuple's sums all land in S exactly when they all avoid the complement
     S = ElementSet(F5, {0, 1, 4}, FullWindow())
-    a = contains_ip_r(S, 3, FullWindow())
-    b = contains_ip_r(S, 3, FullWindow(), workers=4)
-    assert a.witness == b.witness
+    res = contains_ip_r(S, 3, FullWindow())
+    ok, first = oracles.naive_meets_every_ip_r(F5, set(range(5)) - S.members, 3, range(5))
+    assert not ok and res.witness == first
 
 
 def test_ip_star_squares_mod5():

@@ -143,6 +143,22 @@ def test_budget_resume_agrees_with_full_run():
     assert part.candidates + resumed.candidates == full.candidates
 
 
+def test_budget_resume_rebuilds_the_cover():
+    full = universal_coloring_search(5, 3, pigeon_accept)
+    assert full.all_ok and check_cover_tree(5, 3, full.cover, pigeon_verify)
+    for budget in range(1, full.candidates):
+        part = universal_coloring_search(5, 3, pigeon_accept, budget=budget)
+        resumed = universal_coloring_search(5, 3, pigeon_accept, resume_path=part.resume_path)
+        assert resumed.cover == full.cover
+        assert part.candidates + resumed.candidates == full.candidates
+
+
+def test_resume_path_off_the_frontier_is_refused():
+    # (1, 1) is already a pruned leaf, so the search never reaches (1, 1, 1)
+    with pytest.raises(ValueError, match="never reached"):
+        universal_coloring_search(4, 3, pigeon_accept, resume_path=(1, 1, 1))
+
+
 def test_dfs_checkpoint_cadence():
     seen = []
     universal_coloring_search(
