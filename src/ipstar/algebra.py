@@ -135,12 +135,6 @@ class PrimeField:
     def pow(self, a: int, k: int) -> int:
         return pow(a, k, self.p)
 
-    def format_element(self, a: int) -> str:
-        return str(a % self.p)
-
-    def parse_element(self, text: str) -> int:
-        return self.element(int(text))
-
     def enumerate_window(self, window: Window) -> list[int]:
         if not isinstance(window, FullWindow):
             raise AlgebraError(f"{self} only supports FullWindow, got {window}")
@@ -184,12 +178,6 @@ class Integers:
 
     def pow(self, a: int, k: int) -> int:
         return a**k
-
-    def format_element(self, a: int) -> str:
-        return str(a)
-
-    def parse_element(self, text: str) -> int:
-        return int(text)
 
     def enumerate_window(self, window: Window) -> list[int]:
         if not isinstance(window, IntegerWindow):
@@ -236,15 +224,6 @@ class Rationals:
 
     def pow(self, a: Fraction, k: int) -> Fraction:
         return a**k
-
-    def format_element(self, a: Fraction) -> str:
-        a = Fraction(a)
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
-
-    def parse_element(self, text: str) -> Fraction:
-        return Fraction(text.strip())
 
     def enumerate_window(self, window: Window) -> list[Fraction]:
         if not isinstance(window, RationalWindow):
@@ -336,18 +315,6 @@ class PolyRing:
             out = self.mul(out, a)
         return out
 
-    def format_element(self, a: tuple) -> str:
-        return "[" + ",".join(str(c) for c in a) + "]"
-
-    def parse_element(self, text: str) -> tuple:
-        text = text.strip()
-        if not (text.startswith("[") and text.endswith("]")):
-            raise AlgebraError(f"bad {self} element: {text!r}")
-        inner = text[1:-1].strip()
-        if not inner:
-            return ()
-        return self.element([int(c) for c in inner.split(",")])
-
     def enumerate_window(self, window: Window) -> list[tuple]:
         if not isinstance(window, DegreeWindow):
             raise AlgebraError(f"{self} needs a DegreeWindow, got {window}")
@@ -377,8 +344,8 @@ class VectorSpace:
     """A fixed-dimension coordinate space over a ground ring.
 
     Elements are tuples of ring elements.  Shares the additive-group method
-    names with the rings (add, neg, sub, zero, format_element, ...) so FS and
-    search machinery can treat either uniformly.
+    names with the rings (add, neg, sub, zero, ...) so FS and search
+    machinery can treat either uniformly.
     """
 
     ring: GroundRing
@@ -416,20 +383,6 @@ class VectorSpace:
         if len(u) != self.dim or len(v) != self.dim:
             raise AlgebraError(f"dimension mismatch in {self}")
 
-    def format_element(self, u: tuple) -> str:
-        if self.dim == 1:
-            return self.ring.format_element(u[0])
-        return "(" + ",".join(self.ring.format_element(c) for c in u) + ")"
-
-    def parse_element(self, text: str):
-        text = text.strip()
-        if self.dim == 1 and not text.startswith("("):
-            return (self.ring.parse_element(text),)
-        if not (text.startswith("(") and text.endswith(")")):
-            raise AlgebraError(f"bad vector: {text!r}")
-        parts = _split_top_level(text[1:-1], ",")
-        return self.element([self.ring.parse_element(p) for p in parts])
-
     def enumerate_window(self, window: Window) -> list[tuple]:
         scalars = self.ring.enumerate_window(window)
         return [tuple(v) for v in itertools.product(scalars, repeat=self.dim)]
@@ -438,30 +391,8 @@ class VectorSpace:
         return f"{self.ring}^{self.dim}"
 
 
-def _split_top_level(text: str, sep: str) -> list[str]:
-    # split on sep outside any bracket pair; poly coefficients use commas too
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p for p in (q.strip() for q in parts) if p]
-
-
 Group = GroundRing | VectorSpace
 """Anything with the additive-group slice of the ring interface."""
-
-
-def scalar_space(ring: GroundRing) -> GroundRing:
-    """The ring acting as its own rank-1 additive group."""
-    return ring
 
 
 def window_enumerate(group: Group, window: Window) -> list:
@@ -545,21 +476,6 @@ class PolynomialMap:
 
     def __call__(self, u: tuple):
         return eval_poly(self, u)
-
-    def describe(self) -> str:
-        parts = []
-        for m, _w in self.terms:
-            factors = []
-            if m.coeff != m.ring.one:
-                factors.append(m.ring.format_element(m.coeff))
-            for k, e in enumerate(m.exponents):
-                name = "u" if m.n == 1 else f"x{k + 1}"
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            parts.append("*".join(factors) if factors else m.ring.format_element(m.coeff))
-        return " + ".join(parts)
 
 
 def eval_poly(phi: PolynomialMap, u: tuple):

@@ -49,7 +49,6 @@ from .recurrence import (
     isometric_recurrence_search,
     recurrence_set,
 )
-from .search import available_workers
 from .systems import FinitePermSystem, RotationSystem, dlim_probe
 from .textio import (
     TextFormatError,
@@ -70,6 +69,7 @@ from .textio import (
     render_element,
     render_family,
     render_fraction,
+    render_poly_map,
     render_recurrence_csv,
     render_report_json,
     render_subset_config,
@@ -180,7 +180,6 @@ _SPECS: dict[str, dict] = {
         "m": ("str", True, None),
         "epsilon": ("posfrac", True, None),
         "gens": ("str", True, None),
-        "workers": ("posint", False, None),
     },
     "density": {
         "system": ("str", True, None),
@@ -298,7 +297,7 @@ def render_config(cfg: ExperimentConfig) -> str:
 # operational knobs: changing them changes how far or where a run goes, not
 # what is being computed, so checkpoints stay valid across them (raising the
 # budget to finish an interrupted search is the whole point of resuming)
-_HASH_EXCLUDE = frozenset({"budget", "workers", "output"})
+_HASH_EXCLUDE = frozenset({"budget", "output"})
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -334,10 +333,6 @@ def _resolve_budget(cfg):
     if val < 1:
         raise ValueError(f"{BUDGET_ENV} must be >= 1")
     return val
-
-
-def _workers(cfg) -> int:
-    return cfg.values.get("workers") or available_workers()
 
 
 def _resolve(cfg, key, fn):
@@ -575,7 +570,7 @@ def _run_example_a(cfg, resume_file) -> int:
 
 def _print_recurrence_summary(sys_, rep):
     print(f"system: {describe_system(sys_)}")
-    print(f"phi: {rep.phi.describe()}")
+    print(f"phi: {render_poly_map(rep.phi)}")
     print(f"mu(B) = {render_fraction(rep.mu)}")
     print(f"threshold = {render_fraction(rep.threshold)}")
     print(f"R: {len(rep.R.members)} of {len(rep.elements)} window elements")
@@ -654,9 +649,7 @@ def _run_search(cfg, resume_file) -> int:
         x = events[name]
     m = _resolve(cfg, "m", lambda t: parse_monomial(ring, t))
     gens = _resolve(cfg, "gens", lambda t: _parse_gens(ring, m.n, t))
-    res = isometric_recurrence_search(
-        sys_, x, m, cfg.values["epsilon"], gens, workers=_workers(cfg)
-    )
+    res = isometric_recurrence_search(sys_, x, m, cfg.values["epsilon"], gens)
     print(f"status: {res.status}")
     print(f"words scanned: {res.words_scanned}")
     print(f"proof bound: {res.proof_bound}")

@@ -103,7 +103,7 @@ def is_line_point_tuple(k: int, m: int, indices) -> bool:
     return all(w[p] == v for w in words for p, v in fixed.items())
 
 
-def find_mono_line(k: int, m: int, coloring, *, workers: int = 1):
+def find_mono_line(k: int, m: int, coloring):
     """First line (canonical order) whose points share a color, or None.
     ``coloring`` maps a word tuple to its color.
 
@@ -142,8 +142,7 @@ def find_mono_line(k: int, m: int, coloring, *, workers: int = 1):
                 return None
         return Line(m, tuple(zip(rest, letters)), frozenset(moving))
 
-    out = first_hit(total, probe, workers=workers)
-    return out.value
+    return first_hit(total, probe).value
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +357,8 @@ def line_to_config(L: Line, d: int) -> SubsetConfig:
     return SubsetConfig(psi_encode(first, d), frozenset(L.moving))
 
 
-def mono_config_search(d: int, r: int, coloring, *, workers: int = 1):
+def mono_config_search(d: int, r: int, coloring):
     """Compose the coloring with the encoding, hunt a monochromatic line over
     the 2^d-letter alphabet, and map it back; None when no line exists."""
-    L = find_mono_line(1 << d, r, lambda w: coloring(psi_encode(w, d)), workers=workers)
+    L = find_mono_line(1 << d, r, lambda w: coloring(psi_encode(w, d)))
     return None if L is None else line_to_config(L, d)

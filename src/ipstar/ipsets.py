@@ -110,9 +110,6 @@ class FSResult:
     members: frozenset
     by_indices: dict = field(repr=False)
 
-    def element_set(self, window: Window | None = None) -> ElementSet:
-        return ElementSet(self.group, self.members, window)
-
 
 def finite_sums(group, gens) -> FSResult:
     gens = tuple(gens)

@@ -86,8 +86,8 @@ class RecurrenceReport:
         return not self.R.exact
 
 
-def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> RecurrenceReport:
-    """Exact membership scan of the return set over the window."""
+def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
+    """Checked inputs and the report fields both return-set scans share."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise RecurrenceError("epsilon must be a positive rational")
@@ -97,9 +97,26 @@ def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> Recur
         )
     B = sys.event(B) if not _is_event(sys, B) else B
     domain = _domain_of(phi)
-    elements = window_enumerate(domain, window)
     mu = sys.measure(B)
-    threshold = mu * mu - epsilon
+    return dict(
+        system=sys,
+        B=B,
+        phi=phi,
+        epsilon=epsilon,
+        window=window,
+        domain=domain,
+        elements=tuple(window_enumerate(domain, window)),
+        mu=mu,
+        threshold=mu * mu - epsilon,
+        khintchine=khintchine_bound(sys, B),
+        outside_hypotheses=sys.outside_theorem_hypotheses,
+    )
+
+
+def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> RecurrenceReport:
+    """Exact membership scan of the return set over the window."""
+    base = _report_fields(sys, B, phi, epsilon, window)
+    B, elements, threshold = base["B"], base["elements"], base["threshold"]
     rows = []
     members = set()
     for u in elements:
@@ -109,25 +126,10 @@ def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> Recur
         rows.append((u, w, corr, hit))
         if hit:
             members.add(u)
-    R = ElementSet(domain, members, window)
-    zero = domain.zero
-    if zero in set(elements) and zero not in members:
+    domain = base["domain"]
+    if domain.zero in set(elements) and domain.zero not in members:
         raise RecurrenceError("return set lost the zero element; broken invariant")
-    return RecurrenceReport(
-        system=sys,
-        B=B,
-        phi=phi,
-        epsilon=epsilon,
-        window=window,
-        domain=domain,
-        elements=tuple(elements),
-        mu=mu,
-        threshold=threshold,
-        rows=tuple(rows),
-        R=R,
-        khintchine=khintchine_bound(sys, B),
-        outside_hypotheses=sys.outside_theorem_hypotheses,
-    )
+    return RecurrenceReport(**base, rows=tuple(rows), R=ElementSet(domain, members, window))
 
 
 def _is_event(sys, B) -> bool:
@@ -242,23 +244,13 @@ def theorem1_pipeline(
     inequality chain.  A minus E provably lands in R; set inclusion is
     checked element by element, as is agreement of R with the direct scan.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise RecurrenceError("epsilon must be a positive rational")
-    if phi.target != sys.acting:
-        raise RecurrenceError(
-            f"map target {phi.target} does not match the acting group {sys.acting}"
-        )
-    B = sys.event(B) if not _is_event(sys, B) else B
+    base = _report_fields(sys, B, phi, epsilon, window)
+    B, mu, threshold = base["B"], base["mu"], base["threshold"]
     split = compact_projection(sys, B)
-    domain = _domain_of(phi)
-    elements = window_enumerate(domain, window)
-    mu = sys.measure(B)
-    threshold = mu * mu - epsilon
-    half = epsilon / 2
+    half = base["epsilon"] / 2
     rows = []
     members, A, E = set(), [], []
-    for u in elements:
+    for u in base["elements"]:
         w = phi(_as_coords(u, phi.n))
         # independent correlation path: inclusion-exclusion through the
         # symmetric difference instead of the direct intersection measure
@@ -276,21 +268,10 @@ def theorem1_pipeline(
         rows.append((u, w, corr, hit))
         if hit:
             members.add(u)
-    R = ElementSet(domain, members, window)
     report = RecurrenceReport(
-        system=sys,
-        B=B,
-        phi=phi,
-        epsilon=epsilon,
-        window=window,
-        domain=domain,
-        elements=tuple(elements),
-        mu=mu,
-        threshold=threshold,
+        **base,
         rows=tuple(rows),
-        R=R,
-        khintchine=khintchine_bound(sys, B),
-        outside_hypotheses=sys.outside_theorem_hypotheses,
+        R=ElementSet(base["domain"], members, window),
         A=tuple(A),
         E=tuple(E),
         chain_checked=True,
@@ -385,7 +366,7 @@ def _check_compact_tracked(sys, x):
     raise RecurrenceError("constructive search needs a compact backend")
 
 
-def isometric_recurrence_search(sys, x, m: Monomial, epsilon, gens, *, workers: int = 1):
+def isometric_recurrence_search(sys, x, m: Monomial, epsilon, gens):
     """Find a finite index union whose generated exponent returns x to
     within epsilon, by the cover-and-color argument.
 
@@ -396,10 +377,10 @@ def isometric_recurrence_search(sys, x, m: Monomial, epsilon, gens, *, workers: 
     Distances: arc length on the circle backend, squared indicator norm on
     the finite backend; both compared squared against epsilon^2.
     """
-    return _cover_color_search([sys], [m], x, epsilon, gens, workers=workers)
+    return _cover_color_search([sys], [m], x, epsilon, gens)
 
 
-def commuting_recurrence_search(systems, monomials, x, epsilon, gens, *, workers: int = 1):
+def commuting_recurrence_search(systems, monomials, x, epsilon, gens):
     """Joint return under several commuting actions on one space: each
     action gets tolerance epsilon/k, colors are per-action cell tuples, and
     the composed displacement is verified below epsilon."""
@@ -410,10 +391,10 @@ def commuting_recurrence_search(systems, monomials, x, epsilon, gens, *, workers
         for j in range(i + 1, len(systems)):
             if not systems_commute(systems[i], systems[j]):
                 raise RecurrenceError(f"actions {i + 1} and {j + 1} do not commute")
-    return _cover_color_search(systems, monomials, x, epsilon, gens, workers=workers)
+    return _cover_color_search(systems, monomials, x, epsilon, gens)
 
 
-def _cover_color_search(systems, monomials, x, epsilon, gens, *, workers: int = 1):
+def _cover_color_search(systems, monomials, x, epsilon, gens):
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise RecurrenceError("epsilon must be a positive rational")
@@ -482,7 +463,7 @@ def _cover_color_search(systems, monomials, x, epsilon, gens, *, workers: int = 
             key.append(cell)
         table[alphas] = tuple(key)
 
-    cfg = mono_config_search(d, r, table.__getitem__, workers=workers)
+    cfg = mono_config_search(d, r, table.__getitem__)
     t_report = tuple(c if isinstance(c, int) else len(c.centers) for c in covers)
     proof_bound = f"hj({1 << d}, {max(t_report)})"
     suff = _sufficient_length(systems, monomials)

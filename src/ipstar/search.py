@@ -3,9 +3,7 @@
 Three engines:
 
 * ``first_hit`` scans an indexed candidate space for the least index whose
-  probe returns a value.  Optionally thread-parallel: the space is split into
-  fixed-size chunks, chunk results are merged in index order, so a parallel
-  run returns the identical witness to a serial run.
+  probe returns a value.
 * ``first_tuple`` scans the r-tuples over a pool in lexicographic order for
   the least one whose every prefix is admitted by an incremental ``extend``.
   A refused prefix skips its whole block of tuples at once; the outcome
@@ -24,18 +22,12 @@ never an exception.  Long runs invoke a checkpoint callback every
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 CHECKPOINT_INTERVAL = 1 << 20
 
 DONE = "done"
 BUDGET_EXCEEDED = "budget_exceeded"
-
-
-def available_workers() -> int:
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -56,69 +48,26 @@ def first_hit(
     probe,
     *,
     budget: int | None = None,
-    workers: int = 1,
     start: int = 0,
-    chunk: int = 2048,
-    parallel_threshold: int = 50000,
     checkpoint_cb=None,
     checkpoint_interval: int = CHECKPOINT_INTERVAL,
 ) -> ScanOutcome:
     """Least index in [start, count) where probe(i) returns non-None.
 
-    The budget fixes the examined range up front, so the outcome (including
-    the resume index) does not depend on worker count or timing.
+    The budget fixes the examined range up front, so the resume index of an
+    exhausted scan is ``start + budget``.
     """
     if start < 0 or start > count:
         raise ValueError(f"start {start} outside [0, {count}]")
     end = count if budget is None else min(count, start + max(budget, 0))
-
-    if workers <= 1 or end - start < parallel_threshold:
-        examined = 0
-        for i in range(start, end):
-            val = probe(i)
-            examined += 1
-            if val is not None:
-                return ScanOutcome(DONE, i, val, examined, None)
-            if checkpoint_cb is not None and examined % checkpoint_interval == 0:
-                checkpoint_cb(i + 1, examined)
-        if end < count:
-            return ScanOutcome(BUDGET_EXCEEDED, None, None, examined, end)
-        return ScanOutcome(DONE, None, None, examined, None)
-
-    def scan_chunk(lo: int, hi: int):
-        for i in range(lo, hi):
-            val = probe(i)
-            if val is not None:
-                return i, val
-        return None
-
-    bounds = [(lo, min(lo + chunk, end)) for lo in range(start, end, chunk)]
     examined = 0
-    hit = None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        window = workers + 2
-        futures = []
-        submitted = 0
-        while submitted < len(bounds) and len(futures) < window:
-            futures.append(pool.submit(scan_chunk, *bounds[submitted]))
-            submitted += 1
-        done_upto = 0
-        while done_upto < len(futures):
-            res = futures[done_upto].result()
-            lo, hi = bounds[done_upto]
-            if res is not None:
-                examined += res[0] - lo + 1
-                hit = res
-                break
-            examined += hi - lo
-            if checkpoint_cb is not None and (examined % checkpoint_interval) < (hi - lo):
-                checkpoint_cb(hi, examined)
-            done_upto += 1
-            if submitted < len(bounds):
-                futures.append(pool.submit(scan_chunk, *bounds[submitted]))
-                submitted += 1
-    if hit is not None:
-        return ScanOutcome(DONE, hit[0], hit[1], examined, None)
+    for i in range(start, end):
+        val = probe(i)
+        examined += 1
+        if val is not None:
+            return ScanOutcome(DONE, i, val, examined, None)
+        if checkpoint_cb is not None and examined % checkpoint_interval == 0:
+            checkpoint_cb(i + 1, examined)
     if end < count:
         return ScanOutcome(BUDGET_EXCEEDED, None, None, examined, end)
     return ScanOutcome(DONE, None, None, examined, None)

@@ -125,10 +125,6 @@ class FinitePermSystem:
             out = {x: tab[out[x]] for x in self.points}
         return out
 
-    @property
-    def zero_w(self):
-        return self.acting.zero
-
     def event(self, members) -> frozenset:
         members = frozenset(members)
         stray = members - set(self.points)
@@ -247,10 +243,6 @@ class RotationSystem:
         self.rho = self.rhos[0]
         self.acting = VectorSpace(Rationals(), self.n) if self.n > 1 else Rationals()
 
-    @property
-    def zero_w(self):
-        return self.acting.zero
-
     def _angle(self, w) -> Fraction:
         if self.n == 1 and not isinstance(w, tuple):
             w = (w,)
@@ -329,10 +321,6 @@ class BernoulliSystem:
     @property
     def alphabet_size(self) -> int:
         return len(self.base)
-
-    @property
-    def zero_w(self):
-        return self.ring.zero
 
     def event(self, constraints) -> Cylinder:
         if isinstance(constraints, Cylinder):

@@ -100,12 +100,12 @@ def render_element(group, x) -> str:
 
 
 def _split_top(text: str, sep: str) -> list[str]:
-    # split only at depth zero of [] and ()
+    # split only at depth zero of [], () and {}
     parts, depth, cur = [], 0, []
     for ch in text:
-        if ch in "[(":
+        if ch in "[({":
             depth += 1
-        elif ch in "])":
+        elif ch in "])}":
             depth -= 1
         if ch == sep and depth == 0:
             parts.append("".join(cur))
@@ -333,6 +333,21 @@ def parse_poly_map(ring, target, text: str) -> PolynomialMap:
         else:
             built.append((m, target.one))
     return PolynomialMap(ring, n, target, tuple(built))
+
+
+def render_poly_map(phi: PolynomialMap) -> str:
+    """The terms as ``parse_poly_map`` reads them, without target weights."""
+    parts = []
+    for m, _w in phi.terms:
+        factors = [] if m.coeff == m.ring.one else [render_element(m.ring, m.coeff)]
+        for k, e in enumerate(m.exponents):
+            name = "u" if m.n == 1 else f"x{k + 1}"
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        parts.append("*".join(factors))
+    return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +725,7 @@ def report_tree(report, *, generated: str | None = None) -> dict:
     if generated is not None:
         tree["generated"] = generated
     tree["system"] = describe_system(report.system)
-    tree["phi"] = report.phi.describe()
+    tree["phi"] = render_poly_map(report.phi)
     tree["epsilon"] = render_fraction(report.epsilon)
     tree["R"] = {
         "members": [

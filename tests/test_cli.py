@@ -365,6 +365,10 @@ def test_search_refuses_bernoulli(tmp_path, capsys):
         capsys, ["search", f"system={sysf}", "x=B", "m=u", "epsilon=1/2", "gens=[1]"]
     )
     assert rc == 1 and "compact backend" in err
+    # the line scan is serial; a workers key is a config error like any unknown key
+    argv = ["search", f"system={_sys_file(tmp_path)}", "x=B", "m=u^2", "epsilon=1/2", "gens=1"]
+    rc, _, err = _run(capsys, argv + ["workers=2"])
+    assert rc == 1 and "unknown key 'workers'" in err
 
 
 def test_density_decays(tmp_path, capsys):

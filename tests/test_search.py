@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from ipstar.search import (
@@ -30,27 +28,6 @@ def test_first_hit_budget_and_resume():
     assert out.candidates == 100
     out2 = first_hit(1000, lambda i: i if i == 700 else None, budget=100000, start=out.resume_index)
     assert out2.status == DONE and out2.index == 700
-
-
-def test_first_hit_parallel_matches_serial():
-    rng = random.Random(20260815)
-    for _ in range(10):
-        n = rng.randrange(500, 4000)
-        hits = {rng.randrange(n) for _ in range(rng.randrange(0, 4))}
-        probe = lambda i: ("hit", i) if i in hits else None
-        serial = first_hit(n, probe)
-        parallel = first_hit(n, probe, workers=4, chunk=64, parallel_threshold=0)
-        assert serial.index == parallel.index
-        assert serial.value == parallel.value
-        assert serial.status == parallel.status == DONE
-
-
-def test_first_hit_parallel_budget_deterministic():
-    probe = lambda i: None
-    serial = first_hit(10000, probe, budget=5000)
-    parallel = first_hit(10000, probe, budget=5000, workers=3, chunk=128, parallel_threshold=0)
-    assert serial.status == parallel.status == BUDGET_EXCEEDED
-    assert serial.resume_index == parallel.resume_index == 5000
 
 
 def test_first_hit_checkpoint_cadence():

@@ -8,6 +8,7 @@ import pytest
 from ipstar.algebra import (
     DegreeWindow,
     FullWindow,
+    Integers,
     Monomial,
     PolyRing,
     PrimeField,
@@ -48,6 +49,7 @@ from ipstar.textio import (
     render_family,
     render_fraction,
     render_line,
+    render_poly_map,
     render_recurrence_csv,
     render_report_json,
     render_subset_config,
@@ -91,18 +93,24 @@ def test_element_roundtrip_randomized():
     rng = random.Random(20260901)
     v2 = VectorSpace(F5, 2)
     vq = VectorSpace(Q, 3)
-    for _ in range(120):
-        g = rng.choice(["q", "p", "f", "v", "vq"])
+    poly = lambda: tuple(rng.randrange(2) for _ in range(rng.randrange(5)))  # noqa: E731
+    for _ in range(200):
+        g = rng.choice(["q", "p", "f", "z", "v", "vq", "vp"])
         if g == "q":
             grp, x = Q, F(rng.randrange(-30, 30), rng.randrange(1, 12))
         elif g == "p":
-            grp, x = R2, tuple(rng.randrange(2) for _ in range(rng.randrange(5)))
+            grp, x = R2, poly()
         elif g == "f":
             grp, x = F5, rng.randrange(5)
+        elif g == "z":
+            grp, x = Integers(), rng.randrange(-1000, 1000)
         elif g == "v":
             grp, x = v2, (rng.randrange(5), rng.randrange(5))
-        else:
+        elif g == "vq":
             grp, x = vq, tuple(F(rng.randrange(-9, 9), rng.randrange(1, 5)) for _ in range(3))
+        else:
+            dim = rng.randrange(1, 4)
+            grp, x = VectorSpace(R2, dim), tuple(poly() for _ in range(dim))
         x = grp.element(x)
         assert parse_element(grp, render_element(grp, x)) == x
 
@@ -164,6 +172,9 @@ def test_subset_config_roundtrip():
     text = render_subset_config(cfg)
     assert text == "alpha=[{1},{}] gamma={2,3}"
     assert parse_subset_config(text) == cfg
+    two = SubsetConfig((frozenset({1, 2}), frozenset()), frozenset({3}))
+    assert render_subset_config(two) == "alpha=[{1,2},{}] gamma={3}"
+    assert parse_subset_config("alpha=[{1,2},{}] gamma={3}") == two
     with pytest.raises(TextFormatError):
         parse_subset_config("alpha=[{1}] gamma={1}")  # mover overlaps base
 
@@ -431,7 +442,7 @@ def test_parse_monomial_rejections():
 
 def test_parse_poly_map_scalar_target():
     pm = parse_poly_map(F5, F5, "u + 2*u^2")
-    assert pm.describe() == "u + 2*u^2"
+    assert render_poly_map(pm) == "u + 2*u^2"
     assert pm((3,)) == (3 + 2 * 9) % 5
     volume = parse_poly_map(Q, Q, "x1*x2")
     assert volume((F(2), F(3))) == F(6)
