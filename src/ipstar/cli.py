@@ -25,6 +25,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from .algebra import (
@@ -35,7 +36,7 @@ from .algebra import (
     Rationals,
     VectorSpace,
 )
-from .halesjewett import hj_number
+from .halesjewett import hj_stage
 from .ipsets import (
     example_a,
     example_a_checks,
@@ -49,6 +50,7 @@ from .recurrence import (
     isometric_recurrence_search,
     recurrence_set,
 )
+from .search import ALL_OK, BUDGET_EXCEEDED, coloring_stages
 from .systems import FinitePermSystem, RotationSystem, dlim_probe
 from .textio import (
     TextFormatError,
@@ -57,8 +59,7 @@ from .textio import (
     _split_top,
     check_certificate,
     describe_system,
-    fu_certificate,
-    hj_stage_certificate,
+    coloring_certificate,
     parse_certificate,
     parse_element,
     parse_fraction,
@@ -408,13 +409,26 @@ def _experiment_inputs(cfg):
     return sys_, B, phi, cfg.values["epsilon"], window
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory, then rename it
+    over the target, so the target is always either the old file or the
+    whole new one.  On failure the temporary file is removed."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_checkpoint(outd: Path, cfg, fields: dict) -> Path:
     h = config_hash(cfg)
     lines = [f"checkpoint {cfg.command}", f"config {h}"]
     for key in sorted(fields):
         lines.append(f"{key} {fields[key]}")
     path = outd / f"checkpoint-{h}.txt"
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -442,98 +456,77 @@ def _load_checkpoint(path: str, cfg) -> dict:
     return fields
 
 
-def _fmt_path(path) -> str:
-    return ",".join(str(c) for c in path or ())
-
-
-def _read_path(text: str):
-    if not text:
-        return None
-    return tuple(_parse_int(t) for t in text.split(","))
-
-
 # ---------------------------------------------------------------------------
 # runners
 
 
-def _run_hj(cfg, resume_file) -> int:
-    k, t, m_max = cfg.values["k"], cfg.values["t"], cfg.values["m_max"]
+# per coloring claim: certificate family, the stage's checkpoint key, the
+# head of a stage's stdout line, the resume line, and the all-ok label
+_CLAIMS = {
+    "hj": ("hj", "m", "stage m={m}", "resumed at stage m={m}", "all colorings forced a line"),
+    "fu-ramsey": (
+        "fu",
+        "r",
+        "fu r={r} s={s} k={k}",
+        "resumed at r={r}",
+        "every coloring contains a monochromatic family",
+    ),
+}
+
+
+def _run_stages(cfg, resume_file, stages, run_stage):
+    """Decide the claim of an `hj` or `fu-ramsey` run at ascending stages
+    under one budget, writing a certificate per decided stage and a
+    checkpoint when the budget runs out.  Returns (exit code, the first
+    stage whose claim holds for every coloring or None)."""
+    family, key, head, resumed, ok_label = _CLAIMS[cfg.command]
     outd = _out_dir(cfg)
     resume = None
     if resume_file is not None:
         ck = _load_checkpoint(resume_file, cfg)
-        resume = (int(ck["m"]), _read_path(ck.get("path", "")))
-        print(f"resumed at stage m={ck['m']}")
-    res = hj_number(k, t, m_max, budget=_resolve_budget(cfg), resume=resume)
-    for st in res.stages:
-        if st.kind == "budget_exceeded":
-            print(f"stage m={st.m}: budget exceeded after {st.candidates} candidates")
-            ck_path = _write_checkpoint(
-                outd, cfg, {"m": st.m, "path": _fmt_path(st.resume_path), "candidates": st.candidates}
-            )
-            print(f"checkpoint -> {ck_path}")
-            return 2
-        cert = hj_stage_certificate(k, t, st)
-        tag = "cover" if st.kind == "all-colorings-ok" else "counterexample"
-        path = outd / f"hj-k{k}-t{t}-m{st.m}-{tag}.txt"
-        path.write_text(render_certificate(cert))
-        label = "all colorings forced a line" if tag == "cover" else "counterexample"
-        print(f"stage m={st.m}: {label} -> {path}")
-    if res.value is None:
-        print(f"HJ({k},{t}) > {m_max} (m_max reached)")
-    else:
-        print(f"HJ({k},{t}) = {res.value}")
-    return 0
+        start = _parse_int(ck.get(key, ""))
+        if start not in stages:
+            raise ValueError(f"checkpoint resumes {key}={start}, outside this run")
+        resume_at = ck.get("path", "")
+        resume = (start, tuple(_parse_int(c) for c in resume_at.split(",")) if resume_at else None)
+        print(resumed.format(**{**cfg.values, key: start}))
+    budget = _resolve_budget(cfg)
+    for n, out in coloring_stages(stages, run_stage, budget=budget, resume=resume):
+        values = {**cfg.values, key: n}
+        if out.kind == BUDGET_EXCEEDED:
+            print(f"{head.format(**values)}: budget exceeded after {out.candidates} candidates")
+            resume_at = ",".join(str(c) for c in out.resume_path)
+            fields = {key: n, "path": resume_at, "candidates": out.candidates}
+            print(f"checkpoint -> {_write_checkpoint(outd, cfg, fields)}")
+            return 2, None
+        cover = out.kind == ALL_OK
+        tag = "cover" if cover else "counterexample"
+        cert = coloring_certificate(family, values, out)
+        name = "-".join([family, *(f"{p}{v}" for p, v in cert.params), tag])
+        path = outd / f"{name}.txt"
+        _write_text(path, render_certificate(cert))
+        print(f"{head.format(**values)}: {ok_label if cover else tag} -> {path}")
+        if cover:
+            return 0, n
+    return 0, None
+
+
+def _run_hj(cfg, resume_file) -> int:
+    k, t, m_max = cfg.values["k"], cfg.values["t"], cfg.values["m_max"]
+    rc, m = _run_stages(cfg, resume_file, range(1, m_max + 1), partial(hj_stage, k, t))
+    if rc == 0:
+        print(f"HJ({k},{t}) > {m_max} (m_max reached)" if m is None else f"HJ({k},{t}) = {m}")
+    return rc
 
 
 def _run_fu(cfg, resume_file) -> int:
-    s, k = cfg.values["s"], cfg.values["k"]
-    single = cfg.values.get("r")
-    outd = _out_dir(cfg)
-    budget = _resolve_budget(cfg)
-    path0 = None
-    if single is not None:
-        rs = [single]
-    else:
-        rs = list(range(1, cfg.values["r_limit"] + 1))
-    if resume_file is not None:
-        ck = _load_checkpoint(resume_file, cfg)
-        start_r = int(ck["r"])
-        if start_r not in rs:
-            raise ValueError(f"checkpoint resumes r={start_r}, outside this run")
-        rs = [r for r in rs if r >= start_r]
-        path0 = _read_path(ck.get("path", ""))
-        print(f"resumed at r={start_r}")
-    remaining = budget
-    for r in rs:
-        res = fu_ramsey_check(r, s, k, budget=remaining, resume_path=path0)
-        path0 = None
-        if res.kind == "budget_exceeded":
-            print(f"fu r={r} s={s} k={k}: budget exceeded after {res.candidates} candidates")
-            ck_path = _write_checkpoint(
-                outd, cfg, {"r": r, "path": _fmt_path(res.resume_path), "candidates": res.candidates}
-            )
-            print(f"checkpoint -> {ck_path}")
-            return 2
-        if remaining is not None:
-            remaining = max(remaining - res.candidates, 1)
-        cert = fu_certificate(res)
-        tag = "cover" if res.kind == "all-colorings-ok" else "counterexample"
-        path = outd / f"fu-r{r}-s{s}-k{k}-{tag}.txt"
-        path.write_text(render_certificate(cert))
-        label = (
-            "every coloring contains a monochromatic family"
-            if tag == "cover"
-            else "counterexample"
-        )
-        print(f"fu r={r} s={s} k={k}: {label} -> {path}")
-        if res.kind == "all-colorings-ok":
-            if single is None:
-                print(f"minimal r = {r}")
-            return 0
-    if single is None:
-        print(f"no universal r found up to r_limit {cfg.values['r_limit']}")
-    return 0
+    s, k, single = cfg.values["s"], cfg.values["k"], cfg.values.get("r")
+    rs = range(1, cfg.values["r_limit"] + 1) if single is None else [single]
+    rc, r = _run_stages(cfg, resume_file, rs, lambda r, **kw: fu_ramsey_check(r, s, k, **kw))
+    if rc == 0 and single is None:
+        limit = cfg.values["r_limit"]
+        print(f"no universal r found up to r_limit {limit}" if r is None else f"minimal r = {r}")
+    return rc
 
 
 def _run_fk(cfg, resume_file) -> int:
@@ -585,10 +578,10 @@ def _run_recurrence(cfg, resume_file) -> int:
     outd = _out_dir(cfg)
     if cfg.values["format"] == "csv":
         path = outd / "recurrence.csv"
-        path.write_text(render_recurrence_csv(rep, generated=_now()))
+        _write_text(path, render_recurrence_csv(rep, generated=_now()))
     else:
         path = outd / "recurrence.json"
-        path.write_text(render_report_json(report_tree(rep, generated=_now())))
+        _write_text(path, render_report_json(report_tree(rep, generated=_now())))
     print(f"wrote {path}")
     return 0
 
@@ -623,7 +616,7 @@ def _run_classify(cfg, resume_file) -> int:
             stalled = (r, v.resume_index)
     outd = _out_dir(cfg)
     path = outd / "classify.json"
-    path.write_text(render_report_json(report_tree(rep, generated=_now())))
+    _write_text(path, render_report_json(report_tree(rep, generated=_now())))
     print(f"wrote {path}")
     if stalled is not None:
         ck_path = _write_checkpoint(outd, cfg, {"r": stalled[0], "index": stalled[1]})

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .search import (
-    BUDGET_EXCEEDED,
-    DONE,
+    ColoringOutcome,
+    avoids_every_edge,
     check_cover_tree,
     first_hit,
     universal_coloring_search,
@@ -146,41 +146,17 @@ def find_mono_line(k: int, m: int, coloring):
 
 
 # ---------------------------------------------------------------------------
-# desk-scale Hales-Jewett numbers
+# Hales-Jewett stages: does every t-coloring of k^m words make a line
+# monochromatic?  ``coloring_stages`` over m = 1, 2, ... finds HJ(k, t).
 
 
-@dataclass(frozen=True)
-class HjStage:
-    m: int
-    kind: str  # "all-colorings-ok" | "counterexample" | "budget_exceeded"
-    counterexample: tuple[int, ...] | None  # colors in canonical word order
-    cover: tuple | None
-    candidates: int
-    resume_path: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class HjResult:
-    k: int
-    t: int
-    m_max: int
-    status: str  # DONE or BUDGET_EXCEEDED
-    value: int | None  # least m with the universal verdict, None if > m_max
-    stages: tuple[HjStage, ...]
-
-    @property
-    def checkpoint(self) -> tuple[int, tuple[int, ...]] | None:
-        last = self.stages[-1] if self.stages else None
-        if last is not None and last.kind == "budget_exceeded":
-            return last.m, last.resume_path
-        return None
-
-
-def _lines_by_last_index(k: int, m: int) -> list[list[tuple[int, ...]]]:
+def _lines_by_last_index(k: int, m: int) -> list[list[tuple]]:
+    """The hyperedge table of the stage: each line as (point indices,
+    point indices), listed under its largest point index."""
     table = [[] for _ in range(k**m)]
     for L in all_lines(k, m):
         idx = tuple(word_index(w, k) for w in line_points(L, k))
-        table[max(idx)].append(idx)
+        table[max(idx)].append((idx, idx))
     return table
 
 
@@ -190,97 +166,34 @@ def hj_stage(
     m: int,
     *,
     budget: int | None = None,
-    want_cover: bool = True,
     checkpoint_cb=None,
     resume_path=None,
-) -> HjStage:
+) -> ColoringOutcome:
     """Decide whether every t-coloring of the m-position word space over a
-    k-letter alphabet contains a monochromatic line."""
+    k-letter alphabet contains a monochromatic line.  Colorings list the
+    colors of the words in canonical word order; cover witnesses are the
+    point indices of a line."""
+    if k < 1 or t < 1 or m < 1:
+        raise ValueError("k, t, m must be >= 1")
     table = _lines_by_last_index(k, m)
-
-    def accept(colors, pos):
-        for idx in table[pos]:
-            c = colors[idx[0]]
-            if all(colors[q] == c for q in idx[1:]):
-                return idx
-        return None
-
-    out = universal_coloring_search(
-        k**m,
-        t,
-        accept,
-        budget=budget,
-        want_cover=want_cover,
-        checkpoint_cb=checkpoint_cb,
-        resume_path=resume_path,
+    return universal_coloring_search(
+        t, table, budget=budget, checkpoint_cb=checkpoint_cb, resume_path=resume_path
     )
-    if out.status == BUDGET_EXCEEDED:
-        return HjStage(m, "budget_exceeded", None, None, out.candidates, out.resume_path)
-    if out.all_ok:
-        return HjStage(m, "all-colorings-ok", None, out.cover, out.candidates)
-    return HjStage(m, "counterexample", out.counterexample, None, out.candidates)
 
 
-def hj_verify_witness(k: int, m: int, prefix, witness) -> bool:
+def _line_positions(k: int, m: int, witness):
     indices = tuple(witness)
-    if not is_line_point_tuple(k, m, indices):
-        return False
-    if max(indices) >= len(prefix):
-        return False
-    return len({prefix[q] for q in indices}) == 1
+    return indices if is_line_point_tuple(k, m, indices) else None
 
 
 def hj_check_cover(k: int, t: int, m: int, cover) -> bool:
-    return check_cover_tree(k**m, t, cover, lambda p, w: hj_verify_witness(k, m, p, w))
+    return check_cover_tree(k**m, t, cover, lambda w: _line_positions(k, m, w))
 
 
 def hj_coloring_is_counterexample(k: int, t: int, m: int, coloring) -> bool:
-    """Verification-only: a full coloring with no monochromatic line."""
-    if len(coloring) != k**m or any(not 1 <= c <= t for c in coloring):
-        return False
-    for L in all_lines(k, m):
-        idx = [word_index(w, k) for w in line_points(L, k)]
-        if len({coloring[q] for q in idx}) == 1:
-            return False
-    return True
-
-
-def hj_number(
-    k: int,
-    t: int,
-    m_max: int,
-    *,
-    budget: int | None = None,
-    want_cover: bool = True,
-    checkpoint_cb=None,
-    resume: tuple[int, tuple[int, ...]] | None = None,
-) -> HjResult:
-    """Least m <= m_max forcing a monochromatic line under every t-coloring,
-    by ascending m; each stage is an exhaustive pruned-DFS claim."""
-    if k < 1 or t < 1 or m_max < 1:
-        raise ValueError("k, t, m_max must be >= 1")
-    stages = []
-    remaining = budget
-    start_m, path = (resume if resume else (1, None))
-    for m in range(start_m, m_max + 1):
-        st = hj_stage(
-            k,
-            t,
-            m,
-            budget=remaining,
-            want_cover=want_cover,
-            checkpoint_cb=checkpoint_cb,
-            resume_path=path,
-        )
-        path = None
-        stages.append(st)
-        if st.kind == "budget_exceeded":
-            return HjResult(k, t, m_max, BUDGET_EXCEEDED, None, tuple(stages))
-        if remaining is not None:
-            remaining -= st.candidates
-        if st.kind == "all-colorings-ok":
-            return HjResult(k, t, m_max, DONE, m, tuple(stages))
-    return HjResult(k, t, m_max, DONE, None, tuple(stages))
+    """Verification-only: a full t-coloring with no monochromatic line."""
+    # a wrong length is refused before the k^m-entry table is built
+    return len(coloring) == k**m and avoids_every_edge(coloring, t, _lines_by_last_index(k, m))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from .algebra import FullWindow, Window, window_enumerate
 from .search import (
     BUDGET_EXCEEDED,
     DONE,
+    ColoringOutcome,
+    avoids_every_edge,
     check_cover_tree,
     first_tuple,
     universal_coloring_search,
@@ -263,24 +265,12 @@ def is_ip_r_star(
 # the finite coloring claim over F_r
 
 
-@dataclass(frozen=True)
-class FuRamseyResult:
-    r: int
-    s: int
-    k: int
-    kind: str  # "all-colorings-ok" | "counterexample" | "budget_exceeded"
-    coloring: tuple[int, ...] | None  # digits in family_order(r), counterexample only
-    witness_blocks: tuple | None  # not used for all-ok (cover carries them)
-    cover: tuple | None  # CoverLeaf sequence proving the all-ok claim
-    candidates: int
-    resume_path: tuple[int, ...] | None = None
-
-
 def _fu_checks_by_position(r: int, s: int):
-    """For each position (mask order), the splits completed there: a list of
-    (blocks, union_positions) where union_positions index every union of the
-    blocks and the last one is the position itself.  family_order is in
-    ascending bitmask order, so the set with mask m sits at position m - 1."""
+    """The hyperedge table of the claim: for each position (mask order), the
+    splits completed there as (blocks, union_positions), where
+    union_positions index every union of the blocks and the last one is the
+    position itself.  family_order is in ascending bitmask order, so the set
+    with mask m sits at position m - 1."""
     table = []
     for alpha in family_order(r):
         entries = []
@@ -298,101 +288,51 @@ def fu_ramsey_check(
     k: int,
     *,
     budget: int | None = None,
-    want_cover: bool = True,
     checkpoint_cb=None,
     resume_path: tuple[int, ...] | None = None,
-) -> FuRamseyResult:
+) -> ColoringOutcome:
     """Either every k-coloring of F_r contains monochromatic ordered blocks
     alpha_1 < ... < alpha_s with all their unions in one color, or there is a
     coloring with none; the search returns the least such coloring (base-k
     digit order over ascending bitmasks, colors canonicalized by first use).
+
+    Monotone in r (restricting a coloring of F_{r+1} to F_r preserves
+    families), so ``coloring_stages`` over r = 1, 2, ... finds the least r
+    with the all-colorings verdict.
     """
     if r < 1 or s < 1 or k < 1:
         raise ValueError("r, s, k must all be >= 1")
     table = _fu_checks_by_position(r, s)
-
-    def accept(colors, pos):
-        c = colors[pos]
-        for blocks, union_positions in table[pos]:
-            if all(colors[q] == c for q in union_positions):
-                return blocks
-        return None
-
-    out = universal_coloring_search(
-        (1 << r) - 1,
-        k,
-        accept,
-        budget=budget,
-        want_cover=want_cover,
-        checkpoint_cb=checkpoint_cb,
-        resume_path=resume_path,
+    return universal_coloring_search(
+        k, table, budget=budget, checkpoint_cb=checkpoint_cb, resume_path=resume_path
     )
-    if out.status == BUDGET_EXCEEDED:
-        return FuRamseyResult(r, s, k, "budget_exceeded", None, None, None, out.candidates, out.resume_path)
-    if out.all_ok:
-        return FuRamseyResult(r, s, k, "all-colorings-ok", None, None, out.cover, out.candidates)
-    return FuRamseyResult(r, s, k, "counterexample", out.counterexample, None, None, out.candidates)
 
 
-def fu_verify_witness(r: int, s: int, prefix: tuple[int, ...], blocks) -> bool:
-    """Verification-only check that the blocks witness a monochromatic family
-    fully colored inside the prefix.  Used by certificate replay."""
+def _union_positions(r: int, s: int, blocks):
+    """Verification-only: the positions of every union of s ordered blocks
+    inside {1..r}, or None when the blocks are not such a family."""
+    if len(blocks) != s:
+        return None
     try:
         unions = finite_unions(blocks)
     except ValueError:
-        return False
+        return None
     if any(not u <= frozenset(range(1, r + 1)) for u in unions):
-        return False
-    positions = [set_to_mask(u) - 1 for u in unions]  # family_order is ascending bitmask
-    if max(positions) >= len(prefix):
-        return False
-    return len({prefix[q] for q in positions}) == 1
+        return None
+    return [set_to_mask(u) - 1 for u in unions]  # family_order is ascending bitmask
 
 
-def fu_coloring_is_counterexample(r: int, s: int, coloring: tuple[int, ...]) -> bool:
-    """Verification-only check that a full coloring of F_r has no
+def fu_coloring_is_counterexample(r: int, s: int, k: int, coloring: tuple[int, ...]) -> bool:
+    """Verification-only check that a full k-coloring of F_r has no
     monochromatic s-block union family."""
-    if len(coloring) != (1 << r) - 1:
-        return False
-    for pos, entries in enumerate(_fu_checks_by_position(r, s)):
-        for _blocks, union_positions in entries:
-            if len({coloring[q] for q in union_positions}) == 1:
-                return False
-    return True
-
-
-def fu_check_cover(r: int, s: int, k: int, cover) -> bool:
-    return check_cover_tree(
-        (1 << r) - 1, k, cover, lambda prefix, blocks: fu_verify_witness(r, s, prefix, blocks)
+    # a wrong length is refused before the table over F_r is built
+    return len(coloring) == (1 << r) - 1 and avoids_every_edge(
+        coloring, k, _fu_checks_by_position(r, s)
     )
 
 
-def fu_minimal_r(
-    s: int,
-    k: int,
-    *,
-    r_limit: int = 10,
-    budget: int | None = None,
-    want_cover: bool = True,
-) -> tuple[int | None, list[FuRamseyResult]]:
-    """Ascending search for the least r with the all-colorings verdict.
-
-    Monotone in r (restricting a coloring of F_{r+1} to F_r preserves
-    families), so the first all-ok r is the answer.  Returns (r or None,
-    the per-r results up to and including it).
-    """
-    results = []
-    remaining = budget
-    for r in range(1, r_limit + 1):
-        res = fu_ramsey_check(r, s, k, budget=remaining, want_cover=want_cover)
-        results.append(res)
-        if res.kind == "budget_exceeded":
-            return None, results
-        if remaining is not None:
-            remaining -= res.candidates
-        if res.kind == "all-colorings-ok":
-            return r, results
-    return None, results
+def fu_check_cover(r: int, s: int, k: int, cover) -> bool:
+    return check_cover_tree((1 << r) - 1, k, cover, lambda blocks: _union_positions(r, s, blocks))
 
 
 # ---------------------------------------------------------------------------

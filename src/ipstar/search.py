@@ -10,9 +10,11 @@ Three engines:
   (hit, candidates, resume index) is the one a probe-per-tuple ``first_hit``
   scan of the same predicate would return.
 * ``universal_coloring_search`` is a pruned depth-first search over all
-  k-colorings of M indexed positions.  It either proves "every coloring
-  contains a target" and emits a replayable pruning certificate (a cover
-  tree), or returns the least counterexample coloring in base-k order.
+  k-colorings of M indexed positions, given a table of hyperedges.  It
+  either proves "every coloring makes a hyperedge monochromatic" and emits
+  a replayable pruning certificate (a cover tree), or returns the least
+  counterexample coloring in base-k order.  ``coloring_stages`` decides
+  such claims at ascending stages under one budget.
 
 Budgets count examined candidates (scan probes, DFS color assignments).
 Exhausting a budget is a first-class outcome carrying resume information,
@@ -132,6 +134,15 @@ def first_tuple(
 
 # ---------------------------------------------------------------------------
 # universal coloring claims
+#
+# Hales-Jewett stages and finite-union Ramsey checks are one claim: every
+# k-coloring of M indexed positions makes some hyperedge monochromatic.  A
+# problem supplies only its hyperedge table ``edges_by_last``: for each
+# position, the (witness, positions) pairs of the hyperedges whose last
+# position it is.
+
+ALL_OK = "all-colorings-ok"
+COUNTEREXAMPLE = "counterexample"
 
 
 @dataclass(frozen=True)
@@ -143,13 +154,12 @@ class CoverLeaf:
 
 
 @dataclass(frozen=True)
-class UniversalOutcome:
-    status: str  # DONE or BUDGET_EXCEEDED
-    all_ok: bool | None  # None when budget exceeded
-    counterexample: tuple[int, ...] | None
-    cover: tuple[CoverLeaf, ...] | None
+class ColoringOutcome:
+    kind: str  # ALL_OK, COUNTEREXAMPLE or BUDGET_EXCEEDED
+    coloring: tuple[int, ...] | None  # the least counterexample
+    cover: tuple[CoverLeaf, ...] | None  # the cover tree proving ALL_OK
     candidates: int
-    resume_path: tuple[int, ...] | None
+    resume_path: tuple[int, ...] | None = None  # where a BUDGET_EXCEEDED search restarts
 
 
 def _allowed_max(prefix, k: int, canonical: bool) -> int:
@@ -159,55 +169,54 @@ def _allowed_max(prefix, k: int, canonical: bool) -> int:
     return min(k, (max(prefix) if prefix else 0) + 1)
 
 
+def _mono_witness(colors, c: int, edges):
+    # the witness of the first edge whose positions all have color c
+    for witness, positions in edges:
+        if all(colors[q] == c for q in positions):
+            return witness
+    return None
+
+
 def universal_coloring_search(
-    M: int,
     k: int,
-    accept,
+    edges_by_last,
     *,
     canonical: bool = True,
     budget: int | None = None,
-    want_cover: bool = True,
     checkpoint_cb=None,
     checkpoint_interval: int = CHECKPOINT_INTERVAL,
     resume_path: tuple[int, ...] | None = None,
-) -> UniversalOutcome:
-    """Decide whether every k-coloring of positions 0..M-1 contains a target.
+) -> ColoringOutcome:
+    """Decide whether every k-coloring of the M = len(edges_by_last)
+    positions makes some hyperedge monochromatic.
 
-    ``accept(colors, pos)`` sees the assignment colors[0..pos] (later entries
-    stale) and returns a witness for a target completed at ``pos``, or None.
-    Branches are cut the moment a witness appears, so accept only ever needs
-    to look at structures whose last position is ``pos``.
+    A branch is cut the moment the color just assigned completes a
+    monochromatic hyperedge, so only the edges listed under that position
+    are looked at.
 
     With ``canonical`` set, color c is only tried at a position if colors
-    1..c-1 already appear earlier; targets must be color-permutation
-    invariant for the claim to transfer to all colorings.  For k = 2 the
-    counterexample returned is the least avoiding coloring in base-k order
-    (any avoider can be relabeled to start with color 1).
+    1..c-1 already appear earlier; the claim is color-permutation invariant,
+    so it transfers to all colorings.  For k = 2 the counterexample returned
+    is the least avoiding coloring in base-k order (any avoider can be
+    relabeled to start with color 1).
 
     All-ok claims come with a cover tree: the pruned prefixes in DFS order,
-    each with its witness.  ``check_cover_tree`` replays them using only
-    verification logic.  A resumed search that wants the cover first replays
-    the DFS from the root up to ``resume_path``, uncharged, to rebuild the
-    leaves before it; without a cover it starts at the path directly.
+    each with the witness of the first edge, in table order, it made
+    monochromatic.  ``check_cover_tree`` replays them using only
+    verification logic.  A resumed search first replays the DFS from the
+    root up to ``resume_path``, uncharged, to rebuild the leaves before it.
     """
+    M = len(edges_by_last)
     if M < 1 or k < 1:
         raise ValueError("need M >= 1 positions and k >= 1 colors")
+    if resume_path and (len(resume_path) > M or any(c < 1 or c > k for c in resume_path)):
+        raise ValueError(f"bad resume path {resume_path!r}")
     colors = [0] * M
     leaves: list[CoverLeaf] = []
     examined = 0
-    replay = None  # resume path still ahead of an uncharged cover replay
-
-    if resume_path:
-        if len(resume_path) > M or any(c < 1 or c > k for c in resume_path):
-            raise ValueError(f"bad resume path {resume_path!r}")
-    if resume_path and not want_cover:
-        depth = len(resume_path) - 1
-        colors[: len(resume_path)] = resume_path
-        pending = resume_path[-1]
-    else:
-        replay = tuple(resume_path) if resume_path else None
-        depth = 0
-        pending = 1
+    replay = tuple(resume_path) if resume_path else None  # path still ahead of the replay
+    depth = 0
+    pending = 1
 
     while True:
         # about to try color `pending` at position `depth`
@@ -220,16 +229,15 @@ def universal_coloring_search(
                 replay = None  # caught up: charge every node from here on
         elif budget is not None and examined >= budget:
             resume = tuple(colors[:depth]) + (pending,)
-            return UniversalOutcome(BUDGET_EXCEEDED, None, None, None, examined, resume)
+            return ColoringOutcome(BUDGET_EXCEEDED, None, None, examined, resume)
         colors[depth] = pending
         if replay is None:
             examined += 1
             if checkpoint_cb is not None and examined % checkpoint_interval == 0:
                 checkpoint_cb(tuple(colors[: depth + 1]), examined)
-        witness = accept(colors, depth)
+        witness = _mono_witness(colors, pending, edges_by_last[depth])
         if witness is not None:
-            if want_cover:
-                leaves.append(CoverLeaf(tuple(colors[: depth + 1]), witness))
+            leaves.append(CoverLeaf(tuple(colors[: depth + 1]), witness))
         elif depth + 1 < M:
             depth += 1
             pending = 1
@@ -237,7 +245,7 @@ def universal_coloring_search(
         else:
             if replay is not None:
                 raise _off_frontier(resume_path)
-            return UniversalOutcome(DONE, False, tuple(colors), None, examined, None)
+            return ColoringOutcome(COUNTEREXAMPLE, tuple(colors), None, examined)
         # advance: increment with carry in the canonical-allowed digit ranges
         while True:
             last = colors[depth]
@@ -248,21 +256,22 @@ def universal_coloring_search(
             if depth < 0:
                 if replay is not None:
                     raise _off_frontier(resume_path)
-                cover = tuple(leaves) if want_cover else None
-                return UniversalOutcome(DONE, True, None, cover, examined, None)
+                return ColoringOutcome(ALL_OK, None, tuple(leaves), examined)
 
 
 def _off_frontier(resume_path) -> ValueError:
     return ValueError(f"resume path {resume_path!r} is never reached by this search")
 
 
-def check_cover_tree(M: int, k: int, leaves, verify_witness, *, canonical: bool = True) -> bool:
+def check_cover_tree(M: int, k: int, leaves, edge_positions, *, canonical: bool = True) -> bool:
     """Replay a cover tree and confirm it proves the all-colorings claim.
 
-    Checks (a) every leaf's witness is a target monochromatic under its own
-    prefix, via the caller's verification-only ``verify_witness(prefix,
-    witness)``, and (b) the leaves, in order, are exactly the pruned frontier
-    of the canonical DFS, so no full coloring escapes.  Uses no search code.
+    Checks (a) every leaf's witness names a hyperedge that its prefix colors
+    in one color, where the caller's verification-only
+    ``edge_positions(witness)`` decodes the witness into the positions of
+    that hyperedge, or None when it names none, and (b) the leaves, in
+    order, are exactly the pruned frontier of the canonical DFS, so no full
+    coloring escapes.  Uses no search code.
     """
     state: list[int] = [1]
     for leaf in leaves:
@@ -272,7 +281,10 @@ def check_cover_tree(M: int, k: int, leaves, verify_witness, *, canonical: bool 
             if len(state) >= M:
                 return False
             state.append(1)
-        if not verify_witness(prefix, leaf.witness):
+        positions = edge_positions(leaf.witness)
+        if positions is None or max(positions) >= len(prefix):
+            return False
+        if len({prefix[q] for q in positions}) != 1:
             return False
         while state:
             last = state.pop()
@@ -280,3 +292,42 @@ def check_cover_tree(M: int, k: int, leaves, verify_witness, *, canonical: bool 
                 state.append(last + 1)
                 break
     return not state
+
+
+def avoids_every_edge(coloring, k: int, edges_by_last) -> bool:
+    """Verification-only: is this a full coloring of the positions, in colors
+    1..k, with no monochromatic hyperedge?"""
+    if len(coloring) != len(edges_by_last) or any(not 1 <= c <= k for c in coloring):
+        return False
+    return all(
+        len({coloring[q] for q in positions}) > 1
+        for edges in edges_by_last
+        for _witness, positions in edges
+    )
+
+
+def coloring_stages(stages, run_stage, *, budget: int | None = None, resume=None):
+    """Decide the claim at each stage in ascending order, up to and including
+    the first stage that is not a counterexample; returns (stage, outcome)
+    pairs.
+
+    ``run_stage(n, budget=..., resume_path=...)`` decides stage n.  The
+    budget caps the candidates of all stages together: a stage gets what the
+    stages before it left, so one that starts with nothing left exceeds the
+    budget after 0 candidates.  ``resume = (n, path)`` skips the stages
+    before n, and only stage n resumes from the path.
+    """
+    path = None
+    if resume is not None:
+        start, path = resume
+        stages = [n for n in stages if n >= start]
+    out = []
+    for n in stages:
+        res = run_stage(n, budget=budget, resume_path=path)
+        out.append((n, res))
+        if res.kind != COUNTEREXAMPLE:
+            break
+        path = None
+        if budget is not None:
+            budget -= res.candidates
+    return out

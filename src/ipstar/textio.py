@@ -336,9 +336,10 @@ def parse_poly_map(ring, target, text: str) -> PolynomialMap:
 
 
 def render_poly_map(phi: PolynomialMap) -> str:
-    """The terms as ``parse_poly_map`` reads them, without target weights."""
+    """The terms as ``parse_poly_map`` reads them: a vector target's weight
+    closes each term, a scalar target's weight (always one) is left out."""
     parts = []
-    for m, _w in phi.terms:
+    for m, w in phi.terms:
         factors = [] if m.coeff == m.ring.one else [render_element(m.ring, m.coeff)]
         for k, e in enumerate(m.exponents):
             name = "u" if m.n == 1 else f"x{k + 1}"
@@ -346,6 +347,8 @@ def render_poly_map(phi: PolynomialMap) -> str:
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
+        if isinstance(phi.target, VectorSpace):
+            factors.append(render_element(phi.target, w))
         parts.append("*".join(factors))
     return " + ".join(parts)
 
@@ -602,10 +605,6 @@ def _render_colors(colors, n_colors: int) -> str:
     return ",".join(str(c) for c in colors)
 
 
-def _parse_colors(text: str) -> tuple[int, ...]:
-    return parse_word(text)
-
-
 def _witness_to_text(kind: str, witness) -> str:
     if kind.startswith("hj"):
         return ",".join(str(i) for i in witness)
@@ -619,11 +618,9 @@ def _witness_from_text(kind: str, text: str):
 
 
 def render_certificate(cert: Certificate) -> str:
-    names = _CERT_PARAMS[cert.kind]
     n_colors = cert.param("t") if cert.kind.startswith("hj") else cert.param("k")
     out = [f"certificate {cert.kind}", _ENUMERATION_NOTES[cert.kind[:2]]]
-    for name in names:
-        out.append(f"{name} {cert.param(name)}")
+    out.extend(f"{name} {value}" for name, value in cert.params)
     if cert.coloring is not None:
         out.append("coloring " + _render_colors(cert.coloring, n_colors))
     for leaf in cert.leaves or ():
@@ -653,13 +650,13 @@ def parse_certificate(text: str) -> Certificate:
         elif key in _CERT_PARAMS[kind]:
             params[key] = _parse_int(rest)
         elif key == "coloring":
-            coloring = _parse_colors(rest)
+            coloring = parse_word(rest)
         elif key == "leaf":
             prefix_text, _, witness_text = rest.partition(" ")
             if not witness_text:
                 raise TextFormatError(f"line {no}: leaf needs a prefix and a witness")
             leaves.append(
-                CoverLeaf(_parse_colors(prefix_text), _witness_from_text(kind, witness_text))
+                CoverLeaf(parse_word(prefix_text), _witness_from_text(kind, witness_text))
             )
         else:
             raise TextFormatError(f"line {no}: unknown key {key!r}")
@@ -680,39 +677,23 @@ def parse_certificate(text: str) -> Certificate:
 
 def check_certificate(cert: Certificate) -> bool:
     """Replay a certificate using verification-only code paths."""
-    if cert.kind == "hj-counterexample":
-        k, t, m = (cert.param(n) for n in ("k", "t", "m"))
-        return cert.coloring is not None and hj_coloring_is_counterexample(
-            k, t, m, cert.coloring
-        )
-    if cert.kind == "hj-cover":
-        k, t, m = (cert.param(n) for n in ("k", "t", "m"))
-        return hj_check_cover(k, t, m, cert.leaves or ())
-    if cert.kind == "fu-counterexample":
-        r, s, k = (cert.param(n) for n in ("r", "s", "k"))
-        if cert.coloring is None or any(not 1 <= c <= k for c in cert.coloring):
-            return False
-        return fu_coloring_is_counterexample(r, s, cert.coloring)
-    r, s, k = (cert.param(n) for n in ("r", "s", "k"))
-    return fu_check_cover(r, s, k, cert.leaves or ())
+    values = [v for _name, v in cert.params]
+    hj = cert.kind.startswith("hj")
+    if cert.kind.endswith("cover"):
+        check_cover = hj_check_cover if hj else fu_check_cover
+        return check_cover(*values, cert.leaves or ())
+    is_counterexample = hj_coloring_is_counterexample if hj else fu_coloring_is_counterexample
+    return cert.coloring is not None and is_counterexample(*values, cert.coloring)
 
 
-def hj_stage_certificate(k: int, t: int, stage) -> Certificate:
-    params = (("k", k), ("t", t), ("m", stage.m))
-    if stage.kind == "counterexample":
-        return Certificate("hj-counterexample", params, stage.counterexample, None)
-    if stage.kind == "all-colorings-ok":
-        return Certificate("hj-cover", params, None, tuple(stage.cover or ()))
-    raise TextFormatError("budget-exceeded stages carry no certificate")
-
-
-def fu_certificate(result) -> Certificate:
-    params = (("r", result.r), ("s", result.s), ("k", result.k))
-    if result.kind == "counterexample":
-        return Certificate("fu-counterexample", params, result.coloring, None)
-    if result.kind == "all-colorings-ok":
-        return Certificate("fu-cover", params, None, tuple(result.cover or ()))
-    raise TextFormatError("budget-exceeded results carry no certificate")
+def coloring_certificate(family: str, values, outcome) -> Certificate:
+    """The certificate of a decided coloring claim: ``family`` is "hj" or
+    "fu", ``values`` maps each of the family's parameters to its value."""
+    if outcome.kind == "budget_exceeded":
+        raise TextFormatError("budget-exceeded outcomes carry no certificate")
+    kind = f"{family}-cover" if outcome.kind == "all-colorings-ok" else f"{family}-counterexample"
+    params = tuple((name, values[name]) for name in _CERT_PARAMS[kind])
+    return Certificate(kind, params, outcome.coloring, outcome.cover)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import itertools
 import random
 import time
 from fractions import Fraction as F
+from functools import partial
 
 from ipstar import cli
 from ipstar.algebra import (
@@ -24,7 +25,7 @@ from ipstar.algebra import (
 )
 from ipstar.halesjewett import (
     all_lines,
-    hj_number,
+    hj_stage,
     line_points,
     line_to_config,
     config_points,
@@ -37,7 +38,6 @@ from ipstar.ipsets import (
     family_order,
     fk_density_experiment,
     fk_odds_certificate,
-    fu_minimal_r,
     fu_ramsey_check,
 )
 from ipstar.recurrence import (
@@ -47,6 +47,7 @@ from ipstar.recurrence import (
     reports_agree,
     theorem1_pipeline,
 )
+from ipstar.search import coloring_stages
 from ipstar.systems import (
     BernoulliSystem,
     RotationSystem,
@@ -58,8 +59,7 @@ from ipstar.systems import (
 )
 from ipstar.textio import (
     check_certificate,
-    fu_certificate,
-    hj_stage_certificate,
+    coloring_certificate,
     render_certificate,
 )
 
@@ -74,14 +74,14 @@ def square_map(ring):
 
 def test_criterion_01_hj_number_two_two():
     t0 = time.perf_counter()
-    res = hj_number(2, 2, 4)
-    assert res.value == 2
-    first, second = res.stages
-    assert first.kind == "counterexample" and first.counterexample is not None
+    stages = coloring_stages(range(1, 5), partial(hj_stage, 2, 2))
+    assert [m for m, _ in stages] == [1, 2]  # HJ(2,2) = 2
+    (_, first), (_, second) = stages
+    assert first.kind == "counterexample" and first.coloring is not None
     assert second.kind == "all-colorings-ok" and second.cover
     # both stage claims survive the verification-only re-check
-    assert check_certificate(hj_stage_certificate(2, 2, first))
-    assert check_certificate(hj_stage_certificate(2, 2, second))
+    assert check_certificate(coloring_certificate("hj", {"k": 2, "t": 2, "m": 1}, first))
+    assert check_certificate(coloring_certificate("hj", {"k": 2, "t": 2, "m": 2}, second))
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -92,12 +92,14 @@ def test_criterion_02_fu_ramsey_finite_shadow(tmp_path, capsys):
     # the least bad coloring is exactly the block-size parity coloring
     parity = tuple(1 if len(a) % 2 else 2 for a in family_order(3))
     assert res.coloring == parity
-    best, results = fu_minimal_r(2, 2, r_limit=4, budget=500_000)
-    assert all(x.kind != "budget_exceeded" for x in results)
-    assert best is None  # no universal r that low; every level has a witness
-    for x in results:
-        path = tmp_path / f"fu-r{x.r}.txt"
-        path.write_text(render_certificate(fu_certificate(x)))
+    results = coloring_stages(
+        range(1, 5), lambda r, **kw: fu_ramsey_check(r, 2, 2, **kw), budget=500_000
+    )
+    # no universal r that low; every level has a witness
+    assert [(r, x.kind) for r, x in results] == [(r, "counterexample") for r in range(1, 5)]
+    for r, x in results:
+        path = tmp_path / f"fu-r{r}.txt"
+        path.write_text(render_certificate(coloring_certificate("fu", {"r": r, "s": 2, "k": 2}, x)))
         assert cli.main(["--check", str(path)]) == 0
     capsys.readouterr()
     assert time.perf_counter() - t0 < 300

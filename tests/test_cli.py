@@ -172,6 +172,62 @@ def test_resumed_cover_certificate_matches_unsplit_run(tmp_path, capsys, argv, b
     assert rc == 0 and "certificate valid" in out
 
 
+def test_budget_spent_at_a_stage_boundary(tmp_path, capsys):
+    # r = 1, 2, 3 take all 15 candidates, so r = 4 starts with none left
+    argv = ["fu-ramsey", "r_limit=6", "s=2", "k=2"]
+    full, split = tmp_path / "full", tmp_path / "split"
+    assert _run(capsys, argv + [f"output={full}"])[0] == 0
+    rc, out, _ = _run(capsys, argv + [f"output={split}", "budget=15"])
+    assert rc == 2
+    assert "fu r=4 s=2 k=2: budget exceeded after 0 candidates\n" in out
+    ck = next(split.glob("checkpoint-*.txt"))
+    assert "candidates 0\n" in ck.read_text()
+    rc, out, _ = _run(capsys, argv + [f"output={split}", "--resume", str(ck)])
+    assert rc == 0 and out.startswith("resumed at r=4\n") and out.endswith("minimal r = 5\n")
+    files = lambda d: {p.name: p.read_bytes() for p in d.iterdir()}  # noqa: E731
+    assert files(split) == files(full)
+
+
+def test_checkpoint_outside_the_run_refused(tmp_path, capsys):
+    argv = ["hj", "k=2", "t=3", "m_max=4", f"output={tmp_path}"]
+    _run(capsys, argv + ["budget=5"])
+    ck = next(tmp_path.glob("checkpoint-*.txt"))
+    ck.write_text(ck.read_text().replace("\nm 2\n", "\nm 9\n"))
+    rc, _, err = _run(capsys, argv + ["--resume", str(ck)])
+    assert rc == 1 and "checkpoint resumes m=9, outside this run" in err
+    ck.write_text(ck.read_text().replace("\nm 9\n", "\n"))  # no stage at all
+    rc, _, err = _run(capsys, argv + ["--resume", str(ck)])
+    assert rc == 1 and "not an integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["hj", "k=2", "t=2"], "hj-k2-t2-m1-counterexample.txt"),
+        (["hj", "k=2", "t=3", "m_max=4", "budget=1"], None),  # only the checkpoint
+        (["recurrence", "phi=u^2", "epsilon=1/10", "window=full"], "recurrence.csv"),
+    ],
+    ids=["certificate", "checkpoint", "report"],
+)
+def test_writes_replace_the_target_whole_or_not_at_all(tmp_path, capsys, monkeypatch, argv, target):
+    out = tmp_path / "out"
+    if argv[0] == "recurrence":
+        argv = argv + [f"system={_sys_file(tmp_path)}"]
+    assert _run(capsys, argv + [f"output={out}"])[0] in (0, 2)
+    path = out / target if target else next(out.glob("checkpoint-*.txt"))
+    path.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        cli.main(argv + [f"output={out}"])
+    capsys.readouterr()
+    assert path.read_text() == "old\n"
+    assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
 def test_checkpoint_for_wrong_command_refused(tmp_path, capsys):
     _run(capsys, ["hj", "k=2", "t=3", "m_max=4", "budget=5", f"output={tmp_path}"])
     ck = next(tmp_path.glob("checkpoint-*.txt"))

@@ -1,0 +1,188 @@
+"""Golden outputs of the `hj` and `fu-ramsey` runs.
+
+Each instance is a list of command lines run in order through
+``ipstar.cli.main`` in a fresh directory, with ``output=out``; ``{ckpt}``
+stands for the checkpoint the previous step wrote.  After each step the
+exit code, standard output and the sha256 of every file under ``out`` are
+compared with the values pinned below.  At the end every certificate is
+replayed with ``--check``.  The pins were captured from the code before the
+two claims shared one search, one stage loop and one certificate path; any
+change to them has to be a deliberate format change.
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from ipstar import cli
+
+INSTANCES = {
+    # the eight hj / fu-ramsey runs of the benchmark's coloring workload
+    "hj-k4-t2": [["hj", "k=4", "t=2", "m_max=3"]],
+    "hj-k2-t5": [["hj", "k=2", "t=5", "m_max=5"]],
+    "hj-k2-t4": [["hj", "k=2", "t=4", "m_max=4"]],
+    "hj-k3-t2": [["hj", "k=3", "t=2", "m_max=3"]],
+    "fu-r7-s2-k2": [["fu-ramsey", "r=7", "s=2", "k=2"]],
+    "fu-upto6-s2-k2": [["fu-ramsey", "r_limit=6", "s=2", "k=2"]],
+    "fu-r4-s2-k3": [["fu-ramsey", "r=4", "s=2", "k=3"]],
+    "fu-r5-s3-k2": [["fu-ramsey", "r=5", "s=3", "k=2"]],
+    # budget splits, then a resume without the budget
+    "hj-k4-t2-split": [
+        ["hj", "k=4", "t=2", "m_max=3", "budget=5000"],
+        ["hj", "--resume", "{ckpt}", "k=4", "t=2", "m_max=3"],
+    ],
+    "fu-r7-s2-k2-split": [
+        ["fu-ramsey", "r=7", "s=2", "k=2", "budget=1000"],
+        ["fu-ramsey", "--resume", "{ckpt}", "r=7", "s=2", "k=2"],
+    ],
+}
+
+
+def _sha(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _main(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(argv)
+    return rc, buf.getvalue()
+
+
+def play(steps):
+    """Run the steps in the current directory; returns one record per step
+    (exit code, stdout, {file: sha256}) and the ``--check`` replays."""
+    out = Path("out")
+    records = []
+    for argv in steps:
+        ckpts = sorted(str(p) for p in out.glob("checkpoint-*.txt"))
+        argv = [a.replace("{ckpt}", ckpts[0] if ckpts else "") for a in argv]
+        rc, stdout = _main([*argv, "output=out"])
+        files = {p.name: _sha(p) for p in sorted(out.iterdir())}
+        records.append((rc, stdout, files))
+    checks = [_main(["--check", str(p)]) for p in sorted(out.glob("*-*-*.txt")) if "checkpoint" not in p.name]
+    return records, checks
+
+
+# name -> ([(exit code, stdout, {file: sha256}) per step], [(exit code, stdout) per --check])
+GOLDEN = {'fu-r4-s2-k3': ([(0,
+                   'fu r=4 s=2 k=3: counterexample -> out/fu-r4-s2-k3-counterexample.txt\n',
+                   {'fu-r4-s2-k3-counterexample.txt': 'b7ea714637c100dd37ef88b8d3dc2c51606ee4126366ed71d7f0f6489ea3b06c'})],
+                 [(0, 'certificate valid: fu-counterexample r=4 s=2 k=3\n')]),
+ 'fu-r5-s3-k2': ([(0,
+                   'fu r=5 s=3 k=2: counterexample -> out/fu-r5-s3-k2-counterexample.txt\n',
+                   {'fu-r5-s3-k2-counterexample.txt': '1e8976f02086d8715af6acdf9582bcfdcc6a582d28aac3d662ae9772783ee743'})],
+                 [(0, 'certificate valid: fu-counterexample r=5 s=3 k=2\n')]),
+ 'fu-r7-s2-k2': ([(0,
+                   'fu r=7 s=2 k=2: every coloring contains a monochromatic family -> '
+                   'out/fu-r7-s2-k2-cover.txt\n',
+                   {'fu-r7-s2-k2-cover.txt': '2880561b67890f5c84bd5dde73b476127f18e5ca87060b8446702d77df086646'})],
+                 [(0, 'certificate valid: fu-cover r=7 s=2 k=2\n')]),
+ 'fu-r7-s2-k2-split': ([(2,
+                         'fu r=7 s=2 k=2: budget exceeded after 1000 candidates\n'
+                         'checkpoint -> out/checkpoint-351420c92656.txt\n',
+                         {'checkpoint-351420c92656.txt': 'e021340c177de344feb3fabd8d904741e02dc5f1d2b05a8c1c4024db694452cf'}),
+                        (0,
+                         'resumed at r=7\n'
+                         'fu r=7 s=2 k=2: every coloring contains a monochromatic family -> '
+                         'out/fu-r7-s2-k2-cover.txt\n',
+                         {'fu-r7-s2-k2-cover.txt': '2880561b67890f5c84bd5dde73b476127f18e5ca87060b8446702d77df086646'})],
+                       [(0, 'certificate valid: fu-cover r=7 s=2 k=2\n')]),
+ 'fu-upto6-s2-k2': ([(0,
+                      'fu r=1 s=2 k=2: counterexample -> out/fu-r1-s2-k2-counterexample.txt\n'
+                      'fu r=2 s=2 k=2: counterexample -> out/fu-r2-s2-k2-counterexample.txt\n'
+                      'fu r=3 s=2 k=2: counterexample -> out/fu-r3-s2-k2-counterexample.txt\n'
+                      'fu r=4 s=2 k=2: counterexample -> out/fu-r4-s2-k2-counterexample.txt\n'
+                      'fu r=5 s=2 k=2: every coloring contains a monochromatic family -> '
+                      'out/fu-r5-s2-k2-cover.txt\n'
+                      'minimal r = 5\n',
+                      {'fu-r1-s2-k2-counterexample.txt': '13adaa36564d477d1959fadd1adcb8cddbd525328fe48576e7a53755a1ed1b45',
+                       'fu-r2-s2-k2-counterexample.txt': 'be96bb0e7441ee353d5fa6c115776fc2693d61ef4ec09c5cd2f6e901cf4ba7a8',
+                       'fu-r3-s2-k2-counterexample.txt': '2c67e8cc334144b7232e153568b8bece557d7e5cb23f0a1971b27cbaabc998d8',
+                       'fu-r4-s2-k2-counterexample.txt': '9f35e7faef22ddd01fe183834427f4653d1816f3dea8089abc92161cf477246c',
+                       'fu-r5-s2-k2-cover.txt': '3e1ac05465824f22805981df3499fc6c9e5c068e7fce6db4fcfdcf0df112c789'})],
+                    [(0, 'certificate valid: fu-counterexample r=1 s=2 k=2\n'),
+                     (0, 'certificate valid: fu-counterexample r=2 s=2 k=2\n'),
+                     (0, 'certificate valid: fu-counterexample r=3 s=2 k=2\n'),
+                     (0, 'certificate valid: fu-counterexample r=4 s=2 k=2\n'),
+                     (0, 'certificate valid: fu-cover r=5 s=2 k=2\n')]),
+ 'hj-k2-t4': ([(0,
+                'stage m=1: counterexample -> out/hj-k2-t4-m1-counterexample.txt\n'
+                'stage m=2: counterexample -> out/hj-k2-t4-m2-counterexample.txt\n'
+                'stage m=3: counterexample -> out/hj-k2-t4-m3-counterexample.txt\n'
+                'stage m=4: all colorings forced a line -> out/hj-k2-t4-m4-cover.txt\n'
+                'HJ(2,4) = 4\n',
+                {'hj-k2-t4-m1-counterexample.txt': 'a69ee667d7b992c5d25c13b292ebf85492b5e7efd4d87c9feb38fb060469750f',
+                 'hj-k2-t4-m2-counterexample.txt': 'a8ecfbb75532db8733792ee7fb3d0aa0d13d7691c8876aa8066b22fb9adc3c49',
+                 'hj-k2-t4-m3-counterexample.txt': '5d52e00577c3e0021571305dfa88cbce54374d57fea16e7a0d5eab219605bdef',
+                 'hj-k2-t4-m4-cover.txt': '3473a15b156b34addf61f89b718ec4701de225f609931615adf29a6a0ef7bc68'})],
+              [(0, 'certificate valid: hj-counterexample k=2 t=4 m=1\n'),
+               (0, 'certificate valid: hj-counterexample k=2 t=4 m=2\n'),
+               (0, 'certificate valid: hj-counterexample k=2 t=4 m=3\n'),
+               (0, 'certificate valid: hj-cover k=2 t=4 m=4\n')]),
+ 'hj-k2-t5': ([(0,
+                'stage m=1: counterexample -> out/hj-k2-t5-m1-counterexample.txt\n'
+                'stage m=2: counterexample -> out/hj-k2-t5-m2-counterexample.txt\n'
+                'stage m=3: counterexample -> out/hj-k2-t5-m3-counterexample.txt\n'
+                'stage m=4: counterexample -> out/hj-k2-t5-m4-counterexample.txt\n'
+                'stage m=5: all colorings forced a line -> out/hj-k2-t5-m5-cover.txt\n'
+                'HJ(2,5) = 5\n',
+                {'hj-k2-t5-m1-counterexample.txt': '238120ed13d07debc3b18b581f641dff4a40e6eae1d7997108fe53d025fc7bbb',
+                 'hj-k2-t5-m2-counterexample.txt': '6465519953771210f4c5182f2b9066ff23a631c94270607f08a4826538d584dc',
+                 'hj-k2-t5-m3-counterexample.txt': '68d980586a04060573b1ed49269d5a315918b393e6bed98310e61d22b378ac74',
+                 'hj-k2-t5-m4-counterexample.txt': '3166d0b552619020f7e514f2fee419abcaadd010ae037f7e0bb5ebd2fa105e16',
+                 'hj-k2-t5-m5-cover.txt': '967af3484bff91a984cecfdb26e9a2989ade0c1d5bfe8d38fd0ab5a0b29ba588'})],
+              [(0, 'certificate valid: hj-counterexample k=2 t=5 m=1\n'),
+               (0, 'certificate valid: hj-counterexample k=2 t=5 m=2\n'),
+               (0, 'certificate valid: hj-counterexample k=2 t=5 m=3\n'),
+               (0, 'certificate valid: hj-counterexample k=2 t=5 m=4\n'),
+               (0, 'certificate valid: hj-cover k=2 t=5 m=5\n')]),
+ 'hj-k3-t2': ([(0,
+                'stage m=1: counterexample -> out/hj-k3-t2-m1-counterexample.txt\n'
+                'stage m=2: counterexample -> out/hj-k3-t2-m2-counterexample.txt\n'
+                'stage m=3: counterexample -> out/hj-k3-t2-m3-counterexample.txt\n'
+                'HJ(3,2) > 3 (m_max reached)\n',
+                {'hj-k3-t2-m1-counterexample.txt': 'd6ff2496de35612f59b091bc221d2f603040b709d68d321b480a988f9c0008f9',
+                 'hj-k3-t2-m2-counterexample.txt': '291cae3382be8bf921176f0e18f24469eb730db08ee53798fbe14a4fd15bab2e',
+                 'hj-k3-t2-m3-counterexample.txt': '27949bbb9a5ac6d10ce90a27090500e1f95376336efeb29138d174f04039c271'})],
+              [(0, 'certificate valid: hj-counterexample k=3 t=2 m=1\n'),
+               (0, 'certificate valid: hj-counterexample k=3 t=2 m=2\n'),
+               (0, 'certificate valid: hj-counterexample k=3 t=2 m=3\n')]),
+ 'hj-k4-t2': ([(0,
+                'stage m=1: counterexample -> out/hj-k4-t2-m1-counterexample.txt\n'
+                'stage m=2: counterexample -> out/hj-k4-t2-m2-counterexample.txt\n'
+                'stage m=3: counterexample -> out/hj-k4-t2-m3-counterexample.txt\n'
+                'HJ(4,2) > 3 (m_max reached)\n',
+                {'hj-k4-t2-m1-counterexample.txt': '2110c9ee5abbf586d9d5ee8e042ff4fb8570cf436e7656f651e2c4f6973c0e4c',
+                 'hj-k4-t2-m2-counterexample.txt': 'df558a6c6417177052eeb712fc32350da6451cb4468a92e91cbe413625f10595',
+                 'hj-k4-t2-m3-counterexample.txt': '0204c465edbafd7db50ae7969d495cf2d2a6cebce6981c7ebd0b83bdc090a4a9'})],
+              [(0, 'certificate valid: hj-counterexample k=4 t=2 m=1\n'),
+               (0, 'certificate valid: hj-counterexample k=4 t=2 m=2\n'),
+               (0, 'certificate valid: hj-counterexample k=4 t=2 m=3\n')]),
+ 'hj-k4-t2-split': ([(2,
+                      'stage m=1: counterexample -> out/hj-k4-t2-m1-counterexample.txt\n'
+                      'stage m=2: counterexample -> out/hj-k4-t2-m2-counterexample.txt\n'
+                      'stage m=3: budget exceeded after 4964 candidates\n'
+                      'checkpoint -> out/checkpoint-357ba595ca94.txt\n',
+                      {'checkpoint-357ba595ca94.txt': '37c6d571d5f66d11ba86fa31ae2ae902900074e687f6e57793e1e5c0ae0a0d68',
+                       'hj-k4-t2-m1-counterexample.txt': '2110c9ee5abbf586d9d5ee8e042ff4fb8570cf436e7656f651e2c4f6973c0e4c',
+                       'hj-k4-t2-m2-counterexample.txt': 'df558a6c6417177052eeb712fc32350da6451cb4468a92e91cbe413625f10595'}),
+                     (0,
+                      'resumed at stage m=3\n'
+                      'stage m=3: counterexample -> out/hj-k4-t2-m3-counterexample.txt\n'
+                      'HJ(4,2) > 3 (m_max reached)\n',
+                      {'hj-k4-t2-m1-counterexample.txt': '2110c9ee5abbf586d9d5ee8e042ff4fb8570cf436e7656f651e2c4f6973c0e4c',
+                       'hj-k4-t2-m2-counterexample.txt': 'df558a6c6417177052eeb712fc32350da6451cb4468a92e91cbe413625f10595',
+                       'hj-k4-t2-m3-counterexample.txt': '0204c465edbafd7db50ae7969d495cf2d2a6cebce6981c7ebd0b83bdc090a4a9'})],
+                    [(0, 'certificate valid: hj-counterexample k=4 t=2 m=1\n'),
+                     (0, 'certificate valid: hj-counterexample k=4 t=2 m=2\n'),
+                     (0, 'certificate valid: hj-counterexample k=4 t=2 m=3\n')])}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_golden_outputs(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert play(INSTANCES[name]) == GOLDEN[name]

@@ -1,12 +1,11 @@
 import random
+from functools import partial
 from itertools import product
 
 import pytest
 
 import oracles
 from ipstar.halesjewett import (
-    BUDGET_EXCEEDED,
-    DONE,
     Line,
     SubsetConfig,
     all_lines,
@@ -15,7 +14,7 @@ from ipstar.halesjewett import (
     find_mono_line,
     hj_check_cover,
     hj_coloring_is_counterexample,
-    hj_number,
+    hj_stage,
     is_line_point_tuple,
     line_points,
     line_to_config,
@@ -24,6 +23,7 @@ from ipstar.halesjewett import (
     psi_encode,
     word_index,
 )
+from ipstar.search import ALL_OK, BUDGET_EXCEEDED, coloring_stages
 
 
 def test_line_invariants():
@@ -98,51 +98,68 @@ def test_every_two_coloring_of_the_square_has_a_line():
         assert find_mono_line(2, 2, table.get) is not None
 
 
+def hj_stages(k, t, m_max, **kw):
+    """The stages m = 1..m_max that decide HJ(k, t), as (m, outcome) pairs."""
+    return coloring_stages(range(1, m_max + 1), partial(hj_stage, k, t), **kw)
+
+
+def hj_value(stages):
+    m, out = stages[-1]
+    return m if out.kind == ALL_OK else None
+
+
 def test_hj_2_2():
-    res = hj_number(2, 2, 3)
-    assert res.status == DONE and res.value == oracles.KNOWN_HJ[(2, 2)] == 2
-    m1, m2 = res.stages
-    assert m1.kind == "counterexample" and m1.counterexample == (1, 2)
+    stages = hj_stages(2, 2, 3)
+    assert hj_value(stages) == oracles.KNOWN_HJ[(2, 2)] == 2
+    (_, m1), (_, m2) = stages
+    assert m1.kind == "counterexample" and m1.coloring == (1, 2)
     assert m2.kind == "all-colorings-ok"
     assert hj_check_cover(2, 2, 2, m2.cover)
-    assert hj_coloring_is_counterexample(2, 2, 1, m1.counterexample)
+    assert hj_coloring_is_counterexample(2, 2, 1, m1.coloring)
 
 
 def test_hj_edge_cases():
-    assert hj_number(1, 5, 2).value == oracles.KNOWN_HJ[(1, 2)] == 1
-    assert hj_number(2, 1, 2).value == oracles.KNOWN_HJ[(2, 1)] == 1
+    assert hj_value(hj_stages(1, 5, 2)) == oracles.KNOWN_HJ[(1, 2)] == 1
+    assert hj_value(hj_stages(2, 1, 2)) == oracles.KNOWN_HJ[(2, 1)] == 1
 
 
 def test_hj_2_3():
-    res = hj_number(2, 3, 4)
-    assert res.value == oracles.KNOWN_HJ[(2, 3)] == 3
+    stages = hj_stages(2, 3, 4)
+    assert hj_value(stages) == oracles.KNOWN_HJ[(2, 3)] == 3
     # the m = 2 escape is an antichain coloring of the four words
-    assert res.stages[1].counterexample == (1, 2, 2, 3)
+    assert stages[1][1].coloring == (1, 2, 2, 3)
 
 
 def test_hj_monotone_where_computed():
-    assert hj_number(1, 2, 3).value <= hj_number(2, 2, 3).value <= hj_number(2, 3, 4).value
+    one, two, three = (hj_value(hj_stages(*a)) for a in [(1, 2, 3), (2, 2, 3), (2, 3, 4)])
+    assert one <= two <= three
 
 
 def test_hj_absent_below_known_value():
-    res = hj_number(3, 2, 2)  # known value is 4, far above m_max
-    assert res.status == DONE and res.value is None
-    for st in res.stages:
+    stages = hj_stages(3, 2, 2)  # known value is 4, far above m_max
+    assert hj_value(stages) is None and len(stages) == 2
+    for m, st in stages:
         assert st.kind == "counterexample"
-        assert hj_coloring_is_counterexample(3, 2, st.m, st.counterexample)
+        assert hj_coloring_is_counterexample(3, 2, m, st.coloring)
 
 
 def test_hj_budget_checkpoint_and_resume():
-    part = hj_number(2, 2, 3, budget=3, want_cover=False)
-    assert part.status == BUDGET_EXCEEDED and part.checkpoint is not None
-    m, path = part.checkpoint
-    rest = hj_number(2, 2, 3, want_cover=False, resume=(m, path))
-    assert rest.value == 2
+    part = hj_stages(2, 2, 3, budget=3)
+    m, last = part[-1]
+    assert last.kind == BUDGET_EXCEEDED and last.resume_path is not None
+    rest = hj_stages(2, 2, 3, resume=(m, last.resume_path))
+    assert hj_value(rest) == 2
+
+
+def test_hj_counterexample_check_wants_a_full_coloring_in_range():
+    assert hj_coloring_is_counterexample(2, 2, 1, (1, 2))
+    assert not hj_coloring_is_counterexample(2, 2, 1, (1, 3))  # color 3 of 2
+    assert not hj_coloring_is_counterexample(2, 2, 1, (1, 2, 1))  # three words of two
+    assert not hj_coloring_is_counterexample(2, 2, 1, (1, 1))  # the only line
 
 
 def test_cover_tamper_rejected():
-    res = hj_number(2, 2, 2)
-    cover = list(res.stages[-1].cover)
+    cover = list(hj_stages(2, 2, 2)[-1][1].cover)
     assert hj_check_cover(2, 2, 2, cover)
     assert not hj_check_cover(2, 2, 2, cover[:-1])
 

@@ -20,7 +20,6 @@ from ipstar.ipsets import (
     fk_odds_certificate,
     fu_check_cover,
     fu_coloring_is_counterexample,
-    fu_minimal_r,
     fu_ramsey_check,
     ipstar_intersection_probe,
     is_ip_r_star,
@@ -28,6 +27,7 @@ from ipstar.ipsets import (
     ordered_splits,
     set_to_mask,
 )
+from ipstar.search import CoverLeaf, coloring_stages
 
 Z = Integers()
 F5 = PrimeField(5)
@@ -244,7 +244,9 @@ def test_fu_r3_counterexample_is_size_parity():
     by_set = dict(zip(family_order(3), res.coloring))
     for alpha, c in by_set.items():
         assert c == (1 if len(alpha) % 2 == 1 else 2)
-    assert fu_coloring_is_counterexample(3, 2, res.coloring)
+    assert fu_coloring_is_counterexample(3, 2, 2, res.coloring)
+    assert not fu_coloring_is_counterexample(3, 2, 1, res.coloring)  # color 2 of 1
+    assert not fu_coloring_is_counterexample(3, 2, 2, res.coloring[:-1])
     assert oracles.naive_coloring_avoids_fu(3, 2, by_set)
 
 
@@ -253,10 +255,17 @@ def test_fu_r2_counterexample():
     assert res.coloring == (1, 1, 2)
 
 
+def fu_stages(s, k, r_limit=10, **kw):
+    """The stages r = 1..r_limit that find the least universal r."""
+    return coloring_stages(
+        range(1, r_limit + 1), lambda r, **opts: fu_ramsey_check(r, s, k, **opts), **kw
+    )
+
+
 def test_fu_minimal_r_is_five_with_replayable_cover():
-    r_star, results = fu_minimal_r(2, 2)
+    stages = fu_stages(2, 2)
+    r_star, final = stages[-1]
     assert r_star == 5
-    final = results[-1]
     assert final.kind == "all-colorings-ok"
     assert fu_check_cover(5, 2, 2, final.cover)
     # tampering is caught
@@ -266,7 +275,7 @@ def test_fu_minimal_r_is_five_with_replayable_cover():
 
 
 def test_fu_monotone_in_r():
-    assert fu_ramsey_check(6, 2, 2, want_cover=False).kind == "all-colorings-ok"
+    assert fu_ramsey_check(6, 2, 2).kind == "all-colorings-ok"
 
 
 def test_fu_counterexamples_validate_against_oracle():
@@ -278,10 +287,19 @@ def test_fu_counterexamples_validate_against_oracle():
 
 
 def test_fu_budget_and_resume():
-    part = fu_ramsey_check(5, 2, 2, budget=500, want_cover=False)
+    part = fu_ramsey_check(5, 2, 2, budget=500)
     assert part.kind == "budget_exceeded" and part.resume_path
-    rest = fu_ramsey_check(5, 2, 2, want_cover=False, resume_path=part.resume_path)
+    rest = fu_ramsey_check(5, 2, 2, resume_path=part.resume_path)
     assert rest.kind == "all-colorings-ok"
+
+
+def test_fu_cover_leaves_need_s_blocks():
+    # one block is trivially monochromatic, so a 1-block witness at the first
+    # position would "prove" a claim that has a counterexample
+    assert fu_ramsey_check(6, 3, 2).kind == "counterexample"
+    forged = [CoverLeaf((1,), (frozenset({1}),))]
+    assert not fu_check_cover(6, 3, 2, forged)
+    assert fu_check_cover(6, 1, 2, forged)  # for s = 1 it is the true cover
 
 
 # ---------------------------------------------------------------------------

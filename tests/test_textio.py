@@ -29,9 +29,8 @@ from ipstar.textio import (
     Certificate,
     TextFormatError,
     check_certificate,
+    coloring_certificate,
     describe_system,
-    fu_certificate,
-    hj_stage_certificate,
     parse_certificate,
     parse_element,
     parse_element_lines,
@@ -266,7 +265,7 @@ def test_describe_system():
 
 
 def test_hj_counterexample_certificate_roundtrip():
-    cert = hj_stage_certificate(2, 2, hj_stage(2, 2, 1))
+    cert = coloring_certificate("hj", {"k": 2, "t": 2, "m": 1}, hj_stage(2, 2, 1))
     text = render_certificate(cert)
     assert "certificate hj-counterexample" in text
     assert "coloring 12" in text
@@ -276,7 +275,7 @@ def test_hj_counterexample_certificate_roundtrip():
 
 
 def test_hj_cover_certificate_roundtrip():
-    cert = hj_stage_certificate(2, 2, hj_stage(2, 2, 2))
+    cert = coloring_certificate("hj", {"k": 2, "t": 2, "m": 2}, hj_stage(2, 2, 2))
     parsed = parse_certificate(render_certificate(cert))
     assert parsed == cert
     assert check_certificate(parsed)
@@ -286,21 +285,27 @@ def test_hj_cover_certificate_roundtrip():
 
 
 def test_fu_certificates_roundtrip():
-    counter = fu_certificate(fu_ramsey_check(3, 2, 2))
+    counter = coloring_certificate("fu", {"r": 3, "s": 2, "k": 2}, fu_ramsey_check(3, 2, 2))
     parsed = parse_certificate(render_certificate(counter))
     assert parsed == counter
     assert check_certificate(parsed)
     assert parsed.coloring == (1, 1, 2, 1, 2, 2, 1)
-    cover = fu_certificate(fu_ramsey_check(2, 1, 2))
+    cover = coloring_certificate("fu", {"r": 2, "s": 1, "k": 2}, fu_ramsey_check(2, 1, 2))
     parsed2 = parse_certificate(render_certificate(cover))
     assert parsed2 == cover
     assert check_certificate(parsed2)
 
 
 def test_tampered_coloring_fails_check():
-    cert = hj_stage_certificate(2, 2, hj_stage(2, 2, 1))
+    cert = coloring_certificate("hj", {"k": 2, "t": 2, "m": 1}, hj_stage(2, 2, 1))
     bad = Certificate(cert.kind, cert.params, (1, 1), None)
     assert not check_certificate(bad)
+
+
+def test_budget_exceeded_outcome_has_no_certificate():
+    part = hj_stage(2, 2, 2, budget=1)
+    with pytest.raises(TextFormatError, match="no certificate"):
+        coloring_certificate("hj", {"k": 2, "t": 2, "m": 2}, part)
 
 
 def test_certificate_parse_errors():
@@ -459,3 +464,29 @@ def test_parse_poly_map_vector_target():
     # scalar targets take no weight
     with pytest.raises(TextFormatError, match="unexpected factor"):
         parse_poly_map(F5, F5, "u*(1,0)")
+
+
+POLY_MAPS = [
+    (F5, F5, "u + 2*u^2"),
+    (Q, Q, "-1/2*x1*x2 + x2^3"),
+    (R2, R2, "[0,1]*u^2"),
+    (PrimeField(2), VectorSpace(PrimeField(2), 2), "u*(1,0) + u^2*(0,1)"),
+    (PrimeField(2), VectorSpace(PrimeField(2), 2), "u*(0,1) + u^2*(1,0)"),
+    (Q, VectorSpace(Q, 2), "2*x1*(1/2,0) + x1*x2^3*(0,-1)"),
+    (F5, VectorSpace(F5, 1), "u^2*3"),
+    (R2, VectorSpace(R2, 2), "u*([1],[0,1])"),
+]
+
+
+@pytest.mark.parametrize("ring, target, text", POLY_MAPS, ids=[c[2] for c in POLY_MAPS])
+def test_poly_map_render_parses_back(ring, target, text):
+    phi = parse_poly_map(ring, target, text)
+    assert render_poly_map(phi) == text
+    assert parse_poly_map(ring, target, render_poly_map(phi)) == phi
+
+
+def test_vector_maps_render_apart():
+    vec = VectorSpace(PrimeField(2), 2)
+    a = parse_poly_map(PrimeField(2), vec, "u*(1,0) + u^2*(0,1)")
+    b = parse_poly_map(PrimeField(2), vec, "u*(0,1) + u^2*(1,0)")
+    assert a != b and render_poly_map(a) != render_poly_map(b)
