@@ -8,12 +8,15 @@ Frozen conventions:
   word is the big-endian base-k value of (letters - 1)
 * lines are ordered by (moving-set size ascending, moving set lexicographic,
   fixed letters lexicographic in position order)
+* on word indices a line is a pair (base, step): step is the sum of k^(m-p)
+  over the moving positions p, base is the index of the point with moving
+  letter 1, and the points are base + j*step for j = 0..k-1.  Within one
+  moving set, base ascending is fixed letters lexicographic
 * bit i of the encoding is worth 2^(i-1): bit 1 is least significant
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -21,20 +24,12 @@ from .search import (
     ColoringOutcome,
     avoids_every_edge,
     check_cover_tree,
-    first_hit,
     universal_coloring_search,
 )
 
 
 def all_words(k: int, m: int) -> list[tuple[int, ...]]:
     return [w for w in product(range(1, k + 1), repeat=m)]
-
-
-def word_index(w: tuple[int, ...], k: int) -> int:
-    idx = 0
-    for letter in w:
-        idx = idx * k + (letter - 1)
-    return idx
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,7 @@ def is_line_point_tuple(k: int, m: int, indices) -> bool:
         words.append(tuple(reversed(letters)))
     moving = {p for p in range(m) if len({w[p] for w in words}) > 1}
     if not moving:
-        return False
+        return k == 1  # one letter: the only word lies on every line
     for letter, w in enumerate(words, start=1):
         if any(w[p] != letter for p in moving):
             return False
@@ -103,46 +98,37 @@ def is_line_point_tuple(k: int, m: int, indices) -> bool:
     return all(w[p] == v for w in words for p, v in fixed.items())
 
 
+def _line_families(k: int, m: int):
+    """The lines in canonical order, one moving set at a time: (moving
+    positions counted from 0, step, bases ascending)."""
+    weights = [k ** (m - p) for p in range(1, m + 1)]
+    for size in range(1, m + 1):
+        for moving in combinations(range(m), size):
+            bases = [0]
+            for p in range(m):
+                if p not in moving:
+                    bases = [b + j * weights[p] for b in bases for j in range(k)]
+            yield moving, sum(weights[p] for p in moving), bases
+
+
+def first_mono_line(k: int, m: int, colors) -> Line | None:
+    """First line (canonical order) whose points share a color, or None.
+    ``colors`` lists the color of every word by word index."""
+    for moving, step, bases in _line_families(k, m):
+        # most lines already differ on their first two points
+        pairs = bases if k == 1 else [b for b in bases if colors[b] == colors[b + step]]
+        for b in pairs:
+            if all(colors[b + j * step] == colors[b] for j in range(2, k)):
+                letters = [b // k ** (m - 1 - p) % k + 1 for p in range(m)]
+                fixed = tuple((p + 1, letters[p]) for p in range(m) if p not in moving)
+                return Line(m, fixed, frozenset(p + 1 for p in moving))
+    return None
+
+
 def find_mono_line(k: int, m: int, coloring):
     """First line (canonical order) whose points share a color, or None.
-    ``coloring`` maps a word tuple to its color.
-
-    Lines are decoded from their canonical index on the fly rather than
-    materialized up front; the order is identical to ``all_lines``."""
-    positions = list(range(1, m + 1))
-    blocks = []  # (start index, moving tuple, fixed-position tuple)
-    total = 0
-    for size in range(1, m + 1):
-        span = k ** (m - size)
-        for moving in combinations(positions, size):
-            ms = set(moving)
-            blocks.append((total, moving, tuple(p for p in positions if p not in ms)))
-            total += span
-    starts = [b[0] for b in blocks]
-
-    def probe(i):
-        start, moving, rest = blocks[bisect_right(starts, i) - 1]
-        q = i - start
-        letters = []
-        for _ in rest:
-            q, dig = divmod(q, k)
-            letters.append(dig + 1)
-        letters.reverse()
-        scratch = [0] * (m + 1)
-        for p, v in zip(rest, letters):
-            scratch[p] = v
-        color = None
-        for letter in range(1, k + 1):
-            for p in moving:
-                scratch[p] = letter
-            c = coloring(tuple(scratch[1:]))
-            if color is None:
-                color = c
-            elif c != color:
-                return None
-        return Line(m, tuple(zip(rest, letters)), frozenset(moving))
-
-    return first_hit(total, probe).value
+    ``coloring`` maps a word tuple to its color."""
+    return first_mono_line(k, m, [coloring(w) for w in all_words(k, m)])
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +140,10 @@ def _lines_by_last_index(k: int, m: int) -> list[list[tuple]]:
     """The hyperedge table of the stage: each line as (point indices,
     point indices), listed under its largest point index."""
     table = [[] for _ in range(k**m)]
-    for L in all_lines(k, m):
-        idx = tuple(word_index(w, k) for w in line_points(L, k))
-        table[max(idx)].append((idx, idx))
+    for _moving, step, bases in _line_families(k, m):
+        for b in bases:
+            idx = tuple(range(b, b + k * step, step))
+            table[idx[-1]].append((idx, idx))
     return table
 
 
@@ -268,6 +255,18 @@ def line_to_config(L: Line, d: int) -> SubsetConfig:
     points are then exactly the encodings of the line's points."""
     first = line_points(L, 1 << d)[0]
     return SubsetConfig(psi_encode(first, d), frozenset(L.moving))
+
+
+def word_subset_tuples(d: int, r: int) -> list[int]:
+    """For each word index over the 2^d-letter alphabet, the number
+    sum_i a_i * 2^(r*(d-i)) of its subset masks (a_1..a_d) under ``psi_encode``,
+    where bit j of a mask is index j+1 and sits at word position j+1."""
+    k = 1 << d
+    letter_bits = [sum(1 << r * (d - 1 - i) for i in range(d) if v >> i & 1) for v in range(k)]
+    out = [0]
+    for p in range(r):
+        out = [t + (letter_bits[v] << p) for t in out for v in range(k)]
+    return out
 
 
 def mono_config_search(d: int, r: int, coloring):

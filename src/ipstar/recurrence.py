@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from itertools import product as iter_product
-
-from .algebra import Monomial, PolynomialMap, VectorSpace, Window, window_enumerate
-from .halesjewett import SubsetConfig, mono_config_search
+from .algebra import Integers, Monomial, PolynomialMap, Rationals, VectorSpace, Window
+from .algebra import window_enumerate
+from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_subset_tuples
 from .ipsets import ElementSet, family_order, is_ip_r_star
 from .systems import (
     DensityProfile,
@@ -323,36 +322,55 @@ class IsoSearchResult:
 
 
 class _BallCover:
-    """Greedy cover of a finite orbit by balls of a fixed radius: each new
-    point joins the first existing cell whose center is strictly closer
-    than the radius, or founds a new cell.  Two members of one cell are
-    then strictly within twice the radius of each other."""
+    """Greedy cover of the orbit of a tracked event by balls of a fixed
+    radius: each new point joins the first existing cell whose center is
+    strictly closer than the radius, or founds a new cell.  Two members of
+    one cell are then strictly within twice the radius of each other."""
 
-    def __init__(self, sys, radius_sq: Fraction):
+    def __init__(self, sys, x, radius_sq: Fraction):
         self.sys = sys
+        self.x = x
         self.radius_sq = radius_sq
         self.centers: list = []
-        self.known: dict = {}
+        self.known: dict = {}  # exponent -> cell
 
-    def cell(self, event) -> int:
-        if event in self.known:
-            return self.known[event]
-        for i, c in enumerate(self.centers):
-            if orbit_metric(self.sys, event, c) < self.radius_sq:
-                self.known[event] = i
-                return i
-        self.centers.append(event)
-        idx = len(self.centers) - 1
-        self.known[event] = idx
-        return idx
+    def cell(self, exponent) -> int:
+        """Cell of T^exponent applied to the tracked event."""
+        if exponent not in self.known:
+            event = self.sys.shift_event(self.x, exponent)
+            close = (orbit_metric(self.sys, event, c) < self.radius_sq for c in self.centers)
+            i = next((j for j, hit in enumerate(close) if hit), len(self.centers))
+            if i == len(self.centers):
+                self.centers.append(event)
+            self.known[exponent] = i
+        return self.known[exponent]
 
 
-def _point_cell(sys, x, exponent, cover):
-    """Cover-cell id of T^exponent applied to the tracked object."""
-    if isinstance(sys, RotationSystem):
-        pos = (Fraction(x) + sys._angle(exponent)) % 1
-        return (pos.numerator * cover) // pos.denominator
-    return cover.cell(sys.shift_event(x, exponent))
+def _cells(s, m, ring, x, width: Fraction, sums):
+    """Cover cell of T^E x for every tuple of slot masks (a_1..a_deg) of the
+    monomial's factors, lexicographic with slot 1 outermost, where E is c
+    times the product of the slots' subset sums; and the number of cells.
+
+    On the circle the cell is floor(((x + c*rho*E) mod 1) * cover), computed
+    in integers over one common denominator of the subset sums as
+    ((N mod L) * cover) // L.  Ball cells are founded in slot-tuple order."""
+    facs = m.factor_coordinates()
+    if isinstance(s, RotationSystem):
+        cover = (width.denominator + width.numerator - 1) // width.numerator
+        turn = s._angle(m.coeff)  # c*rho
+        den = lcm(*(Fraction(v[c]).denominator for v in sums for c in facs))
+        L = x.denominator * turn.denominator * den ** len(facs)
+        prods = [turn.numerator * x.denominator]
+        for c in facs:
+            column = [int(Fraction(v[c]) * den) for v in sums]
+            prods = [p * q for p in prods for q in column]
+        shift = x.numerator * (L // x.denominator)
+        return [(shift + p) % L * cover // L for p in prods], cover
+    balls = _BallCover(s, x, (width / 2) ** 2)
+    prods = [m.coeff]
+    for c in facs:
+        prods = [ring.mul(p, v[c]) for p in prods for v in sums]
+    return [balls.cell(e) for e in prods], len(balls.centers)
 
 
 def _check_compact_tracked(sys, x):
@@ -422,56 +440,37 @@ def _cover_color_search(systems, monomials, x, epsilon, gens):
     if (1 << d) ** r > SEARCH_SPACE_CAP:
         raise RecurrenceError("search space too large; fewer generators or lower degree")
     tol = epsilon / k
-    covers = []
+    size = 1 << r
+    sums = [(ring.zero,) * n] * size  # subset sums by mask, bit j for index j+1
+    for mask in range(1, size):
+        low = mask & -mask
+        sums[mask] = tuple(map(ring.add, sums[mask ^ low], gens[low.bit_length() - 1]))
+    if isinstance(lead, RotationSystem) and not isinstance(ring, (Rationals, Integers)):
+        raise RecurrenceError("rotation search needs a monomial over Q or Z")
+
+    # each action reads only its own degree's worth of slots: extra slots
+    # are ignored, which lets actions of different degrees share the space.
+    # A word's color is the mixed-radix code of its per-action cells.
+    tuples = word_subset_tuples(d, r)
+    colors = [0] * len(tuples)
+    t_report, radix = (), 1
     for s, m in zip(systems, monomials):
         # cells of width tol / 2^(deg-1): the telescoping chain over the
         # 2^(deg-1) same-cell pairs then stays under tol
         width = tol / (1 << (m.total_degree - 1))
-        if isinstance(s, RotationSystem):
-            covers.append((width.denominator + width.numerator - 1) // width.numerator)
-        else:
-            covers.append(_BallCover(s, (width / 2) ** 2))
-
-    # subset sums and orbit cells are shared across pattern slots, so both
-    # are memoized; the pattern space itself is the full product because the
-    # word <-> subset-tuple encoding is a bijection
-    subsets = [frozenset()] + family_order(r)
-    sums: dict = {}
-
-    def subset_sum(alpha):
-        v = sums.get(alpha)
-        if v is None:
-            v = _sum_tuple(ring, [gens[i - 1] for i in alpha], n)
-            sums[alpha] = v
-        return v
-
-    # each action reads only its own degree's worth of slots: extra slots
-    # are ignored, which lets actions of different degrees share the space
-    factor_slots = [m.factor_coordinates() for m in monomials]
-    cell_memo: list[dict] = [{} for _ in systems]
-    table = {}
-    for alphas in iter_product(subsets, repeat=d):
-        key = []
-        for s, m, facs, cov, memo in zip(systems, monomials, factor_slots, covers, cell_memo):
-            exp = m.coeff
-            for slot, c in enumerate(facs):
-                exp = ring.mul(exp, subset_sum(alphas[slot])[c])
-            cell = memo.get(exp)
-            if cell is None:
-                cell = _point_cell(s, x, exp, cov)
-                memo[exp] = cell
-            key.append(cell)
-        table[alphas] = tuple(key)
-
-    cfg = mono_config_search(d, r, table.__getitem__)
-    t_report = tuple(c if isinstance(c, int) else len(c.centers) for c in covers)
+        cells, used = _cells(s, m, ring, x, width, sums)
+        shift = r * (d - m.total_degree)
+        colors = [c + radix * cells[t >> shift] for c, t in zip(colors, tuples)]
+        t_report += (used,)
+        radix *= used
+    line = first_mono_line(1 << d, r, colors)
     proof_bound = f"hj({1 << d}, {max(t_report)})"
     suff = _sufficient_length(systems, monomials)
-    if cfg is None:
+    if line is None:
         return IsoSearchResult(
-            "absent", None, None, None, None, None, t_report, proof_bound, suff, len(table)
+            "absent", None, None, None, None, None, t_report, proof_bound, suff, len(colors)
         )
-    gamma = cfg.mover
+    gamma = frozenset(line.moving)
     u_gamma = _sum_tuple(monomials[0].ring, [gens[i - 1] for i in gamma], n)
     exponents = tuple(m(u_gamma) for m in monomials)
     dist_sq = _composed_distance_sq(systems, x, exponents)
@@ -483,11 +482,11 @@ def _cover_color_search(systems, monomials, x, epsilon, gens):
         u_gamma if n > 1 else u_gamma[0],
         exponents,
         dist_sq,
-        cfg,
+        line_to_config(line, d),
         t_report,
         proof_bound,
         suff,
-        len(table),
+        len(colors),
     )
 
 

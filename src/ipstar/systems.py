@@ -110,7 +110,7 @@ class FinitePermSystem:
         return out
 
     def _coords(self, w):
-        if self.n == 1 and not isinstance(w, tuple):
+        if not isinstance(w, tuple):
             w = (w,)
         if len(w) != self.n:
             raise SystemError(f"acting element needs {self.n} coordinates")
@@ -244,7 +244,7 @@ class RotationSystem:
         self.acting = VectorSpace(Rationals(), self.n) if self.n > 1 else Rationals()
 
     def _angle(self, w) -> Fraction:
-        if self.n == 1 and not isinstance(w, tuple):
+        if not isinstance(w, tuple):
             w = (w,)
         if len(w) != self.n:
             raise SystemError(f"acting element needs {self.n} coordinates")

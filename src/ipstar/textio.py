@@ -649,6 +649,8 @@ def parse_certificate(text: str) -> Certificate:
             kind = rest
         elif key in _CERT_PARAMS[kind]:
             params[key] = _parse_int(rest)
+            if params[key] < 1:
+                raise TextFormatError(f"line {no}: {key} must be at least 1, got {rest!r}")
         elif key == "coloring":
             coloring = parse_word(rest)
         elif key == "leaf":

@@ -263,6 +263,30 @@ def test_check_unreadable_and_malformed(tmp_path, capsys):
     assert rc == 1 and "unknown certificate kind" in err
 
 
+def test_one_letter_hj_cover_checks(tmp_path, capsys):
+    # HJ(1, t) = 1: the one word of length 1 is a line by itself
+    rc, out, _ = _run(capsys, ["hj", "k=1", "t=3", "m_max=2", f"output={tmp_path}"])
+    assert rc == 0 and "HJ(1,3) = 1" in out
+    rc, out, _ = _run(capsys, ["--check", str(tmp_path / "hj-k1-t3-m1-cover.txt")])
+    assert rc == 0 and "certificate valid: hj-cover k=1 t=3 m=1" in out
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("certificate fu-cover\nr -1\ns 2\nk 2\nleaf 1 {1}\n", "r"),
+        ("certificate hj-cover\nk 0\nt 2\nm 1\nleaf 1 0\n", "k"),
+        ("certificate hj-counterexample\nk 2\nt 2\nm 0\ncoloring 12\n", "m"),
+    ],
+)
+def test_check_refuses_parameters_below_one(tmp_path, capsys, text, field):
+    cert = tmp_path / "cert.txt"
+    cert.write_text(text)
+    rc, out, err = _run(capsys, ["--check", str(cert)])
+    assert rc == 1 and out == ""
+    assert f"{field} must be at least 1" in err
+
+
 def test_fu_minimal_mode_reports_absence(tmp_path, capsys):
     rc, out, _ = _run(capsys, ["fu-ramsey", "r_limit=2", "s=2", "k=2", f"output={tmp_path}"])
     assert rc == 0
@@ -413,6 +437,24 @@ def test_search_on_the_rotation(tmp_path, capsys):
     assert "status: found" in out
     assert "exponents: 49" in out
     assert "sufficient length: 7" in out
+
+
+@pytest.mark.parametrize(
+    "text, x",
+    [
+        ("backend rotation\nrho 1/7 1/5\n", "0"),
+        ("backend finite-perm\np 3\npoints 0 1 2 3 4 5 6 7 8\n"
+         "gen (0 1 2)(3 4 5)(6 7 8)\ngen (0 3 6)(1 4 7)(2 5 8)\nset B 0 1 4\n", "B"),
+    ],
+)
+def test_search_refuses_a_vector_acting_group(tmp_path, capsys, text, x):
+    # a monomial's scalar exponent cannot drive two acting coordinates
+    sysf = _sys_file(tmp_path, text)
+    rc, out, err = _run(
+        capsys, ["search", f"system={sysf}", f"x={x}", "m=u^2", "epsilon=1/2", "gens=1,2"]
+    )
+    assert rc == 1 and out == ""
+    assert "acting element needs 2 coordinates" in err
 
 
 def test_search_refuses_bernoulli(tmp_path, capsys):

@@ -3,15 +3,19 @@ from functools import partial
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ipstar.halesjewett import (
     Line,
     SubsetConfig,
+    _lines_by_last_index,
     all_lines,
     all_words,
     config_points,
     find_mono_line,
+    first_mono_line,
     hj_check_cover,
     hj_coloring_is_counterexample,
     hj_stage,
@@ -21,7 +25,7 @@ from ipstar.halesjewett import (
     mono_config_search,
     psi_decode,
     psi_encode,
-    word_index,
+    word_subset_tuples,
 )
 from ipstar.search import ALL_OK, BUDGET_EXCEEDED, coloring_stages
 
@@ -63,10 +67,22 @@ def test_canonical_line_order():
     assert lines[0].moving == frozenset({1}) and lines[-1].moving == frozenset({1, 2})
 
 
-def test_word_index_is_canonical_rank():
-    for k, m in [(2, 3), (3, 2)]:
-        words = all_words(k, m)
-        assert [word_index(w, k) for w in words] == list(range(k**m))
+def test_line_points_sit_at_base_plus_multiples_of_step():
+    # a word's index is its rank in all_words; a line's points are then
+    # base + j*step, and the stage's edge table lists exactly these tuples
+    for k, m in [(1, 3), (2, 3), (3, 2), (4, 2)]:
+        rank = {w: i for i, w in enumerate(all_words(k, m))}
+        assert list(rank.values()) == list(range(k**m))
+        expect = []
+        for L in all_lines(k, m):
+            base = sum((v - 1) * k ** (m - p) for p, v in L.fixed)
+            step = sum(k ** (m - p) for p in L.moving)
+            idx = tuple(rank[w] for w in line_points(L, k))
+            assert idx == tuple(base + j * step for j in range(k))
+            expect.append(idx)
+        table = _lines_by_last_index(k, m)
+        assert sorted(e for edges in table for e, _ in edges) == sorted(expect)
+        assert all(max(e) == last for last, edges in enumerate(table) for e, _ in edges)
 
 
 def test_find_mono_line_constant_coloring():
@@ -79,7 +95,7 @@ def test_find_mono_line_absent():
 
 
 def test_find_mono_line_parallel_matches_serial():
-    # the on-the-fly line decoding against the first line of all_lines
+    # the (base, step) scan against the first line of all_lines
     rng = random.Random(20260817)
     for _ in range(20):
         table = {w: rng.randrange(1, 3) for w in all_words(2, 3)}
@@ -88,6 +104,47 @@ def test_find_mono_line_parallel_matches_serial():
             None,
         )
         assert find_mono_line(2, 3, table.get) == naive
+
+
+def _first_mono_reference(k, m, colors):
+    """First line of all_lines whose points share a color, or None."""
+    rank = {w: i for i, w in enumerate(all_words(k, m))}
+    for L in all_lines(k, m):
+        if len({colors[rank[w]] for w in line_points(L, k)}) == 1:
+            return L
+    return None
+
+
+@st.composite
+def _word_colorings(draw):
+    k = draw(st.sampled_from([1, 2, 4, 8]))
+    m = draw(st.integers(1, 4))
+    n = k**m
+    kind = draw(st.sampled_from(["few", "many", "line-free"]))
+    if kind == "line-free":  # every word its own color
+        colors = draw(st.permutations(range(n)))
+    else:
+        t = draw(st.integers(1, 3)) if kind == "few" else draw(st.integers(4, 4 + 2 * k))
+        colors = draw(st.lists(st.integers(0, t - 1), min_size=n, max_size=n))
+    return k, m, colors
+
+
+@settings(max_examples=120, deadline=None)
+@given(_word_colorings())
+def test_word_index_scan_finds_the_first_mono_line(case):
+    k, m, colors = case
+    assert first_mono_line(k, m, colors) == _first_mono_reference(k, m, colors)
+
+
+def test_word_subset_tuples_match_the_encoding():
+    for d in (1, 2, 3):
+        for r in (1, 2, 3, 4):
+            tuples = word_subset_tuples(d, r)
+            assert sorted(tuples) == list(range(1 << (d * r)))
+            for w, t in zip(all_words(1 << d, r), tuples):
+                masks = [t >> (r * (d - i)) & ((1 << r) - 1) for i in range(1, d + 1)]
+                sets = tuple(frozenset(j + 1 for j in range(r) if a >> j & 1) for a in masks)
+                assert sets == psi_encode(w, d)
 
 
 def test_every_two_coloring_of_the_square_has_a_line():
@@ -169,6 +226,8 @@ def test_is_line_point_tuple_rejects_fakes():
     assert not is_line_point_tuple(2, 2, (0, 0))
     assert not is_line_point_tuple(2, 2, (0, 2, 3))
     assert not is_line_point_tuple(2, 2, (1, 2))  # (1,2) vs (2,1): no unison move
+    assert is_line_point_tuple(1, 3, (0,))  # one letter: the one word is a line
+    assert not is_line_point_tuple(1, 3, (1,))
 
 
 # ---------------------------------------------------------------------------
