@@ -530,14 +530,15 @@ def _run_fu(cfg, resume_file) -> int:
 
 
 def _run_fk(cfg, resume_file) -> int:
-    if resume_file is not None:
-        raise ValueError("fk-density runs are not resumable; raise the budget and rerun")
     r, N = cfg.values["r"], cfg.values["N"]
-    res = fk_density_experiment(r, N, budget=_resolve_budget(cfg))
-    if res.status == "budget_exceeded":
+    start = 0
+    if resume_file is not None:  # every smaller size holds no blocking set
+        start = _parse_int(_load_checkpoint(resume_file, cfg).get("size", ""))
+    res = fk_density_experiment(r, N, budget=_resolve_budget(cfg), start_size=start)
+    if res.status == BUDGET_EXCEEDED:
         print(f"fk r={r} N={N}: budget exceeded after {res.candidates} candidates")
-        ck_path = _write_checkpoint(_out_dir(cfg), cfg, {"candidates": res.candidates})
-        print(f"checkpoint -> {ck_path}")
+        fields = {"size": res.resume_size, "candidates": res.candidates}
+        print(f"checkpoint -> {_write_checkpoint(_out_dir(cfg), cfg, fields)}")
         return 2
     print(f"fk r={r} N={N}: minimum blocking density {render_fraction(res.value)}")
     print(f"witness: {render_family(res.witness)}")

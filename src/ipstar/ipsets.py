@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
-from .algebra import FullWindow, Window, window_enumerate
+from .algebra import FullWindow, Integers, Window, window_enumerate
 from .search import (
     BUDGET_EXCEEDED,
     DONE,
@@ -346,54 +346,76 @@ class FkResult:
     status: str  # DONE or BUDGET_EXCEEDED
     value: Fraction | None  # min |A|/N over blocking sets A
     witness: frozenset | None  # a minimum blocking set
-    candidates: int
+    candidates: int  # search nodes, summed over the sizes searched
+    resume_size: int | None = None  # the size whose search ran out of budget
 
 
-def complement_has_fs_tuple(C, r: int):
-    """First tuple (ascending lexicographic over sorted C) of r generators
-    drawn from C with every subset sum again in C, or None.  Generators are
-    members of C because singleton sums must land in C."""
-    C = set(C)
-    elems = sorted(C)
-    for tup in product(elems, repeat=r):
-        # singleton sums are the generators themselves, already in C;
-        # only the multi-term sums need the membership test
-        ok = True
-        for mask in range(1, 1 << r):
-            if mask & (mask - 1) == 0:
-                continue
-            total = sum(t for i, t in enumerate(tup) if mask >> i & 1)
-            if total not in C:
-                ok = False
-                break
-        if ok:
-            return tup
-    return None
+def fk_blocks(r: int, N: int, A) -> bool:
+    """Verification-only: no r generators from C = {1..N} - A keep every
+    subset sum in C.  ``contains_ip_r`` scans sorted C and refuses a generator
+    as soon as a new sum leaves C; it shares nothing with the search's edges."""
+    C = ElementSet(Integers(), set(range(1, N + 1)) - set(A))
+    return not contains_ip_r(C, r, C).found
 
 
-def finite_sums_int(tup) -> set[int]:
-    out = set()
-    for mask in range(1, 1 << len(tup)):
-        out.add(sum(t for i, t in enumerate(tup) if mask >> i & 1))
-    return out
+def _fk_edges_by_last(r: int, N: int) -> list[list[int]]:
+    """The search's hyperedges: the subset sums of each nondecreasing r-tuple
+    with total at most N, as bitmasks (bit x stands for x).  Only the minimal
+    ones are kept, listed under their largest element, the tuple's total."""
+    level = [(0, 1, 0)]  # (sums of the prefix, least next generator, its total)
+    for left in range(r, 0, -1):
+        level = [
+            (sums | 1 << g | sums << g, g, total + g)
+            for sums, low, total in level
+            for g in range(low, (N - total) // left + 1)
+        ]
+    by_last: list[list[int]] = [[] for _ in range(N + 1)]
+    for edge in sorted({sums for sums, _, _ in level}, key=int.bit_count):
+        last = edge.bit_length() - 1
+        # a smaller edge inside this one ends at or before its last element
+        if all(f & ~edge for kept in by_last[: last + 1] for f in kept):
+            by_last[last].append(edge)
+    return by_last
 
 
-def fk_density_experiment(r: int, N: int, *, budget: int | None = None) -> FkResult:
+def fk_density_experiment(
+    r: int, N: int, *, budget: int | None = None, start_size: int = 0
+) -> FkResult:
     """min |A|/N over A subseteq {1..N} whose complement contains no full
-    finite-sums family of r generators; ascending-size exhaustive search, so
-    the witness is the least blocking set in (size, lexicographic) order."""
+    finite-sums family of r generators.  For size = start_size, ... a
+    depth-first search over x = 1..N tries "x in A" before "x in C", so the
+    first leaf is the least blocking set in (size, lexicographic) order.  "x
+    in C" is pruned when an edge ending at x lies wholly in C, and a
+    placement when too few elements are left to reach the size.  The budget
+    caps the nodes (tried placements) of all sizes together.
+    """
     if r < 1 or N < 1:
         raise ValueError("r and N must be >= 1")
-    universe = list(range(1, N + 1))
-    examined = 0
-    for size in range(0, N + 1):
-        for combo in combinations(universe, size):
-            examined += 1
-            if budget is not None and examined > budget:
-                return FkResult(r, N, BUDGET_EXCEEDED, None, None, examined - 1)
-            C = set(universe) - set(combo)
-            if complement_has_fs_tuple(C, r) is None:
-                return FkResult(r, N, DONE, Fraction(size, N), frozenset(combo), examined)
+    if not 0 <= start_size <= N:
+        raise ValueError(f"resume size {start_size} outside 0..{N}")
+    edges_by_last = _fk_edges_by_last(r, N)
+    nodes = 0
+    for size in range(start_size, N + 1):
+        stack = [(0, 0, 0)]  # (x, C, A): 1..x placed; bit y of C or A stands for y
+        while stack:
+            x, C, A = stack.pop()
+            if x:
+                if nodes == budget:
+                    return FkResult(r, N, BUDGET_EXCEEDED, None, None, nodes, size)
+                nodes += 1
+                if C >> x & 1 and any(e & C == e for e in edges_by_last[x]):
+                    continue
+            if x == N:
+                witness = mask_to_set(A >> 1)
+                if not fk_blocks(r, N, witness):
+                    raise RuntimeError(f"fk search returned a non-blocking set {sorted(witness)}")
+                return FkResult(r, N, DONE, Fraction(size, N), witness, nodes)
+            x += 1
+            missing = size - A.bit_count()
+            if missing <= N - x:
+                stack.append((x, C | 1 << x, A))
+            if missing > 0:
+                stack.append((x, C, A | 1 << x))
     raise AssertionError("unreachable: A = {1..N} always blocks")
 
 
@@ -401,8 +423,7 @@ def fk_odds_certificate(N: int) -> tuple[frozenset, Fraction, bool]:
     """The even numbers as a blocking set for r = 2: their complement (the
     odds) is sum-free, since odd + odd is even.  Returns (A, |A|/N, valid)."""
     A = frozenset(x for x in range(1, N + 1) if x % 2 == 0)
-    C = set(range(1, N + 1)) - A
-    return A, Fraction(len(A), N), complement_has_fs_tuple(C, 2) is None
+    return A, Fraction(len(A), N), fk_blocks(2, N, A)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +457,8 @@ def example_a(r_max: int) -> BlockExample:
 
 
 def example_a_checks(ex: BlockExample) -> dict[str, bool]:
-    """The three companion checks, each decided exhaustively.
+    """The three companion checks, each decided exhaustively by pruned scans
+    over generator tuples.
 
     in_block_fs: block r equals the finite sums of r copies of its base value.
     cross_block_free: no 3-generator tuple mixing two blocks keeps all its
@@ -444,34 +466,25 @@ def example_a_checks(ex: BlockExample) -> dict[str, bool]:
     fs_depth: within block r the deepest full finite-sums family has exactly
     r generators.
     """
-    out = {}
-    in_block = True
-    for r, vals in ex.blocks:
-        c = vals[0]
-        fs = finite_sums_int((c,) * r)
-        in_block = in_block and fs == set(vals)
-    out["in_block_fs"] = in_block
-
     members = ex.members
-    cross_free = True
-    elems = sorted(members)
-    for x in elems:
-        for y in elems:
-            for z in elems:
-                if len({ex.block_of(v) for v in (x, y, z)}) < 2:
-                    continue
-                if all(v in members for v in finite_sums_int((x, y, z))):
-                    cross_free = False
-    out["cross_block_free"] = cross_free
 
-    depth_ok = True
+    def extend(state, g):
+        # state: (sums, blocks, generators) of the prefix; the third
+        # generator must bring a second block
+        sums, blocks, n = state
+        new = {g, *(s + g for s in sums)}
+        blocks = blocks | {ex.block_of(g)}
+        if new <= members and (n < 2 or len(blocks) > 1):
+            return sums | new, blocks, n + 1
+        return None
+
+    mixed = first_tuple(sorted(members), 3, extend, (frozenset(), frozenset(), 0))
+    in_block = depth = True
     for r, vals in ex.blocks:
-        block = set(vals)
-        has_r = any(finite_sums_int(t) <= block for t in product(sorted(block), repeat=r))
-        has_r1 = any(finite_sums_int(t) <= block for t in product(sorted(block), repeat=r + 1))
-        depth_ok = depth_ok and has_r and not has_r1
-    out["fs_depth"] = depth_ok
-    return out
+        B = ElementSet(Integers(), vals)
+        in_block = in_block and finite_sums(B.group, (vals[0],) * r).members == B.members
+        depth = depth and contains_ip_r(B, r, B).found and not contains_ip_r(B, r + 1, B).found
+    return {"in_block_fs": in_block, "cross_block_free": not mixed.found, "fs_depth": depth}
 
 
 # ---------------------------------------------------------------------------

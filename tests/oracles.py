@@ -133,22 +133,22 @@ def naive_coloring_avoids_fu(r, s, color_of):
     return True
 
 
+def naive_fk_blocks(r, N, A):
+    """A blocks when no r-tuple from the complement C of A in {1..N} keeps
+    every subset sum in C."""
+    C = set(range(1, N + 1)) - set(A)
+    return not any(
+        all(sum(tup[i] for i in range(r) if m >> i & 1) in C for m in range(1, 1 << r))
+        for tup in product(sorted(C), repeat=r)
+    )
+
+
 def naive_fk_min_density(r, N):
-    """Minimum |A|/N over all 2^N subsets, fully independently: A blocks when
-    no r-tuple from the complement keeps every subset sum in the complement."""
+    """Minimum |A|/N over all 2^N subsets, fully independently."""
     universe = list(range(1, N + 1))
     best = None
     for mask in range(1 << N):
         A = {universe[i] for i in range(N) if mask >> i & 1}
-        C = set(universe) - A
-        blocked = True
-        for tup in product(sorted(C), repeat=r):
-            if all(
-                sum(tup[i] for i in range(r) if m >> i & 1) in C
-                for m in range(1, 1 << r)
-            ):
-                blocked = False
-                break
-        if blocked and (best is None or len(A) < best):
+        if naive_fk_blocks(r, N, A) and (best is None or len(A) < best):
             best = len(A)
     return Fraction(best, N)

@@ -6,6 +6,7 @@ import pytest
 
 from ipstar import cli
 from ipstar.cli import ExperimentConfig, config_hash, parse_config, render_config
+from ipstar.ipsets import fk_density_experiment
 
 F5_SYSTEM = """backend finite-perm
 p 5
@@ -302,7 +303,25 @@ def test_fk_density_with_even_blocker(capsys, tmp_path):
     rc, _, err = _run(
         capsys, ["fk-density", "--resume", "x", "r=2", "N=8", f"output={tmp_path}"]
     )
-    assert rc == 1 and "not resumable" in err
+    assert rc == 1 and "cannot read checkpoint" in err
+
+
+@pytest.mark.parametrize("r, N, budget", [(2, 12, 100), (3, 16, 700), (2, 8, 1)])
+def test_fk_density_split_run_resumes_to_the_unsplit_stdout(capsys, tmp_path, r, N, budget):
+    keys = [f"r={r}", f"N={N}", f"output={tmp_path}"]
+    rc, whole, _ = _run(capsys, ["fk-density", *keys])
+    assert rc == 0
+    rc, out, _ = _run(capsys, ["fk-density", *keys, f"budget={budget}"])
+    assert rc == 2 and f"budget exceeded after {budget} candidates" in out
+    (ckpt,) = tmp_path.glob("checkpoint-*.txt")
+    size = fk_density_experiment(r, N, budget=budget).resume_size
+    assert f"\nsize {size}\n" in ckpt.read_text()
+    # just enough budget to finish from that size, not from size 0
+    rest = fk_density_experiment(r, N, start_size=size).candidates
+    resume = ["fk-density", "--resume", str(ckpt), *keys, f"budget={rest}"]
+    rc, resumed, _ = _run(capsys, resume)
+    assert rc == 0 and resumed == whole
+    assert not ckpt.exists()  # consumed
 
 
 def test_example_a(capsys):

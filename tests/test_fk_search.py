@@ -1,0 +1,93 @@
+"""Property tests of the pruned fk-density search.
+
+``fk_density_experiment`` searches sizes in ascending order, each by a
+depth-first search over x = 1..N on a table of minimal sum-set edges.  The
+references here share nothing with it: the 2^N-subset oracle and the
+brute-force blocking test over ``product`` in ``oracles.py``, the lex-least
+blocking set of a size found by ``combinations``, and for r = 2 the largest
+sum-free subset of {1..N}, which has ceil(N/2) elements when x + x counts as
+a sum (Cameron and Erdos, 1990).
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from ipstar import ipsets
+from ipstar.ipsets import BUDGET_EXCEEDED, DONE, fk_blocks, fk_density_experiment
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 9))
+def test_minimum_and_lex_least_witness_match_brute_force(r, N):
+    res = fk_density_experiment(r, N)
+    assert res.status == DONE and res.value == oracles.naive_fk_min_density(r, N)
+    size = len(res.witness)
+    assert res.value == Fraction(size, N)
+    subsets = combinations(range(1, N + 1), size)
+    least = next(A for A in subsets if oracles.naive_fk_blocks(r, N, A))
+    assert res.witness == frozenset(least)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 40))
+def test_r2_is_the_sum_free_closed_form(N):
+    assert fk_density_experiment(2, N).value == Fraction(N // 2, N)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 12), st.data())
+def test_budget_stops_after_exactly_b_nodes_and_resume_completes(r, N, data):
+    whole = fk_density_experiment(r, N)
+    b = data.draw(st.integers(0, whole.candidates + 1), label="budget")
+    part = fk_density_experiment(r, N, budget=b)
+    if b >= whole.candidates:
+        assert part == whole
+        return
+    assert part.status == BUDGET_EXCEEDED and part.candidates == b
+    assert part.value is None and part.witness is None
+    rest = fk_density_experiment(r, N, start_size=part.resume_size)
+    assert (rest.status, rest.value, rest.witness) == (DONE, whole.value, whole.witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 10), st.data())
+def test_fk_blocks_matches_brute_force(r, N, data):
+    A = data.draw(st.sets(st.integers(1, N)), label="A")
+    assert fk_blocks(r, N, A) == oracles.naive_fk_blocks(r, N, A)
+
+
+def test_r3_n30():
+    # beyond the reach of the subset brute force; agrees with a separate
+    # branch-and-bound over the largest set C free of 3-generator families
+    res = fk_density_experiment(3, 30)
+    assert res.value == Fraction(3, 10)
+    assert res.witness == frozenset(range(2, 19, 2))
+    assert res.candidates == 223536
+
+
+@pytest.mark.parametrize(
+    "r, N, nodes",
+    [(2, 16, 1661), (2, 17, 1662), (2, 18, 3112), (3, 12, 249), (2, 24, 18213)],
+)
+def test_node_counts(r, N, nodes):
+    # the search's work as a machine-independent count; more nodes with the
+    # same answer means a prune was lost
+    assert fk_density_experiment(r, N).candidates == nodes
+
+
+def test_a_witness_that_does_not_block_is_refused(monkeypatch):
+    # with no edges the search would call the empty set blocking
+    monkeypatch.setattr(ipsets, "_fk_edges_by_last", lambda r, N: [[] for _ in range(N + 1)])
+    with pytest.raises(RuntimeError, match="non-blocking"):
+        fk_density_experiment(2, 6)
+
+
+@pytest.mark.parametrize("start", [-1, 7])
+def test_resume_size_outside_the_range_is_refused(start):
+    with pytest.raises(ValueError, match="resume size"):
+        fk_density_experiment(2, 6, start_size=start)

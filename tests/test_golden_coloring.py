@@ -1,4 +1,4 @@
-"""Golden outputs of the `hj` and `fu-ramsey` runs.
+"""Golden outputs of the `hj`, `fu-ramsey` and `fk-density` runs.
 
 Each instance is a list of command lines run in order through
 ``ipstar.cli.main`` in a fresh directory, with ``output=out``; ``{ckpt}``
@@ -7,7 +7,9 @@ exit code, standard output and the sha256 of every file under ``out`` are
 compared with the values pinned below.  At the end every certificate is
 replayed with ``--check``.  The pins were captured from the code before the
 two claims shared one search, one stage loop and one certificate path; any
-change to them has to be a deliberate format change.
+change to them has to be a deliberate format change.  The `fk-density` pins
+were captured from the (size, subset) brute force that the pruned search
+replaced.
 """
 
 import contextlib
@@ -38,6 +40,11 @@ INSTANCES = {
         ["fu-ramsey", "r=7", "s=2", "k=2", "budget=1000"],
         ["fu-ramsey", "--resume", "{ckpt}", "r=7", "s=2", "k=2"],
     ],
+    # the four fk-density runs of the benchmark's coloring workload, and two small ones
+    **{
+        f"fk-r{r}-N{N}": [["fk-density", f"r={r}", f"N={N}"]]
+        for r, N in [(2, 16), (2, 17), (2, 18), (3, 12), (2, 8), (3, 6)]
+    },
 }
 
 
@@ -61,14 +68,41 @@ def play(steps):
         ckpts = sorted(str(p) for p in out.glob("checkpoint-*.txt"))
         argv = [a.replace("{ckpt}", ckpts[0] if ckpts else "") for a in argv]
         rc, stdout = _main([*argv, "output=out"])
-        files = {p.name: _sha(p) for p in sorted(out.iterdir())}
+        files = {p.name: _sha(p) for p in sorted(out.iterdir())} if out.exists() else {}
         records.append((rc, stdout, files))
     checks = [_main(["--check", str(p)]) for p in sorted(out.glob("*-*-*.txt")) if "checkpoint" not in p.name]
     return records, checks
 
 
 # name -> ([(exit code, stdout, {file: sha256}) per step], [(exit code, stdout) per --check])
-GOLDEN = {'fu-r4-s2-k3': ([(0,
+GOLDEN = {
+ 'fk-r2-N16': ([(0,
+                 'fk r=2 N=16: minimum blocking density 1/2\n'
+                 'witness: {1,2,3,4,5,6,7,8}\n'
+                 'even-blocker certificate: density 1/2, complement sum-free: true\n',
+                 {})],
+               []),
+ 'fk-r2-N17': ([(0,
+                 'fk r=2 N=17: minimum blocking density 8/17\n'
+                 'witness: {1,2,3,4,5,6,7,8}\n'
+                 'even-blocker certificate: density 8/17, complement sum-free: true\n',
+                 {})],
+               []),
+ 'fk-r2-N18': ([(0,
+                 'fk r=2 N=18: minimum blocking density 1/2\n'
+                 'witness: {1,2,3,4,5,6,7,8,9}\n'
+                 'even-blocker certificate: density 1/2, complement sum-free: true\n',
+                 {})],
+               []),
+ 'fk-r2-N8': ([(0,
+                'fk r=2 N=8: minimum blocking density 1/2\n'
+                'witness: {1,2,3,4}\n'
+                'even-blocker certificate: density 1/2, complement sum-free: true\n',
+                {})],
+              []),
+ 'fk-r3-N12': ([(0, 'fk r=3 N=12: minimum blocking density 1/4\nwitness: {2,4,6}\n', {})], []),
+ 'fk-r3-N6': ([(0, 'fk r=3 N=6: minimum blocking density 1/6\nwitness: {2}\n', {})], []),
+ 'fu-r4-s2-k3': ([(0,
                    'fu r=4 s=2 k=3: counterexample -> out/fu-r4-s2-k3-counterexample.txt\n',
                    {'fu-r4-s2-k3-counterexample.txt': 'b7ea714637c100dd37ef88b8d3dc2c51606ee4126366ed71d7f0f6489ea3b06c'})],
                  [(0, 'certificate valid: fu-counterexample r=4 s=2 k=3\n')]),

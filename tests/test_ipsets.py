@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ipstar.algebra import FullWindow, IntegerWindow, Integers, PrimeField, Rationals
@@ -369,6 +372,50 @@ def test_example_a_checks_catch_damage():
     damaged = BlockExample(ex.r_max, ex.blocks, ex.members | {4 + 16, 4 + 16 + 16, 16})
     # block_of() ignores the stray members; cross sums 20 and 36 now inside
     assert not example_a_checks(damaged)["cross_block_free"]
+
+
+def reference_example_a_checks(ex):
+    # the brute force the pruned scans replaced: every tuple via product
+    def has_family(vals, r):
+        return any(oracles.naive_fs_set(Z, t) <= set(vals) for t in product(vals, repeat=r))
+
+    cross = [
+        t
+        for t in product(sorted(ex.members), repeat=3)
+        if len({ex.block_of(v) for v in t}) > 1 and oracles.naive_fs_set(Z, t) <= ex.members
+    ]
+    return {
+        "in_block_fs": all(
+            oracles.naive_fs_set(Z, (vals[0],) * r) == set(vals) for r, vals in ex.blocks
+        ),
+        "cross_block_free": not cross,
+        "fs_depth": all(
+            has_family(vals, r) and not has_family(vals, r + 1) for r, vals in ex.blocks
+        ),
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_example_a_checks_match_the_brute_force_on_damaged_examples(r_max, data):
+    ex = example_a(r_max)
+    blocks = []
+    for r, vals in ex.blocks:
+        edit = data.draw(st.sampled_from(["keep", "drop", "grow"]))
+        if edit == "drop" and len(vals) > 1:
+            vals = vals[:-1]
+        elif edit == "grow":
+            vals = vals + (vals[-1] + vals[0],)
+        blocks.append((r, vals))
+    members = {v for _, vals in blocks for v in vals}
+    strays = sorted({1} | {a + b for a in ex.members for b in ex.members} - members)
+    members |= data.draw(st.sets(st.sampled_from(strays), max_size=4))
+    if data.draw(st.booleans()):  # graft the sums of a (possibly cross-block) family
+        gens = data.draw(st.lists(st.sampled_from(sorted(members)), min_size=3, max_size=3))
+        members |= oracles.naive_fs_set(Z, gens)
+    members -= data.draw(st.sets(st.sampled_from(sorted(members)), max_size=2))
+    damaged = BlockExample(r_max, tuple(blocks), frozenset(members))
+    assert example_a_checks(damaged) == reference_example_a_checks(damaged)
 
 
 # ---------------------------------------------------------------------------
