@@ -422,17 +422,21 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
-def _write_checkpoint(outd: Path, cfg, fields: dict) -> Path:
+def _write_checkpoint(outd: Path, cfg, key: str, stage: int, path, candidates: int) -> None:
+    """Write where a search that ran out of budget restarts, its stage under
+    ``key`` and its path, and print the file's name."""
     h = config_hash(cfg)
+    fields = {key: stage, "path": ",".join(map(str, path)), "candidates": candidates}
     lines = [f"checkpoint {cfg.command}", f"config {h}"]
-    for key in sorted(fields):
-        lines.append(f"{key} {fields[key]}")
-    path = outd / f"checkpoint-{h}.txt"
-    _write_text(path, "\n".join(lines) + "\n")
-    return path
+    lines += [f"{name} {fields[name]}" for name in sorted(fields)]
+    ckpt = outd / f"checkpoint-{h}.txt"
+    _write_text(ckpt, "\n".join(lines) + "\n")
+    print(f"checkpoint -> {ckpt}")
 
 
-def _load_checkpoint(path: str, cfg) -> dict:
+def _load_checkpoint(path: str, cfg, key: str, stages) -> tuple[int, tuple[int, ...]]:
+    """The (stage, path) a checkpoint resumes, refused unless it has both
+    lines and the stage is one of this run's ``stages``."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -440,20 +444,25 @@ def _load_checkpoint(path: str, cfg) -> dict:
     command = None
     fields: dict[str, str] = {}
     for no, line in _content_lines(text):
-        key, _, rest = line.partition(" ")
+        name, _, rest = line.partition(" ")
         if command is None:
-            if key != "checkpoint" or not rest.strip():
+            if name != "checkpoint" or not rest.strip():
                 raise ValueError(f"checkpoint {path!r}: line {no}: not a checkpoint file")
             command = rest.strip()
         else:
-            fields[key] = rest.strip()
+            fields[name] = rest.strip()
     if command is None:
         raise ValueError(f"checkpoint {path!r}: empty file")
     if command != cfg.command:
         raise ValueError(f"checkpoint is for command {command!r}, not {cfg.command!r}")
     if fields.get("config") != config_hash(cfg):
         raise ValueError("checkpoint was written by a different config; resume refused")
-    return fields
+    start = _parse_int(fields.get(key, ""))
+    if start not in stages:
+        raise ValueError(f"checkpoint resumes {key}={start}, outside this run")
+    if "path" not in fields:  # as in checkpoints of a scan resumed by index
+        raise ValueError(f"checkpoint {path!r} has no 'path' line")
+    return start, tuple(_parse_int(c) for c in fields["path"].split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -483,21 +492,14 @@ def _run_stages(cfg, resume_file, stages, run_stage):
     outd = _out_dir(cfg)
     resume = None
     if resume_file is not None:
-        ck = _load_checkpoint(resume_file, cfg)
-        start = _parse_int(ck.get(key, ""))
-        if start not in stages:
-            raise ValueError(f"checkpoint resumes {key}={start}, outside this run")
-        resume_at = ck.get("path", "")
-        resume = (start, tuple(_parse_int(c) for c in resume_at.split(",")) if resume_at else None)
-        print(resumed.format(**{**cfg.values, key: start}))
+        resume = _load_checkpoint(resume_file, cfg, key, stages)
+        print(resumed.format(**{**cfg.values, key: resume[0]}))
     budget = _resolve_budget(cfg)
     for n, out in coloring_stages(stages, run_stage, budget=budget, resume=resume):
         values = {**cfg.values, key: n}
         if out.kind == BUDGET_EXCEEDED:
             print(f"{head.format(**values)}: budget exceeded after {out.candidates} candidates")
-            resume_at = ",".join(str(c) for c in out.resume_path)
-            fields = {key: n, "path": resume_at, "candidates": out.candidates}
-            print(f"checkpoint -> {_write_checkpoint(outd, cfg, fields)}")
+            _write_checkpoint(outd, cfg, key, n, out.resume_path, out.candidates)
             return 2, None
         cover = out.kind == ALL_OK
         tag = "cover" if cover else "counterexample"
@@ -531,14 +533,13 @@ def _run_fu(cfg, resume_file) -> int:
 
 def _run_fk(cfg, resume_file) -> int:
     r, N = cfg.values["r"], cfg.values["N"]
-    start = 0
+    resume = None
     if resume_file is not None:  # every smaller size holds no blocking set
-        start = _parse_int(_load_checkpoint(resume_file, cfg).get("size", ""))
-    res = fk_density_experiment(r, N, budget=_resolve_budget(cfg), start_size=start)
+        resume = _load_checkpoint(resume_file, cfg, "size", range(N + 1))
+    res = fk_density_experiment(r, N, budget=_resolve_budget(cfg), resume=resume)
     if res.status == BUDGET_EXCEEDED:
         print(f"fk r={r} N={N}: budget exceeded after {res.candidates} candidates")
-        fields = {"size": res.resume_size, "candidates": res.candidates}
-        print(f"checkpoint -> {_write_checkpoint(_out_dir(cfg), cfg, fields)}")
+        _write_checkpoint(_out_dir(cfg), cfg, "size", *res.resume, res.candidates)
         return 2
     print(f"fk r={r} N={N}: minimum blocking density {render_fraction(res.value)}")
     print(f"witness: {render_family(res.witness)}")
@@ -589,15 +590,15 @@ def _run_recurrence(cfg, resume_file) -> int:
 
 def _run_classify(cfg, resume_file) -> int:
     sys_, B, phi, eps, window = _experiment_inputs(cfg)
+    r_max = cfg.values["r_max"]
     resume = None
     if resume_file is not None:
-        ck = _load_checkpoint(resume_file, cfg)
-        resume = (int(ck["r"]), int(ck["index"]))
-        print(f"resumed at r={ck['r']}")
+        resume = _load_checkpoint(resume_file, cfg, "r", range(1, r_max + 1))
+        print(f"resumed at r={resume[0]}")
     rep = recurrence_set(sys_, B, phi, eps, window)
     rep = classify_ipstar(
         rep,
-        cfg.values["r_max"],
+        r_max,
         density_N=cfg.values["density_N"],
         budget=_resolve_budget(cfg),
         resume=resume,
@@ -614,14 +615,13 @@ def _run_classify(cfg, resume_file) -> int:
             print(f"r={r}: fails{note} witness={w}")
         else:
             print(f"r={r}: budget exceeded after {v.candidates} candidates")
-            stalled = (r, v.resume_index)
+            stalled = (r, v.resume_path, v.candidates)
     outd = _out_dir(cfg)
     path = outd / "classify.json"
     _write_text(path, render_report_json(report_tree(rep, generated=_now())))
     print(f"wrote {path}")
     if stalled is not None:
-        ck_path = _write_checkpoint(outd, cfg, {"r": stalled[0], "index": stalled[1]})
-        print(f"checkpoint -> {ck_path}")
+        _write_checkpoint(outd, cfg, "r", *stalled)
         return 2
     return 0
 

@@ -153,7 +153,6 @@ def hj_stage(
     m: int,
     *,
     budget: int | None = None,
-    checkpoint_cb=None,
     resume_path=None,
 ) -> ColoringOutcome:
     """Decide whether every t-coloring of the m-position word space over a
@@ -163,9 +162,7 @@ def hj_stage(
     if k < 1 or t < 1 or m < 1:
         raise ValueError("k, t, m must be >= 1")
     table = _lines_by_last_index(k, m)
-    return universal_coloring_search(
-        t, table, budget=budget, checkpoint_cb=checkpoint_cb, resume_path=resume_path
-    )
+    return universal_coloring_search(t, table, budget=budget, resume_path=resume_path)
 
 
 def _line_positions(k: int, m: int, witness):

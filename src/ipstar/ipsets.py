@@ -24,11 +24,12 @@ from itertools import combinations
 from .algebra import FullWindow, Integers, Window, window_enumerate
 from .search import (
     BUDGET_EXCEEDED,
+    CUT,
     DONE,
     ColoringOutcome,
     avoids_every_edge,
     check_cover_tree,
-    first_tuple,
+    prefix_search,
     universal_coloring_search,
 )
 
@@ -149,18 +150,6 @@ def finite_unions(alphas) -> tuple[frozenset[int], ...]:
 # IP_r detection and the dual verdict
 
 
-@dataclass(frozen=True)
-class IpSearchResult:
-    status: str  # DONE or BUDGET_EXCEEDED
-    witness: tuple | None  # generator tuple, None when absent or budget out
-    candidates: int
-    resume_index: int | None = None
-
-    @property
-    def found(self) -> bool:
-        return self.witness is not None
-
-
 def _resolve_pool(group, pool) -> list:
     if isinstance(pool, Window):
         return window_enumerate(group, pool)
@@ -172,33 +161,34 @@ def _resolve_pool(group, pool) -> list:
     return list(pool)
 
 
-def _first_fs_tuple(group, elems, r: int, admits, budget, start):
-    """Lexicographically first r-tuple over elems whose finite sums pass
-    ``admits`` (a predicate on a set of sums), scanned by ``first_tuple``.
+def _first_fs_tuple(group, elems, r: int, admits, budget=None, resume_path=None):
+    """The first r-tuple over elems, lexicographically by position, whose
+    finite sums pass ``admits`` (a predicate on a set of sums): a
+    ``prefix_search`` whose path holds the generators' positions in elems.
+    Returns the search outcome and the tuple, None when there is none.
 
     A prefix's sums grow incrementally, FS(P + g) = FS(P) | {g} | FS(P) + g,
     and only the new ones are tested.  FS(prefix) is a subset of FS(tuple),
     so a prefix with a refused sum rules out every tuple that extends it.
     """
     add = group.add
+    n = len(elems)
 
-    def extend(sums, g):
+    def extend(sums, depth, i, path):
+        g = elems[i]
         new = {g}
         new.update([add(s, g) for s in sums])
-        return sums | new if admits(new) else None
+        return sums | new if admits(new) else CUT
 
-    return first_tuple(elems, r, extend, frozenset(), budget=budget, start=start)
+    out = prefix_search(
+        frozenset(), r, lambda sums, depth: (0, n), extend, budget=budget, resume_path=resume_path
+    )
+    return out, None if out.path is None else tuple(elems[i] for i in out.path)
 
 
-def contains_ip_r(
-    S: ElementSet,
-    r: int,
-    pool,
-    *,
-    budget: int | None = None,
-    start: int = 0,
-) -> IpSearchResult:
-    """First generator tuple from the pool whose finite sums all land in S.
+def contains_ip_r(S: ElementSet, r: int, pool) -> tuple | None:
+    """First generator tuple from the pool whose finite sums all land in S,
+    or None.
 
     The pool is a Window over S's group, or an explicit element sequence
     scanned in the given order.
@@ -206,8 +196,7 @@ def contains_ip_r(
     if r < 1:
         raise ValueError("r must be >= 1")
     elems = _resolve_pool(S.group, pool)
-    out = _first_fs_tuple(S.group, elems, r, S.members.issuperset, budget, start)
-    return IpSearchResult(out.status, out.value, out.candidates, out.resume_index)
+    return _first_fs_tuple(S.group, elems, r, S.members.issuperset)[1]
 
 
 @dataclass(frozen=True)
@@ -215,8 +204,8 @@ class IpStarVerdict:
     kind: str  # "holds" | "fails" | "budget_exceeded"
     window_limited: bool
     witness: tuple | None = None  # failing generator tuple (its sums avoid S)
-    candidates: int = 0
-    resume_index: int | None = None
+    candidates: int = 0  # prefix-search nodes
+    resume_path: tuple[int, ...] | None = None  # pool positions where the scan restarts
 
     @property
     def holds(self) -> bool:
@@ -228,7 +217,7 @@ def is_ip_r_star(
     r: int,
     *,
     budget: int | None = None,
-    start: int = 0,
+    resume_path: tuple[int, ...] | None = None,
 ) -> IpStarVerdict:
     """Does S meet every r-generator finite-sums family?
 
@@ -253,11 +242,11 @@ def is_ip_r_star(
 
     else:
         admits = avoids
-    out = _first_fs_tuple(S.group, elems, r, admits, budget, start)
+    out, witness = _first_fs_tuple(S.group, elems, r, admits, budget, resume_path)
     if out.status == BUDGET_EXCEEDED:
-        return IpStarVerdict("budget_exceeded", windowed, None, out.candidates, out.resume_index)
-    if out.found:
-        return IpStarVerdict("fails", windowed, out.value, out.candidates)
+        return IpStarVerdict("budget_exceeded", windowed, None, out.candidates, out.resume_path)
+    if witness is not None:
+        return IpStarVerdict("fails", windowed, witness, out.candidates)
     return IpStarVerdict("holds", windowed, None, out.candidates)
 
 
@@ -288,7 +277,6 @@ def fu_ramsey_check(
     k: int,
     *,
     budget: int | None = None,
-    checkpoint_cb=None,
     resume_path: tuple[int, ...] | None = None,
 ) -> ColoringOutcome:
     """Either every k-coloring of F_r contains monochromatic ordered blocks
@@ -303,9 +291,7 @@ def fu_ramsey_check(
     if r < 1 or s < 1 or k < 1:
         raise ValueError("r, s, k must all be >= 1")
     table = _fu_checks_by_position(r, s)
-    return universal_coloring_search(
-        k, table, budget=budget, checkpoint_cb=checkpoint_cb, resume_path=resume_path
-    )
+    return universal_coloring_search(k, table, budget=budget, resume_path=resume_path)
 
 
 def _union_positions(r: int, s: int, blocks):
@@ -347,7 +333,7 @@ class FkResult:
     value: Fraction | None  # min |A|/N over blocking sets A
     witness: frozenset | None  # a minimum blocking set
     candidates: int  # search nodes, summed over the sizes searched
-    resume_size: int | None = None  # the size whose search ran out of budget
+    resume: tuple | None = None  # (size, path) where a BUDGET_EXCEEDED search restarts
 
 
 def fk_blocks(r: int, N: int, A) -> bool:
@@ -355,7 +341,7 @@ def fk_blocks(r: int, N: int, A) -> bool:
     subset sum in C.  ``contains_ip_r`` scans sorted C and refuses a generator
     as soon as a new sum leaves C; it shares nothing with the search's edges."""
     C = ElementSet(Integers(), set(range(1, N + 1)) - set(A))
-    return not contains_ip_r(C, r, C).found
+    return contains_ip_r(C, r, C) is None
 
 
 def _fk_edges_by_last(r: int, N: int) -> list[list[int]]:
@@ -378,44 +364,54 @@ def _fk_edges_by_last(r: int, N: int) -> list[list[int]]:
     return by_last
 
 
-def fk_density_experiment(
-    r: int, N: int, *, budget: int | None = None, start_size: int = 0
-) -> FkResult:
+def fk_density_experiment(r: int, N: int, *, budget: int | None = None, resume=None) -> FkResult:
     """min |A|/N over A subseteq {1..N} whose complement contains no full
-    finite-sums family of r generators.  For size = start_size, ... a
-    depth-first search over x = 1..N tries "x in A" before "x in C", so the
-    first leaf is the least blocking set in (size, lexicographic) order.  "x
-    in C" is pruned when an edge ending at x lies wholly in C, and a
-    placement when too few elements are left to reach the size.  The budget
-    caps the nodes (tried placements) of all sizes together.
+    finite-sums family of r generators.  For size = 0, 1, ... a
+    ``prefix_search`` places x = 1..N, trying "x in A" (choice 0) before "x
+    in C" (choice 1), so the first full path is the least blocking set in
+    (size, lexicographic) order.  "x in C" is cut when an edge ending at x
+    lies wholly in C; "x in A" is open while A is short of the size, "x in
+    C" while enough elements are left to reach it.  The budget caps the
+    nodes of all sizes together; ``resume = (size, path)`` skips the sizes
+    below and resumes that size's search at the path.
     """
     if r < 1 or N < 1:
         raise ValueError("r and N must be >= 1")
-    if not 0 <= start_size <= N:
-        raise ValueError(f"resume size {start_size} outside 0..{N}")
+    start, resume_path = (0, None) if resume is None else resume
+    if not 0 <= start <= N:
+        raise ValueError(f"resume size {start} outside 0..{N}")
     edges_by_last = _fk_edges_by_last(r, N)
+
+    def span(state, depth):
+        # state: (C, elements A still lacks); bit y of C stands for y
+        missing = state[1]
+        return (0 if missing else 1), (2 if missing < N - depth else 1)
+
+    def extend(state, depth, choice, path):
+        C, missing = state
+        if choice == 0:
+            return C, missing - 1
+        x = depth + 1
+        C |= 1 << x
+        for e in edges_by_last[x]:
+            if e & C == e:
+                return CUT
+        return C, missing
+
     nodes = 0
-    for size in range(start_size, N + 1):
-        stack = [(0, 0, 0)]  # (x, C, A): 1..x placed; bit y of C or A stands for y
-        while stack:
-            x, C, A = stack.pop()
-            if x:
-                if nodes == budget:
-                    return FkResult(r, N, BUDGET_EXCEEDED, None, None, nodes, size)
-                nodes += 1
-                if C >> x & 1 and any(e & C == e for e in edges_by_last[x]):
-                    continue
-            if x == N:
-                witness = mask_to_set(A >> 1)
-                if not fk_blocks(r, N, witness):
-                    raise RuntimeError(f"fk search returned a non-blocking set {sorted(witness)}")
-                return FkResult(r, N, DONE, Fraction(size, N), witness, nodes)
-            x += 1
-            missing = size - A.bit_count()
-            if missing <= N - x:
-                stack.append((x, C | 1 << x, A))
-            if missing > 0:
-                stack.append((x, C, A | 1 << x))
+    for size in range(start, N + 1):
+        out = prefix_search((0, size), N, span, extend, budget=budget, resume_path=resume_path)
+        nodes += out.candidates
+        if out.status == BUDGET_EXCEEDED:
+            return FkResult(r, N, BUDGET_EXCEEDED, None, None, nodes, (size, out.resume_path))
+        if out.path is not None:
+            witness = frozenset(x for x, c in enumerate(out.path, 1) if c == 0)
+            if not fk_blocks(r, N, witness):
+                raise RuntimeError(f"fk search returned a non-blocking set {sorted(witness)}")
+            return FkResult(r, N, DONE, Fraction(size, N), witness, nodes)
+        resume_path = None
+        if budget is not None:
+            budget -= out.candidates
     raise AssertionError("unreachable: A = {1..N} always blocks")
 
 
@@ -467,24 +463,26 @@ def example_a_checks(ex: BlockExample) -> dict[str, bool]:
     r generators.
     """
     members = ex.members
+    pool = sorted(members)
 
-    def extend(state, g):
-        # state: (sums, blocks, generators) of the prefix; the third
+    def extend(state, n, i, path):
+        # state: (sums, blocks) of the n generators so far; the third
         # generator must bring a second block
-        sums, blocks, n = state
+        sums, blocks = state
+        g = pool[i]
         new = {g, *(s + g for s in sums)}
         blocks = blocks | {ex.block_of(g)}
         if new <= members and (n < 2 or len(blocks) > 1):
-            return sums | new, blocks, n + 1
-        return None
+            return sums | new, blocks
+        return CUT
 
-    mixed = first_tuple(sorted(members), 3, extend, (frozenset(), frozenset(), 0))
+    mixed = prefix_search((frozenset(), frozenset()), 3, lambda s, d: (0, len(pool)), extend)
     in_block = depth = True
     for r, vals in ex.blocks:
         B = ElementSet(Integers(), vals)
         in_block = in_block and finite_sums(B.group, (vals[0],) * r).members == B.members
-        depth = depth and contains_ip_r(B, r, B).found and not contains_ip_r(B, r + 1, B).found
-    return {"in_block_fs": in_block, "cross_block_free": not mixed.found, "fs_depth": depth}
+        depth = depth and contains_ip_r(B, r, B) is not None and contains_ip_r(B, r + 1, B) is None
+    return {"in_block_fs": in_block, "cross_block_free": mixed.path is None, "fs_depth": depth}
 
 
 # ---------------------------------------------------------------------------

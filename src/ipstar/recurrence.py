@@ -145,20 +145,20 @@ def classify_ipstar(
     *,
     density_N: int = 6,
     budget: int | None = None,
-    resume: tuple[int, int] | None = None,
+    resume: tuple[int, tuple[int, ...]] | None = None,
 ) -> RecurrenceReport:
     """Check R against every r-generator finite-sums family, r = 1..r_max.
 
     Window-limited verdicts never claim anything about the infinite group;
     for those the density profile of the exceptional set along the canonical
     averaging sequence is attached, supporting an almost-dual reading
-    (failures confined to a vanishing-density set).  resume=(r, index) skips
-    the first index candidates at level r; lower levels rerun from scratch
+    (failures confined to a vanishing-density set).  resume=(r, path)
+    resumes level r's scan at the path; lower levels rerun from scratch
     (each level gets the full budget, so a finished level cannot stall).
     """
     for r in range(1, r_max + 1):
-        start = resume[1] if resume is not None and resume[0] == r else 0
-        verdict = is_ip_r_star(report.R, r, budget=budget, start=start)
+        path = resume[1] if resume is not None and resume[0] == r else None
+        verdict = is_ip_r_star(report.R, r, budget=budget, resume_path=path)
         report.classification[r] = verdict
         if verdict.kind == "budget_exceeded":
             break  # partial classification: higher r only costs more

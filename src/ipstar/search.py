@@ -1,25 +1,24 @@
 """Deterministic budgeted search primitives shared by the combinatorial modules.
 
-Three engines:
+Two engines:
 
 * ``first_hit`` scans an indexed candidate space for the least index whose
   probe returns a value.
-* ``first_tuple`` scans the r-tuples over a pool in lexicographic order for
-  the least one whose every prefix is admitted by an incremental ``extend``.
-  A refused prefix skips its whole block of tuples at once; the outcome
-  (hit, candidates, resume index) is the one a probe-per-tuple ``first_hit``
-  scan of the same predicate would return.
-* ``universal_coloring_search`` is a pruned depth-first search over all
-  k-colorings of M indexed positions, given a table of hyperedges.  It
-  either proves "every coloring makes a hyperedge monochromatic" and emits
-  a replayable pruning certificate (a cover tree), or returns the least
-  counterexample coloring in base-k order.  ``coloring_stages`` decides
-  such claims at ascending stages under one budget.
+* ``prefix_search`` is a depth-first search over prefixes of choices, cut
+  where a problem's ``extend`` refuses a prefix; it returns the first full
+  path, and the cuts that name a witness as a replayable cover.  Three
+  problems run on it: the generator-tuple scans of ``ipsets`` (IP_r
+  verdicts, the fk blocking test, the block example), the fk-density search
+  over x = 1..N, and ``universal_coloring_search``, which decides "every
+  k-coloring of M positions makes a hyperedge monochromatic" from a table
+  of hyperedges: it either emits a pruning certificate (a cover tree) or
+  returns the least counterexample coloring in base-k order.
+  ``coloring_stages`` decides such claims at ascending stages under one
+  budget.
 
-Budgets count examined candidates (scan probes, DFS color assignments).
-Exhausting a budget is a first-class outcome carrying resume information,
-never an exception.  Long runs invoke a checkpoint callback every
-``CHECKPOINT_INTERVAL`` candidates.
+Budgets count examined candidates: scan probes, or prefix-search nodes (one
+per ``extend`` call).  Exhausting a budget is a first-class outcome carrying
+resume information, an index or a path, never an exception.
 """
 
 from __future__ import annotations
@@ -75,61 +74,111 @@ def first_hit(
     return ScanOutcome(DONE, None, None, examined, None)
 
 
-def first_tuple(
-    pool,
-    r: int,
-    extend,
+# ---------------------------------------------------------------------------
+# the prefix search
+#
+# A problem is a tree of prefixes: ``span(state, depth)`` gives the choices
+# lo..hi-1 open at that depth below a prefix with that state, and
+# ``extend(state, depth, choice, path)`` returns the state of the prefix
+# extended by the choice, or a ``Cut`` when no full path starts with it.
+# ``path[:depth + 1]`` holds the extended prefix during the call.
+
+
+class Cut:
+    """What ``extend`` returns for a refused prefix; one that names a
+    witness becomes a cover leaf."""
+
+    __slots__ = ("witness",)
+
+    def __init__(self, witness=None):
+        self.witness = witness
+
+
+CUT = Cut()
+
+
+@dataclass(frozen=True)
+class CoverLeaf:
+    """One pruned DFS branch: the prefix assignment and the target it forced."""
+
+    prefix: tuple[int, ...]
+    witness: object
+
+
+@dataclass(frozen=True)
+class PrefixOutcome:
+    status: str  # DONE or BUDGET_EXCEEDED
+    path: tuple[int, ...] | None  # the first full path, None if absent or budget ran out
+    leaves: tuple[CoverLeaf, ...]  # the witnessed cuts before the search stopped, in DFS order
+    candidates: int  # nodes charged by this call
+    resume_path: tuple[int, ...] | None = None  # where a BUDGET_EXCEEDED search restarts
+
+
+def prefix_search(
     root,
+    length: int,
+    span,
+    extend,
     *,
     budget: int | None = None,
-    start: int = 0,
-) -> ScanOutcome:
-    """Least index in [start, len(pool)**r) of an r-tuple over the pool whose
-    prefixes are all admitted by ``extend``; the hit's value is the tuple.
+    resume_path: tuple[int, ...] | None = None,
+) -> PrefixOutcome:
+    """Depth-first search, choices in ascending order, for the first path of
+    ``length`` choices none of whose prefixes is cut.
 
-    Tuples are numbered lexicographically by pool position, coordinate 1 most
-    significant.  ``extend(state, x)`` returns the state of the current prefix
-    extended by x (``root`` is the empty prefix's state), or None when no
-    tuple starting with the extended prefix can be a hit.  The tuples of a
-    refused block still count as examined, so candidates, the budget and the
-    resume index mean exactly what they mean for ``first_hit``.
+    Each ``extend`` call is one node.  The budget caps the nodes; an
+    exhausted search returns the path of the node it did not try, and a
+    search resumed there first replays the DFS from the root up to that
+    node, uncharged, to rebuild the cover leaves before it.
     """
-    n = len(pool)
-    count = n**r
-    if start < 0 or start > count:
-        raise ValueError(f"start {start} outside [0, {count}]")
-    end = count if budget is None else min(count, start + max(budget, 0))
-    index = start
-    if index < end:
-        digits = []
-        rest = start
-        for _ in range(r):
-            rest, d = divmod(rest, n)
-            digits.append(d)
-        digits.reverse()
-        states = [root] * r  # states[j]: state of the prefix digits[:j]
-        j = 0
-        while True:
-            state = extend(states[j], pool[digits[j]])
-            if state is not None:
-                if j + 1 == r:
-                    tup = tuple(pool[d] for d in digits)
-                    return ScanOutcome(DONE, index, tup, index - start + 1, None)
-                j += 1
-                states[j] = state
-                continue
-            # skip the rest of the block below the refused prefix digits[:j+1]
-            size = n ** (r - 1 - j)
-            index += size - index % size
-            if index >= end:
-                break
-            while digits[j] == n - 1:
-                j -= 1
-            digits[j] += 1
-            digits[j + 1 :] = [0] * (r - 1 - j)
-    if end < count:
-        return ScanOutcome(BUDGET_EXCEEDED, None, None, end - start, end)
-    return ScanOutcome(DONE, None, None, end - start, None)
+    if resume_path is not None and not 0 < len(resume_path) <= length:
+        raise ValueError(f"bad resume path {resume_path!r}")
+    if budget is not None:
+        budget = max(budget, 0)
+    replay = tuple(resume_path) if resume_path else None  # path still ahead of the replay
+    path = [0] * length
+    states = [root] * length  # states[d], ends[d]: the state and span end below path[:d]
+    ends = [0] * length
+    leaves: list[CoverLeaf] = []
+    nodes = depth = 0
+    state = root
+    c, end = span(root, 0)
+    while True:
+        if c >= end:  # every choice at this depth is tried: back up
+            depth -= 1
+            if depth < 0:
+                if replay is not None:
+                    raise _off_frontier(resume_path)
+                return PrefixOutcome(DONE, None, tuple(leaves), nodes)
+            c, end, state = path[depth] + 1, ends[depth], states[depth]
+            continue
+        if replay is not None:
+            if depth + 1 == len(replay) and c == replay[-1] and tuple(path[:depth]) == replay[:-1]:
+                replay = None  # caught up: charge every node from here on
+        if replay is None:
+            if nodes == budget:
+                resume = tuple(path[:depth]) + (c,)
+                return PrefixOutcome(BUDGET_EXCEEDED, None, tuple(leaves), nodes, resume)
+            nodes += 1
+        path[depth] = c
+        child = extend(state, depth, c, path)
+        if child.__class__ is Cut:
+            if child.witness is not None:
+                leaves.append(CoverLeaf(tuple(path[: depth + 1]), child.witness))
+            c += 1
+        elif depth + 1 < length:
+            states[depth], ends[depth] = state, end
+            depth += 1
+            state = child
+            c, end = span(child, depth)
+        else:
+            if replay is not None:
+                raise _off_frontier(resume_path)
+            return PrefixOutcome(DONE, tuple(path), tuple(leaves), nodes)
+
+
+def _off_frontier(resume_path) -> ValueError:
+    return ValueError(f"resume path {resume_path!r} is never reached by this search")
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +195,6 @@ COUNTEREXAMPLE = "counterexample"
 
 
 @dataclass(frozen=True)
-class CoverLeaf:
-    """One pruned DFS branch: the prefix assignment and the target it forced."""
-
-    prefix: tuple[int, ...]
-    witness: object
-
-
-@dataclass(frozen=True)
 class ColoringOutcome:
     kind: str  # ALL_OK, COUNTEREXAMPLE or BUDGET_EXCEEDED
     coloring: tuple[int, ...] | None  # the least counterexample
@@ -162,108 +203,54 @@ class ColoringOutcome:
     resume_path: tuple[int, ...] | None = None  # where a BUDGET_EXCEEDED search restarts
 
 
-def _allowed_max(prefix, k: int, canonical: bool) -> int:
-    # canonical mode: a color may appear only after all smaller colors have
-    if not canonical:
-        return k
-    return min(k, (max(prefix) if prefix else 0) + 1)
-
-
-def _mono_witness(colors, c: int, edges):
-    # the witness of the first edge whose positions all have color c
-    for witness, positions in edges:
-        if all(colors[q] == c for q in positions):
-            return witness
-    return None
-
-
 def universal_coloring_search(
     k: int,
     edges_by_last,
     *,
-    canonical: bool = True,
     budget: int | None = None,
-    checkpoint_cb=None,
-    checkpoint_interval: int = CHECKPOINT_INTERVAL,
     resume_path: tuple[int, ...] | None = None,
 ) -> ColoringOutcome:
     """Decide whether every k-coloring of the M = len(edges_by_last)
     positions makes some hyperedge monochromatic.
 
-    A branch is cut the moment the color just assigned completes a
-    monochromatic hyperedge, so only the edges listed under that position
-    are looked at.
+    A ``prefix_search`` over the colors of positions 0..M-1.  A branch is
+    cut the moment the color just assigned completes a monochromatic
+    hyperedge, so only the edges listed under that position are looked at.
 
-    With ``canonical`` set, color c is only tried at a position if colors
-    1..c-1 already appear earlier; the claim is color-permutation invariant,
-    so it transfers to all colorings.  For k = 2 the counterexample returned
-    is the least avoiding coloring in base-k order (any avoider can be
-    relabeled to start with color 1).
+    Color c is only tried at a position if colors 1..c-1 already appear
+    earlier; the claim is color-permutation invariant, so it transfers to
+    all colorings.  For k = 2 the counterexample returned is the least
+    avoiding coloring in base-k order (any avoider can be relabeled to start
+    with color 1).
 
     All-ok claims come with a cover tree: the pruned prefixes in DFS order,
     each with the witness of the first edge, in table order, it made
     monochromatic.  ``check_cover_tree`` replays them using only
-    verification logic.  A resumed search first replays the DFS from the
-    root up to ``resume_path``, uncharged, to rebuild the leaves before it.
+    verification logic.
     """
     M = len(edges_by_last)
     if M < 1 or k < 1:
         raise ValueError("need M >= 1 positions and k >= 1 colors")
-    if resume_path and (len(resume_path) > M or any(c < 1 or c > k for c in resume_path)):
-        raise ValueError(f"bad resume path {resume_path!r}")
-    colors = [0] * M
-    leaves: list[CoverLeaf] = []
-    examined = 0
-    replay = tuple(resume_path) if resume_path else None  # path still ahead of the replay
-    depth = 0
-    pending = 1
 
-    while True:
-        # about to try color `pending` at position `depth`
-        if replay is not None:
-            if (
-                depth + 1 == len(replay)
-                and pending == replay[-1]
-                and tuple(colors[:depth]) == replay[:-1]
-            ):
-                replay = None  # caught up: charge every node from here on
-        elif budget is not None and examined >= budget:
-            resume = tuple(colors[:depth]) + (pending,)
-            return ColoringOutcome(BUDGET_EXCEEDED, None, None, examined, resume)
-        colors[depth] = pending
-        if replay is None:
-            examined += 1
-            if checkpoint_cb is not None and examined % checkpoint_interval == 0:
-                checkpoint_cb(tuple(colors[: depth + 1]), examined)
-        witness = _mono_witness(colors, pending, edges_by_last[depth])
-        if witness is not None:
-            leaves.append(CoverLeaf(tuple(colors[: depth + 1]), witness))
-        elif depth + 1 < M:
-            depth += 1
-            pending = 1
-            continue
-        else:
-            if replay is not None:
-                raise _off_frontier(resume_path)
-            return ColoringOutcome(COUNTEREXAMPLE, tuple(colors), None, examined)
-        # advance: increment with carry in the canonical-allowed digit ranges
-        while True:
-            last = colors[depth]
-            if last < _allowed_max(colors[:depth], k, canonical):
-                pending = last + 1
-                break
-            depth -= 1
-            if depth < 0:
-                if replay is not None:
-                    raise _off_frontier(resume_path)
-                return ColoringOutcome(ALL_OK, None, tuple(leaves), examined)
+    def span(top, depth):
+        # the state is the largest color used so far
+        return 1, min(k, top + 1) + 1
+
+    def extend(top, depth, c, colors):
+        for witness, positions in edges_by_last[depth]:
+            if all(colors[q] == c for q in positions):
+                return Cut(witness)
+        return c if c > top else top
+
+    out = prefix_search(0, M, span, extend, budget=budget, resume_path=resume_path)
+    if out.status == BUDGET_EXCEEDED:
+        return ColoringOutcome(BUDGET_EXCEEDED, None, None, out.candidates, out.resume_path)
+    if out.path is not None:
+        return ColoringOutcome(COUNTEREXAMPLE, out.path, None, out.candidates)
+    return ColoringOutcome(ALL_OK, None, out.leaves, out.candidates)
 
 
-def _off_frontier(resume_path) -> ValueError:
-    return ValueError(f"resume path {resume_path!r} is never reached by this search")
-
-
-def check_cover_tree(M: int, k: int, leaves, edge_positions, *, canonical: bool = True) -> bool:
+def check_cover_tree(M: int, k: int, leaves, edge_positions) -> bool:
     """Replay a cover tree and confirm it proves the all-colorings claim.
 
     Checks (a) every leaf's witness names a hyperedge that its prefix colors
@@ -288,7 +275,7 @@ def check_cover_tree(M: int, k: int, leaves, edge_positions, *, canonical: bool 
             return False
         while state:
             last = state.pop()
-            if last < _allowed_max(state, k, canonical):
+            if last < min(k, max(state, default=0) + 1):  # canonical: no color skipped
                 state.append(last + 1)
                 break
     return not state

@@ -314,14 +314,28 @@ def test_fk_density_split_run_resumes_to_the_unsplit_stdout(capsys, tmp_path, r,
     rc, out, _ = _run(capsys, ["fk-density", *keys, f"budget={budget}"])
     assert rc == 2 and f"budget exceeded after {budget} candidates" in out
     (ckpt,) = tmp_path.glob("checkpoint-*.txt")
-    size = fk_density_experiment(r, N, budget=budget).resume_size
-    assert f"\nsize {size}\n" in ckpt.read_text()
-    # just enough budget to finish from that size, not from size 0
-    rest = fk_density_experiment(r, N, start_size=size).candidates
+    size, path = fk_density_experiment(r, N, budget=budget).resume
+    assert f"\npath {','.join(map(str, path))}\nsize {size}\n" in ckpt.read_text()
+    # just enough budget to finish from that path, not from the size's start
+    rest = fk_density_experiment(r, N).candidates - budget
     resume = ["fk-density", "--resume", str(ckpt), *keys, f"budget={rest}"]
     rc, resumed, _ = _run(capsys, resume)
     assert rc == 0 and resumed == whole
     assert not ckpt.exists()  # consumed
+
+
+def test_fk_density_resumes_progress_under_a_budget_below_one_size(capsys, tmp_path):
+    # size 9 alone takes more than 100,000 nodes, so only resuming inside
+    # it, at the checkpoint's path, lets a run with this budget finish
+    keys = ["r=3", "N=30", f"output={tmp_path}", "budget=100000"]
+    rc, out, _ = _run(capsys, ["fk-density", *keys])
+    for _ in range(4):
+        if rc != 2:
+            break
+        (ckpt,) = tmp_path.glob("checkpoint-*.txt")
+        rc, out, _ = _run(capsys, ["fk-density", "--resume", str(ckpt), *keys])
+    assert rc == 0
+    assert out == "fk r=3 N=30: minimum blocking density 3/10\nwitness: {2,4,6,8,10,12,14,16,18}\n"
 
 
 def test_example_a(capsys):
@@ -425,6 +439,24 @@ def test_classify_budget_checkpoint_resume(tmp_path, capsys):
     assert rc == 0
     assert "resumed at r=1" in out
     assert "r=1: holds" in out and "r=2: holds" in out
+
+
+def test_classify_resume_refuses_a_checkpoint_it_cannot_continue(tmp_path, capsys):
+    sysf = _sys_file(tmp_path)
+    argv = ["classify", f"system={sysf}", "phi=u^2", "epsilon=1/100", "window=full", "r_max=3"]
+    argv.append(f"output={tmp_path}")
+    assert _run(capsys, argv + ["budget=3"])[0] == 2
+    ck = next(tmp_path.glob("checkpoint-*.txt"))
+    head = ck.read_text().splitlines()[:2]  # the command and config lines
+    for lines, message in [
+        (["index 3", "r 9"], "checkpoint resumes r=9, outside this run"),
+        (["path 1"], "not an integer"),  # no level line
+        (["index 3", "r 1"], "has no 'path' line"),  # a scan index, not a path
+        (["r 1"], "has no 'path' line"),
+    ]:
+        ck.write_text("\n".join([*head, "candidates 3", *lines]) + "\n")
+        rc, out, err = _run(capsys, argv + ["--resume", str(ck)])
+        assert rc == 1 and message in err and "resumed" not in out
 
 
 def test_search_on_the_cycle(tmp_path, capsys):

@@ -50,8 +50,10 @@ def test_budget_stops_after_exactly_b_nodes_and_resume_completes(r, N, data):
         return
     assert part.status == BUDGET_EXCEEDED and part.candidates == b
     assert part.value is None and part.witness is None
-    rest = fk_density_experiment(r, N, start_size=part.resume_size)
+    # resumed at its path, the search needs exactly the nodes the split left
+    rest = fk_density_experiment(r, N, budget=whole.candidates - b, resume=part.resume)
     assert (rest.status, rest.value, rest.witness) == (DONE, whole.value, whole.witness)
+    assert rest.candidates == whole.candidates - b
 
 
 @settings(max_examples=150, deadline=None)
@@ -90,4 +92,4 @@ def test_a_witness_that_does_not_block_is_refused(monkeypatch):
 @pytest.mark.parametrize("start", [-1, 7])
 def test_resume_size_outside_the_range_is_refused(start):
     with pytest.raises(ValueError, match="resume size"):
-        fk_density_experiment(2, 6, start_size=start)
+        fk_density_experiment(2, 6, resume=(start, (0,)))

@@ -1,12 +1,18 @@
-"""Differential tests of the pruned IP_r scans.
+"""Differential tests of the pruned IP_r scans, and of budget splits on
+every search that runs on ``prefix_search``.
 
 ``contains_ip_r`` and ``is_ip_r_star`` skip whole blocks of generator tuples
 once a prefix's sums decide the outcome.  The reference below is the
 probe-per-index scan they replaced: decode each index lexicographically,
 rebuild the tuple's finite sums from scratch, and let ``first_hit`` find the
-least hit.  Both must agree on the witness, the candidate count and the
-resume index, for every budget and start.
+least hit.  Both must agree on the verdict and the witness.  A budget counts
+search nodes, so a scan split by a budget and resumed at its path must give
+the unsplit outcome, as must the coloring claim (fk-density's split is
+tested in ``test_fk_search.py``).
 """
+
+from dataclasses import replace
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +30,8 @@ from ipstar.algebra import (
     VectorSpace,
     window_enumerate,
 )
-from ipstar.ipsets import ElementSet, contains_ip_r, finite_sums, is_ip_r_star
+from ipstar.halesjewett import hj_stage
+from ipstar.ipsets import ElementSet, contains_ip_r, finite_sums, fu_ramsey_check, is_ip_r_star
 from ipstar.search import BUDGET_EXCEEDED, first_hit
 
 MAX_TUPLES = 1500  # keeps the reference scan cheap
@@ -50,15 +57,15 @@ def _tuple_at(pool, r, index):
     return tuple(reversed(digits))
 
 
-def reference_contains_ip_r(S, r, pool, budget=None, start=0):
+def reference_contains_ip_r(S, r, pool):
     def probe(i):
         tup = _tuple_at(pool, r, i)
         return tup if finite_sums(S.group, tup).members <= S.members else None
 
-    return first_hit(len(pool) ** r, probe, budget=budget, start=start)
+    return first_hit(len(pool) ** r, probe)
 
 
-def reference_is_ip_r_star(S, r, budget=None, start=0):
+def reference_is_ip_r_star(S, r):
     elems = window_enumerate(S.group, S.window)
     ambient = set(elems)
 
@@ -69,24 +76,7 @@ def reference_is_ip_r_star(S, r, budget=None, start=0):
             return None
         return tup if not (sums & S.members) else None
 
-    return first_hit(len(elems) ** r, probe, budget=budget, start=start)
-
-
-def _star_view(out):
-    if out.status == BUDGET_EXCEEDED:
-        return "budget_exceeded", None, out.candidates, out.resume_index
-    kind = "fails" if out.found else "holds"
-    return kind, out.value, out.candidates, out.resume_index
-
-
-def _star_scan(S, r, pool, **kw):
-    v = is_ip_r_star(S, r, **kw)
-    return v.kind, v.witness, v.candidates, v.resume_index
-
-
-def _contains_scan(S, r, pool, **kw):
-    res = contains_ip_r(S, r, pool, **kw)
-    return res.status, res.witness, res.candidates, res.resume_index
+    return first_hit(len(elems) ** r, probe)
 
 
 @st.composite
@@ -105,36 +95,21 @@ def instances(draw, ambients=AMBIENTS):
     return S, r, list(pool)
 
 
-@st.composite
-def budgets_and_starts(draw, count):
-    budget = draw(st.one_of(st.none(), st.integers(0, count + 2)))
-    start = draw(st.integers(0, count))
-    return budget, start
-
-
 @SETTINGS
-@given(instances(), st.data())
-def test_is_ip_r_star_matches_probe_per_index_scan(inst, data):
+@given(instances())
+def test_is_ip_r_star_matches_probe_per_index_scan(inst):
     S, r, _pool = inst
-    count = len(window_enumerate(S.group, S.window)) ** r
-    budget, start = data.draw(budgets_and_starts(count))
-    got = _star_scan(S, r, None, budget=budget, start=start)
-    assert got == _star_view(reference_is_ip_r_star(S, r, budget, start))
+    want = reference_is_ip_r_star(S, r)
+    v = is_ip_r_star(S, r)
+    assert (v.kind, v.witness) == ("fails" if want.found else "holds", want.value)
     assert is_ip_r_star(S, r, budget=0).window_limited == (not S.exact)
 
 
 @SETTINGS
-@given(instances(), st.data())
-def test_contains_ip_r_matches_probe_per_index_scan(inst, data):
+@given(instances())
+def test_contains_ip_r_matches_probe_per_index_scan(inst):
     S, r, pool = inst
-    budget, start = data.draw(budgets_and_starts(len(pool) ** r))
-    want = reference_contains_ip_r(S, r, pool, budget, start)
-    assert _contains_scan(S, r, pool, budget=budget, start=start) == (
-        want.status,
-        want.value,
-        want.candidates,
-        want.resume_index,
-    )
+    assert contains_ip_r(S, r, pool) == reference_contains_ip_r(S, r, pool).value
 
 
 @SETTINGS
@@ -147,21 +122,41 @@ def test_exact_scans_match_naive_oracle(inst):
     assert (v.kind, v.witness) == (("holds", None) if ok else ("fails", first))
     # all sums land in S exactly when they all avoid S's complement
     ok, first = oracles.naive_meets_every_ip_r(S.group, set(elems) - S.members, r, elems)
-    assert contains_ip_r(S, r, FullWindow()).witness == (None if ok else first)
+    assert contains_ip_r(S, r, FullWindow()) == (None if ok else first)
+
+
+def _split_and_resume(search, data):
+    """Run ``search`` whole, then split by a drawn budget and resumed at the
+    split's path with the rest of the budget; both must give one outcome,
+    and the split must stop after exactly its budget of nodes."""
+    full = search()
+    budget = data.draw(st.integers(0, full.candidates), label="budget")
+    part = search(budget=budget)
+    if budget == full.candidates:
+        assert part == full
+        return
+    assert (part.kind, part.candidates) == (BUDGET_EXCEEDED, budget)
+    rest = search(budget=full.candidates - budget, resume_path=part.resume_path)
+    assert rest == replace(full, candidates=rest.candidates)
+    assert part.candidates + rest.candidates == full.candidates
 
 
 @SETTINGS
 @given(instances(), st.data())
 def test_budget_split_then_resume_gives_unsplit_outcome(inst, data):
-    S, r, pool = inst
-    for scan in (_star_scan, _contains_scan):
-        full = scan(S, r, pool)
-        budget = data.draw(st.integers(0, max(full[2], 1)))
-        first = scan(S, r, pool, budget=budget)
-        if first[3] is None:  # finished inside the budget
-            assert first == full
-            continue
-        assert first[2] == budget
-        rest = scan(S, r, pool, start=first[3])
-        assert rest[:2] == full[:2]
-        assert first[2] + rest[2] == full[2]
+    S, r, _pool = inst
+    _split_and_resume(lambda **kw: is_ip_r_star(S, r, **kw), data)
+
+
+COLORING_CLAIMS = [
+    *[partial(hj_stage, k, t, m) for k, t, m in [(2, 2, 2), (3, 2, 2), (2, 3, 3), (2, 2, 3)]],
+    *[partial(fu_ramsey_check, r, s, k) for r, s, k in [(4, 2, 2), (5, 2, 2), (3, 2, 3)]],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(COLORING_CLAIMS), st.data())
+def test_coloring_claim_split_then_resume_gives_unsplit_outcome(claim, data):
+    # cover leaves included: the resumed search rebuilds those before the split
+    _split_and_resume(claim, data)
+

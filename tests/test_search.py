@@ -1,15 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipstar.search import (
     ALL_OK,
     BUDGET_EXCEEDED,
     COUNTEREXAMPLE,
+    CUT,
     DONE,
+    Cut,
     CoverLeaf,
     avoids_every_edge,
     check_cover_tree,
     coloring_stages,
     first_hit,
+    prefix_search,
     universal_coloring_search,
 )
 
@@ -134,21 +139,111 @@ def test_resume_path_off_the_frontier_is_refused():
         universal_coloring_search(3, pigeon_edges(4), resume_path=(1, 1, 1))
 
 
-def test_dfs_checkpoint_cadence():
-    seen = []
-    universal_coloring_search(
-        2, adjacent_edges(6), checkpoint_cb=lambda path, ex: seen.append(ex), checkpoint_interval=5
-    )
-    assert seen and all(ex % 5 == 0 for ex in seen)
-
-
 def test_canonical_counts_against_plain():
-    # canonical mode must agree on the verdict with the unrestricted search
+    # the canonical colors must agree on the verdict with the search over
+    # every coloring, run on the engine with the unrestricted span
+    def plain(k, edges_by_last):
+        def extend(state, depth, c, colors):
+            for _witness, positions in edges_by_last[depth]:
+                if all(colors[q] == c for q in positions):
+                    return CUT
+            return state
+
+        return prefix_search(None, len(edges_by_last), lambda s, d: (1, k + 1), extend)
+
     for M, k in [(4, 2), (4, 3), (5, 2)]:
-        a = universal_coloring_search(k, pigeon_edges(M), canonical=True)
-        b = universal_coloring_search(k, pigeon_edges(M), canonical=False)
-        assert a.kind == b.kind
+        a = universal_coloring_search(k, pigeon_edges(M))
+        b = plain(k, pigeon_edges(M))
+        assert (a.kind == ALL_OK) == (b.path is None)
         assert a.candidates <= b.candidates
+
+
+# ---------------------------------------------------------------------------
+# the prefix search against enumerating every path
+
+
+@st.composite
+def prefix_problems(draw):
+    """A random tree: per depth a span that depends on the prefix's state
+    (here the prefix itself), a random set of cut prefixes, and witnesses on
+    some of the cuts."""
+    length = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 3))
+    lows = draw(st.lists(st.integers(0, 1), min_size=length, max_size=length))
+    cut_bits = draw(st.integers(0, 2**30))
+    return length, width, lows, cut_bits
+
+
+def _tree(length, width, lows, cut_bits):
+    def span(prefix, depth):
+        # the span narrows after a 0 and may be empty
+        lo = lows[depth]
+        return lo, width + lo - (1 if prefix and prefix[-1] == 0 else 0)
+
+    def cut_at(prefix):
+        return cut_bits >> (hash(prefix) % 31) & 1
+
+    def extend(prefix, depth, c, path):
+        child = prefix + (c,)
+        assert tuple(path[: depth + 1]) == child
+        if cut_at(child):
+            return Cut(child) if sum(child) % 2 else CUT
+        return child
+
+    def nodes(prefix=()):
+        # every prefix of the tree in DFS order, as "cut", "inner" or "path"
+        lo, hi = span(prefix, len(prefix))
+        for c in range(lo, hi):
+            child = prefix + (c,)
+            if cut_at(child):
+                yield "cut", child
+            elif len(child) == length:
+                yield "path", child
+            else:
+                yield "inner", child
+                yield from nodes(child)
+
+    return span, extend, nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefix_problems(), st.data())
+def test_prefix_search_matches_enumerating_every_path(problem, data):
+    length, width, lows, cut_bits = problem
+    span, extend, nodes = _tree(length, width, lows, cut_bits)
+    seen = []  # the nodes up to the first full path
+    for kind, prefix in nodes():
+        seen.append((kind, prefix))
+        if kind == "path":
+            break
+    out = prefix_search((), length, span, extend)
+    assert out.status == DONE and out.candidates == len(seen)
+    assert out.path == (seen[-1][1] if seen and seen[-1][0] == "path" else None)
+    witnessed = [p for kind, p in seen if kind == "cut" and sum(p) % 2]
+    assert [leaf.prefix for leaf in out.leaves] == witnessed
+    assert [leaf.witness for leaf in out.leaves] == witnessed
+    # a split anywhere resumes to the same outcome and the same total
+    budget = data.draw(st.integers(0, out.candidates))
+    part = prefix_search((), length, span, extend, budget=budget)
+    if budget == out.candidates:
+        assert part == out
+        return
+    assert (part.status, part.candidates) == (BUDGET_EXCEEDED, budget)
+    rest = prefix_search((), length, span, extend, resume_path=part.resume_path)
+    assert (rest.status, rest.path, rest.leaves) == (DONE, out.path, out.leaves)
+    assert part.candidates + rest.candidates == out.candidates
+
+
+def test_prefix_search_tries_choices_in_order_and_counts_each_node():
+    seen = []
+
+    def extend(state, depth, c, path):
+        seen.append(tuple(path[: depth + 1]))
+        return CUT if c == 0 else state
+
+    out = prefix_search(None, 2, lambda s, d: (0, 2), extend)
+    assert seen == [(0,), (1,), (1, 0), (1, 1)]
+    assert (out.path, out.candidates, out.leaves) == ((1, 1), 4, ())
 
 
 # ---------------------------------------------------------------------------
@@ -216,3 +311,5 @@ def test_rejects_degenerate_inputs():
         first_hit(10, lambda i: None, start=-1)
     with pytest.raises(ValueError):
         universal_coloring_search(2, adjacent_edges(3), resume_path=(3,))
+    with pytest.raises(ValueError, match="bad resume path"):
+        prefix_search(None, 2, lambda s, d: (0, 2), lambda s, d, c, p: s, resume_path=(0, 0, 0))
