@@ -9,11 +9,12 @@ byte for byte, except for one timestamp line in reports.
 
 Exit codes: 0 for any completed verdict (counterexamples included), 2 when
 a search ran out of budget (a checkpoint file is written), 1 for config or
-system errors.  ``--resume <checkpoint>`` continues an interrupted search;
-a checkpoint names the config it came from by hash, and resuming with a
-modified config is refused.  The IPSTAR_BUDGET environment variable sets
-the default candidate budget; an explicit ``budget`` key wins.  Budgets
-count examined candidates; there is no wall-clock cap.
+system errors.  ``--resume <checkpoint>`` continues an interrupted search
+of a command that takes a budget; a checkpoint names the config it came
+from by hash, and resuming with a modified config is refused.  The
+IPSTAR_BUDGET environment variable sets the default candidate budget; an
+explicit ``budget`` key wins.  Budgets count examined candidates; there is
+no wall-clock cap.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .recurrence import (
     isometric_recurrence_search,
     recurrence_set,
 )
-from .search import ALL_OK, BUDGET_EXCEEDED, coloring_stages
+from .search import ALL_OK, BUDGET_EXCEEDED, stages
 from .systems import FinitePermSystem, RotationSystem, dlim_probe
 from .textio import (
     TextFormatError,
@@ -358,8 +359,8 @@ def _load_system(cfg):
         raise ValueError(f"system file {path!r}: {exc}")
 
 
-def _named_event(cfg, events):
-    name = cfg.values["set"]
+def _named_event(cfg, events, key="set"):
+    name = cfg.values[key]
     if name not in events:
         known = ", ".join(sorted(events)) or "none"
         raise ValueError(f"system file defines no set named {name!r} (sets: {known})")
@@ -483,7 +484,7 @@ _CLAIMS = {
 }
 
 
-def _run_stages(cfg, resume_file, stages, run_stage):
+def _run_stages(cfg, resume_file, stage_range, run_stage):
     """Decide the claim of an `hj` or `fu-ramsey` run at ascending stages
     under one budget, writing a certificate per decided stage and a
     checkpoint when the budget runs out.  Returns (exit code, the first
@@ -492,10 +493,13 @@ def _run_stages(cfg, resume_file, stages, run_stage):
     outd = _out_dir(cfg)
     resume = None
     if resume_file is not None:
-        resume = _load_checkpoint(resume_file, cfg, key, stages)
+        resume = _load_checkpoint(resume_file, cfg, key, stage_range)
         print(resumed.format(**{**cfg.values, key: resume[0]}))
     budget = _resolve_budget(cfg)
-    for n, out in coloring_stages(stages, run_stage, budget=budget, resume=resume):
+    done = stages(
+        stage_range, run_stage, lambda out: out.kind == ALL_OK, budget=budget, resume=resume
+    )
+    for n, out in done:
         values = {**cfg.values, key: n}
         if out.kind == BUDGET_EXCEEDED:
             print(f"{head.format(**values)}: budget exceeded after {out.candidates} candidates")
@@ -553,8 +557,6 @@ def _run_fk(cfg, resume_file) -> int:
 
 
 def _run_example_a(cfg, resume_file) -> int:
-    if resume_file is not None:
-        raise ValueError("example-a does not support --resume")
     ex = example_a(cfg.values["r_max"])
     for r, vals in ex.blocks:
         print(f"block {r}: " + " ".join(str(v) for v in vals))
@@ -572,8 +574,6 @@ def _print_recurrence_summary(sys_, rep):
 
 
 def _run_recurrence(cfg, resume_file) -> int:
-    if resume_file is not None:
-        raise ValueError("recurrence does not support --resume")
     sys_, B, phi, eps, window = _experiment_inputs(cfg)
     rep = recurrence_set(sys_, B, phi, eps, window)
     _print_recurrence_summary(sys_, rep)
@@ -627,8 +627,6 @@ def _run_classify(cfg, resume_file) -> int:
 
 
 def _run_search(cfg, resume_file) -> int:
-    if resume_file is not None:
-        raise ValueError("search does not support --resume")
     sys_, events = _load_system(cfg)
     ring = _domain_ring(sys_)
     if not isinstance(sys_, (FinitePermSystem, RotationSystem)):
@@ -636,11 +634,7 @@ def _run_search(cfg, resume_file) -> int:
     if isinstance(sys_, RotationSystem):
         x = _resolve(cfg, "x", parse_fraction)
     else:
-        name = cfg.values["x"]
-        if name not in events:
-            known = ", ".join(sorted(events)) or "none"
-            raise ValueError(f"system file defines no set named {name!r} (sets: {known})")
-        x = events[name]
+        x = _named_event(cfg, events, "x")
     m = _resolve(cfg, "m", lambda t: parse_monomial(ring, t))
     gens = _resolve(cfg, "gens", lambda t: _parse_gens(ring, m.n, t))
     res = isometric_recurrence_search(sys_, x, m, cfg.values["epsilon"], gens)
@@ -662,8 +656,6 @@ def _run_search(cfg, resume_file) -> int:
 
 
 def _run_density(cfg, resume_file) -> int:
-    if resume_file is not None:
-        raise ValueError("density does not support --resume")
     sys_, events = _load_system(cfg)
     B = _named_event(cfg, events)
     ring = _domain_ring(sys_)
@@ -676,8 +668,6 @@ def _run_density(cfg, resume_file) -> int:
 
 
 def _run_probe(cfg, resume_file) -> int:
-    if resume_file is not None:
-        raise ValueError("probe does not support --resume")
     sys_, B, phi, eps, window = _experiment_inputs(cfg)
     rep = recurrence_set(sys_, B, phi, eps, window)
     ring = rep.domain
@@ -784,6 +774,9 @@ def main(argv=None) -> int:
             )
             return 1
     cfg, errors = parse_config(text, command=args.command, overrides=args.overrides)
+    # a command resumes exactly when it takes a budget
+    if not errors and args.resume is not None and "budget" not in _SPECS[cfg.command]:
+        errors = [ConfigError(None, f"{cfg.command} does not support --resume")]
     if errors:
         _emit_errors(errors)
         return 1

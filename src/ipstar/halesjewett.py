@@ -133,7 +133,7 @@ def find_mono_line(k: int, m: int, coloring):
 
 # ---------------------------------------------------------------------------
 # Hales-Jewett stages: does every t-coloring of k^m words make a line
-# monochromatic?  ``coloring_stages`` over m = 1, 2, ... finds HJ(k, t).
+# monochromatic?  ``search.stages`` over m = 1, 2, ... finds HJ(k, t).
 
 
 def _lines_by_last_index(k: int, m: int) -> list[list[tuple]]:

@@ -30,6 +30,7 @@ from .search import (
     avoids_every_edge,
     check_cover_tree,
     prefix_search,
+    stages,
     universal_coloring_search,
 )
 
@@ -285,7 +286,7 @@ def fu_ramsey_check(
     digit order over ascending bitmasks, colors canonicalized by first use).
 
     Monotone in r (restricting a coloring of F_{r+1} to F_r preserves
-    families), so ``coloring_stages`` over r = 1, 2, ... finds the least r
+    families), so ``search.stages`` over r = 1, 2, ... finds the least r
     with the all-colorings verdict.
     """
     if r < 1 or s < 1 or k < 1:
@@ -371,15 +372,14 @@ def fk_density_experiment(r: int, N: int, *, budget: int | None = None, resume=N
     in C" (choice 1), so the first full path is the least blocking set in
     (size, lexicographic) order.  "x in C" is cut when an edge ending at x
     lies wholly in C; "x in A" is open while A is short of the size, "x in
-    C" while enough elements are left to reach it.  The budget caps the
-    nodes of all sizes together; ``resume = (size, path)`` skips the sizes
-    below and resumes that size's search at the path.
+    C" while enough elements are left to reach it.  The sizes are the
+    ``search.stages`` of one budget; ``resume = (size, path)`` skips the
+    sizes below and resumes that size's search at the path.
     """
     if r < 1 or N < 1:
         raise ValueError("r and N must be >= 1")
-    start, resume_path = (0, None) if resume is None else resume
-    if not 0 <= start <= N:
-        raise ValueError(f"resume size {start} outside 0..{N}")
+    if resume is not None and not 0 <= resume[0] <= N:
+        raise ValueError(f"resume size {resume[0]} outside 0..{N}")
     edges_by_last = _fk_edges_by_last(r, N)
 
     def span(state, depth):
@@ -398,21 +398,21 @@ def fk_density_experiment(r: int, N: int, *, budget: int | None = None, resume=N
                 return CUT
         return C, missing
 
-    nodes = 0
-    for size in range(start, N + 1):
-        out = prefix_search((0, size), N, span, extend, budget=budget, resume_path=resume_path)
-        nodes += out.candidates
-        if out.status == BUDGET_EXCEEDED:
-            return FkResult(r, N, BUDGET_EXCEEDED, None, None, nodes, (size, out.resume_path))
-        if out.path is not None:
-            witness = frozenset(x for x, c in enumerate(out.path, 1) if c == 0)
-            if not fk_blocks(r, N, witness):
-                raise RuntimeError(f"fk search returned a non-blocking set {sorted(witness)}")
-            return FkResult(r, N, DONE, Fraction(size, N), witness, nodes)
-        resume_path = None
-        if budget is not None:
-            budget -= out.candidates
-    raise AssertionError("unreachable: A = {1..N} always blocks")
+    def run_size(size, **kw):
+        return prefix_search((0, size), N, span, extend, **kw)
+
+    done = stages(
+        range(N + 1), run_size, lambda out: out.path is not None, budget=budget, resume=resume
+    )
+    nodes = sum(out.candidates for _, out in done)
+    size, out = done[-1]
+    if out.status == BUDGET_EXCEEDED:
+        return FkResult(r, N, BUDGET_EXCEEDED, None, None, nodes, (size, out.resume_path))
+    # some size finds a path, since A = {1..N} always blocks
+    witness = frozenset(x for x, c in enumerate(out.path, 1) if c == 0)
+    if not fk_blocks(r, N, witness):
+        raise RuntimeError(f"fk search returned a non-blocking set {sorted(witness)}")
+    return FkResult(r, N, DONE, Fraction(size, N), witness, nodes)
 
 
 def fk_odds_certificate(N: int) -> tuple[frozenset, Fraction, bool]:

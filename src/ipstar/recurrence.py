@@ -20,12 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 from .algebra import Integers, Monomial, PolynomialMap, Rationals, VectorSpace, Window
 from .algebra import window_enumerate
 from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_subset_tuples
 from .ipsets import ElementSet, family_order, is_ip_r_star
+from .search import stages
 from .systems import (
     DensityProfile,
     FinitePermSystem,
@@ -94,7 +96,7 @@ def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
         raise RecurrenceError(
             f"map target {phi.target} does not match the acting group {sys.acting}"
         )
-    B = sys.event(B) if not _is_event(sys, B) else B
+    B = sys.event(B)
     domain = _domain_of(phi)
     mu = sys.measure(B)
     return dict(
@@ -131,14 +133,6 @@ def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> Recur
     return RecurrenceReport(**base, rows=tuple(rows), R=ElementSet(domain, members, window))
 
 
-def _is_event(sys, B) -> bool:
-    if isinstance(sys, FinitePermSystem):
-        return isinstance(B, frozenset)
-    if isinstance(sys, RotationSystem):
-        return hasattr(B, "pieces")
-    return hasattr(B, "constraints")
-
-
 def classify_ipstar(
     report: RecurrenceReport,
     r_max: int = 4,
@@ -152,16 +146,19 @@ def classify_ipstar(
     Window-limited verdicts never claim anything about the infinite group;
     for those the density profile of the exceptional set along the canonical
     averaging sequence is attached, supporting an almost-dual reading
-    (failures confined to a vanishing-density set).  resume=(r, path)
-    resumes level r's scan at the path; lower levels rerun from scratch
-    (each level gets the full budget, so a finished level cannot stall).
+    (failures confined to a vanishing-density set).  The levels are the
+    ``search.stages`` of one budget, and a level that runs out of it ends
+    the classification.  resume=(r, path) resumes level r's scan at the
+    path; the levels below r are replayed without a budget, so the report
+    still lists them and the budget is spent on level r and up.
     """
-    for r in range(1, r_max + 1):
-        path = resume[1] if resume is not None and resume[0] == r else None
-        verdict = is_ip_r_star(report.R, r, budget=budget, resume_path=path)
-        report.classification[r] = verdict
-        if verdict.kind == "budget_exceeded":
-            break  # partial classification: higher r only costs more
+    if resume is not None and not 1 <= resume[0] <= r_max:
+        raise ValueError(f"resume level {resume[0]} outside 1..{r_max}")
+    run_level = partial(is_ip_r_star, report.R)
+    if resume is not None:
+        report.classification.update(stages(range(1, resume[0]), run_level, lambda v: False))
+    levels = stages(range(1, r_max + 1), run_level, lambda v: False, budget=budget, resume=resume)
+    report.classification.update(levels)
     report.exceptional = tuple(u for u in report.elements if u not in report.R.members)
     if report.windowed:
         exc = set(report.exceptional)

@@ -13,19 +13,20 @@ Two engines:
   k-coloring of M positions makes a hyperedge monochromatic" from a table
   of hyperedges: it either emits a pruning certificate (a cover tree) or
   returns the least counterexample coloring in base-k order.
-  ``coloring_stages`` decides such claims at ascending stages under one
-  budget.
+
+``stages`` is the one loop over ascending stages of a search: HJ word
+lengths m, finite-union sizes r, fk blocking-set sizes and classify's levels
+r all run on it, under one budget shared by every stage.
 
 Budgets count examined candidates: scan probes, or prefix-search nodes (one
 per ``extend`` call).  Exhausting a budget is a first-class outcome carrying
-resume information, an index or a path, never an exception.
+resume information, an index or a path, never an exception.  A staged
+search resumes at (stage, path).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-CHECKPOINT_INTERVAL = 1 << 20
 
 DONE = "done"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -50,8 +51,6 @@ def first_hit(
     *,
     budget: int | None = None,
     start: int = 0,
-    checkpoint_cb=None,
-    checkpoint_interval: int = CHECKPOINT_INTERVAL,
 ) -> ScanOutcome:
     """Least index in [start, count) where probe(i) returns non-None.
 
@@ -67,8 +66,6 @@ def first_hit(
         examined += 1
         if val is not None:
             return ScanOutcome(DONE, i, val, examined, None)
-        if checkpoint_cb is not None and examined % checkpoint_interval == 0:
-            checkpoint_cb(i + 1, examined)
     if end < count:
         return ScanOutcome(BUDGET_EXCEEDED, None, None, examined, end)
     return ScanOutcome(DONE, None, None, examined, None)
@@ -293,16 +290,18 @@ def avoids_every_edge(coloring, k: int, edges_by_last) -> bool:
     )
 
 
-def coloring_stages(stages, run_stage, *, budget: int | None = None, resume=None):
-    """Decide the claim at each stage in ascending order, up to and including
-    the first stage that is not a counterexample; returns (stage, outcome)
-    pairs.
+def stages(stages, run_stage, until, *, budget: int | None = None, resume=None):
+    """Run a search at each stage in ascending order, up to and including
+    the first outcome that satisfies ``until`` or ran out of budget; returns
+    (stage, outcome) pairs.
 
-    ``run_stage(n, budget=..., resume_path=...)`` decides stage n.  The
-    budget caps the candidates of all stages together: a stage gets what the
-    stages before it left, so one that starts with nothing left exceeds the
-    budget after 0 candidates.  ``resume = (n, path)`` skips the stages
-    before n, and only stage n resumes from the path.
+    ``run_stage(n, budget=..., resume_path=...)`` searches stage n and
+    returns an outcome with ``candidates`` and ``resume_path``, the latter
+    set only when the budget ran out.  The budget caps the candidates of all
+    stages together: a stage gets what the stages before it left, so one
+    that starts with nothing left exceeds the budget after 0 candidates.
+    ``resume = (n, path)`` skips the stages before n, and only stage n
+    resumes from the path.
     """
     path = None
     if resume is not None:
@@ -312,7 +311,7 @@ def coloring_stages(stages, run_stage, *, budget: int | None = None, resume=None
     for n in stages:
         res = run_stage(n, budget=budget, resume_path=path)
         out.append((n, res))
-        if res.kind != COUNTEREXAMPLE:
+        if res.resume_path is not None or until(res):
             break
         path = None
         if budget is not None:

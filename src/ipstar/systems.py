@@ -85,29 +85,21 @@ class FinitePermSystem:
             for x in pts:
                 if self.weights[g[x]] != self.weights[x]:
                     raise SystemError("generator does not preserve the measure")
-        for g in self.gens:
-            if self._power(g, p) != {x: x for x in pts}:
-                raise SystemError(f"generator order does not divide {p}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                gi, gj = self.gens[i], self.gens[j]
-                if any(gi[gj[x]] != gj[gi[x]] for x in pts):
-                    raise SystemError(f"generators {i + 1} and {j + 1} do not commute")
-        self.acting = VectorSpace(self.field, self.n) if self.n > 1 else self.field
         # power tables: gen i composed j times, j in 0..p-1
         self._tables = []
         for g in self.gens:
             row = [{x: x for x in pts}]
             for _ in range(1, p):
                 row.append({x: g[row[-1][x]] for x in pts})
+            if any(g[row[-1][x]] != x for x in pts):  # g^p is not the identity
+                raise SystemError(f"generator order does not divide {p}")
             self._tables.append(row)
-
-    @staticmethod
-    def _power(g, k):
-        out = {x: x for x in g}
-        for _ in range(k):
-            out = {x: g[out[x]] for x in out}
-        return out
+        for i in range(self.n):
+            for j in range(i + 1, self.n):
+                gi, gj = self.gens[i], self.gens[j]
+                if any(gi[gj[x]] != gj[gi[x]] for x in pts):
+                    raise SystemError(f"generators {i + 1} and {j + 1} do not commute")
+        self.acting = VectorSpace(self.field, self.n) if self.n > 1 else self.field
 
     def _coords(self, w):
         if not isinstance(w, tuple):

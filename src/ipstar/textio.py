@@ -599,12 +599,6 @@ class Certificate:
         return dict(self.params)[name]
 
 
-def _render_colors(colors, n_colors: int) -> str:
-    if n_colors <= 9:
-        return "".join(str(c) for c in colors)
-    return ",".join(str(c) for c in colors)
-
-
 def _witness_to_text(kind: str, witness) -> str:
     if kind.startswith("hj"):
         return ",".join(str(i) for i in witness)
@@ -622,11 +616,11 @@ def render_certificate(cert: Certificate) -> str:
     out = [f"certificate {cert.kind}", _ENUMERATION_NOTES[cert.kind[:2]]]
     out.extend(f"{name} {value}" for name, value in cert.params)
     if cert.coloring is not None:
-        out.append("coloring " + _render_colors(cert.coloring, n_colors))
+        out.append("coloring " + render_word(cert.coloring, n_colors))
     for leaf in cert.leaves or ():
         out.append(
             "leaf "
-            + _render_colors(leaf.prefix, n_colors)
+            + render_word(leaf.prefix, n_colors)
             + " "
             + _witness_to_text(cert.kind, leaf.witness)
         )

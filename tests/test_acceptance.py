@@ -47,7 +47,7 @@ from ipstar.recurrence import (
     reports_agree,
     theorem1_pipeline,
 )
-from ipstar.search import coloring_stages
+from ipstar.search import ALL_OK, stages
 from ipstar.systems import (
     BernoulliSystem,
     RotationSystem,
@@ -74,9 +74,9 @@ def square_map(ring):
 
 def test_criterion_01_hj_number_two_two():
     t0 = time.perf_counter()
-    stages = coloring_stages(range(1, 5), partial(hj_stage, 2, 2))
-    assert [m for m, _ in stages] == [1, 2]  # HJ(2,2) = 2
-    (_, first), (_, second) = stages
+    done = stages(range(1, 5), partial(hj_stage, 2, 2), lambda out: out.kind == ALL_OK)
+    assert [m for m, _ in done] == [1, 2]  # HJ(2,2) = 2
+    (_, first), (_, second) = done
     assert first.kind == "counterexample" and first.coloring is not None
     assert second.kind == "all-colorings-ok" and second.cover
     # both stage claims survive the verification-only re-check
@@ -92,8 +92,11 @@ def test_criterion_02_fu_ramsey_finite_shadow(tmp_path, capsys):
     # the least bad coloring is exactly the block-size parity coloring
     parity = tuple(1 if len(a) % 2 else 2 for a in family_order(3))
     assert res.coloring == parity
-    results = coloring_stages(
-        range(1, 5), lambda r, **kw: fu_ramsey_check(r, 2, 2, **kw), budget=500_000
+    results = stages(
+        range(1, 5),
+        lambda r, **kw: fu_ramsey_check(r, 2, 2, **kw),
+        lambda out: out.kind == ALL_OK,
+        budget=500_000,
     )
     # no universal r that low; every level has a witness
     assert [(r, x.kind) for r, x in results] == [(r, "counterexample") for r in range(1, 5)]

@@ -459,6 +459,53 @@ def test_classify_resume_refuses_a_checkpoint_it_cannot_continue(tmp_path, capsy
         assert rc == 1 and message in err and "resumed" not in out
 
 
+F7_SYSTEM = """backend finite-perm
+p 7
+points 0 1 2 3 4 5 6
+gen (0 1 2 3 4 5 6)
+set B 0 1
+"""
+
+
+def test_classify_resume_never_moves_back_a_level(tmp_path, capsys):
+    sysf = _sys_file(tmp_path, F7_SYSTEM)
+    argv = ["classify", f"system={sysf}", "phi=u^2", "epsilon=1/100", "window=full", "r_max=4"]
+    argv.append(f"output={tmp_path}")
+    rc, out, _ = _run(capsys, argv + ["budget=50"])
+    assert rc == 2 and "r=3: budget exceeded" in out
+    ck = next(tmp_path.glob("checkpoint-*.txt"))
+    assert "r 3" in ck.read_text().splitlines()
+    # r = 1 and 2 are replayed without charge, so the 5 nodes all go to r = 3
+    rc, out, _ = _run(capsys, argv + ["budget=5", "--resume", str(ck)])
+    assert rc == 2
+    assert "r=1: fails witness=2" in out and "r=2: fails witness=2,2" in out
+    assert "r=3: budget exceeded after 5 candidates" in out
+    assert "r 3" in ck.read_text().splitlines()
+    rc, out, _ = _run(capsys, argv + ["budget=1000", "--resume", str(ck)])
+    assert rc == 0 and "r=3: holds" in out and "r=4: holds" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["example-a", "r_max=1"],
+        ["recurrence", "phi=u^2", "epsilon=1/100", "window=full"],
+        ["search", "x=B", "m=u^2", "epsilon=1/2", "gens=1"],
+        ["density", "phi=u", "N=1"],
+        ["probe", "phi=u^2", "epsilon=1/100", "window=full", "gens=1"],
+    ],
+)
+def test_commands_without_a_budget_refuse_resume(tmp_path, capsys, argv):
+    # a command resumes exactly when it takes a budget
+    without = {c for c, spec in cli._SPECS.items() if "budget" not in spec}
+    assert without == {"example-a", "recurrence", "search", "density", "probe"}
+    if argv[0] != "example-a":
+        argv = [*argv, f"system={_sys_file(tmp_path)}"]
+    rc, out, err = _run(capsys, [*argv, "--resume", str(tmp_path / "checkpoint.txt")])
+    assert rc == 1 and out == ""
+    assert f"error: {argv[0]} does not support --resume" in err
+
+
 def test_search_on_the_cycle(tmp_path, capsys):
     sysf = _sys_file(tmp_path)
     rc, out, _ = _run(

@@ -27,7 +27,7 @@ from ipstar.halesjewett import (
     psi_encode,
     word_subset_tuples,
 )
-from ipstar.search import ALL_OK, BUDGET_EXCEEDED, coloring_stages
+from ipstar.search import ALL_OK, BUDGET_EXCEEDED, stages
 
 
 def test_line_invariants():
@@ -157,7 +157,9 @@ def test_every_two_coloring_of_the_square_has_a_line():
 
 def hj_stages(k, t, m_max, **kw):
     """The stages m = 1..m_max that decide HJ(k, t), as (m, outcome) pairs."""
-    return coloring_stages(range(1, m_max + 1), partial(hj_stage, k, t), **kw)
+    return stages(
+        range(1, m_max + 1), partial(hj_stage, k, t), lambda out: out.kind == ALL_OK, **kw
+    )
 
 
 def hj_value(stages):

@@ -29,7 +29,7 @@ from ipstar.ipsets import (
     ordered_splits,
     set_to_mask,
 )
-from ipstar.search import CoverLeaf, coloring_stages
+from ipstar.search import ALL_OK, CoverLeaf, stages
 
 Z = Integers()
 F5 = PrimeField(5)
@@ -249,8 +249,11 @@ def test_fu_r2_counterexample():
 
 def fu_stages(s, k, r_limit=10, **kw):
     """The stages r = 1..r_limit that find the least universal r."""
-    return coloring_stages(
-        range(1, r_limit + 1), lambda r, **opts: fu_ramsey_check(r, s, k, **opts), **kw
+    return stages(
+        range(1, r_limit + 1),
+        lambda r, **opts: fu_ramsey_check(r, s, k, **opts),
+        lambda out: out.kind == ALL_OK,
+        **kw,
     )
 
 

@@ -35,6 +35,7 @@ from ipstar.systems import (
     BernoulliSystem,
     FinitePermSystem,
     RotationSystem,
+    SystemError,
     regular_system,
 )
 
@@ -72,6 +73,11 @@ def test_recurrence_set_singleton_f5():
     rep = recurrence_set(s, {0}, SQUARE_5, F(1, 50), FullWindow())
     assert rep.R.members == frozenset({0})
     assert all((c == F(1, 5)) == (u == 0) for u, _, c, _ in rep.rows)
+
+
+def test_recurrence_set_refuses_an_event_with_unknown_points():
+    with pytest.raises(SystemError, match="unknown points in event"):
+        recurrence_set(regular_system(5), frozenset({9}), SQUARE_5, F(1, 100), FullWindow())
 
 
 def test_recurrence_set_bernoulli_full_window():
@@ -154,6 +160,43 @@ def test_classify_budget_partial():
     rep = classify_ipstar(rep, 3, budget=3)
     assert rep.classification[1].kind == "budget_exceeded"
     assert 2 not in rep.classification
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, 13, 50])
+def test_classify_split_by_budget_resumes_to_the_unsplit_verdicts(budget):
+    # levels r = 1..4 take 3, 6, 77 and 77 nodes
+    square_7 = power_map(PrimeField(7), 1, 2)
+
+    def classify(**kw):
+        rep = recurrence_set(regular_system(7), {0, 1}, square_7, F(1, 100), FullWindow())
+        return classify_ipstar(rep, 4, **kw).classification
+
+    whole = classify()
+    resume, charged = None, 0
+    while True:
+        part = classify(budget=budget, resume=resume)
+        assert sorted(part) == list(range(1, max(part) + 1))  # every level below is listed
+        start = 1 if resume is None else resume[0]
+        spent = sum(v.candidates for r, v in part.items() if r >= start)
+        charged += spent
+        r, last = max(part.items())
+        if last.kind != "budget_exceeded":
+            break
+        assert spent == budget  # the levels share one budget
+        assert r >= start  # a resume never moves back a level
+        resume = (r, last.resume_path)
+    # replayed levels are not charged, so the split runs charge the unsplit nodes
+    assert charged == sum(v.candidates for v in whole.values())
+    assert {r: (v.kind, v.witness) for r, v in part.items()} == {
+        r: (v.kind, v.witness) for r, v in whole.items()
+    }
+
+
+@pytest.mark.parametrize("level", [0, 5])
+def test_classify_refuses_a_resume_level_outside_the_run(level):
+    rep = recurrence_set(regular_system(5), {0, 1}, SQUARE_5, F(1, 100), FullWindow())
+    with pytest.raises(ValueError, match=f"resume level {level} outside 1..4"):
+        classify_ipstar(rep, 4, resume=(level, (0,)))
 
 
 def test_classify_exceptional_density_two_coordinate_cylinder():

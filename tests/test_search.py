@@ -12,9 +12,9 @@ from ipstar.search import (
     CoverLeaf,
     avoids_every_edge,
     check_cover_tree,
-    coloring_stages,
     first_hit,
     prefix_search,
+    stages,
     universal_coloring_search,
 )
 
@@ -37,12 +37,6 @@ def test_first_hit_budget_and_resume():
     assert out.candidates == 100
     out2 = first_hit(1000, lambda i: i if i == 700 else None, budget=100000, start=out.resume_index)
     assert out2.status == DONE and out2.index == 700
-
-
-def test_first_hit_checkpoint_cadence():
-    seen = []
-    first_hit(10, lambda i: None, checkpoint_cb=lambda nxt, ex: seen.append((nxt, ex)), checkpoint_interval=4)
-    assert seen == [(4, 4), (8, 8)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +265,16 @@ def test_cover_tree_checks_each_leaf_edge():
     assert not check_cover_tree(3, 2, bad, pigeon_positions)
 
 
+def all_ok(out):
+    return out.kind == ALL_OK
+
+
 def test_coloring_stages_stop_at_the_first_all_ok_stage():
     def run(n, **kw):
         return universal_coloring_search(2, pigeon_edges(n), **kw)
 
-    stages = coloring_stages(range(1, 6), run)
-    assert [(n, out.kind) for n, out in stages] == [
+    done = stages(range(1, 6), run, all_ok)
+    assert [(n, out.kind) for n, out in done] == [
         (1, COUNTEREXAMPLE),
         (2, COUNTEREXAMPLE),
         (3, ALL_OK),
@@ -287,19 +285,19 @@ def test_coloring_stages_share_one_budget_and_resume_one_stage():
     def run(n, **kw):
         return universal_coloring_search(2, adjacent_edges(n), **kw)
 
-    full = coloring_stages([1, 2, 3, 4], run)
+    full = stages([1, 2, 3, 4], run, all_ok)
     assert [out.kind for _, out in full] == [COUNTEREXAMPLE] * 4
     spent = full[0][1].candidates + full[1][1].candidates
     # the first two stages use up the budget, so stage 3 gets none
-    part = coloring_stages([1, 2, 3, 4], run, budget=spent)
+    part = stages([1, 2, 3, 4], run, all_ok, budget=spent)
     n, last = part[-1]
     assert (n, last.kind, last.candidates) == (3, BUDGET_EXCEEDED, 0)
-    assert coloring_stages([1, 2, 3, 4], run, resume=(n, last.resume_path)) == full[2:]
+    assert stages([1, 2, 3, 4], run, all_ok, resume=(n, last.resume_path)) == full[2:]
     # a budget that ends inside stage 3
-    part = coloring_stages([1, 2, 3, 4], run, budget=spent + 2)
+    part = stages([1, 2, 3, 4], run, all_ok, budget=spent + 2)
     n, last = part[-1]
     assert (n, last.kind, last.candidates) == (3, BUDGET_EXCEEDED, 2)
-    rest = coloring_stages([1, 2, 3, 4], run, resume=(n, last.resume_path))
+    rest = stages([1, 2, 3, 4], run, all_ok, resume=(n, last.resume_path))
     assert [m for m, _ in rest] == [3, 4] and rest[1] == full[3]
     assert last.candidates + rest[0][1].candidates == full[2][1].candidates
 

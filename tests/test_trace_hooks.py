@@ -5,9 +5,14 @@ a rename or re-signature in ``src/`` from silently breaking ``--trace 1``."""
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from ipstar.algebra import FullWindow, PrimeField
+from ipstar.ipsets import ElementSet, fk_density_experiment, is_ip_r_star
+from ipstar.search import universal_coloring_search
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -43,3 +48,18 @@ def test_positional_arguments_the_tracer_rewrites():
     mono = _resolve("halesjewett", "mono_config_search")
     assert list(inspect.signature(first_hit).parameters)[:2] == ["count", "probe"]
     assert list(inspect.signature(mono).parameters)[:3] == ["d", "r", "coloring"]
+
+
+def test_count_hooks_read_real_return_values(tracing):
+    # each hook reads a field of the wrapped function's return value
+    calls = [
+        ("ipsets.fk", "ipsets.fk_subsets", (2, 4), fk_density_experiment(2, 4)),
+        ("ipsets.ip_scan", "ipsets.ip_tuples", (None, 2),
+         is_ip_r_star(ElementSet(PrimeField(5), {0, 1}, FullWindow()), 2)),
+        ("search.dfs", "search.dfs_nodes", (2, None),
+         universal_coloring_search(2, [[], [], [(None, (0, 1, 2))]])),
+    ]
+    for span, counter, args, res in calls:
+        counts = Counter()
+        tracing.HOOKS[span](counts, args, res)
+        assert counts[counter] == res.candidates > 0, span
