@@ -437,23 +437,22 @@ def _write_checkpoint(outd: Path, cfg, key: str, stage: int, path, candidates: i
 
 def _load_checkpoint(path: str, cfg, key: str, stages) -> tuple[int, tuple[int, ...]]:
     """The (stage, path) a checkpoint resumes, refused unless it has both
-    lines and the stage is one of this run's ``stages``."""
+    lines, repeats no line and the stage is one of this run's ``stages``."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read checkpoint {path!r}: {exc.strerror or exc}")
-    command = None
     fields: dict[str, str] = {}
     for no, line in _content_lines(text):
         name, _, rest = line.partition(" ")
-        if command is None:
-            if name != "checkpoint" or not rest.strip():
-                raise ValueError(f"checkpoint {path!r}: line {no}: not a checkpoint file")
-            command = rest.strip()
-        else:
-            fields[name] = rest.strip()
-    if command is None:
+        if not fields and (name != "checkpoint" or not rest.strip()):
+            raise ValueError(f"checkpoint {path!r}: line {no}: not a checkpoint file")
+        if name in fields:
+            raise ValueError(f"checkpoint {path!r}: line {no}: duplicate {name!r}")
+        fields[name] = rest.strip()
+    if not fields:
         raise ValueError(f"checkpoint {path!r}: empty file")
+    command = fields["checkpoint"]
     if command != cfg.command:
         raise ValueError(f"checkpoint is for command {command!r}, not {cfg.command!r}")
     if fields.get("config") != config_hash(cfg):

@@ -5,8 +5,11 @@ Subset conventions, frozen for determinism:
 * an index set alpha is a frozenset of positive integers; the family F_r of
   all non-empty subsets of {1..r} is enumerated by ascending bitmask, i.e.
   {1}, {2}, {1,2}, {3}, {1,3}, {2,3}, {1,2,3}, ...  (bit i-1 encodes i)
-* generator tuples are scanned lexicographically with coordinate 1 most
-  significant, indices into the supplied pool order
+* generator tuples are nondecreasing tuples of positions in a pool, scanned
+  lexicographically with coordinate 1 most significant; the pool is S in
+  canonical order (``contains_ip_r``) or S's complement in its window, in
+  window order (``is_ip_r_star``), and a tuple qualifies when all its finite
+  sums lie in the pool
 * block sequences alpha_1 < ... < alpha_s require max(alpha_i) < min(alpha_{i+1})
 
 Generators may repeat and may be zero: the finite-sums definition places no
@@ -78,19 +81,27 @@ class ElementSet:
     window = FullWindow(): the whole finite group, exact verdicts available.
     window = bounded spec: members were gathered over that window only.
     window = None: a bare finite collection; no ambient claims.
+
+    ``ambient`` is derived: the window in enumeration order, or the sorted
+    members without one; the IP scans take their pools from it.
     """
 
     group: object
     members: frozenset
     window: Window | None = None
+    ambient: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        if self.window is not None:
-            ambient = set(window_enumerate(self.group, self.window))
-            stray = self.members - ambient
+        members = frozenset(self.members)
+        if self.window is None:
+            ambient = tuple(sorted(members))  # ints, fractions, coefficient tuples all sort
+        else:
+            ambient = tuple(window_enumerate(self.group, self.window))
+            stray = members.difference(ambient)
             if stray:
                 raise ValueError(f"members outside the ambient window: {sorted_repr(stray)}")
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "ambient", ambient)
 
     @property
     def exact(self) -> bool:
@@ -151,53 +162,42 @@ def finite_unions(alphas) -> tuple[frozenset[int], ...]:
 # IP_r detection and the dual verdict
 
 
-def _resolve_pool(group, pool) -> list:
-    if isinstance(pool, Window):
-        return window_enumerate(group, pool)
-    if isinstance(pool, ElementSet):
-        if pool.window is not None:
-            ambient = window_enumerate(group, pool.window)
-            return [x for x in ambient if x in pool.members]
-        return sorted(pool.members)  # ints, fractions, coefficient tuples all sort
-    return list(pool)
+def _first_fs_tuple(group, pool, r: int, budget=None, resume_path=None):
+    """The first nondecreasing r-tuple of pool positions, lexicographically,
+    whose finite sums all lie in the pool: a ``prefix_search`` whose path
+    holds the positions and whose state is (sums, last position).  Returns
+    the search outcome and the tuple, None when there is none.
 
-
-def _first_fs_tuple(group, elems, r: int, admits, budget=None, resume_path=None):
-    """The first r-tuple over elems, lexicographically by position, whose
-    finite sums pass ``admits`` (a predicate on a set of sums): a
-    ``prefix_search`` whose path holds the generators' positions in elems.
-    Returns the search outcome and the tuple, None when there is none.
-
-    A prefix's sums grow incrementally, FS(P + g) = FS(P) | {g} | FS(P) + g,
-    and only the new ones are tested.  FS(prefix) is a subset of FS(tuple),
-    so a prefix with a refused sum rules out every tuple that extends it.
+    Permuting the generators keeps their finite sums, and the lex-least
+    tuple of a permutation orbit is the sorted one, so this is also the
+    first such tuple among all r-tuples.  A prefix's sums grow
+    incrementally, FS(P + g) = FS(P) | {g} | FS(P) + g, and only the new
+    ones are tested; a prefix with a sum outside the pool rules out every
+    tuple that extends it.
     """
     add = group.add
-    n = len(elems)
+    inside = frozenset(pool)
 
-    def extend(sums, depth, i, path):
-        g = elems[i]
+    def span(state, depth):
+        return state[1], len(pool)
+
+    def extend(state, depth, i, path):
+        sums, g = state[0], pool[i]
         new = {g}
         new.update([add(s, g) for s in sums])
-        return sums | new if admits(new) else CUT
+        return (sums | new, i) if new <= inside else CUT
 
-    out = prefix_search(
-        frozenset(), r, lambda sums, depth: (0, n), extend, budget=budget, resume_path=resume_path
-    )
-    return out, None if out.path is None else tuple(elems[i] for i in out.path)
+    out = prefix_search((frozenset(), 0), r, span, extend, budget=budget, resume_path=resume_path)
+    return out, None if out.path is None else tuple(pool[i] for i in out.path)
 
 
-def contains_ip_r(S: ElementSet, r: int, pool) -> tuple | None:
-    """First generator tuple from the pool whose finite sums all land in S,
-    or None.
-
-    The pool is a Window over S's group, or an explicit element sequence
-    scanned in the given order.
-    """
+def contains_ip_r(S: ElementSet, r: int) -> tuple | None:
+    """The first generator tuple from S, in S's canonical order, whose finite
+    sums all lie in S, or None."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    elems = _resolve_pool(S.group, pool)
-    return _first_fs_tuple(S.group, elems, r, S.members.issuperset)[1]
+    pool = [x for x in S.ambient if x in S.members]
+    return _first_fs_tuple(S.group, pool, r)[1]
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ class IpStarVerdict:
     window_limited: bool
     witness: tuple | None = None  # failing generator tuple (its sums avoid S)
     candidates: int = 0  # prefix-search nodes
-    resume_path: tuple[int, ...] | None = None  # pool positions where the scan restarts
+    resume_path: tuple[int, ...] | None = None  # positions in S's complement, nondecreasing
 
     @property
     def holds(self) -> bool:
@@ -222,28 +222,20 @@ def is_ip_r_star(
 ) -> IpStarVerdict:
     """Does S meet every r-generator finite-sums family?
 
-    Exact mode (ambient = full finite group): scans every generator tuple.
-    Windowed mode: generators range over the window and a counterexample
-    must keep all its sums inside the window; the verdict is explicitly
-    window-limited either way.
+    By duality, S is IP*_r exactly when its complement holds no IP_r set,
+    so the scan's pool is S's complement in its window, in window order, and
+    its first tuple is the failing witness.  Exact mode (ambient = full
+    finite group) decides the claim.  Windowed mode finds only witnesses
+    whose sums stay in the window, as a sum outside it is outside the pool;
+    the verdict is explicitly window-limited either way.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if S.window is None:
         raise ValueError("ambient window required for a dual-family verdict")
-    elems = window_enumerate(S.group, S.window)
     windowed = not S.exact
-    avoids = S.members.isdisjoint
-    if windowed:
-        # sums escaping the window are not decidable, so not a witness either
-        ambient = frozenset(elems)
-
-        def admits(sums):
-            return avoids(sums) and sums <= ambient
-
-    else:
-        admits = avoids
-    out, witness = _first_fs_tuple(S.group, elems, r, admits, budget, resume_path)
+    pool = [x for x in S.ambient if x not in S.members]
+    out, witness = _first_fs_tuple(S.group, pool, r, budget, resume_path)
     if out.status == BUDGET_EXCEEDED:
         return IpStarVerdict("budget_exceeded", windowed, None, out.candidates, out.resume_path)
     if witness is not None:
@@ -339,10 +331,11 @@ class FkResult:
 
 def fk_blocks(r: int, N: int, A) -> bool:
     """Verification-only: no r generators from C = {1..N} - A keep every
-    subset sum in C.  ``contains_ip_r`` scans sorted C and refuses a generator
-    as soon as a new sum leaves C; it shares nothing with the search's edges."""
+    subset sum in C.  ``contains_ip_r`` scans nondecreasing tuples of sorted C
+    and refuses a generator as soon as a new sum leaves C; it shares nothing
+    with the search's edge table."""
     C = ElementSet(Integers(), set(range(1, N + 1)) - set(A))
-    return contains_ip_r(C, r, C) is None
+    return contains_ip_r(C, r) is None
 
 
 def _fk_edges_by_last(r: int, N: int) -> list[list[int]]:
@@ -481,7 +474,7 @@ def example_a_checks(ex: BlockExample) -> dict[str, bool]:
     for r, vals in ex.blocks:
         B = ElementSet(Integers(), vals)
         in_block = in_block and finite_sums(B.group, (vals[0],) * r).members == B.members
-        depth = depth and contains_ip_r(B, r, B) is not None and contains_ip_r(B, r + 1, B) is None
+        depth = depth and contains_ip_r(B, r) is not None and contains_ip_r(B, r + 1) is None
     return {"in_block_fs": in_block, "cross_block_free": mixed.path is None, "fs_depth": depth}
 
 

@@ -641,6 +641,8 @@ def parse_certificate(text: str) -> Certificate:
             if rest not in _CERT_PARAMS:
                 raise TextFormatError(f"line {no}: unknown certificate kind {rest!r}")
             kind = rest
+        elif key in params or (key == "coloring" and coloring is not None):
+            raise TextFormatError(f"line {no}: duplicate {key!r}")
         elif key in _CERT_PARAMS[kind]:
             params[key] = _parse_int(rest)
             if params[key] < 1:

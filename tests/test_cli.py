@@ -26,6 +26,14 @@ probs 1/2 1/2
 set B []:0
 """
 
+# classify levels r = 1..4 on it (phi=u^2, epsilon=1/100) take 1, 2, 23 and 23 nodes
+F7_SYSTEM = """backend finite-perm
+p 7
+points 0 1 2 3 4 5 6
+gen (0 1 2 3 4 5 6)
+set B 0 1
+"""
+
 
 def _sys_file(tmp_path, text=F5_SYSTEM, name="sys.txt"):
     path = tmp_path / name
@@ -229,6 +237,19 @@ def test_writes_replace_the_target_whole_or_not_at_all(tmp_path, capsys, monkeyp
     assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
+@pytest.mark.parametrize("line", ["checkpoint hj", "m 2", "path 0", "candidates 5"])
+def test_checkpoint_with_a_repeated_line_refused(tmp_path, capsys, line):
+    argv = ["hj", "k=2", "t=3", "m_max=4", f"output={tmp_path}"]
+    _run(capsys, argv + ["budget=5"])
+    ck = next(tmp_path.glob("checkpoint-*.txt"))
+    lines = ck.read_text().splitlines()
+    ck.write_text("\n".join(lines + [line]) + "\n")
+    rc, out, err = _run(capsys, argv + ["--resume", str(ck)])
+    name = line.split()[0]
+    assert rc == 1 and f"line {len(lines) + 1}: duplicate '{name}'" in err
+    assert "resumed" not in out
+
+
 def test_checkpoint_for_wrong_command_refused(tmp_path, capsys):
     _run(capsys, ["hj", "k=2", "t=3", "m_max=4", "budget=5", f"output={tmp_path}"])
     ck = next(tmp_path.glob("checkpoint-*.txt"))
@@ -418,34 +439,30 @@ def test_classify_run_with_witness(tmp_path, capsys):
     assert tree["classification"]["2"]["kind"] == "fails"
 
 
+def _classify_argv(tmp_path, r_max):
+    sysf = _sys_file(tmp_path, F7_SYSTEM)
+    argv = ["classify", f"system={sysf}", "phi=u^2", "epsilon=1/100", "window=full"]
+    return argv + [f"r_max={r_max}", f"output={tmp_path}"]
+
+
 def test_classify_budget_checkpoint_resume(tmp_path, capsys):
-    sysf = _sys_file(tmp_path)
-    argv = [
-        "classify",
-        f"system={sysf}",
-        "phi=u^2",
-        "epsilon=1/100",
-        "window=full",
-        "r_max=2",
-        f"output={tmp_path}",
-    ]
-    rc, out, _ = _run(capsys, argv + ["budget=3"])
+    argv = _classify_argv(tmp_path, 3)
+    rc, out, _ = _run(capsys, argv + ["budget=2"])
     assert rc == 2
-    assert "r=1: budget exceeded after 3 candidates" in out
+    assert "r=1: fails witness=2" in out
+    assert "r=2: budget exceeded after 1 candidates" in out
     assert (tmp_path / "classify.json").exists()  # partial report still lands
     ck = next(tmp_path.glob("checkpoint-*.txt"))
-    assert "r 1" in ck.read_text()
+    assert "r 2" in ck.read_text().splitlines()
     rc, out, _ = _run(capsys, argv + ["budget=100000", "--resume", str(ck)])
     assert rc == 0
-    assert "resumed at r=1" in out
-    assert "r=1: holds" in out and "r=2: holds" in out
+    assert "resumed at r=2" in out
+    assert "r=2: fails witness=2,2" in out and "r=3: holds" in out
 
 
 def test_classify_resume_refuses_a_checkpoint_it_cannot_continue(tmp_path, capsys):
-    sysf = _sys_file(tmp_path)
-    argv = ["classify", f"system={sysf}", "phi=u^2", "epsilon=1/100", "window=full", "r_max=3"]
-    argv.append(f"output={tmp_path}")
-    assert _run(capsys, argv + ["budget=3"])[0] == 2
+    argv = _classify_argv(tmp_path, 3)
+    assert _run(capsys, argv + ["budget=2"])[0] == 2
     ck = next(tmp_path.glob("checkpoint-*.txt"))
     head = ck.read_text().splitlines()[:2]  # the command and config lines
     for lines, message in [
@@ -459,19 +476,21 @@ def test_classify_resume_refuses_a_checkpoint_it_cannot_continue(tmp_path, capsy
         assert rc == 1 and message in err and "resumed" not in out
 
 
-F7_SYSTEM = """backend finite-perm
-p 7
-points 0 1 2 3 4 5 6
-gen (0 1 2 3 4 5 6)
-set B 0 1
-"""
+def test_classify_refuses_a_path_of_the_full_tuple_scan(tmp_path, capsys):
+    # the scan runs over nondecreasing positions in R's complement, so a
+    # decreasing path, as the full r-tuple scan could write, is never reached
+    argv = _classify_argv(tmp_path, 3)
+    assert _run(capsys, argv + ["budget=2"])[0] == 2
+    ck = next(tmp_path.glob("checkpoint-*.txt"))
+    head = ck.read_text().splitlines()[:2]
+    ck.write_text("\n".join([*head, "candidates 3", "path 2,1", "r 2"]) + "\n")
+    rc, _, err = _run(capsys, argv + ["--resume", str(ck)])
+    assert rc == 1 and "is never reached by this search" in err
 
 
 def test_classify_resume_never_moves_back_a_level(tmp_path, capsys):
-    sysf = _sys_file(tmp_path, F7_SYSTEM)
-    argv = ["classify", f"system={sysf}", "phi=u^2", "epsilon=1/100", "window=full", "r_max=4"]
-    argv.append(f"output={tmp_path}")
-    rc, out, _ = _run(capsys, argv + ["budget=50"])
+    argv = _classify_argv(tmp_path, 4)
+    rc, out, _ = _run(capsys, argv + ["budget=10"])
     assert rc == 2 and "r=3: budget exceeded" in out
     ck = next(tmp_path.glob("checkpoint-*.txt"))
     assert "r 3" in ck.read_text().splitlines()

@@ -154,27 +154,37 @@ def test_classify_bernoulli_window_limited():
     assert rep.exceptional_density.values == (F(0),) * 6
 
 
+def _classify_square(p, **kw):
+    """Levels 1..4 of classify on the p-point cycle, B = {0, 1}, u^2, epsilon 1/100."""
+    phi = power_map(PrimeField(p), 1, 2)
+    rep = recurrence_set(regular_system(p), {0, 1}, phi, F(1, 100), FullWindow())
+    return classify_ipstar(rep, 4, **kw).classification
+
+
+@pytest.mark.parametrize("p, nodes", [(7, [1, 2, 23, 23]), (13, [1, 2, 3, 145])])
+def test_classify_node_counts(p, nodes):
+    # the scans run over nondecreasing tuples of R's complement, so any
+    # complement element is an r = 1 witness found at the first node
+    levels = _classify_square(p)
+    assert [levels[r].candidates for r in range(1, 5)] == nodes
+
+
 def test_classify_budget_partial():
-    b = BernoulliSystem(2, [F(1, 2), F(1, 2)])
-    rep = recurrence_set(b, {(): {0}}, IDENT_P2, F(1, 10), DegreeWindow(3))
-    rep = classify_ipstar(rep, 3, budget=3)
-    assert rep.classification[1].kind == "budget_exceeded"
-    assert 2 not in rep.classification
+    # F_7 levels take 1 and 2 nodes, so level 3 starts with nothing left
+    levels = _classify_square(7, budget=3)
+    assert [levels[r].kind for r in (1, 2)] == ["fails", "fails"]
+    assert (levels[3].kind, levels[3].candidates) == ("budget_exceeded", 0)
+    assert sum(v.candidates for v in levels.values()) == 3
+    assert 4 not in levels
 
 
 @pytest.mark.parametrize("budget", [1, 2, 5, 13, 50])
 def test_classify_split_by_budget_resumes_to_the_unsplit_verdicts(budget):
-    # levels r = 1..4 take 3, 6, 77 and 77 nodes
-    square_7 = power_map(PrimeField(7), 1, 2)
-
-    def classify(**kw):
-        rep = recurrence_set(regular_system(7), {0, 1}, square_7, F(1, 100), FullWindow())
-        return classify_ipstar(rep, 4, **kw).classification
-
-    whole = classify()
+    # levels r = 1..4 take 1, 2, 23 and 23 nodes
+    whole = _classify_square(7)
     resume, charged = None, 0
     while True:
-        part = classify(budget=budget, resume=resume)
+        part = _classify_square(7, budget=budget, resume=resume)
         assert sorted(part) == list(range(1, max(part) + 1))  # every level below is listed
         start = 1 if resume is None else resume[0]
         spent = sum(v.candidates for r, v in part.items() if r >= start)

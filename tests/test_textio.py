@@ -319,6 +319,20 @@ def test_certificate_parse_errors():
         parse_certificate("certificate hj-cover\nk 2\nt 2\nm 2\nleaf 11\n")
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["m 5", "m 1", "coloring 12"], "line 5: duplicate 'm'"),
+        (["m 1", "coloring 11", "coloring 12"], "line 6: duplicate 'coloring'"),
+    ],
+)
+def test_certificate_parse_refuses_repeated_lines(lines, message):
+    # a later line would otherwise overwrite the earlier one
+    text = "\n".join(["certificate hj-counterexample", "k 2", "t 2", *lines]) + "\n"
+    with pytest.raises(TextFormatError, match=message):
+        parse_certificate(text)
+
+
 # ---------------------------------------------------------------------------
 # reports
 
