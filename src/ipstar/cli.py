@@ -668,12 +668,11 @@ def _run_density(cfg, resume_file) -> int:
 
 def _run_probe(cfg, resume_file) -> int:
     sys_, B, phi, eps, window = _experiment_inputs(cfg)
-    rep = recurrence_set(sys_, B, phi, eps, window)
-    ring = rep.domain
-    if isinstance(ring, VectorSpace):
+    if phi.n != 1:
         raise ValueError("finite products need a one-variable map (the domain is a vector group)")
+    ring = phi.ring
     gens = _resolve(cfg, "gens", lambda t: _parse_gens(ring, 1, t))
-    out = fp_probe(rep, gens)
+    out = fp_probe(sys_, B, phi, eps, window, gens)
     print("products: " + ",".join(render_element(ring, v) for v in out.products))
     print("witnesses: " + ",".join(render_element(ring, v) for v in out.witnesses))
     print(f"intersects: {'true' if out.intersects else 'false'}")

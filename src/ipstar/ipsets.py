@@ -82,21 +82,25 @@ class ElementSet:
     window = bounded spec: members were gathered over that window only.
     window = None: a bare finite collection; no ambient claims.
 
-    ``ambient`` is derived: the window in enumeration order, or the sorted
-    members without one; the IP scans take their pools from it.
+    ``ambient`` is the window in enumeration order, or the sorted members
+    without one; the IP scans take their pools from it.  A caller that has
+    already enumerated the window passes it here instead of enumerating it
+    again.
     """
 
     group: object
     members: frozenset
     window: Window | None = None
-    ambient: tuple = field(init=False, repr=False, compare=False)
+    ambient: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         members = frozenset(self.members)
         if self.window is None:
             ambient = tuple(sorted(members))  # ints, fractions, coefficient tuples all sort
         else:
-            ambient = tuple(window_enumerate(self.group, self.window))
+            ambient = self.ambient
+            if ambient is None:
+                ambient = tuple(window_enumerate(self.group, self.window))
             stray = members.difference(ambient)
             if stray:
                 raise ValueError(f"members outside the ambient window: {sorted_repr(stray)}")
@@ -451,7 +455,8 @@ def example_a_checks(ex: BlockExample) -> dict[str, bool]:
 
     in_block_fs: block r equals the finite sums of r copies of its base value.
     cross_block_free: no 3-generator tuple mixing two blocks keeps all its
-    sums inside the set.
+    sums inside the set.  Permuting the generators keeps both conditions,
+    so only nondecreasing tuples of the sorted set are scanned.
     fs_depth: within block r the deepest full finite-sums family has exactly
     r generators.
     """
@@ -459,17 +464,18 @@ def example_a_checks(ex: BlockExample) -> dict[str, bool]:
     pool = sorted(members)
 
     def extend(state, n, i, path):
-        # state: (sums, blocks) of the n generators so far; the third
-        # generator must bring a second block
-        sums, blocks = state
+        # state: (sums, blocks, last position) of the n generators so far;
+        # the third generator must bring a second block
+        sums, blocks, _ = state
         g = pool[i]
         new = {g, *(s + g for s in sums)}
         blocks = blocks | {ex.block_of(g)}
         if new <= members and (n < 2 or len(blocks) > 1):
-            return sums | new, blocks
+            return sums | new, blocks, i
         return CUT
 
-    mixed = prefix_search((frozenset(), frozenset()), 3, lambda s, d: (0, len(pool)), extend)
+    start = (frozenset(), frozenset(), 0)
+    mixed = prefix_search(start, 3, lambda s, d: (s[2], len(pool)), extend)
     in_block = depth = True
     for r, vals in ex.blocks:
         B = ElementSet(Integers(), vals)

@@ -130,7 +130,8 @@ def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> Recur
     domain = base["domain"]
     if domain.zero in set(elements) and domain.zero not in members:
         raise RecurrenceError("return set lost the zero element; broken invariant")
-    return RecurrenceReport(**base, rows=tuple(rows), R=ElementSet(domain, members, window))
+    R = ElementSet(domain, members, window, ambient=elements)
+    return RecurrenceReport(**base, rows=tuple(rows), R=R)
 
 
 def classify_ipstar(
@@ -202,13 +203,19 @@ class FpProbe:
     intersects: bool
 
 
-def fp_probe(report: RecurrenceReport, gens) -> FpProbe:
-    """Does R meet the finite products of the given generators?
+def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpProbe:
+    """Does the return set R of (B, phi, epsilon) over the window meet the
+    finite products of the given generators?
 
     A multiplicative analogue probe: products run over non-empty index
-    subsets in ascending mask order, evaluated in the domain ring.
+    subsets in ascending mask order, evaluated in the domain ring.  A
+    product is a witness exactly when it lies in the window and its
+    correlation exceeds the threshold, so only the products' correlations
+    are computed, plus the one at 0 that keeps the zero-element invariant;
+    a product outside the window is never a witness.
     """
-    ring = report.domain
+    base = _report_fields(sys, B, phi, epsilon, window)
+    ring, B, threshold = base["domain"], base["B"], base["threshold"]
     if isinstance(ring, VectorSpace):
         raise RecurrenceError("finite products need a ring, not a vector group")
     gens = tuple(ring.element(g) for g in gens)
@@ -220,7 +227,14 @@ def fp_probe(report: RecurrenceReport, gens) -> FpProbe:
         for i in sorted(alpha):
             val = ring.mul(val, gens[i - 1])
         products.append(val)
-    witnesses = tuple(v for v in products if v in report.R.members)
+    inside = set(base["elements"])
+
+    def in_R(u):
+        return u in inside and sys.correlation(B, phi((u,))) > threshold
+
+    if ring.zero in inside and not in_R(ring.zero):
+        raise RecurrenceError("return set lost the zero element; broken invariant")
+    witnesses = tuple(v for v in products if in_R(v))
     return FpProbe(tuple(products), witnesses, bool(witnesses))
 
 

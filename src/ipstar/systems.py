@@ -16,6 +16,23 @@ finite rational computation:
 Every event measure, correlation mu(B cap T^w B), squared orbit distance and
 spectral quantity is a ``fractions.Fraction``.
 
+``correlation(B, w)`` is an integer kernel on each backend, with one
+``Fraction`` built at the end; the event algebra (``shift_event``,
+``intersection_measure``, ``measure``) stays the naive reference it must
+agree with:
+
+* finite-perm: the weights are integer numerators over one common
+  denominator, and each generator has a cycle-position map x -> (x's
+  cycle, x's index in it), so T^w moves a point c_i steps along its cycle
+  per coordinate.  Only B's points are mapped, and the numerators of those
+  landing in B are summed.  The same maps build ``transform``.
+* rotation: the angle is reduced mod 1, and B's endpoints and the angle are
+  put over one common denominator L; the shifted integer intervals are
+  intersected with B's and the overlap is divided by L.
+* Bernoulli: cylinders on disjoint coordinates are independent under the
+  product measure, so when w is outside supp(B) - supp(B) the correlation
+  is mu(B)^2; otherwise the shifted cylinder is intersected with B.
+
 The finite-field backend sits outside the hypotheses of the recurrence
 theorem being exercised (which needs an infinite ground structure); reports
 downstream label it accordingly.
@@ -26,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .algebra import (
     DegreeWindow,
@@ -85,15 +103,10 @@ class FinitePermSystem:
             for x in pts:
                 if self.weights[g[x]] != self.weights[x]:
                     raise SystemError("generator does not preserve the measure")
-        # power tables: gen i composed j times, j in 0..p-1
-        self._tables = []
-        for g in self.gens:
-            row = [{x: x for x in pts}]
-            for _ in range(1, p):
-                row.append({x: g[row[-1][x]] for x in pts})
-            if any(g[row[-1][x]] != x for x in pts):  # g^p is not the identity
-                raise SystemError(f"generator order does not divide {p}")
-            self._tables.append(row)
+        # one cycle-position map per generator: x -> (x's cycle, x's index in it)
+        self._cycles = [_cycle_positions(g, p) for g in self.gens]
+        self._den = den = lcm(*(w.denominator for w in self.weights.values()))
+        self._num = {x: w.numerator * (den // w.denominator) for x, w in self.weights.items()}
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 gi, gj = self.gens[i], self.gens[j]
@@ -108,14 +121,19 @@ class FinitePermSystem:
             raise SystemError(f"acting element needs {self.n} coordinates")
         return tuple(c % self.p for c in w)
 
+    def _images(self, xs, coords) -> list:
+        """The images of the points xs, in order, under the acting element
+        with these coordinates: each generator power moves a point along its
+        cycle."""
+        out = list(xs)
+        for positions, c in zip(self._cycles, coords):
+            if c:
+                out = [cycle[(i + c) % len(cycle)] for cycle, i in map(positions.__getitem__, out)]
+        return out
+
     def transform(self, w):
         """The permutation applied by the acting element w (forward map)."""
-        coords = self._coords(w)
-        out = {x: x for x in self.points}
-        for i, c in enumerate(coords):
-            tab = self._tables[i][c]
-            out = {x: tab[out[x]] for x in self.points}
-        return out
+        return dict(zip(self.points, self._images(self.points, self._coords(w))))
 
     def event(self, members) -> frozenset:
         members = frozenset(members)
@@ -135,7 +153,29 @@ class FinitePermSystem:
         return self.measure(B1 & B2)
 
     def correlation(self, B: frozenset, w) -> Fraction:
-        return self.measure(B & self.shift_event(B, w))
+        # T^w preserves the weights, so mu(B cap T^w B) is the weight of the
+        # x in B whose image lands in B
+        num = self._num
+        images = self._images(B, self._coords(w))
+        return Fraction(sum(num[x] for x, y in zip(B, images) if y in B), self._den)
+
+
+def _cycle_positions(g: dict, p: int) -> dict:
+    """x -> (the cycle of g through x, x's index in it); g^p is the identity
+    exactly when every cycle length divides p."""
+    out = {}
+    for x in g:
+        if x in out:
+            continue
+        cycle, y = [x], g[x]
+        while y != x:
+            cycle.append(y)
+            y = g[y]
+        if p % len(cycle):
+            raise SystemError(f"generator order does not divide {p}")
+        cycle = tuple(cycle)
+        out.update((y, (cycle, i)) for i, y in enumerate(cycle))
+    return out
 
 
 def regular_system(p: int) -> FinitePermSystem:
@@ -255,7 +295,24 @@ class RotationSystem:
         return B1.intersect(B2).measure
 
     def correlation(self, B: IntervalUnion, w) -> Fraction:
-        return B.intersect(self.shift_event(B, w)).measure
+        # B's endpoints and the shift s over one denominator L: the pieces of
+        # B and of B + s are disjoint integer intervals in [0, L)
+        s = self._angle(w) % 1
+        L = lcm(s.denominator, *(e.denominator for piece in B.pieces for e in piece))
+        pieces = [(a.numerator * (L // a.denominator), b.numerator * (L // b.denominator))
+                  for a, b in B.pieces]
+        shift = s.numerator * (L // s.denominator)
+        moved = []
+        for a, b in pieces:
+            a, b = a + shift, b + shift
+            if a >= L:
+                moved.append((a - L, b - L))
+            elif b <= L:
+                moved.append((a, b))
+            else:  # runs past 1, reappears at 0
+                moved += [(a, L), (0, b - L)]
+        total = sum(max(0, min(b, d) - max(a, c)) for a, b in pieces for c, d in moved)
+        return Fraction(total, L)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +400,15 @@ class BernoulliSystem:
         return self.measure(self.intersect(B1, B2))
 
     def correlation(self, B: Cylinder, w) -> Fraction:
+        w = self.ring.element(w)
+        supp = B.constraints
+        moved = {self.ring.add(c, w) for c in supp}
+        # distinct images: two unnormalised coordinates naming one
+        # polynomial merge under the shift
+        if len(moved) == len(supp) and moved.isdisjoint(supp):
+            # w is outside supp(B) - supp(B): B and its shift constrain
+            # disjoint coordinates, independent under the product measure
+            return self.measure(B) ** 2
         return self.intersection_measure(B, self.shift_event(B, w))
 
 

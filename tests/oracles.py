@@ -80,6 +80,16 @@ def naive_finite_correlation(points, weights, perm_power, B):
     return total
 
 
+def naive_perm_power(gens, coords):
+    """The permutation of the acting element with these coordinates:
+    generator i composed with itself coords[i] times, then the next one."""
+    out = {x: x for x in gens[0]}
+    for g, c in zip(gens, coords):
+        for _ in range(c):
+            out = {x: g[y] for x, y in out.items()}
+    return out
+
+
 def naive_bernoulli_cylinder_prob(base_probs, constraints):
     """Product-measure probability of a cylinder: constraints is a dict
     coordinate -> required letter."""

@@ -1,0 +1,214 @@
+"""Differential tests of the backends' correlation kernels.
+
+``correlation(B, w)`` is an integer kernel on every backend: finite-perm
+maps only B's points along their generator cycles, the rotation shifts and
+intersects integer intervals over one common denominator, and Bernoulli
+returns mu(B)^2 when B and its shift constrain disjoint coordinates.  Each
+must equal the naive event algebra, ``intersection_measure(B,
+shift_event(B, w))``, and an oracle from ``tests/oracles.py`` that shares no
+code with either.
+"""
+
+from fractions import Fraction as F
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ipstar.algebra import DegreeWindow, PolyRing, window_enumerate
+from ipstar.systems import BernoulliSystem, FinitePermSystem, IntervalUnion, RotationSystem
+from oracles import (
+    interval_length_oracle,
+    naive_bernoulli_cylinder_prob,
+    naive_finite_correlation,
+    naive_perm_power,
+)
+
+SETTINGS = settings(max_examples=200, deadline=None)
+
+
+def _agree(sys, B, w, want):
+    got = sys.correlation(B, w)
+    assert isinstance(got, F)
+    assert got == sys.intersection_measure(B, sys.shift_event(B, w)) == want
+
+
+# ---------------------------------------------------------------------------
+# rotations
+
+# endpoints 0 and 1 come up often, so unions touch both ends of the circle
+ENDPOINTS = st.sampled_from([F(0), F(1)]) | st.fractions(0, 1, max_denominator=12)
+SMALL = st.fractions(-3, 3, max_denominator=9)
+
+
+def _shifted(pieces, s):
+    out = []
+    for a, b in pieces:
+        a2 = (a + s) % 1
+        b2 = a2 + (b - a)
+        out += [(a2, b2)] if b2 <= 1 else [(a2, F(1)), (F(0), b2 - 1)]
+    return out
+
+
+@st.composite
+def rotation_cases(draw):
+    """(system, B, w, s): rho a rational or a rational vector, negatives
+    allowed; B a union of up to four pieces, a piece with a > b wrapping
+    past 1; s the angle mod 1, worked out here."""
+    n = draw(st.integers(1, 3))
+    rhos = tuple(draw(SMALL) for _ in range(n))
+    w = tuple(draw(SMALL) for _ in range(n))
+    sys = RotationSystem(rhos if n > 1 else rhos[0])
+    pairs = draw(st.lists(st.tuples(ENDPOINTS, ENDPOINTS), max_size=4))
+    s = sum((c * r for c, r in zip(w, rhos)), F(0)) % 1
+    return sys, sys.event(pairs), w if n > 1 else w[0], s
+
+
+@SETTINGS
+@given(rotation_cases())
+def test_rotation_kernel_matches_interval_oracle(case):
+    sys, B, w, s = case
+    pieces = list(B.pieces)
+    moved = _shifted(pieces, s)
+    # mu(B cap B') = mu(B) + mu(B') - mu(B cup B'), each by breakpoint refinement
+    want = (
+        interval_length_oracle(pieces)
+        + interval_length_oracle(moved)
+        - interval_length_oracle(pieces + moved)
+    )
+    _agree(sys, B, w, want)
+
+
+def test_rotation_kernel_examples():
+    sys = RotationSystem(F(-1, 3))
+    B = IntervalUnion([(F(5, 6), F(1, 6)), (F(1, 3), F(1, 2))])  # wraps through 0
+    assert B.pieces == ((0, F(1, 6)), (F(1, 3), F(1, 2)), (F(5, 6), 1))
+    assert sys.correlation(B, 0) == F(1, 2)
+    # shift by -1/3 = 2/3: [0,1/6) -> [2/3,5/6), [1/3,1/2) -> [0,1/6), [5/6,1) -> [1/2,2/3)
+    assert sys.correlation(B, 1) == F(1, 6)
+    assert sys.correlation(B, F(-3, 2)) == sys.correlation(B, F(3, 2))  # 3 turns by -1/3
+    vec = RotationSystem((F(1, 4), F(-1, 6)))
+    assert vec.correlation(vec.event([(0, F(1, 2))]), (F(2), F(6))) == 0  # a half turn
+    assert vec.correlation(vec.event([]), (1, 1)) == 0
+
+
+# ---------------------------------------------------------------------------
+# finite permutations
+
+
+@st.composite
+def perm_cases(draw):
+    """(system, B, w): two commuting generators on a p x p grid (g1 moves the
+    first coordinate, g2 the second), a p-cycle that g1 moves by 1 and g2 by
+    k, and fixed points; integer weights constant on each block, zero on
+    some fixed points."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(0, p - 1))
+    n_fixed = draw(st.integers(0, 3))
+    grid = [("a", i, j) for i in range(p) for j in range(p)]
+    cyc = [("c", i) for i in range(p)]
+    fixed = [("f", m) for m in range(n_fixed)]
+    pts = grid + cyc + fixed
+    g1, g2 = {x: x for x in pts}, {x: x for x in pts}
+    for _, i, j in grid:
+        g1[("a", i, j)] = ("a", (i + 1) % p, j)
+        g2[("a", i, j)] = ("a", i, (j + 1) % p)
+    for _, i in cyc:
+        g1[("c", i)] = ("c", (i + 1) % p)
+        g2[("c", i)] = ("c", (i + k) % p)
+    wa, wc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    raw = {x: wa for x in grid} | {x: wc for x in cyc} | {x: draw(st.integers(0, 3)) for x in fixed}
+    weights = {x: F(v, sum(raw.values())) for x, v in raw.items()}
+    sys = FinitePermSystem(p, pts, weights, [g1, g2])
+    B = draw(st.just(frozenset()) | st.just(frozenset(pts))
+             | st.frozensets(st.sampled_from(pts)))
+    w = (draw(st.integers(-2 * p, 2 * p)), draw(st.integers(-2 * p, 2 * p)))
+    return sys, sys.event(B), w
+
+
+@SETTINGS
+@given(perm_cases())
+def test_finite_perm_kernel_matches_pointwise_oracle(case):
+    sys, B, w = case
+    power = naive_perm_power(sys.gens, [c % sys.p for c in w])
+    _agree(sys, B, w, naive_finite_correlation(sys.points, sys.weights, power, B))
+    assert sys.transform(w) == power
+
+
+# ---------------------------------------------------------------------------
+# Bernoulli shifts
+
+
+def _poly_add(p, a, b):
+    n = max(len(a), len(b))
+    out = [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _cylinder_prob(base, table):
+    """Probability of a cylinder with letter sets: the sum over every choice
+    of one allowed letter per coordinate of that single-letter cylinder's
+    probability; an empty letter set leaves nothing to sum."""
+    coords = list(table)
+    return sum(
+        (naive_bernoulli_cylinder_prob(base, dict(zip(coords, pick)))
+         for pick in product(*(sorted(table[c]) for c in coords))),
+        F(0),
+    )
+
+
+@st.composite
+def bernoulli_cases(draw):
+    """(system, B, w, constraints): a support of up to four coordinates of
+    degree < 3 or < 4, letter sets that may be empty; w is either any window
+    element or the difference of two support coordinates, so the shifted
+    support collides with B's."""
+    p = draw(st.sampled_from([2, 3]))
+    d = draw(st.sampled_from([3, 4]))
+    ring = PolyRing(p)
+    elems = window_enumerate(ring, DegreeWindow(d))
+    letters = draw(st.integers(2, 3))
+    raw = draw(st.lists(st.integers(1, 5), min_size=letters, max_size=letters))
+    base = [F(v, sum(raw)) for v in raw]
+    supp = draw(st.lists(st.sampled_from(elems), min_size=0, max_size=4, unique=True))
+    constraints = {
+        c: frozenset(draw(st.sets(st.integers(0, letters - 1), max_size=letters - 1)))
+        for c in supp
+    }
+    if supp and draw(st.booleans()):
+        a, b = draw(st.sampled_from(supp)), draw(st.sampled_from(supp))
+        w = _poly_add(p, a, tuple((-x) % p for x in b))
+    else:
+        w = draw(st.sampled_from(elems))
+    sys = BernoulliSystem(p, base)
+    return sys, sys.event(constraints), w, constraints
+
+
+@SETTINGS
+@given(bernoulli_cases())
+def test_bernoulli_kernel_matches_cylinder_oracle(case):
+    sys, B, w, constraints = case
+    table = {c: set(ls) for c, ls in constraints.items()}
+    for c, ls in constraints.items():
+        moved = _poly_add(sys.p, c, w)
+        table[moved] = table[moved] & ls if moved in table else set(ls)
+    _agree(sys, B, w, _cylinder_prob(sys.base, table))
+
+
+def test_bernoulli_disjoint_supports_are_independent():
+    sys = BernoulliSystem(2, [F(1, 3), F(2, 3)])
+    B = sys.event({(): {0}, (0, 1): {1}})
+    mu = sys.measure(B)
+    assert mu == F(2, 9)
+    assert sys.correlation(B, (1,)) == mu**2  # {1, 1+t} misses {0, t}
+    assert sys.correlation(B, (0, 1)) == 0  # 0 lands on t: letters 0 and 1 clash
+    assert sys.correlation(B, ()) == mu
+    # coordinates given unnormalised: (1, 0) and (1,) both name 1, and shifting
+    # by t merges them; the kernel still agrees with the event algebra
+    raw = sys.event({(1,): {0}, (1, 0): {1}})
+    assert sys.correlation(raw, (0, 1)) == sys.intersection_measure(raw, sys.shift_event(raw, (0, 1)))
+    empty = sys.event({(1,): set()})
+    assert sys.measure(empty) == 0
+    assert sys.correlation(empty, (1,)) == sys.correlation(empty, (0, 0, 1)) == 0

@@ -29,7 +29,8 @@ from ipstar.ipsets import (
     ordered_splits,
     set_to_mask,
 )
-from ipstar.search import ALL_OK, CoverLeaf, stages
+from ipstar import ipsets
+from ipstar.search import ALL_OK, CoverLeaf, prefix_search, stages
 
 Z = Integers()
 F5 = PrimeField(5)
@@ -364,6 +365,21 @@ def test_example_a_checks_catch_damage():
     damaged = BlockExample(ex.r_max, ex.blocks, ex.members | {4 + 16, 4 + 16 + 16, 16})
     # block_of() ignores the stray members; cross sums 20 and 36 now inside
     assert not example_a_checks(damaged)["cross_block_free"]
+
+
+def test_example_a_checks_node_count(monkeypatch):
+    # cross_block_free scans nondecreasing 3-tuples: the first search, 225 of
+    # the 374 prefix-search nodes example_a(5) takes
+    nodes = []
+
+    def counting(*args, **kwargs):
+        out = prefix_search(*args, **kwargs)
+        nodes.append(out.candidates)
+        return out
+
+    monkeypatch.setattr(ipsets, "prefix_search", counting)
+    assert all(example_a_checks(example_a(5)).values())
+    assert (nodes[0], sum(nodes)) == (225, 374)
 
 
 def reference_example_a_checks(ex):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipstar.algebra import (
     DegreeWindow,
@@ -16,7 +18,10 @@ from ipstar.algebra import (
     Rationals,
     VectorSpace,
     scalar_poly_map,
+    window_enumerate,
 )
+from ipstar import ipsets as ipsets_module
+from ipstar import recurrence as recurrence_module
 from ipstar.ipsets import finite_sums
 from ipstar.recurrence import (
     RecurrenceError,
@@ -73,6 +78,22 @@ def test_recurrence_set_singleton_f5():
     rep = recurrence_set(s, {0}, SQUARE_5, F(1, 50), FullWindow())
     assert rep.R.members == frozenset({0})
     assert all((c == F(1, 5)) == (u == 0) for u, _, c, _ in rep.rows)
+
+
+def test_recurrence_set_enumerates_its_window_once(monkeypatch):
+    # the report's elements are R's ambient; ElementSet does not enumerate again
+    calls = []
+
+    def counting(group, window):
+        calls.append(window)
+        return window_enumerate(group, window)
+
+    monkeypatch.setattr(recurrence_module, "window_enumerate", counting)
+    monkeypatch.setattr(ipsets_module, "window_enumerate", counting)
+    b = BernoulliSystem(2, [F(1, 2), F(1, 2)])
+    rep = recurrence_set(b, {(): {0}, (0, 1): {1}}, IDENT_P2, F(1, 100), DegreeWindow(3))
+    assert calls == [DegreeWindow(3)]
+    assert rep.R.ambient == rep.elements and len(rep.elements) == 8
 
 
 def test_recurrence_set_refuses_an_event_with_unknown_points():
@@ -331,15 +352,59 @@ def test_syndeticity_conventions():
 
 def test_fp_probe_examples():
     s = regular_system(5)
-    full = recurrence_set(s, {0, 1}, SQUARE_5, F(1, 100), FullWindow())
-    probe = fp_probe(full, (2, 3))
+    full = (s, {0, 1}, SQUARE_5, F(1, 100), FullWindow())
+    probe = fp_probe(*full, (2, 3))
     assert probe.products == (2, 3, 1)
     assert probe.intersects and probe.witnesses == (2, 3, 1)
-    single = recurrence_set(s, {0}, SQUARE_5, F(1, 50), FullWindow())
-    probe2 = fp_probe(single, (2, 2))
+    single = (s, {0}, SQUARE_5, F(1, 50), FullWindow())
+    probe2 = fp_probe(*single, (2, 2))
     assert probe2.products == (2, 2, 4) and not probe2.intersects
     with pytest.raises(RecurrenceError, match="zero generator"):
-        fp_probe(full, (0, 2))
+        fp_probe(*full, (0, 2))
+
+
+# (system, B, phi, epsilon, window) per backend, and the generators to draw from
+PROBE_CASES = {
+    "finite-perm": (
+        (regular_system(7), {0, 1, 3}, power_map(PrimeField(7), 1, 2), F(1, 100), FullWindow()),
+        st.integers(1, 6),
+    ),
+    "rotation": (
+        (RotationSystem(F(1, 2)), [(0, F(1, 3))], power_map(Q, 1, 1), F(1, 100),
+         RationalWindow(2, 2)),
+        st.fractions(-4, 4, max_denominator=3).filter(bool),
+    ),
+    "bernoulli": (
+        (BernoulliSystem(2, [F(1, 3), F(2, 3)]), {(): {0}, (1, 1): {1}}, IDENT_P2, F(1, 100),
+         DegreeWindow(2)),
+        st.sampled_from([(1,), (0, 1), (1, 1)]),
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PROBE_CASES)), st.data())
+def test_fp_probe_witnesses_are_the_products_in_R(backend, data):
+    args, gen = PROBE_CASES[backend]
+    gens = data.draw(st.lists(gen, min_size=1, max_size=3), label="gens")
+    probe = fp_probe(*args, gens)
+    R = recurrence_set(*args).R.members
+    assert probe.witnesses == tuple(v for v in probe.products if v in R)
+    assert probe.intersects == bool(probe.witnesses)
+
+
+@pytest.mark.parametrize("backend, gens, outside", [
+    ("rotation", (2, 2, F(1, 2)), 4),  # 4 = 2*2 leaves |a| <= 2; angle 2 turns back to 0
+    ("bernoulli", ((0, 1), (1, 1)), (0, 1, 1)),  # t(1+t) has degree 2; shift off supp(B)
+])
+def test_fp_probe_never_takes_a_product_outside_the_window(backend, gens, outside):
+    (sys, B, phi, eps, window), _ = PROBE_CASES[backend]
+    probe = fp_probe(sys, B, phi, eps, window, gens)
+    rep = recurrence_set(sys, B, phi, eps, window)
+    assert outside in probe.products and outside not in rep.elements
+    # its correlation clears the threshold, so only the window keeps it out
+    assert sys.correlation(rep.B, phi((outside,))) > rep.threshold
+    assert outside not in probe.witnesses and probe.witnesses
 
 
 def test_fp_probe_needs_ring():
@@ -356,9 +421,8 @@ def test_fp_probe_needs_ring():
         vec,
         ((Monomial(F2, 1, (1, 0)), (1, 0)), (Monomial(F2, 1, (0, 1)), (0, 1))),
     )
-    rep = recurrence_set(s, {(0, 0)}, phi, F(1, 2), FullWindow())
     with pytest.raises(RecurrenceError, match="ring"):
-        fp_probe(rep, ((1, 0),))
+        fp_probe(s, {(0, 0)}, phi, F(1, 2), FullWindow(), ((1, 0),))
 
 
 # ---------------------------------------------------------------------------

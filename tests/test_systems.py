@@ -39,6 +39,7 @@ from oracles import (
     interval_length_oracle,
     naive_bernoulli_cylinder_prob,
     naive_finite_correlation,
+    naive_perm_power,
     rotation_orbit_point,
 )
 
@@ -75,7 +76,7 @@ def test_finite_correlation_matches_oracle():
         B = {x for x in range(7) if rng.random() < 0.5}
         w = rng.randrange(7)
         got = s.correlation(s.event(B), w)
-        want = naive_finite_correlation(s.points, s.weights, s.transform(w), B)
+        want = naive_finite_correlation(s.points, s.weights, naive_perm_power(s.gens, (w,)), B)
         assert got == want
 
 
@@ -94,7 +95,7 @@ def test_two_generator_system():
     for _ in range(40):
         Br = s.event({x for x in pts if rng.random() < 0.4})
         w = (rng.randrange(3), rng.randrange(3))
-        want = naive_finite_correlation(s.points, s.weights, s.transform(w), Br)
+        want = naive_finite_correlation(s.points, s.weights, naive_perm_power(s.gens, w), Br)
         assert s.correlation(Br, w) == want
 
 
