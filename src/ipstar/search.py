@@ -14,6 +14,16 @@ Two engines:
   of hyperedges: it either emits a pruning certificate (a cover tree) or
   returns the least counterexample coloring in base-k order.
 
+A cover is a ``LeafLog``: the witnessed cuts in DFS order, each stored as
+a delta against the one before it.  Leaf i's prefix is leaf i-1's prefix
+cut to ``keep`` choices, followed by a short tail; ``keep`` is the lowest
+depth the DFS backed up to between the two cuts, which the engine tracks as
+it backs up, so a leaf costs a few array entries and a reference to its
+witness, whatever its depth.  Whole prefixes are rebuilt, leaf by leaf, only
+when a cover is read: rendered as a certificate or replayed by
+``check_cover_tree``, the one place that knows which prefixes a cover must
+list.
+
 ``stages`` is the one loop over ascending stages of a search: HJ word
 lengths m, finite-union sizes r, fk blocking-set sizes and classify's levels
 r all run on it, under one budget shared by every stage.
@@ -26,6 +36,8 @@ search resumes at (stage, path).
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 DONE = "done"
@@ -94,19 +106,89 @@ class Cut:
 CUT = Cut()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverLeaf:
-    """One pruned DFS branch: the prefix assignment and the target it forced."""
+    """One pruned DFS branch: the prefix assignment and the target it forced.
+    A ``LeafLog`` stores none; it builds one per leaf as it is read."""
 
     prefix: tuple[int, ...]
     witness: object
+
+
+class LeafLog(Sequence):
+    """An append-only sequence of ``CoverLeaf``, delta-encoded.
+
+    Leaf i's prefix, of ``lengths[i]`` choices, is leaf i-1's prefix cut to
+    ``keeps[i]`` choices followed by leaf i's tail; the tails are stored one
+    after another in ``tails``.  The witnesses are kept by reference, so
+    equal witnesses stay one object.  Reading the log (iteration, indexing,
+    equality) rebuilds the prefixes in order; an index or a slice costs a
+    pass over the log.  It compares equal to a tuple, list or log of the
+    same leaves.
+    """
+
+    __slots__ = ("_keeps", "_lengths", "_tails", "_witnesses", "_last")
+
+    def __init__(self, leaves=()):
+        self._keeps = array("I")
+        self._lengths = array("I")
+        self._tails = array("q")
+        self._witnesses: list = []
+        self._last: list[int] = []  # the last leaf's prefix
+        for leaf in leaves:
+            self.append(leaf)
+
+    def append_delta(self, keep: int, tail, witness) -> None:
+        """Append the leaf whose prefix is the last one's first ``keep``
+        choices followed by ``tail``."""
+        last = self._last
+        del last[keep:]
+        last.extend(tail)
+        self._keeps.append(keep)
+        self._lengths.append(len(last))
+        self._tails.extend(tail)
+        self._witnesses.append(witness)
+
+    def append(self, leaf: CoverLeaf) -> None:
+        prefix, last = leaf.prefix, self._last
+        shared = min(len(last), len(prefix))
+        keep = 0
+        while keep < shared and last[keep] == prefix[keep]:
+            keep += 1
+        self.append_delta(keep, prefix[keep:], leaf.witness)
+
+    def __len__(self) -> int:
+        return len(self._witnesses)
+
+    def __iter__(self):
+        prefix: list[int] = []
+        start = 0
+        tails = self._tails
+        for keep, length, witness in zip(self._keeps, self._lengths, self._witnesses):
+            del prefix[keep:]
+            end = start + length - keep
+            prefix.extend(tails[start:end])
+            start = end
+            yield CoverLeaf(tuple(prefix), witness)
+
+    def __getitem__(self, index):
+        leaves = list(self)
+        return LeafLog(leaves[index]) if isinstance(index, slice) else leaves[index]
+
+    def __eq__(self, other):
+        if not isinstance(other, (LeafLog, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"LeafLog({list(self)!r})"
 
 
 @dataclass(frozen=True)
 class PrefixOutcome:
     status: str  # DONE or BUDGET_EXCEEDED
     path: tuple[int, ...] | None  # the first full path, None if absent or budget ran out
-    leaves: tuple[CoverLeaf, ...]  # the witnessed cuts before the search stopped, in DFS order
+    leaves: LeafLog  # the witnessed cuts before the search stopped, in DFS order
     candidates: int  # nodes charged by this call
     resume_path: tuple[int, ...] | None = None  # where a BUDGET_EXCEEDED search restarts
 
@@ -136,7 +218,8 @@ def prefix_search(
     path = [0] * length
     states = [root] * length  # states[d], ends[d]: the state and span end below path[:d]
     ends = [0] * length
-    leaves: list[CoverLeaf] = []
+    leaves = LeafLog()
+    low = 0  # the lowest depth backed up to since the last leaf
     nodes = depth = 0
     state = root
     c, end = span(root, 0)
@@ -146,7 +229,9 @@ def prefix_search(
             if depth < 0:
                 if replay is not None:
                     raise _off_frontier(resume_path)
-                return PrefixOutcome(DONE, None, tuple(leaves), nodes)
+                return PrefixOutcome(DONE, None, leaves, nodes)
+            if depth < low:
+                low = depth
             c, end, state = path[depth] + 1, ends[depth], states[depth]
             continue
         if replay is not None:
@@ -155,13 +240,15 @@ def prefix_search(
         if replay is None:
             if nodes == budget:
                 resume = tuple(path[:depth]) + (c,)
-                return PrefixOutcome(BUDGET_EXCEEDED, None, tuple(leaves), nodes, resume)
+                return PrefixOutcome(BUDGET_EXCEEDED, None, leaves, nodes, resume)
             nodes += 1
         path[depth] = c
         child = extend(state, depth, c, path)
         if child.__class__ is Cut:
             if child.witness is not None:
-                leaves.append(CoverLeaf(tuple(path[: depth + 1]), child.witness))
+                # path[:low] is unchanged since the last leaf
+                leaves.append_delta(low, path[low : depth + 1], child.witness)
+                low = depth
             c += 1
         elif depth + 1 < length:
             states[depth], ends[depth] = state, end
@@ -171,7 +258,7 @@ def prefix_search(
         else:
             if replay is not None:
                 raise _off_frontier(resume_path)
-            return PrefixOutcome(DONE, tuple(path), tuple(leaves), nodes)
+            return PrefixOutcome(DONE, tuple(path), leaves, nodes)
 
 
 def _off_frontier(resume_path) -> ValueError:
@@ -195,7 +282,7 @@ COUNTEREXAMPLE = "counterexample"
 class ColoringOutcome:
     kind: str  # ALL_OK, COUNTEREXAMPLE or BUDGET_EXCEEDED
     coloring: tuple[int, ...] | None  # the least counterexample
-    cover: tuple[CoverLeaf, ...] | None  # the cover tree proving ALL_OK
+    cover: LeafLog | None  # the cover tree proving ALL_OK
     candidates: int
     resume_path: tuple[int, ...] | None = None  # where a BUDGET_EXCEEDED search restarts
 

@@ -321,7 +321,9 @@ class RotationSystem:
 
 class Cylinder:
     """Finitely many coordinate constraints: group element -> allowed letter
-    set.  Constraints allowing every letter are dropped at construction."""
+    set.  Constraints allowing every letter are dropped at construction.
+    Coordinates are taken as given, so two that name one element must come
+    normalised, as ``BernoulliSystem.event`` makes them."""
 
     __slots__ = ("constraints",)
 
@@ -372,9 +374,16 @@ class BernoulliSystem:
         return len(self.base)
 
     def event(self, constraints) -> Cylinder:
+        """The cylinder of the constraints, coordinates normalised: two
+        coordinates naming one polynomial, such as (1,) and (1, 0), are one
+        coordinate constrained to both letter sets."""
         if isinstance(constraints, Cylinder):
             return constraints
-        return Cylinder(constraints, self.alphabet_size)
+        out = Cylinder({}, self.alphabet_size)
+        for coord, letters in dict(constraints).items():
+            one = Cylinder({self.ring.element(coord): letters}, self.alphabet_size)
+            out = self.intersect(out, one)
+        return out
 
     def letters_prob(self, letters) -> Fraction:
         return sum((self.base[l] for l in letters), Fraction(0))
@@ -402,10 +411,7 @@ class BernoulliSystem:
     def correlation(self, B: Cylinder, w) -> Fraction:
         w = self.ring.element(w)
         supp = B.constraints
-        moved = {self.ring.add(c, w) for c in supp}
-        # distinct images: two unnormalised coordinates naming one
-        # polynomial merge under the shift
-        if len(moved) == len(supp) and moved.isdisjoint(supp):
+        if supp.keys().isdisjoint(self.ring.add(c, w) for c in supp):
             # w is outside supp(B) - supp(B): B and its shift constrain
             # disjoint coordinates, independent under the product measure
             return self.measure(B) ** 2

@@ -49,7 +49,7 @@ from .ipsets import (
     fu_check_cover,
     fu_coloring_is_counterexample,
 )
-from .search import CoverLeaf
+from .search import CoverLeaf, LeafLog
 from .systems import BernoulliSystem, FinitePermSystem, RotationSystem
 
 
@@ -593,7 +593,7 @@ class Certificate:
     kind: str
     params: tuple  # ((name, int), ...) in the kind's canonical order
     coloring: tuple[int, ...] | None  # counterexample kinds
-    leaves: tuple | None  # CoverLeaf sequence, cover kinds
+    leaves: LeafLog | None  # cover kinds; any sequence of CoverLeaf renders and checks
 
     def param(self, name: str) -> int:
         return dict(self.params)[name]
@@ -631,7 +631,8 @@ def parse_certificate(text: str) -> Certificate:
     kind = None
     params = {}
     coloring = None
-    leaves = []
+    leaves = LeafLog()
+    witnesses = {}  # witness text -> its one parsed object
     for no, line in _content_lines(text):
         key, _, rest = line.partition(" ")
         rest = rest.strip()
@@ -653,9 +654,10 @@ def parse_certificate(text: str) -> Certificate:
             prefix_text, _, witness_text = rest.partition(" ")
             if not witness_text:
                 raise TextFormatError(f"line {no}: leaf needs a prefix and a witness")
-            leaves.append(
-                CoverLeaf(parse_word(prefix_text), _witness_from_text(kind, witness_text))
-            )
+            witness = witnesses.get(witness_text)
+            if witness is None:
+                witness = witnesses[witness_text] = _witness_from_text(kind, witness_text)
+            leaves.append(CoverLeaf(parse_word(prefix_text), witness))
         else:
             raise TextFormatError(f"line {no}: unknown key {key!r}")
     if kind is None:
@@ -669,7 +671,7 @@ def parse_certificate(text: str) -> Certificate:
         kind,
         tuple((n, params[n]) for n in _CERT_PARAMS[kind]),
         coloring,
-        tuple(leaves) if leaves else None,
+        leaves or None,
     )
 
 

@@ -162,9 +162,10 @@ def _cylinder_prob(base, table):
 @st.composite
 def bernoulli_cases(draw):
     """(system, B, w, constraints): a support of up to four coordinates of
-    degree < 3 or < 4, letter sets that may be empty; w is either any window
-    element or the difference of two support coordinates, so the shifted
-    support collides with B's."""
+    degree < 3 or < 4, letter sets that may be empty, plus up to two
+    coordinates padded with trailing zeros, which may name a support
+    coordinate again; w is either any window element or the difference of
+    two support coordinates, so the shifted support collides with B's."""
     p = draw(st.sampled_from([2, 3]))
     d = draw(st.sampled_from([3, 4]))
     ring = PolyRing(p)
@@ -173,10 +174,11 @@ def bernoulli_cases(draw):
     raw = draw(st.lists(st.integers(1, 5), min_size=letters, max_size=letters))
     base = [F(v, sum(raw)) for v in raw]
     supp = draw(st.lists(st.sampled_from(elems), min_size=0, max_size=4, unique=True))
-    constraints = {
-        c: frozenset(draw(st.sets(st.integers(0, letters - 1), max_size=letters - 1)))
-        for c in supp
-    }
+    letter_sets = st.sets(st.integers(0, letters - 1), max_size=letters - 1).map(frozenset)
+    constraints = {c: draw(letter_sets) for c in supp}
+    coords = st.sampled_from(elems) | st.sampled_from(supp) if supp else st.sampled_from(elems)
+    for c in draw(st.lists(coords, max_size=2)):
+        constraints[c + (0,) * draw(st.integers(1, 2))] = draw(letter_sets)
     if supp and draw(st.booleans()):
         a, b = draw(st.sampled_from(supp)), draw(st.sampled_from(supp))
         w = _poly_add(p, a, tuple((-x) % p for x in b))
@@ -190,10 +192,11 @@ def bernoulli_cases(draw):
 @given(bernoulli_cases())
 def test_bernoulli_kernel_matches_cylinder_oracle(case):
     sys, B, w, constraints = case
-    table = {c: set(ls) for c, ls in constraints.items()}
-    for c, ls in constraints.items():
-        moved = _poly_add(sys.p, c, w)
-        table[moved] = table[moved] & ls if moved in table else set(ls)
+    table = {}  # B's constraints and its shift's, on normalised coordinates
+    for shift in ((), w):
+        for c, ls in constraints.items():
+            moved = _poly_add(sys.p, c, shift)
+            table[moved] = table[moved] & ls if moved in table else set(ls)
     _agree(sys, B, w, _cylinder_prob(sys.base, table))
 
 
@@ -205,10 +208,11 @@ def test_bernoulli_disjoint_supports_are_independent():
     assert sys.correlation(B, (1,)) == mu**2  # {1, 1+t} misses {0, t}
     assert sys.correlation(B, (0, 1)) == 0  # 0 lands on t: letters 0 and 1 clash
     assert sys.correlation(B, ()) == mu
-    # coordinates given unnormalised: (1, 0) and (1,) both name 1, and shifting
-    # by t merges them; the kernel still agrees with the event algebra
+    # coordinates given unnormalised: (1, 0) and (1,) both name 1, which
+    # must hold letters 0 and 1 at once
     raw = sys.event({(1,): {0}, (1, 0): {1}})
+    assert sys.measure(raw) == 0
     assert sys.correlation(raw, (0, 1)) == sys.intersection_measure(raw, sys.shift_event(raw, (0, 1)))
     empty = sys.event({(1,): set()})
-    assert sys.measure(empty) == 0
+    assert raw == empty and sys.measure(empty) == 0
     assert sys.correlation(empty, (1,)) == sys.correlation(empty, (0, 0, 1)) == 0

@@ -1,7 +1,11 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipstar.halesjewett import hj_stage
 from ipstar.search import (
     ALL_OK,
     BUDGET_EXCEEDED,
@@ -10,6 +14,7 @@ from ipstar.search import (
     DONE,
     Cut,
     CoverLeaf,
+    LeafLog,
     avoids_every_edge,
     check_cover_tree,
     first_hit,
@@ -311,3 +316,57 @@ def test_rejects_degenerate_inputs():
         universal_coloring_search(2, adjacent_edges(3), resume_path=(3,))
     with pytest.raises(ValueError, match="bad resume path"):
         prefix_search(None, 2, lambda s, d: (0, 2), lambda s, d, c, p: s, resume_path=(0, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the leaf log
+
+
+choices = st.integers(0, 3) | st.integers(-(2**63), 2**63 - 1)
+cover_leaves = st.builds(CoverLeaf, st.lists(choices, max_size=5).map(tuple), st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(cover_leaves, max_size=8), cover_leaves, st.data())
+def test_leaf_log_reads_as_the_list_of_its_leaves(leaves, extra, data):
+    log = LeafLog(leaves)
+    assert len(log) == len(leaves) and list(log) == leaves
+    assert all(a.witness is b.witness for a, b in zip(log, leaves))
+    assert log == leaves and log == tuple(leaves) and log == LeafLog(leaves)
+    for other in ([*leaves, extra], leaves[:-1] + [extra]):
+        assert (log == other) == (leaves == other)
+    if leaves:
+        i = data.draw(st.integers(-len(leaves), len(leaves) - 1))
+        assert log[i] == leaves[i]
+    cut = data.draw(st.slices(len(leaves)))
+    assert log[cut] == leaves[cut]
+    log.append(extra)
+    assert log == [*leaves, extra]
+
+
+def _traced(call):
+    """(result, memory held after the call, peak during it) in bytes, for a
+    call warmed by one untraced run."""
+    call()
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()  # empties the interpreter's free lists, which count as held
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+def test_a_counterexample_stage_stays_small_while_it_searches():
+    # stage m=3 of hj k=4 t=2 cuts 13,123 witnessed prefixes of up to 64 colours
+    out, _held, peak = _traced(lambda: hj_stage(4, 2, 3))
+    assert out.kind == COUNTEREXAMPLE
+    assert peak < 1 << 20
+
+
+def test_a_cover_is_held_in_a_few_bytes_a_leaf():
+    out, held, _peak = _traced(lambda: hj_stage(2, 5, 5))
+    assert out.kind == ALL_OK and len(out.cover) == 4944
+    assert held < 200 << 10

@@ -19,6 +19,7 @@ from ipstar.algebra import (
 from ipstar.halesjewett import Line, SubsetConfig, all_lines, hj_stage
 from ipstar.ipsets import ElementSet, fu_ramsey_check
 from ipstar.recurrence import classify_ipstar, recurrence_set
+from ipstar.search import LeafLog
 from ipstar.systems import (
     BernoulliSystem,
     FinitePermSystem,
@@ -282,6 +283,19 @@ def test_hj_cover_certificate_roundtrip():
     # tampering with a leaf breaks the replay
     bad = Certificate(cert.kind, cert.params, None, cert.leaves[1:])
     assert not check_certificate(bad)
+
+
+def test_a_cover_renders_the_same_from_its_log_and_from_a_tuple():
+    cert = coloring_certificate("hj", {"k": 2, "t": 4, "m": 4}, hj_stage(2, 4, 4))
+    assert isinstance(cert.leaves, LeafLog) and len(cert.leaves) > 1
+    as_tuple = Certificate(cert.kind, cert.params, None, tuple(cert.leaves))
+    text = render_certificate(cert)
+    assert render_certificate(as_tuple) == text
+    # parsing gives a log again, with equal witnesses parsed into one object
+    parsed = parse_certificate(text)
+    assert isinstance(parsed.leaves, LeafLog) and parsed == cert
+    witnesses = [leaf.witness for leaf in parsed.leaves]
+    assert len({id(w) for w in witnesses}) == len(set(witnesses)) < len(witnesses)
 
 
 def test_fu_certificates_roundtrip():

@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from ipstar import halesjewett
 from ipstar.algebra import FullWindow, PrimeField
 from ipstar.ipsets import ElementSet, fk_density_experiment, is_ip_r_star
 from ipstar.search import universal_coloring_search
+from ipstar.textio import coloring_certificate, render_certificate
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -63,3 +65,22 @@ def test_count_hooks_read_real_return_values(tracing):
         counts = Counter()
         tracing.HOOKS[span](counts, args, res)
         assert counts[counter] == res.candidates > 0, span
+
+
+def test_cover_hooks_read_real_arguments_and_text(tracing, monkeypatch):
+    # the replay hook takes the length of check_cover_tree's third argument,
+    # the render hook the length of the certificate text
+    out = halesjewett.hj_stage(2, 2, 2)
+    calls = []
+    replay = halesjewett.check_cover_tree
+    monkeypatch.setattr(
+        halesjewett, "check_cover_tree", lambda *args: calls.append(args) or replay(*args)
+    )
+    assert halesjewett.hj_check_cover(2, 2, 2, out.cover)
+    counts = Counter()
+    tracing.HOOKS["search.cover_replay"](counts, calls[0], True)
+    assert counts["search.cover_leaves"] == len(out.cover) > 0
+    cert = coloring_certificate("hj", {"k": 2, "t": 2, "m": 2}, out)
+    text = render_certificate(cert)
+    tracing.HOOKS["textio.cert_render"](counts, (cert,), text)
+    assert counts["textio.cert_bytes"] == len(text) > 0
