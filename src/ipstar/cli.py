@@ -606,12 +606,11 @@ def _run_classify(cfg, resume_file) -> int:
     stalled = None
     for r in sorted(rep.classification):
         v = rep.classification[r]
-        note = " (window-limited)" if v.window_limited else ""
         if v.kind == "holds":
-            print(f"r={r}: holds{note}")
-        elif v.kind == "fails":
+            print(f"r={r}: holds{' (window-limited)' if v.window_limited else ''}")
+        elif v.kind == "fails":  # exact: its sums avoid R in the whole group
             w = ",".join(render_element(rep.domain, g) for g in v.witness)
-            print(f"r={r}: fails{note} witness={w}")
+            print(f"r={r}: fails witness={w}")
         else:
             print(f"r={r}: budget exceeded after {v.candidates} candidates")
             stalled = (r, v.resume_path, v.candidates)

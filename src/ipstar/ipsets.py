@@ -20,7 +20,7 @@ verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -167,20 +167,22 @@ def finite_unions(alphas) -> tuple[frozenset[int], ...]:
 
 
 def _first_fs_tuple(group, pool, r: int, budget=None, resume_path=None):
-    """The first nondecreasing r-tuple of pool positions, lexicographically,
-    whose finite sums all lie in the pool: a ``prefix_search`` whose path
-    holds the positions and whose state is (sums, last position).  Returns
-    the search outcome and the tuple, None when there is none.
+    """The first nondecreasing d-tuple of pool positions, lexicographically,
+    whose finite sums all lie in the pool, for each depth d = 1..r one
+    ``prefix_search`` reaches; its path holds the positions and its state is
+    (sums, last position).  Returns the outcome and those tuples of elements.
 
-    Permuting the generators keeps their finite sums, and the lex-least
-    tuple of a permutation orbit is the sorted one, so this is also the
-    first such tuple among all r-tuples.  A prefix's sums grow
-    incrementally, FS(P + g) = FS(P) | {g} | FS(P) + g, and only the new
-    ones are tested; a prefix with a sum outside the pool rules out every
-    tuple that extends it.
+    Prefixes of a qualifying tuple qualify, and the search reaches the uncut
+    prefixes of each length in lexicographic order, so the first it reaches
+    at depth d is the first qualifying d-tuple.  Permuting the generators
+    keeps their finite sums, so each is also the first among all d-tuples.
+    A prefix's sums grow incrementally, FS(P + g) = FS(P) | {g} | FS(P) + g,
+    and only the new ones are tested; a prefix with a sum outside the pool
+    rules out every tuple that extends it.
     """
     add = group.add
     inside = frozenset(pool)
+    firsts: list[tuple] = []
 
     def span(state, depth):
         return state[1], len(pool)
@@ -189,10 +191,14 @@ def _first_fs_tuple(group, pool, r: int, budget=None, resume_path=None):
         sums, g = state[0], pool[i]
         new = {g}
         new.update([add(s, g) for s in sums])
-        return (sums | new, i) if new <= inside else CUT
+        if not new <= inside:
+            return CUT
+        if len(firsts) == depth:  # the first uncut prefix of this length
+            firsts.append(tuple(pool[j] for j in path[: depth + 1]))
+        return sums | new, i
 
     out = prefix_search((frozenset(), 0), r, span, extend, budget=budget, resume_path=resume_path)
-    return out, None if out.path is None else tuple(pool[i] for i in out.path)
+    return out, tuple(firsts)
 
 
 def contains_ip_r(S: ElementSet, r: int) -> tuple | None:
@@ -201,7 +207,8 @@ def contains_ip_r(S: ElementSet, r: int) -> tuple | None:
     if r < 1:
         raise ValueError("r must be >= 1")
     pool = [x for x in S.ambient if x in S.members]
-    return _first_fs_tuple(S.group, pool, r)[1]
+    firsts = _first_fs_tuple(S.group, pool, r)[1]
+    return firsts[-1] if len(firsts) == r else None
 
 
 @dataclass(frozen=True)
@@ -211,10 +218,24 @@ class IpStarVerdict:
     witness: tuple | None = None  # failing generator tuple (its sums avoid S)
     candidates: int = 0  # prefix-search nodes
     resume_path: tuple[int, ...] | None = None  # positions in S's complement, nondecreasing
+    prefixes: tuple[tuple, ...] = ()  # the failing witness of every level the search reached
 
     @property
     def holds(self) -> bool:
         return self.kind == "holds"
+
+    def levels(self, r: int) -> dict[int, IpStarVerdict]:
+        """The verdicts of levels 1..r read off this search to level r: level
+        d fails with the d-prefix the search reached, the levels above hold
+        (if it finished) or the first of them ran out of budget."""
+        out = {
+            d: IpStarVerdict("fails", False, w, self.candidates)
+            for d, w in enumerate(self.prefixes, 1)
+        }
+        if self.kind != "fails":
+            top = r if self.holds else len(out) + 1
+            out.update(dict.fromkeys(range(len(out) + 1, top + 1), replace(self, prefixes=())))
+        return out
 
 
 def is_ip_r_star(
@@ -228,10 +249,12 @@ def is_ip_r_star(
 
     By duality, S is IP*_r exactly when its complement holds no IP_r set,
     so the scan's pool is S's complement in its window, in window order, and
-    its first tuple is the failing witness.  Exact mode (ambient = full
-    finite group) decides the claim.  Windowed mode finds only witnesses
-    whose sums stay in the window, as a sum outside it is outside the pool;
-    the verdict is explicitly window-limited either way.
+    its first tuple is the failing witness; the scan decides every level
+    below r on the way (``levels``).  Exact mode (ambient = full finite
+    group) decides the claim.  Windowed mode finds only witnesses whose sums
+    stay in the window, a sum outside it being outside the pool, but these
+    are exact: S is exact on its window, so the sums avoid S everywhere.
+    Only "holds" is window-limited.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -239,12 +262,11 @@ def is_ip_r_star(
         raise ValueError("ambient window required for a dual-family verdict")
     windowed = not S.exact
     pool = [x for x in S.ambient if x not in S.members]
-    out, witness = _first_fs_tuple(S.group, pool, r, budget, resume_path)
-    if out.status == BUDGET_EXCEEDED:
-        return IpStarVerdict("budget_exceeded", windowed, None, out.candidates, out.resume_path)
-    if witness is not None:
-        return IpStarVerdict("fails", windowed, witness, out.candidates)
-    return IpStarVerdict("holds", windowed, None, out.candidates)
+    out, firsts = _first_fs_tuple(S.group, pool, r, budget, resume_path)
+    if out.path is not None:
+        return IpStarVerdict("fails", False, firsts[-1], out.candidates, prefixes=firsts)
+    kind = "holds" if out.status == DONE else "budget_exceeded"
+    return IpStarVerdict(kind, windowed, None, out.candidates, out.resume_path, firsts)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +480,7 @@ def example_a_checks(ex: BlockExample) -> dict[str, bool]:
     sums inside the set.  Permuting the generators keeps both conditions,
     so only nondecreasing tuples of the sorted set are scanned.
     fs_depth: within block r the deepest full finite-sums family has exactly
-    r generators.
+    r generators, so one scan to depth r + 1 reaches depth r and no further.
     """
     members = ex.members
     pool = sorted(members)
@@ -480,7 +502,7 @@ def example_a_checks(ex: BlockExample) -> dict[str, bool]:
     for r, vals in ex.blocks:
         B = ElementSet(Integers(), vals)
         in_block = in_block and finite_sums(B.group, (vals[0],) * r).members == B.members
-        depth = depth and contains_ip_r(B, r) is not None and contains_ip_r(B, r + 1) is None
+        depth = depth and len(_first_fs_tuple(B.group, B.ambient, r + 1)[1]) == r
     return {"in_block_fs": in_block, "cross_block_free": mixed.path is None, "fs_depth": depth}
 
 
@@ -499,7 +521,8 @@ class IntersectionProbe:
 def ipstar_intersection_probe(group, r: int, s: int) -> IntersectionProbe:
     """Smallest q such that A cap B meets every q-generator family, over all
     pairs (A meets-every-r, B meets-every-s) of subsets of a small finite
-    group.  Exhaustive over all subset pairs."""
+    group.  Exhaustive over all subset pairs; a pair's q is one more than
+    the depth its scan to level n = |group| reached, if that holds."""
     elems = window_enumerate(group, FullWindow())
     n = len(elems)
     if n > 12:
@@ -525,13 +548,10 @@ def ipstar_intersection_probe(group, r: int, s: int) -> IntersectionProbe:
         for B in B_list:
             pairs += 1
             inter = ElementSet(group, A & B, FullWindow())
-            q = None
-            for cand in range(1, n + 1):
-                if is_ip_r_star(inter, cand).holds:
-                    q = cand
-                    break
-            if q is None:
+            v = is_ip_r_star(inter, n)
+            if not v.holds:
                 return IntersectionProbe(None, (A, B), inter.members, pairs)
+            q = len(v.prefixes) + 1
             if q > best_q:
                 best_q = q
                 worst = (A, B)

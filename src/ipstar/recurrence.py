@@ -20,14 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
 
 from .algebra import Integers, Monomial, PolynomialMap, Rationals, VectorSpace, Window
 from .algebra import window_enumerate
 from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_subset_tuples
 from .ipsets import ElementSet, family_order, is_ip_r_star
-from .search import stages
 from .systems import (
     DensityProfile,
     FinitePermSystem,
@@ -147,53 +145,22 @@ def classify_ipstar(
     Window-limited verdicts never claim anything about the infinite group;
     for those the density profile of the exceptional set along the canonical
     averaging sequence is attached, supporting an almost-dual reading
-    (failures confined to a vanishing-density set).  The levels are the
-    ``search.stages`` of one budget, and a level that runs out of it ends
-    the classification.  resume=(r, path) resumes level r's scan at the
-    path; the levels below r are replayed without a budget, so the report
-    still lists them and the budget is spent on level r and up.
+    (failures confined to a vanishing-density set).  One scan to level r_max
+    decides every level (``IpStarVerdict.levels``), and the budget counts
+    its nodes.  resume=(r, path), r being the level the budget ran out on,
+    resumes that scan at the path; the scan replays the nodes before it
+    without charge, so the report still lists the levels below r.
     """
     if resume is not None and not 1 <= resume[0] <= r_max:
         raise ValueError(f"resume level {resume[0]} outside 1..{r_max}")
-    run_level = partial(is_ip_r_star, report.R)
-    if resume is not None:
-        report.classification.update(stages(range(1, resume[0]), run_level, lambda v: False))
-    levels = stages(range(1, r_max + 1), run_level, lambda v: False, budget=budget, resume=resume)
-    report.classification.update(levels)
+    path = None if resume is None else resume[1]
+    v = is_ip_r_star(report.R, r_max, budget=budget, resume_path=path)
+    report.classification.update(v.levels(r_max))
     report.exceptional = tuple(u for u in report.elements if u not in report.R.members)
     if report.windowed:
         exc = set(report.exceptional)
         report.exceptional_density = folner_density(lambda u: u in exc, report.domain, density_N)
     return report
-
-
-@dataclass(frozen=True)
-class SyndeticityReport:
-    mode: str  # "exact" | "window-limited"
-    gap: int
-
-
-def syndeticity_check(report: RecurrenceReport) -> SyndeticityReport:
-    """Gap structure of R under the canonical enumeration.
-
-    Exact mode (full finite ambient): longest run of consecutive
-    non-members; 0 means every element is in R.  Window-limited mode:
-    largest index step between successive members (1 means the window is
-    full); degenerate when R has fewer than two members, reported as the
-    window length.
-    """
-    flags = [u in report.R.members for u in report.elements]
-    if report.R.exact:
-        worst = run = 0
-        for f in flags:
-            run = 0 if f else run + 1
-            worst = max(worst, run)
-        return SyndeticityReport("exact", worst)
-    idx = [i for i, f in enumerate(flags) if f]
-    if len(idx) < 2:
-        return SyndeticityReport("window-limited", len(flags))
-    gap = max(b - a for a, b in zip(idx, idx[1:]))
-    return SyndeticityReport("window-limited", gap)
 
 
 @dataclass(frozen=True)

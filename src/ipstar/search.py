@@ -25,8 +25,8 @@ when a cover is read: rendered as a certificate or replayed by
 list.
 
 ``stages`` is the one loop over ascending stages of a search: HJ word
-lengths m, finite-union sizes r, fk blocking-set sizes and classify's levels
-r all run on it, under one budget shared by every stage.
+lengths m, finite-union sizes r and fk blocking-set sizes all run on it,
+under one budget shared by every stage.
 
 Budgets count examined candidates: scan probes, or prefix-search nodes (one
 per ``extend`` call).  Exhausting a budget is a first-class outcome carrying
@@ -39,6 +39,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 
 DONE = "done"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -344,6 +345,7 @@ def check_cover_tree(M: int, k: int, leaves, edge_positions) -> bool:
     order, are exactly the pruned frontier of the canonical DFS, so no full
     coloring escapes.  Uses no search code.
     """
+    decode = cache(edge_positions)  # each distinct witness once
     state: list[int] = [1]
     for leaf in leaves:
         prefix = tuple(leaf.prefix)
@@ -352,7 +354,7 @@ def check_cover_tree(M: int, k: int, leaves, edge_positions) -> bool:
             if len(state) >= M:
                 return False
             state.append(1)
-        positions = edge_positions(leaf.witness)
+        positions = decode(leaf.witness)
         if positions is None or max(positions) >= len(prefix):
             return False
         if len({prefix[q] for q in positions}) != 1:

@@ -26,7 +26,8 @@ probs 1/2 1/2
 set B []:0
 """
 
-# classify levels r = 1..4 on it (phi=u^2, epsilon=1/100) take 1, 2, 23 and 23 nodes
+# classify to r_max = 4 on it (phi=u^2, epsilon=1/100) takes 23 nodes; the
+# first two reach levels 1 and 2
 F7_SYSTEM = """backend finite-perm
 p 7
 points 0 1 2 3 4 5 6
@@ -447,7 +448,7 @@ def _classify_argv(tmp_path, r_max):
 
 def test_classify_budget_checkpoint_resume(tmp_path, capsys):
     argv = _classify_argv(tmp_path, 3)
-    rc, out, _ = _run(capsys, argv + ["budget=2"])
+    rc, out, _ = _run(capsys, argv + ["budget=1"])
     assert rc == 2
     assert "r=1: fails witness=2" in out
     assert "r=2: budget exceeded after 1 candidates" in out
@@ -494,7 +495,8 @@ def test_classify_resume_never_moves_back_a_level(tmp_path, capsys):
     assert rc == 2 and "r=3: budget exceeded" in out
     ck = next(tmp_path.glob("checkpoint-*.txt"))
     assert "r 3" in ck.read_text().splitlines()
-    # r = 1 and 2 are replayed without charge, so the 5 nodes all go to r = 3
+    # the nodes before the path are replayed without charge, so the 5 nodes
+    # all go to r = 3
     rc, out, _ = _run(capsys, argv + ["budget=5", "--resume", str(ck)])
     assert rc == 2
     assert "r=1: fails witness=2" in out and "r=2: fails witness=2,2" in out

@@ -9,7 +9,8 @@ lexicographically, rebuild the tuple's finite sums from scratch, and let
 ``first_hit`` find the least hit.  Both must agree on the verdict and the witness.  A budget counts
 search nodes, so a scan split by a budget and resumed at its path must give
 the unsplit outcome, as must the coloring claim (fk-density's split is
-tested in ``test_fk_search.py``).
+tested in ``test_fk_search.py``).  One scan to level r decides every level
+d <= r on the way, so its levels are checked against the reference at each d.
 """
 
 from dataclasses import replace
@@ -124,6 +125,64 @@ def test_exact_scans_match_naive_oracle(inst):
     # all sums land in S exactly when they all avoid S's complement
     ok, first = oracles.naive_meets_every_ip_r(S.group, set(elems) - S.members, r, elems)
     assert contains_ip_r(S, r) == (None if ok else first)
+
+
+def _levels(v, r):
+    return {d: (u.kind, u.witness, u.window_limited) for d, u in v.levels(r).items()}
+
+
+@SETTINGS
+@given(instances())
+def test_one_scan_decides_every_level_below_it(inst):
+    # level d fails with the first tuple of length d the scan reached, and
+    # that witness is exact even in a window: its sums avoid S everywhere
+    S, r = inst
+    want = {}
+    for d in range(1, r + 1):
+        ref = reference_is_ip_r_star(S, d)
+        want[d] = ("fails", ref.value, False) if ref.found else ("holds", None, not S.exact)
+    v = is_ip_r_star(S, r)
+    assert _levels(v, r) == want
+    assert (v.kind, v.witness, v.window_limited) == want[r]
+
+
+@SETTINGS
+@given(instances(), st.data())
+def test_levels_of_a_split_scan_resume_to_the_unsplit_levels(inst, data):
+    S, r = inst
+    full = is_ip_r_star(S, r)
+    budget = data.draw(st.integers(0, max(full.candidates - 1, 0)), label="budget")
+    part = is_ip_r_star(S, r, budget=budget)
+    if part.kind != BUDGET_EXCEEDED:  # a scan of 0 nodes
+        assert part == full
+        return
+    levels, whole = _levels(part, r), _levels(full, r)
+    # the levels reached so far are final, the next one ran out of budget
+    top = max(levels)
+    assert levels[top][0] == BUDGET_EXCEEDED
+    assert {d: levels[d] for d in range(1, top)} == {d: whole[d] for d in range(1, top)}
+    rest = is_ip_r_star(S, r, resume_path=part.resume_path)
+    assert _levels(rest, r) == whole
+
+
+def _davenport(group):
+    """n(p - 1) for F_p^n: any n(p - 1) + 1 elements have a non-empty
+    zero-sum subset."""
+    if isinstance(group, VectorSpace):
+        return group.dim * (group.ring.p - 1)
+    return group.p - 1
+
+
+@SETTINGS
+@given(instances(EXACT))
+def test_scan_depth_is_at_most_the_davenport_bound(inst):
+    # with 0 in S, every FS(g_1..g_D) of D = n(p - 1) + 1 generators holds 0,
+    # so level D holds and the scan reaches depth n(p - 1) at most
+    S, _ = inst
+    S = ElementSet(S.group, S.members | {S.group.zero}, S.window)
+    bound = _davenport(S.group)
+    v = is_ip_r_star(S, bound + 1)
+    assert v.holds and len(v.prefixes) <= bound
 
 
 def _split_and_resume(search, data):

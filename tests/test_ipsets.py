@@ -369,7 +369,8 @@ def test_example_a_checks_catch_damage():
 
 def test_example_a_checks_node_count(monkeypatch):
     # cross_block_free scans nondecreasing 3-tuples: the first search, 225 of
-    # the 374 prefix-search nodes example_a(5) takes
+    # the 359 prefix-search nodes example_a(5) takes; fs_depth takes one scan
+    # per block
     nodes = []
 
     def counting(*args, **kwargs):
@@ -379,7 +380,7 @@ def test_example_a_checks_node_count(monkeypatch):
 
     monkeypatch.setattr(ipsets, "prefix_search", counting)
     assert all(example_a_checks(example_a(5)).values())
-    assert (nodes[0], sum(nodes)) == (225, 374)
+    assert (nodes[0], sum(nodes)) == (225, 359)
 
 
 def reference_example_a_checks(ex):

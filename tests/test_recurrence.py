@@ -22,17 +22,15 @@ from ipstar.algebra import (
 )
 from ipstar import ipsets as ipsets_module
 from ipstar import recurrence as recurrence_module
-from ipstar.ipsets import finite_sums
+from ipstar.ipsets import finite_sums, is_ip_r_star
 from ipstar.recurrence import (
     RecurrenceError,
-    SyndeticityReport,
     classify_ipstar,
     commuting_recurrence_search,
     fp_probe,
     isometric_recurrence_search,
     recurrence_set,
     reports_agree,
-    syndeticity_check,
     theorem1_pipeline,
     verify_gamma_distance,
 )
@@ -175,52 +173,92 @@ def test_classify_bernoulli_window_limited():
     assert rep.exceptional_density.values == (F(0),) * 6
 
 
-def _classify_square(p, **kw):
-    """Levels 1..4 of classify on the p-point cycle, B = {0, 1}, u^2, epsilon 1/100."""
+def test_classify_bernoulli_windowed_fails_are_exact():
+    # R misses only t in the window; its sums avoid R in the whole group, as
+    # R is exact on the window, so r = 1 fails exactly and only holds is
+    # window-limited
+    b = BernoulliSystem(2, [F(1, 2), F(1, 2)])
+    B = {(): {0}, (0, 1): {1}}
+    rep = classify_ipstar(recurrence_set(b, B, IDENT_P2, F(1, 100), DegreeWindow(3)), 3)
+    levels = rep.classification
+    assert (levels[1].kind, levels[1].witness, levels[1].window_limited) == (
+        "fails",
+        ((0, 1),),
+        False,
+    )
+    assert all(levels[r].holds and levels[r].window_limited for r in (2, 3))
+
+
+def _classify_square(p, r_max=4, B=(0, 1), **kw):
+    """Levels 1..r_max of classify on the p-point cycle, u^2, epsilon 1/100."""
     phi = power_map(PrimeField(p), 1, 2)
-    rep = recurrence_set(regular_system(p), {0, 1}, phi, F(1, 100), FullWindow())
-    return classify_ipstar(rep, 4, **kw).classification
+    rep = recurrence_set(regular_system(p), set(B), phi, F(1, 100), FullWindow())
+    return classify_ipstar(rep, r_max, **kw).classification
 
 
-@pytest.mark.parametrize("p, nodes", [(7, [1, 2, 23, 23]), (13, [1, 2, 3, 145])])
+@pytest.mark.parametrize("p, nodes", [(7, {23}), (13, {145})])
 def test_classify_node_counts(p, nodes):
-    # the scans run over nondecreasing tuples of R's complement, so any
-    # complement element is an r = 1 witness found at the first node
+    # one scan to level 4 decides every level, and each verdict carries its
+    # nodes (a scan per level would take 1+2+23+23 and 1+2+3+145)
     levels = _classify_square(p)
-    assert [levels[r].candidates for r in range(1, 5)] == nodes
+    assert {levels[r].candidates for r in range(1, 5)} == nodes
+
+
+def test_classify_f211_is_one_scan():
+    # a scan per level would take 2,707,277 nodes, as levels 7 and 8 would
+    # each exhaust this tree
+    levels = _classify_square(211, 8, range(211 // 3))
+    assert {v.candidates for v in levels.values()} == {1_041_361}
+    assert [v.kind for v in levels.values()] == ["fails"] * 6 + ["holds"] * 2
+    assert levels[6].witness == (43, 59, 64, 64, 64, 64)
 
 
 def test_classify_budget_partial():
-    # F_7 levels take 1 and 2 nodes, so level 3 starts with nothing left
+    # the first two nodes reach levels 1 and 2, so the budget runs out at 3
     levels = _classify_square(7, budget=3)
     assert [levels[r].kind for r in (1, 2)] == ["fails", "fails"]
-    assert (levels[3].kind, levels[3].candidates) == ("budget_exceeded", 0)
-    assert sum(v.candidates for v in levels.values()) == 3
+    assert (levels[3].kind, levels[3].candidates) == ("budget_exceeded", 3)
     assert 4 not in levels
 
 
 @pytest.mark.parametrize("budget", [1, 2, 5, 13, 50])
 def test_classify_split_by_budget_resumes_to_the_unsplit_verdicts(budget):
-    # levels r = 1..4 take 1, 2, 23 and 23 nodes
+    # the one scan takes 23 nodes
     whole = _classify_square(7)
     resume, charged = None, 0
     while True:
         part = _classify_square(7, budget=budget, resume=resume)
         assert sorted(part) == list(range(1, max(part) + 1))  # every level below is listed
-        start = 1 if resume is None else resume[0]
-        spent = sum(v.candidates for r, v in part.items() if r >= start)
-        charged += spent
         r, last = max(part.items())
+        charged += last.candidates
         if last.kind != "budget_exceeded":
             break
-        assert spent == budget  # the levels share one budget
-        assert r >= start  # a resume never moves back a level
+        assert last.candidates == budget
+        assert resume is None or r >= resume[0]  # a resume never moves back a level
         resume = (r, last.resume_path)
-    # replayed levels are not charged, so the split runs charge the unsplit nodes
-    assert charged == sum(v.candidates for v in whole.values())
+    # the replay before the path is not charged, so the split runs charge the unsplit nodes
+    assert charged == whole[4].candidates == 23
     assert {r: (v.kind, v.witness) for r, v in part.items()} == {
         r: (v.kind, v.witness) for r, v in whole.items()
     }
+
+
+@pytest.mark.parametrize("p", [7, 13, 61])
+def test_classify_resumes_checkpoints_of_per_level_scans(p):
+    # a checkpoint of the per-level classify held (r, the path where level
+    # r's own scan ran out); that scan is level r's prefix of the one scan,
+    # and stops before any node below depth r, so the one scan reaches it
+    B = range(p // 3)
+    verdicts = {d: (v.kind, v.witness) for d, v in _classify_square(p, 8, B).items()}
+    R = recurrence_set(
+        regular_system(p), set(B), power_map(PrimeField(p), 1, 2), F(1, 100), FullWindow()
+    ).R
+    for r in range(1, 9):
+        nodes = is_ip_r_star(R, r).candidates
+        for budget in sorted({1, nodes // 3, nodes // 2, nodes - 1} - {0}):
+            path = is_ip_r_star(R, r, budget=budget).resume_path
+            part = _classify_square(p, 8, B, resume=(r, path))
+            assert {d: (v.kind, v.witness) for d, v in part.items()} == verdicts
 
 
 @pytest.mark.parametrize("level", [0, 5])
@@ -327,27 +365,7 @@ def test_dilation_preserves_return_set_size():
 
 
 # ---------------------------------------------------------------------------
-# syndeticity and finite products
-
-
-def test_syndeticity_conventions():
-    s = regular_system(5)
-    full = recurrence_set(s, {0, 1}, SQUARE_5, F(1, 100), FullWindow())
-    assert syndeticity_check(full) == SyndeticityReport("exact", 0)
-    single = recurrence_set(s, {0}, SQUARE_5, F(1, 50), FullWindow())
-    assert syndeticity_check(single) == SyndeticityReport("exact", 4)
-    b = BernoulliSystem(2, [F(1, 2), F(1, 2)])
-    rep = recurrence_set(b, {(): {0}}, IDENT_P2, F(1, 10), DegreeWindow(3))
-    assert syndeticity_check(rep) == SyndeticityReport("window-limited", 1)
-    # a punched window: R = {0, 1, 1+t} misses t, successor step 2
-    tight = recurrence_set(
-        b, {(): {0}, (0, 1): {1}}, IDENT_P2, F(1, 100), DegreeWindow(2)
-    )
-    assert syndeticity_check(tight) == SyndeticityReport("window-limited", 2)
-    # degenerate: a single member reports the whole window length
-    lone = recurrence_set(b, {(): {0}, (1,): {1}}, IDENT_P2, F(1, 100), DegreeWindow(1))
-    assert lone.R.members == frozenset({()})
-    assert syndeticity_check(lone) == SyndeticityReport("window-limited", 2)
+# finite products
 
 
 def test_fp_probe_examples():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipstar import halesjewett
 from ipstar.halesjewett import hj_stage
 from ipstar.search import (
     ALL_OK,
@@ -105,6 +106,18 @@ def test_cover_tree_rejects_tampering():
     p[-1] = p[-1] % 3 + 1
     bad[2] = CoverLeaf(tuple(p), bad[2].witness)
     assert not check_cover_tree(4, 3, bad, pigeon_positions)
+
+
+def test_hj_cover_replay_decodes_each_line_once(monkeypatch):
+    # 4,944 leaves name 138 distinct lines; each is decoded once
+    cover = hj_stage(2, 5, 5).cover
+    calls = []
+    decode = halesjewett.is_line_point_tuple
+    monkeypatch.setattr(
+        halesjewett, "is_line_point_tuple", lambda *a: calls.append(a) or decode(*a)
+    )
+    assert halesjewett.hj_check_cover(2, 5, 5, cover)
+    assert (len(cover), len(calls), len(set(calls))) == (4944, 138, 138)
 
 
 def test_empty_cover_proves_nothing():
