@@ -26,7 +26,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .algebra import (
@@ -493,11 +493,12 @@ def _run_stages(cfg, resume_file, stage_range, run_stage):
     resume = None
     if resume_file is not None:
         resume = _load_checkpoint(resume_file, cfg, key, stage_range)
-        print(resumed.format(**{**cfg.values, key: resume[0]}))
     budget = _resolve_budget(cfg)
     done = stages(
         stage_range, run_stage, lambda out: out.kind == ALL_OK, budget=budget, resume=resume
     )
+    if resume is not None:  # printed once the search reached the checkpoint's path
+        print(resumed.format(**{**cfg.values, key: resume[0]}))
     for n, out in done:
         values = {**cfg.values, key: n}
         if out.kind == BUDGET_EXCEEDED:
@@ -593,7 +594,6 @@ def _run_classify(cfg, resume_file) -> int:
     resume = None
     if resume_file is not None:
         resume = _load_checkpoint(resume_file, cfg, "r", range(1, r_max + 1))
-        print(f"resumed at r={resume[0]}")
     rep = recurrence_set(sys_, B, phi, eps, window)
     rep = classify_ipstar(
         rep,
@@ -602,6 +602,8 @@ def _run_classify(cfg, resume_file) -> int:
         budget=_resolve_budget(cfg),
         resume=resume,
     )
+    if resume is not None:  # printed once classify_ipstar accepted the checkpoint
+        print(f"resumed at r={resume[0]}")
     _print_recurrence_summary(sys_, rep)
     stalled = None
     for r in sorted(rep.classification):
@@ -733,6 +735,7 @@ def _run_check(path: str) -> int:
     return 1
 
 
+@cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ipstar",

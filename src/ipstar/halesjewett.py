@@ -157,8 +157,8 @@ def hj_stage(
 ) -> ColoringOutcome:
     """Decide whether every t-coloring of the m-position word space over a
     k-letter alphabet contains a monochromatic line.  Colorings list the
-    colors of the words in canonical word order; cover witnesses are the
-    point indices of a line."""
+    colors of the words in canonical word order; a cover leaf lists its
+    reasons as lines, each named by its point indices."""
     if k < 1 or t < 1 or m < 1:
         raise ValueError("k, t, m must be >= 1")
     table = _lines_by_last_index(k, m)

@@ -151,9 +151,13 @@ def classify_ipstar(
     resumes that scan at the path; the scan replays the nodes before it
     without charge, so the report still lists the levels below r.
     """
-    if resume is not None and not 1 <= resume[0] <= r_max:
-        raise ValueError(f"resume level {resume[0]} outside 1..{r_max}")
-    path = None if resume is None else resume[1]
+    path = None
+    if resume is not None:
+        r, path = resume
+        if not 1 <= r <= r_max:
+            raise ValueError(f"resume level {r} outside 1..{r_max}")
+        if len(path or ()) > r:  # level r is the first one the search had not reached
+            raise ValueError(f"resume path {tuple(path)} is longer than its level r={r}")
     v = is_ip_r_star(report.R, r_max, budget=budget, resume_path=path)
     report.classification.update(v.levels(r_max))
     report.exceptional = tuple(u for u in report.elements if u not in report.R.members)

@@ -11,18 +11,19 @@ Two engines:
   verdicts, the fk blocking test, the block example), the fk-density search
   over x = 1..N, and ``universal_coloring_search``, which decides "every
   k-coloring of M positions makes a hyperedge monochromatic" from a table
-  of hyperedges: it either emits a pruning certificate (a cover tree) or
-  returns the least counterexample coloring in base-k order.
+  of hyperedges, with forced moves by unit propagation: it either emits a
+  pruning certificate (a cover tree whose leaves list the edges that refute
+  them) or returns the least counterexample coloring in base-k order.
 
 A cover is a ``LeafLog``: the witnessed cuts in DFS order, each stored as
 a delta against the one before it.  Leaf i's prefix is leaf i-1's prefix
 cut to ``keep`` choices, followed by a short tail; ``keep`` is the lowest
 depth the DFS backed up to between the two cuts, which the engine tracks as
 it backs up, so a leaf costs a few array entries and a reference to its
-witness, whatever its depth.  Whole prefixes are rebuilt, leaf by leaf, only
-when a cover is read: rendered as a certificate or replayed by
-``check_cover_tree``, the one place that knows which prefixes a cover must
-list.
+witness (for a coloring cover, the tuple of its reasons), whatever its
+depth.  Whole prefixes are rebuilt, leaf by leaf, only when a cover is
+read: rendered as a certificate or replayed by ``check_cover_tree``, the
+one place that knows which prefixes a cover must list.
 
 ``stages`` is the one loop over ascending stages of a search: HJ word
 lengths m, finite-union sizes r and fk blocking-set sizes all run on it,
@@ -109,8 +110,9 @@ CUT = Cut()
 
 @dataclass(frozen=True, slots=True)
 class CoverLeaf:
-    """One pruned DFS branch: the prefix assignment and the target it forced.
-    A ``LeafLog`` stores none; it builds one per leaf as it is read."""
+    """One pruned DFS branch: the prefix assignment and what its cut named;
+    in a coloring cover, the tuple of edges that refutes the prefix.  A
+    ``LeafLog`` stores none; it builds one per leaf as it is read."""
 
     prefix: tuple[int, ...]
     witness: object
@@ -298,36 +300,124 @@ def universal_coloring_search(
     """Decide whether every k-coloring of the M = len(edges_by_last)
     positions makes some hyperedge monochromatic.
 
-    A ``prefix_search`` over the colors of positions 0..M-1.  A branch is
-    cut the moment the color just assigned completes a monochromatic
-    hyperedge, so only the edges listed under that position are looked at.
+    A ``prefix_search`` over the colors of positions 0..M-1, with forward
+    checking and unit propagation (Davis, Logemann and Loveland, 1962).
+    Every position keeps a domain, the colors still open to it.  When the
+    colored positions of an edge share color c and exactly one position q
+    is free, q loses c; a position left with one color is forced to it,
+    which propagates further.  A position left with no color, or an edge
+    made monochromatic, is a conflict.  A child is cut when its color has
+    left the position's domain, or when coloring it propagates to a
+    conflict; propagation removes only colorings that make an edge
+    monochromatic, so the tree keeps its shape and every canonical child is
+    still one node.
 
     Color c is only tried at a position if colors 1..c-1 already appear
-    earlier; the claim is color-permutation invariant, so it transfers to
-    all colorings.  For k = 2 the counterexample returned is the least
-    avoiding coloring in base-k order (any avoider can be relabeled to start
-    with color 1).
+    earlier in the prefix; the claim is color-permutation invariant, so it
+    transfers to all colorings.  The counterexample returned is the least
+    avoiding coloring in this canonical base-k order (any avoider can be
+    relabeled to start with color 1).
 
-    All-ok claims come with a cover tree: the pruned prefixes in DFS order,
-    each with the witness of the first edge, in table order, it made
-    monochromatic.  ``check_cover_tree`` replays them using only
-    verification logic.
+    All-ok claims come with a cover tree: the cut prefixes in DFS order,
+    each with its reasons, the edges whose unit propagation from that prefix
+    reaches the conflict, in the order they fired, the conflict edge last.
+    ``check_cover_tree`` replays them using only verification logic.
     """
     M = len(edges_by_last)
     if M < 1 or k < 1:
         raise ValueError("need M >= 1 positions and k >= 1 colors")
+    witnesses, cells = [], []
+    on = [[] for _ in range(M)]  # on[q]: the edges through position q
+    for edges in edges_by_last:
+        for witness, positions in edges:
+            for q in positions:
+                on[q].append(len(cells))
+            witnesses.append(witness)
+            cells.append(positions)
+    color = [0] * M  # 0 while free
+    domain = [(1 << k) - 1] * M  # bit c - 1 set while color c is open
+    removal = [0] * (M * k)  # removal[q * k + c - 1]: the event that took c from q
+    events: list[tuple[int, int, int]] = []  # (edge, position, color), in firing order
+    colored: list[int] = []  # positions colored by a choice or forced, in order
 
-    def span(top, depth):
-        # the state is the largest color used so far
-        return 1, min(k, top + 1) + 1
+    # The search state of a prefix is (largest color in it, len(events),
+    # len(colored)) after its propagation.  prefix_search calls ``extend``
+    # in DFS order, so undoing the two trails to the parent's lengths
+    # restores the parent's domains and colors.
+    def span(state, depth):
+        return 1, min(k, state[0] + 1) + 1
 
-    def extend(top, depth, c, colors):
-        for witness, positions in edges_by_last[depth]:
-            if all(colors[q] == c for q in positions):
-                return Cut(witness)
-        return c if c > top else top
+    def extend(state, depth, c, path):
+        top, n_events, n_colored = state
+        while len(events) > n_events:
+            _e, q, b = events.pop()
+            domain[q] |= 1 << (b - 1)
+        while len(colored) > n_colored:
+            color[colored.pop()] = 0
+        top = c if c > top else top
+        if not domain[depth] >> (c - 1) & 1:  # ruled out by an earlier edge
+            e = events[removal[depth * k + c - 1]][0]
+            return Cut(_reasons(depth, cells[e], e))
+        if color[depth]:  # forced to c already
+            return top, n_events, n_colored
+        color[depth] = c
+        colored.append(depth)
+        i = n_colored
+        while i < len(colored):  # grows as positions are forced
+            x = colored[i]
+            i += 1
+            b = color[x]
+            bit = 1 << (b - 1)
+            for e in on[x]:
+                free = -1
+                for q in cells[e]:
+                    if not color[q]:
+                        if free >= 0:
+                            break
+                        free = q
+                    elif color[q] != b:
+                        break
+                else:
+                    if free < 0:  # monochromatic
+                        return Cut(_reasons(depth, cells[e], e))
+                    left = domain[free]
+                    if left & bit:
+                        left ^= bit
+                        domain[free] = left
+                        removal[free * k + b - 1] = len(events)
+                        events.append((e, free, b))
+                        if not left:  # emptied: the edge of its last removal ends the list
+                            return Cut(_reasons(depth, (free,)))
+                        if not left & (left - 1):  # one color left: forced
+                            color[free] = left.bit_length()
+                            colored.append(free)
+        return top, len(events), len(colored)
 
-    out = prefix_search(0, M, span, extend, budget=budget, resume_path=resume_path)
+    def _reasons(depth, conflict_cells, last=None):
+        """The reasons of a conflict under the prefix path[:depth + 1]: the
+        edges of the events that took colors from the positions past the
+        prefix among ``conflict_cells``, each after the events it needs, in
+        firing order, then the edge ``last``.  Positions in the prefix are
+        colored by the prefix itself."""
+        todo = [j for y in conflict_cells if y > depth for j in _forcing(y)]
+        need = set()
+        while todo:
+            i = todo.pop()
+            if i not in need:
+                need.add(i)
+                e, q, _b = events[i]
+                todo.extend(j for y in cells[e] if y > depth and y != q for j in _forcing(y))
+        order = [events[i][0] for i in sorted(need)]
+        if last is not None:
+            order.append(last)
+        return tuple(witnesses[e] for e in order)
+
+    def _forcing(y):
+        # the events that took every color but its own from position y
+        # (forced, or emptied and colorless)
+        return [removal[y * k + b - 1] for b in range(1, k + 1) if b != color[y]]
+
+    out = prefix_search((0, 0, 0), M, span, extend, budget=budget, resume_path=resume_path)
     if out.status == BUDGET_EXCEEDED:
         return ColoringOutcome(BUDGET_EXCEEDED, None, None, out.candidates, out.resume_path)
     if out.path is not None:
@@ -338,12 +428,11 @@ def universal_coloring_search(
 def check_cover_tree(M: int, k: int, leaves, edge_positions) -> bool:
     """Replay a cover tree and confirm it proves the all-colorings claim.
 
-    Checks (a) every leaf's witness names a hyperedge that its prefix colors
-    in one color, where the caller's verification-only
-    ``edge_positions(witness)`` decodes the witness into the positions of
-    that hyperedge, or None when it names none, and (b) the leaves, in
-    order, are exactly the pruned frontier of the canonical DFS, so no full
-    coloring escapes.  Uses no search code.
+    Checks (a) every leaf's reasons refute its prefix, where the caller's
+    verification-only ``edge_positions(witness)`` decodes each reason into
+    the positions of its hyperedge, or None when it names none, and (b) the
+    leaves, in order, are exactly the pruned frontier of the canonical DFS,
+    so no full coloring escapes.  Uses no search code.
     """
     decode = cache(edge_positions)  # each distinct witness once
     state: list[int] = [1]
@@ -354,10 +443,7 @@ def check_cover_tree(M: int, k: int, leaves, edge_positions) -> bool:
             if len(state) >= M:
                 return False
             state.append(1)
-        positions = decode(leaf.witness)
-        if positions is None or max(positions) >= len(prefix):
-            return False
-        if len({prefix[q] for q in positions}) != 1:
+        if not _refutes(M, k, prefix, leaf.witness, decode):
             return False
         while state:
             last = state.pop()
@@ -365,6 +451,37 @@ def check_cover_tree(M: int, k: int, leaves, edge_positions) -> bool:
                 state.append(last + 1)
                 break
     return not state
+
+
+def _refutes(M: int, k: int, prefix, reasons, decode) -> bool:
+    """Replay the reasons of one leaf from its prefix coloring: each edge
+    has its colored positions in one color and at most one free position,
+    which loses that color and takes the one color left when only one is
+    left.  Only the last edge, and it must, ends in a conflict: the edge
+    is monochromatic or its free position has no color left."""
+    colors = dict(enumerate(prefix))
+    left: dict[int, set] = {}  # the colors open to each free position an edge reached
+    for i, witness in enumerate(reasons, 1):
+        positions = decode(witness)
+        if positions is None or any(not 0 <= q < M for q in positions):
+            return False
+        free = {q for q in positions if q not in colors}
+        shades = {colors[q] for q in positions if q in colors}
+        if len(shades) != 1 or len(free) > 1:
+            return False
+        if free:
+            (q,) = free
+            (c,) = shades
+            open_ = left.setdefault(q, set(range(1, k + 1)))
+            if c not in open_:
+                return False
+            open_.discard(c)
+            if len(open_) == 1:
+                colors[q] = min(open_)
+            if open_:
+                continue
+        return i == len(reasons)  # a conflict, which only the last edge may reach
+    return False
 
 
 def avoids_every_edge(coloring, k: int, edges_by_last) -> bool:

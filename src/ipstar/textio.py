@@ -28,6 +28,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 
 from .algebra import (
     Integers,
@@ -617,13 +618,10 @@ def render_certificate(cert: Certificate) -> str:
     out.extend(f"{name} {value}" for name, value in cert.params)
     if cert.coloring is not None:
         out.append("coloring " + render_word(cert.coloring, n_colors))
+    edge_text = cache(partial(_witness_to_text, cert.kind))  # leaves share their edges
     for leaf in cert.leaves or ():
-        out.append(
-            "leaf "
-            + render_word(leaf.prefix, n_colors)
-            + " "
-            + _witness_to_text(cert.kind, leaf.witness)
-        )
+        reasons = " ".join(map(edge_text, leaf.witness))
+        out.append(f"leaf {render_word(leaf.prefix, n_colors)} {reasons}")
     return "\n".join(out) + "\n"
 
 
@@ -632,7 +630,7 @@ def parse_certificate(text: str) -> Certificate:
     params = {}
     coloring = None
     leaves = LeafLog()
-    witnesses = {}  # witness text -> its one parsed object
+    parsed = {}  # reasons text -> its one parsed tuple of edges
     for no, line in _content_lines(text):
         key, _, rest = line.partition(" ")
         rest = rest.strip()
@@ -651,13 +649,14 @@ def parse_certificate(text: str) -> Certificate:
         elif key == "coloring":
             coloring = parse_word(rest)
         elif key == "leaf":
-            prefix_text, _, witness_text = rest.partition(" ")
-            if not witness_text:
+            prefix_text, _, reasons_text = rest.partition(" ")
+            if not reasons_text:
                 raise TextFormatError(f"line {no}: leaf needs a prefix and a witness")
-            witness = witnesses.get(witness_text)
-            if witness is None:
-                witness = witnesses[witness_text] = _witness_from_text(kind, witness_text)
-            leaves.append(CoverLeaf(parse_word(prefix_text), witness))
+            reasons = parsed.get(reasons_text)
+            if reasons is None:
+                reasons = tuple(_witness_from_text(kind, t) for t in reasons_text.split())
+                parsed[reasons_text] = reasons
+            leaves.append(CoverLeaf(parse_word(prefix_text), reasons))
         else:
             raise TextFormatError(f"line {no}: unknown key {key!r}")
     if kind is None:

@@ -7,6 +7,14 @@ no sharing with the library code paths being checked.  Slow is fine.
 from fractions import Fraction
 from itertools import combinations, product
 
+from ipstar.search import (
+    ALL_OK,
+    COUNTEREXAMPLE,
+    ColoringOutcome,
+    Cut,
+    prefix_search,
+)
+
 
 def naive_subset_sums(group, gens):
     """All sums over the nonempty subsets of an indexed generator list.
@@ -162,3 +170,26 @@ def naive_fk_min_density(r, N):
         if naive_fk_blocks(r, N, A) and (best is None or len(A) < best):
             best = len(A)
     return Fraction(best, N)
+
+
+def plain_coloring_search(k, edges_by_last):
+    """The coloring search without propagation: positions in index order,
+    colors ascending with canonical first use, a branch cut only when the
+    color just placed makes an edge listed under that position
+    monochromatic.  Each cover leaf names that one edge, as a one-reason
+    tuple.  Returns a ``search.ColoringOutcome``."""
+
+    def span(top, depth):
+        # the state is the largest color used so far
+        return 1, min(k, top + 1) + 1
+
+    def extend(top, depth, c, colors):
+        for witness, positions in edges_by_last[depth]:
+            if all(colors[q] == c for q in positions):
+                return Cut((witness,))
+        return c if c > top else top
+
+    out = prefix_search(0, len(edges_by_last), span, extend)
+    if out.path is not None:
+        return ColoringOutcome(COUNTEREXAMPLE, out.path, None, out.candidates)
+    return ColoringOutcome(ALL_OK, None, out.leaves, out.candidates)

@@ -167,8 +167,8 @@ def test_hj_budget_checkpoint_resume_cycle(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, budget, cert",
     [
-        (["hj", "k=2", "t=5", "m_max=5"], 3000, "hj-k2-t5-m5-cover.txt"),
-        (["fu-ramsey", "r=7", "s=2", "k=2"], 1000, "fu-r7-s2-k2-cover.txt"),
+        (["hj", "k=2", "t=5", "m_max=5"], 100, "hj-k2-t5-m5-cover.txt"),
+        (["fu-ramsey", "r=7", "s=2", "k=2"], 100, "fu-r7-s2-k2-cover.txt"),
     ],
 )
 def test_resumed_cover_certificate_matches_unsplit_run(tmp_path, capsys, argv, budget, cert):
@@ -180,6 +180,18 @@ def test_resumed_cover_certificate_matches_unsplit_run(tmp_path, capsys, argv, b
     assert (split / cert).read_bytes() == (full / cert).read_bytes()
     rc, out, _ = _run(capsys, ["--check", str(split / cert)])
     assert rc == 0 and "certificate valid" in out
+
+
+def test_hj_refuses_a_checkpoint_path_its_search_never_reaches(tmp_path, capsys):
+    # (1, 1, 1) lies below (1,), which m=2 cuts: colouring word 0 forces
+    # the other three words into a monochromatic line
+    argv = ["hj", "k=2", "t=2", "m_max=2", f"output={tmp_path}"]
+    assert _run(capsys, argv + ["budget=3"])[0] == 2
+    ck = next(tmp_path.glob("checkpoint-*.txt"))
+    lines = [ln for ln in ck.read_text().splitlines() if not ln.startswith("path ")]
+    ck.write_text("\n".join([*lines, "path 1,1,1"]) + "\n")
+    rc, out, err = _run(capsys, argv + ["--resume", str(ck)])
+    assert rc == 1 and "is never reached by this search" in err and "resumed" not in out
 
 
 def test_budget_spent_at_a_stage_boundary(tmp_path, capsys):
@@ -471,6 +483,7 @@ def test_classify_resume_refuses_a_checkpoint_it_cannot_continue(tmp_path, capsy
         (["path 1"], "not an integer"),  # no level line
         (["index 3", "r 1"], "has no 'path' line"),  # a scan index, not a path
         (["r 1"], "has no 'path' line"),
+        (["path 0,0,0", "r 1"], "path (0, 0, 0) is longer than its level r=1"),
     ]:
         ck.write_text("\n".join([*head, "candidates 3", *lines]) + "\n")
         rc, out, err = _run(capsys, argv + ["--resume", str(ck)])

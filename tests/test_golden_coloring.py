@@ -9,7 +9,10 @@ replayed with ``--check``.  The pins were captured from the code before the
 two claims shared one search, one stage loop and one certificate path; any
 change to them has to be a deliberate format change.  The `fk-density` pins
 were captured from the (size, subset) brute force that the pruned search
-replaced.
+replaced.  The cover pins, the checkpoints and the split budgets were
+re-captured when the search started propagating forced colors and each
+cover leaf started listing its reasons; counterexamples and ``--check``
+output kept their pins.
 """
 
 import contextlib
@@ -33,11 +36,11 @@ INSTANCES = {
     "fu-r5-s3-k2": [["fu-ramsey", "r=5", "s=3", "k=2"]],
     # budget splits, then a resume without the budget
     "hj-k4-t2-split": [
-        ["hj", "k=4", "t=2", "m_max=3", "budget=5000"],
+        ["hj", "k=4", "t=2", "m_max=3", "budget=60"],
         ["hj", "--resume", "{ckpt}", "k=4", "t=2", "m_max=3"],
     ],
     "fu-r7-s2-k2-split": [
-        ["fu-ramsey", "r=7", "s=2", "k=2", "budget=1000"],
+        ["fu-ramsey", "r=7", "s=2", "k=2", "budget=100"],
         ["fu-ramsey", "--resume", "{ckpt}", "r=7", "s=2", "k=2"],
     ],
     # the four fk-density runs of the benchmark's coloring workload, and two small ones
@@ -113,17 +116,17 @@ GOLDEN = {
  'fu-r7-s2-k2': ([(0,
                    'fu r=7 s=2 k=2: every coloring contains a monochromatic family -> '
                    'out/fu-r7-s2-k2-cover.txt\n',
-                   {'fu-r7-s2-k2-cover.txt': '2880561b67890f5c84bd5dde73b476127f18e5ca87060b8446702d77df086646'})],
+                   {'fu-r7-s2-k2-cover.txt': 'ca765fa653ee1a327a36c2387547beb1125beb8da34f75c4237da8382c2837a2'})],
                  [(0, 'certificate valid: fu-cover r=7 s=2 k=2\n')]),
  'fu-r7-s2-k2-split': ([(2,
-                         'fu r=7 s=2 k=2: budget exceeded after 1000 candidates\n'
+                         'fu r=7 s=2 k=2: budget exceeded after 100 candidates\n'
                          'checkpoint -> out/checkpoint-351420c92656.txt\n',
-                         {'checkpoint-351420c92656.txt': 'e021340c177de344feb3fabd8d904741e02dc5f1d2b05a8c1c4024db694452cf'}),
+                         {'checkpoint-351420c92656.txt': 'bccc403e6fe7a9aa9d3010ab8037527e200b46da478fac3c2bdce69789316981'}),
                         (0,
                          'resumed at r=7\n'
                          'fu r=7 s=2 k=2: every coloring contains a monochromatic family -> '
                          'out/fu-r7-s2-k2-cover.txt\n',
-                         {'fu-r7-s2-k2-cover.txt': '2880561b67890f5c84bd5dde73b476127f18e5ca87060b8446702d77df086646'})],
+                         {'fu-r7-s2-k2-cover.txt': 'ca765fa653ee1a327a36c2387547beb1125beb8da34f75c4237da8382c2837a2'})],
                        [(0, 'certificate valid: fu-cover r=7 s=2 k=2\n')]),
  'fu-upto6-s2-k2': ([(0,
                       'fu r=1 s=2 k=2: counterexample -> out/fu-r1-s2-k2-counterexample.txt\n'
@@ -137,7 +140,7 @@ GOLDEN = {
                        'fu-r2-s2-k2-counterexample.txt': 'be96bb0e7441ee353d5fa6c115776fc2693d61ef4ec09c5cd2f6e901cf4ba7a8',
                        'fu-r3-s2-k2-counterexample.txt': '2c67e8cc334144b7232e153568b8bece557d7e5cb23f0a1971b27cbaabc998d8',
                        'fu-r4-s2-k2-counterexample.txt': '9f35e7faef22ddd01fe183834427f4653d1816f3dea8089abc92161cf477246c',
-                       'fu-r5-s2-k2-cover.txt': '3e1ac05465824f22805981df3499fc6c9e5c068e7fce6db4fcfdcf0df112c789'})],
+                       'fu-r5-s2-k2-cover.txt': 'f70e9ca50cb16d5077307ae7435426cf1b8721a3174a437137ee4629f71ac22f'})],
                     [(0, 'certificate valid: fu-counterexample r=1 s=2 k=2\n'),
                      (0, 'certificate valid: fu-counterexample r=2 s=2 k=2\n'),
                      (0, 'certificate valid: fu-counterexample r=3 s=2 k=2\n'),
@@ -152,7 +155,7 @@ GOLDEN = {
                 {'hj-k2-t4-m1-counterexample.txt': 'a69ee667d7b992c5d25c13b292ebf85492b5e7efd4d87c9feb38fb060469750f',
                  'hj-k2-t4-m2-counterexample.txt': 'a8ecfbb75532db8733792ee7fb3d0aa0d13d7691c8876aa8066b22fb9adc3c49',
                  'hj-k2-t4-m3-counterexample.txt': '5d52e00577c3e0021571305dfa88cbce54374d57fea16e7a0d5eab219605bdef',
-                 'hj-k2-t4-m4-cover.txt': '3473a15b156b34addf61f89b718ec4701de225f609931615adf29a6a0ef7bc68'})],
+                 'hj-k2-t4-m4-cover.txt': '555ae0ea2b4d91810571cf5dc07899950ee244b488160846bcd5b626440d8c86'})],
               [(0, 'certificate valid: hj-counterexample k=2 t=4 m=1\n'),
                (0, 'certificate valid: hj-counterexample k=2 t=4 m=2\n'),
                (0, 'certificate valid: hj-counterexample k=2 t=4 m=3\n'),
@@ -168,7 +171,7 @@ GOLDEN = {
                  'hj-k2-t5-m2-counterexample.txt': '6465519953771210f4c5182f2b9066ff23a631c94270607f08a4826538d584dc',
                  'hj-k2-t5-m3-counterexample.txt': '68d980586a04060573b1ed49269d5a315918b393e6bed98310e61d22b378ac74',
                  'hj-k2-t5-m4-counterexample.txt': '3166d0b552619020f7e514f2fee419abcaadd010ae037f7e0bb5ebd2fa105e16',
-                 'hj-k2-t5-m5-cover.txt': '967af3484bff91a984cecfdb26e9a2989ade0c1d5bfe8d38fd0ab5a0b29ba588'})],
+                 'hj-k2-t5-m5-cover.txt': '7567ed109b3bccb7cad7975afa1a4e058b49e38fbcb21505a6f5f9cf4dfbd325'})],
               [(0, 'certificate valid: hj-counterexample k=2 t=5 m=1\n'),
                (0, 'certificate valid: hj-counterexample k=2 t=5 m=2\n'),
                (0, 'certificate valid: hj-counterexample k=2 t=5 m=3\n'),
@@ -199,9 +202,9 @@ GOLDEN = {
  'hj-k4-t2-split': ([(2,
                       'stage m=1: counterexample -> out/hj-k4-t2-m1-counterexample.txt\n'
                       'stage m=2: counterexample -> out/hj-k4-t2-m2-counterexample.txt\n'
-                      'stage m=3: budget exceeded after 4964 candidates\n'
+                      'stage m=3: budget exceeded after 34 candidates\n'
                       'checkpoint -> out/checkpoint-357ba595ca94.txt\n',
-                      {'checkpoint-357ba595ca94.txt': '37c6d571d5f66d11ba86fa31ae2ae902900074e687f6e57793e1e5c0ae0a0d68',
+                      {'checkpoint-357ba595ca94.txt': '3fc55ab3a6fa31e3e59e7e4d8f3fe4c8f29aed0a2a4bc25284fe1b1661c28640',
                        'hj-k4-t2-m1-counterexample.txt': '2110c9ee5abbf586d9d5ee8e042ff4fb8570cf436e7656f651e2c4f6973c0e4c',
                        'hj-k4-t2-m2-counterexample.txt': 'df558a6c6417177052eeb712fc32350da6451cb4468a92e91cbe413625f10595'}),
                      (0,

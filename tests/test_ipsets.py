@@ -283,7 +283,7 @@ def test_fu_counterexamples_validate_against_oracle():
 
 
 def test_fu_budget_and_resume():
-    part = fu_ramsey_check(5, 2, 2, budget=500)
+    part = fu_ramsey_check(5, 2, 2, budget=100)
     assert part.kind == "budget_exceeded" and part.resume_path
     rest = fu_ramsey_check(5, 2, 2, resume_path=part.resume_path)
     assert rest.kind == "all-colorings-ok"
@@ -293,7 +293,7 @@ def test_fu_cover_leaves_need_s_blocks():
     # one block is trivially monochromatic, so a 1-block witness at the first
     # position would "prove" a claim that has a counterexample
     assert fu_ramsey_check(6, 3, 2).kind == "counterexample"
-    forged = [CoverLeaf((1,), (frozenset({1}),))]
+    forged = [CoverLeaf((1,), ((frozenset({1}),),))]
     assert not fu_check_cover(6, 3, 2, forged)
     assert fu_check_cover(6, 1, 2, forged)  # for s = 1 it is the true cover
 

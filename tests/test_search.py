@@ -1,9 +1,11 @@
 import gc
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import plain_coloring_search
 
 from ipstar import halesjewett
 from ipstar.halesjewett import hj_stage
@@ -98,18 +100,59 @@ def test_cover_tree_rejects_tampering():
     assert not check_cover_tree(4, 3, leaves[:-1], pigeon_positions)
     # corrupt one witness
     bad = leaves.copy()
-    bad[0] = CoverLeaf(bad[0].prefix, (0, 0))
+    bad[0] = CoverLeaf(bad[0].prefix, ((0, 0),))
     assert not check_cover_tree(4, 3, bad, pigeon_positions)
     # corrupt one prefix digit
     bad = leaves.copy()
-    p = list(bad[2].prefix)
+    p = list(bad[1].prefix)
     p[-1] = p[-1] % 3 + 1
-    bad[2] = CoverLeaf(tuple(p), bad[2].witness)
+    bad[1] = CoverLeaf(tuple(p), bad[1].witness)
     assert not check_cover_tree(4, 3, bad, pigeon_positions)
 
 
+def test_a_leaf_lists_the_edges_its_propagation_fired():
+    # under (1, 2) positions 2 and 3 lose colors 1 and 2, are forced to 3,
+    # and the edge between them is monochromatic
+    out = universal_coloring_search(3, pigeon_edges(4))
+    assert list(out.cover) == [
+        CoverLeaf((1, 1), ((0, 1),)),
+        CoverLeaf((1, 2), ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+    ]
+
+
+def triple_edges(M):
+    return [[((a, b, p),) * 2 for a, b in combinations(range(p), 2)] for p in range(M)]
+
+
+def triple_positions(witness):
+    # no bound on the positions: check_cover_tree refuses those past M itself
+    return witness if len(witness) == 3 and 0 <= witness[0] < witness[1] < witness[2] else None
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda r: r[1:],  # a dropped reason: position 2 is never forced
+        lambda r: (r[-1], *r[1:-1], r[0]),  # the first and last swapped
+        lambda r: (*r, (0, 1, 2)),  # an edge after the conflict
+        lambda r: (r[0], (1, 2, 3), *r[1:]),  # colored cells that disagree: 1 and 2
+        lambda r: ((0, 2, 3), *r),  # two free cells
+        lambda r: r[:-1],  # no conflict at the end
+        lambda r: ((0, 1, 5), *r),  # a position past M = 5
+    ],
+)
+def test_cover_tree_rejects_tampered_reasons(tamper):
+    # every 2-coloring of 5 positions has a monochromatic triple; under the
+    # prefix (1, 1) positions 2, 3, 4 are forced to 2
+    leaves = list(universal_coloring_search(2, triple_edges(5)).cover)
+    assert check_cover_tree(5, 2, leaves, triple_positions)
+    assert leaves[0] == CoverLeaf((1, 1), ((0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 4)))
+    bad = [CoverLeaf((1, 1), tamper(leaves[0].witness)), *leaves[1:]]
+    assert not check_cover_tree(5, 2, bad, triple_positions)
+
+
 def test_hj_cover_replay_decodes_each_line_once(monkeypatch):
-    # 4,944 leaves name 138 distinct lines; each is decoded once
+    # 24 leaves name 72 lines, 31 of them distinct; each is decoded once
     cover = hj_stage(2, 5, 5).cover
     calls = []
     decode = halesjewett.is_line_point_tuple
@@ -117,7 +160,7 @@ def test_hj_cover_replay_decodes_each_line_once(monkeypatch):
         halesjewett, "is_line_point_tuple", lambda *a: calls.append(a) or decode(*a)
     )
     assert halesjewett.hj_check_cover(2, 5, 5, cover)
-    assert (len(cover), len(calls), len(set(calls))) == (4944, 138, 138)
+    assert (len(cover), len(calls), len(set(calls))) == (24, 31, 31)
 
 
 def test_empty_cover_proves_nothing():
@@ -168,6 +211,53 @@ def test_canonical_counts_against_plain():
         b = plain(k, pigeon_edges(M))
         assert (a.kind == ALL_OK) == (b.path is None)
         assert a.candidates <= b.candidates
+
+
+# ---------------------------------------------------------------------------
+# the propagating search against the plain one
+
+
+@st.composite
+def hyperedge_tables(draw):
+    """(k, table, decode): k of 1-3 colors, up to 12 positions, random
+    edges of 2-4 positions and every pair of a random set of up to k + 1
+    positions (all k+1 of them leave no coloring free of a monochromatic
+    pair), each edge listed under its last position and named by its sorted
+    positions; ``decode`` knows exactly these edges."""
+    k = draw(st.integers(1, 3))
+    M = draw(st.integers(1, 12))
+    positions = st.integers(0, M - 1)
+    cells = st.sets(positions, min_size=min(2, M), max_size=min(4, M))
+    edges = {tuple(sorted(e)) for e in draw(st.lists(cells, max_size=3 * M))}
+    clique = sorted(draw(st.sets(positions, max_size=k + 1)))
+    edges.update((a, b) for i, a in enumerate(clique) for b in clique[i + 1 :])
+    table = [[] for _ in range(M)]
+    for e in sorted(edges):
+        table[e[-1]].append((e, e))
+    return k, table, lambda w: w if w in edges else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(hyperedge_tables())
+def test_propagation_agrees_with_the_plain_search(problem):
+    k, table, decode = problem
+    M = len(table)
+    out = universal_coloring_search(k, table)
+    plain = plain_coloring_search(k, table)
+    assert (out.kind, out.coloring) == (plain.kind, plain.coloring)
+    assert out.candidates <= plain.candidates
+    if out.kind == ALL_OK:
+        assert check_cover_tree(M, k, out.cover, decode)
+        assert check_cover_tree(M, k, plain.cover, decode)  # one-edge leaves
+    else:
+        assert avoids_every_edge(out.coloring, k, table)
+    # a split at every node count resumes to the unsplit outcome
+    for budget in range(out.candidates):
+        part = universal_coloring_search(k, table, budget=budget)
+        assert (part.kind, part.candidates) == (BUDGET_EXCEEDED, budget)
+        rest = universal_coloring_search(k, table, resume_path=part.resume_path)
+        assert (rest.kind, rest.coloring, rest.cover) == (out.kind, out.coloring, out.cover)
+        assert part.candidates + rest.candidates == out.candidates
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +361,16 @@ def test_avoids_every_edge_wants_a_full_coloring_in_range():
 
 
 def test_cover_tree_checks_each_leaf_edge():
-    out = universal_coloring_search(2, pigeon_edges(3))
+    # one-edge leaves, as the search without propagation writes them
+    out = plain_coloring_search(2, pigeon_edges(3))
     assert out.kind == ALL_OK
     assert check_cover_tree(3, 2, out.cover, pigeon_positions)
     assert not check_cover_tree(3, 2, out.cover, lambda w: None)  # names no edge
     # position 2 lies past the first leaf's prefix
-    bad = [CoverLeaf(out.cover[0].prefix, (0, 2)), *out.cover[1:]]
+    bad = [CoverLeaf(out.cover[0].prefix, ((0, 2),)), *out.cover[1:]]
     assert not check_cover_tree(3, 2, bad, pigeon_positions)
     # (0, 1) is not monochromatic under the second leaf's prefix (1, 2, 1)
-    bad = [out.cover[0], CoverLeaf(out.cover[1].prefix, (0, 1)), *out.cover[2:]]
+    bad = [out.cover[0], CoverLeaf(out.cover[1].prefix, ((0, 1),)), *out.cover[2:]]
     assert not check_cover_tree(3, 2, bad, pigeon_positions)
 
 
@@ -373,7 +464,7 @@ def _traced(call):
 
 
 def test_a_counterexample_stage_stays_small_while_it_searches():
-    # stage m=3 of hj k=4 t=2 cuts 13,123 witnessed prefixes of up to 64 colours
+    # stage m=3 of hj k=4 t=2 colours up to 64 positions, forcing most of them
     out, _held, peak = _traced(lambda: hj_stage(4, 2, 3))
     assert out.kind == COUNTEREXAMPLE
     assert peak < 1 << 20
@@ -381,5 +472,5 @@ def test_a_counterexample_stage_stays_small_while_it_searches():
 
 def test_a_cover_is_held_in_a_few_bytes_a_leaf():
     out, held, _peak = _traced(lambda: hj_stage(2, 5, 5))
-    assert out.kind == ALL_OK and len(out.cover) == 4944
+    assert out.kind == ALL_OK and len(out.cover) == 24
     assert held < 200 << 10

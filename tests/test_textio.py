@@ -1,9 +1,15 @@
 """Canonical renderings, description files, certificates, reports."""
 
+import contextlib
+import hashlib
+import io
 import random
 from fractions import Fraction as F
 
 import pytest
+from oracles import plain_coloring_search
+
+from ipstar import cli
 
 from ipstar.algebra import (
     DegreeWindow,
@@ -16,8 +22,8 @@ from ipstar.algebra import (
     VectorSpace,
     scalar_poly_map,
 )
-from ipstar.halesjewett import Line, SubsetConfig, all_lines, hj_stage
-from ipstar.ipsets import ElementSet, fu_ramsey_check
+from ipstar.halesjewett import Line, SubsetConfig, _lines_by_last_index, all_lines, hj_stage
+from ipstar.ipsets import ElementSet, _fu_checks_by_position, fu_ramsey_check
 from ipstar.recurrence import classify_ipstar, recurrence_set
 from ipstar.search import LeafLog
 from ipstar.systems import (
@@ -286,12 +292,12 @@ def test_hj_cover_certificate_roundtrip():
 
 
 def test_a_cover_renders_the_same_from_its_log_and_from_a_tuple():
-    cert = coloring_certificate("hj", {"k": 2, "t": 4, "m": 4}, hj_stage(2, 4, 4))
+    cert = coloring_certificate("hj", {"k": 2, "t": 5, "m": 5}, hj_stage(2, 5, 5))
     assert isinstance(cert.leaves, LeafLog) and len(cert.leaves) > 1
     as_tuple = Certificate(cert.kind, cert.params, None, tuple(cert.leaves))
     text = render_certificate(cert)
     assert render_certificate(as_tuple) == text
-    # parsing gives a log again, with equal witnesses parsed into one object
+    # parsing gives a log again, with equal reason lists parsed into one object
     parsed = parse_certificate(text)
     assert isinstance(parsed.leaves, LeafLog) and parsed == cert
     witnesses = [leaf.witness for leaf in parsed.leaves]
@@ -310,6 +316,74 @@ def test_fu_certificates_roundtrip():
     assert check_certificate(parsed2)
 
 
+def test_a_leaf_lists_its_reasons():
+    cert = coloring_certificate("hj", {"k": 2, "t": 5, "m": 5}, hj_stage(2, 5, 5))
+    # under the prefix, words 15 and 31 lose colors 1-4 to words 0, 1, 3
+    # and 7, are forced to color 5, and the line {15, 31} is monochromatic
+    leaf = "\nleaf 12232334 0,15 0,31 1,15 1,31 3,15 3,31 7,15 7,31 15,31\n"
+    assert leaf in render_certificate(cert)
+
+
+@pytest.mark.parametrize(
+    "family, values, sha",
+    [
+        ("hj", (2, 5, 5), "967af3484bff91a984cecfdb26e9a2989ade0c1d5bfe8d38fd0ab5a0b29ba588"),
+        ("hj", (2, 4, 4), "3473a15b156b34addf61f89b718ec4701de225f609931615adf29a6a0ef7bc68"),
+        ("fu", (7, 2, 2), "2880561b67890f5c84bd5dde73b476127f18e5ca87060b8446702d77df086646"),
+        ("fu", (5, 2, 2), "3e1ac05465824f22805981df3499fc6c9e5c068e7fce6db4fcfdcf0df112c789"),
+    ],
+)
+def test_one_edge_cover_certificates_still_check(family, values, sha):
+    # the search without propagation writes the covers that certificates
+    # held before leaves listed their reasons, byte for byte: each leaf
+    # names one monochromatic edge
+    if family == "hj":
+        k, colors, m = values
+        table, names = _lines_by_last_index(k, m), ("k", "t", "m")
+    else:
+        r, s, colors = values
+        table, names = _fu_checks_by_position(r, s), ("r", "s", "k")
+    plain = plain_coloring_search(colors, table)
+    cert = Certificate(f"{family}-cover", tuple(zip(names, values)), None, plain.cover)
+    text = render_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+    assert check_certificate(parse_certificate(text))
+
+
+def _check_cli(path) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(["--check", str(path)])
+    return rc, buf.getvalue()
+
+
+_LEAF = "leaf 12232334 "
+_REASONS = "0,15 0,31 1,15 1,31 3,15 3,31 7,15 7,31 15,31"
+
+
+@pytest.mark.parametrize(
+    "reasons",
+    [
+        "0,31 1,15 1,31 3,15 3,31 7,15 7,31 15,31",  # a dropped reason
+        "15,31 0,31 1,15 1,31 3,15 3,31 7,15 7,31 0,15",  # the first and last swapped
+        _REASONS + " 0,1",  # an edge after the conflict
+        "0,1 " + _REASONS,  # colored words that disagree: 1 and 2
+        "15,31 " + _REASONS,  # two free words
+        "0,15 0,31 1,15 1,31 3,15 3,31 7,15 7,31",  # no conflict at the end
+        "0,32 " + _REASONS,  # a word past M = 32
+    ],
+)
+def test_check_refuses_tampered_reasons(tmp_path, reasons):
+    cert = coloring_certificate("hj", {"k": 2, "t": 5, "m": 5}, hj_stage(2, 5, 5))
+    text = render_certificate(cert)
+    path = tmp_path / "hj-k2-t5-m5-cover.txt"
+    path.write_text(text)
+    assert _check_cli(path) == (0, "certificate valid: hj-cover k=2 t=5 m=5\n")
+    assert text.count(_LEAF + _REASONS + "\n") == 1
+    path.write_text(text.replace(_LEAF + _REASONS, _LEAF + reasons))
+    assert _check_cli(path) == (1, "certificate INVALID: hj-cover k=2 t=5 m=5\n")
+
+
 def test_tampered_coloring_fails_check():
     cert = coloring_certificate("hj", {"k": 2, "t": 2, "m": 1}, hj_stage(2, 2, 1))
     bad = Certificate(cert.kind, cert.params, (1, 1), None)
@@ -317,9 +391,9 @@ def test_tampered_coloring_fails_check():
 
 
 def test_budget_exceeded_outcome_has_no_certificate():
-    part = hj_stage(2, 2, 2, budget=1)
+    part = hj_stage(2, 3, 2, budget=1)
     with pytest.raises(TextFormatError, match="no certificate"):
-        coloring_certificate("hj", {"k": 2, "t": 2, "m": 2}, part)
+        coloring_certificate("hj", {"k": 2, "t": 3, "m": 2}, part)
 
 
 def test_certificate_parse_errors():
