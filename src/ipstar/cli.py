@@ -423,11 +423,12 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
-def _write_checkpoint(outd: Path, cfg, key: str, stage: int, path, candidates: int) -> None:
-    """Write where a search that ran out of budget restarts, its stage under
-    ``key`` and its path, and print the file's name."""
+def _write_checkpoint(outd: Path, cfg, path, candidates: int, **stage) -> None:
+    """Write where a search that ran out of budget restarts, its path and,
+    for a staged search, its stage as one ``key=n`` keyword, and print the
+    file's name."""
     h = config_hash(cfg)
-    fields = {key: stage, "path": ",".join(map(str, path)), "candidates": candidates}
+    fields = {**stage, "path": ",".join(map(str, path)), "candidates": candidates}
     lines = [f"checkpoint {cfg.command}", f"config {h}"]
     lines += [f"{name} {fields[name]}" for name in sorted(fields)]
     ckpt = outd / f"checkpoint-{h}.txt"
@@ -435,9 +436,11 @@ def _write_checkpoint(outd: Path, cfg, key: str, stage: int, path, candidates: i
     print(f"checkpoint -> {ckpt}")
 
 
-def _load_checkpoint(path: str, cfg, key: str, stages) -> tuple[int, tuple[int, ...]]:
-    """The (stage, path) a checkpoint resumes, refused unless it has both
-    lines, repeats no line and the stage is one of this run's ``stages``."""
+def _load_checkpoint(path: str, cfg, key=None, stages=()) -> tuple[int | None, tuple[int, ...]]:
+    """The (stage, path) a checkpoint resumes, refused unless it has a path
+    line, repeats no line and, when ``key`` names the stage, has a stage
+    line with one of this run's ``stages``.  Without a ``key`` the stage is
+    None and any stage line is ignored."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -457,9 +460,11 @@ def _load_checkpoint(path: str, cfg, key: str, stages) -> tuple[int, tuple[int, 
         raise ValueError(f"checkpoint is for command {command!r}, not {cfg.command!r}")
     if fields.get("config") != config_hash(cfg):
         raise ValueError("checkpoint was written by a different config; resume refused")
-    start = _parse_int(fields.get(key, ""))
-    if start not in stages:
-        raise ValueError(f"checkpoint resumes {key}={start}, outside this run")
+    start = None
+    if key is not None:
+        start = _parse_int(fields.get(key, ""))
+        if start not in stages:
+            raise ValueError(f"checkpoint resumes {key}={start}, outside this run")
     if "path" not in fields:  # as in checkpoints of a scan resumed by index
         raise ValueError(f"checkpoint {path!r} has no 'path' line")
     return start, tuple(_parse_int(c) for c in fields["path"].split(","))
@@ -503,7 +508,7 @@ def _run_stages(cfg, resume_file, stage_range, run_stage):
         values = {**cfg.values, key: n}
         if out.kind == BUDGET_EXCEEDED:
             print(f"{head.format(**values)}: budget exceeded after {out.candidates} candidates")
-            _write_checkpoint(outd, cfg, key, n, out.resume_path, out.candidates)
+            _write_checkpoint(outd, cfg, out.resume_path, out.candidates, **{key: n})
             return 2, None
         cover = out.kind == ALL_OK
         tag = "cover" if cover else "counterexample"
@@ -537,13 +542,13 @@ def _run_fu(cfg, resume_file) -> int:
 
 def _run_fk(cfg, resume_file) -> int:
     r, N = cfg.values["r"], cfg.values["N"]
-    resume = None
-    if resume_file is not None:  # every smaller size holds no blocking set
-        resume = _load_checkpoint(resume_file, cfg, "size", range(N + 1))
-    res = fk_density_experiment(r, N, budget=_resolve_budget(cfg), resume=resume)
+    path = None
+    if resume_file is not None:  # the search replays up to the path; an old size line is ignored
+        _, path = _load_checkpoint(resume_file, cfg)
+    res = fk_density_experiment(r, N, budget=_resolve_budget(cfg), resume_path=path)
     if res.status == BUDGET_EXCEEDED:
         print(f"fk r={r} N={N}: budget exceeded after {res.candidates} candidates")
-        _write_checkpoint(_out_dir(cfg), cfg, "size", *res.resume, res.candidates)
+        _write_checkpoint(_out_dir(cfg), cfg, res.resume_path, res.candidates)
         return 2
     print(f"fk r={r} N={N}: minimum blocking density {render_fraction(res.value)}")
     print(f"witness: {render_family(res.witness)}")
@@ -615,13 +620,14 @@ def _run_classify(cfg, resume_file) -> int:
             print(f"r={r}: fails witness={w}")
         else:
             print(f"r={r}: budget exceeded after {v.candidates} candidates")
-            stalled = (r, v.resume_path, v.candidates)
+            stalled = (r, v)
     outd = _out_dir(cfg)
     path = outd / "classify.json"
     _write_text(path, render_report_json(report_tree(rep, generated=_now())))
     print(f"wrote {path}")
     if stalled is not None:
-        _write_checkpoint(outd, cfg, "r", *stalled)
+        r, v = stalled
+        _write_checkpoint(outd, cfg, v.resume_path, v.candidates, r=r)
         return 2
     return 0
 

@@ -33,7 +33,6 @@ from .search import (
     avoids_every_edge,
     check_cover_tree,
     prefix_search,
-    stages,
     universal_coloring_search,
 )
 
@@ -351,8 +350,8 @@ class FkResult:
     status: str  # DONE or BUDGET_EXCEEDED
     value: Fraction | None  # min |A|/N over blocking sets A
     witness: frozenset | None  # a minimum blocking set
-    candidates: int  # search nodes, summed over the sizes searched
-    resume: tuple | None = None  # (size, path) where a BUDGET_EXCEEDED search restarts
+    candidates: int  # search nodes
+    resume_path: tuple | None = None  # where a BUDGET_EXCEEDED search restarts
 
 
 def fk_blocks(r: int, N: int, A) -> bool:
@@ -384,54 +383,54 @@ def _fk_edges_by_last(r: int, N: int) -> list[list[int]]:
     return by_last
 
 
-def fk_density_experiment(r: int, N: int, *, budget: int | None = None, resume=None) -> FkResult:
+def fk_density_experiment(
+    r: int, N: int, *, budget: int | None = None, resume_path=None
+) -> FkResult:
     """min |A|/N over A subseteq {1..N} whose complement contains no full
-    finite-sums family of r generators.  For size = 0, 1, ... a
+    finite-sums family of r generators, by one branch and bound.  A
     ``prefix_search`` places x = 1..N, trying "x in A" (choice 0) before "x
-    in C" (choice 1), so the first full path is the least blocking set in
-    (size, lexicographic) order.  "x in C" is cut when an edge ending at x
-    lies wholly in C; "x in A" is open while A is short of the size, "x in
-    C" while enough elements are left to reach it.  The sizes are the
-    ``search.stages`` of one budget; ``resume = (size, path)`` skips the
-    sizes below and resumes that size's search at the path.
+    in C" (choice 1).  "x in C" is cut when an edge ending at x lies wholly
+    in C; "x in A" once A would be as large as the least blocking set found
+    so far.  A full path is recorded as that set and cut.  The search meets
+    full paths in lexicographic order and records only strictly smaller
+    sets, so the last one recorded is the least blocking set in (size,
+    lexicographic) order.  A search resumed at ``resume_path`` rebuilds that
+    set while it replays the nodes before the path.
     """
     if r < 1 or N < 1:
         raise ValueError("r and N must be >= 1")
-    if resume is not None and not 0 <= resume[0] <= N:
-        raise ValueError(f"resume size {resume[0]} outside 0..{N}")
     edges_by_last = _fk_edges_by_last(r, N)
-
-    def span(state, depth):
-        # state: (C, elements A still lacks); bit y of C stands for y
-        missing = state[1]
-        return (0 if missing else 1), (2 if missing < N - depth else 1)
+    best = [N + 1, None]  # the least blocking set so far: its size and path
 
     def extend(state, depth, choice, path):
-        C, missing = state
+        # state: (C, |A|); bit x of C stands for x
+        C, size = state
         if choice == 0:
-            return C, missing - 1
-        x = depth + 1
-        C |= 1 << x
-        for e in edges_by_last[x]:
-            if e & C == e:
+            size += 1
+            if size >= best[0]:
                 return CUT
-        return C, missing
+        else:
+            x = depth + 1
+            C |= 1 << x
+            for e in edges_by_last[x]:
+                if e & C == e:
+                    return CUT
+        if depth + 1 < N:
+            return C, size
+        best[:] = size, path[:]
+        return CUT
 
-    def run_size(size, **kw):
-        return prefix_search((0, size), N, span, extend, **kw)
-
-    done = stages(
-        range(N + 1), run_size, lambda out: out.path is not None, budget=budget, resume=resume
+    out = prefix_search(
+        (0, 0), N, lambda state, depth: (0, 2), extend, budget=budget, resume_path=resume_path
     )
-    nodes = sum(out.candidates for _, out in done)
-    size, out = done[-1]
     if out.status == BUDGET_EXCEEDED:
-        return FkResult(r, N, BUDGET_EXCEEDED, None, None, nodes, (size, out.resume_path))
-    # some size finds a path, since A = {1..N} always blocks
-    witness = frozenset(x for x, c in enumerate(out.path, 1) if c == 0)
+        return FkResult(r, N, BUDGET_EXCEEDED, None, None, out.candidates, out.resume_path)
+    # A = {1..N} always blocks, so some full path was recorded
+    size, path = best
+    witness = frozenset(x for x, c in enumerate(path, 1) if c == 0)
     if not fk_blocks(r, N, witness):
         raise RuntimeError(f"fk search returned a non-blocking set {sorted(witness)}")
-    return FkResult(r, N, DONE, Fraction(size, N), witness, nodes)
+    return FkResult(r, N, DONE, Fraction(size, N), witness, out.candidates)
 
 
 def fk_odds_certificate(N: int) -> tuple[frozenset, Fraction, bool]:
@@ -504,55 +503,3 @@ def example_a_checks(ex: BlockExample) -> dict[str, bool]:
         in_block = in_block and finite_sums(B.group, (vals[0],) * r).members == B.members
         depth = depth and len(_first_fs_tuple(B.group, B.ambient, r + 1)[1]) == r
     return {"in_block_fs": in_block, "cross_block_free": mixed.path is None, "fs_depth": depth}
-
-
-# ---------------------------------------------------------------------------
-# intersection filtering probe
-
-
-@dataclass(frozen=True)
-class IntersectionProbe:
-    q: int | None  # least uniform q, None if some pair resists every q <= cap
-    worst_pair: tuple | None  # (A members, B members) needing the largest q
-    worst_intersection: frozenset | None
-    pairs_checked: int
-
-
-def ipstar_intersection_probe(group, r: int, s: int) -> IntersectionProbe:
-    """Smallest q such that A cap B meets every q-generator family, over all
-    pairs (A meets-every-r, B meets-every-s) of subsets of a small finite
-    group.  Exhaustive over all subset pairs; a pair's q is one more than
-    the depth its scan to level n = |group| reached, if that holds."""
-    elems = window_enumerate(group, FullWindow())
-    n = len(elems)
-    if n > 12:
-        raise ValueError("ambient too large for exhaustive subset enumeration")
-
-    def subset(mask):
-        return frozenset(elems[i] for i in range(n) if mask >> i & 1)
-
-    def star_sets(rr):
-        out = []
-        for mask in range(1 << n):
-            S = ElementSet(group, subset(mask), FullWindow())
-            if is_ip_r_star(S, rr).holds:
-                out.append(S.members)
-        return out
-
-    A_list = star_sets(r)
-    B_list = star_sets(s)
-    best_q = 0
-    worst = None
-    pairs = 0
-    for A in A_list:
-        for B in B_list:
-            pairs += 1
-            inter = ElementSet(group, A & B, FullWindow())
-            v = is_ip_r_star(inter, n)
-            if not v.holds:
-                return IntersectionProbe(None, (A, B), inter.members, pairs)
-            q = len(v.prefixes) + 1
-            if q > best_q:
-                best_q = q
-                worst = (A, B)
-    return IntersectionProbe(best_q, worst, frozenset(worst[0] & worst[1]) if worst else None, pairs)

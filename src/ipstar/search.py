@@ -8,8 +8,8 @@ Two engines:
   where a problem's ``extend`` refuses a prefix; it returns the first full
   path, and the cuts that name a witness as a replayable cover.  Three
   problems run on it: the generator-tuple scans of ``ipsets`` (IP_r
-  verdicts, the fk blocking test, the block example), the fk-density search
-  over x = 1..N, and ``universal_coloring_search``, which decides "every
+  verdicts, the fk blocking test, the block example), the fk-density branch
+  and bound over x = 1..N, and ``universal_coloring_search``, which decides "every
   k-coloring of M positions makes a hyperedge monochromatic" from a table
   of hyperedges, with forced moves by unit propagation: it either emits a
   pruning certificate (a cover tree whose leaves list the edges that refute
@@ -26,8 +26,8 @@ read: rendered as a certificate or replayed by ``check_cover_tree``, the
 one place that knows which prefixes a cover must list.
 
 ``stages`` is the one loop over ascending stages of a search: HJ word
-lengths m, finite-union sizes r and fk blocking-set sizes all run on it,
-under one budget shared by every stage.
+lengths m and finite-union sizes r run on it, under one budget shared by
+every stage.
 
 Budgets count examined candidates: scan probes, or prefix-search nodes (one
 per ``extend`` call).  Exhausting a budget is a first-class outcome carrying

@@ -11,7 +11,6 @@ Canonical renderings (frozen; parsers accept exactly these):
 * index families: ``{1,3,4}`` ascending, ``{}`` when empty
 * words: a digit string when the alphabet fits one digit, else
   comma-separated letters
-* lines: ``fixed:{2:1} moving:{1,3}``
 * subset configurations: ``alpha=[{1},{}] gamma={2}``
 
 System description files and certificates are line oriented: ``#`` starts
@@ -40,13 +39,11 @@ from .algebra import (
     VectorSpace,
 )
 from .halesjewett import (
-    Line,
     SubsetConfig,
     hj_check_cover,
     hj_coloring_is_counterexample,
 )
 from .ipsets import (
-    ElementSet,
     fu_check_cover,
     fu_coloring_is_counterexample,
 )
@@ -142,35 +139,8 @@ def parse_element(group, text: str):
     raise TextFormatError(f"no element format for {group}")
 
 
-def _sort_key(group, x):
-    """Deterministic order for rendering sets of elements one per line."""
-    if isinstance(group, VectorSpace):
-        return tuple(_sort_key(group.ring, c) for c in x)
-    if isinstance(group, PolyRing):
-        return (len(x), x)
-    return x
-
-
-def render_element_lines(group, elements) -> str:
-    return "".join(render_element(group, x) + "\n" for x in elements)
-
-
-def render_element_set(es: ElementSet) -> str:
-    members = sorted(es.members, key=lambda x: _sort_key(es.group, x))
-    return render_element_lines(es.group, members)
-
-
-def parse_element_lines(group, text: str) -> list:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(parse_element(group, line))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# families, words, lines, configurations
+# families, words, configurations
 
 
 def render_family(alpha) -> str:
@@ -195,37 +165,9 @@ def parse_word(text: str) -> tuple[int, ...]:
     text = text.strip()
     if "," in text:
         return tuple(_parse_int(t) for t in text.split(","))
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):  # str.isdigit alone accepts "²"
         raise TextFormatError(f"not a word: {text!r}")
-    return tuple(int(ch) for ch in text)
-
-
-def render_line(L: Line) -> str:
-    fixed = ",".join(f"{p}:{v}" for p, v in L.fixed)
-    return "fixed:{" + fixed + "} moving:" + render_family(L.moving)
-
-
-def parse_line(text: str) -> Line:
-    try:
-        fixed_part, moving_part = text.strip().split(" moving:")
-    except ValueError:
-        raise TextFormatError(f"not a line: {text!r}")
-    if not (fixed_part.startswith("fixed:{") and fixed_part.endswith("}")):
-        raise TextFormatError(f"not a line: {text!r}")
-    body = fixed_part[len("fixed:{") : -1].strip()
-    fixed = []
-    if body:
-        for entry in body.split(","):
-            try:
-                p, v = entry.split(":")
-            except ValueError:
-                raise TextFormatError(f"bad fixed entry {entry!r}")
-            fixed.append((_parse_int(p), _parse_int(v)))
-    moving = parse_family(moving_part)
-    try:
-        return Line(len(fixed) + len(moving), tuple(fixed), moving)
-    except ValueError as exc:
-        raise TextFormatError(str(exc))
+    return tuple(map(int, text))
 
 
 def render_subset_config(cfg: SubsetConfig) -> str:

@@ -10,6 +10,7 @@ from itertools import combinations, product
 from ipstar.search import (
     ALL_OK,
     COUNTEREXAMPLE,
+    CUT,
     ColoringOutcome,
     Cut,
     prefix_search,
@@ -193,3 +194,34 @@ def plain_coloring_search(k, edges_by_last):
     if out.path is not None:
         return ColoringOutcome(COUNTEREXAMPLE, out.path, None, out.candidates)
     return ColoringOutcome(ALL_OK, None, out.leaves, out.candidates)
+
+
+def per_size_fk_search(r, N, edges_by_last):
+    """fk-density one size at a time, without a bound: for size = 0, 1, ...
+    a depth-first search over x = 1..N tries "x in A" before "x in C", so
+    the first full path of the first size that has one is the least blocking
+    set in (size, lexicographic) order.  "x in C" is cut when an edge of
+    ``edges_by_last[x]`` lies wholly in C, "x in A" once A has the size, and
+    "x in C" when too few elements are left to reach it.  Returns (size,
+    witness, nodes summed over the sizes)."""
+
+    def span(state, depth):
+        # state: (C, elements A still lacks); bit x of C stands for x
+        missing = state[1]
+        return (0 if missing else 1), (2 if missing < N - depth else 1)
+
+    def extend(state, depth, choice, path):
+        C, missing = state
+        if choice == 0:
+            return C, missing - 1
+        C |= 1 << depth + 1
+        if any(e & C == e for e in edges_by_last[depth + 1]):
+            return CUT
+        return C, missing
+
+    nodes = 0
+    for size in range(N + 1):
+        out = prefix_search((0, size), N, span, extend)
+        nodes += out.candidates
+        if out.path is not None:
+            return size, frozenset(x for x, c in enumerate(out.path, 1) if c == 0), nodes

@@ -322,6 +322,22 @@ def test_check_refuses_parameters_below_one(tmp_path, capsys, text, field):
     assert f"{field} must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "certificate hj-counterexample\nk 2\nt 2\nm 2\ncoloring 1\u00b2\n",
+        "certificate fu-cover\nr 1\ns 2\nk 2\nleaf 1\u00b2 {1}\n",
+    ],
+    ids=["coloring", "leaf"],
+)
+def test_check_refuses_a_non_ascii_digit(tmp_path, capsys, text):
+    cert = tmp_path / "cert.txt"
+    cert.write_text(text, encoding="utf-8")
+    rc, out, err = _run(capsys, ["--check", str(cert)])
+    assert rc == 1 and out == ""
+    assert "not a word" in err
+
+
 def test_fu_minimal_mode_reports_absence(tmp_path, capsys):
     rc, out, _ = _run(capsys, ["fu-ramsey", "r_limit=2", "s=2", "k=2", f"output={tmp_path}"])
     assert rc == 0
@@ -348,9 +364,9 @@ def test_fk_density_split_run_resumes_to_the_unsplit_stdout(capsys, tmp_path, r,
     rc, out, _ = _run(capsys, ["fk-density", *keys, f"budget={budget}"])
     assert rc == 2 and f"budget exceeded after {budget} candidates" in out
     (ckpt,) = tmp_path.glob("checkpoint-*.txt")
-    size, path = fk_density_experiment(r, N, budget=budget).resume
-    assert f"\npath {','.join(map(str, path))}\nsize {size}\n" in ckpt.read_text()
-    # just enough budget to finish from that path, not from the size's start
+    path = fk_density_experiment(r, N, budget=budget).resume_path
+    assert ckpt.read_text().endswith(f"\npath {','.join(map(str, path))}\n")  # no stage line
+    # just enough budget to finish from that path, not from the start
     rest = fk_density_experiment(r, N).candidates - budget
     resume = ["fk-density", "--resume", str(ckpt), *keys, f"budget={rest}"]
     rc, resumed, _ = _run(capsys, resume)
@@ -359,8 +375,8 @@ def test_fk_density_split_run_resumes_to_the_unsplit_stdout(capsys, tmp_path, r,
 
 
 def test_fk_density_resumes_progress_under_a_budget_below_one_size(capsys, tmp_path):
-    # size 9 alone takes more than 100,000 nodes, so only resuming inside
-    # it, at the checkpoint's path, lets a run with this budget finish
+    # the search takes 212,942 nodes, so a run with this budget finishes
+    # only because each resume goes on from the checkpoint's path
     keys = ["r=3", "N=30", f"output={tmp_path}", "budget=100000"]
     rc, out, _ = _run(capsys, ["fk-density", *keys])
     for _ in range(4):
@@ -370,6 +386,25 @@ def test_fk_density_resumes_progress_under_a_budget_below_one_size(capsys, tmp_p
         rc, out, _ = _run(capsys, ["fk-density", "--resume", str(ckpt), *keys])
     assert rc == 0
     assert out == "fk r=3 N=30: minimum blocking density 3/10\nwitness: {2,4,6,8,10,12,14,16,18}\n"
+
+
+@pytest.mark.parametrize(
+    "path, resumes", [("0,0,0,0,1", True), ("1,1,1", False)], ids=["reached", "never-reached"]
+)
+def test_fk_density_checkpoint_with_a_size_line_replays_its_path(capsys, tmp_path, path, resumes):
+    # checkpoints of the per-size search carried a size line: it is ignored,
+    # and the path resumes the one search if the search reaches it
+    keys = ["r=2", "N=8", f"output={tmp_path}"]
+    rc, whole, _ = _run(capsys, ["fk-density", *keys])
+    rc, _, _ = _run(capsys, ["fk-density", *keys, "budget=1"])
+    (ckpt,) = tmp_path.glob("checkpoint-*.txt")
+    head = ckpt.read_text().split("\npath ")[0]
+    ckpt.write_text(f"{head}\npath {path}\nsize 3\n")
+    rc, out, err = _run(capsys, ["fk-density", "--resume", str(ckpt), *keys])
+    if resumes:
+        assert rc == 0 and out == whole
+    else:
+        assert rc == 1 and "never reached" in err and ckpt.exists()
 
 
 def test_example_a(capsys):

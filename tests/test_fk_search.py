@@ -1,12 +1,13 @@
-"""Property tests of the pruned fk-density search.
+"""Property tests of the fk-density branch and bound.
 
-``fk_density_experiment`` searches sizes in ascending order, each by a
-depth-first search over x = 1..N on a table of minimal sum-set edges.  The
-references here share nothing with it: the 2^N-subset oracle and the
-brute-force blocking test over ``product`` in ``oracles.py``, the lex-least
-blocking set of a size found by ``combinations``, and for r = 2 the largest
-sum-free subset of {1..N}, which has ceil(N/2) elements when x + x counts as
-a sum (Cameron and Erdos, 1990).
+``fk_density_experiment`` is one depth-first search over x = 1..N on a
+table of minimal sum-set edges, bounded by the least blocking set found so
+far.  The references here share nothing with it but the edge table: the
+per-size search in ``oracles.py`` (the search this one replaced), the
+2^N-subset oracle and the brute-force blocking test over ``product``, the
+lex-least blocking set of a size found by ``combinations``, and for r = 2
+the largest sum-free subset of {1..N}, which has ceil(N/2) elements when
+x + x counts as a sum (Cameron and Erdos, 1990).
 """
 
 from fractions import Fraction
@@ -18,7 +19,13 @@ from hypothesis import strategies as st
 
 import oracles
 from ipstar import ipsets
-from ipstar.ipsets import BUDGET_EXCEEDED, DONE, fk_blocks, fk_density_experiment
+from ipstar.ipsets import (
+    BUDGET_EXCEEDED,
+    DONE,
+    _fk_edges_by_last,
+    fk_blocks,
+    fk_density_experiment,
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -31,6 +38,14 @@ def test_minimum_and_lex_least_witness_match_brute_force(r, N):
     subsets = combinations(range(1, N + 1), size)
     least = next(A for A in subsets if oracles.naive_fk_blocks(r, N, A))
     assert res.witness == frozenset(least)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 20))
+def test_value_and_witness_match_the_per_size_search(r, N):
+    res = fk_density_experiment(r, N)
+    size, witness, _nodes = oracles.per_size_fk_search(r, N, _fk_edges_by_last(r, N))
+    assert (res.value, res.witness) == (Fraction(size, N), witness)
 
 
 @settings(max_examples=25, deadline=None)
@@ -51,7 +66,7 @@ def test_budget_stops_after_exactly_b_nodes_and_resume_completes(r, N, data):
     assert part.status == BUDGET_EXCEEDED and part.candidates == b
     assert part.value is None and part.witness is None
     # resumed at its path, the search needs exactly the nodes the split left
-    rest = fk_density_experiment(r, N, budget=whole.candidates - b, resume=part.resume)
+    rest = fk_density_experiment(r, N, budget=whole.candidates - b, resume_path=part.resume_path)
     assert (rest.status, rest.value, rest.witness) == (DONE, whole.value, whole.witness)
     assert rest.candidates == whole.candidates - b
 
@@ -69,12 +84,12 @@ def test_r3_n30():
     res = fk_density_experiment(3, 30)
     assert res.value == Fraction(3, 10)
     assert res.witness == frozenset(range(2, 19, 2))
-    assert res.candidates == 223536
+    assert res.candidates == 212942
 
 
 @pytest.mark.parametrize(
     "r, N, nodes",
-    [(2, 16, 1661), (2, 17, 1662), (2, 18, 3112), (3, 12, 249), (2, 24, 18213)],
+    [(2, 16, 1102), (2, 17, 1120), (2, 18, 1958), (3, 12, 368), (2, 24, 10222)],
 )
 def test_node_counts(r, N, nodes):
     # the search's work as a machine-independent count; more nodes with the
@@ -87,9 +102,3 @@ def test_a_witness_that_does_not_block_is_refused(monkeypatch):
     monkeypatch.setattr(ipsets, "_fk_edges_by_last", lambda r, N: [[] for _ in range(N + 1)])
     with pytest.raises(RuntimeError, match="non-blocking"):
         fk_density_experiment(2, 6)
-
-
-@pytest.mark.parametrize("start", [-1, 7])
-def test_resume_size_outside_the_range_is_refused(start):
-    with pytest.raises(ValueError, match="resume size"):
-        fk_density_experiment(2, 6, resume=(start, (0,)))

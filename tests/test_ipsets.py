@@ -23,7 +23,6 @@ from ipstar.ipsets import (
     fu_check_cover,
     fu_coloring_is_counterexample,
     fu_ramsey_check,
-    ipstar_intersection_probe,
     is_ip_r_star,
     mask_to_set,
     ordered_splits,
@@ -425,23 +424,3 @@ def test_example_a_checks_match_the_brute_force_on_damaged_examples(r_max, data)
     members -= data.draw(st.sets(st.sampled_from(sorted(members)), max_size=2))
     damaged = BlockExample(r_max, tuple(blocks), frozenset(members))
     assert example_a_checks(damaged) == reference_example_a_checks(damaged)
-
-
-# ---------------------------------------------------------------------------
-# intersection probe
-
-
-def test_intersection_probe_f2():
-    probe = ipstar_intersection_probe(PrimeField(2), 1, 1)
-    assert probe.q == 1  # only the full group meets every 1-generator family
-
-
-def test_intersection_probe_f3():
-    probe = ipstar_intersection_probe(PrimeField(3), 2, 2)
-    assert probe.q == 3
-    assert probe.worst_intersection == {0}
-
-
-def test_intersection_probe_rejects_large_ambient():
-    with pytest.raises(ValueError):
-        ipstar_intersection_probe(PrimeField(13), 1, 1)

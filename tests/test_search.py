@@ -238,8 +238,8 @@ def hyperedge_tables(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(hyperedge_tables())
-def test_propagation_agrees_with_the_plain_search(problem):
+@given(hyperedge_tables(), st.data())
+def test_propagation_agrees_with_the_plain_search(problem, data):
     k, table, decode = problem
     M = len(table)
     out = universal_coloring_search(k, table)
@@ -251,8 +251,15 @@ def test_propagation_agrees_with_the_plain_search(problem):
         assert check_cover_tree(M, k, plain.cover, decode)  # one-edge leaves
     else:
         assert avoids_every_edge(out.coloring, k, table)
-    # a split at every node count resumes to the unsplit outcome
-    for budget in range(out.candidates):
+    # a split resumes to the unsplit outcome: at every node count of a small
+    # search, and at the ends and ten drawn counts of a large one, since each
+    # split replays the search up to its path
+    n = out.candidates
+    budgets = range(n)
+    if n > 300:
+        drawn = data.draw(st.lists(st.integers(2, n - 2), min_size=10, max_size=10), label="budgets")
+        budgets = sorted({0, 1, n - 1, *drawn})
+    for budget in budgets:
         part = universal_coloring_search(k, table, budget=budget)
         assert (part.kind, part.candidates) == (BUDGET_EXCEEDED, budget)
         rest = universal_coloring_search(k, table, resume_path=part.resume_path)

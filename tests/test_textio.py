@@ -22,8 +22,8 @@ from ipstar.algebra import (
     VectorSpace,
     scalar_poly_map,
 )
-from ipstar.halesjewett import Line, SubsetConfig, _lines_by_last_index, all_lines, hj_stage
-from ipstar.ipsets import ElementSet, _fu_checks_by_position, fu_ramsey_check
+from ipstar.halesjewett import SubsetConfig, _lines_by_last_index, hj_stage
+from ipstar.ipsets import _fu_checks_by_position, fu_ramsey_check
 from ipstar.recurrence import classify_ipstar, recurrence_set
 from ipstar.search import LeafLog
 from ipstar.systems import (
@@ -40,10 +40,8 @@ from ipstar.textio import (
     describe_system,
     parse_certificate,
     parse_element,
-    parse_element_lines,
     parse_family,
     parse_fraction,
-    parse_line,
     parse_monomial,
     parse_poly_map,
     parse_subset_config,
@@ -51,10 +49,8 @@ from ipstar.textio import (
     parse_word,
     render_certificate,
     render_element,
-    render_element_set,
     render_family,
     render_fraction,
-    render_line,
     render_poly_map,
     render_recurrence_csv,
     render_report_json,
@@ -130,17 +126,8 @@ def test_element_parse_rejections():
         parse_element(F5, "x")
 
 
-def test_element_set_lines():
-    es = ElementSet(F5, {3, 0, 1}, FullWindow())
-    assert render_element_set(es) == "0\n1\n3\n"
-    parsed = parse_element_lines(F5, "0\n1 # comment\n\n3\n")
-    assert parsed == [0, 1, 3]
-    polys = ElementSet(R2, {(0, 1), (1,), ()}, DegreeWindow(2))
-    assert render_element_set(polys) == "[]\n[1]\n[0,1]\n"
-
-
 # ---------------------------------------------------------------------------
-# families, words, lines, configs
+# families, words, configs
 
 
 def test_family_rendering():
@@ -157,20 +144,9 @@ def test_word_rendering():
     assert parse_word("121") == (1, 2, 1)
     assert render_word((10, 2), 12) == "10,2"
     assert parse_word("10,2") == (10, 2)
-    with pytest.raises(TextFormatError):
-        parse_word("1a1")
-
-
-def test_line_roundtrip():
-    for L in all_lines(2, 3):
-        assert parse_line(render_line(L)) == L
-    full = Line(2, (), frozenset({1, 2}))
-    assert render_line(full) == "fixed:{} moving:{1,2}"
-    assert parse_line(render_line(full)) == full
-    with pytest.raises(TextFormatError):
-        parse_line("moving:{1}")
-    with pytest.raises(TextFormatError):
-        parse_line("fixed:{1:1} moving:{}")
+    for bad in ("1a1", "1\u00b2"):  # a superscript two is a digit to str.isdigit
+        with pytest.raises(TextFormatError):
+            parse_word(bad)
 
 
 def test_subset_config_roundtrip():
