@@ -305,11 +305,23 @@ _HASH_EXCLUDE = frozenset({"budget", "output"})
 def config_hash(cfg: ExperimentConfig) -> str:
     keep = {k: v for k, v in cfg.values.items() if k not in _HASH_EXCLUDE}
     text = render_config(ExperimentConfig(cfg.command, keep, {}))
+    if "system" in keep:  # by contents: two systems at one path hash apart
+        system = _read_file("system file", keep["system"], binary=True)
+        text += f"system_sha256 = {hashlib.sha256(system).hexdigest()}\n"
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------
 # shared plumbing
+
+
+def _read_file(what: str, path, binary=False):
+    """A file's text (or bytes); one that cannot be read or decoded is a ValueError naming it."""
+    try:
+        return Path(path).read_bytes() if binary else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValueError(f"cannot read {what} {path!r}: {reason}") from None
 
 
 def _now() -> str:
@@ -350,11 +362,7 @@ def _resolve(cfg, key, fn):
 def _load_system(cfg):
     path = cfg.values["system"]
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read system file {path!r}: {exc.strerror or exc}")
-    try:
-        return parse_system_text(text)
+        return parse_system_text(_read_file("system file", path))
     except TextFormatError as exc:
         raise ValueError(f"system file {path!r}: {exc}")
 
@@ -441,10 +449,7 @@ def _load_checkpoint(path: str, cfg, key=None, stages=()) -> tuple[int | None, t
     line, repeats no line and, when ``key`` names the stage, has a stage
     line with one of this run's ``stages``.  Without a ``key`` the stage is
     None and any stage line is ignored."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read checkpoint {path!r}: {exc.strerror or exc}")
+    text = _read_file("checkpoint", path)
     fields: dict[str, str] = {}
     for no, line in _content_lines(text):
         name, _, rest = line.partition(" ")
@@ -724,14 +729,10 @@ def _emit_errors(errors) -> None:
 
 def _run_check(path: str) -> int:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        _emit_errors([ConfigError(None, f"cannot read certificate {path!r}: {exc.strerror or exc}")])
-        return 1
-    try:
-        cert = parse_certificate(text)
-    except TextFormatError as exc:
-        _emit_errors([ConfigError(None, f"certificate {path!r}: {exc}")])
+        cert = parse_certificate(_read_file("certificate", path))
+    except ValueError as exc:  # malformed, or unreadable (that message names the file)
+        where = f"certificate {path!r}: " if isinstance(exc, TextFormatError) else ""
+        _emit_errors([ConfigError(None, where + str(exc))])
         return 1
     desc = cert.kind + " " + " ".join(f"{n}={v}" for n, v in cert.params)
     if check_certificate(cert):
@@ -770,15 +771,11 @@ def main(argv=None) -> int:
     if args.command is None:
         _emit_errors([ConfigError(None, "no command given (see ipstar --help)")])
         return 1
-    text = ""
-    if args.config is not None:
-        try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
-            _emit_errors(
-                [ConfigError(None, f"cannot read config {args.config!r}: {exc.strerror or exc}")]
-            )
-            return 1
+    try:
+        text = "" if args.config is None else _read_file("config", args.config)
+    except ValueError as exc:
+        _emit_errors([ConfigError(None, str(exc))])
+        return 1
     cfg, errors = parse_config(text, command=args.command, overrides=args.overrides)
     # a command resumes exactly when it takes a budget
     if not errors and args.resume is not None and "budget" not in _SPECS[cfg.command]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from .ipsets import subset_folds
 from .search import (
     ColoringOutcome,
     avoids_every_edge,
@@ -238,12 +239,10 @@ class SubsetConfig:
 def config_points(cfg: SubsetConfig) -> list[tuple[frozenset[int], ...]]:
     """The 2^d induced points, ordered to match the line points (the point
     with pattern bits of ell-1 sits at moving letter ell)."""
-    out = []
-    for ell in range(1 << cfg.d):
-        out.append(
-            tuple(a | cfg.mover if ell >> i & 1 else a for i, a in enumerate(cfg.base))
-        )
-    return out
+    def move(point, i):  # base set i takes the mover
+        return (*point[:i], point[i] | cfg.mover, *point[i + 1 :])
+
+    return subset_folds(move, tuple(cfg.base), range(cfg.d))
 
 
 def line_to_config(L: Line, d: int) -> SubsetConfig:

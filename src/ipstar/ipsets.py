@@ -2,9 +2,12 @@
 
 Subset conventions, frozen for determinism:
 
-* an index set alpha is a frozenset of positive integers; the family F_r of
-  all non-empty subsets of {1..r} is enumerated by ascending bitmask, i.e.
-  {1}, {2}, {1,2}, {3}, {1,3}, {2,3}, {1,2,3}, ...  (bit i-1 encodes i)
+* an index set alpha is a bitmask inside the tables (bit i-1 encodes i) and
+  a frozenset of positive integers only in witnesses and results; the family
+  F_r of all non-empty subsets of {1..r} is enumerated by ascending bitmask,
+  i.e. {1}, {2}, {1,2}, {3}, {1,3}, {2,3}, {1,2,3}, ...
+* ``subset_folds`` gives every subset sum, product and union, in ascending
+  mask order, each folded over its items in ascending index order
 * generator tuples are nondecreasing tuples of positions in a pool, scanned
   lexicographically with coordinate 1 most significant; the pool is S in
   canonical order (``contains_ip_r``) or S's complement in its window, in
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .algebra import FullWindow, Integers, Window, window_enumerate
@@ -58,14 +62,13 @@ def family_order(r: int) -> list[frozenset[int]]:
     return [mask_to_set(m) for m in range(1, 1 << r)]
 
 
-def ordered_splits(alpha, s: int) -> list[tuple[frozenset[int], ...]]:
-    """All ways to write alpha as s blocks a_1 < ... < a_s (consecutive runs
-    of the sorted elements)."""
-    elems = sorted(alpha)
-    out = []
-    for cuts in combinations(range(1, len(elems)), s - 1):
-        bounds = (0,) + cuts + (len(elems),)
-        out.append(tuple(frozenset(elems[a:b]) for a, b in zip(bounds, bounds[1:])))
+def subset_folds(op, unit, items) -> list:
+    """op folded over every subset of items, indexed by mask (bit i for
+    items[i]): entry m is op(...op(op(unit, a), b)..., z) over the items of
+    m in ascending index order, and entry 0 is the unit."""
+    out = [unit]
+    for x in items:
+        out += [op(v, x) for v in out]
     return out
 
 
@@ -133,14 +136,8 @@ def finite_sums(group, gens) -> FSResult:
     gens = tuple(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    by_indices = {}
-    for mask in range(1, 1 << len(gens)):
-        acc = group.zero
-        for i in range(len(gens)):
-            if mask >> i & 1:
-                acc = group.add(acc, gens[i])
-        by_indices[mask_to_set(mask)] = acc
-    return FSResult(group, gens, frozenset(by_indices.values()), by_indices)
+    sums = subset_folds(group.add, group.zero, gens)[1:]
+    return FSResult(group, gens, frozenset(sums), dict(zip(family_order(len(gens)), sums)))
 
 
 def finite_unions(alphas) -> tuple[frozenset[int], ...]:
@@ -151,14 +148,7 @@ def finite_unions(alphas) -> tuple[frozenset[int], ...]:
     for a, b in zip(alphas, alphas[1:]):
         if max(a) >= min(b):
             raise ValueError(f"blocks out of order: max{sorted_repr(a)} >= min{sorted_repr(b)}")
-    out = []
-    for mask in range(1, 1 << len(alphas)):
-        u = frozenset()
-        for i in range(len(alphas)):
-            if mask >> i & 1:
-                u |= alphas[i]
-        out.append(u)
-    return tuple(out)
+    return tuple(subset_folds(frozenset.union, frozenset(), alphas)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +267,18 @@ def _fu_checks_by_position(r: int, s: int):
     splits completed there as (blocks, union_positions), where
     union_positions index every union of the blocks and the last one is the
     position itself.  family_order is in ascending bitmask order, so the set
-    with mask m sits at position m - 1."""
+    with mask m sits at position m - 1.  The blocks of a split of m are runs
+    of m's bits; each distinct block mask becomes a frozenset once."""
+    block_set = cache(mask_to_set)
     table = []
-    for alpha in family_order(r):
+    for alpha in range(1, 1 << r):
+        bits = [1 << i for i in range(r) if alpha >> i & 1]
         entries = []
-        if len(alpha) >= s:
-            for blocks in ordered_splits(alpha, s):
-                unions = finite_unions(blocks)
-                entries.append((blocks, tuple(set_to_mask(u) - 1 for u in unions)))
+        for cuts in combinations(range(1, len(bits)), s - 1):
+            bounds = (0, *cuts, len(bits))
+            blocks = [sum(bits[a:b]) for a, b in zip(bounds, bounds[1:])]
+            unions = subset_folds(int.__or__, 0, blocks)[1:]
+            entries.append((tuple(map(block_set, blocks)), tuple(u - 1 for u in unions)))
         table.append(entries)
     return table
 

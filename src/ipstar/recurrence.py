@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 from .algebra import Integers, Monomial, PolynomialMap, Rationals, VectorSpace, Window
 from .algebra import window_enumerate
 from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_subset_tuples
-from .ipsets import ElementSet, family_order, is_ip_r_star
+from .ipsets import ElementSet, is_ip_r_star, subset_folds
 from .systems import (
     DensityProfile,
     FinitePermSystem,
@@ -192,12 +193,7 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
     gens = tuple(ring.element(g) for g in gens)
     if any(g == ring.zero for g in gens):
         raise RecurrenceError("zero generator has no multiplicative content")
-    products = []
-    for alpha in family_order(len(gens)):
-        val = ring.one
-        for i in sorted(alpha):
-            val = ring.mul(val, gens[i - 1])
-        products.append(val)
+    products = subset_folds(ring.mul, ring.one, gens)[1:]
     inside = set(base["elements"])
 
     def in_R(u):
@@ -279,10 +275,7 @@ def _arc_dist(x: Fraction, y: Fraction) -> Fraction:
 
 
 def _sum_tuple(ring, vecs, n: int):
-    out = (ring.zero,) * n
-    for v in vecs:
-        out = tuple(ring.add(a, b) for a, b in zip(out, v))
-    return out
+    return reduce(lambda u, v: tuple(map(ring.add, u, v)), vecs, (ring.zero,) * n)
 
 
 @dataclass(frozen=True)
@@ -422,11 +415,8 @@ def _cover_color_search(systems, monomials, x, epsilon, gens):
     if (1 << d) ** r > SEARCH_SPACE_CAP:
         raise RecurrenceError("search space too large; fewer generators or lower degree")
     tol = epsilon / k
-    size = 1 << r
-    sums = [(ring.zero,) * n] * size  # subset sums by mask, bit j for index j+1
-    for mask in range(1, size):
-        low = mask & -mask
-        sums[mask] = tuple(map(ring.add, sums[mask ^ low], gens[low.bit_length() - 1]))
+    # subset sums by mask, bit j for index j+1
+    sums = subset_folds(lambda v, g: tuple(map(ring.add, v, g)), (ring.zero,) * n, gens)
     if isinstance(lead, RotationSystem) and not isinstance(ring, (Rationals, Integers)):
         raise RecurrenceError("rotation search needs a monomial over Q or Z")
 

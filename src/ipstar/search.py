@@ -153,11 +153,10 @@ class LeafLog(Sequence):
         self._witnesses.append(witness)
 
     def append(self, leaf: CoverLeaf) -> None:
-        prefix, last = leaf.prefix, self._last
-        shared = min(len(last), len(prefix))
-        keep = 0
-        while keep < shared and last[keep] == prefix[keep]:
-            keep += 1
+        prefix, last = list(leaf.prefix), self._last
+        keep = min(len(last), len(prefix))
+        while last[:keep] != prefix[:keep]:  # from the longest shared length down
+            keep -= 1
         self.append_delta(keep, prefix[keep:], leaf.witness)
 
     def __len__(self) -> int:

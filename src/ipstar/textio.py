@@ -155,10 +155,15 @@ def parse_family(text: str) -> frozenset:
     return frozenset() if not body else frozenset(_parse_int(t) for t in body.split(","))
 
 
+# k <= 9: one digit per letter, mapped in C; a letter past 9 becomes 0xff, which ASCII refuses
+_DIGIT_OF = b"0123456789" + b"\xff" * 246
+_LETTER_OF = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
 def render_word(w, k: int) -> str:
     if k <= 9:
-        return "".join(str(letter) for letter in w)
-    return ",".join(str(letter) for letter in w)
+        return bytes(w).translate(_DIGIT_OF).decode("ascii")
+    return ",".join(map(str, w))
 
 
 def parse_word(text: str) -> tuple[int, ...]:
@@ -167,7 +172,7 @@ def parse_word(text: str) -> tuple[int, ...]:
         return tuple(_parse_int(t) for t in text.split(","))
     if not (text.isascii() and text.isdigit()):  # str.isdigit alone accepts "²"
         raise TextFormatError(f"not a word: {text!r}")
-    return tuple(map(int, text))
+    return tuple(text.encode().translate(_LETTER_OF))
 
 
 def render_subset_config(cfg: SubsetConfig) -> str:

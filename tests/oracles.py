@@ -127,19 +127,22 @@ def naive_subsets_of(r):
 
 def naive_fu_families(r, s):
     """All (alpha_1..alpha_s) with max(alpha_i) < min(alpha_{i+1}), together
-    with every union, by filtering the full s-fold product."""
+    with every union, in the order of the full s-fold product; a partial
+    tuple of the product is kept only while it is ordered."""
     sets = naive_subsets_of(r)
+    ordered = [()]
+    for _ in range(s):
+        ordered = [p + (a,) for p in ordered for a in sets if not p or max(p[-1]) < min(a)]
     fams = []
-    for blocks in product(sets, repeat=s):
-        if all(max(a) < min(b) for a, b in zip(blocks, blocks[1:])):
-            unions = []
-            for mask in range(1, 1 << s):
-                u = frozenset()
-                for i in range(s):
-                    if mask >> i & 1:
-                        u |= blocks[i]
-                unions.append(u)
-            fams.append((blocks, unions))
+    for blocks in ordered:
+        unions = []
+        for mask in range(1, 1 << s):
+            u = frozenset()
+            for i in range(s):
+                if mask >> i & 1:
+                    u |= blocks[i]
+            unions.append(u)
+        fams.append((blocks, unions))
     return fams
 
 

@@ -36,6 +36,14 @@ set B 0 1
 """
 
 
+F13_SYSTEM = """backend finite-perm
+p 13
+points 0 1 2 3 4 5 6 7 8 9 10 11 12
+gen (0 1 2 3 4 5 6 7 8 9 10 11 12)
+set B 0 1 2 3
+"""
+
+
 def _sys_file(tmp_path, text=F5_SYSTEM, name="sys.txt"):
     path = tmp_path / name
     path.write_text(text)
@@ -506,6 +514,35 @@ def test_classify_budget_checkpoint_resume(tmp_path, capsys):
     assert rc == 0
     assert "resumed at r=2" in out
     assert "r=2: fails witness=2,2" in out and "r=3: holds" in out
+
+
+def test_checkpoint_hash_covers_the_system_contents(tmp_path, capsys):
+    # F_13 and then F_7 at one path: the F_13 run's checkpoint is refused
+    # for the F_7 run by its config hash
+    argv = _classify_argv(tmp_path, 4)
+    _sys_file(tmp_path, F13_SYSTEM)
+    assert _run(capsys, argv + ["budget=50"])[0] == 2
+    (ck,) = tmp_path.glob("checkpoint-*.txt")
+    f13_hash = config_hash(parse_config("", "classify", argv[1:])[0])
+    _sys_file(tmp_path, F7_SYSTEM)
+    assert config_hash(parse_config("", "classify", argv[1:])[0]) != f13_hash
+    rc, out, err = _run(capsys, argv + ["--resume", str(ck)])
+    assert rc == 1 and "different config" in err and "resumed" not in out
+
+
+@pytest.mark.parametrize("what", ["certificate", "config", "system file", "checkpoint"])
+def test_a_file_that_cannot_be_decoded_exits_1_naming_it(tmp_path, capsys, what):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"certificate hj-cover\ncommand = hj\n\xff\n")
+    argv = {
+        "certificate": ["--check", str(bad)],
+        "config": ["hj", "-c", str(bad)],
+        "system file": [*_classify_argv(tmp_path, 2), f"system={bad}"],
+        "checkpoint": ["hj", "--resume", str(bad), "k=2", "t=2", f"output={tmp_path}"],
+    }[what]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 1 and out == ""
+    assert f"cannot read {what} {str(bad)!r}: " in err and "can't decode byte 0xff" in err
 
 
 def test_classify_resume_refuses_a_checkpoint_it_cannot_continue(tmp_path, capsys):

@@ -16,6 +16,9 @@ one search, and a run that exceeds it stops at the first level the search
 has not reached, so these pins differ: steps 1 and 2 of ``f7-split`` and
 ``f61-split`` and step 1 of ``f13-split`` (the "budget exceeded" line and
 the checkpoint, and in ``f7-split`` the levels listed and the report).
+The checkpoint names and hashes, and the config lines of the per-level
+checkpoints below, changed again when the config hash began to cover the
+system file's contents.
 """
 
 import contextlib
@@ -129,8 +132,8 @@ GOLDEN = {
                 'r=3: fails witness=2,2,2\n'
                 'r=4: budget exceeded after 50 candidates\n'
                 'wrote out/classify.json\n'
-                'checkpoint -> out/checkpoint-ad54ce2140bf.txt\n',
-                {'checkpoint-ad54ce2140bf.txt': 'f2b429f24d4fc52238c2c889693f16786fa1808a4e189151a56782949582605e',
+                'checkpoint -> out/checkpoint-4e8596728516.txt\n',
+                {'checkpoint-4e8596728516.txt': '1924aff0cc83f165fb6c26e57dfa9fc2c4a5b5ea9bc8bf39e637e4ce3c624a1c',
                  'classify.json': 'f1520e62c39d6ddfc085387b5504362f0c86d0cb355184db150daa751c1177cc'}),
                (0,
                 'resumed at r=4\n'
@@ -175,8 +178,8 @@ GOLDEN = {
                 'r=6: fails witness=5,5,5,5,5,5\n'
                 'r=7: budget exceeded after 2000 candidates\n'
                 'wrote out/classify.json\n'
-                'checkpoint -> out/checkpoint-280e4171d854.txt\n',
-                {'checkpoint-280e4171d854.txt': 'e308478e2a6aa1cd7a25b3e60e9d4a12516d5b6b1e5c94d863e936b35b59f8e1',
+                'checkpoint -> out/checkpoint-a915b2e59b7f.txt\n',
+                {'checkpoint-a915b2e59b7f.txt': '4d455b70c21bc6d76d364b549e8e4c3ef512ed3454f900dd41a87303b15a6636',
                  'classify.json': 'd0ce1885922f0ed244c980bd8e22ea6b11797f953c9c9b30e9720fbbe16f927c'}),
                (2,
                 'resumed at r=7\n'
@@ -193,8 +196,8 @@ GOLDEN = {
                 'r=6: fails witness=5,5,5,5,5,5\n'
                 'r=7: budget exceeded after 2000 candidates\n'
                 'wrote out/classify.json\n'
-                'checkpoint -> out/checkpoint-280e4171d854.txt\n',
-                {'checkpoint-280e4171d854.txt': '5509f867cb54e834a112028e9d840b62a340f471c1f70ecf6b306cd289d749b1',
+                'checkpoint -> out/checkpoint-a915b2e59b7f.txt\n',
+                {'checkpoint-a915b2e59b7f.txt': 'd77de28a42524b3dc1a0c02a0294ecaa4efbc042de5076a6b8421448fd0605e0',
                  'classify.json': 'd0ce1885922f0ed244c980bd8e22ea6b11797f953c9c9b30e9720fbbe16f927c'}),
                (0,
                 'resumed at r=7\n'
@@ -235,8 +238,8 @@ GOLDEN = {
                'r=2: fails witness=2,2\n'
                'r=3: budget exceeded after 2 candidates\n'
                'wrote out/classify.json\n'
-               'checkpoint -> out/checkpoint-ad54ce2140bf.txt\n',
-               {'checkpoint-ad54ce2140bf.txt': 'f7a62cd5c6d10b76e39d5b454a5ed024229a4ba69b6c7b99cc21d6304ce3ec0d',
+               'checkpoint -> out/checkpoint-7fb8f842e561.txt\n',
+               {'checkpoint-7fb8f842e561.txt': '88b8c31bfc720177ce197286bea7fc3414a510e9c162bf656e02d9ef04c1c1da',
                 'classify.json': 'd47bf115019a0b9a853dcf58d75da8935f8b5f99d8c911e578f747cc0e73d4a1'}),
               (2,
                'resumed at r=3\n'
@@ -249,8 +252,8 @@ GOLDEN = {
                'r=2: fails witness=2,2\n'
                'r=3: budget exceeded after 5 candidates\n'
                'wrote out/classify.json\n'
-               'checkpoint -> out/checkpoint-ad54ce2140bf.txt\n',
-               {'checkpoint-ad54ce2140bf.txt': '720ff77d92371532f2404b8511fb4db0712928d7adfb06dbf250fba7045d3392',
+               'checkpoint -> out/checkpoint-7fb8f842e561.txt\n',
+               {'checkpoint-7fb8f842e561.txt': 'b120e708f354147687b8422ff6f547a2212325c6c2ad74654bf9b4c30c8e2d98',
                 'classify.json': 'd47bf115019a0b9a853dcf58d75da8935f8b5f99d8c911e578f747cc0e73d4a1'}),
               (0,
                'resumed at r=3\n'
@@ -276,10 +279,10 @@ def test_golden_outputs(name, tmp_path, monkeypatch):
 # checkpoints written by the per-level classify, which kept, for the level r
 # its budget ran out on, the path where that level's own scan stopped
 PER_LEVEL_CHECKPOINTS = {
-    "f7-r2": ("f7", "config ad54ce2140bf\ncandidates 1\npath 0,0\nr 2\n"),
-    "f7-r3": ("f7", "config ad54ce2140bf\ncandidates 2\npath 0,0,0\nr 3\n"),
-    "f61-r3": ("f61", "config 280e4171d854\ncandidates 26\npath 0,1,24\nr 3\n"),
-    "f61-r7": ("f61", "config 280e4171d854\ncandidates 1490\npath 2,2,8,16\nr 7\n"),
+    "f7-r2": ("f7", "config 7fb8f842e561\ncandidates 1\npath 0,0\nr 2\n"),
+    "f7-r3": ("f7", "config 7fb8f842e561\ncandidates 2\npath 0,0,0\nr 3\n"),
+    "f61-r3": ("f61", "config a915b2e59b7f\ncandidates 26\npath 0,1,24\nr 3\n"),
+    "f61-r7": ("f61", "config a915b2e59b7f\ncandidates 1490\npath 2,2,8,16\nr 7\n"),
 }
 
 

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ipstar.algebra import FullWindow, IntegerWindow, Integers, PrimeField, Rationals
+from ipstar.algebra import (
+    FullWindow,
+    IntegerWindow,
+    Integers,
+    PolyRing,
+    PrimeField,
+    Rationals,
+    VectorSpace,
+)
 from ipstar.ipsets import (
     BUDGET_EXCEEDED,
     BlockExample,
@@ -25,8 +33,8 @@ from ipstar.ipsets import (
     fu_ramsey_check,
     is_ip_r_star,
     mask_to_set,
-    ordered_splits,
     set_to_mask,
+    subset_folds,
 )
 from ipstar import ipsets
 from ipstar.search import ALL_OK, CoverLeaf, prefix_search, stages
@@ -43,13 +51,71 @@ def test_mask_roundtrip():
     ]
 
 
-def test_ordered_splits():
-    assert ordered_splits({1, 2, 3}, 2) == [
-        (frozenset({1}), frozenset({2, 3})),
-        (frozenset({1, 2}), frozenset({3})),
-    ]
-    assert ordered_splits({2, 5}, 2) == [(frozenset({2}), frozenset({5}))]
-    assert ordered_splits({4}, 2) == []
+# ---------------------------------------------------------------------------
+# the subset fold
+
+FOLD_GROUPS = [Z, PrimeField(5), PolyRing(3), VectorSpace(Rationals(), 2)]
+
+
+def _raw_element(group):
+    """Values that ``group.element`` turns into elements of group."""
+    ints = st.integers(-20, 20)
+    if isinstance(group, PolyRing):
+        return st.lists(ints, max_size=4)
+    if isinstance(group, VectorSpace):
+        return st.tuples(*[st.fractions(-5, 5, max_denominator=6)] * group.dim)
+    return ints
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_subset_folds_sums_match_the_naive_oracle(data):
+    group = data.draw(st.sampled_from(FOLD_GROUPS))
+    gens = [group.element(x) for x in data.draw(st.lists(_raw_element(group), max_size=5))]
+    folds = subset_folds(group.add, group.zero, gens)
+    assert len(folds) == 1 << len(gens) and folds[0] == group.zero
+    assert {mask_to_set(m): v for m, v in enumerate(folds) if m} == oracles.naive_subset_sums(
+        group, gens
+    )
+
+
+def _per_mask(op, unit, items):
+    out = []
+    for mask in range(1 << len(items)):
+        acc = unit
+        for i, x in enumerate(items):
+            if mask >> i & 1:
+                acc = op(acc, x)
+        out.append(acc)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_subset_folds_products_and_unions_match_a_per_mask_fold(data):
+    ring = data.draw(st.sampled_from(FOLD_GROUPS[:3]))
+    gens = [ring.element(x) for x in data.draw(st.lists(_raw_element(ring), max_size=5))]
+    assert subset_folds(ring.mul, ring.one, gens) == _per_mask(ring.mul, ring.one, gens)
+    blocks = data.draw(st.lists(st.frozensets(st.integers(1, 9)), max_size=5))
+    assert subset_folds(frozenset.union, frozenset(), blocks) == _per_mask(
+        frozenset.union, frozenset(), blocks
+    )
+
+
+@given(st.integers(1, 7), st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_fu_table_matches_the_naive_families(r, s):
+    table = ipsets._fu_checks_by_position(r, s)
+    position = {a: i for i, a in enumerate(oracles.naive_subsets_of(r))}
+    naive = [set() for _ in table]
+    for blocks, unions in oracles.naive_fu_families(r, s):
+        naive[position[frozenset().union(*blocks)]].add(
+            (blocks, tuple(position[u] for u in unions))
+        )
+    assert len(table) == (1 << r) - 1
+    for pos, entries in enumerate(table):
+        assert len(entries) == len(set(entries)) and set(entries) == naive[pos]
+        assert all(positions[-1] == pos for _, positions in entries)
 
 
 # ---------------------------------------------------------------------------

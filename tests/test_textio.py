@@ -142,6 +142,11 @@ def test_family_rendering():
 def test_word_rendering():
     assert render_word((1, 2, 1), 2) == "121"
     assert parse_word("121") == (1, 2, 1)
+    assert render_word((), 2) == "" and render_word((0, 9), 9) == "09"
+    assert parse_word("0123456789") == tuple(range(10))
+    for letter in (10, 48, -1):  # no digit of its own; "10" would read back as two letters
+        with pytest.raises(ValueError):
+            render_word((1, letter), 9)
     assert render_word((10, 2), 12) == "10,2"
     assert parse_word("10,2") == (10, 2)
     for bad in ("1a1", "1\u00b2"):  # a superscript two is a digit to str.isdigit
