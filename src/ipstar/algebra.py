@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class AlgebraError(ValueError):
@@ -228,13 +229,17 @@ class Rationals:
     def enumerate_window(self, window: Window) -> list[Fraction]:
         if not isinstance(window, RationalWindow):
             raise AlgebraError(f"{self} needs a RationalWindow, got {window}")
-        out = set()
-        for b in range(1, window.den_bound + 1):
-            for a in range(-window.num_bound, window.num_bound + 1):
-                q = Fraction(a, b)
-                if abs(q.numerator) <= window.num_bound and q.denominator <= window.den_bound:
-                    out.add(q)
-        return sorted(out)
+        # each value once, as its lowest terms a/b; a/b = a*(M//b)/M over
+        # M = lcm(1..den_bound), so the integer a*(M//b) sorts by value
+        A, B = window.num_bound, window.den_bound
+        M = lcm(*range(1, B + 1))
+        keyed = sorted(
+            (a * (M // b), a, b)
+            for b in range(1, B + 1)
+            for a in range(-A, A + 1)
+            if gcd(a, b) == 1
+        )
+        return [Fraction(a, b) for _, a, b in keyed]
 
     def __str__(self):
         return "Q"
@@ -447,10 +452,17 @@ def eval_monomial(m: Monomial, u: tuple):
     """Exact value of the monomial at a coordinate tuple from the same ring."""
     if len(u) != m.n:
         raise AlgebraError(f"monomial in {m.n} variables applied to {len(u)} coordinates")
+    return _monomial_value(m, tuple(m.ring.element(c) for c in u))
+
+
+def _monomial_value(m: Monomial, u: tuple):
+    """The monomial at normalised coordinates; its coefficient was
+    normalised when it was built, and a factor c^0 or c^1 is not computed."""
     r = m.ring
-    acc = r.element(m.coeff)
+    acc = m.coeff
     for c, e in zip(u, m.exponents):
-        acc = r.mul(acc, r.pow(r.element(c), e))
+        if e:
+            acc = r.mul(acc, c if e == 1 else r.pow(c, e))
     return acc
 
 
@@ -479,16 +491,26 @@ class PolynomialMap:
 
 
 def eval_poly(phi: PolynomialMap, u: tuple):
-    """Exact value of the polynomial map; eval_poly(phi, 0) is the target zero."""
+    """Exact value of the polynomial map; eval_poly(phi, 0) is the target zero.
+
+    The coordinates are normalised once.  A scalar weight equal to one is
+    not multiplied in when the target is the domain ring, so the value
+    already has the target's type, and the first term is not added to the
+    target's zero."""
     u = tuple(phi.ring.element(c) for c in u)
     if len(u) != phi.n:
         raise AlgebraError(f"polynomial map in {phi.n} variables applied to {len(u)} coordinates")
     tgt = phi.target
-    acc = tgt.zero
+    vector = isinstance(tgt, VectorSpace)
+    same = not vector and tgt == phi.ring
+    acc = None
     for m, w in phi.terms:
-        val = eval_monomial(m, u)
-        contrib = tgt.scale(val, w) if isinstance(tgt, VectorSpace) else tgt.mul(val, w)
-        acc = tgt.add(acc, contrib)
+        val = _monomial_value(m, u)
+        if vector:
+            val = tgt.scale(val, w)
+        elif not (same and w == tgt.one):
+            val = tgt.mul(val, w)
+        acc = val if acc is None else tgt.add(acc, val)
     return acc
 
 
@@ -527,13 +549,3 @@ def telescope_expansion(m: Monomial, u_gamma: tuple, alphas: list[tuple]):
                 val = r.mul(val, alphas[j][k])
                 sign = -sign
         yield sign, val
-
-
-def telescope_check(m: Monomial, u_gamma: tuple, alphas: list[tuple]) -> bool:
-    """Validate the expansion code path: distribute into 2^d signed terms,
-    sum, and compare with the directly evaluated monomial.  Always true."""
-    r = m.ring
-    total = r.zero
-    for sign, val in telescope_expansion(m, u_gamma, alphas):
-        total = r.add(total, val) if sign > 0 else r.sub(total, val)
-    return total == eval_monomial(m, u_gamma)

@@ -116,12 +116,13 @@ def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
 def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> RecurrenceReport:
     """Exact membership scan of the return set over the window."""
     base = _report_fields(sys, B, phi, epsilon, window)
-    B, elements, threshold = base["B"], base["elements"], base["threshold"]
+    elements, threshold = base["elements"], base["threshold"]
+    corr_of = sys.correlator(base["B"])
     rows = []
     members = set()
     for u in elements:
         w = phi(_as_coords(u, phi.n))
-        corr = sys.correlation(B, w)
+        corr = corr_of(w)
         hit = corr > threshold
         rows.append((u, w, corr, hit))
         if hit:
@@ -187,7 +188,7 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
     a product outside the window is never a witness.
     """
     base = _report_fields(sys, B, phi, epsilon, window)
-    ring, B, threshold = base["domain"], base["B"], base["threshold"]
+    ring, threshold = base["domain"], base["threshold"]
     if isinstance(ring, VectorSpace):
         raise RecurrenceError("finite products need a ring, not a vector group")
     gens = tuple(ring.element(g) for g in gens)
@@ -195,9 +196,10 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
         raise RecurrenceError("zero generator has no multiplicative content")
     products = subset_folds(ring.mul, ring.one, gens)[1:]
     inside = set(base["elements"])
+    corr_of = sys.correlator(base["B"])
 
     def in_R(u):
-        return u in inside and sys.correlation(B, phi((u,))) > threshold
+        return u in inside and corr_of(phi((u,))) > threshold
 
     if ring.zero in inside and not in_R(ring.zero):
         raise RecurrenceError("return set lost the zero element; broken invariant")
@@ -254,15 +256,6 @@ def theorem1_pipeline(
         chain_checked=True,
     )
     return classify_ipstar(report, r_max, **classify_kw)
-
-
-def reports_agree(a: RecurrenceReport, b: RecurrenceReport) -> bool:
-    """Same R, same correlations, element by element."""
-    return (
-        a.elements == b.elements
-        and a.R.members == b.R.members
-        and [(u, c) for u, _, c, _ in a.rows] == [(u, c) for u, _, c, _ in b.rows]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,22 +16,34 @@ finite rational computation:
 Every event measure, correlation mu(B cap T^w B), squared orbit distance and
 spectral quantity is a ``fractions.Fraction``.
 
-``correlation(B, w)`` is an integer kernel on each backend, with one
-``Fraction`` built at the end; the event algebra (``shift_event``,
-``intersection_measure``, ``measure``) stays the naive reference it must
-agree with:
+``correlator(B)`` returns the kernel w -> mu(B cap T^w B) of one event:
+the work that depends only on (system, B) is done once, and each call pays
+only for what depends on w.  Scans (``recurrence_set``, ``fp_probe``,
+``dlim_probe``) take one correlator per scan; ``correlation(B, w)`` is
+``correlator(B)(w)``, so each backend has one kernel.  The finite-perm and
+rotation kernels are integer arithmetic with one ``Fraction`` built at the
+end, and the event algebra (``shift_event``, ``intersection_measure``,
+``measure``) stays the naive reference every kernel must agree with:
 
 * finite-perm: the weights are integer numerators over one common
   denominator, and each generator has a cycle-position map x -> (x's
   cycle, x's index in it), so T^w moves a point c_i steps along its cycle
-  per coordinate.  Only B's points are mapped, and the numerators of those
-  landing in B are summed.  The same maps build ``transform``.
-* rotation: the angle is reduced mod 1, and B's endpoints and the angle are
-  put over one common denominator L; the shifted integer intervals are
-  intersected with B's and the overlap is divided by L.
+  per coordinate.  With one generator, B is one int bitmask per cycle it
+  meets, and the weight of the x in B landing in B is, summed over those
+  cycles, the cycle's weight times popcount(m & rot(m, c)).  With more
+  generators, B's points and their positions under generator 1 are listed
+  once, each call maps them along their cycles, and the numerators of
+  those landing in B are summed.  The same maps build ``transform``.
+* rotation: B's endpoints are put over one common denominator D once.  Per
+  w the angle is reduced mod 1 and B and the shift are scaled to
+  L = lcm(D, the angle's denominator); the shifted integer intervals are
+  intersected with B's and the overlap is divided by L.  Values are
+  memoised by w, since a polynomial scan meets most w more than once.
 * Bernoulli: cylinders on disjoint coordinates are independent under the
-  product measure, so when w is outside supp(B) - supp(B) the correlation
-  is mu(B)^2; otherwise the shifted cylinder is intersected with B.
+  product measure, so for w outside D = supp(B) - supp(B) the correlation
+  is mu(B)^2.  On the finite set D each correlation is worked out once,
+  with the naive event algebra, and tabled; a call normalises w and looks
+  it up.
 
 The finite-field backend sits outside the hypotheses of the recurrence
 theorem being exercised (which needs an infinite ground structure); reports
@@ -121,14 +133,15 @@ class FinitePermSystem:
             raise SystemError(f"acting element needs {self.n} coordinates")
         return tuple(c % self.p for c in w)
 
-    def _images(self, xs, coords) -> list:
+    def _images(self, xs, coords, first=None) -> list:
         """The images of the points xs, in order, under the acting element
         with these coordinates: each generator power moves a point along its
-        cycle."""
+        cycle.  first, if given, holds the xs' positions under generator 1."""
         out = list(xs)
-        for positions, c in zip(self._cycles, coords):
+        for k, (positions, c) in enumerate(zip(self._cycles, coords)):
             if c:
-                out = [cycle[(i + c) % len(cycle)] for cycle, i in map(positions.__getitem__, out)]
+                at = first if k == 0 and first is not None else map(positions.__getitem__, out)
+                out = [cycle[(i + c) % len(cycle)] for cycle, i in at]
         return out
 
     def transform(self, w):
@@ -153,11 +166,40 @@ class FinitePermSystem:
         return self.measure(B1 & B2)
 
     def correlation(self, B: frozenset, w) -> Fraction:
-        # T^w preserves the weights, so mu(B cap T^w B) is the weight of the
-        # x in B whose image lands in B
-        num = self._num
-        images = self._images(B, self._coords(w))
-        return Fraction(sum(num[x] for x, y in zip(B, images) if y in B), self._den)
+        return self.correlator(B)(w)
+
+    def correlator(self, B: frozenset):
+        """w -> mu(B cap T^w B).  T^w preserves the weights, so this is the
+        weight of the x in B whose image lands in B."""
+        den, coords_of = self._den, self._coords
+        if self.n == 1:
+            # B as one bitmask per cycle it meets: T^c moves index i to
+            # i + c, so the x in B landing in B are the set bits of m & rot(m, c)
+            masks: dict = {}  # id(cycle) -> [cycle, mask]
+            for x in B:
+                cycle, i = self._cycles[0][x]
+                masks.setdefault(id(cycle), [cycle, 0])[1] |= 1 << i
+            rings = [(m, len(cycle), (1 << len(cycle)) - 1, self._num[cycle[0]])
+                     for cycle, m in masks.values() if self._num[cycle[0]]]
+
+            def corr(w) -> Fraction:
+                (c,) = coords_of(w)
+                total = 0
+                for m, n, full, weight in rings:
+                    s = c % n
+                    total += weight * (m & ((m >> s | m << (n - s)) & full)).bit_count()
+                return Fraction(total, den)
+
+            return corr
+        xs = tuple(B)
+        nums = [self._num[x] for x in xs]
+        first = [self._cycles[0][x] for x in xs]
+
+        def corr(w) -> Fraction:
+            images = self._images(xs, coords_of(w), first)
+            return Fraction(sum(v for v, y in zip(nums, images) if y in B), den)
+
+        return corr
 
 
 def _cycle_positions(g: dict, p: int) -> dict:
@@ -295,24 +337,42 @@ class RotationSystem:
         return B1.intersect(B2).measure
 
     def correlation(self, B: IntervalUnion, w) -> Fraction:
-        # B's endpoints and the shift s over one denominator L: the pieces of
-        # B and of B + s are disjoint integer intervals in [0, L)
-        s = self._angle(w) % 1
-        L = lcm(s.denominator, *(e.denominator for piece in B.pieces for e in piece))
-        pieces = [(a.numerator * (L // a.denominator), b.numerator * (L // b.denominator))
-                  for a, b in B.pieces]
-        shift = s.numerator * (L // s.denominator)
-        moved = []
-        for a, b in pieces:
-            a, b = a + shift, b + shift
-            if a >= L:
-                moved.append((a - L, b - L))
-            elif b <= L:
-                moved.append((a, b))
-            else:  # runs past 1, reappears at 0
-                moved += [(a, L), (0, b - L)]
-        total = sum(max(0, min(b, d) - max(a, c)) for a, b in pieces for c, d in moved)
-        return Fraction(total, L)
+        return self.correlator(B)(w)
+
+    def correlator(self, B: IntervalUnion):
+        """w -> mu(B cap T^w B), memoised by w: equal elements turn by equal
+        angles, and the angle costs more than the overlap it leads to."""
+        # B's endpoints over one denominator D, scaled to L = lcm(D, the
+        # shift's denominator): the pieces of B and of B + s are then
+        # disjoint integer intervals in [0, L)
+        D = lcm(*(e.denominator for piece in B.pieces for e in piece))
+        ends = [(a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
+                for a, b in B.pieces]
+        memo: dict = {}
+
+        def corr(w) -> Fraction:
+            out = memo.get(w)
+            if out is not None:
+                return out
+            s = self._angle(w) % 1
+            L = lcm(D, s.denominator)
+            k = L // D
+            pieces = [(a * k, b * k) for a, b in ends]
+            shift = s.numerator * (L // s.denominator)
+            moved = []
+            for a, b in pieces:
+                a, b = a + shift, b + shift
+                if a >= L:
+                    moved.append((a - L, b - L))
+                elif b <= L:
+                    moved.append((a, b))
+                else:  # runs past 1, reappears at 0
+                    moved += [(a, L), (0, b - L)]
+            total = sum(max(0, min(b, d) - max(a, c)) for a, b in pieces for c, d in moved)
+            memo[w] = out = Fraction(total, L)
+            return out
+
+        return corr
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +469,26 @@ class BernoulliSystem:
         return self.measure(self.intersect(B1, B2))
 
     def correlation(self, B: Cylinder, w) -> Fraction:
-        w = self.ring.element(w)
-        supp = B.constraints
-        if supp.keys().isdisjoint(self.ring.add(c, w) for c in supp):
-            # w is outside supp(B) - supp(B): B and its shift constrain
-            # disjoint coordinates, independent under the product measure
-            return self.measure(B) ** 2
-        return self.intersection_measure(B, self.shift_event(B, w))
+        return self.correlator(B)(w)
+
+    def correlator(self, B: Cylinder):
+        """w -> mu(B cap T^w B).  Outside D = supp(B) - supp(B), B and its
+        shift constrain disjoint coordinates, independent under the product
+        measure, so the value is mu(B)^2; on D each value is tabled the
+        first time it is asked for, so a one-off call intersects once."""
+        ring, supp = self.ring, B.constraints
+        table = dict.fromkeys((ring.sub(d, c) for c in supp for d in supp), None)
+        mu2 = self.measure(B) ** 2
+
+        def corr(w) -> Fraction:
+            w = ring.element(w)
+            if w not in table:
+                return mu2
+            if table[w] is None:
+                table[w] = self.intersection_measure(B, self.shift_event(B, w))
+            return table[w]
+
+        return corr
 
 
 MeasureSystem = FinitePermSystem | RotationSystem | BernoulliSystem
@@ -590,10 +663,15 @@ def dlim_probe(sys, B, phi_map, N: int, folner=None) -> Fraction:
     split = compact_projection(sys, B)
     domain = phi_map.ring if phi_map.n == 1 else VectorSpace(phi_map.ring, phi_map.n)
     phi_n = _resolve_folner(folner, domain, N)
+    # the cross term is corr(w) - mu(B)^2 for the constant projection and
+    # zero for the identity one (cross_term)
+    corr = sys.correlator(B) if split.kind == "constant" else None
+    mu2 = split.mu**2
     total = Fraction(0)
     for v in phi_n:
         # scalar domain elements may themselves be tuples (polynomials)
         vv = (v,) if phi_map.n == 1 else v
         w = phi_map(vv)
-        total += cross_term(sys, B, w, split) ** 2
+        if corr is not None:
+            total += (corr(w) - mu2) ** 2
     return total / len(phi_n)

@@ -7,6 +7,7 @@ no sharing with the library code paths being checked.  Slow is fine.
 from fractions import Fraction
 from itertools import combinations, product
 
+from ipstar.algebra import Monomial, eval_monomial, telescope_expansion
 from ipstar.search import (
     ALL_OK,
     COUNTEREXAMPLE,
@@ -228,3 +229,23 @@ def per_size_fk_search(r, N, edges_by_last):
         nodes += out.candidates
         if out.path is not None:
             return size, frozenset(x for x, c in enumerate(out.path, 1) if c == 0), nodes
+
+
+def telescope_check(m: Monomial, u_gamma: tuple, alphas: list[tuple]) -> bool:
+    """Validate the expansion code path: distribute into 2^d signed terms,
+    sum, and compare with the directly evaluated monomial.  Always true."""
+    r = m.ring
+    total = r.zero
+    for sign, val in telescope_expansion(m, u_gamma, alphas):
+        total = r.add(total, val) if sign > 0 else r.sub(total, val)
+    return total == eval_monomial(m, u_gamma)
+
+
+def reports_agree(a, b) -> bool:
+    """Two recurrence reports have the same R and the same correlations,
+    element by element."""
+    return (
+        a.elements == b.elements
+        and a.R.members == b.R.members
+        and [(u, c) for u, _, c, _ in a.rows] == [(u, c) for u, _, c, _ in b.rows]
+    )

@@ -20,7 +20,6 @@ from ipstar.algebra import (
     RationalWindow,
     Rationals,
     scalar_poly_map,
-    telescope_check,
     window_enumerate,
 )
 from ipstar.halesjewett import (
@@ -44,7 +43,6 @@ from ipstar.recurrence import (
     classify_ipstar,
     isometric_recurrence_search,
     recurrence_set,
-    reports_agree,
     theorem1_pipeline,
 )
 from ipstar.search import ALL_OK, stages
@@ -62,6 +60,7 @@ from ipstar.textio import (
     coloring_certificate,
     render_certificate,
 )
+from oracles import reports_agree, telescope_check
 
 Q = Rationals()
 F5 = PrimeField(5)

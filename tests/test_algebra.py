@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipstar.algebra import (
     AlgebraError,
@@ -19,10 +21,10 @@ from ipstar.algebra import (
     eval_monomial,
     eval_poly,
     scalar_poly_map,
-    telescope_check,
     window_enumerate,
 )
 from ipstar.textio import parse_element, render_element, render_poly_map
+from oracles import telescope_check
 
 RINGS = [PrimeField(2), PrimeField(5), Integers(), Rationals(), PolyRing(2), PolyRing(3)]
 
@@ -129,6 +131,26 @@ def test_rational_window_no_duplicates_and_symmetric():
         assert set(win) == {-q for q in win}  # closed under negation
         for q in win:
             assert abs(q.numerator) <= A and q.denominator <= B
+
+
+def _naive_rational_window(A, B):
+    """Every a/b with |a| <= A, 1 <= b <= B, reduced, deduplicated and
+    sorted as Fractions."""
+    out = set()
+    for b in range(1, B + 1):
+        for a in range(-A, A + 1):
+            q = Fraction(a, b)
+            if abs(q.numerator) <= A and q.denominator <= B:
+                out.add(q)
+    return sorted(out)
+
+
+def test_rational_window_matches_the_naive_enumeration():
+    for A in range(0, 9):
+        for B in range(1, 9):
+            got = window_enumerate(Rationals(), RationalWindow(A, B))
+            assert got == _naive_rational_window(A, B), (A, B)
+            assert all(type(q) is Fraction for q in got)
 
 
 def test_degree_window_base_p_order():
@@ -262,6 +284,119 @@ def test_poly_map_mismatch_errors():
     phi = scalar_poly_map(Q, [Monomial(Q, 1, (1, 1))])
     with pytest.raises(AlgebraError):
         eval_poly(phi, (Fraction(1),))
+
+
+# eval_poly against a plain oracle: sum of coeff * prod u_i^e_i * w, with
+# values kept as ints, Fractions or coefficient lists and no ring method
+
+
+def _plain(ring):
+    """(normalise, add, mul) for the ring's values, sharing no code with it."""
+    if isinstance(ring, PrimeField):
+        p = ring.p
+        return (lambda x: x % p), (lambda a, b: (a + b) % p), (lambda a, b: a * b % p)
+    if isinstance(ring, Integers):
+        return (lambda x: x), (lambda a, b: a + b), (lambda a, b: a * b)
+    if isinstance(ring, Rationals):
+        return Fraction, (lambda a, b: a + b), (lambda a, b: a * b)
+    p = ring.p
+
+    def norm(x):
+        cs = [c % p for c in ([x] if isinstance(x, int) else x)]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return tuple(cs)
+
+    def add(a, b):
+        n = max(len(a), len(b))
+        return norm([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return norm(out)
+
+    return norm, add, mul
+
+
+def _oracle_value(ring, target, terms, u):
+    norm, _add, mul = _plain(ring)
+    scalar = target.ring if isinstance(target, VectorSpace) else target
+    t_norm, t_add, t_mul = _plain(scalar)
+    acc = None
+    for coeff, exps, w in terms:
+        v = norm(coeff)
+        for c, e in zip(u, exps):
+            for _ in range(e):
+                v = mul(v, norm(c))
+        if isinstance(target, VectorSpace):
+            contrib = tuple(t_mul(v, t_norm(x)) for x in w)
+            acc = contrib if acc is None else tuple(map(t_add, acc, contrib))
+        else:
+            contrib = t_mul(v, t_norm(w))
+            acc = contrib if acc is None else t_add(acc, contrib)
+    return acc
+
+
+P2, P3 = PolyRing(2), PolyRing(3)
+EVAL_CASES = [
+    (PrimeField(5), PrimeField(5)),
+    (Integers(), Integers()),
+    (Rationals(), Rationals()),
+    (Integers(), Rationals()),  # an integer value lands in Q as a Fraction
+    (P2, P2),
+    (P3, P3),
+    (PrimeField(5), VectorSpace(PrimeField(5), 2)),
+    (Rationals(), VectorSpace(Rationals(), 2)),
+    (Integers(), VectorSpace(Rationals(), 3)),
+    (P2, VectorSpace(P2, 2)),
+]
+
+
+def _raw(ring):
+    """Unnormalised inputs the ring accepts: ints out of range for F_p, ints
+    for Q, ints and lists or tuples with trailing zeros for F_p[t]."""
+    ints = st.integers(-12, 12)
+    if isinstance(ring, Rationals):
+        return ints | st.fractions(-6, 6, max_denominator=7)
+    if isinstance(ring, PolyRing):
+        coeffs = st.lists(st.integers(-4, 4), max_size=4)
+        return ints | coeffs.map(tuple) | coeffs
+    return ints
+
+
+@st.composite
+def eval_cases(draw):
+    ring, target = draw(st.sampled_from(EVAL_CASES))
+    n = draw(st.integers(1, 2))
+    scalar = target.ring if isinstance(target, VectorSpace) else target
+    one = scalar.one
+    if isinstance(target, VectorSpace):
+        weight = st.lists(_raw(scalar), min_size=target.dim, max_size=target.dim).map(tuple)
+    else:
+        weight = st.just(one) | _raw(scalar)
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any).map(tuple)
+    terms = draw(st.lists(st.tuples(_raw(ring), exps, weight), min_size=1, max_size=3))
+    u = tuple(draw(_raw(ring)) for _ in range(n))
+    return ring, target, n, terms, u
+
+
+def _types(v):
+    return tuple(map(_types, v)) if isinstance(v, tuple) else type(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eval_cases())
+def test_eval_poly_matches_a_plain_oracle(case):
+    ring, target, n, terms, u = case
+    phi = PolynomialMap(ring, n, target, tuple((Monomial(ring, c, e), w) for c, e, w in terms))
+    got = eval_poly(phi, u)
+    want = _oracle_value(ring, target, terms, u)
+    assert got == want
+    assert _types(got) == _types(want)  # e.g. a Fraction for Z -> Q, never an int
+    assert phi(u) == got
 
 
 def test_polyring_valued_map():

@@ -1,12 +1,14 @@
 """Differential tests of the backends' correlation kernels.
 
-``correlation(B, w)`` is an integer kernel on every backend: finite-perm
-maps only B's points along their generator cycles, the rotation shifts and
-intersects integer intervals over one common denominator, and Bernoulli
-returns mu(B)^2 when B and its shift constrain disjoint coordinates.  Each
-must equal the naive event algebra, ``intersection_measure(B,
-shift_event(B, w))``, and an oracle from ``tests/oracles.py`` that shares no
-code with either.
+``correlator(B)`` returns w -> mu(B cap T^w B), an integer kernel on every
+backend: finite-perm with one generator intersects B's bitmask on each cycle
+with its rotation, and with more generators maps only B's points along their
+cycles; the rotation shifts and intersects integer intervals over one common
+denominator, memoised by w; Bernoulli tables supp(B) - supp(B) and returns
+mu(B)^2 elsewhere.  One correlator is reused over a drawn list of w, with
+repeats to hit the memo, and each value must equal ``correlation(B, w)``,
+the naive event algebra, ``intersection_measure(B, shift_event(B, w))``, and
+an oracle from ``tests/oracles.py`` that shares no code with either.
 """
 
 from fractions import Fraction as F
@@ -27,10 +29,22 @@ from oracles import (
 SETTINGS = settings(max_examples=200, deadline=None)
 
 
-def _agree(sys, B, w, want):
-    got = sys.correlation(B, w)
-    assert isinstance(got, F)
-    assert got == sys.intersection_measure(B, sys.shift_event(B, w)) == want
+def _agree(sys, B, ws, want_of):
+    """One correlator over every w; each value against the naive algebra
+    and want_of(w)."""
+    corr = sys.correlator(B)
+    for w in ws:
+        got = corr(w)
+        assert isinstance(got, F)
+        assert got == sys.correlation(B, w)
+        assert got == sys.intersection_measure(B, sys.shift_event(B, w)) == want_of(w)
+
+
+def _with_repeats(draw, ws, variants=lambda w: st.just(w)):
+    """ws followed by a few of its members again, each drawn from its
+    variants (an equal element written another way)."""
+    again = draw(st.lists(st.sampled_from(ws), max_size=4))
+    return ws + [draw(variants(w)) for w in again]
 
 
 # ---------------------------------------------------------------------------
@@ -50,33 +64,44 @@ def _shifted(pieces, s):
     return out
 
 
+def _as_ints(x):
+    """An equal rational written as an int when it is one."""
+    return int(x) if x.denominator == 1 else x
+
+
 @st.composite
 def rotation_cases(draw):
-    """(system, B, w, s): rho a rational or a rational vector, negatives
+    """(system, B, ws, rhos): rho a rational or a rational vector, negatives
     allowed; B a union of up to four pieces, a piece with a > b wrapping
-    past 1; s the angle mod 1, worked out here."""
+    past 1; ws up to four elements, then some of them again, possibly with
+    integral coordinates written as ints."""
     n = draw(st.integers(1, 3))
     rhos = tuple(draw(SMALL) for _ in range(n))
-    w = tuple(draw(SMALL) for _ in range(n))
     sys = RotationSystem(rhos if n > 1 else rhos[0])
     pairs = draw(st.lists(st.tuples(ENDPOINTS, ENDPOINTS), max_size=4))
-    s = sum((c * r for c, r in zip(w, rhos)), F(0)) % 1
-    return sys, sys.event(pairs), w if n > 1 else w[0], s
+    ws = [tuple(draw(SMALL) for _ in range(n)) for _ in range(draw(st.integers(1, 4)))]
+    ws = _with_repeats(draw, ws, lambda w: st.just(w) | st.just(tuple(map(_as_ints, w))))
+    return sys, sys.event(pairs), [w if n > 1 else w[0] for w in ws], rhos
 
 
 @SETTINGS
 @given(rotation_cases())
 def test_rotation_kernel_matches_interval_oracle(case):
-    sys, B, w, s = case
+    sys, B, ws, rhos = case
     pieces = list(B.pieces)
-    moved = _shifted(pieces, s)
-    # mu(B cap B') = mu(B) + mu(B') - mu(B cup B'), each by breakpoint refinement
-    want = (
-        interval_length_oracle(pieces)
-        + interval_length_oracle(moved)
-        - interval_length_oracle(pieces + moved)
-    )
-    _agree(sys, B, w, want)
+
+    def want(w):
+        # the angle mod 1 worked out here; then mu(B cap B') = mu(B) +
+        # mu(B') - mu(B cup B'), each by breakpoint refinement
+        s = sum((c * r for c, r in zip(w if len(rhos) > 1 else (w,), rhos)), F(0)) % 1
+        moved = _shifted(pieces, s)
+        return (
+            interval_length_oracle(pieces)
+            + interval_length_oracle(moved)
+            - interval_length_oracle(pieces + moved)
+        )
+
+    _agree(sys, B, ws, want)
 
 
 def test_rotation_kernel_examples():
@@ -98,10 +123,10 @@ def test_rotation_kernel_examples():
 
 @st.composite
 def perm_cases(draw):
-    """(system, B, w): two commuting generators on a p x p grid (g1 moves the
+    """(system, B, ws): two commuting generators on a p x p grid (g1 moves the
     first coordinate, g2 the second), a p-cycle that g1 moves by 1 and g2 by
     k, and fixed points; integer weights constant on each block, zero on
-    some fixed points."""
+    some fixed points; ws up to four pairs, then some of them again."""
     p = draw(st.sampled_from([2, 3, 5]))
     k = draw(st.integers(0, p - 1))
     n_fixed = draw(st.integers(0, 3))
@@ -122,17 +147,55 @@ def perm_cases(draw):
     sys = FinitePermSystem(p, pts, weights, [g1, g2])
     B = draw(st.just(frozenset()) | st.just(frozenset(pts))
              | st.frozensets(st.sampled_from(pts)))
-    w = (draw(st.integers(-2 * p, 2 * p)), draw(st.integers(-2 * p, 2 * p)))
-    return sys, sys.event(B), w
+    coord = st.integers(-2 * p, 2 * p)
+    ws = _with_repeats(draw, draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4)))
+    return sys, sys.event(B), ws
+
+
+@st.composite
+def one_generator_perm_cases(draw):
+    """(system, B, ws): one generator with up to four p-cycles and up to
+    four fixed points, weights constant on each cycle and zero on some
+    cycles and fixed points; ws scalars and 1-tuples, some repeated."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    cycles = [[("c", k, i) for i in range(p)] for k in range(draw(st.integers(0, 4)))]
+    fixed = [("f", m) for m in range(draw(st.integers(0 if cycles else 1, 4)))]
+    pts = [x for c in cycles for x in c] + fixed
+    g = {x: x for x in fixed}
+    raw = {x: draw(st.integers(0, 3)) for x in fixed}
+    for c in cycles:
+        g.update(zip(c, c[1:] + c[:1]))
+        raw.update(dict.fromkeys(c, draw(st.integers(0, 3))))
+    if not any(raw.values()):
+        raw = dict.fromkeys(raw, 1)
+    weights = {x: F(v, sum(raw.values())) for x, v in raw.items()}
+    sys = FinitePermSystem(p, pts, weights, [g])
+    B = draw(st.just(frozenset()) | st.just(frozenset(pts))
+             | st.frozensets(st.sampled_from(pts)))
+    ws = draw(st.lists(st.integers(-2 * p, 2 * p), min_size=1, max_size=4))
+    ws = _with_repeats(draw, ws, lambda w: st.just(w) | st.just((w,)) | st.just(w + p))
+    return sys, sys.event(B), ws
+
+
+def _perm_oracle(sys, B, w):
+    coords = w if isinstance(w, tuple) else (w,)
+    power = naive_perm_power(sys.gens, [c % sys.p for c in coords])
+    assert sys.transform(w) == power
+    return naive_finite_correlation(sys.points, sys.weights, power, B)
 
 
 @SETTINGS
 @given(perm_cases())
 def test_finite_perm_kernel_matches_pointwise_oracle(case):
-    sys, B, w = case
-    power = naive_perm_power(sys.gens, [c % sys.p for c in w])
-    _agree(sys, B, w, naive_finite_correlation(sys.points, sys.weights, power, B))
-    assert sys.transform(w) == power
+    sys, B, ws = case
+    _agree(sys, B, ws, lambda w: _perm_oracle(sys, B, w))
+
+
+@SETTINGS
+@given(one_generator_perm_cases())
+def test_one_generator_bitmask_kernel_matches_pointwise_oracle(case):
+    sys, B, ws = case
+    _agree(sys, B, ws, lambda w: _perm_oracle(sys, B, w))
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +224,11 @@ def _cylinder_prob(base, table):
 
 @st.composite
 def bernoulli_cases(draw):
-    """(system, B, w, constraints): a support of up to four coordinates of
+    """(system, B, ws, constraints): a support of up to four coordinates of
     degree < 3 or < 4, letter sets that may be empty, plus up to two
     coordinates padded with trailing zeros, which may name a support
-    coordinate again; w is either any window element or the difference of
-    two support coordinates, so the shifted support collides with B's."""
+    coordinate again; each w is either any window element or the difference
+    of two support coordinates, so the shifted support collides with B's."""
     p = draw(st.sampled_from([2, 3]))
     d = draw(st.sampled_from([3, 4]))
     ring = PolyRing(p)
@@ -179,25 +242,31 @@ def bernoulli_cases(draw):
     coords = st.sampled_from(elems) | st.sampled_from(supp) if supp else st.sampled_from(elems)
     for c in draw(st.lists(coords, max_size=2)):
         constraints[c + (0,) * draw(st.integers(1, 2))] = draw(letter_sets)
-    if supp and draw(st.booleans()):
-        a, b = draw(st.sampled_from(supp)), draw(st.sampled_from(supp))
-        w = _poly_add(p, a, tuple((-x) % p for x in b))
-    else:
-        w = draw(st.sampled_from(elems))
+    # w inside supp(B) - supp(B), a difference of two support coordinates,
+    # or any window element, which is mostly outside
+    diffs = [_poly_add(p, a, tuple((-x) % p for x in b)) for a in supp for b in supp]
+    ws = draw(st.lists(st.sampled_from(diffs) | st.sampled_from(elems) if diffs
+                       else st.sampled_from(elems), min_size=1, max_size=4))
+    # repeats, some padded with trailing zeros: the same element unnormalised
+    ws = _with_repeats(draw, ws, lambda w: st.integers(0, 2).map(lambda k: w + (0,) * k))
     sys = BernoulliSystem(p, base)
-    return sys, sys.event(constraints), w, constraints
+    return sys, sys.event(constraints), ws, constraints
 
 
 @SETTINGS
 @given(bernoulli_cases())
 def test_bernoulli_kernel_matches_cylinder_oracle(case):
-    sys, B, w, constraints = case
-    table = {}  # B's constraints and its shift's, on normalised coordinates
-    for shift in ((), w):
-        for c, ls in constraints.items():
-            moved = _poly_add(sys.p, c, shift)
-            table[moved] = table[moved] & ls if moved in table else set(ls)
-    _agree(sys, B, w, _cylinder_prob(sys.base, table))
+    sys, B, ws, constraints = case
+
+    def want(w):
+        table = {}  # B's constraints and its shift's, on normalised coordinates
+        for shift in ((), w):
+            for c, ls in constraints.items():
+                moved = _poly_add(sys.p, c, shift)
+                table[moved] = table[moved] & ls if moved in table else set(ls)
+        return _cylinder_prob(sys.base, table)
+
+    _agree(sys, B, ws, want)
 
 
 def test_bernoulli_disjoint_supports_are_independent():

@@ -1,0 +1,235 @@
+"""Golden outputs of the return-set commands: `recurrence` (csv and
+report), `probe` and `density`.
+
+Each instance is a system file and a list of command lines run through
+``ipstar.cli.main`` in a fresh directory with ``system=sys.txt``; the
+`recurrence` steps write to ``output=out``.  After each step the exit code,
+standard output and the sha256 of every file under ``out`` are compared with
+the values pinned below; the ``generated`` line of each file is dropped
+before hashing.
+
+The systems reach every correlation kernel: a one-generator finite-perm
+system with two cycles, fixed points and a zero weight; a two-generator one,
+with a one- and a two-variable map; a rotation over a rational window; and a
+Bernoulli system whose window holds shifts w both inside and outside
+supp(B) - supp(B).
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from ipstar import cli
+
+PERM1 = (
+    "backend finite-perm\np 5\npoints 0 1 2 3 4 5 6 7 8 9 10 11 12\n"
+    "weights 1/10 1/10 1/10 1/10 1/10 1/20 1/20 1/20 1/20 1/20 1/6 1/12 0\n"
+    "gen (0 1 2 3 4)(5 6 7 8 9)\nset B 0 2 5 6 8 12\n"
+)
+PERM2 = (
+    "backend finite-perm\np 3\npoints 0 1 2 3 4 5 6 7 8\n"
+    "gen (0 1 2)(3 4 5)(6 7 8)\ngen (0 3 6)(1 4 7)(2 5 8)\nset B 0 1 4\n"
+)
+ROT = "backend rotation\nrho 2/7\nset B 1/12 1/3 1/2 3/4\n"
+BERN = "backend bernoulli\np 2\nprobs 1/3 2/3\nset B []:0 [0,1]:1 [1,1]:0\n"
+
+
+def _steps(phi, epsilon, window, gens, N):
+    common = [f"phi={phi}", f"epsilon={epsilon}", f"window={window}"]
+    return [
+        ["recurrence", *common, "output=out"],
+        ["recurrence", *common, "format=report", "output=out"],
+        ["probe", *common, f"gens={gens}"],
+        ["density", f"phi={phi}", f"N={N}"],
+    ]
+
+
+INSTANCES = {
+    "perm1": (PERM1, _steps("2*u^2 + u", "1/100", "full", "1,2,3", 3)),
+    "perm2": (PERM2, _steps("u*(1,0) + u^2*(0,1)", "1/100", "full", "1,2", 2)),
+    "perm2-xy": (PERM2, [["recurrence", "phi=x1*(1,0) + x1*x2*(0,1)", "epsilon=1/100",
+                          "window=full", "output=out"]]),
+    "rot": (ROT, _steps("u^2 + u", "1/100", "rat 5 5", "1/2,2,3/4", 4)),
+    "bern": (BERN, _steps("u^2 + u", "1/1000", "deg 4", "[0,1],[1,1],[1]", 4)),
+    "bern-u": (BERN, _steps("u", "1/1000", "deg 4", "[0,1],[1,0,1]", 3)),
+}
+
+
+def _digest(path: Path) -> str:
+    lines = path.read_bytes().splitlines(keepends=True)
+    kept = b"".join(
+        ln for ln in lines
+        if not ln.lstrip().startswith((b'"generated"', b"# generated:"))
+    )
+    return hashlib.sha256(kept).hexdigest()
+
+
+def _main(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(argv)
+    return rc, buf.getvalue()
+
+
+def play(system: str, steps):
+    """Run the steps in the current directory; returns one record per step:
+    (exit code, stdout, {file: sha256})."""
+    Path("sys.txt").write_text(system)
+    out = Path("out")
+    records = []
+    for argv in steps:
+        rc, stdout = _main([*argv, "system=sys.txt"])
+        files = {p.name: _digest(p) for p in sorted(out.iterdir())} if out.exists() else {}
+        records.append((rc, stdout, files))
+    return records
+
+
+# name -> [(exit code, stdout, {file: sha256}) per step]
+GOLDEN = {'bern': [(0,
+           'system: bernoulli p=2 probs=1/3,2/3\n'
+           'phi: u^2 + u\n'
+           'mu(B) = 2/27\n'
+           'threshold = 3271/729000\n'
+           'R: 16 of 16 window elements\n'
+           'wrote out/recurrence.csv\n',
+           {'recurrence.csv': '1bc4636af61f504acf0467ccaf13334a908bef9c2b7bc41ff6938c7428581207'}),
+          (0,
+           'system: bernoulli p=2 probs=1/3,2/3\n'
+           'phi: u^2 + u\n'
+           'mu(B) = 2/27\n'
+           'threshold = 3271/729000\n'
+           'R: 16 of 16 window elements\n'
+           'wrote out/recurrence.json\n',
+           {'recurrence.csv': '1bc4636af61f504acf0467ccaf13334a908bef9c2b7bc41ff6938c7428581207',
+            'recurrence.json': '563091a43b7e03f1635be22c4a064733cced69792f1daaac5c7a4f63f42756a0'}),
+          (0,
+           'products: [0,1],[1,1],[0,1,1],[1],[0,1],[1,1],[0,1,1]\n'
+           'witnesses: [0,1],[1,1],[0,1,1],[1],[0,1],[1,1],[0,1,1]\n'
+           'intersects: true\n',
+           {'recurrence.csv': '1bc4636af61f504acf0467ccaf13334a908bef9c2b7bc41ff6938c7428581207',
+            'recurrence.json': '563091a43b7e03f1635be22c4a064733cced69792f1daaac5c7a4f63f42756a0'}),
+          (0,
+           'dlim over N=1..4\n'
+           'N=1: 2500/531441\n'
+           'N=2: 1250/531441\n'
+           'N=3: 625/531441\n'
+           'N=4: 625/1062882\n',
+           {'recurrence.csv': '1bc4636af61f504acf0467ccaf13334a908bef9c2b7bc41ff6938c7428581207',
+            'recurrence.json': '563091a43b7e03f1635be22c4a064733cced69792f1daaac5c7a4f63f42756a0'})],
+ 'bern-u': [(0,
+             'system: bernoulli p=2 probs=1/3,2/3\n'
+             'phi: u\n'
+             'mu(B) = 2/27\n'
+             'threshold = 3271/729000\n'
+             'R: 14 of 16 window elements\n'
+             'wrote out/recurrence.csv\n',
+             {'recurrence.csv': 'b27ba495533d2fee9e4348b302720083c99d3eaab358dbce6251dd20b900b806'}),
+            (0,
+             'system: bernoulli p=2 probs=1/3,2/3\n'
+             'phi: u\n'
+             'mu(B) = 2/27\n'
+             'threshold = 3271/729000\n'
+             'R: 14 of 16 window elements\n'
+             'wrote out/recurrence.json\n',
+             {'recurrence.csv': 'b27ba495533d2fee9e4348b302720083c99d3eaab358dbce6251dd20b900b806',
+              'recurrence.json': 'd5bfbbb0cf783f43f3c7bab6d073479372812f19818fd053aceba930c3c94265'}),
+            (0,
+             'products: [0,1],[1,0,1],[0,1,0,1]\nwitnesses: [1,0,1],[0,1,0,1]\nintersects: true\n',
+             {'recurrence.csv': 'b27ba495533d2fee9e4348b302720083c99d3eaab358dbce6251dd20b900b806',
+              'recurrence.json': 'd5bfbbb0cf783f43f3c7bab6d073479372812f19818fd053aceba930c3c94265'}),
+            (0,
+             'dlim over N=1..3\nN=1: 1258/531441\nN=2: 889/531441\nN=3: 889/1062882\n',
+             {'recurrence.csv': 'b27ba495533d2fee9e4348b302720083c99d3eaab358dbce6251dd20b900b806',
+              'recurrence.json': 'd5bfbbb0cf783f43f3c7bab6d073479372812f19818fd053aceba930c3c94265'})],
+ 'perm1': [(0,
+            'system: finite-perm p=5 points=13 gens=1\n'
+            'phi: 2*u^2 + u\n'
+            'mu(B) = 7/20\n'
+            'threshold = 9/80\n'
+            'R: 3 of 5 window elements\n'
+            'wrote out/recurrence.csv\n',
+            {'recurrence.csv': '5c3103e0fe67916d0adfceee8de3c0ce59d6a89199b2002bd9498a767bb06152'}),
+           (0,
+            'system: finite-perm p=5 points=13 gens=1\n'
+            'phi: 2*u^2 + u\n'
+            'mu(B) = 7/20\n'
+            'threshold = 9/80\n'
+            'R: 3 of 5 window elements\n'
+            'wrote out/recurrence.json\n',
+            {'recurrence.csv': '5c3103e0fe67916d0adfceee8de3c0ce59d6a89199b2002bd9498a767bb06152',
+             'recurrence.json': '71e9bbf5997958edd58e28f259434b8574f293b675430118a8e1a87d2e305a55'}),
+           (0,
+            'products: 1,2,2,3,3,1,1\nwitnesses: 1,2,2,1,1\nintersects: true\n',
+            {'recurrence.csv': '5c3103e0fe67916d0adfceee8de3c0ce59d6a89199b2002bd9498a767bb06152',
+             'recurrence.json': '71e9bbf5997958edd58e28f259434b8574f293b675430118a8e1a87d2e305a55'}),
+           (0,
+            'dlim over N=1..3\nN=1: 0\nN=2: 0\nN=3: 0\n',
+            {'recurrence.csv': '5c3103e0fe67916d0adfceee8de3c0ce59d6a89199b2002bd9498a767bb06152',
+             'recurrence.json': '71e9bbf5997958edd58e28f259434b8574f293b675430118a8e1a87d2e305a55'})],
+ 'perm2': [(0,
+            'system: finite-perm p=3 points=9 gens=2\n'
+            'phi: u*(1,0) + u^2*(0,1)\n'
+            'mu(B) = 1/3\n'
+            'threshold = 91/900\n'
+            'R: 2 of 3 window elements\n'
+            'wrote out/recurrence.csv\n',
+            {'recurrence.csv': 'ab9b35d53c1659d77b347ebd352daa563ee174ffefc6e59c631ced4931dd53dc'}),
+           (0,
+            'system: finite-perm p=3 points=9 gens=2\n'
+            'phi: u*(1,0) + u^2*(0,1)\n'
+            'mu(B) = 1/3\n'
+            'threshold = 91/900\n'
+            'R: 2 of 3 window elements\n'
+            'wrote out/recurrence.json\n',
+            {'recurrence.csv': 'ab9b35d53c1659d77b347ebd352daa563ee174ffefc6e59c631ced4931dd53dc',
+             'recurrence.json': 'dd29efc86cf1f6b1024064f86c77fbd5fc86f744ccfed10dedddb3343d5ff07b'}),
+           (0,
+            'products: 1,2,2\nwitnesses: 1\nintersects: true\n',
+            {'recurrence.csv': 'ab9b35d53c1659d77b347ebd352daa563ee174ffefc6e59c631ced4931dd53dc',
+             'recurrence.json': 'dd29efc86cf1f6b1024064f86c77fbd5fc86f744ccfed10dedddb3343d5ff07b'}),
+           (0,
+            'dlim over N=1..2\nN=1: 0\nN=2: 0\n',
+            {'recurrence.csv': 'ab9b35d53c1659d77b347ebd352daa563ee174ffefc6e59c631ced4931dd53dc',
+             'recurrence.json': 'dd29efc86cf1f6b1024064f86c77fbd5fc86f744ccfed10dedddb3343d5ff07b'})],
+ 'perm2-xy': [(0,
+               'system: finite-perm p=3 points=9 gens=2\n'
+               'phi: x1*(1,0) + x1*x2*(0,1)\n'
+               'mu(B) = 1/3\n'
+               'threshold = 91/900\n'
+               'R: 7 of 9 window elements\n'
+               'wrote out/recurrence.csv\n',
+               {'recurrence.csv': '634d9fe924d2b022d7639987ad47838d4d145046fb333c413a597b87a0d6c142'})],
+ 'rot': [(0,
+          'system: rotation rho=2/7\n'
+          'phi: u^2 + u\n'
+          'mu(B) = 1/2\n'
+          'threshold = 6/25\n'
+          'R: 27 of 39 window elements\n'
+          'wrote out/recurrence.csv\n',
+          {'recurrence.csv': 'a82947d95df2d0d73f613cbee399fbde7b85f5bbdc8544b6d36e04b6b2ade685'}),
+         (0,
+          'system: rotation rho=2/7\n'
+          'phi: u^2 + u\n'
+          'mu(B) = 1/2\n'
+          'threshold = 6/25\n'
+          'R: 27 of 39 window elements\n'
+          'wrote out/recurrence.json\n',
+          {'recurrence.csv': 'a82947d95df2d0d73f613cbee399fbde7b85f5bbdc8544b6d36e04b6b2ade685',
+           'recurrence.json': '2f26eecee6df850426120fecd8d78716e79c370176aecbafa824fa8f1d753985'}),
+         (0,
+          'products: 1/2,2,1,3/4,3/8,3/2,3/4\nwitnesses: 1,3/4,3/2,3/4\nintersects: true\n',
+          {'recurrence.csv': 'a82947d95df2d0d73f613cbee399fbde7b85f5bbdc8544b6d36e04b6b2ade685',
+           'recurrence.json': '2f26eecee6df850426120fecd8d78716e79c370176aecbafa824fa8f1d753985'}),
+         (0,
+          'dlim over N=1..4\nN=1: 0\nN=2: 0\nN=3: 0\nN=4: 0\n',
+          {'recurrence.csv': 'a82947d95df2d0d73f613cbee399fbde7b85f5bbdc8544b6d36e04b6b2ade685',
+           'recurrence.json': '2f26eecee6df850426120fecd8d78716e79c370176aecbafa824fa8f1d753985'})]}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_golden_outputs(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert play(*INSTANCES[name]) == GOLDEN[name]

@@ -30,7 +30,6 @@ from ipstar.recurrence import (
     fp_probe,
     isometric_recurrence_search,
     recurrence_set,
-    reports_agree,
     theorem1_pipeline,
     verify_gamma_distance,
 )
@@ -41,6 +40,7 @@ from ipstar.systems import (
     SystemError,
     regular_system,
 )
+from oracles import reports_agree
 
 F5 = PrimeField(5)
 Q = Rationals()
