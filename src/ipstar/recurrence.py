@@ -32,7 +32,7 @@ from .systems import (
     FinitePermSystem,
     RotationSystem,
     compact_projection,
-    cross_term,
+    cross_terms,
     folner_density,
     khintchine_bound,
     orbit_metric,
@@ -226,6 +226,7 @@ def theorem1_pipeline(
     base = _report_fields(sys, B, phi, epsilon, window)
     B, mu, threshold = base["B"], base["mu"], base["threshold"]
     split = compact_projection(sys, B)
+    cross_of = cross_terms(sys, B, split)
     half = base["epsilon"] / 2
     rows = []
     members, A, E = set(), [], []
@@ -234,7 +235,7 @@ def theorem1_pipeline(
         # independent correlation path: inclusion-exclusion through the
         # symmetric difference instead of the direct intersection measure
         corr = mu - symm_diff_measure(sys, B, sys.shift_event(B, w)) / 2
-        cross = cross_term(sys, B, w, split)
+        cross = cross_of(w)
         in_A = projected_orbit_dist_sq(sys, B, w, split) < half * half
         in_E = in_A and cross <= -half
         hit = corr > threshold

@@ -31,9 +31,9 @@ end, and the event algebra (``shift_event``, ``intersection_measure``,
   per coordinate.  With one generator, B is one int bitmask per cycle it
   meets, and the weight of the x in B landing in B is, summed over those
   cycles, the cycle's weight times popcount(m & rot(m, c)).  With more
-  generators, B's points and their positions under generator 1 are listed
-  once, each call maps them along their cycles, and the numerators of
-  those landing in B are summed.  The same maps build ``transform``.
+  generators, B's points and their numerators are listed once, each call
+  maps the points along their cycles, and the numerators of those landing
+  in B are summed.  The same maps build ``transform``.
 * rotation: B's endpoints are put over one common denominator D once.  Per
   w the angle is reduced mod 1 and B and the shift are scaled to
   L = lcm(D, the angle's denominator); the shifted integer intervals are
@@ -133,15 +133,14 @@ class FinitePermSystem:
             raise SystemError(f"acting element needs {self.n} coordinates")
         return tuple(c % self.p for c in w)
 
-    def _images(self, xs, coords, first=None) -> list:
+    def _images(self, xs, coords) -> list:
         """The images of the points xs, in order, under the acting element
         with these coordinates: each generator power moves a point along its
-        cycle.  first, if given, holds the xs' positions under generator 1."""
+        cycle."""
         out = list(xs)
-        for k, (positions, c) in enumerate(zip(self._cycles, coords)):
+        for positions, c in zip(self._cycles, coords):
             if c:
-                at = first if k == 0 and first is not None else map(positions.__getitem__, out)
-                out = [cycle[(i + c) % len(cycle)] for cycle, i in at]
+                out = [cycle[(i + c) % len(cycle)] for cycle, i in map(positions.__getitem__, out)]
         return out
 
     def transform(self, w):
@@ -193,10 +192,9 @@ class FinitePermSystem:
             return corr
         xs = tuple(B)
         nums = [self._num[x] for x in xs]
-        first = [self._cycles[0][x] for x in xs]
 
         def corr(w) -> Fraction:
-            images = self._images(xs, coords_of(w), first)
+            images = self._images(xs, coords_of(w))
             return Fraction(sum(v for v, y in zip(nums, images) if y in B), den)
 
         return corr
@@ -573,14 +571,16 @@ def khintchine_bound(sys, B) -> Fraction:
     return bound
 
 
-def cross_term(sys, B, w, split: SpectralSplit | None = None) -> Fraction:
-    """<T^w (1_B - P1_B), 1_B> exactly: zero when the projection is the
-    identity, corr(w) - mu(B)^2 for the constant projection."""
+def cross_terms(sys, B, split: SpectralSplit | None = None):
+    """w -> <T^w (1_B - P1_B), 1_B> exactly, from one correlator: zero when
+    the projection is the identity, corr(w) - mu(B)^2 for the constant
+    projection."""
     if split is None:
         split = compact_projection(sys, B)
     if split.kind == "identity":
-        return Fraction(0)
-    return sys.correlation(B, w) - split.mu**2
+        return lambda w: Fraction(0)
+    corr, mu2 = sys.correlator(B), split.mu**2
+    return lambda w: corr(w) - mu2
 
 
 def projected_orbit_dist_sq(sys, B, w, split: SpectralSplit | None = None) -> Fraction:
@@ -660,18 +660,12 @@ def dlim_probe(sys, B, phi_map, N: int, folner=None) -> Fraction:
     """Cesaro average of |<T^{phi(v)}(1_B - P1_B), 1_B>|^2 over window N of
     the map's domain.  Exactly zero on the compact backends; must decay in N
     for the product backend, where only finitely many v contribute."""
-    split = compact_projection(sys, B)
+    cross = cross_terms(sys, B)
     domain = phi_map.ring if phi_map.n == 1 else VectorSpace(phi_map.ring, phi_map.n)
     phi_n = _resolve_folner(folner, domain, N)
-    # the cross term is corr(w) - mu(B)^2 for the constant projection and
-    # zero for the identity one (cross_term)
-    corr = sys.correlator(B) if split.kind == "constant" else None
-    mu2 = split.mu**2
     total = Fraction(0)
     for v in phi_n:
         # scalar domain elements may themselves be tuples (polynomials)
         vv = (v,) if phi_map.n == 1 else v
-        w = phi_map(vv)
-        if corr is not None:
-            total += (corr(w) - mu2) ** 2
+        total += cross(phi_map(vv)) ** 2
     return total / len(phi_n)

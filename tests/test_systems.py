@@ -24,7 +24,7 @@ from ipstar.systems import (
     SpectralSplit,
     SystemError,
     compact_projection,
-    cross_term,
+    cross_terms,
     dlim_probe,
     folner_density,
     folner_sets,
@@ -453,16 +453,17 @@ def test_khintchine_bound_random_events_all_backends():
 
 def test_cross_term_values():
     s = regular_system(5)
-    B = s.event({0, 1})
+    cross = cross_terms(s, s.event({0, 1}))
     for w in range(5):
-        assert cross_term(s, B, w) == 0
+        assert cross(w) == 0
     b = BernoulliSystem(2, [F(1, 2), F(1, 2)])
     Bb = b.event({(): {0}})
-    assert cross_term(b, Bb, ()) == F(1, 4)
-    assert cross_term(b, Bb, (0, 1)) == 0
-    assert cross_term(b, Bb, (1,)) == 0
-    for w in [(), (1,), (0, 1), (1, 1)]:
-        assert cross_term(b, Bb, w) == b.correlation(Bb, w) - F(1, 4)
+    cross = cross_terms(b, Bb)
+    assert cross(()) == F(1, 4)
+    assert cross((0, 1)) == 0
+    assert cross((1,)) == 0
+    for w in [(), (1,), (0, 1), (1, 1), ()]:
+        assert cross(w) == b.correlation(Bb, w) - F(1, 4)
 
 
 def test_projected_orbit_distance():
