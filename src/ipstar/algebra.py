@@ -26,6 +26,9 @@ search modules are deterministic:
   leading one down)
 * vector spaces: cartesian product of the scalar window with coordinate 1
   most significant (last coordinate varies fastest)
+
+``window_contains`` decides whether a ground-ring element lies in a window
+from the window's bounds, without listing it.
 """
 
 from __future__ import annotations
@@ -91,8 +94,16 @@ class DegreeWindow:
 Window = FullWindow | IntegerWindow | RationalWindow | DegreeWindow
 
 
+def _expect_window(ring, window, kind) -> None:
+    if not isinstance(window, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise AlgebraError(f"{ring} needs {article} {kind.__name__}, got {window}")
+
+
 # ---------------------------------------------------------------------------
 # ground rings
+
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)  # immutable, so shared
 
 
 @dataclass(frozen=True)
@@ -137,9 +148,12 @@ class PrimeField:
         return pow(a, k, self.p)
 
     def enumerate_window(self, window: Window) -> list[int]:
-        if not isinstance(window, FullWindow):
-            raise AlgebraError(f"{self} only supports FullWindow, got {window}")
+        _expect_window(self, window, FullWindow)
         return list(range(self.p))
+
+    def window_contains(self, window: Window, a: int) -> bool:
+        _expect_window(self, window, FullWindow)
+        return True
 
     def __str__(self):
         return f"F_{self.p}"
@@ -181,9 +195,12 @@ class Integers:
         return a**k
 
     def enumerate_window(self, window: Window) -> list[int]:
-        if not isinstance(window, IntegerWindow):
-            raise AlgebraError(f"{self} needs an IntegerWindow, got {window}")
+        _expect_window(self, window, IntegerWindow)
         return list(range(-window.bound, window.bound + 1))
+
+    def window_contains(self, window: Window, a: int) -> bool:
+        _expect_window(self, window, IntegerWindow)
+        return abs(a) <= window.bound
 
     def __str__(self):
         return "Z"
@@ -193,16 +210,16 @@ class Integers:
 class Rationals:
     @property
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _Q_ZERO
 
     @property
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _Q_ONE
 
     def element(self, x) -> Fraction:
-        if isinstance(x, bool):
-            raise AlgebraError(f"not a rational: {x!r}")
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, Fraction):  # already in lowest terms
+            return x
+        if isinstance(x, int) and not isinstance(x, bool):
             return Fraction(x)
         raise AlgebraError(f"not a rational: {x!r}")
 
@@ -227,8 +244,7 @@ class Rationals:
         return a**k
 
     def enumerate_window(self, window: Window) -> list[Fraction]:
-        if not isinstance(window, RationalWindow):
-            raise AlgebraError(f"{self} needs a RationalWindow, got {window}")
+        _expect_window(self, window, RationalWindow)
         # each value once, as its lowest terms a/b; a/b = a*(M//b)/M over
         # M = lcm(1..den_bound), so the integer a*(M//b) sorts by value
         A, B = window.num_bound, window.den_bound
@@ -240,6 +256,10 @@ class Rationals:
             if gcd(a, b) == 1
         )
         return [Fraction(a, b) for _, a, b in keyed]
+
+    def window_contains(self, window: Window, a: Fraction) -> bool:
+        _expect_window(self, window, RationalWindow)
+        return abs(a.numerator) <= window.num_bound and a.denominator <= window.den_bound
 
     def __str__(self):
         return "Q"
@@ -321,17 +341,19 @@ class PolyRing:
         return out
 
     def enumerate_window(self, window: Window) -> list[tuple]:
-        if not isinstance(window, DegreeWindow):
-            raise AlgebraError(f"{self} needs a DegreeWindow, got {window}")
-        out = []
-        for i in range(self.p**window.deg_bound):
-            coeffs = []
-            v = i
-            while v:
-                v, r = divmod(v, self.p)
-                coeffs.append(r)
-            out.append(tuple(coeffs))
+        _expect_window(self, window, DegreeWindow)
+        # the polynomials of n+1 coefficients are the counters p^n..p^(n+1)-1:
+        # leading coefficient outermost, then the lower ones as a base-p
+        # counter with the highest degree most significant
+        out = [()]
+        for n in range(window.deg_bound):
+            lows = [low[::-1] for low in itertools.product(range(self.p), repeat=n)]
+            out += [low + (lead,) for lead in range(1, self.p) for low in lows]
         return out
+
+    def window_contains(self, window: Window, a: tuple) -> bool:
+        _expect_window(self, window, DegreeWindow)
+        return len(a) <= window.deg_bound
 
     def __str__(self):
         return f"F_{self.p}[t]"
@@ -405,6 +427,13 @@ def window_enumerate(group: Group, window: Window) -> list:
     return group.enumerate_window(window)
 
 
+def window_contains(group: GroundRing, window: Window, u) -> bool:
+    """Is the ring element u, in normal form, in the window?  Decided from
+    the window's bounds, with the answer of ``u in window_enumerate(group,
+    window)`` and without listing the window."""
+    return group.window_contains(window, u)
+
+
 # ---------------------------------------------------------------------------
 # monomial and polynomial maps
 
@@ -457,12 +486,15 @@ def eval_monomial(m: Monomial, u: tuple):
 
 def _monomial_value(m: Monomial, u: tuple):
     """The monomial at normalised coordinates; its coefficient was
-    normalised when it was built, and a factor c^0 or c^1 is not computed."""
+    normalised when it was built.  A factor c^0 or c^1 is not computed, and
+    a coefficient equal to the ring's one is not multiplied in: the factors
+    are normalised ring elements, so the value keeps its type."""
     r = m.ring
-    acc = m.coeff
+    acc = None if m.coeff == r.one else m.coeff
     for c, e in zip(u, m.exponents):
         if e:
-            acc = r.mul(acc, c if e == 1 else r.pow(c, e))
+            f = c if e == 1 else r.pow(c, e)
+            acc = f if acc is None else r.mul(acc, f)
     return acc
 
 

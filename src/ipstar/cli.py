@@ -34,7 +34,6 @@ from .algebra import (
     FullWindow,
     IntegerWindow,
     RationalWindow,
-    Rationals,
     VectorSpace,
 )
 from .halesjewett import hj_stage
@@ -378,8 +377,6 @@ def _named_event(cfg, events, key="set"):
 def _domain_ring(sys_):
     if isinstance(sys_, FinitePermSystem):
         return sys_.field
-    if isinstance(sys_, RotationSystem):
-        return Rationals()
     return sys_.ring
 
 
@@ -673,8 +670,8 @@ def _run_density(cfg, resume_file) -> int:
     phi = _resolve(cfg, "phi", lambda t: parse_poly_map(ring, sys_.acting, t))
     N = cfg.values["N"]
     print(f"dlim over N=1..{N}")
-    for n in range(1, N + 1):
-        print(f"N={n}: {render_fraction(dlim_probe(sys_, B, phi, n))}")
+    for n, value in enumerate(dlim_probe(sys_, B, phi, N).values, start=1):
+        print(f"N={n}: {render_fraction(value)}")
     return 0
 
 

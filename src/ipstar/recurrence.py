@@ -24,7 +24,7 @@ from functools import reduce
 from math import gcd, lcm
 
 from .algebra import Integers, Monomial, PolynomialMap, Rationals, VectorSpace, Window
-from .algebra import window_enumerate
+from .algebra import window_contains, window_enumerate
 from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_subset_tuples
 from .ipsets import ElementSet, is_ip_r_star, subset_folds
 from .systems import (
@@ -87,7 +87,9 @@ class RecurrenceReport:
 
 
 def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
-    """Checked inputs and the report fields both return-set scans share."""
+    """Checked inputs and the report fields the return-set scans and the
+    probe share.  The scans list the window themselves; the probe never
+    does."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise RecurrenceError("epsilon must be a positive rational")
@@ -105,7 +107,6 @@ def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
         epsilon=epsilon,
         window=window,
         domain=domain,
-        elements=tuple(window_enumerate(domain, window)),
         mu=mu,
         threshold=mu * mu - epsilon,
         khintchine=khintchine_bound(sys, B),
@@ -116,7 +117,8 @@ def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
 def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> RecurrenceReport:
     """Exact membership scan of the return set over the window."""
     base = _report_fields(sys, B, phi, epsilon, window)
-    elements, threshold = base["elements"], base["threshold"]
+    domain, threshold = base["domain"], base["threshold"]
+    elements = tuple(window_enumerate(domain, window))
     corr_of = sys.correlator(base["B"])
     rows = []
     members = set()
@@ -127,11 +129,10 @@ def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> Recur
         rows.append((u, w, corr, hit))
         if hit:
             members.add(u)
-    domain = base["domain"]
-    if domain.zero in set(elements) and domain.zero not in members:
+    if domain.zero not in members and domain.zero in elements:
         raise RecurrenceError("return set lost the zero element; broken invariant")
     R = ElementSet(domain, members, window, ambient=elements)
-    return RecurrenceReport(**base, rows=tuple(rows), R=R)
+    return RecurrenceReport(**base, elements=elements, rows=tuple(rows), R=R)
 
 
 def classify_ipstar(
@@ -183,9 +184,10 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
     A multiplicative analogue probe: products run over non-empty index
     subsets in ascending mask order, evaluated in the domain ring.  A
     product is a witness exactly when it lies in the window and its
-    correlation exceeds the threshold, so only the products' correlations
-    are computed, plus the one at 0 that keeps the zero-element invariant;
-    a product outside the window is never a witness.
+    correlation exceeds the threshold.  Window membership is decided from
+    the window's bounds, so the window is never listed; only the in-window
+    products' correlations are computed, plus the one at 0 that keeps the
+    zero-element invariant.
     """
     base = _report_fields(sys, B, phi, epsilon, window)
     ring, threshold = base["domain"], base["threshold"]
@@ -195,13 +197,12 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
     if any(g == ring.zero for g in gens):
         raise RecurrenceError("zero generator has no multiplicative content")
     products = subset_folds(ring.mul, ring.one, gens)[1:]
-    inside = set(base["elements"])
     corr_of = sys.correlator(base["B"])
 
     def in_R(u):
-        return u in inside and corr_of(phi((u,))) > threshold
+        return window_contains(ring, window, u) and corr_of(phi((u,))) > threshold
 
-    if ring.zero in inside and not in_R(ring.zero):
+    if window_contains(ring, window, ring.zero) and not in_R(ring.zero):
         raise RecurrenceError("return set lost the zero element; broken invariant")
     witnesses = tuple(v for v in products if in_R(v))
     return FpProbe(tuple(products), witnesses, bool(witnesses))
@@ -225,12 +226,13 @@ def theorem1_pipeline(
     """
     base = _report_fields(sys, B, phi, epsilon, window)
     B, mu, threshold = base["B"], base["mu"], base["threshold"]
+    elements = tuple(window_enumerate(base["domain"], window))
     split = compact_projection(sys, B)
     cross_of = cross_terms(sys, B, split)
     half = base["epsilon"] / 2
     rows = []
     members, A, E = set(), [], []
-    for u in base["elements"]:
+    for u in elements:
         w = phi(_as_coords(u, phi.n))
         # independent correlation path: inclusion-exclusion through the
         # symmetric difference instead of the direct intersection measure
@@ -250,6 +252,7 @@ def theorem1_pipeline(
             members.add(u)
     report = RecurrenceReport(
         **base,
+        elements=elements,
         rows=tuple(rows),
         R=ElementSet(base["domain"], members, window),
         A=tuple(A),

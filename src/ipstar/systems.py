@@ -20,10 +20,13 @@ spectral quantity is a ``fractions.Fraction``.
 the work that depends only on (system, B) is done once, and each call pays
 only for what depends on w.  Scans (``recurrence_set``, ``fp_probe``,
 ``dlim_probe``) take one correlator per scan; ``correlation(B, w)`` is
-``correlator(B)(w)``, so each backend has one kernel.  The finite-perm and
-rotation kernels are integer arithmetic with one ``Fraction`` built at the
-end, and the event algebra (``shift_event``, ``intersection_measure``,
-``measure``) stays the naive reference every kernel must agree with:
+``correlator(B)(w)``, so each backend has one kernel.  ``dlim_probe`` is
+one pass over the averaging windows 1..N: it works out each element's
+cross term once and returns the whole run as a ``DensityProfile``.  The
+finite-perm and rotation kernels are integer arithmetic with one
+``Fraction`` built at the end, and the event algebra (``shift_event``,
+``intersection_measure``, ``measure``) stays the naive reference every
+kernel must agree with:
 
 * finite-perm: the weights are integer numerators over one common
   denominator, and each generator has a cycle-position map x -> (x's
@@ -100,9 +103,12 @@ class FinitePermSystem:
         if set(weights) != set(self.points):
             raise SystemError("weights must cover exactly the point set")
         self.weights = {x: Fraction(weights[x]) for x in self.points}
-        if any(w < 0 for w in self.weights.values()):
+        # the weights as integer numerators over one common denominator
+        self._den = den = lcm(*(w.denominator for w in self.weights.values()))
+        self._num = num = {x: w.numerator * (den // w.denominator) for x, w in self.weights.items()}
+        if any(v < 0 for v in num.values()):
             raise SystemError("weights must be non-negative")
-        if sum(self.weights.values()) != 1:
+        if sum(num.values()) != den:
             raise SystemError("weights must sum to 1")
         self.gens = tuple(dict(g) for g in gens)
         if not self.gens:
@@ -112,13 +118,10 @@ class FinitePermSystem:
         for g in self.gens:
             if set(g) != pts or set(g.values()) != pts:
                 raise SystemError("generator is not a permutation of the points")
-            for x in pts:
-                if self.weights[g[x]] != self.weights[x]:
-                    raise SystemError("generator does not preserve the measure")
+            if any(num[g[x]] != num[x] for x in pts):
+                raise SystemError("generator does not preserve the measure")
         # one cycle-position map per generator: x -> (x's cycle, x's index in it)
         self._cycles = [_cycle_positions(g, p) for g in self.gens]
-        self._den = den = lcm(*(w.denominator for w in self.weights.values()))
-        self._num = {x: w.numerator * (den // w.denominator) for x, w in self.weights.items()}
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 gi, gj = self.gens[i], self.gens[j]
@@ -313,14 +316,20 @@ class RotationSystem:
             self.rhos = (Fraction(rho),)
         self.n = len(self.rhos)
         self.rho = self.rhos[0]
-        self.acting = VectorSpace(Rationals(), self.n) if self.n > 1 else Rationals()
+        self.ring = Rationals()
+        self.acting = VectorSpace(self.ring, self.n) if self.n > 1 else self.ring
 
     def _angle(self, w) -> Fraction:
+        """The turn sum_i w_i * rho_i of the acting element w; each w_i must
+        be a rational (an int or a Fraction)."""
         if not isinstance(w, tuple):
             w = (w,)
         if len(w) != self.n:
             raise SystemError(f"acting element needs {self.n} coordinates")
-        return sum((Fraction(c) * r for c, r in zip(w, self.rhos)), Fraction(0))
+        element = self.ring.element
+        if self.n == 1:
+            return element(w[0]) * self.rho
+        return sum(element(c) * r for c, r in zip(w, self.rhos))
 
     def event(self, pairs) -> IntervalUnion:
         return pairs if isinstance(pairs, IntervalUnion) else IntervalUnion(pairs)
@@ -644,28 +653,39 @@ class DensityProfile:
     values: tuple[Fraction, ...]
 
 
-def folner_density(member_pred, group, N: int, folner=None) -> DensityProfile:
-    """|S cap Phi_n| / |Phi_n| for n = 1..N, exact."""
+def _window_means(f, group, N: int, folner) -> DensityProfile:
+    """The mean of f over each of the windows 1..N, exact."""
     if N < 1:
         raise SystemError("averaging window index must be >= 1")
     out = []
     for n in range(1, N + 1):
         phi = _resolve_folner(folner, group, n)
-        hits = sum(1 for x in phi if member_pred(x))
-        out.append(Fraction(hits, len(phi)))
+        # zero terms, most of a Cesaro window, are not added
+        out.append(Fraction(sum(filter(None, map(f, phi))), len(phi)))
     return DensityProfile(out[-1], tuple(out))
 
 
-def dlim_probe(sys, B, phi_map, N: int, folner=None) -> Fraction:
-    """Cesaro average of |<T^{phi(v)}(1_B - P1_B), 1_B>|^2 over window N of
-    the map's domain.  Exactly zero on the compact backends; must decay in N
-    for the product backend, where only finitely many v contribute."""
+def folner_density(member_pred, group, N: int, folner=None) -> DensityProfile:
+    """|S cap Phi_n| / |Phi_n| for n = 1..N, exact."""
+    return _window_means(lambda x: 1 if member_pred(x) else 0, group, N, folner)
+
+
+def dlim_probe(sys, B, phi_map, N: int, folner=None) -> DensityProfile:
+    """Cesaro averages of |<T^{phi(v)}(1_B - P1_B), 1_B>|^2 over windows
+    1..N of the map's domain, in one pass.  Exactly zero on the compact
+    backends; must decay in N for the product backend, where only finitely
+    many v contribute.  Each element's term is worked out once and kept by
+    element: the values hold for any averaging sequence, and nested
+    windows, such as the canonical ones, pay once per element of window N."""
     cross = cross_terms(sys, B)
     domain = phi_map.ring if phi_map.n == 1 else VectorSpace(phi_map.ring, phi_map.n)
-    phi_n = _resolve_folner(folner, domain, N)
-    total = Fraction(0)
-    for v in phi_n:
-        # scalar domain elements may themselves be tuples (polynomials)
-        vv = (v,) if phi_map.n == 1 else v
-        total += cross(phi_map(vv)) ** 2
-    return total / len(phi_n)
+    terms: dict = {}
+
+    def term(v):
+        t = terms.get(v)
+        if t is None:
+            # scalar domain elements may themselves be tuples (polynomials)
+            terms[v] = t = cross(phi_map((v,) if phi_map.n == 1 else v)) ** 2
+        return t
+
+    return _window_means(term, domain, N, folner)

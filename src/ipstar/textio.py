@@ -701,14 +701,14 @@ def render_recurrence_csv(report, *, generated: str | None = None) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["w", "mu_B", "corr", "threshold", "in_R"])
     acting = report.system.acting
+    mu, threshold = render_fraction(report.mu), render_fraction(report.threshold)
+    # a scan meets few distinct correlations; they are keyed by their
+    # integer terms, which hash faster than the Fraction itself
+    corr_text: dict = {}
     for _u, w, corr, hit in report.rows:
-        writer.writerow(
-            [
-                render_element(acting, w),
-                render_fraction(report.mu),
-                render_fraction(corr),
-                render_fraction(report.threshold),
-                "true" if hit else "false",
-            ]
-        )
+        key = corr.numerator, corr.denominator
+        text = corr_text.get(key)
+        if text is None:
+            corr_text[key] = text = render_fraction(corr)
+        writer.writerow([render_element(acting, w), mu, text, threshold, "true" if hit else "false"])
     return out.getvalue()

@@ -249,3 +249,36 @@ def reports_agree(a, b) -> bool:
         and a.R.members == b.R.members
         and [(u, c) for u, _, c, _ in a.rows] == [(u, c) for u, _, c, _ in b.rows]
     )
+
+
+def counter_poly_window(p: int, D: int) -> list:
+    """The degree-< D window over GF(p) in counter order, one divmod loop per
+    element: entry i holds the little-endian base-p digits of i."""
+    out = []
+    for i in range(p**D):
+        coeffs = []
+        v = i
+        while v:
+            v, r = divmod(v, p)
+            coeffs.append(r)
+        out.append(tuple(coeffs))
+    return out
+
+
+def naive_dlim_values(sys, B, phi, windows) -> list:
+    """The Cesaro average of |<T^{phi(v)}(1_B - P1_B), 1_B>|^2 over each
+    window, recomputed from scratch per window and per element with the
+    event algebra: <T^w P1_B, 1_B> is mu(B cap T^w B) itself when the
+    projection is the identity (compact backends) and mu(B)^2 when it is the
+    constant mu(B) (product backend)."""
+    B = sys.event(B)
+    mu = sys.measure(B)
+    out = []
+    for window in windows:
+        total = Fraction(0)
+        for v in window:
+            w = phi((v,) if phi.n == 1 else v)
+            corr = sys.intersection_measure(B, sys.shift_event(B, w))
+            total += (corr - (corr if sys.is_compact else mu * mu)) ** 2
+        out.append(total / len(window))
+    return out

@@ -158,7 +158,7 @@ def test_criterion_06_product_backend_mechanics():
             checked += 1
             assert ber.correlation(B, w) == mu * mu
     assert checked == 62
-    vals = [dlim_probe(ber, B, ident, n) for n in range(1, 7)]
+    vals = dlim_probe(ber, B, ident, 6).values
     assert all(a > b for a, b in zip(vals, vals[1:]))
     rep = theorem1_pipeline(ber, B, ident, F(1, 10), DegreeWindow(6), 1)
     assert rep.chain_checked

@@ -21,10 +21,11 @@ from ipstar.algebra import (
     eval_monomial,
     eval_poly,
     scalar_poly_map,
+    window_contains,
     window_enumerate,
 )
 from ipstar.textio import parse_element, render_element, render_poly_map
-from oracles import telescope_check
+from oracles import counter_poly_window, telescope_check
 
 RINGS = [PrimeField(2), PrimeField(5), Integers(), Rationals(), PolyRing(2), PolyRing(3)]
 
@@ -162,6 +163,47 @@ def test_degree_window_base_p_order():
     win = window_enumerate(PolyRing(3), DegreeWindow(3))
     assert len(win) == 27 == len(set(win))
     assert win[5] == (2, 1)  # 5 = 2 + 1*3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 5))
+def test_degree_window_is_the_counter_order(p, D):
+    assert window_enumerate(PolyRing(p), DegreeWindow(D)) == counter_poly_window(p, D)
+
+
+@st.composite
+def _window_and_element(draw):
+    """(ring, window, u) with u a normal-form element up to 2 past each of
+    the window's bounds."""
+    kind = draw(st.sampled_from(["field", "int", "rat", "poly"]))
+    if kind == "field":
+        p = draw(st.sampled_from([2, 3, 7]))
+        return PrimeField(p), FullWindow(), draw(st.integers(0, p - 1))
+    if kind == "int":
+        A = draw(st.integers(0, 6))
+        return Integers(), IntegerWindow(A), draw(st.integers(-A - 2, A + 2))
+    if kind == "rat":
+        A, B = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+        num, den = draw(st.integers(-A - 2, A + 2)), draw(st.integers(1, B + 2))
+        return Rationals(), RationalWindow(A, B), Fraction(num, den)
+    ring = PolyRing(draw(st.sampled_from([2, 3])))
+    D = draw(st.integers(0, 4))
+    coeffs = draw(st.lists(st.integers(0, ring.p - 1), max_size=D + 2))
+    return ring, DegreeWindow(D), ring.element(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_window_and_element())
+def test_window_contains_agrees_with_the_enumeration(case):
+    ring, window, u = case
+    assert window_contains(ring, window, u) == (u in window_enumerate(ring, window))
+
+
+def test_window_contains_rejects_a_window_of_another_ring():
+    for ring, window in [(PrimeField(5), IntegerWindow(2)), (Integers(), FullWindow()),
+                         (Rationals(), DegreeWindow(2)), (PolyRing(2), RationalWindow(1, 1))]:
+        with pytest.raises(AlgebraError, match="needs a"):
+            window_contains(ring, window, ring.zero)
 
 
 def test_window_rejects_bad_parameters():

@@ -415,11 +415,28 @@ def test_fp_probe_witnesses_are_the_products_in_R(backend, data):
     ("rotation", (2, 2, F(1, 2)), 4),  # 4 = 2*2 leaves |a| <= 2; angle 2 turns back to 0
     ("bernoulli", ((0, 1), (1, 1)), (0, 1, 1)),  # t(1+t) has degree 2; shift off supp(B)
 ])
-def test_fp_probe_never_takes_a_product_outside_the_window(backend, gens, outside):
+def test_fp_probe_never_takes_a_product_outside_the_window(backend, gens, outside, monkeypatch):
     (sys, B, phi, eps, window), _ = PROBE_CASES[backend]
+    asked = []  # every w the probe's correlator is called on
+    correlator = sys.correlator
+
+    def counting(event):
+        corr = correlator(event)
+
+        def counted(w):
+            asked.append(w)
+            return corr(w)
+
+        return counted
+
+    monkeypatch.setattr(sys, "correlator", counting)
     probe = fp_probe(sys, B, phi, eps, window, gens)
+    monkeypatch.undo()
     rep = recurrence_set(sys, B, phi, eps, window)
     assert outside in probe.products and outside not in rep.elements
+    # only 0 and the in-window products are correlated
+    inside = [v for v in probe.products if v in rep.elements]
+    assert asked == [phi((v,)) for v in [rep.domain.zero, *inside]]
     # its correlation clears the threshold, so only the window keeps it out
     assert sys.correlation(rep.B, phi((outside,))) > rep.threshold
     assert outside not in probe.witnesses and probe.witnesses

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipstar.algebra import (
+    AlgebraError,
     Integers,
     Monomial,
     PolyRing,
@@ -38,6 +41,7 @@ from ipstar.systems import (
 from oracles import (
     interval_length_oracle,
     naive_bernoulli_cylinder_prob,
+    naive_dlim_values,
     naive_finite_correlation,
     naive_perm_power,
     rotation_orbit_point,
@@ -303,6 +307,20 @@ def test_rotation_componentwise_tuple_action():
         r.correlation(B, (1,))
 
 
+def test_rotation_acting_elements_must_be_rational():
+    # a float or a bool is no element of Q, as on the other backends
+    r = RotationSystem(F(1, 7))
+    B = r.event([(0, F(1, 3))])
+    for w in (0.5, True):
+        with pytest.raises(AlgebraError):
+            r.correlation(B, w)
+        with pytest.raises(AlgebraError):
+            r.shift_event(B, w)
+    r2 = RotationSystem((F(1, 4), F(1, 6)))
+    with pytest.raises(AlgebraError):
+        r2.correlation(B, (1, 0.5))
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli cylinders
 
@@ -536,12 +554,45 @@ def test_dlim_probe_values():
     B = b.event({(): {0}})
     ring = PolyRing(2)
     ident = _identity_map(ring)
-    vals = [dlim_probe(b, B, ident, N) for N in range(1, 7)]
+    prof = dlim_probe(b, B, ident, 6)
+    vals = list(prof.values)
     assert vals == [F(1, 2 ** (N + 4)) for N in range(1, 7)]
+    assert prof.value == vals[-1]
     assert all(a > b2 for a, b2 in zip(vals, vals[1:]))
     # explicit window {0} gives the direct evaluation at v = 0
-    assert dlim_probe(b, B, ident, 1, folner=lambda n: [()]) == F(1, 16)
+    assert dlim_probe(b, B, ident, 1, folner=lambda n: [()]).value == F(1, 16)
     # compact backends have zero residual
     s = regular_system(5)
     phi5 = PolynomialMap(PrimeField(5), 1, PrimeField(5), ((Monomial(PrimeField(5), 1, (1,)), 1),))
-    assert dlim_probe(s, s.event({0, 1}), phi5, 3) == 0
+    assert dlim_probe(s, s.event({0, 1}), phi5, 3).values == (0, 0, 0)
+
+
+_F5, _Q = PrimeField(5), Rationals()
+# (system, B, phi) per backend
+DLIM_CASES = {
+    "finite-perm": (regular_system(5), {0, 1, 3},
+                    PolynomialMap(_F5, 1, _F5, ((Monomial(_F5, 2, (2,)), 1),))),
+    "rotation": (RotationSystem(F(2, 7)), [(F(1, 12), F(1, 3)), (F(1, 2), F(3, 4))],
+                 PolynomialMap(_Q, 1, _Q, ((Monomial(_Q, 1, (2,)), 1), (Monomial(_Q, 1, (1,)), 1)))),
+    "bernoulli": (BernoulliSystem(2, [F(1, 3), F(2, 3)]), {(): {0}, (0, 1): {1}},
+                  _identity_map(PolyRing(2))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(DLIM_CASES)), st.sampled_from(["canonical", "callable", "list"]),
+       st.integers(1, 4), st.data())
+def test_dlim_probe_matches_a_per_window_recomputation(backend, kind, N, data):
+    sys_, B, phi = DLIM_CASES[backend]
+    canonical = [folner_sets(phi.ring, n) for n in range(1, N + 1)]
+    if kind == "canonical":
+        folner, windows = None, canonical
+    else:
+        # windows drawn from the canonical ones: neither nested nor ordered,
+        # and an element may repeat
+        windows = [data.draw(st.lists(st.sampled_from(w), min_size=1, max_size=8))
+                   for w in canonical]
+        folner = windows if kind == "list" else (lambda n: windows[n - 1])
+    prof = dlim_probe(sys_, sys_.event(B), phi, N, folner=folner)
+    assert list(prof.values) == naive_dlim_values(sys_, B, phi, windows)
+    assert prof.value == prof.values[-1]
