@@ -27,8 +27,8 @@ search modules are deterministic:
 * vector spaces: cartesian product of the scalar window with coordinate 1
   most significant (last coordinate varies fastest)
 
-``window_contains`` decides whether a ground-ring element lies in a window
-from the window's bounds, without listing it.
+A ground ring's ``window_contains`` method decides whether an element lies
+in a window from the window's bounds, without listing it.
 """
 
 from __future__ import annotations
@@ -425,13 +425,6 @@ Group = GroundRing | VectorSpace
 def window_enumerate(group: Group, window: Window) -> list:
     """All window elements, each exactly once, in the frozen canonical order."""
     return group.enumerate_window(window)
-
-
-def window_contains(group: GroundRing, window: Window, u) -> bool:
-    """Is the ring element u, in normal form, in the window?  Decided from
-    the window's bounds, with the answer of ``u in window_enumerate(group,
-    window)`` and without listing the window."""
-    return group.window_contains(window, u)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from pathlib import Path
 from .algebra import (
     DegreeWindow,
     FullWindow,
-    IntegerWindow,
     RationalWindow,
     VectorSpace,
 )
@@ -387,14 +386,12 @@ def _parse_window(text: str):
             return FullWindow()
         if parts[0] == "deg" and len(parts) == 2:
             return DegreeWindow(_parse_int(parts[1]))
-        if parts[0] == "int" and len(parts) == 2:
-            return IntegerWindow(_parse_int(parts[1]))
         if parts[0] == "rat" and len(parts) == 3:
             return RationalWindow(_parse_int(parts[1]), _parse_int(parts[2]))
     except IndexError:
         pass
     raise TextFormatError(
-        f"unknown window {text!r}; use 'full', 'deg N', 'int N', or 'rat A B'"
+        f"unknown window {text!r}; use 'full', 'deg N', or 'rat A B'"
     )
 
 

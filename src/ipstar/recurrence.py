@@ -10,10 +10,14 @@ r-generator finite-sums families.  Two independent assembly paths exist
 (`recurrence_set` and `theorem1_pipeline`) and must agree exactly.
 
 The constructive side (`isometric_recurrence_search`) drives the coloring
-machinery: cover the tracked orbit by small cells, color subset-tuples by
-the cell their orbit point lands in, and read a recurrent finite union out
-of a monochromatic configuration.  Every returned certificate is re-verified
-by exact arithmetic after the search, never trusted from the search itself.
+machinery for one action, one system and one monomial: cover the tracked
+orbit by small cells, color subset-tuples by the cell their orbit point
+lands in, and read a recurrent finite union out of a monochromatic
+configuration.  Several commuting generators are one action of a vector
+group (a finite-perm system with several generators, a rotation with a
+tuple of angles), not several actions.  Every returned certificate is
+re-verified by exact arithmetic after the search, never trusted from the
+search itself.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import lcm
 
 from .algebra import Integers, Monomial, PolynomialMap, Rationals, VectorSpace, Window
-from .algebra import window_contains, window_enumerate
+from .algebra import window_enumerate
 from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_subset_tuples
 from .ipsets import ElementSet, is_ip_r_star, subset_folds
 from .systems import (
@@ -38,7 +42,6 @@ from .systems import (
     orbit_metric,
     projected_orbit_dist_sq,
     symm_diff_measure,
-    systems_commute,
 )
 
 SEARCH_SPACE_CAP = 1 << 20
@@ -200,9 +203,9 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
     corr_of = sys.correlator(base["B"])
 
     def in_R(u):
-        return window_contains(ring, window, u) and corr_of(phi((u,))) > threshold
+        return ring.window_contains(window, u) and corr_of(phi((u,))) > threshold
 
-    if window_contains(ring, window, ring.zero) and not in_R(ring.zero):
+    if ring.window_contains(window, ring.zero) and not in_R(ring.zero):
         raise RecurrenceError("return set lost the zero element; broken invariant")
     witnesses = tuple(v for v in products if in_R(v))
     return FpProbe(tuple(products), witnesses, bool(witnesses))
@@ -266,24 +269,15 @@ def theorem1_pipeline(
 # constructive search: cover, color, extract a finite union
 
 
-def _arc_dist(x: Fraction, y: Fraction) -> Fraction:
-    t = (x - y) % 1
-    return min(t, 1 - t)
-
-
-def _sum_tuple(ring, vecs, n: int):
-    return reduce(lambda u, v: tuple(map(ring.add, u, v)), vecs, (ring.zero,) * n)
-
-
 @dataclass(frozen=True)
 class IsoSearchResult:
     status: str  # "found" | "absent"
     gamma: frozenset | None
     u_gamma: object | None
-    exponents: tuple | None  # one acting exponent per action
+    exponents: tuple | None  # (the acting exponent,)
     distance_sq: Fraction | None
     config: SubsetConfig | None
-    cells: tuple  # per-action cover size actually used
+    cells: tuple  # (the cover size actually used,)
     proof_bound: str
     sufficient_length: int | None
     words_scanned: int
@@ -367,38 +361,15 @@ def isometric_recurrence_search(sys, x, m: Monomial, epsilon, gens):
     Distances: arc length on the circle backend, squared indicator norm on
     the finite backend; both compared squared against epsilon^2.
     """
-    return _cover_color_search([sys], [m], x, epsilon, gens)
+    return _cover_color_search(sys, x, m, epsilon, gens)
 
 
-def commuting_recurrence_search(systems, monomials, x, epsilon, gens):
-    """Joint return under several commuting actions on one space: each
-    action gets tolerance epsilon/k, colors are per-action cell tuples, and
-    the composed displacement is verified below epsilon."""
-    systems, monomials = list(systems), list(monomials)
-    if len(systems) != len(monomials) or not systems:
-        raise RecurrenceError("need one monomial per action")
-    for i in range(len(systems)):
-        for j in range(i + 1, len(systems)):
-            if not systems_commute(systems[i], systems[j]):
-                raise RecurrenceError(f"actions {i + 1} and {j + 1} do not commute")
-    return _cover_color_search(systems, monomials, x, epsilon, gens)
-
-
-def _cover_color_search(systems, monomials, x, epsilon, gens):
+def _cover_color_search(sys, x, m: Monomial, epsilon, gens):
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise RecurrenceError("epsilon must be a positive rational")
-    lead = systems[0]
-    x = _check_compact_tracked(lead, x)
-    for s in systems[1:]:
-        if type(s) is not type(lead):
-            raise RecurrenceError("all actions must share one backend space")
-    k = len(systems)
-    arity = {m.n for m in monomials}
-    if len(arity) != 1:
-        raise RecurrenceError("monomials must share one variable count")
-    n = arity.pop()
-    ring = monomials[0].ring
+    x = _check_compact_tracked(sys, x)
+    ring, n, d = m.ring, m.n, m.total_degree
     gens = tuple(
         tuple(ring.element(c) for c in _as_coords(g, n)) for g in gens
     )
@@ -408,93 +379,64 @@ def _cover_color_search(systems, monomials, x, epsilon, gens):
     r = len(gens)
     if r < 1:
         raise RecurrenceError("need at least one generator")
-    d = max(m.total_degree for m in monomials)
     if (1 << d) ** r > SEARCH_SPACE_CAP:
         raise RecurrenceError("search space too large; fewer generators or lower degree")
-    tol = epsilon / k
+
+    def add(u, v):
+        return tuple(map(ring.add, u, v))
+
     # subset sums by mask, bit j for index j+1
-    sums = subset_folds(lambda v, g: tuple(map(ring.add, v, g)), (ring.zero,) * n, gens)
-    if isinstance(lead, RotationSystem) and not isinstance(ring, (Rationals, Integers)):
+    sums = subset_folds(add, (ring.zero,) * n, gens)
+    if isinstance(sys, RotationSystem) and not isinstance(ring, (Rationals, Integers)):
         raise RecurrenceError("rotation search needs a monomial over Q or Z")
 
-    # each action reads only its own degree's worth of slots: extra slots
-    # are ignored, which lets actions of different degrees share the space.
-    # A word's color is the mixed-radix code of its per-action cells.
-    tuples = word_subset_tuples(d, r)
-    colors = [0] * len(tuples)
-    t_report, radix = (), 1
-    for s, m in zip(systems, monomials):
-        # cells of width tol / 2^(deg-1): the telescoping chain over the
-        # 2^(deg-1) same-cell pairs then stays under tol
-        width = tol / (1 << (m.total_degree - 1))
-        cells, used = _cells(s, m, ring, x, width, sums)
-        shift = r * (d - m.total_degree)
-        colors = [c + radix * cells[t >> shift] for c, t in zip(colors, tuples)]
-        t_report += (used,)
-        radix *= used
+    # cells of width epsilon / 2^(d-1): the telescoping chain over the
+    # 2^(d-1) same-cell pairs then stays under epsilon
+    cells, used = _cells(sys, m, ring, x, epsilon / (1 << (d - 1)), sums)
+    colors = [cells[t] for t in word_subset_tuples(d, r)]
     line = first_mono_line(1 << d, r, colors)
-    proof_bound = f"hj({1 << d}, {max(t_report)})"
-    suff = _sufficient_length(systems, monomials)
+    proof_bound = f"hj({1 << d}, {used})"
+    suff = _sufficient_length(sys, m)
     if line is None:
         return IsoSearchResult(
-            "absent", None, None, None, None, None, t_report, proof_bound, suff, len(colors)
+            "absent", None, None, None, None, None, (used,), proof_bound, suff, len(colors)
         )
     gamma = frozenset(line.moving)
-    u_gamma = _sum_tuple(monomials[0].ring, [gens[i - 1] for i in gamma], n)
-    exponents = tuple(m(u_gamma) for m in monomials)
-    dist_sq = _composed_distance_sq(systems, x, exponents)
+    # summed afresh from the generators, not read from the search's table
+    u_gamma = reduce(add, [gens[i - 1] for i in gamma])
+    exponent = m(u_gamma)
+    dist_sq = _distance_sq(sys, x, exponent)
     if not dist_sq < epsilon * epsilon:
         raise RecurrenceError("search certificate failed exact re-verification")
     return IsoSearchResult(
         "found",
         gamma,
         u_gamma if n > 1 else u_gamma[0],
-        exponents,
+        (exponent,),
         dist_sq,
         line_to_config(line, d),
-        t_report,
+        (used,),
         proof_bound,
         suff,
         len(colors),
     )
 
 
-def _composed_distance_sq(systems, x, exponents) -> Fraction:
-    if isinstance(systems[0], RotationSystem):
-        total = sum((s._angle(e) for s, e in zip(systems, exponents)), Fraction(0))
-        return _arc_dist((Fraction(x) + total) % 1, Fraction(x)) ** 2
-    moved = x
-    for s, e in zip(systems, exponents):
-        moved = s.shift_event(moved, e)
-    return orbit_metric(systems[0], x, moved)
+def _distance_sq(sys, x, exponent) -> Fraction:
+    """Squared distance from x to T^exponent x: arc length on the circle,
+    the indicator norm on the finite backend."""
+    if isinstance(sys, RotationSystem):
+        t = sys._angle(exponent) % 1
+        return min(t, 1 - t) ** 2
+    return orbit_metric(sys, x, sys.shift_event(x, exponent))
 
 
-def _sufficient_length(systems, monomials) -> int | None:
+def _sufficient_length(sys, m: Monomial) -> int | None:
     """Generator count guaranteeing success for integer generators, by the
     pigeonhole on prefix sums: some non-empty index run sums to 0 modulo
     the annihilator, making every cover cell question moot."""
-    if any(m.n != 1 for m in monomials):
+    if m.n != 1:
         return None
-    if isinstance(systems[0], FinitePermSystem):
-        return systems[0].p
-    out = 1
-    for s, m in zip(systems, monomials):
-        q = (Fraction(m.coeff) * s.rho).denominator
-        out = out * q // gcd(out, q)
-    return out
-
-
-def verify_gamma_distance(systems, x, monomials, gens, gamma, epsilon) -> Fraction:
-    """Recompute the displacement of a claimed finite union from scratch;
-    used by certificate checking, shares no state with the search."""
-    systems, monomials = list(systems), list(monomials)
-    n = monomials[0].n
-    lead = systems[0]
-    x = _check_compact_tracked(lead, x)
-    gens = tuple(_as_coords(g, n) for g in gens)
-    u_gamma = _sum_tuple(monomials[0].ring, [gens[i - 1] for i in gamma], n)
-    exponents = tuple(m(u_gamma) for m in monomials)
-    dist_sq = _composed_distance_sq(systems, x, exponents)
-    if not dist_sq < Fraction(epsilon) ** 2:
-        raise RecurrenceError("claimed finite union misses the distance bound")
-    return dist_sq
+    if isinstance(sys, FinitePermSystem):
+        return sys.p
+    return (Fraction(m.coeff) * sys.rho).denominator

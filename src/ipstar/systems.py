@@ -20,9 +20,11 @@ spectral quantity is a ``fractions.Fraction``.
 the work that depends only on (system, B) is done once, and each call pays
 only for what depends on w.  Scans (``recurrence_set``, ``fp_probe``,
 ``dlim_probe``) take one correlator per scan; ``correlation(B, w)`` is
-``correlator(B)(w)``, so each backend has one kernel.  ``dlim_probe`` is
-one pass over the averaging windows 1..N: it works out each element's
-cross term once and returns the whole run as a ``DensityProfile``.  The
+``correlator(B)(w)``, so each backend has one kernel.  Densities
+(``folner_density``, ``dlim_probe``) average over the canonical windows
+1..N of ``folner_sets`` only.  ``dlim_probe`` is one pass over them: it
+works out each element's cross term once and returns the whole run as a
+``DensityProfile``.  The
 finite-perm and rotation kernels are integer arithmetic with one
 ``Fraction`` built at the end, and the event algebra (``shift_event``,
 ``intersection_measure``, ``measure``) stays the naive reference every
@@ -61,6 +63,7 @@ from itertools import product
 from math import lcm
 
 from .algebra import (
+    AlgebraError,
     DegreeWindow,
     FullWindow,
     Integers,
@@ -134,7 +137,7 @@ class FinitePermSystem:
             w = (w,)
         if len(w) != self.n:
             raise SystemError(f"acting element needs {self.n} coordinates")
-        return tuple(c % self.p for c in w)
+        return tuple(map(self.field.element, w))
 
     def _images(self, xs, coords) -> list:
         """The images of the points xs, in order, under the acting element
@@ -358,6 +361,11 @@ class RotationSystem:
         memo: dict = {}
 
         def corr(w) -> Fraction:
+            # equal numbers hash alike, so w is checked before the memo is
+            # read: 0.5 must not find the value kept for Fraction(1, 2)
+            for c in w if isinstance(w, tuple) else (w,):
+                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                    raise AlgebraError(f"not a rational: {c!r}")
             out = memo.get(w)
             if out is not None:
                 return out
@@ -520,22 +528,6 @@ def orbit_metric(sys, B1, B2) -> Fraction:
     return symm_diff_measure(sys, B1, B2)
 
 
-def systems_commute(sys1, sys2) -> bool:
-    """Do two actions on the same space commute?  Rotations always do;
-    finite permutation systems are checked generator by generator."""
-    if isinstance(sys1, RotationSystem) and isinstance(sys2, RotationSystem):
-        return True
-    if isinstance(sys1, FinitePermSystem) and isinstance(sys2, FinitePermSystem):
-        if sys1.points != sys2.points:
-            return False
-        for g in sys1.gens:
-            for h in sys2.gens:
-                if any(g[h[x]] != h[g[x]] for x in sys1.points):
-                    return False
-        return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # spectral split
 
@@ -630,20 +622,6 @@ def folner_sets(group, N: int) -> list:
     raise SystemError(f"no canonical averaging sequence for {group}")
 
 
-def _resolve_folner(folner, group, n: int) -> list:
-    """Window n of an averaging sequence: a callable n -> elements, a list
-    of explicit element lists (index n-1), or None for the canonical one."""
-    if folner is None:
-        phi = folner_sets(group, n)
-    elif callable(folner):
-        phi = list(folner(n))
-    else:
-        phi = list(folner[n - 1])
-    if not phi:
-        raise SystemError(f"averaging window {n} is empty")
-    return phi
-
-
 @dataclass(frozen=True)
 class DensityProfile:
     """Exact density in the window at N together with the whole run 1..N,
@@ -653,30 +631,30 @@ class DensityProfile:
     values: tuple[Fraction, ...]
 
 
-def _window_means(f, group, N: int, folner) -> DensityProfile:
-    """The mean of f over each of the windows 1..N, exact."""
+def _window_means(f, group, N: int) -> DensityProfile:
+    """The mean of f over each of the canonical windows 1..N, exact."""
     if N < 1:
         raise SystemError("averaging window index must be >= 1")
     out = []
     for n in range(1, N + 1):
-        phi = _resolve_folner(folner, group, n)
+        phi = folner_sets(group, n)
         # zero terms, most of a Cesaro window, are not added
         out.append(Fraction(sum(filter(None, map(f, phi))), len(phi)))
     return DensityProfile(out[-1], tuple(out))
 
 
-def folner_density(member_pred, group, N: int, folner=None) -> DensityProfile:
+def folner_density(member_pred, group, N: int) -> DensityProfile:
     """|S cap Phi_n| / |Phi_n| for n = 1..N, exact."""
-    return _window_means(lambda x: 1 if member_pred(x) else 0, group, N, folner)
+    return _window_means(lambda x: 1 if member_pred(x) else 0, group, N)
 
 
-def dlim_probe(sys, B, phi_map, N: int, folner=None) -> DensityProfile:
-    """Cesaro averages of |<T^{phi(v)}(1_B - P1_B), 1_B>|^2 over windows
-    1..N of the map's domain, in one pass.  Exactly zero on the compact
-    backends; must decay in N for the product backend, where only finitely
-    many v contribute.  Each element's term is worked out once and kept by
-    element: the values hold for any averaging sequence, and nested
-    windows, such as the canonical ones, pay once per element of window N."""
+def dlim_probe(sys, B, phi_map, N: int) -> DensityProfile:
+    """Cesaro averages of |<T^{phi(v)}(1_B - P1_B), 1_B>|^2 over the
+    canonical windows 1..N of the map's domain, in one pass.  Exactly zero
+    on the compact backends; must decay in N for the product backend, where
+    only finitely many v contribute.  Each element's term is worked out once
+    and kept by element, so the nested windows pay once per element of
+    window N."""
     cross = cross_terms(sys, B)
     domain = phi_map.ring if phi_map.n == 1 else VectorSpace(phi_map.ring, phi_map.n)
     terms: dict = {}
@@ -688,4 +666,4 @@ def dlim_probe(sys, B, phi_map, N: int, folner=None) -> DensityProfile:
             terms[v] = t = cross(phi_map((v,) if phi_map.n == 1 else v)) ** 2
         return t
 
-    return _window_means(term, domain, N, folner)
+    return _window_means(term, domain, N)

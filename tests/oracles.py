@@ -79,6 +79,16 @@ def rotation_orbit_point(rho, x, n):
     return (x + n * rho) % 1
 
 
+def naive_rotation_return_sq(rho, x, coeff, degree, gens, gamma) -> Fraction:
+    """Squared arc length between x and its image under the rotation by
+    coeff * u^degree * rho, u the sum of the generators gamma picks (1-based
+    indices), in plain Fraction arithmetic."""
+    u = sum((Fraction(gens[i - 1]) for i in gamma), Fraction(0))
+    y = rotation_orbit_point(Fraction(rho), Fraction(x), Fraction(coeff) * u**degree)
+    d = abs(y - Fraction(x))
+    return min(d, 1 - d) ** 2
+
+
 def naive_finite_correlation(points, weights, perm_power, B):
     """mu(B ∩ T^{-1 applied}B) computed pointwise: weight of x with x in B and
     image(x) in B, where perm_power maps point -> point."""

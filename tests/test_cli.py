@@ -739,6 +739,17 @@ def test_bad_system_file_and_bad_window(tmp_path, capsys):
     assert errors and "window" in errors[0]["message"]
 
 
+def test_integer_windows_are_not_in_the_window_grammar(tmp_path, capsys):
+    # no backend's domain ring is Z, so 'int N' named no usable window
+    for text in (F5_SYSTEM, ROT_SYSTEM + "set B 0 1/3\n", BERN_SYSTEM):
+        sysf = _sys_file(tmp_path, text)
+        for cmd in (["recurrence"], ["classify"], ["probe", "gens=1"]):
+            argv = [*cmd, f"system={sysf}", "phi=u", "epsilon=1/2", "window=int 3"]
+            rc, _, err = _run(capsys, argv)
+            assert rc == 1 and "unknown window 'int 3'" in err, (text, cmd)
+            assert "'int N'" not in err
+
+
 def test_missing_config_file_and_no_command(capsys):
     rc, _, err = _run(capsys, ["hj", "-c", "/does/not/exist.conf"])
     assert rc == 1 and "cannot read config" in err

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ipstar.algebra import Integers, Monomial, Rationals
 from ipstar.halesjewett import all_lines, line_points, line_to_config, psi_encode
 from ipstar.ipsets import family_order
-from ipstar.recurrence import _cells, commuting_recurrence_search
+from ipstar.recurrence import _cells, isometric_recurrence_search
 from ipstar.systems import FinitePermSystem, RotationSystem, orbit_metric, regular_system
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -52,19 +52,16 @@ def _add(ring, u, v):
     return tuple(ring.add(a, b) for a, b in zip(u, v))
 
 
-def reference_search(systems, monomials, x, epsilon, gens):
-    """(first monochromatic line or None, cells per action, table size)."""
-    ring, n = monomials[0].ring, monomials[0].n
+def reference_search(sys, m, x, epsilon, gens):
+    """(first monochromatic line or None, cells, table size)."""
+    ring, n = m.ring, m.n
     gens = [tuple(ring.element(c) for c in (g if n > 1 else (g,))) for g in gens]
-    r, d = len(gens), max(m.total_degree for m in monomials)
-    tol = F(epsilon) / len(systems)
-    covers = []
-    for s, m in zip(systems, monomials):
-        width = tol / (1 << (m.total_degree - 1))
-        if isinstance(s, RotationSystem):
-            covers.append(-(-width.denominator // width.numerator))
-        else:
-            covers.append(ReferenceBallCover(s, (width / 2) ** 2))
+    r, d = len(gens), m.total_degree
+    width = F(epsilon) / (1 << (d - 1))
+    if isinstance(sys, RotationSystem):
+        cover = -(-width.denominator // width.numerator)
+    else:
+        cover = ReferenceBallCover(sys, (width / 2) ** 2)
     sums = {}
     for alpha in [frozenset()] + family_order(r):
         total = (ring.zero,) * n
@@ -73,18 +70,15 @@ def reference_search(systems, monomials, x, epsilon, gens):
         sums[alpha] = total
     table = {}
     for alphas in product(list(sums), repeat=d):
-        key = []
-        for s, m, cov in zip(systems, monomials, covers):
-            exp = m.coeff
-            for slot, c in enumerate(m.factor_coordinates()):
-                exp = ring.mul(exp, sums[alphas[slot]][c])
-            key.append(fraction_cell(s, x, exp, cov))
-        table[alphas] = tuple(key)
+        exp = m.coeff
+        for slot, c in enumerate(m.factor_coordinates()):
+            exp = ring.mul(exp, sums[alphas[slot]][c])
+        table[alphas] = fraction_cell(sys, x, exp, cover)
     k = 1 << d
     colors = lambda L: {table[psi_encode(w, d)] for w in line_points(L, k)}  # noqa: E731
     hit = next((L for L in all_lines(k, r) if len(colors(L)) == 1), None)
-    cells = tuple(c if isinstance(c, int) else len(c.centers) for c in covers)
-    return hit, cells, len(table)
+    cells = cover if isinstance(cover, int) else len(cover.centers)
+    return hit, (cells,), len(table)
 
 
 fractions = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
@@ -103,23 +97,22 @@ def monomials(draw, ring, n, max_degree):
 
 @st.composite
 def rotation_searches(draw):
-    """One or two rotations, a shared arity and ring, generators with
-    negative and non-integer coordinates."""
+    """A rotation and a monomial over Q or Z, generators with negative and
+    non-integer coordinates."""
     ring = draw(st.sampled_from([Rationals(), Integers()]))
     n = draw(st.integers(1, 2))
-    actions = draw(st.integers(1, 2))
     max_degree = draw(st.integers(1, 3))
     r = draw(st.integers(1, 4 if max_degree < 3 else 2))
-    systems = [RotationSystem(draw(fractions)) for _ in range(actions)]
-    mons = [draw(monomials(ring, n, max_degree)) for _ in range(actions)]
+    sys = RotationSystem(draw(fractions))
+    m = draw(monomials(ring, n, max_degree))
     coord = st.integers(-12, 12) if ring == Integers() else fractions
     gens = [tuple(draw(coord) for _ in range(n)) if n > 1 else draw(coord) for _ in range(r)]
-    return systems, mons, draw(unit_points), draw(epsilons), gens
+    return sys, m, draw(unit_points), draw(epsilons), gens
 
 
 @st.composite
 def perm_searches(draw):
-    """A field acting on c p-cycles and f fixed points, once or twice."""
+    """A field acting on c p-cycles and f fixed points."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     c, f = draw(st.integers(1, 2)), draw(st.integers(0, 2))
     points = list(range(p * c + f))
@@ -129,29 +122,25 @@ def perm_searches(draw):
     g = {x: (x // p) * p + (x + 1) % p if x < p * c else x for x in points}
     s = FinitePermSystem(p, points, w, [g])
     x = s.event(draw(st.sets(st.sampled_from(points), min_size=1)))
-    actions = draw(st.integers(1, 2))
     ring, n = s.field, draw(st.integers(1, 2))
-    mons = []
-    for _ in range(actions):
-        exps = draw(st.sampled_from([(1,), (2,)] if n == 1 else [(1, 0), (1, 1), (0, 2)]))
-        mons.append(Monomial(ring, draw(st.integers(0, p - 1)), exps))
+    exps = draw(st.sampled_from([(1,), (2,)] if n == 1 else [(1, 0), (1, 1), (0, 2)]))
+    m = Monomial(ring, draw(st.integers(0, p - 1)), exps)
     r = draw(st.integers(1, 4))
     coord = st.integers(0, p - 1)
     gens = [tuple(draw(coord) for _ in range(n)) if n > 1 else draw(coord) for _ in range(r)]
     eps = F(draw(st.integers(1, 8)), 4)
-    return [s] * actions, mons, x, eps, gens
+    return s, m, x, eps, gens
 
 
 def _agrees_with_reference(case):
-    systems, mons, x, eps, gens = case
-    hit, cells, size = reference_search(systems, mons, x, eps, gens)
-    res = commuting_recurrence_search(systems, mons, x, eps, gens)
+    s, m, x, eps, gens = case
+    hit, cells, size = reference_search(s, m, x, eps, gens)
+    res = isometric_recurrence_search(s, x, m, eps, gens)
     assert (res.cells, res.words_scanned) == (cells, size)
     if hit is None:
         assert res.status == "absent"
     else:
-        d = max(m.total_degree for m in mons)
-        assert res.status == "found" and res.config == line_to_config(hit, d)
+        assert res.status == "found" and res.config == line_to_config(hit, m.total_degree)
 
 
 @SETTINGS
@@ -169,8 +158,7 @@ def test_perm_search_matches_the_event_keyed_cover(case):
 @SETTINGS
 @given(rotation_searches(), st.builds(F, st.integers(1, 7), st.integers(1, 300)))
 def test_integer_rotation_cells_match_fraction_cells(case, width):
-    systems, mons, x, _eps, gens = case
-    s, m = systems[0], mons[0]
+    s, m, x, _eps, gens = case
     ring, n = m.ring, m.n
     gens = [tuple(ring.element(c) for c in (g if n > 1 else (g,))) for g in gens]
     sums = [(ring.zero,) * n]
@@ -190,6 +178,6 @@ def test_integer_rotation_cells_match_fraction_cells(case, width):
 def test_ball_cover_radius_is_strict():
     # {0} and {1} lie at squared distance exactly 1 = (epsilon/2)^2: two cells
     s = regular_system(2)
-    case = [s], [Monomial(s.field, 1, (1,))], s.event({0}), F(2), (1, 1)
-    _agrees_with_reference(case)
-    assert commuting_recurrence_search(*case).cells == (2,)
+    m, x = Monomial(s.field, 1, (1,)), s.event({0})
+    _agrees_with_reference((s, m, x, F(2), (1, 1)))
+    assert isometric_recurrence_search(s, x, m, F(2), (1, 1)).cells == (2,)

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from ipstar import halesjewett
-from ipstar.algebra import FullWindow, PrimeField
+from ipstar.algebra import FullWindow, Monomial, PrimeField
 from ipstar.ipsets import ElementSet, fk_density_experiment, is_ip_r_star
+from ipstar.recurrence import _cover_color_search
 from ipstar.search import universal_coloring_search
+from ipstar.systems import regular_system
 from ipstar.textio import coloring_certificate, render_certificate
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -65,6 +67,16 @@ def test_count_hooks_read_real_return_values(tracing):
         counts = Counter()
         tracing.HOOKS[span](counts, args, res)
         assert counts[counter] == res.candidates > 0, span
+
+
+def test_cover_table_hook_reads_a_real_search_result(tracing):
+    # the search takes (sys, x, m, epsilon, gens); the hook reads words_scanned
+    s = regular_system(5)
+    args = (s, s.event({0, 1}), Monomial(s.field, 1, (2,)), 1, (1, 2))
+    res = _cover_color_search(*args)
+    counts = Counter()
+    tracing.HOOKS["recurrence.cover_table"](counts, args, res)
+    assert counts["recurrence.words_scanned"] == res.words_scanned == (1 << 2) ** 2
 
 
 def test_cover_hooks_read_real_arguments_and_text(tracing, monkeypatch):
