@@ -13,14 +13,23 @@ Frozen conventions:
   letter 1, and the points are base + j*step for j = 0..k-1.  Within one
   moving set, base ascending is fixed letters lexicographic
 * bit i of the encoding is worth 2^(i-1): bit 1 is least significant
+
+The line scan (``first_mono_line``) compares whole color tables at once:
+the colors are packed into one int with a fixed-width lane per word, and a
+moving set's lines are found with a few shifts, XORs and masks over all
+lanes (a zero-lane test that keeps carries inside their lane).  That costs
+the same for every moving set, so only the sets with many lines are
+scanned that way; the rest test their bases one at a time.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 
-from .ipsets import subset_folds
 from .search import (
     ColoringOutcome,
     avoids_every_edge,
@@ -63,18 +72,6 @@ def line_points(L: Line, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def all_lines(k: int, m: int) -> list[Line]:
-    """Every line of the m-position word space, in canonical order."""
-    out = []
-    positions = list(range(1, m + 1))
-    for size in range(1, m + 1):
-        for moving in combinations(positions, size):
-            rest = [p for p in positions if p not in moving]
-            for letters in product(range(1, k + 1), repeat=len(rest)):
-                out.append(Line(m, tuple(zip(rest, letters)), frozenset(moving)))
-    return out
-
-
 def is_line_point_tuple(k: int, m: int, indices) -> bool:
     """Verification-only: do these word indices, in order, list the points of
     some line?  Used when replaying certificates."""
@@ -99,27 +96,97 @@ def is_line_point_tuple(k: int, m: int, indices) -> bool:
     return all(w[p] == v for w in words for p, v in fixed.items())
 
 
+def _bases(k: int, m: int, moving) -> list[int]:
+    """Ascending indices of the words with letter 1 on the moving positions
+    (counted from 0): the bases of the moving set's lines."""
+    bases = [0]
+    for p in range(m):
+        if p not in moving:
+            weight = k ** (m - 1 - p)
+            bases = [b + j * weight for b in bases for j in range(k)]
+    return bases
+
+
 def _line_families(k: int, m: int):
     """The lines in canonical order, one moving set at a time: (moving
     positions counted from 0, step, bases ascending)."""
-    weights = [k ** (m - p) for p in range(1, m + 1)]
     for size in range(1, m + 1):
         for moving in combinations(range(m), size):
-            bases = [0]
-            for p in range(m):
-                if p not in moving:
-                    bases = [b + j * weights[p] for b in bases for j in range(k)]
-            yield moving, sum(weights[p] for p in moving), bases
+            yield moving, sum(k ** (m - 1 - p) for p in moving), _bases(k, m, moving)
+
+
+# array typecode per lane width in bytes; "I" wins over "L" where both are 4
+_LANE_TYPES = {array(t).itemsize: t for t in "LIHB"}
+
+
+def _packed(colors) -> tuple[int, int]:
+    """(lane width in bits, the colors as one int): color i sits in lane i,
+    little-endian, in the narrowest of 1, 2 or 4 bytes that holds the
+    largest color.  Colors of 2^32 or more are first renumbered densely in
+    order of appearance, which keeps equality and so every line."""
+    try:
+        return 8, int.from_bytes(bytes(colors), "little")
+    except ValueError:  # a color of 256 or more
+        top = max(colors)
+    if top >= 1 << 32:
+        index: dict = {}
+        colors = [index.setdefault(c, len(index)) for c in colors]
+        top = len(index) - 1
+    width = 2 if top < 1 << 16 else 4
+    lanes = array(_LANE_TYPES[width], colors)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return 8 * width, int.from_bytes(lanes.tobytes(), "little")
+
+
+def _base_lanes(k: int, m: int, moving, width: int) -> int:
+    """The top bit of every base lane of the moving set: a one-lane block
+    grows position by position from the least significant one, repeated k
+    times on a fixed position and followed by zero lanes on a moving one."""
+    block = bytes(width // 8 - 1) + b"\x80"
+    for p in reversed(range(m)):
+        block = block + bytes((k - 1) * len(block)) if p in moving else block * k
+    return int.from_bytes(block, "little")
 
 
 def first_mono_line(k: int, m: int, colors) -> Line | None:
     """First line (canonical order) whose points share a color, or None.
-    ``colors`` lists the color of every word by word index."""
-    for moving, step, bases in _line_families(k, m):
-        # most lines already differ on their first two points
-        pairs = bases if k == 1 else [b for b in bases if colors[b] == colors[b + step]]
-        for b in pairs:
-            if all(colors[b + j * step] == colors[b] for j in range(2, k)):
+    ``colors`` lists the color of every word by word index, as ints >= 0.
+
+    The colors are packed into one int, one fixed-width lane per word
+    (``_packed``), so one moving set of step s is tested on all its lines
+    at once: X = C ^ (C >> s lanes) is zero exactly in the lanes b where
+    colors[b] == colors[b + s], found without carries crossing lanes as
+    the top bits of ~(((X & LO) + LO) | X), LO being every lane's low
+    bits.  The k-1 shifted copies of that test, ANDed with the top bits of
+    the set's base lanes, leave the monochromatic lines, and the lowest
+    set bit is the least base.  Lanes the shift fills with zeros lie past
+    every base's last point, so they never reach the result.  Such a scan
+    costs O(k^m) lane bytes per moving set, so it runs only where the set
+    has at least one line per 16 such bytes: k^m/16 lines at one-byte lanes,
+    k^m/4 at four.  The sparser sets filter their bases one by one on their
+    first two points instead."""
+    n = k**m
+    width, packed = _packed(colors)
+    high = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * n, "little")
+    low = ((1 << width * n) - 1) ^ high
+    for size in range(1, m + 1):
+        dense = 16 * k ** (m - size) >= n * width // 8
+        for moving in combinations(range(m), size):
+            step = sum(k ** (m - 1 - p) for p in moving)
+            if dense:
+                x = packed ^ (packed >> width * step)
+                same = ~(((x & low) + low) | x) & high
+                lines = _base_lanes(k, m, moving, width)
+                for j in range(k - 1):
+                    lines &= same >> width * step * j
+                b = ((lines & -lines).bit_length() - 1) // width if lines else None
+            else:
+                # most lines already differ on their first two points
+                pairs = (b for b in _bases(k, m, moving) if colors[b] == colors[b + step])
+                mono = (b for b in pairs if all(colors[b + j * step] == colors[b] for j in range(2, k)))
+                b = next(mono, None)
+            if b is not None:
                 letters = [b // k ** (m - 1 - p) % k + 1 for p in range(m)]
                 fixed = tuple((p + 1, letters[p]) for p in range(m) if p not in moving)
                 return Line(m, fixed, frozenset(p + 1 for p in moving))
@@ -128,8 +195,9 @@ def first_mono_line(k: int, m: int, colors) -> Line | None:
 
 def find_mono_line(k: int, m: int, coloring):
     """First line (canonical order) whose points share a color, or None.
-    ``coloring`` maps a word tuple to its color."""
-    return first_mono_line(k, m, [coloring(w) for w in all_words(k, m)])
+    ``coloring`` maps a word tuple to its color, any hashable value."""
+    index: dict = {}
+    return first_mono_line(k, m, [index.setdefault(coloring(w), len(index)) for w in all_words(k, m)])
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +264,6 @@ def psi_encode(w: tuple[int, ...], d: int) -> tuple[frozenset[int], ...]:
     )
 
 
-def psi_decode(alphas, r: int) -> tuple[int, ...]:
-    """Inverse of psi_encode for index sets inside {1..r}."""
-    alphas = [frozenset(a) for a in alphas]
-    if any(not a <= set(range(1, r + 1)) for a in alphas):
-        raise ValueError("index sets must lie inside {1..r}")
-    out = []
-    for j in range(1, r + 1):
-        val = 0
-        for i, alpha in enumerate(alphas, start=1):
-            if j in alpha:
-                val |= 1 << (i - 1)
-        out.append(val + 1)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class SubsetConfig:
     """d base index sets plus a mover disjoint from all of them; the induced
@@ -236,15 +289,6 @@ class SubsetConfig:
         return len(self.base)
 
 
-def config_points(cfg: SubsetConfig) -> list[tuple[frozenset[int], ...]]:
-    """The 2^d induced points, ordered to match the line points (the point
-    with pattern bits of ell-1 sits at moving letter ell)."""
-    def move(point, i):  # base set i takes the mover
-        return (*point[:i], point[i] | cfg.mover, *point[i + 1 :])
-
-    return subset_folds(move, tuple(cfg.base), range(cfg.d))
-
-
 def line_to_config(L: Line, d: int) -> SubsetConfig:
     """mover = the moving set; base sets from the encoding of the point with
     moving letter 1 (its moving positions carry no bits).  The 2^d induced
@@ -253,16 +297,22 @@ def line_to_config(L: Line, d: int) -> SubsetConfig:
     return SubsetConfig(psi_encode(first, d), frozenset(L.moving))
 
 
-def word_subset_tuples(d: int, r: int) -> list[int]:
+@cache
+def word_subset_tuples(d: int, r: int) -> memoryview:
     """For each word index over the 2^d-letter alphabet, the number
     sum_i a_i * 2^(r*(d-i)) of its subset masks (a_1..a_d) under ``psi_encode``,
-    where bit j of a mask is index j+1 and sits at word position j+1."""
-    k = 1 << d
-    letter_bits = [sum(1 << r * (d - 1 - i) for i in range(d) if v >> i & 1) for v in range(k)]
-    out = [0]
-    for p in range(r):
-        out = [t + (letter_bits[v] << p) for t in out for v in range(k)]
-    return out
+    where bit j of a mask is index j+1 and sits at word position j+1.
+    Built once per (d, r), position by position from the last one (each
+    letter of a position heads one block of the table so far), and shared
+    read-only."""
+    letter_bits = [sum(1 << r * (d - 1 - i) for i in range(d) if v >> i & 1) for v in range(1 << d)]
+    out = array(_LANE_TYPES[4], [0])
+    for p in reversed(range(r)):
+        grown = array(out.typecode)
+        for bits in letter_bits:
+            grown.extend(map((bits << p).__add__, out))
+        out = grown
+    return memoryview(out).toreadonly()
 
 
 def mono_config_search(d: int, r: int, coloring):

@@ -312,31 +312,69 @@ class _BallCover:
         return self.known[exponent]
 
 
+def _product_rows(start, columns, mul, last_row) -> list:
+    """last_row(start * q_1 * ... * q_(deg-1)) concatenated over every tuple
+    (q_1..q_(deg-1)) drawn from the columns, lexicographic with the first
+    column outermost.  The row below a partial product p at a level is the
+    same wherever (level, p) recurs, so it is built at its first occurrence
+    and copied from the table at every later one; the memo holds offsets
+    into the table, not rows."""
+    out: list = []
+    built: dict = {}  # (level, partial product) -> slice of its row in out
+
+    def row(level, p):
+        span = built.get((level, p))
+        if span is not None:
+            out.extend(out[span])
+            return
+        at = len(out)
+        if level == len(columns):
+            out.extend(last_row(p))
+        else:
+            for q in columns[level]:
+                row(level + 1, mul(p, q))
+        built[level, p] = slice(at, len(out))
+
+    row(0, start)
+    return out
+
+
 def _cells(s, m, ring, x, width: Fraction, sums):
     """Cover cell of T^E x for every tuple of slot masks (a_1..a_deg) of the
     monomial's factors, lexicographic with slot 1 outermost, where E is c
     times the product of the slots' subset sums; and the number of cells.
 
-    On the circle the cell is floor(((x + c*rho*E) mod 1) * cover), computed
-    in integers over one common denominator of the subset sums as
-    ((N mod L) * cover) // L.  Ball cells are founded in slot-tuple order."""
+    The table is built row by row (``_product_rows``): the cells below a
+    partial product of the first slots depend on nothing else, so each row
+    is made once per distinct (slot, partial product) and copied where it
+    recurs.  On the circle the cell is floor(((x + c*rho*E) mod 1) * cover),
+    computed in integers over one common denominator of the subset sums as
+    ((N mod L) * cover) // L, so partial products are kept mod L: at most L
+    rows per slot, and with integer generators L is small.  In F_p there
+    are at most p.  Ball cells are founded in slot-tuple order, as a
+    cell-by-cell scan would found them: a copied row repeats only exponents
+    that its first occurrence, earlier in that order, has already placed."""
     facs = m.factor_coordinates()
     if isinstance(s, RotationSystem):
         cover = (width.denominator + width.numerator - 1) // width.numerator
         turn = s._angle(m.coeff)  # c*rho
-        den = lcm(*(Fraction(v[c]).denominator for v in sums for c in facs))
+        # an int or a Fraction: both carry numerator and denominator
+        den = lcm(*(v[c].denominator for v in sums for c in facs))
         L = x.denominator * turn.denominator * den ** len(facs)
-        prods = [turn.numerator * x.denominator]
-        for c in facs:
-            column = [int(Fraction(v[c]) * den) for v in sums]
-            prods = [p * q for p in prods for q in column]
+        *columns, last = [[v[c].numerator * (den // v[c].denominator) % L for v in sums] for c in facs]
         shift = x.numerator * (L // x.denominator)
-        return [(shift + p) % L * cover // L for p in prods], cover
+        return _product_rows(
+            turn.numerator * x.denominator % L,
+            columns,
+            lambda p, q: p * q % L,
+            lambda p: [(shift + p * q) % L * cover // L for q in last],
+        ), cover
     balls = _BallCover(s, x, (width / 2) ** 2)
-    prods = [m.coeff]
-    for c in facs:
-        prods = [ring.mul(p, v[c]) for p in prods for v in sums]
-    return [balls.cell(e) for e in prods], len(balls.centers)
+    *columns, last = [[v[c] for v in sums] for c in facs]
+    cells = _product_rows(
+        m.coeff, columns, ring.mul, lambda p: [balls.cell(ring.mul(p, q)) for q in last]
+    )
+    return cells, len(balls.centers)
 
 
 def _check_compact_tracked(sys, x):
@@ -393,7 +431,7 @@ def _cover_color_search(sys, x, m: Monomial, epsilon, gens):
     # cells of width epsilon / 2^(d-1): the telescoping chain over the
     # 2^(d-1) same-cell pairs then stays under epsilon
     cells, used = _cells(sys, m, ring, x, epsilon / (1 << (d - 1)), sums)
-    colors = [cells[t] for t in word_subset_tuples(d, r)]
+    colors = list(map(cells.__getitem__, word_subset_tuples(d, r)))
     line = first_mono_line(1 << d, r, colors)
     proof_bound = f"hj({1 << d}, {used})"
     suff = _sufficient_length(sys, m)

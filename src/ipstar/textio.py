@@ -66,7 +66,11 @@ def render_fraction(q) -> str:
 
 def parse_fraction(text: str) -> Fraction:
     text = text.strip()
+    num, slash, den = text.partition("/")
     try:
+        # plain a, -a and a/b in ASCII digits skip Fraction's text parser
+        if text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(text)
     except ZeroDivisionError:
         raise TextFormatError(f"zero denominator in {text!r}")
@@ -321,24 +325,23 @@ def _parse_cycles(no: int, text: str, points) -> dict:
     stay fixed.  ``()`` is the identity."""
     perm = {x: x for x in points}
     pool = set(points)
-    depth = 0
-    cycles, cur = [], []
-    for ch in text:
-        if ch == "(":
-            if depth:
-                raise TextFormatError(f"line {no}: nested parenthesis in cycles")
-            depth, cur = 1, []
-        elif ch == ")":
-            if not depth:
+    cycles = []
+    rest = text
+    while True:
+        outside, opened, rest = rest.partition("(")
+        stray = outside.lstrip()
+        if stray:
+            if stray[0] == ")":
                 raise TextFormatError(f"line {no}: unbalanced parenthesis in cycles")
-            depth = 0
-            cycles.append([_parse_label(t) for t in "".join(cur).split()])
-        elif depth:
-            cur.append(ch)
-        elif not ch.isspace():
             raise TextFormatError(f"line {no}: cycles must be parenthesized")
-    if depth:
-        raise TextFormatError(f"line {no}: unbalanced parenthesis in cycles")
+        if not opened:
+            break
+        inside, closed, rest = rest.partition(")")
+        if "(" in inside:
+            raise TextFormatError(f"line {no}: nested parenthesis in cycles")
+        if not closed:
+            raise TextFormatError(f"line {no}: unbalanced parenthesis in cycles")
+        cycles.append([_parse_label(t) for t in inside.split()])
     seen = set()
     for cycle in cycles:
         for x in cycle:

@@ -6,8 +6,12 @@ no sharing with the library code paths being checked.  Slow is fine.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from ipstar.algebra import Monomial, eval_monomial, telescope_expansion
+from ipstar.halesjewett import Line, SubsetConfig
+from ipstar.ipsets import subset_folds
+from ipstar.recurrence import _BallCover
 from ipstar.search import (
     ALL_OK,
     COUNTEREXAMPLE,
@@ -16,6 +20,7 @@ from ipstar.search import (
     Cut,
     prefix_search,
 )
+from ipstar.systems import RotationSystem
 
 
 def naive_subset_sums(group, gens):
@@ -292,3 +297,72 @@ def naive_dlim_values(sys, B, phi, windows) -> list:
             total += (corr - (corr if sys.is_compact else mu * mu)) ** 2
         out.append(total / len(window))
     return out
+
+
+# words, lines and configurations listed directly: the references for the
+# word-index line scan and the subset-tuple encoding in ipstar.halesjewett
+
+
+def all_lines(k: int, m: int) -> list[Line]:
+    """Every line of the m-position word space, in canonical order."""
+    out = []
+    positions = list(range(1, m + 1))
+    for size in range(1, m + 1):
+        for moving in combinations(positions, size):
+            rest = [p for p in positions if p not in moving]
+            for letters in product(range(1, k + 1), repeat=len(rest)):
+                out.append(Line(m, tuple(zip(rest, letters)), frozenset(moving)))
+    return out
+
+
+def psi_decode(alphas, r: int) -> tuple[int, ...]:
+    """Inverse of psi_encode for index sets inside {1..r}."""
+    alphas = [frozenset(a) for a in alphas]
+    if any(not a <= set(range(1, r + 1)) for a in alphas):
+        raise ValueError("index sets must lie inside {1..r}")
+    out = []
+    for j in range(1, r + 1):
+        val = 0
+        for i, alpha in enumerate(alphas, start=1):
+            if j in alpha:
+                val |= 1 << (i - 1)
+        out.append(val + 1)
+    return tuple(out)
+
+
+def config_points(cfg: SubsetConfig) -> list[tuple[frozenset[int], ...]]:
+    """The 2^d induced points, ordered to match the line points (the point
+    with pattern bits of ell-1 sits at moving letter ell)."""
+    def move(point, i):  # base set i takes the mover
+        return (*point[:i], point[i] | cfg.mover, *point[i + 1 :])
+
+    return subset_folds(move, tuple(cfg.base), range(cfg.d))
+
+
+def per_tuple_cells(s, m, ring, x, width: Fraction, sums):
+    """Cover cell of T^E x for every tuple of slot masks (a_1..a_deg) of the
+    monomial's factors, lexicographic with slot 1 outermost, where E is c
+    times the product of the slots' subset sums; and the number of cells.
+    One product and one cell lookup per tuple: the table ``recurrence._cells``
+    builds from shared rows.
+
+    On the circle the cell is floor(((x + c*rho*E) mod 1) * cover), computed
+    in integers over one common denominator of the subset sums as
+    ((N mod L) * cover) // L.  Ball cells are founded in slot-tuple order."""
+    facs = m.factor_coordinates()
+    if isinstance(s, RotationSystem):
+        cover = (width.denominator + width.numerator - 1) // width.numerator
+        turn = s._angle(m.coeff)  # c*rho
+        den = lcm(*(Fraction(v[c]).denominator for v in sums for c in facs))
+        L = x.denominator * turn.denominator * den ** len(facs)
+        prods = [turn.numerator * x.denominator]
+        for c in facs:
+            column = [int(Fraction(v[c]) * den) for v in sums]
+            prods = [p * q for p in prods for q in column]
+        shift = x.numerator * (L // x.denominator)
+        return [(shift + p) % L * cover // L for p in prods], cover
+    balls = _BallCover(s, x, (width / 2) ** 2)
+    prods = [m.coeff]
+    for c in facs:
+        prods = [ring.mul(p, v[c]) for p in prods for v in sums]
+    return [balls.cell(e) for e in prods], len(balls.centers)

@@ -23,12 +23,9 @@ from ipstar.algebra import (
     window_enumerate,
 )
 from ipstar.halesjewett import (
-    all_lines,
     hj_stage,
     line_points,
     line_to_config,
-    config_points,
-    psi_decode,
     psi_encode,
 )
 from ipstar.ipsets import (
@@ -60,7 +57,7 @@ from ipstar.textio import (
     coloring_certificate,
     render_certificate,
 )
-from oracles import reports_agree, telescope_check
+from oracles import all_lines, config_points, psi_decode, reports_agree, telescope_check
 
 Q = Rationals()
 F5 = PrimeField(5)

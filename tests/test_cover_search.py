@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipstar.algebra import Integers, Monomial, Rationals
-from ipstar.halesjewett import all_lines, line_points, line_to_config, psi_encode
+from ipstar.halesjewett import line_points, line_to_config, psi_encode
 from ipstar.ipsets import family_order
 from ipstar.recurrence import _cells, isometric_recurrence_search
 from ipstar.systems import FinitePermSystem, RotationSystem, orbit_metric, regular_system
+from oracles import all_lines, per_tuple_cells
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -173,6 +174,47 @@ def test_integer_rotation_cells_match_fraction_cells(case, width):
             exp = ring.mul(exp, sums[a][c])
         expect.append(fraction_cell(s, x, exp, cover))
     assert _cells(s, m, ring, x, width, sums) == (expect, cover)
+
+
+def _subset_sums(m, gens):
+    ring, n = m.ring, m.n
+    gens = [tuple(ring.element(c) for c in (g if n > 1 else (g,))) for g in gens]
+    sums = [(ring.zero,) * n]
+    for mask in range(1, 1 << len(gens)):
+        low = mask & -mask
+        sums.append(_add(ring, sums[mask ^ low], gens[low.bit_length() - 1]))
+    return sums
+
+
+@st.composite
+def perm_cell_cases(draw):
+    """A finite-perm search with a monomial of degree up to 3, so that
+    partial products of different lengths can coincide."""
+    s, m, x, _eps, gens = draw(perm_searches())
+    degree = draw(st.integers(1, 3))
+    first = degree if m.n == 1 else draw(st.integers(0, degree))
+    exps = (first,) if m.n == 1 else (first, degree - first)
+    m = Monomial(s.field, m.coeff, exps)
+    return s, m, x, draw(st.builds(F, st.integers(1, 8), st.integers(1, 8))), gens
+
+
+@SETTINGS
+@given(rotation_searches(), st.builds(F, st.integers(1, 7), st.integers(1, 300)))
+def test_rotation_cell_rows_match_the_per_tuple_table(case, width):
+    # integer generators over Z, rational ones over Q; degree up to 3
+    s, m, x, _eps, gens = case
+    sums = _subset_sums(m, gens)
+    assert _cells(s, m, m.ring, x, width, sums) == per_tuple_cells(s, m, m.ring, x, width, sums)
+
+
+@SETTINGS
+@given(perm_cell_cases())
+def test_ball_cell_rows_match_the_per_tuple_table(case):
+    # cell ids number the balls in founding order, so equal lists mean the
+    # balls were founded in the same order
+    s, m, x, width, gens = case
+    sums = _subset_sums(m, gens)
+    assert _cells(s, m, m.ring, x, width, sums) == per_tuple_cells(s, m, m.ring, x, width, sums)
 
 
 def test_ball_cover_radius_is_strict():

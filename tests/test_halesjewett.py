@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import all_lines, config_points, psi_decode
 from ipstar.halesjewett import (
     Line,
     SubsetConfig,
     _lines_by_last_index,
-    all_lines,
     all_words,
-    config_points,
     find_mono_line,
     first_mono_line,
     hj_check_cover,
@@ -23,7 +22,6 @@ from ipstar.halesjewett import (
     line_points,
     line_to_config,
     mono_config_search,
-    psi_decode,
     psi_encode,
     word_subset_tuples,
 )
@@ -132,6 +130,44 @@ def _word_colorings(draw):
 @settings(max_examples=120, deadline=None)
 @given(_word_colorings())
 def test_word_index_scan_finds_the_first_mono_line(case):
+    k, m, colors = case
+    assert first_mono_line(k, m, colors) == _first_mono_reference(k, m, colors)
+
+
+# colors where the packed lane width changes (1, 2, 4 bytes, then renumbering)
+LANE_EDGES = [0, 1, 254, 255, 256, 257, 65534, 65535, 65536, 65537, 2**32 - 1, 2**32]
+
+
+@st.composite
+def _lane_edge_colorings(draw):
+    """Colorings whose values straddle a lane-width edge.  "distinct" has no
+    line unless zeros fill the top words; "planted" adds one line in a
+    random moving set, so the scan has to pass every moving set before it,
+    dense and sparse ones alike (k = 4, m = 5 has both)."""
+    k = draw(st.sampled_from([1, 2, 3, 4, 4]))
+    m = draw(st.integers(1, {1: 3, 2: 5, 3: 4, 4: 5}[k]))
+    n = k**m
+    kind = draw(st.sampled_from(["palette", "distinct", "planted"]))
+    if kind == "palette":
+        palette = draw(st.lists(st.sampled_from(LANE_EDGES), min_size=1, max_size=3))
+        return k, m, draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    start = max(0, draw(st.sampled_from(LANE_EDGES)) - draw(st.integers(0, n)))
+    colors = [start + i for i in draw(st.permutations(range(n)))]
+    zeros = draw(st.sampled_from([0, 0, 1, k, 2 * k]))  # the lanes a shift fills with zeros
+    colors[n - min(zeros, n) :] = [0] * min(zeros, n)
+    if kind == "planted":
+        moving = draw(st.permutations(range(m)))[: draw(st.integers(1, m))]
+        digits = [0 if p in moving else draw(st.integers(0, k - 1)) for p in range(m)]
+        base = sum(v * k ** (m - 1 - p) for p, v in enumerate(digits))
+        step = sum(k ** (m - 1 - p) for p in moving)
+        for j in range(k):
+            colors[base + j * step] = colors[base]
+    return k, m, colors
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lane_edge_colorings())
+def test_packed_lane_scan_at_lane_edges(case):
     k, m, colors = case
     assert first_mono_line(k, m, colors) == _first_mono_reference(k, m, colors)
 

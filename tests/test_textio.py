@@ -7,6 +7,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import plain_coloring_search
 
 from ipstar import cli
@@ -79,6 +81,70 @@ def test_fraction_rendering():
         parse_fraction("1/0")
     with pytest.raises(TextFormatError, match="not a rational"):
         parse_fraction("pi")
+
+
+def _fraction_texts():
+    """Rational-looking text: digit runs with signs, slashes, points and
+    padding, so that both the digit fast path and Fraction's parser run."""
+    digits = st.text("0123456789", min_size=1, max_size=6)
+    sign = st.sampled_from(["", "-", "+", "--"])
+    pad = st.sampled_from(["", " ", "\t", "  \n"])
+    plain = st.builds(lambda s, a: s + a, sign, digits)
+    ratio = st.builds(lambda s, a, b: f"{s}{a}/{b}", sign, digits, st.sampled_from(["0", "5", "00", "12"]) | digits)
+    decimal = st.builds(lambda s, a, b: f"{s}{a}.{b}", sign, digits, digits)
+    odd = st.sampled_from(["0/5", "1/0", "-0", "3/", "/3", "1/-2", "1e3", "\u0661\u0662", "2\u00b2", "1_000", ""])
+    body = plain | ratio | decimal | odd | st.text("0123456789-+/. e", max_size=8)
+    return st.builds(lambda a, b, c: a + b + c, pad, body, pad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fraction_texts())
+def test_parse_fraction_agrees_with_fraction(text):
+    try:
+        expect = F(text)
+    except (ValueError, ZeroDivisionError) as e:
+        kind = "zero denominator" if isinstance(e, ZeroDivisionError) else "not a rational"
+        with pytest.raises(TextFormatError, match=kind):
+            parse_fraction(text)
+    else:
+        assert parse_fraction(text) == expect
+
+
+def test_parse_fraction_messages_quote_the_stripped_text():
+    for text, message in [
+        ("1/0", "zero denominator in '1/0'"),
+        (" -7/000 ", "zero denominator in '-7/000'"),
+        ("3/", "not a rational: '3/'"),
+        ("1/-2", "not a rational: '1/-2'"),
+        ("--1", "not a rational: '--1'"),
+    ]:
+        with pytest.raises(TextFormatError) as info:
+            parse_fraction(text)
+        assert str(info.value) == message
+    assert parse_fraction(" 0/5 ") == 0 and parse_fraction("-6/4") == F(-3, 2)
+
+
+def test_cycle_notation_errors():
+    head = "backend finite-perm\np 2\npoints 0 1 2 3\ngen "
+    for cycles, message in [
+        ("((0 1)", "nested parenthesis in cycles"),
+        ("(0 (1)", "nested parenthesis in cycles"),
+        ("(0 1))", "unbalanced parenthesis in cycles"),
+        (")(0 1)", "unbalanced parenthesis in cycles"),
+        ("(0 1", "unbalanced parenthesis in cycles"),
+        ("(0 1)(2", "unbalanced parenthesis in cycles"),
+        ("0 1", "cycles must be parenthesized"),
+        ("(0 1) 2", "cycles must be parenthesized"),
+        ("(0 1)x(", "cycles must be parenthesized"),
+        ("(0 9) (", "unbalanced parenthesis in cycles"),  # the brackets come first
+        ("(0 9)", "unknown point 9 in cycle"),
+        ("(0 1)(1 2)", "point 1 repeated across cycles"),
+    ]:
+        with pytest.raises(TextFormatError) as info:
+            parse_system_text(head + cycles + "\n")
+        assert str(info.value) == f"line 4: {message}", cycles
+    sys, _ = parse_system_text(head + " ( 0 1 )\t(2 3) \n")
+    assert sys.gens[0] == {0: 1, 1: 0, 2: 3, 3: 2}
 
 
 def test_element_hand_renderings():
