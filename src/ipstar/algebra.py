@@ -139,11 +139,6 @@ class PrimeField:
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"0 has no inverse in {self}")
-        return pow(a, self.p - 2, self.p)
-
     def pow(self, a: int, k: int) -> int:
         return pow(a, k, self.p)
 
@@ -185,11 +180,6 @@ class Integers:
 
     def mul(self, a: int, b: int) -> int:
         return a * b
-
-    def inv(self, a: int) -> int:
-        if a in (1, -1):
-            return a
-        raise ZeroDivisionError(f"{a} is not a unit in Z")
 
     def pow(self, a: int, k: int) -> int:
         return a**k
@@ -234,11 +224,6 @@ class Rationals:
 
     def mul(self, a: Fraction, b: Fraction) -> Fraction:
         return a * b
-
-    def inv(self, a: Fraction) -> Fraction:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in Q")
-        return 1 / a
 
     def pow(self, a: Fraction, k: int) -> Fraction:
         return a**k
@@ -294,10 +279,6 @@ class PolyRing:
             coeffs.pop()
         return tuple(coeffs)
 
-    def degree(self, a: tuple) -> int:
-        # degree of the zero polynomial is -1 by convention
-        return len(a) - 1
-
     def add(self, a: tuple, b: tuple) -> tuple:
         n = max(len(a), len(b))
         out = [0] * n
@@ -327,12 +308,6 @@ class PolyRing:
         while out and out[-1] == 0:
             out.pop()
         return tuple(out)
-
-    def inv(self, a: tuple) -> tuple:
-        # units are the nonzero constants
-        if len(a) != 1:
-            raise ZeroDivisionError(f"{a} is not a unit in {self}")
-        return (pow(a[0], self.p - 2, self.p),)
 
     def pow(self, a: tuple, k: int) -> tuple:
         out = self.one
@@ -508,7 +483,7 @@ class PolynomialMap:
         for m, w in self.terms:
             if m.ring != self.ring or m.n != self.n:
                 raise AlgebraError("monomial ring/arity mismatch in polynomial map")
-            checked.append((m, self.target.element(w) if isinstance(self.target, VectorSpace) else self.target.element(w)))
+            checked.append((m, self.target.element(w)))
         object.__setattr__(self, "terms", tuple(checked))
 
     def __call__(self, u: tuple):

@@ -646,13 +646,13 @@ def _run_search(cfg, resume_file) -> int:
     print(f"status: {res.status}")
     print(f"words scanned: {res.words_scanned}")
     print(f"proof bound: {res.proof_bound}")
-    print("cells: " + ",".join(str(c) for c in res.cells))
+    print(f"cells: {res.cells}")
     if res.found:
         domain = ring if m.n == 1 else VectorSpace(ring, m.n)
         print(f"gamma: {render_family(res.gamma)}")
         print(f"u_gamma: {render_element(domain, res.u_gamma)}")
         # scalar monomials give scalar exponents, whatever the acting group
-        print("exponents: " + ",".join(render_element(ring, e) for e in res.exponents))
+        print(f"exponents: {render_element(ring, res.exponent)}")
         print(f"distance_sq: {render_fraction(res.distance_sq)}")
         print(f"config: {render_subset_config(res.config)}")
         if res.sufficient_length is not None:

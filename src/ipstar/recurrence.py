@@ -15,9 +15,11 @@ orbit by small cells, color subset-tuples by the cell their orbit point
 lands in, and read a recurrent finite union out of a monochromatic
 configuration.  Several commuting generators are one action of a vector
 group (a finite-perm system with several generators, a rotation with a
-tuple of angles), not several actions.  Every returned certificate is
-re-verified by exact arithmetic after the search, never trusted from the
-search itself.
+tuple of angles), not several actions.  The search computes exponents in
+their cyclic group, F_p or Z/L on the circle, and reads ball cells off the
+tracked event's correlator.  Every returned certificate, and every failing
+classify witness, is re-verified by exact arithmetic after the search,
+never trusted from the search itself.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from math import lcm
 from .algebra import Integers, Monomial, PolynomialMap, Rationals, VectorSpace, Window
 from .algebra import window_enumerate
 from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_subset_tuples
-from .ipsets import ElementSet, is_ip_r_star, subset_folds
+from .ipsets import ElementSet, finite_sums, is_ip_r_star, subset_folds
 from .systems import (
     DensityProfile,
     FinitePermSystem,
@@ -166,6 +168,12 @@ def classify_ipstar(
             raise ValueError(f"resume path {tuple(path)} is longer than its level r={r}")
     v = is_ip_r_star(report.R, r_max, budget=budget, resume_path=path)
     report.classification.update(v.levels(r_max))
+    ambient = frozenset(report.R.ambient)
+    for level in report.classification.values():
+        if level.kind == "fails":
+            sums = finite_sums(report.domain, level.witness).members
+            if not sums <= ambient or sums & report.R.members:
+                raise RecurrenceError("classify witness failed re-verification")
     report.exceptional = tuple(u for u in report.elements if u not in report.R.members)
     if report.windowed:
         exc = set(report.exceptional)
@@ -274,10 +282,10 @@ class IsoSearchResult:
     status: str  # "found" | "absent"
     gamma: frozenset | None
     u_gamma: object | None
-    exponents: tuple | None  # (the acting exponent,)
+    exponent: object | None  # the acting exponent m(u_gamma)
     distance_sq: Fraction | None
     config: SubsetConfig | None
-    cells: tuple  # (the cover size actually used,)
+    cells: int  # the cover size actually used
     proof_bound: str
     sufficient_length: int | None
     words_scanned: int
@@ -289,36 +297,39 @@ class IsoSearchResult:
 
 class _BallCover:
     """Greedy cover of the orbit of a tracked event by balls of a fixed
-    radius: each new point joins the first existing cell whose center is
-    strictly closer than the radius, or founds a new cell.  Two members of
-    one cell are then strictly within twice the radius of each other."""
+    radius, centred at orbit points named by their exponents: each new
+    exponent joins the first existing cell whose center is strictly closer
+    than the radius, or founds a new cell.  Two members of one cell are
+    then strictly within twice the radius of each other.
+
+    T preserves mu, so d^2(T^e x, T^c x) = 2(mu(x) - mu(x cap T^(c-e) x)):
+    each distance is one call of the event's correlator, and strictly inside
+    the radius reads corr(c - e) > mu(x) - radius^2 / 2."""
 
     def __init__(self, sys, x, radius_sq: Fraction):
-        self.sys = sys
-        self.x = x
-        self.radius_sq = radius_sq
+        self.corr = sys.correlator(x)
+        self.floor = sys.measure(x) - radius_sq / 2
         self.centers: list = []
         self.known: dict = {}  # exponent -> cell
 
-    def cell(self, exponent) -> int:
-        """Cell of T^exponent applied to the tracked event."""
-        if exponent not in self.known:
-            event = self.sys.shift_event(self.x, exponent)
-            close = (orbit_metric(self.sys, event, c) < self.radius_sq for c in self.centers)
+    def cell(self, e) -> int:
+        """Cell of T^e applied to the tracked event."""
+        if e not in self.known:
+            close = (self.corr(c - e) > self.floor for c in self.centers)
             i = next((j for j, hit in enumerate(close) if hit), len(self.centers))
             if i == len(self.centers):
-                self.centers.append(event)
-            self.known[exponent] = i
-        return self.known[exponent]
+                self.centers.append(e)
+            self.known[e] = i
+        return self.known[e]
 
 
-def _product_rows(start, columns, mul, last_row) -> list:
-    """last_row(start * q_1 * ... * q_(deg-1)) concatenated over every tuple
-    (q_1..q_(deg-1)) drawn from the columns, lexicographic with the first
-    column outermost.  The row below a partial product p at a level is the
-    same wherever (level, p) recurs, so it is built at its first occurrence
-    and copied from the table at every later one; the memo holds offsets
-    into the table, not rows."""
+def _product_rows(start, columns, L, last_row) -> list:
+    """last_row(start * q_1 * ... * q_(deg-1) mod L) concatenated over every
+    tuple (q_1..q_(deg-1)) drawn from the columns, lexicographic with the
+    first column outermost.  The row below a partial product p at a level
+    is the same wherever (level, p) recurs, so it is built at its first
+    occurrence and copied from the table at every later one; the memo holds
+    offsets into the table, not rows."""
     out: list = []
     built: dict = {}  # (level, partial product) -> slice of its row in out
 
@@ -332,60 +343,50 @@ def _product_rows(start, columns, mul, last_row) -> list:
             out.extend(last_row(p))
         else:
             for q in columns[level]:
-                row(level + 1, mul(p, q))
+                row(level + 1, p * q % L)
         built[level, p] = slice(at, len(out))
 
     row(0, start)
     return out
 
 
-def _cells(s, m, ring, x, width: Fraction, sums):
+def _cells(s, m, x, width: Fraction, gens):
     """Cover cell of T^E x for every tuple of slot masks (a_1..a_deg) of the
     monomial's factors, lexicographic with slot 1 outermost, where E is c
     times the product of the slots' subset sums; and the number of cells.
 
-    The table is built row by row (``_product_rows``): the cells below a
-    partial product of the first slots depend on nothing else, so each row
-    is made once per distinct (slot, partial product) and copied where it
-    recurs.  On the circle the cell is floor(((x + c*rho*E) mod 1) * cover),
-    computed in integers over one common denominator of the subset sums as
-    ((N mod L) * cover) // L, so partial products are kept mod L: at most L
-    rows per slot, and with integer generators L is small.  In F_p there
-    are at most p.  Ball cells are founded in slot-tuple order, as a
-    cell-by-cell scan would found them: a copied row repeats only exponents
-    that its first occurrence, earlier in that order, has already placed."""
+    Exponents live in a cyclic group Z/L: each factor's column of subset
+    sums is one ``subset_folds`` of the generators' coordinates mod L.  In
+    F_p, L = p.  On the circle, over the generators' common denominator den
+    (every subset sum's divides it) and those of x and c*rho, x + c*rho*E is
+    N / L with L = den(x) * den(c*rho) * den^deg, so the cell
+    floor(((x + c*rho*E) mod 1) * cover) is ((N mod L) * cover) // L.  The
+    table is built row by row (``_product_rows``), each row once per
+    distinct (slot, partial product): at most L rows per slot.  Ball cells
+    are founded in slot-tuple order, as a cell-by-cell scan would found
+    them: a copied row repeats only exponents that its first occurrence,
+    earlier in that order, has already placed."""
     facs = m.factor_coordinates()
     if isinstance(s, RotationSystem):
-        cover = (width.denominator + width.numerator - 1) // width.numerator
         turn = s._angle(m.coeff)  # c*rho
         # an int or a Fraction: both carry numerator and denominator
-        den = lcm(*(v[c].denominator for v in sums for c in facs))
+        den = lcm(*(g[c].denominator for g in gens for c in facs))
         L = x.denominator * turn.denominator * den ** len(facs)
-        *columns, last = [[v[c].numerator * (den // v[c].denominator) % L for v in sums] for c in facs]
+        start = turn.numerator * x.denominator
+        gens = [{c: g[c].numerator * (den // g[c].denominator) for c in facs} for g in gens]
+    else:
+        L, start = s.p, m.coeff
+    folds = {c: subset_folds(lambda a, b: (a + b) % L, 0, [g[c] for g in gens]) for c in set(facs)}
+    *columns, last = [folds[c] for c in facs]
+    if isinstance(s, RotationSystem):
+        cover = (width.denominator + width.numerator - 1) // width.numerator
         shift = x.numerator * (L // x.denominator)
         return _product_rows(
-            turn.numerator * x.denominator % L,
-            columns,
-            lambda p, q: p * q % L,
-            lambda p: [(shift + p * q) % L * cover // L for q in last],
+            start % L, columns, L, lambda p: [(shift + p * q) % L * cover // L for q in last]
         ), cover
     balls = _BallCover(s, x, (width / 2) ** 2)
-    *columns, last = [[v[c] for v in sums] for c in facs]
-    cells = _product_rows(
-        m.coeff, columns, ring.mul, lambda p: [balls.cell(ring.mul(p, q)) for q in last]
-    )
+    cells = _product_rows(start % L, columns, L, lambda p: [balls.cell(p * q % L) for q in last])
     return cells, len(balls.centers)
-
-
-def _check_compact_tracked(sys, x):
-    if isinstance(sys, RotationSystem):
-        p = Fraction(x)
-        if not 0 <= p < 1:
-            raise RecurrenceError("tracked point must lie in [0, 1)")
-        return p
-    if isinstance(sys, FinitePermSystem):
-        return sys.event(x)
-    raise RecurrenceError("constructive search needs a compact backend")
 
 
 def isometric_recurrence_search(sys, x, m: Monomial, epsilon, gens):
@@ -399,18 +400,19 @@ def isometric_recurrence_search(sys, x, m: Monomial, epsilon, gens):
     Distances: arc length on the circle backend, squared indicator norm on
     the finite backend; both compared squared against epsilon^2.
     """
-    return _cover_color_search(sys, x, m, epsilon, gens)
-
-
-def _cover_color_search(sys, x, m: Monomial, epsilon, gens):
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise RecurrenceError("epsilon must be a positive rational")
-    x = _check_compact_tracked(sys, x)
+    if isinstance(sys, RotationSystem):
+        x = Fraction(x)
+        if not 0 <= x < 1:
+            raise RecurrenceError("tracked point must lie in [0, 1)")
+    elif isinstance(sys, FinitePermSystem):
+        x = sys.event(x)
+    else:
+        raise RecurrenceError("constructive search needs a compact backend")
     ring, n, d = m.ring, m.n, m.total_degree
-    gens = tuple(
-        tuple(ring.element(c) for c in _as_coords(g, n)) for g in gens
-    )
+    gens = tuple(tuple(ring.element(c) for c in _as_coords(g, n)) for g in gens)
     for g in gens:
         if len(g) != n:
             raise RecurrenceError(f"generator needs {n} coordinates")
@@ -419,29 +421,23 @@ def _cover_color_search(sys, x, m: Monomial, epsilon, gens):
         raise RecurrenceError("need at least one generator")
     if (1 << d) ** r > SEARCH_SPACE_CAP:
         raise RecurrenceError("search space too large; fewer generators or lower degree")
-
-    def add(u, v):
-        return tuple(map(ring.add, u, v))
-
-    # subset sums by mask, bit j for index j+1
-    sums = subset_folds(add, (ring.zero,) * n, gens)
     if isinstance(sys, RotationSystem) and not isinstance(ring, (Rationals, Integers)):
         raise RecurrenceError("rotation search needs a monomial over Q or Z")
 
     # cells of width epsilon / 2^(d-1): the telescoping chain over the
     # 2^(d-1) same-cell pairs then stays under epsilon
-    cells, used = _cells(sys, m, ring, x, epsilon / (1 << (d - 1)), sums)
+    cells, used = _cells(sys, m, x, epsilon / (1 << (d - 1)), gens)
     colors = list(map(cells.__getitem__, word_subset_tuples(d, r)))
     line = first_mono_line(1 << d, r, colors)
     proof_bound = f"hj({1 << d}, {used})"
     suff = _sufficient_length(sys, m)
     if line is None:
         return IsoSearchResult(
-            "absent", None, None, None, None, None, (used,), proof_bound, suff, len(colors)
+            "absent", None, None, None, None, None, used, proof_bound, suff, len(colors)
         )
     gamma = frozenset(line.moving)
     # summed afresh from the generators, not read from the search's table
-    u_gamma = reduce(add, [gens[i - 1] for i in gamma])
+    u_gamma = reduce(lambda u, v: tuple(map(ring.add, u, v)), [gens[i - 1] for i in gamma])
     exponent = m(u_gamma)
     dist_sq = _distance_sq(sys, x, exponent)
     if not dist_sq < epsilon * epsilon:
@@ -450,19 +446,23 @@ def _cover_color_search(sys, x, m: Monomial, epsilon, gens):
         "found",
         gamma,
         u_gamma if n > 1 else u_gamma[0],
-        (exponent,),
+        exponent,
         dist_sq,
         line_to_config(line, d),
-        (used,),
+        used,
         proof_bound,
         suff,
         len(colors),
     )
 
 
+_cover_color_search = isometric_recurrence_search  # the name the tracer spans (cover_table)
+
+
 def _distance_sq(sys, x, exponent) -> Fraction:
     """Squared distance from x to T^exponent x: arc length on the circle,
-    the indicator norm on the finite backend."""
+    the indicator norm on the finite backend, through the naive event
+    algebra that the search's correlator is checked against."""
     if isinstance(sys, RotationSystem):
         t = sys._angle(exponent) % 1
         return min(t, 1 - t) ** 2

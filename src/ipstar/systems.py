@@ -19,16 +19,16 @@ spectral quantity is a ``fractions.Fraction``.
 ``correlator(B)`` returns the kernel w -> mu(B cap T^w B) of one event:
 the work that depends only on (system, B) is done once, and each call pays
 only for what depends on w.  Scans (``recurrence_set``, ``fp_probe``,
-``dlim_probe``) take one correlator per scan; ``correlation(B, w)`` is
-``correlator(B)(w)``, so each backend has one kernel.  Densities
-(``folner_density``, ``dlim_probe``) average over the canonical windows
-1..N of ``folner_sets`` only.  ``dlim_probe`` is one pass over them: it
-works out each element's cross term once and returns the whole run as a
-``DensityProfile``.  The
-finite-perm and rotation kernels are integer arithmetic with one
-``Fraction`` built at the end, and the event algebra (``shift_event``,
-``intersection_measure``, ``measure``) stays the naive reference every
-kernel must agree with:
+``dlim_probe``) and the constructive search's ball cover (``_BallCover``,
+d^2(T^e x, T^c x) = 2(mu(x) - mu(x cap T^(c-e) x))) take one correlator
+per scan; ``correlation(B, w)`` is ``correlator(B)(w)``, so each backend
+has one kernel.  Densities (``folner_density``, ``dlim_probe``) average
+over the canonical windows 1..N of ``folner_sets`` only.  ``dlim_probe``
+is one pass over them: it works out each element's cross term once and
+returns the whole run as a ``DensityProfile``.  The finite-perm and
+rotation kernels are integer arithmetic with one ``Fraction`` built at
+the end, and the event algebra (``shift_event``, ``intersection_measure``,
+``measure``) stays the naive reference every kernel must agree with:
 
 * finite-perm: the weights are integer numerators over one common
   denominator, and each generator has a cycle-position map x -> (x's
@@ -412,10 +412,6 @@ class Cylinder:
                 continue
             table[tuple(coord)] = letters
         self.constraints = dict(sorted(table.items()))
-
-    @property
-    def support(self):
-        return set(self.constraints)
 
     def __eq__(self, other):
         return isinstance(other, Cylinder) and self.constraints == other.constraints

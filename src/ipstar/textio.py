@@ -317,7 +317,10 @@ def _content_lines(text: str):
 
 
 def _parse_label(token: str):
-    return int(token) if token.lstrip("-").isdigit() else token
+    """ASCII digits with at most one leading minus are an int label; any
+    other token is a string label."""
+    digits = token[1:] if token.startswith("-") else token
+    return int(token) if digits.isascii() and digits.isdigit() else token
 
 
 def _parse_cycles(no: int, text: str, points) -> dict:

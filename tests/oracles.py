@@ -11,7 +11,6 @@ from math import lcm
 from ipstar.algebra import Monomial, eval_monomial, telescope_expansion
 from ipstar.halesjewett import Line, SubsetConfig
 from ipstar.ipsets import subset_folds
-from ipstar.recurrence import _BallCover
 from ipstar.search import (
     ALL_OK,
     COUNTEREXAMPLE,
@@ -20,7 +19,7 @@ from ipstar.search import (
     Cut,
     prefix_search,
 )
-from ipstar.systems import RotationSystem
+from ipstar.systems import RotationSystem, orbit_metric
 
 
 def naive_subset_sums(group, gens):
@@ -339,17 +338,44 @@ def config_points(cfg: SubsetConfig) -> list[tuple[frozenset[int], ...]]:
     return subset_folds(move, tuple(cfg.base), range(cfg.d))
 
 
-def per_tuple_cells(s, m, ring, x, width: Fraction, sums):
+class ReferenceBallCover:
+    """Greedy ball cover keyed by event: an event joins the first center
+    whose ``orbit_metric`` distance is strictly below the radius, or founds
+    a new cell."""
+
+    def __init__(self, sys, radius_sq):
+        self.sys, self.radius_sq, self.centers, self.known = sys, radius_sq, [], {}
+
+    def cell(self, event):
+        if event not in self.known:
+            near = [orbit_metric(self.sys, event, c) < self.radius_sq for c in self.centers]
+            if True not in near:
+                self.centers.append(event)
+                near.append(True)
+            self.known[event] = near.index(True)
+        return self.known[event]
+
+
+def per_tuple_cells(s, m, x, width: Fraction, gens):
     """Cover cell of T^E x for every tuple of slot masks (a_1..a_deg) of the
     monomial's factors, lexicographic with slot 1 outermost, where E is c
     times the product of the slots' subset sums; and the number of cells.
-    One product and one cell lookup per tuple: the table ``recurrence._cells``
-    builds from shared rows.
+    gens are coordinate tuples of the monomial's ring.  One product and one
+    cell lookup per tuple: the table ``recurrence._cells`` builds from
+    shared rows.
 
     On the circle the cell is floor(((x + c*rho*E) mod 1) * cover), computed
-    in integers over one common denominator of the subset sums as
-    ((N mod L) * cover) // L.  Ball cells are founded in slot-tuple order."""
-    facs = m.factor_coordinates()
+    in integers over one common denominator of all the subset sums as
+    ((N mod L) * cover) // L.  Ball cells come from the event-keyed
+    ``ReferenceBallCover``, founded in slot-tuple order."""
+    ring, facs = m.ring, m.factor_coordinates()
+    sums = []
+    for mask in range(1 << len(gens)):
+        total = tuple(ring.zero for _ in range(m.n))
+        for j, g in enumerate(gens):
+            if mask >> j & 1:
+                total = tuple(ring.add(a, b) for a, b in zip(total, g))
+        sums.append(total)
     if isinstance(s, RotationSystem):
         cover = (width.denominator + width.numerator - 1) // width.numerator
         turn = s._angle(m.coeff)  # c*rho
@@ -361,8 +387,8 @@ def per_tuple_cells(s, m, ring, x, width: Fraction, sums):
             prods = [p * q for p in prods for q in column]
         shift = x.numerator * (L // x.denominator)
         return [(shift + p) % L * cover // L for p in prods], cover
-    balls = _BallCover(s, x, (width / 2) ** 2)
+    balls = ReferenceBallCover(s, (width / 2) ** 2)
     prods = [m.coeff]
     for c in facs:
         prods = [ring.mul(p, v[c]) for p in prods for v in sums]
-    return [balls.cell(e) for e in prods], len(balls.centers)
+    return [balls.cell(s.shift_event(x, e)) for e in prods], len(balls.centers)

@@ -60,27 +60,6 @@ def test_ring_axioms_random(ring):
         assert ring.sub(a, b) == ring.add(a, ring.neg(b))
 
 
-@pytest.mark.parametrize("ring", [PrimeField(5), PrimeField(7), Rationals()], ids=str)
-def test_field_inverses_random(ring):
-    rng = random.Random(7)
-    for _ in range(1000):
-        a = random_element(ring, rng)
-        if a == ring.zero:
-            continue
-        assert ring.mul(a, ring.inv(a)) == ring.one
-    with pytest.raises(ZeroDivisionError):
-        ring.inv(ring.zero)
-
-
-def test_polyring_units():
-    R = PolyRing(5)
-    assert R.inv((3,)) == (2,)
-    with pytest.raises(ZeroDivisionError):
-        R.inv((0, 1))  # t is not a unit
-    with pytest.raises(ZeroDivisionError):
-        R.inv(())
-
-
 def test_polyring_normalization():
     R = PolyRing(3)
     assert R.element([1, 2, 3]) == (1, 2)  # 3 == 0 mod 3, trailing zero dropped
@@ -88,8 +67,6 @@ def test_polyring_normalization():
     assert R.element(5) == (2,)
     assert R.add((1, 2), (2, 1)) == ()  # exact cancellation collapses to zero
     assert R.mul((0, 1), (0, 1)) == (0, 0, 1)
-    assert R.degree(()) == -1
-    assert R.degree((0, 0, 1)) == 2
 
 
 def test_prime_check():

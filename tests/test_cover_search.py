@@ -4,7 +4,8 @@ The search colours every word over the 2^d-letter alphabet by the cover
 cells of its orbit point, with rotation cells computed in integers over one
 common denominator.  The reference below is the search it replaced: a
 dictionary keyed by tuples of index sets, cells from exact ``Fraction``
-positions (``fraction_cell``), a ball cover memoised by event, and the first
+positions (``fraction_cell``), a ball cover memoised by event and measured
+with ``orbit_metric`` (``oracles.ReferenceBallCover``), and the first
 monochromatic line of ``all_lines``.  Both must report the same cells, the
 same table size and the same first configuration.
 """
@@ -18,27 +19,11 @@ from hypothesis import strategies as st
 from ipstar.algebra import Integers, Monomial, Rationals
 from ipstar.halesjewett import line_points, line_to_config, psi_encode
 from ipstar.ipsets import family_order
-from ipstar.recurrence import _cells, isometric_recurrence_search
+from ipstar.recurrence import _BallCover, _cells, isometric_recurrence_search
 from ipstar.systems import FinitePermSystem, RotationSystem, orbit_metric, regular_system
-from oracles import all_lines, per_tuple_cells
+from oracles import ReferenceBallCover, all_lines, per_tuple_cells
 
 SETTINGS = settings(max_examples=150, deadline=None)
-
-
-class ReferenceBallCover:
-    """Greedy ball cover keyed by event, as the table search used it."""
-
-    def __init__(self, sys, radius_sq):
-        self.sys, self.radius_sq, self.centers, self.known = sys, radius_sq, [], {}
-
-    def cell(self, event):
-        if event not in self.known:
-            near = [orbit_metric(self.sys, event, c) < self.radius_sq for c in self.centers]
-            if True not in near:
-                self.centers.append(event)
-                near.append(True)
-            self.known[event] = near.index(True)
-        return self.known[event]
 
 
 def fraction_cell(sys, x, exponent, cover):
@@ -79,7 +64,7 @@ def reference_search(sys, m, x, epsilon, gens):
     colors = lambda L: {table[psi_encode(w, d)] for w in line_points(L, k)}  # noqa: E731
     hit = next((L for L in all_lines(k, r) if len(colors(L)) == 1), None)
     cells = cover if isinstance(cover, int) else len(cover.centers)
-    return hit, (cells,), len(table)
+    return hit, cells, len(table)
 
 
 fractions = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
@@ -112,18 +97,47 @@ def rotation_searches(draw):
 
 
 @st.composite
-def perm_searches(draw):
-    """A field acting on c p-cycles and f fixed points."""
+def mixed_denominator_rotations(draw):
+    """Generators of mixed denominators 2, 3 and 6 (1/2, 1/3, 5/6, ...), and
+    a tracked point in the upper half of the circle, so that x + c*rho*E
+    often passes 1 before it is reduced mod 1."""
+    n = draw(st.integers(1, 2))
+    m = draw(monomials(Rationals(), n, 2))
+    coord = st.sampled_from([F(1, 2), F(1, 3), F(5, 6), F(-1, 2), F(4, 3), F(7, 6)])
+    r = draw(st.integers(1, 4))
+    gens = [tuple(draw(coord) for _ in range(n)) if n > 1 else draw(coord) for _ in range(r)]
+    x = draw(st.sampled_from([F(11, 12), F(9, 10), F(5, 6), F(1, 2)]))
+    return RotationSystem(draw(fractions)), m, x, draw(epsilons), gens
+
+
+any_rotation = st.one_of(rotation_searches(), mixed_denominator_rotations())
+
+
+@st.composite
+def perm_systems(draw):
+    """A field acting on c p-cycles and f fixed points, with weights that
+    differ between cycles and fixed points; and a tracked event, sometimes a
+    union of orbits, which every T^k fixes, so that distinct exponents give
+    equal events."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     c, f = draw(st.integers(1, 2)), draw(st.integers(0, 2))
     points = list(range(p * c + f))
     weights = [draw(st.integers(1, 3)) for _ in range(c + f)]  # per cycle, then per fixed point
     total = p * sum(weights[:c]) + sum(weights[c:])
-    w = {x: F(weights[x // p] if x < p * c else weights[c + x - p * c], total) for x in points}
+    orbit = [x // p if x < p * c else c + x - p * c for x in points]
+    w = {x: F(weights[orbit[x]], total) for x in points}
     g = {x: (x // p) * p + (x + 1) % p if x < p * c else x for x in points}
     s = FinitePermSystem(p, points, w, [g])
-    x = s.event(draw(st.sets(st.sampled_from(points), min_size=1)))
-    ring, n = s.field, draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        orbits = draw(st.sets(st.integers(0, c + f - 1), min_size=1))
+        return s, s.event(x for x in points if orbit[x] in orbits)
+    return s, s.event(draw(st.sets(st.sampled_from(points), min_size=1)))
+
+
+@st.composite
+def perm_searches(draw):
+    s, x = draw(perm_systems())
+    p, ring, n = s.p, s.field, draw(st.integers(1, 2))
     exps = draw(st.sampled_from([(1,), (2,)] if n == 1 else [(1, 0), (1, 1), (0, 2)]))
     m = Monomial(ring, draw(st.integers(0, p - 1)), exps)
     r = draw(st.integers(1, 4))
@@ -145,7 +159,7 @@ def _agrees_with_reference(case):
 
 
 @SETTINGS
-@given(rotation_searches())
+@given(any_rotation)
 def test_rotation_search_matches_the_fraction_table(case):
     _agrees_with_reference(case)
 
@@ -156,12 +170,19 @@ def test_perm_search_matches_the_event_keyed_cover(case):
     _agrees_with_reference(case)
 
 
+def _coords(m, gens):
+    """The generators as coordinate tuples of the monomial's ring, as the
+    search passes them to ``_cells``."""
+    ring, n = m.ring, m.n
+    return [tuple(ring.element(c) for c in (g if n > 1 else (g,))) for g in gens]
+
+
 @SETTINGS
-@given(rotation_searches(), st.builds(F, st.integers(1, 7), st.integers(1, 300)))
+@given(any_rotation, st.builds(F, st.integers(1, 7), st.integers(1, 300)))
 def test_integer_rotation_cells_match_fraction_cells(case, width):
     s, m, x, _eps, gens = case
     ring, n = m.ring, m.n
-    gens = [tuple(ring.element(c) for c in (g if n > 1 else (g,))) for g in gens]
+    gens = _coords(m, gens)
     sums = [(ring.zero,) * n]
     for mask in range(1, 1 << len(gens)):
         low = mask & -mask
@@ -173,17 +194,25 @@ def test_integer_rotation_cells_match_fraction_cells(case, width):
         for a, c in zip(masks, m.factor_coordinates()):
             exp = ring.mul(exp, sums[a][c])
         expect.append(fraction_cell(s, x, exp, cover))
-    assert _cells(s, m, ring, x, width, sums) == (expect, cover)
+    assert _cells(s, m, x, width, gens) == (expect, cover)
 
 
-def _subset_sums(m, gens):
-    ring, n = m.ring, m.n
-    gens = [tuple(ring.element(c) for c in (g if n > 1 else (g,))) for g in gens]
-    sums = [(ring.zero,) * n]
-    for mask in range(1, 1 << len(gens)):
-        low = mask & -mask
-        sums.append(_add(ring, sums[mask ^ low], gens[low.bit_length() - 1]))
-    return sums
+@st.composite
+def exact_radius_cases(draw):
+    """A p-cycle of points of weight w and a fixed point that brings the
+    total to 2*w*k^2, tracking one cycle point: every T^e x other than x
+    lies at squared distance 2w / (2wk^2) = 1/k^2, so a width of 2/k puts
+    them exactly on the radius, where they must found cells of their own."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    w, k = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    points = list(range(p + 1))
+    weights = {x: F(w, 2 * w * k * k) for x in range(p)}
+    weights[p] = F(w * (2 * k * k - p), 2 * w * k * k)
+    s = FinitePermSystem(p, points, weights, [{x: (x + 1) % p if x < p else x for x in points}])
+    x = s.event(draw(st.sampled_from([{0}, {0, p}])))
+    m = Monomial(s.field, draw(st.integers(1, p - 1)), draw(st.sampled_from([(1,), (2,), (3,)])))
+    gens = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
+    return s, m, x, F(2, k), gens
 
 
 @st.composite
@@ -199,22 +228,44 @@ def perm_cell_cases(draw):
 
 
 @SETTINGS
-@given(rotation_searches(), st.builds(F, st.integers(1, 7), st.integers(1, 300)))
+@given(any_rotation, st.builds(F, st.integers(1, 7), st.integers(1, 300)))
 def test_rotation_cell_rows_match_the_per_tuple_table(case, width):
     # integer generators over Z, rational ones over Q; degree up to 3
     s, m, x, _eps, gens = case
-    sums = _subset_sums(m, gens)
-    assert _cells(s, m, m.ring, x, width, sums) == per_tuple_cells(s, m, m.ring, x, width, sums)
+    gens = _coords(m, gens)
+    assert _cells(s, m, x, width, gens) == per_tuple_cells(s, m, x, width, gens)
 
 
 @SETTINGS
-@given(perm_cell_cases())
+@given(st.one_of(perm_cell_cases(), exact_radius_cases()))
 def test_ball_cell_rows_match_the_per_tuple_table(case):
     # cell ids number the balls in founding order, so equal lists mean the
     # balls were founded in the same order
     s, m, x, width, gens = case
-    sums = _subset_sums(m, gens)
-    assert _cells(s, m, m.ring, x, width, sums) == per_tuple_cells(s, m, m.ring, x, width, sums)
+    gens = _coords(m, gens)
+    assert _cells(s, m, x, width, gens) == per_tuple_cells(s, m, x, width, gens)
+
+
+@st.composite
+def ball_cover_cases(draw):
+    """A tracked event, a run of exponents with repeats, and a positive
+    squared radius (as the search's, half a cell width squared) that is
+    often exactly one of the orbit's distances."""
+    s, x = draw(perm_systems())
+    exps = draw(st.lists(st.integers(0, s.p - 1), min_size=1, max_size=12))
+    dists = sorted({orbit_metric(s, x, s.shift_event(x, e)) for e in range(s.p)} - {0})
+    some = st.builds(F, st.integers(1, 8), st.integers(1, 8))
+    radius_sq = draw(st.sampled_from(dists) | some if dists else some)
+    return s, x, exps, radius_sq
+
+
+@SETTINGS
+@given(ball_cover_cases())
+def test_ball_cover_reads_the_event_keyed_cover_off_the_correlator(case):
+    s, x, exps, radius_sq = case
+    cover, ref = _BallCover(s, x, radius_sq), ReferenceBallCover(s, radius_sq)
+    assert [cover.cell(e) for e in exps] == [ref.cell(s.shift_event(x, e)) for e in exps]
+    assert len(cover.centers) == len(ref.centers)
 
 
 def test_ball_cover_radius_is_strict():
@@ -222,4 +273,4 @@ def test_ball_cover_radius_is_strict():
     s = regular_system(2)
     m, x = Monomial(s.field, 1, (1,)), s.event({0})
     _agrees_with_reference((s, m, x, F(2), (1, 1)))
-    assert isometric_recurrence_search(s, x, m, F(2), (1, 1)).cells == (2,)
+    assert isometric_recurrence_search(s, x, m, F(2), (1, 1)).cells == 2

@@ -22,7 +22,7 @@ from ipstar.algebra import (
 )
 from ipstar import ipsets as ipsets_module
 from ipstar import recurrence as recurrence_module
-from ipstar.ipsets import finite_sums, is_ip_r_star
+from ipstar.ipsets import IpStarVerdict, finite_sums, is_ip_r_star
 from ipstar.recurrence import (
     RecurrenceError,
     classify_ipstar,
@@ -159,6 +159,21 @@ def test_classify_singleton_fails_with_checked_witness():
     # the witness really generates sums that all avoid R
     sums = finite_sums(F5, v.witness).members
     assert sums == {1, 2} and not sums & rep.R.members
+
+
+@pytest.mark.parametrize(
+    "witness", [(0,), (1, 4), (1, 5)], ids=["0 in R", "1+4 in R", "5 outside the window"]
+)
+def test_classify_refuses_a_forged_fails_witness(monkeypatch, witness):
+    # each level's witness is re-checked with finite_sums, outside the scan
+    def forged(S, r, **kw):
+        prefixes = tuple(witness[:d] for d in range(1, len(witness) + 1))
+        return IpStarVerdict("fails", False, witness, 1, prefixes=prefixes)
+
+    monkeypatch.setattr(recurrence_module, "is_ip_r_star", forged)
+    rep = recurrence_set(regular_system(5), {0}, SQUARE_5, F(1, 50), FullWindow())
+    with pytest.raises(RecurrenceError, match="witness failed re-verification"):
+        classify_ipstar(rep, 2)
 
 
 def test_classify_bernoulli_window_limited():
@@ -468,9 +483,9 @@ def test_isometric_search_rotation_seventh():
     res = isometric_recurrence_search(rot, F(0), m, F(1, 100), (1,) * 7)
     assert res.found
     assert res.gamma == frozenset(range(1, 8))
-    assert res.u_gamma == 7 and res.exponents == (F(49),)
+    assert res.u_gamma == 7 and res.exponent == F(49)
     assert res.distance_sq == 0
-    assert res.cells == (200,)
+    assert res.cells == 200
     assert res.proof_bound == "hj(4, 200)"
     assert res.sufficient_length == 7
 
@@ -488,10 +503,10 @@ def test_isometric_search_perm_trivial_and_exact():
     m = Monomial(F5, 1, (1,))
     loose = isometric_recurrence_search(s, frozenset({0, 1}), m, F(2), (1,))
     assert loose.found and loose.gamma == frozenset({1})
-    assert loose.cells == (1,)  # one giant ball
+    assert loose.cells == 1  # one giant ball
     assert loose.distance_sq == F(2, 5)
     tight = isometric_recurrence_search(s, frozenset({0, 1}), m, F(1, 10), (1,) * 5)
-    assert tight.found and tight.exponents == (0,)
+    assert tight.found and tight.exponent == 0
     assert tight.distance_sq == 0 and tight.sufficient_length == 5
 
 
@@ -526,7 +541,7 @@ def test_search_refuses_a_certificate_that_fails_reverification(monkeypatch):
     rot = RotationSystem(F(1, 7))
     m = Monomial(Q, F(1), (2,))
     monkeypatch.setattr(
-        recurrence_module, "_cells", lambda s, m, ring, x, width, sums: ([0] * len(sums) ** 2, 1)
+        recurrence_module, "_cells", lambda s, m, x, width, gens: ([0] * (1 << len(gens)) ** 2, 1)
     )
     with pytest.raises(RecurrenceError, match="re-verification"):
         isometric_recurrence_search(rot, F(0), m, F(1, 100), (1,) * 7)

@@ -360,8 +360,8 @@ def test_bernoulli_disjoint_support_squares_exhaustive():
     from ipstar.algebra import DegreeWindow, window_enumerate
 
     for w in window_enumerate(ring, DegreeWindow(3)):
-        shifted_support = {ring.add(c, w) for c in B.support}
-        if shifted_support & B.support:
+        shifted_support = {ring.add(c, w) for c in set(B.constraints)}
+        if shifted_support & set(B.constraints):
             continue
         assert b.correlation(B, w) == mu * mu
 

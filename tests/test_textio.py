@@ -268,6 +268,16 @@ def test_identity_generator_renders_as_empty_cycle():
     assert "gen ()" in render_system_text(sys)
 
 
+def test_point_labels_are_ints_only_for_ascii_digits_with_one_minus():
+    text = "backend finite-perm\np 2\npoints 0 --1 \u00b2 -3\ngen (0 --1)(\u00b2 -3)\nset E --1 \u00b2\n"
+    sys, events = parse_system_text(text)
+    assert sys.points == (0, "--1", "\u00b2", -3)
+    assert sys.gens[0] == {0: "--1", "--1": 0, "\u00b2": -3, -3: "\u00b2"}
+    assert events["E"] == frozenset({"--1", "\u00b2"})
+    text = render_system_text(sys, events)
+    assert render_system_text(*parse_system_text(text)) == text
+
+
 def test_rotation_system_roundtrip():
     rot = RotationSystem((F(1, 4), F(1, 6)))
     B = rot.event([(F(0), F(1, 2)), (F(3, 4), F(7, 8))])
