@@ -493,13 +493,19 @@ class PolynomialMap:
 def eval_poly(phi: PolynomialMap, u: tuple):
     """Exact value of the polynomial map; eval_poly(phi, 0) is the target zero.
 
-    The coordinates are normalised once.  A scalar weight equal to one is
-    not multiplied in when the target is the domain ring, so the value
-    already has the target's type, and the first term is not added to the
-    target's zero."""
+    The coordinates are normalised once, then ``poly_value`` evaluates."""
     u = tuple(phi.ring.element(c) for c in u)
     if len(u) != phi.n:
         raise AlgebraError(f"polynomial map in {phi.n} variables applied to {len(u)} coordinates")
+    return poly_value(phi, u)
+
+
+def poly_value(phi: PolynomialMap, u: tuple):
+    """The polynomial map at normalised coordinates, such as the elements
+    ``window_enumerate`` lists.  A scalar weight equal to one is not
+    multiplied in when the target is the domain ring, so the value already
+    has the target's type, and the first term is not added to the target's
+    zero."""
     tgt = phi.target
     vector = isinstance(tgt, VectorSpace)
     same = not vector and tgt == phi.ring

@@ -30,7 +30,7 @@ from functools import reduce
 from math import lcm
 
 from .algebra import Integers, Monomial, PolynomialMap, Rationals, VectorSpace, Window
-from .algebra import window_enumerate
+from .algebra import poly_value, window_enumerate
 from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_subset_tuples
 from .ipsets import ElementSet, finite_sums, is_ip_r_star, subset_folds
 from .systems import (
@@ -128,7 +128,7 @@ def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> Recur
     rows = []
     members = set()
     for u in elements:
-        w = phi(_as_coords(u, phi.n))
+        w = poly_value(phi, _as_coords(u, phi.n))  # window elements come normalised
         corr = corr_of(w)
         hit = corr > threshold
         rows.append((u, w, corr, hit))
@@ -174,7 +174,7 @@ def classify_ipstar(
             sums = finite_sums(report.domain, level.witness).members
             if not sums <= ambient or sums & report.R.members:
                 raise RecurrenceError("classify witness failed re-verification")
-    report.exceptional = tuple(u for u in report.elements if u not in report.R.members)
+    report.exceptional = tuple(u for u, _w, _corr, hit in report.rows if not hit)
     if report.windowed:
         exc = set(report.exceptional)
         report.exceptional_density = folner_density(lambda u: u in exc, report.domain, density_N)
@@ -211,7 +211,7 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
     corr_of = sys.correlator(base["B"])
 
     def in_R(u):
-        return ring.window_contains(window, u) and corr_of(phi((u,))) > threshold
+        return ring.window_contains(window, u) and corr_of(poly_value(phi, (u,))) > threshold
 
     if ring.window_contains(window, ring.zero) and not in_R(ring.zero):
         raise RecurrenceError("return set lost the zero element; broken invariant")
@@ -244,7 +244,7 @@ def theorem1_pipeline(
     rows = []
     members, A, E = set(), [], []
     for u in elements:
-        w = phi(_as_coords(u, phi.n))
+        w = poly_value(phi, _as_coords(u, phi.n))
         # independent correlation path: inclusion-exclusion through the
         # symmetric difference instead of the direct intersection measure
         corr = mu - symm_diff_measure(sys, B, sys.shift_event(B, w)) / 2

@@ -39,11 +39,13 @@ the end, and the event algebra (``shift_event``, ``intersection_measure``,
   generators, B's points and their numerators are listed once, each call
   maps the points along their cycles, and the numerators of those landing
   in B are summed.  The same maps build ``transform``.
-* rotation: B's endpoints are put over one common denominator D once.  Per
-  w the angle is reduced mod 1 and B and the shift are scaled to
-  L = lcm(D, the angle's denominator); the shifted integer intervals are
-  intersected with B's and the overlap is divided by L.  Values are
-  memoised by w, since a polynomial scan meets most w more than once.
+* rotation: the overlap of B with its turn by s is piecewise linear in
+  s mod 1, with kinks only at the differences of B's endpoints.  Over B's
+  common denominator D these breakpoints are integers, at most 4P^2 for P
+  pieces; the correlator tables the integer overlap at each and the
+  integer slope after it, once per event.  A call works out w's turn as an
+  integer ratio n / M, finds its segment by bisection and builds one
+  ``Fraction``.
 * Bernoulli: cylinders on disjoint coordinates are independent under the
   product measure, so for w outside D = supp(B) - supp(B) the correlation
   is mu(B)^2.  On the finite set D each correlation is worked out once,
@@ -57,6 +59,7 @@ downstream label it accordingly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -72,6 +75,7 @@ from .algebra import (
     RationalWindow,
     Rationals,
     VectorSpace,
+    poly_value,
     window_enumerate,
 )
 
@@ -161,7 +165,7 @@ class FinitePermSystem:
         return members
 
     def measure(self, B: frozenset) -> Fraction:
-        return sum((self.weights[x] for x in B), Fraction(0))
+        return Fraction(sum(map(self._num.__getitem__, B)), self._den)
 
     def shift_event(self, B: frozenset, w) -> frozenset:
         T = self.transform(w)
@@ -322,17 +326,25 @@ class RotationSystem:
         self.ring = Rationals()
         self.acting = VectorSpace(self.ring, self.n) if self.n > 1 else self.ring
 
-    def _angle(self, w) -> Fraction:
-        """The turn sum_i w_i * rho_i of the acting element w; each w_i must
-        be a rational (an int or a Fraction)."""
-        if not isinstance(w, tuple):
-            w = (w,)
-        if len(w) != self.n:
+    def _turn(self, w) -> tuple[int, int]:
+        """The turn sum_i w_i * rho_i of the acting element w as integers
+        (n, M), n / M not reduced; each w_i must be a rational (an int or a
+        Fraction)."""
+        coords = w if isinstance(w, tuple) else (w,)
+        for c in coords:
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise AlgebraError(f"not a rational: {c!r}")
+        if len(coords) != self.n:
             raise SystemError(f"acting element needs {self.n} coordinates")
-        element = self.ring.element
-        if self.n == 1:
-            return element(w[0]) * self.rho
-        return sum(element(c) * r for c, r in zip(w, self.rhos))
+        n, M = 0, 1
+        for c, r in zip(coords, self.rhos):
+            d = c.denominator * r.denominator
+            n, M = n * d + c.numerator * r.numerator * M, M * d
+        return n, M
+
+    def _angle(self, w) -> Fraction:
+        """The turn sum_i w_i * rho_i of the acting element w."""
+        return Fraction(*self._turn(w))
 
     def event(self, pairs) -> IntervalUnion:
         return pairs if isinstance(pairs, IntervalUnion) else IntervalUnion(pairs)
@@ -350,44 +362,46 @@ class RotationSystem:
         return self.correlator(B)(w)
 
     def correlator(self, B: IntervalUnion):
-        """w -> mu(B cap T^w B), memoised by w: equal elements turn by equal
-        angles, and the angle costs more than the overlap it leads to."""
-        # B's endpoints over one denominator D, scaled to L = lcm(D, the
-        # shift's denominator): the pieces of B and of B + s are then
-        # disjoint integer intervals in [0, L)
+        """w -> mu(B cap T^w B), read off a breakpoint table of B.
+
+        As a function of the turn s mod 1, the overlap of B with B + s is
+        piecewise linear, with kinks only where an endpoint of B + s meets
+        one of B: at the differences of B's endpoints mod 1.  Over B's
+        common denominator D these are integers 0 = beta_0 < beta_1 < ... < D,
+        the overlap at beta_i is an integer V_i over D, and each segment has
+        an integer slope k_i.  A turn s = n / M in [beta_i / D, beta_(i+1) / D)
+        then has corr = (V_i * M + k_i * (n * D - beta_i * M)) / (D * M)."""
         D = lcm(*(e.denominator for piece in B.pieces for e in piece))
         ends = [(a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
                 for a, b in B.pieces]
-        memo: dict = {}
+        points = [e for piece in ends for e in piece]
+        starts = sorted({0} | {(e - f) % D for e in points for f in points})
+        values = [_overlap(ends, beta, D) for beta in starts]
+        slopes = [(v1 - v0) // (b1 - b0) for v0, v1, b0, b1
+                  in zip(values, values[1:] + values[:1], starts, starts[1:] + [D])]
 
         def corr(w) -> Fraction:
-            # equal numbers hash alike, so w is checked before the memo is
-            # read: 0.5 must not find the value kept for Fraction(1, 2)
-            for c in w if isinstance(w, tuple) else (w,):
-                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                    raise AlgebraError(f"not a rational: {c!r}")
-            out = memo.get(w)
-            if out is not None:
-                return out
-            s = self._angle(w) % 1
-            L = lcm(D, s.denominator)
-            k = L // D
-            pieces = [(a * k, b * k) for a, b in ends]
-            shift = s.numerator * (L // s.denominator)
-            moved = []
-            for a, b in pieces:
-                a, b = a + shift, b + shift
-                if a >= L:
-                    moved.append((a - L, b - L))
-                elif b <= L:
-                    moved.append((a, b))
-                else:  # runs past 1, reappears at 0
-                    moved += [(a, L), (0, b - L)]
-            total = sum(max(0, min(b, d) - max(a, c)) for a, b in pieces for c, d in moved)
-            memo[w] = out = Fraction(total, L)
-            return out
+            n, M = self._turn(w)
+            n %= M
+            i = bisect_right(starts, n * D // M) - 1
+            return Fraction(values[i] * M + slopes[i] * (n * D - starts[i] * M), D * M)
 
         return corr
+
+
+def _overlap(ends, shift: int, L: int) -> int:
+    """The overlap of the integer intervals ends, disjoint in [0, L), with
+    the same intervals turned by shift (0 <= shift < L) around Z/L."""
+    moved = []
+    for a, b in ends:
+        a, b = a + shift, b + shift
+        if a >= L:
+            moved.append((a - L, b - L))
+        elif b <= L:
+            moved.append((a, b))
+        else:  # runs past L, reappears at 0
+            moved += [(a, L), (0, b - L)]
+    return sum(max(0, min(b, d) - max(a, c)) for a, b in ends for c, d in moved)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +673,7 @@ def dlim_probe(sys, B, phi_map, N: int) -> DensityProfile:
         t = terms.get(v)
         if t is None:
             # scalar domain elements may themselves be tuples (polynomials)
-            terms[v] = t = cross(phi_map((v,) if phi_map.n == 1 else v)) ** 2
+            terms[v] = t = cross(poly_value(phi_map, (v,) if phi_map.n == 1 else v)) ** 2
         return t
 
     return _window_means(term, domain, N)

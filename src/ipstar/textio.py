@@ -661,11 +661,7 @@ def report_tree(report, *, generated: str | None = None) -> dict:
     tree["phi"] = render_poly_map(report.phi)
     tree["epsilon"] = render_fraction(report.epsilon)
     tree["R"] = {
-        "members": [
-            render_element(report.domain, u)
-            for u in report.elements
-            if u in report.R.members
-        ],
+        "members": [render_element(report.domain, u) for u, _w, _corr, hit in report.rows if hit],
         "exact": report.R.exact,
     }
     tree["classification"] = {

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from ipstar.algebra import Monomial, eval_monomial, telescope_expansion
+from ipstar.algebra import Monomial, VectorSpace, eval_monomial, telescope_expansion
 from ipstar.halesjewett import Line, SubsetConfig
 from ipstar.ipsets import subset_folds
 from ipstar.search import (
@@ -253,6 +253,25 @@ def telescope_check(m: Monomial, u_gamma: tuple, alphas: list[tuple]) -> bool:
     for sign, val in telescope_expansion(m, u_gamma, alphas):
         total = r.add(total, val) if sign > 0 else r.sub(total, val)
     return total == eval_monomial(m, u_gamma)
+
+
+def naive_map_value(phi, u):
+    """phi(u) term by term with the rings' own operations: each power a
+    repeated product, each weight multiplied in, each term added to the
+    target's zero, none of the evaluator's shortcuts."""
+    ring, tgt = phi.ring, phi.target
+    total = tgt.zero
+    for m, w in phi.terms:
+        val = ring.element(m.coeff)
+        for c, e in zip(u, m.exponents):
+            for _ in range(e):
+                val = ring.mul(val, ring.element(c))
+        if isinstance(tgt, VectorSpace):
+            term = tuple(ring.mul(val, x) for x in w)
+        else:
+            term = ring.mul(val, w)
+        total = tgt.add(total, term)
+    return total
 
 
 def reports_agree(a, b) -> bool:

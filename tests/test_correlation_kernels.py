@@ -3,21 +3,27 @@
 ``correlator(B)`` returns w -> mu(B cap T^w B), an integer kernel on every
 backend: finite-perm with one generator intersects B's bitmask on each cycle
 with its rotation, and with more generators maps only B's points along their
-cycles; the rotation shifts and intersects integer intervals over one common
-denominator, memoised by w; Bernoulli tables supp(B) - supp(B) and returns
-mu(B)^2 elsewhere.  One correlator is reused over a drawn list of w, with
-repeats to hit the memo, and each value must equal ``correlation(B, w)``,
-the naive event algebra, ``intersection_measure(B, shift_event(B, w))``, and
-an oracle from ``tests/oracles.py`` that shares no code with either.
+cycles; the rotation tables the overlap of B with its turns at B's
+breakpoints, the differences of its endpoints over one common denominator,
+and reads each call off the segment its turn falls in; Bernoulli tables
+supp(B) - supp(B) as it is asked for and returns mu(B)^2 elsewhere.  One
+correlator is reused over a drawn list of w, with repeats, some written
+another way, so that a kernel's state is read back as well as filled; each
+value must equal ``correlation(B, w)``, the naive event algebra,
+``intersection_measure(B, shift_event(B, w))``, and an oracle from
+``tests/oracles.py`` or a closed form that shares no code with either.
+Rotation turns are also drawn on the breakpoints and just either side of
+them, where the table switches segment.
 """
 
 from fractions import Fraction as F
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipstar.algebra import DegreeWindow, PolyRing, window_enumerate
+from ipstar.algebra import AlgebraError, DegreeWindow, PolyRing, window_enumerate
 from ipstar.systems import BernoulliSystem, FinitePermSystem, IntervalUnion, RotationSystem
 from oracles import (
     interval_length_oracle,
@@ -84,15 +90,13 @@ def rotation_cases(draw):
     return sys, sys.event(pairs), [w if n > 1 else w[0] for w in ws], rhos
 
 
-@SETTINGS
-@given(rotation_cases())
-def test_rotation_kernel_matches_interval_oracle(case):
-    sys, B, ws, rhos = case
-    pieces = list(B.pieces)
+def _interval_oracle(pieces, rhos):
+    """w -> mu(B cap (B + s)): the angle s mod 1 worked out here, then
+    mu(B cap B') = mu(B) + mu(B') - mu(B cup B'), each by breakpoint
+    refinement."""
+    pieces = list(pieces)
 
     def want(w):
-        # the angle mod 1 worked out here; then mu(B cap B') = mu(B) +
-        # mu(B') - mu(B cup B'), each by breakpoint refinement
         s = sum((c * r for c, r in zip(w if len(rhos) > 1 else (w,), rhos)), F(0)) % 1
         moved = _shifted(pieces, s)
         return (
@@ -101,7 +105,113 @@ def test_rotation_kernel_matches_interval_oracle(case):
             - interval_length_oracle(pieces + moved)
         )
 
-    _agree(sys, B, ws, want)
+    return want
+
+
+@SETTINGS
+@given(rotation_cases())
+def test_rotation_kernel_matches_interval_oracle(case):
+    sys, B, ws, rhos = case
+    _agree(sys, B, ws, _interval_oracle(B.pieces, rhos))
+
+
+# endpoints over denominators up to 60, so B's common denominator and its
+# breakpoints are fine-grained; angles non-zero, so a turn can be solved for
+WIDE_ENDPOINTS = st.sampled_from([F(0), F(1)]) | st.fractions(0, 1, max_denominator=60)
+ANGLES = st.fractions(-3, 3, max_denominator=9).filter(bool)
+# a turn exactly on a breakpoint, or a small step to either side of one
+NUDGES = st.sampled_from([F(0), F(1, 10**9), F(-1, 10**9)]) | st.fractions(F(-1, 120), F(1, 120))
+
+
+def _solve_for_turn(draw, turn, rhos):
+    """An acting element whose turn is exactly turn: every coordinate but
+    the first drawn, the first solved for."""
+    rest = tuple(draw(SMALL) for _ in rhos[1:])
+    first = (turn - sum((c * r for c, r in zip(rest, rhos[1:])), F(0))) / rhos[0]
+    return (first, *rest) if len(rhos) > 1 else first
+
+
+@st.composite
+def breakpoint_cases(draw):
+    """(system, B, ws, rhos): one to three angles; B up to four pieces with
+    endpoint denominators up to 60; each w turns by a difference of two of
+    B's endpoints plus a whole number of turns, nudged or not."""
+    n = draw(st.integers(1, 3))
+    rhos = tuple(draw(ANGLES) for _ in range(n))
+    sys = RotationSystem(rhos if n > 1 else rhos[0])
+    B = sys.event(draw(st.lists(st.tuples(WIDE_ENDPOINTS, WIDE_ENDPOINTS), min_size=1, max_size=4)))
+    ends = sorted({e for piece in B.pieces for e in piece}) or [F(0)]
+    ws = []
+    for _ in range(draw(st.integers(1, 6))):
+        turn = draw(st.sampled_from(ends)) - draw(st.sampled_from(ends))
+        ws.append(_solve_for_turn(draw, turn + draw(st.integers(-2, 2)) + draw(NUDGES), rhos))
+    return sys, B, ws, rhos
+
+
+@SETTINGS
+@given(breakpoint_cases())
+def test_rotation_kernel_on_and_beside_breakpoints(case):
+    sys, B, ws, rhos = case
+    _agree(sys, B, ws, _interval_oracle(B.pieces, rhos))
+
+
+@st.composite
+def one_arc_cases(draw):
+    """(system, B, b, ws, rhos): one to three angles; one arc [a, a + b) of
+    length 0 < b <= 1/2, which may wrap past 1, endpoint denominators up to
+    60; each w turns by 0 or +-b (the breakpoints), nudged or not, or by
+    any small rational."""
+    rhos = tuple(draw(ANGLES) for _ in range(draw(st.integers(1, 3))))
+    sys = RotationSystem(rhos if len(rhos) > 1 else rhos[0])
+    a = draw(st.fractions(0, 1, max_denominator=60).filter(lambda x: x < 1))
+    b = draw(st.fractions(0, F(1, 2), max_denominator=60).filter(bool))
+    B = sys.event([(a, a + b if a + b <= 1 else a + b - 1)])
+    turns = st.sampled_from([F(0), b, -b]).flatmap(lambda t: NUDGES.map(lambda d: t + d)) | SMALL
+    ws = [_solve_for_turn(draw, draw(turns), rhos) for _ in range(draw(st.integers(1, 6)))]
+    return sys, B, b, ws, rhos
+
+
+@SETTINGS
+@given(one_arc_cases())
+def test_rotation_kernel_matches_the_one_arc_closed_form(case):
+    # one arc of length b <= 1/2 meets its turn by s only on the near side:
+    # corr = max(0, b - ||s||), ||s|| the distance from s to the nearest integer
+    sys, B, b, ws, rhos = case
+
+    def closed_form(w):
+        s = sum((c * r for c, r in zip(w if len(rhos) > 1 else (w,), rhos)), F(0)) % 1
+        return max(F(0), b - min(s, 1 - s))
+
+    _agree(sys, B, ws, closed_form)
+
+
+def test_one_angle_correlator_takes_a_scalar_or_a_1_tuple():
+    sys = RotationSystem(F(2, 7))
+    B = sys.event([(F(1, 12), F(5, 12)), (F(2, 3), F(1, 6))])
+    corr = sys.correlator(B)
+    for w in (0, 3, -1, F(1, 2), F(-5, 3), F(7, 4)):
+        want = sys.intersection_measure(B, sys.shift_event(B, w))
+        assert corr(w) == corr((w,)) == sys.correlation(B, (w,)) == want
+
+
+@pytest.mark.parametrize("rho, ws", [
+    (F(1, 7), [0.5, True, False, (0.5,), (True,), (F(1, 2), 0.5)]),
+    ((F(1, 4), F(-1, 6)), [(1, 0.5), (True, 1), (0.5, F(1, 2)), (1, 1, False), (0.5,), 0.5]),
+])
+def test_rotation_kernel_refuses_floats_and_bools_in_every_form(rho, ws):
+    # each w follows a call with an equal rational, so a kernel keyed by
+    # value would answer it
+    sys = RotationSystem(rho)
+    B = sys.event([(0, F(1, 3))])
+    corr = sys.correlator(B)
+    for w in ws:
+        coords = w if isinstance(w, tuple) else (w,)
+        if len(coords) == sys.n:
+            corr(tuple(map(F, coords)))
+        with pytest.raises(AlgebraError):
+            corr(w)
+        with pytest.raises(AlgebraError):
+            sys.correlation(B, w)
 
 
 def test_rotation_kernel_examples():

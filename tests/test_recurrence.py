@@ -17,6 +17,7 @@ from ipstar.algebra import (
     RationalWindow,
     Rationals,
     VectorSpace,
+    eval_poly,
     scalar_poly_map,
     window_enumerate,
 )
@@ -38,7 +39,7 @@ from ipstar.systems import (
     SystemError,
     regular_system,
 )
-from oracles import naive_rotation_return_sq, reports_agree
+from oracles import naive_map_value, naive_rotation_return_sq, reports_agree
 
 F5 = PrimeField(5)
 Q = Rationals()
@@ -139,6 +140,89 @@ def test_recurrence_set_rejections():
         recurrence_set(s, {0}, IDENT_P2, F(1, 10), DegreeWindow(2))
 
 
+def _perm_system(draw, p, gens):
+    """One generator: up to three p-cycles and up to two fixed points.  Two
+    generators: the p x p grid, g1 moving the first coordinate and g2 the
+    second, plus a fixed point.  Integer weights constant on each orbit."""
+    if gens == 1:
+        orbits = [[("c", k, i) for i in range(p)] for k in range(draw(st.integers(1, 3)))]
+        orbits += [[("f", m)] for m in range(draw(st.integers(0, 2)))]
+        perms = [{x: o[(i + 1) % len(o)] for o in orbits for i, x in enumerate(o)}]
+    else:
+        grid = [("a", i, j) for i in range(p) for j in range(p)]
+        orbits = [grid, [("f", 0)]]
+        step = {("f", 0): ("f", 0)}
+        perms = [step | {("a", i, j): ("a", (i + 1) % p, j) for _, i, j in grid},
+                 step | {("a", i, j): ("a", i, (j + 1) % p) for _, i, j in grid}]
+    raw = {}
+    for o in orbits:
+        raw.update(dict.fromkeys(o, draw(st.integers(1, 3))))
+    pts = list(raw)
+    weights = {x: F(v, sum(raw.values())) for x, v in raw.items()}
+    return FinitePermSystem(p, pts, weights, perms), st.frozensets(st.sampled_from(pts))
+
+
+@st.composite
+def scan_cases(draw):
+    """(system, B, phi, epsilon, window) on any backend: a map of one to
+    three terms from a one- or two-coordinate domain, its weights vectors
+    when the acting group is (two finite-perm generators, two angles);
+    coefficients and weights may come unnormalised."""
+    backend = draw(st.sampled_from(["finite-perm", "rotation", "bernoulli"]))
+    n = draw(st.integers(1, 2))
+    if backend == "finite-perm":
+        p = draw(st.sampled_from([2, 3, 5]))
+        sys, events = _perm_system(draw, p, draw(st.integers(1, 2)))
+        ring, scalars, window = sys.field, st.integers(-p, 2 * p), FullWindow()
+        B = draw(events)
+    elif backend == "rotation":
+        rhos = tuple(draw(st.fractions(-2, 2, max_denominator=7)) for _ in range(draw(st.integers(1, 2))))
+        sys = RotationSystem(rhos if len(rhos) > 1 else rhos[0])
+        ring, scalars = sys.ring, st.fractions(-3, 3, max_denominator=4)
+        window = RationalWindow(2, 2) if n == 2 else RationalWindow(4, 4)
+        B = draw(st.lists(st.tuples(st.fractions(0, 1, max_denominator=12),
+                                    st.fractions(0, 1, max_denominator=12)), max_size=3))
+    else:
+        p = draw(st.sampled_from([2, 3]))
+        raw = draw(st.lists(st.integers(1, 3), min_size=p, max_size=p))
+        sys = BernoulliSystem(p, [F(v, sum(raw)) for v in raw])
+        ring = sys.ring
+        scalars = st.lists(st.integers(0, 2 * p), max_size=3).map(tuple)
+        window = DegreeWindow(2) if n == 2 else DegreeWindow(3)
+        letters = st.frozensets(st.integers(0, p - 1), min_size=1, max_size=p - 1)
+        coords = st.sampled_from(window_enumerate(ring, DegreeWindow(2)))
+        B = draw(st.dictionaries(coords, letters, min_size=1, max_size=3))
+    target = sys.acting
+    weights = scalars if target == ring else st.tuples(*[scalars] * target.dim)
+    exponents = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    terms = draw(st.lists(st.tuples(scalars, exponents, weights), min_size=1, max_size=3))
+    phi = PolynomialMap(ring, n, target, tuple((Monomial(ring, c, e), w) for c, e, w in terms))
+    # epsilon a fraction of mu(B)^2, so the threshold falls among the values
+    eps = draw(st.fractions(0, 1).filter(bool)) * (sys.measure(sys.event(B)) ** 2 or 1)
+    return sys, B, phi, eps, window
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+def test_recurrence_rows_are_the_map_and_the_correlation_of_each_element(case):
+    # the scan evaluates the map at window elements without normalising
+    # them again; each row must match eval_poly, which does (repr tells an
+    # int from an equal Fraction), a term-by-term oracle and a one-off
+    # correlation
+    sys, B, phi, eps, window = case
+    rep = recurrence_set(sys, B, phi, eps, window)
+    B = sys.event(B)
+    threshold = sys.measure(B) ** 2 - eps
+    assert [u for u, *_ in rep.rows] == list(rep.elements) == window_enumerate(rep.domain, window)
+    for u, w, corr, hit in rep.rows:
+        coords = (u,) if phi.n == 1 else u
+        want = eval_poly(phi, coords)
+        assert repr(w) == repr(want) and w == naive_map_value(phi, coords)
+        assert corr == sys.correlation(B, want)
+        assert hit == (corr > threshold)
+    assert rep.R.members == {u for u, _w, _corr, hit in rep.rows if hit}
+
+
 # ---------------------------------------------------------------------------
 # classification
 
@@ -200,6 +284,45 @@ def test_classify_bernoulli_windowed_fails_are_exact():
         False,
     )
     assert all(levels[r].holds and levels[r].window_limited for r in (2, 3))
+
+
+PRIMES_BELOW_90 = [p for p in range(2, 90) if all(p % d for d in range(2, p))]
+RANK_CAP = 6  # keeps each exhaustive "holds" scan small
+
+
+@st.composite
+def linear_return_sets(draw):
+    """(p, B, c, epsilon, L) with R = {u : |c*u| < L} on regular_system(p),
+    |v| the distance from v to 0 on Z/p.  B is an interval of b <= p/2
+    points, so B meets its shift by w in max(0, b - |w|) points and
+    corr(w) = max(0, b - |w|) / p.  A threshold in [(b - L) / p,
+    (b - L + 1) / p), below mu(B)^2 so that epsilon > 0, keeps exactly the
+    |w| < L; such a threshold exists when L > b - b^2 / p.  L > p / 7 keeps
+    floor(p / L) <= RANK_CAP."""
+    p = draw(st.sampled_from(PRIMES_BELOW_90))
+    b = draw(st.integers(p // (RANK_CAP + 1) + 1, max(1, p // 2)))
+    L = draw(st.integers(max(p // (RANK_CAP + 1) + 1, (b * p - b * b) // p + 1), b))
+    start = draw(st.integers(0, p - 1))
+    mu2 = F(b, p) ** 2
+    low, high = F(b - L, p), min(F(b - L + 1, p), mu2)
+    threshold = low + (high - low) * draw(st.fractions(0, 1).filter(lambda t: t < 1))
+    c = draw(st.integers(1, p - 1))
+    return p, {(start + i) % p for i in range(b)}, c, mu2 - threshold, L
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_return_sets())
+def test_classify_rank_of_a_linear_return_set_is_floor_p_over_L(case):
+    # Dirichlet's pigeonhole: r = floor(p / L) generators always have a block
+    # summing into R, and r - 1 copies of the u with c*u = L never do
+    p, B, c, eps, L = case
+    s = regular_system(p)
+    rep = recurrence_set(s, B, power_map(s.field, c, 1), eps, FullWindow())
+    assert rep.R.members == {u for u in range(p) if min(c * u % p, -c * u % p) < L}
+    rank = p // L
+    classify_ipstar(rep, rank)
+    assert [rep.classification[r].kind for r in range(1, rank + 1)] == ["fails"] * (rank - 1) + ["holds"]
+    assert not any(v.window_limited for v in rep.classification.values())
 
 
 def _classify_square(p, r_max=4, B=(0, 1), **kw):
