@@ -9,10 +9,14 @@ Subset conventions, frozen for determinism:
 * ``subset_folds`` gives every subset sum, product and union, in ascending
   mask order, each folded over its items in ascending index order
 * generator tuples are nondecreasing tuples of positions in a pool, scanned
-  lexicographically with coordinate 1 most significant; the pool is S in
-  canonical order (``contains_ip_r``) or S's complement in its window, in
-  window order (``is_ip_r_star``), and a tuple qualifies when all its finite
-  sums lie in the pool
+  lexicographically with coordinate 1 most significant; the pool is sorted
+  S (``contains_ip_r``) or the sequence the caller passes as S's complement
+  in its window, in window order (``is_ip_r_star``), and a tuple qualifies
+  when all its finite sums lie in the pool
+* sets of group elements are plain collections with no ambient attached:
+  the scans take S or its complement as given, the caller says whether
+  that complement is taken in the whole finite group (``exact``), and
+  ``finite_sums`` returns a frozenset of the sums
 * block sequences alpha_1 < ... < alpha_s require max(alpha_i) < min(alpha_{i+1})
 
 Generators may repeat and may be zero: the finite-sums definition places no
@@ -23,12 +27,12 @@ verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .algebra import FullWindow, Integers, Window, window_enumerate
+from .algebra import Integers
 from .search import (
     BUDGET_EXCEEDED,
     CUT,
@@ -73,71 +77,16 @@ def subset_folds(op, unit, items) -> list:
 
 
 # ---------------------------------------------------------------------------
-# element sets and finite sums
+# finite sums and unions
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    """A finite set of group elements plus the ambient it was computed over.
-
-    window = FullWindow(): the whole finite group, exact verdicts available.
-    window = bounded spec: members were gathered over that window only.
-    window = None: a bare finite collection; no ambient claims.
-
-    ``ambient`` is the window in enumeration order, or the sorted members
-    without one; the IP scans take their pools from it.  A caller that has
-    already enumerated the window passes it here instead of enumerating it
-    again.
-    """
-
-    group: object
-    members: frozenset
-    window: Window | None = None
-    ambient: tuple | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        members = frozenset(self.members)
-        if self.window is None:
-            ambient = tuple(sorted(members))  # ints, fractions, coefficient tuples all sort
-        else:
-            ambient = self.ambient
-            if ambient is None:
-                ambient = tuple(window_enumerate(self.group, self.window))
-            stray = members.difference(ambient)
-            if stray:
-                raise ValueError(f"members outside the ambient window: {sorted_repr(stray)}")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "ambient", ambient)
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.window, FullWindow)
-
-    def __contains__(self, x) -> bool:
-        return x in self.members
-
-
-def sorted_repr(elems) -> str:
-    return "{" + ", ".join(sorted(str(e) for e in elems)) + "}"
-
-
-@dataclass
-class FSResult:
-    """finite_sums output: the collapsed sum set and the canonical map
-    (index set alpha) -> sum."""
-
-    group: object
-    gens: tuple
-    members: frozenset
-    by_indices: dict = field(repr=False)
-
-
-def finite_sums(group, gens) -> FSResult:
+def finite_sums(group, gens) -> frozenset:
+    """The set of the sums of the non-empty subsets of gens; equal sums
+    collapse."""
     gens = tuple(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    sums = subset_folds(group.add, group.zero, gens)[1:]
-    return FSResult(group, gens, frozenset(sums), dict(zip(family_order(len(gens)), sums)))
+    return frozenset(subset_folds(group.add, group.zero, gens)[1:])
 
 
 def finite_unions(alphas) -> tuple[frozenset[int], ...]:
@@ -147,7 +96,7 @@ def finite_unions(alphas) -> tuple[frozenset[int], ...]:
         raise ValueError("blocks must be non-empty")
     for a, b in zip(alphas, alphas[1:]):
         if max(a) >= min(b):
-            raise ValueError(f"blocks out of order: max{sorted_repr(a)} >= min{sorted_repr(b)}")
+            raise ValueError(f"blocks out of order: max {max(a)} >= min {min(b)}")
     return tuple(subset_folds(frozenset.union, frozenset(), alphas)[1:])
 
 
@@ -190,13 +139,12 @@ def _first_fs_tuple(group, pool, r: int, budget=None, resume_path=None):
     return out, tuple(firsts)
 
 
-def contains_ip_r(S: ElementSet, r: int) -> tuple | None:
-    """The first generator tuple from S, in S's canonical order, whose finite
-    sums all lie in S, or None."""
+def contains_ip_r(group, S, r: int) -> tuple | None:
+    """The first generator tuple from sorted S whose finite sums all lie in
+    S, or None."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    pool = [x for x in S.ambient if x in S.members]
-    firsts = _first_fs_tuple(S.group, pool, r)[1]
+    firsts = _first_fs_tuple(group, sorted(S), r)[1]
     return firsts[-1] if len(firsts) == r else None
 
 
@@ -206,7 +154,7 @@ class IpStarVerdict:
     window_limited: bool
     witness: tuple | None = None  # failing generator tuple (its sums avoid S)
     candidates: int = 0  # prefix-search nodes
-    resume_path: tuple[int, ...] | None = None  # positions in S's complement, nondecreasing
+    resume_path: tuple[int, ...] | None = None  # positions in the complement, nondecreasing
     prefixes: tuple[tuple, ...] = ()  # the failing witness of every level the search reached
 
     @property
@@ -228,34 +176,33 @@ class IpStarVerdict:
 
 
 def is_ip_r_star(
-    S: ElementSet,
+    group,
+    complement,
     r: int,
     *,
+    exact: bool,
     budget: int | None = None,
     resume_path: tuple[int, ...] | None = None,
 ) -> IpStarVerdict:
-    """Does S meet every r-generator finite-sums family?
+    """Does a set S meet every r-generator finite-sums family?
 
     By duality, S is IP*_r exactly when its complement holds no IP_r set,
-    so the scan's pool is S's complement in its window, in window order, and
-    its first tuple is the failing witness; the scan decides every level
-    below r on the way (``levels``).  Exact mode (ambient = full finite
-    group) decides the claim.  Windowed mode finds only witnesses whose sums
-    stay in the window, a sum outside it being outside the pool, but these
-    are exact: S is exact on its window, so the sums avoid S everywhere.
-    Only "holds" is window-limited.
+    so the scan's pool is ``complement``, S's complement in its window as a
+    sequence in window order, and its first tuple is the failing witness;
+    the scan decides every level below r on the way (``levels``).  With
+    ``exact`` the window is the whole finite group and the verdict decides
+    the claim.  Otherwise the scan finds only witnesses whose sums stay in
+    the window, a sum outside it being outside the pool, but these are
+    exact: S is exact on its window, so the sums avoid S everywhere.  Only
+    "holds" is window-limited.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if S.window is None:
-        raise ValueError("ambient window required for a dual-family verdict")
-    windowed = not S.exact
-    pool = [x for x in S.ambient if x not in S.members]
-    out, firsts = _first_fs_tuple(S.group, pool, r, budget, resume_path)
+    out, firsts = _first_fs_tuple(group, complement, r, budget, resume_path)
     if out.path is not None:
         return IpStarVerdict("fails", False, firsts[-1], out.candidates, prefixes=firsts)
     kind = "holds" if out.status == DONE else "budget_exceeded"
-    return IpStarVerdict(kind, windowed, None, out.candidates, out.resume_path, firsts)
+    return IpStarVerdict(kind, not exact, None, out.candidates, out.resume_path, firsts)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +300,7 @@ def fk_blocks(r: int, N: int, A) -> bool:
     subset sum in C.  ``contains_ip_r`` scans nondecreasing tuples of sorted C
     and refuses a generator as soon as a new sum leaves C; it shares nothing
     with the search's edge table."""
-    C = ElementSet(Integers(), set(range(1, N + 1)) - set(A))
-    return contains_ip_r(C, r) is None
+    return contains_ip_r(Integers(), set(range(1, N + 1)) - set(A), r) is None
 
 
 def _fk_edges_by_last(r: int, N: int) -> list[list[int]]:
@@ -492,8 +438,8 @@ def example_a_checks(ex: BlockExample) -> dict[str, bool]:
     start = (frozenset(), frozenset(), 0)
     mixed = prefix_search(start, 3, lambda s, d: (s[2], len(pool)), extend)
     in_block = depth = True
-    for r, vals in ex.blocks:
-        B = ElementSet(Integers(), vals)
-        in_block = in_block and finite_sums(B.group, (vals[0],) * r).members == B.members
-        depth = depth and len(_first_fs_tuple(B.group, B.ambient, r + 1)[1]) == r
+    Z = Integers()
+    for r, vals in ex.blocks:  # vals ascend
+        in_block = in_block and finite_sums(Z, (vals[0],) * r) == frozenset(vals)
+        depth = depth and len(_first_fs_tuple(Z, vals, r + 1)[1]) == r
     return {"in_block_fs": in_block, "cross_block_free": mixed.path is None, "fs_depth": depth}

@@ -7,7 +7,12 @@ The headline objects are return sets
 
 computed member by member with exact rationals, then classified against
 r-generator finite-sums families.  Two independent assembly paths exist
-(`recurrence_set` and `theorem1_pipeline`) and must agree exactly.
+(`recurrence_set` and `theorem1_pipeline`) and must agree exactly.  Each
+lists the window once; a report keeps the scan's rows in window order and R
+as the frozenset of their hits.  By duality R is IP*_r exactly when its
+complement holds no IP_r set, so the classification scans the non-hit rows
+in window order, and the window says whether its verdicts decide the claim
+(the whole finite group) or are window-limited.
 
 The constructive side (`isometric_recurrence_search`) drives the coloring
 machinery for one action, one system and one monomial: cover the tracked
@@ -26,13 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import lcm
 
-from .algebra import Integers, Monomial, PolynomialMap, Rationals, VectorSpace, Window
+from .algebra import FullWindow, Integers, Monomial, PolynomialMap, Rationals, VectorSpace, Window
 from .algebra import poly_value, window_enumerate
 from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_subset_tuples
-from .ipsets import ElementSet, finite_sums, is_ip_r_star, subset_folds
+from .ipsets import finite_sums, is_ip_r_star, subset_folds
 from .systems import (
     DensityProfile,
     FinitePermSystem,
@@ -76,19 +81,31 @@ class RecurrenceReport:
     mu: Fraction
     threshold: Fraction
     rows: tuple  # (u, w, corr, in_R) in canonical order
-    R: ElementSet
     khintchine: Fraction
     outside_hypotheses: bool
     classification: dict = field(default_factory=dict)  # r -> IpStarVerdict
-    exceptional: tuple | None = None
     exceptional_density: DensityProfile | None = None
     A: tuple | None = None
     E: tuple | None = None
     chain_checked: bool = False
 
+    @cached_property
+    def R(self) -> frozenset:
+        """The return set: the window elements whose rows are hits."""
+        return frozenset(u for u, _w, _corr, hit in self.rows if hit)
+
+    @property
+    def exceptional(self) -> tuple:
+        """R's complement in the window: the other elements, in window order."""
+        return tuple(u for u, _w, _corr, hit in self.rows if not hit)
+
+    @property
+    def exact(self) -> bool:
+        return isinstance(self.window, FullWindow)
+
     @property
     def windowed(self) -> bool:
-        return not self.R.exact
+        return not self.exact
 
 
 def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
@@ -126,18 +143,14 @@ def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> Recur
     elements = tuple(window_enumerate(domain, window))
     corr_of = sys.correlator(base["B"])
     rows = []
-    members = set()
     for u in elements:
         w = poly_value(phi, _as_coords(u, phi.n))  # window elements come normalised
         corr = corr_of(w)
-        hit = corr > threshold
-        rows.append((u, w, corr, hit))
-        if hit:
-            members.add(u)
-    if domain.zero not in members and domain.zero in elements:
+        rows.append((u, w, corr, corr > threshold))
+    report = RecurrenceReport(**base, elements=elements, rows=tuple(rows))
+    if domain.zero not in report.R and domain.zero in elements:
         raise RecurrenceError("return set lost the zero element; broken invariant")
-    R = ElementSet(domain, members, window, ambient=elements)
-    return RecurrenceReport(**base, elements=elements, rows=tuple(rows), R=R)
+    return report
 
 
 def classify_ipstar(
@@ -166,18 +179,17 @@ def classify_ipstar(
             raise ValueError(f"resume level {r} outside 1..{r_max}")
         if len(path or ()) > r:  # level r is the first one the search had not reached
             raise ValueError(f"resume path {tuple(path)} is longer than its level r={r}")
-    v = is_ip_r_star(report.R, r_max, budget=budget, resume_path=path)
+    dom, pool = report.domain, report.exceptional
+    v = is_ip_r_star(dom, pool, r_max, exact=report.exact, budget=budget, resume_path=path)
     report.classification.update(v.levels(r_max))
-    ambient = frozenset(report.R.ambient)
+    # a witness's sums lie in R's complement in the window exactly when
+    # they stay in the window and avoid R
+    exc = frozenset(pool)
     for level in report.classification.values():
-        if level.kind == "fails":
-            sums = finite_sums(report.domain, level.witness).members
-            if not sums <= ambient or sums & report.R.members:
-                raise RecurrenceError("classify witness failed re-verification")
-    report.exceptional = tuple(u for u, _w, _corr, hit in report.rows if not hit)
+        if level.kind == "fails" and not finite_sums(dom, level.witness) <= exc:
+            raise RecurrenceError("classify witness failed re-verification")
     if report.windowed:
-        exc = set(report.exceptional)
-        report.exceptional_density = folner_density(lambda u: u in exc, report.domain, density_N)
+        report.exceptional_density = folner_density(exc.__contains__, dom, density_N)
     return report
 
 
@@ -241,8 +253,7 @@ def theorem1_pipeline(
     split = compact_projection(sys, B)
     cross_of = cross_terms(sys, B, split)
     half = base["epsilon"] / 2
-    rows = []
-    members, A, E = set(), [], []
+    rows, A, E = [], [], []
     for u in elements:
         w = poly_value(phi, _as_coords(u, phi.n))
         # independent correlation path: inclusion-exclusion through the
@@ -259,13 +270,10 @@ def theorem1_pipeline(
         if in_A and not in_E and not hit:
             raise RecurrenceError("inequality chain failed: A minus E left the return set")
         rows.append((u, w, corr, hit))
-        if hit:
-            members.add(u)
     report = RecurrenceReport(
         **base,
         elements=elements,
         rows=tuple(rows),
-        R=ElementSet(base["domain"], members, window),
         A=tuple(A),
         E=tuple(E),
         chain_checked=True,

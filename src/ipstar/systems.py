@@ -251,13 +251,9 @@ class IntervalUnion:
             a, b = Fraction(a), Fraction(b)
             if not (0 <= a <= 1 and 0 <= b <= 1):
                 raise SystemError(f"interval endpoints out of [0,1]: {a}, {b}")
-            if a == b:
-                continue
-            if a < b:
-                raw.append((a, b))
-            else:  # wraps past 1
-                raw.append((a, Fraction(1)))
-                raw.append((Fraction(0), b))
+            # a pair with b < a wraps past 1; only positive lengths are kept
+            halves = [(a, b)] if a <= b else [(a, Fraction(1)), (Fraction(0), b)]
+            raw += [(x, y) for x, y in halves if x < y]
         raw.sort()
         merged: list[list[Fraction]] = []
         for a, b in raw:

@@ -662,7 +662,7 @@ def report_tree(report, *, generated: str | None = None) -> dict:
     tree["epsilon"] = render_fraction(report.epsilon)
     tree["R"] = {
         "members": [render_element(report.domain, u) for u, _w, _corr, hit in report.rows if hit],
-        "exact": report.R.exact,
+        "exact": report.exact,
     }
     tree["classification"] = {
         str(r): {

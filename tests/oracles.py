@@ -279,7 +279,7 @@ def reports_agree(a, b) -> bool:
     element by element."""
     return (
         a.elements == b.elements
-        and a.R.members == b.R.members
+        and a.R == b.R
         and [(u, c) for u, _, c, _ in a.rows] == [(u, c) for u, _, c, _ in b.rows]
     )
 

@@ -129,12 +129,12 @@ def test_criterion_05_cycle_recurrence_exactness():
     full = classify_ipstar(
         recurrence_set(s, {0, 1}, square_map(F5), F(1, 100), FullWindow()), 4
     )
-    assert full.R.members == set(range(5)) and full.R.exact
+    assert full.R == set(range(5)) and full.exact
     assert all(full.classification[r].kind == "holds" for r in range(1, 5))
     single = classify_ipstar(
         recurrence_set(s, {0}, square_map(F5), F(1, 50), FullWindow()), 2
     )
-    assert single.R.members == {0} and single.R.exact
+    assert single.R == {0} and single.exact
     assert single.classification[2].kind == "fails"
     assert single.classification[2].witness == (1, 1)
     assert single.outside_hypotheses  # finite ambient group

@@ -2,7 +2,7 @@
 every search that runs on ``prefix_search``.
 
 ``contains_ip_r`` and ``is_ip_r_star`` scan only nondecreasing generator
-tuples from their pools (S, or S's complement in its window) and skip whole
+tuples from their pools (sorted S, or S's complement in its window) and skip whole
 blocks of them once a prefix's sums decide the outcome.  The reference
 below is the full probe-per-index scan they replaced: decode each index
 lexicographically, rebuild the tuple's finite sums from scratch, and let
@@ -33,7 +33,7 @@ from ipstar.algebra import (
     window_enumerate,
 )
 from ipstar.halesjewett import hj_stage
-from ipstar.ipsets import ElementSet, contains_ip_r, finite_sums, fu_ramsey_check, is_ip_r_star
+from ipstar.ipsets import contains_ip_r, finite_sums, fu_ramsey_check, is_ip_r_star
 from ipstar.search import BUDGET_EXCEEDED, first_hit
 
 MAX_TUPLES = 1500  # keeps the reference scan cheap
@@ -59,72 +59,80 @@ def _tuple_at(pool, r, index):
     return tuple(reversed(digits))
 
 
-def reference_contains_ip_r(S, r, pool):
+def reference_contains_ip_r(group, S, r):
+    pool = sorted(S)
+
     def probe(i):
         tup = _tuple_at(pool, r, i)
-        return tup if finite_sums(S.group, tup).members <= S.members else None
+        return tup if finite_sums(group, tup) <= S else None
 
     return first_hit(len(pool) ** r, probe)
 
 
-def reference_is_ip_r_star(S, r):
-    elems = window_enumerate(S.group, S.window)
+def reference_is_ip_r_star(group, window, S, r):
+    elems = window_enumerate(group, window)
     ambient = set(elems)
+    exact = isinstance(window, FullWindow)
 
     def probe(i):
         tup = _tuple_at(elems, r, i)
-        sums = finite_sums(S.group, tup).members
-        if not S.exact and not sums <= ambient:
+        sums = finite_sums(group, tup)
+        if not exact and not sums <= ambient:
             return None
-        return tup if not (sums & S.members) else None
+        return tup if not (sums & S) else None
 
     return first_hit(len(elems) ** r, probe)
 
 
+def dual_scan(group, window, S, r, **kw):
+    """``is_ip_r_star`` on S's complement in the window, in window order."""
+    pool = [x for x in window_enumerate(group, window) if x not in S]
+    return is_ip_r_star(group, pool, r, exact=isinstance(window, FullWindow), **kw)
+
+
 @st.composite
 def instances(draw, ambients=AMBIENTS):
-    """(S, r): S any subset of a small window, r up to what the reference
-    scan can afford."""
+    """(group, window, S, r): S any subset of a small window, r up to what
+    the reference scan can afford."""
     group, window = draw(st.sampled_from(ambients))
     elems = window_enumerate(group, window)
     picks = draw(st.lists(st.booleans(), min_size=len(elems), max_size=len(elems)))
-    S = ElementSet(group, {x for x, keep in zip(elems, picks) if keep}, window)
+    S = frozenset(x for x, keep in zip(elems, picks) if keep)
     r_max = 1
     while len(elems) ** (r_max + 1) <= MAX_TUPLES and r_max < 4:
         r_max += 1
     r = draw(st.integers(1, r_max))
-    return S, r
+    return group, window, S, r
 
 
 @SETTINGS
 @given(instances())
 def test_is_ip_r_star_matches_probe_per_index_scan(inst):
-    S, r = inst
-    want = reference_is_ip_r_star(S, r)
-    v = is_ip_r_star(S, r)
+    want = reference_is_ip_r_star(*inst)
+    v = dual_scan(*inst)
     assert (v.kind, v.witness) == ("fails" if want.found else "holds", want.value)
-    assert is_ip_r_star(S, r, budget=0).window_limited == (not S.exact)
+    exact = isinstance(inst[1], FullWindow)
+    assert dual_scan(*inst, budget=0).window_limited == (not exact)
 
 
 @SETTINGS
 @given(instances())
 def test_contains_ip_r_matches_probe_per_index_scan(inst):
-    S, r = inst
-    pool = [x for x in window_enumerate(S.group, S.window) if x in S.members]
-    assert contains_ip_r(S, r) == reference_contains_ip_r(S, r, pool).value
+    group, _window, S, r = inst
+    assert contains_ip_r(group, S, r) == reference_contains_ip_r(group, S, r).value
 
 
 @SETTINGS
 @given(instances(EXACT))
 def test_exact_scans_match_naive_oracle(inst):
-    S, r = inst
-    elems = window_enumerate(S.group, S.window)
-    ok, first = oracles.naive_meets_every_ip_r(S.group, S.members, r, elems)
-    v = is_ip_r_star(S, r)
+    group, window, S, r = inst
+    elems = window_enumerate(group, window)
+    ok, first = oracles.naive_meets_every_ip_r(group, S, r, elems)
+    v = dual_scan(*inst)
     assert (v.kind, v.witness) == (("holds", None) if ok else ("fails", first))
     # all sums land in S exactly when they all avoid S's complement
-    ok, first = oracles.naive_meets_every_ip_r(S.group, set(elems) - S.members, r, elems)
-    assert contains_ip_r(S, r) == (None if ok else first)
+    ok, first = oracles.naive_meets_every_ip_r(group, set(elems) - S, r, sorted(elems))
+    assert contains_ip_r(group, S, r) == (None if ok else first)
 
 
 def _levels(v, r):
@@ -136,12 +144,13 @@ def _levels(v, r):
 def test_one_scan_decides_every_level_below_it(inst):
     # level d fails with the first tuple of length d the scan reached, and
     # that witness is exact even in a window: its sums avoid S everywhere
-    S, r = inst
+    group, window, S, r = inst
     want = {}
     for d in range(1, r + 1):
-        ref = reference_is_ip_r_star(S, d)
-        want[d] = ("fails", ref.value, False) if ref.found else ("holds", None, not S.exact)
-    v = is_ip_r_star(S, r)
+        ref = reference_is_ip_r_star(group, window, S, d)
+        limited = not isinstance(window, FullWindow)
+        want[d] = ("fails", ref.value, False) if ref.found else ("holds", None, limited)
+    v = dual_scan(*inst)
     assert _levels(v, r) == want
     assert (v.kind, v.witness, v.window_limited) == want[r]
 
@@ -149,10 +158,10 @@ def test_one_scan_decides_every_level_below_it(inst):
 @SETTINGS
 @given(instances(), st.data())
 def test_levels_of_a_split_scan_resume_to_the_unsplit_levels(inst, data):
-    S, r = inst
-    full = is_ip_r_star(S, r)
+    r = inst[3]
+    full = dual_scan(*inst)
     budget = data.draw(st.integers(0, max(full.candidates - 1, 0)), label="budget")
-    part = is_ip_r_star(S, r, budget=budget)
+    part = dual_scan(*inst, budget=budget)
     if part.kind != BUDGET_EXCEEDED:  # a scan of 0 nodes
         assert part == full
         return
@@ -161,7 +170,7 @@ def test_levels_of_a_split_scan_resume_to_the_unsplit_levels(inst, data):
     top = max(levels)
     assert levels[top][0] == BUDGET_EXCEEDED
     assert {d: levels[d] for d in range(1, top)} == {d: whole[d] for d in range(1, top)}
-    rest = is_ip_r_star(S, r, resume_path=part.resume_path)
+    rest = dual_scan(*inst, resume_path=part.resume_path)
     assert _levels(rest, r) == whole
 
 
@@ -178,10 +187,9 @@ def _davenport(group):
 def test_scan_depth_is_at_most_the_davenport_bound(inst):
     # with 0 in S, every FS(g_1..g_D) of D = n(p - 1) + 1 generators holds 0,
     # so level D holds and the scan reaches depth n(p - 1) at most
-    S, _ = inst
-    S = ElementSet(S.group, S.members | {S.group.zero}, S.window)
-    bound = _davenport(S.group)
-    v = is_ip_r_star(S, bound + 1)
+    group, window, S, _ = inst
+    bound = _davenport(group)
+    v = dual_scan(group, window, S | {group.zero}, bound + 1)
     assert v.holds and len(v.prefixes) <= bound
 
 
@@ -204,8 +212,7 @@ def _split_and_resume(search, data):
 @SETTINGS
 @given(instances(), st.data())
 def test_budget_split_then_resume_gives_unsplit_outcome(inst, data):
-    S, r = inst
-    _split_and_resume(lambda **kw: is_ip_r_star(S, r, **kw), data)
+    _split_and_resume(lambda **kw: dual_scan(*inst, **kw), data)
 
 
 COLORING_CLAIMS = [

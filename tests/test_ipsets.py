@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 import oracles
 from ipstar.algebra import (
-    FullWindow,
-    IntegerWindow,
     Integers,
     PolyRing,
     PrimeField,
@@ -19,7 +17,6 @@ from ipstar.algebra import (
 from ipstar.ipsets import (
     BUDGET_EXCEEDED,
     BlockExample,
-    ElementSet,
     contains_ip_r,
     example_a,
     example_a_checks,
@@ -123,17 +120,17 @@ def test_fu_table_matches_the_naive_families(r, s):
 
 
 def test_finite_sums_doubled_generator():
-    fs = finite_sums(Z, (16, 16))
-    assert fs.members == {16, 32}
-    assert fs.by_indices[frozenset({1, 2})] == 32
+    assert finite_sums(Z, (16, 16)) == {16, 32}
+    # the canonical map behind it: the sum over {1, 2} is 32
+    assert subset_folds(Z.add, Z.zero, (16, 16))[0b11] == 32
 
 
 def test_finite_sums_binary():
-    assert finite_sums(Z, (1, 2, 4)).members == set(range(1, 8))
+    assert finite_sums(Z, (1, 2, 4)) == set(range(1, 8))
 
 
 def test_finite_sums_wraps_mod_p():
-    assert finite_sums(F5, (2, 3)).members == {2, 3, 0}
+    assert finite_sums(F5, (2, 3)) == {2, 3, 0}
 
 
 def test_finite_sums_against_oracle():
@@ -143,21 +140,22 @@ def test_finite_sums_against_oracle():
         gens = tuple(rng.randrange(-20, 21) for _ in range(r))
         fs = finite_sums(Z, gens)
         naive = oracles.naive_subset_sums(Z, gens)
-        assert fs.members == set(naive.values())
-        assert len(fs.members) <= (1 << r) - 1
-        assert fs.by_indices == naive
+        assert fs == set(naive.values())
+        assert len(fs) <= (1 << r) - 1
+        # the canonical map (index set alpha) -> sum, in family order
+        assert dict(zip(family_order(r), subset_folds(Z.add, Z.zero, gens)[1:])) == naive
         # permutation invariance
         shuffled = list(gens)
         rng.shuffle(shuffled)
-        assert finite_sums(Z, tuple(shuffled)).members == fs.members
+        assert finite_sums(Z, tuple(shuffled)) == fs
         # dilation covariance
         a = rng.randrange(-5, 6)
-        assert finite_sums(Z, tuple(a * g for g in gens)).members == {a * v for v in fs.members}
+        assert finite_sums(Z, tuple(a * g for g in gens)) == {a * v for v in fs}
 
 
 def test_finite_sums_distinctness_edge():
-    assert len(finite_sums(Z, (1, 2, 4)).members) == 7  # all sums distinct
-    assert len(finite_sums(Z, (1, 1)).members) == 2  # collapse
+    assert len(finite_sums(Z, (1, 2, 4))) == 7  # all sums distinct
+    assert len(finite_sums(Z, (1, 1))) == 2  # collapse
 
 
 # ---------------------------------------------------------------------------
@@ -190,48 +188,48 @@ def test_finite_unions_rejects_disorder():
 # IP_r containment and the dual verdict
 
 
+def _complement(S):
+    """S's complement in F_5, in window order: the pool of the dual scan."""
+    return [x for x in range(5) if x not in S]
+
+
 def test_contains_ip_r_block_values():
-    S = ElementSet(Z, {16, 32, 256})
-    assert contains_ip_r(S, 2) == (16, 16)
+    assert contains_ip_r(Z, {16, 32, 256}, 2) == (16, 16)
 
 
 def test_contains_ip_r_repeats_allowed():
-    S = ElementSet(Z, {1, 2})
-    assert contains_ip_r(S, 2) == (1, 1)
+    assert contains_ip_r(Z, {1, 2}, 2) == (1, 1)
 
 
 def test_contains_ip_r_absent():
-    S = ElementSet(F5, {2, 3}, FullWindow())
-    assert contains_ip_r(S, 2) is None
+    assert contains_ip_r(F5, {2, 3}, 2) is None
 
 
 def test_contains_ip_r_matches_oracle():
     # a tuple's sums all land in S exactly when they all avoid the complement
-    S = ElementSet(F5, {0, 1, 4}, FullWindow())
-    ok, first = oracles.naive_meets_every_ip_r(F5, set(range(5)) - S.members, 3, range(5))
-    assert not ok and contains_ip_r(S, 3) == first
+    S = {0, 1, 4}
+    ok, first = oracles.naive_meets_every_ip_r(F5, _complement(S), 3, range(5))
+    assert not ok and contains_ip_r(F5, S, 3) == first
 
 
 def test_ip_star_squares_mod5():
-    S = ElementSet(F5, {0, 1, 4}, FullWindow())
-    v = is_ip_r_star(S, 2)
+    S = {0, 1, 4}
+    v = is_ip_r_star(F5, _complement(S), 2, exact=True)
     assert v.kind == "holds" and not v.window_limited
-    ok, bad = oracles.naive_meets_every_ip_r(F5, S.members, 2, range(5))
+    ok, bad = oracles.naive_meets_every_ip_r(F5, S, 2, range(5))
     assert ok
 
 
 def test_ip_star_zero_only_fails():
-    S = ElementSet(F5, {0}, FullWindow())
-    v = is_ip_r_star(S, 2)
+    v = is_ip_r_star(F5, _complement({0}), 2, exact=True)
     assert v.kind == "fails" and v.witness == (1, 1)
     ok, bad = oracles.naive_meets_every_ip_r(F5, {0}, 2, range(5))
     assert not ok and bad == (1, 1)
 
 
 def test_ip_star_full_group_holds():
-    S = ElementSet(F5, set(range(5)), FullWindow())
     for r in (1, 2, 3):
-        assert is_ip_r_star(S, r).kind == "holds"
+        assert is_ip_r_star(F5, [], r, exact=True).kind == "holds"
 
 
 def test_ip_star_monotone_in_r():
@@ -239,20 +237,18 @@ def test_ip_star_monotone_in_r():
     # grow the family of sums a counterexample must dodge
     rng = random.Random(11)
     for _ in range(40):
-        members = {x for x in range(5) if rng.random() < 0.6}
-        S = ElementSet(F5, members, FullWindow())
-        if is_ip_r_star(S, 1).holds:
-            assert is_ip_r_star(S, 2).holds and is_ip_r_star(S, 3).holds
-        if is_ip_r_star(S, 2).holds:
-            assert is_ip_r_star(S, 3).holds
+        pool = _complement({x for x in range(5) if rng.random() < 0.6})
+        if is_ip_r_star(F5, pool, 1, exact=True).holds:
+            assert all(is_ip_r_star(F5, pool, r, exact=True).holds for r in (2, 3))
+        if is_ip_r_star(F5, pool, 2, exact=True).holds:
+            assert is_ip_r_star(F5, pool, 3, exact=True).holds
 
 
 def test_ip_star_agreement_with_oracle_random():
     rng = random.Random(12)
     for _ in range(60):
         members = {x for x in range(5) if rng.random() < 0.5}
-        S = ElementSet(F5, members, FullWindow())
-        v = is_ip_r_star(S, 2)
+        v = is_ip_r_star(F5, _complement(members), 2, exact=True)
         ok, bad = oracles.naive_meets_every_ip_r(F5, members, 2, range(5))
         assert v.holds == ok
         if not ok:
@@ -260,27 +256,24 @@ def test_ip_star_agreement_with_oracle_random():
 
 
 def test_ip_star_windowed_is_labeled():
-    S = ElementSet(Z, {0, 1, 2, 3, -1, -2, -3}, IntegerWindow(3))
-    v = is_ip_r_star(S, 2)
+    # S is the whole window [-3, 3], so its complement there is empty
+    v = is_ip_r_star(Z, [], 2, exact=False)
     assert v.kind == "holds" and v.window_limited
-    with pytest.raises(ValueError, match="ambient"):
-        is_ip_r_star(ElementSet(Z, {1, 2}), 2)
 
 
 def test_ip_star_windowed_witness_keeps_sums_inside():
-    S = ElementSet(Z, {-3, -2, -1, 0, 3}, IntegerWindow(3))
-    v = is_ip_r_star(S, 2)
+    S = {-3, -2, -1, 0, 3}
+    v = is_ip_r_star(Z, [x for x in range(-3, 4) if x not in S], 2, exact=False)
     assert v.kind == "fails" and v.witness == (1, 1)
-    sums = finite_sums(Z, v.witness).members
-    assert sums <= set(range(-3, 4)) and not (sums & S.members)
+    sums = finite_sums(Z, v.witness)
+    assert sums <= set(range(-3, 4)) and not (sums & S)
 
 
 def test_ip_star_windowed_skips_escaping_sums():
     # only candidate against {-3..2} is the all-3 tuple, whose pair sum 6
     # leaves the window, so it cannot serve as a witness at r = 2
-    S = ElementSet(Z, set(range(-3, 3)), IntegerWindow(3))
-    assert is_ip_r_star(S, 1).kind == "fails"  # witness (3,), sums stay inside
-    v2 = is_ip_r_star(S, 2)
+    assert is_ip_r_star(Z, [3], 1, exact=False).kind == "fails"  # witness (3,), sums stay inside
+    v2 = is_ip_r_star(Z, [3], 2, exact=False)
     assert v2.kind == "holds" and v2.window_limited
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from ipstar.algebra import (
     scalar_poly_map,
     window_enumerate,
 )
-from ipstar import ipsets as ipsets_module
 from ipstar import recurrence as recurrence_module
 from ipstar.ipsets import IpStarVerdict, finite_sums, is_ip_r_star
 from ipstar.recurrence import (
@@ -40,6 +40,7 @@ from ipstar.systems import (
     regular_system,
 )
 from oracles import naive_map_value, naive_rotation_return_sq, reports_agree
+from test_ip_scan import MAX_TUPLES, reference_is_ip_r_star
 
 F5 = PrimeField(5)
 Q = Rationals()
@@ -61,7 +62,7 @@ IDENT_P2 = power_map(R2, (1,), 1)
 def test_recurrence_set_full_f5():
     s = regular_system(5)
     rep = recurrence_set(s, {0, 1}, SQUARE_5, F(1, 100), FullWindow())
-    assert rep.R.members == frozenset(range(5))
+    assert rep.R == frozenset(range(5))
     assert rep.mu == F(2, 5) and rep.threshold == F(3, 20)
     assert rep.khintchine == F(2, 5)
     assert rep.outside_hypotheses
@@ -73,24 +74,34 @@ def test_recurrence_set_full_f5():
 def test_recurrence_set_singleton_f5():
     s = regular_system(5)
     rep = recurrence_set(s, {0}, SQUARE_5, F(1, 50), FullWindow())
-    assert rep.R.members == frozenset({0})
+    assert rep.R == frozenset({0})
     assert all((c == F(1, 5)) == (u == 0) for u, _, c, _ in rep.rows)
 
 
 def test_recurrence_set_enumerates_its_window_once(monkeypatch):
-    # the report's elements are R's ambient; ElementSet does not enumerate again
+    # the report's rows are the only listing of the scan window: R, the pool
+    # of the IP scan and the re-check of its witnesses are read off them.
+    # The ring's own method is counted, whichever module lists the window;
+    # the density windows (degree < 1, < 2) are other windows.
     calls = []
+    enumerate_window = PolyRing.enumerate_window
 
-    def counting(group, window):
+    def counting(ring, window):
         calls.append(window)
-        return window_enumerate(group, window)
+        return enumerate_window(ring, window)
 
-    monkeypatch.setattr(recurrence_module, "window_enumerate", counting)
-    monkeypatch.setattr(ipsets_module, "window_enumerate", counting)
+    monkeypatch.setattr(PolyRing, "enumerate_window", counting)
     b = BernoulliSystem(2, [F(1, 2), F(1, 2)])
-    rep = recurrence_set(b, {(): {0}, (0, 1): {1}}, IDENT_P2, F(1, 100), DegreeWindow(3))
-    assert calls == [DegreeWindow(3)]
-    assert rep.R.ambient == rep.elements and len(rep.elements) == 8
+    args = (b, {(): {0}, (0, 1): {1}}, IDENT_P2, F(1, 100), DegreeWindow(3))
+    for run in (
+        lambda: recurrence_set(*args),
+        lambda: classify_ipstar(recurrence_set(*args), 3, density_N=2),
+        lambda: theorem1_pipeline(*args, 3, density_N=2),
+    ):
+        calls.clear()
+        rep = run()
+        assert calls.count(DegreeWindow(3)) == 1
+        assert [u for u, *_ in rep.rows] == list(rep.elements) and len(rep.elements) == 8
 
 
 def test_recurrence_set_refuses_an_event_with_unknown_points():
@@ -101,7 +112,7 @@ def test_recurrence_set_refuses_an_event_with_unknown_points():
 def test_recurrence_set_bernoulli_full_window():
     b = BernoulliSystem(2, [F(1, 2), F(1, 2)])
     rep = recurrence_set(b, {(): {0}}, IDENT_P2, F(1, 1000), DegreeWindow(4))
-    assert rep.R.members == frozenset(rep.elements)
+    assert rep.R == frozenset(rep.elements)
     assert len(rep.elements) == 16
     assert rep.windowed
 
@@ -115,7 +126,7 @@ def test_recurrence_set_zero_always_in_R():
         phi = power_map(F7, rng.randrange(1, 7), rng.randrange(1, 4))
         eps = F(1, rng.randrange(2, 200))
         rep = recurrence_set(s, B, phi, eps, FullWindow())
-        assert 0 in rep.R.members
+        assert 0 in rep.R
 
 
 def test_recurrence_set_epsilon_monotone():
@@ -129,7 +140,7 @@ def test_recurrence_set_epsilon_monotone():
         e2 = e1 + F(rng.randrange(0, 50), 100)
         r1 = recurrence_set(s, B, phi, e1, FullWindow())
         r2 = recurrence_set(s, B, phi, e2, FullWindow())
-        assert r1.R.members <= r2.R.members
+        assert r1.R <= r2.R
 
 
 def test_recurrence_set_rejections():
@@ -220,7 +231,7 @@ def test_recurrence_rows_are_the_map_and_the_correlation_of_each_element(case):
         assert repr(w) == repr(want) and w == naive_map_value(phi, coords)
         assert corr == sys.correlation(B, want)
         assert hit == (corr > threshold)
-    assert rep.R.members == {u for u, _w, _corr, hit in rep.rows if hit}
+    assert rep.R == {u for u, _w, _corr, hit in rep.rows if hit}
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +252,8 @@ def test_classify_singleton_fails_with_checked_witness():
     v = rep.classification[2]
     assert v.kind == "fails" and v.witness == (1, 1)
     # the witness really generates sums that all avoid R
-    sums = finite_sums(F5, v.witness).members
-    assert sums == {1, 2} and not sums & rep.R.members
+    sums = finite_sums(F5, v.witness)
+    assert sums == {1, 2} and not sums & rep.R
 
 
 @pytest.mark.parametrize(
@@ -250,7 +261,7 @@ def test_classify_singleton_fails_with_checked_witness():
 )
 def test_classify_refuses_a_forged_fails_witness(monkeypatch, witness):
     # each level's witness is re-checked with finite_sums, outside the scan
-    def forged(S, r, **kw):
+    def forged(group, complement, r, **kw):
         prefixes = tuple(witness[:d] for d in range(1, len(witness) + 1))
         return IpStarVerdict("fails", False, witness, 1, prefixes=prefixes)
 
@@ -258,6 +269,23 @@ def test_classify_refuses_a_forged_fails_witness(monkeypatch, witness):
     rep = recurrence_set(regular_system(5), {0}, SQUARE_5, F(1, 50), FullWindow())
     with pytest.raises(RecurrenceError, match="witness failed re-verification"):
         classify_ipstar(rep, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scan_cases())
+def test_classify_levels_match_the_reference_scan_over_the_window(case):
+    # classify scans the report's non-hit rows; the reference probes every
+    # tuple of the window against R, so the two share only the return set
+    sys, B, phi, eps, window = case
+    rep = recurrence_set(sys, B, phi, eps, window)
+    n = len(rep.elements)
+    r_max = max([r for r in range(1, 5) if n**r <= MAX_TUPLES], default=1)
+    levels = classify_ipstar(rep, r_max).classification
+    assert sorted(levels) == list(range(1, r_max + 1))
+    for d, v in levels.items():
+        ref = reference_is_ip_r_star(rep.domain, window, rep.R, d)
+        want = ("fails", ref.value, False) if ref.found else ("holds", None, not rep.exact)
+        assert (v.kind, v.witness, v.window_limited) == want
 
 
 def test_classify_bernoulli_window_limited():
@@ -318,7 +346,7 @@ def test_classify_rank_of_a_linear_return_set_is_floor_p_over_L(case):
     p, B, c, eps, L = case
     s = regular_system(p)
     rep = recurrence_set(s, B, power_map(s.field, c, 1), eps, FullWindow())
-    assert rep.R.members == {u for u in range(p) if min(c * u % p, -c * u % p) < L}
+    assert rep.R == {u for u in range(p) if min(c * u % p, -c * u % p) < L}
     rank = p // L
     classify_ipstar(rep, rank)
     assert [rep.classification[r].kind for r in range(1, rank + 1)] == ["fails"] * (rank - 1) + ["holds"]
@@ -386,13 +414,14 @@ def test_classify_resumes_checkpoints_of_per_level_scans(p):
     # and stops before any node below depth r, so the one scan reaches it
     B = range(p // 3)
     verdicts = {d: (v.kind, v.witness) for d, v in _classify_square(p, 8, B).items()}
-    R = recurrence_set(
+    rep = recurrence_set(
         regular_system(p), set(B), power_map(PrimeField(p), 1, 2), F(1, 100), FullWindow()
-    ).R
+    )
     for r in range(1, 9):
-        nodes = is_ip_r_star(R, r).candidates
+        scan = partial(is_ip_r_star, rep.domain, rep.exceptional, r, exact=True)
+        nodes = scan().candidates
         for budget in sorted({1, nodes // 3, nodes // 2, nodes - 1} - {0}):
-            path = is_ip_r_star(R, r, budget=budget).resume_path
+            path = scan(budget=budget).resume_path
             part = _classify_square(p, 8, B, resume=(r, path))
             assert {d: (v.kind, v.witness) for d, v in part.items()} == verdicts
 
@@ -424,7 +453,7 @@ def test_pipeline_finite_perm_A_subset_R_E_empty():
     rep = theorem1_pipeline(s, {0, 1}, SQUARE_5, F(1, 100), FullWindow(), 2)
     assert rep.chain_checked
     assert rep.E == ()
-    assert set(rep.A) <= rep.R.members
+    assert set(rep.A) <= rep.R
     assert 0 in rep.A
 
 
@@ -434,7 +463,7 @@ def test_pipeline_bernoulli_A_window_E_finite():
     rep = theorem1_pipeline(b, B, IDENT_P2, F(1, 100), DegreeWindow(3), 2)
     assert rep.A == rep.elements  # constant part never moves
     assert rep.E == ((0, 1),)  # cross term dips exactly where letters clash
-    assert set(rep.A) - set(rep.E) <= rep.R.members
+    assert set(rep.A) - set(rep.E) <= rep.R
 
 
 def test_pipeline_rotation_matches_direct_scan():
@@ -445,7 +474,7 @@ def test_pipeline_rotation_matches_direct_scan():
     a = recurrence_set(r, B, phi, F(1, 10), win)
     b = theorem1_pipeline(r, B, phi, F(1, 10), win, 2)
     assert reports_agree(a, b)
-    assert a.R.members != frozenset(a.elements)  # half-turn shifts fall out
+    assert a.R != frozenset(a.elements)  # half-turn shifts fall out
 
 
 def test_two_path_agreement_randomized():
@@ -497,7 +526,7 @@ def test_dilation_preserves_return_set_size():
         eps = F(rng.randrange(1, 60), 60)
         r1 = recurrence_set(s, B, lin, eps, FullWindow())
         r2 = recurrence_set(s, aB, lin, eps, FullWindow())
-        assert len(r1.R.members) == len(r2.R.members)
+        assert len(r1.R) == len(r2.R)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +571,7 @@ def test_fp_probe_witnesses_are_the_products_in_R(backend, data):
     args, gen = PROBE_CASES[backend]
     gens = data.draw(st.lists(gen, min_size=1, max_size=3), label="gens")
     probe = fp_probe(*args, gens)
-    R = recurrence_set(*args).R.members
+    R = recurrence_set(*args).R
     assert probe.witnesses == tuple(v for v in probe.products if v in R)
     assert probe.intersects == bool(probe.witnesses)
 

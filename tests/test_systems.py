@@ -199,6 +199,17 @@ def test_interval_union_normalization():
         IntervalUnion([(F(0), F(3, 2))])
 
 
+@pytest.mark.parametrize(
+    "wrapping, plain",
+    [((F(3, 4), F(0)), (F(3, 4), F(1))), ((F(1), F(1, 4)), (F(0), F(1, 4)))],
+    ids=["ends at 0", "starts at 1"],
+)
+def test_interval_union_wrap_keeps_no_empty_half(wrapping, plain):
+    # a wrapping pair whose half past 1 or before 0 is empty is the plain arc
+    u, v = IntervalUnion([wrapping]), IntervalUnion([plain])
+    assert u == v and u.pieces == v.pieces == (plain,)
+
+
 def test_interval_measure_matches_oracle():
     rng = random.Random(20260820)
     for _ in range(300):

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from ipstar import halesjewett
-from ipstar.algebra import FullWindow, Monomial, PrimeField
-from ipstar.ipsets import ElementSet, fk_density_experiment, is_ip_r_star
+from ipstar.algebra import Monomial, PrimeField
+from ipstar.ipsets import fk_density_experiment, is_ip_r_star
 from ipstar.recurrence import _cover_color_search
 from ipstar.search import universal_coloring_search
 from ipstar.systems import regular_system
@@ -58,8 +58,9 @@ def test_count_hooks_read_real_return_values(tracing):
     # each hook reads a field of the wrapped function's return value
     calls = [
         ("ipsets.fk", "ipsets.fk_subsets", (2, 4), fk_density_experiment(2, 4)),
-        ("ipsets.ip_scan", "ipsets.ip_tuples", (None, 2),
-         is_ip_r_star(ElementSet(PrimeField(5), {0, 1}, FullWindow()), 2)),
+        # {0, 1}'s complement in F_5, in window order
+        ("ipsets.ip_scan", "ipsets.ip_tuples", (None, None, 2),
+         is_ip_r_star(PrimeField(5), [2, 3, 4], 2, exact=True)),
         ("search.dfs", "search.dfs_nodes", (2, None),
          universal_coloring_search(2, [[], [], [(None, (0, 1, 2))]])),
     ]
