@@ -9,6 +9,9 @@ Four ground rings are supported, all with exact arithmetic:
 * ``PolyRing(p)``     univariate polynomials over GF(p), stored as tuples of
   coefficients in ascending degree with no trailing zero; ``()`` is zero
 
+``Integers`` and ``Rationals`` share one set of operations, Python's own
+exact ``+ - * **``; each ring's ``zero`` and ``one`` are class attributes.
+
 On top of the rings sit fixed-dimension vector spaces (elements are tuples of
 ring elements), monomial maps ``u -> a * u1^d1 * ... * un^dn`` and polynomial
 maps ``u -> sum_i m_i(u) * w_i`` with zero constant term.
@@ -102,25 +105,18 @@ def _expect_window(ring, window, kind) -> None:
 
 # ---------------------------------------------------------------------------
 # ground rings
-
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)  # immutable, so shared
+# (zero and one are unannotated class attributes, so not dataclass fields)
 
 
 @dataclass(frozen=True)
 class PrimeField:
     p: int
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise AlgebraError(f"{self.p} is not prime")
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def element(self, x) -> int:
         if isinstance(x, bool) or not isinstance(x, int):
@@ -154,35 +150,34 @@ class PrimeField:
         return f"F_{self.p}"
 
 
+class _ExactNumbers:
+    """Z and Q: Python's own operators are exact on ints and Fractions."""
+
+    zero = 0
+    one = 1
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def pow(self, a, k: int):
+        return a**k
+
+
 @dataclass(frozen=True)
-class Integers:
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
+class Integers(_ExactNumbers):
     def element(self, x) -> int:
         if isinstance(x, bool) or not isinstance(x, int):
             raise AlgebraError(f"not an integer: {x!r}")
         return x
-
-    def add(self, a: int, b: int) -> int:
-        return a + b
-
-    def sub(self, a: int, b: int) -> int:
-        return a - b
-
-    def neg(self, a: int) -> int:
-        return -a
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b
-
-    def pow(self, a: int, k: int) -> int:
-        return a**k
 
     def enumerate_window(self, window: Window) -> list[int]:
         _expect_window(self, window, IntegerWindow)
@@ -197,14 +192,9 @@ class Integers:
 
 
 @dataclass(frozen=True)
-class Rationals:
-    @property
-    def zero(self) -> Fraction:
-        return _Q_ZERO
-
-    @property
-    def one(self) -> Fraction:
-        return _Q_ONE
+class Rationals(_ExactNumbers):
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def element(self, x) -> Fraction:
         if isinstance(x, Fraction):  # already in lowest terms
@@ -212,21 +202,6 @@ class Rationals:
         if isinstance(x, int) and not isinstance(x, bool):
             return Fraction(x)
         raise AlgebraError(f"not a rational: {x!r}")
-
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    def pow(self, a: Fraction, k: int) -> Fraction:
-        return a**k
 
     def enumerate_window(self, window: Window) -> list[Fraction]:
         _expect_window(self, window, RationalWindow)
@@ -256,18 +231,12 @@ class PolyRing:
     the countably infinite finite-characteristic case."""
 
     p: int
+    zero = ()
+    one = (1,)
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise AlgebraError(f"{self.p} is not prime")
-
-    @property
-    def zero(self) -> tuple:
-        return ()
-
-    @property
-    def one(self) -> tuple:
-        return (1,)
 
     def element(self, x) -> tuple:
         if isinstance(x, int) and not isinstance(x, bool):

@@ -103,10 +103,6 @@ class RecurrenceReport:
     def exact(self) -> bool:
         return isinstance(self.window, FullWindow)
 
-    @property
-    def windowed(self) -> bool:
-        return not self.exact
-
 
 def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
     """Checked inputs and the report fields the return-set scans and the
@@ -188,7 +184,7 @@ def classify_ipstar(
     for level in report.classification.values():
         if level.kind == "fails" and not finite_sums(dom, level.witness) <= exc:
             raise RecurrenceError("classify witness failed re-verification")
-    if report.windowed:
+    if not report.exact:
         report.exceptional_density = folner_density(exc.__contains__, dom, density_N)
     return report
 

@@ -239,9 +239,19 @@ def regular_system(p: int) -> FinitePermSystem:
 # rational rotations
 
 
+def _turned(a, b, s, L) -> list:
+    """The arc [a, b) (0 <= b - a <= L) of a circle of length L turned by
+    s: one piece in [0, L], or two where it runs past L and reappears at 0."""
+    start = (a + s) % L
+    end = start + (b - a)
+    return [(start, end)] if end <= L else [(start, L), (0, end - L)]
+
+
 class IntervalUnion:
     """Finite union of half-open rational subintervals of [0, 1), kept
-    sorted, disjoint and merged, so set equality is tuple equality."""
+    sorted, disjoint and merged, so set equality is tuple equality.  A
+    wrapping pair and a shift are cut at 1 by ``_turned``, the one arc
+    cutter, which the rotation kernel's ``_overlap`` shares over Z/D."""
 
     __slots__ = ("pieces",)
 
@@ -251,8 +261,8 @@ class IntervalUnion:
             a, b = Fraction(a), Fraction(b)
             if not (0 <= a <= 1 and 0 <= b <= 1):
                 raise SystemError(f"interval endpoints out of [0,1]: {a}, {b}")
-            # a pair with b < a wraps past 1; only positive lengths are kept
-            halves = [(a, b)] if a <= b else [(a, Fraction(1)), (Fraction(0), b)]
+            # a pair with b < a is the arc [a, b + 1); only positive lengths are kept
+            halves = [(a, b)] if a <= b else _turned(a, b + 1, 0, 1)
             raw += [(x, y) for x, y in halves if x < y]
         raw.sort()
         merged: list[list[Fraction]] = []
@@ -268,17 +278,8 @@ class IntervalUnion:
         return sum((b - a for a, b in self.pieces), Fraction(0))
 
     def shift(self, s) -> "IntervalUnion":
-        s = Fraction(s) % 1
-        out = []
-        for a, b in self.pieces:
-            a2 = (a + s) % 1
-            b2 = a2 + (b - a)
-            if b2 <= 1:
-                out.append((a2, b2))
-            else:  # runs past 1, reappears at 0
-                out.append((a2, Fraction(1)))
-                out.append((Fraction(0), b2 - 1))
-        return IntervalUnion(out)
+        s = Fraction(s)
+        return IntervalUnion([arc for a, b in self.pieces for arc in _turned(a, b, s, 1)])
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         out = []
@@ -364,9 +365,11 @@ class RotationSystem:
         piecewise linear, with kinks only where an endpoint of B + s meets
         one of B: at the differences of B's endpoints mod 1.  Over B's
         common denominator D these are integers 0 = beta_0 < beta_1 < ... < D,
-        the overlap at beta_i is an integer V_i over D, and each segment has
-        an integer slope k_i.  A turn s = n / M in [beta_i / D, beta_(i+1) / D)
-        then has corr = (V_i * M + k_i * (n * D - beta_i * M)) / (D * M)."""
+        the overlap at beta_i is an integer V_i over D (B's pieces turned
+        by ``_turned``, the arc cutter of ``IntervalUnion``, in integers),
+        and each segment has an integer slope k_i.  A turn s = n / M in
+        [beta_i / D, beta_(i+1) / D) then has
+        corr = (V_i * M + k_i * (n * D - beta_i * M)) / (D * M)."""
         D = lcm(*(e.denominator for piece in B.pieces for e in piece))
         ends = [(a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
                 for a, b in B.pieces]
@@ -387,16 +390,8 @@ class RotationSystem:
 
 def _overlap(ends, shift: int, L: int) -> int:
     """The overlap of the integer intervals ends, disjoint in [0, L), with
-    the same intervals turned by shift (0 <= shift < L) around Z/L."""
-    moved = []
-    for a, b in ends:
-        a, b = a + shift, b + shift
-        if a >= L:
-            moved.append((a - L, b - L))
-        elif b <= L:
-            moved.append((a, b))
-        else:  # runs past L, reappears at 0
-            moved += [(a, L), (0, b - L)]
+    the same intervals turned by shift around Z/L."""
+    moved = [arc for a, b in ends for arc in _turned(a, b, shift, L)]
     return sum(max(0, min(b, d) - max(a, c)) for a, b in ends for c, d in moved)
 
 

@@ -378,6 +378,11 @@ def _render_cycles(perm: dict, points) -> str:
     return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
 
 
+# the keys each backend's description takes besides ``set``
+_SYSTEM_KEYS = {"finite-perm": ("p", "points", "weights", "gen"), "rotation": ("rho",),
+                "bernoulli": ("p", "probs")}
+
+
 def parse_system_text(text: str):
     """Build a measure system plus its named events from a description file.
 
@@ -387,29 +392,31 @@ def parse_system_text(text: str):
     backend = None
     fields: dict = {}
     gen_lines: list = []
-    set_lines: list = []
+    set_lines: dict = {}  # name -> (line number, body)
     for no, line in _content_lines(text):
         key, _, rest = line.partition(" ")
         rest = rest.strip()
         if backend is None:
             if key != "backend":
                 raise TextFormatError(f"line {no}: expected 'backend', got {key!r}")
-            if rest not in ("finite-perm", "rotation", "bernoulli"):
+            if rest not in _SYSTEM_KEYS:
                 raise TextFormatError(f"line {no}: unknown backend {rest!r}")
             backend = rest
         elif key == "set":
             name, _, body = rest.partition(" ")
             if not name:
                 raise TextFormatError(f"line {no}: set needs a name")
-            set_lines.append((no, name, body.strip()))
+            if name in set_lines:
+                raise TextFormatError(f"line {no}: duplicate set {name!r}")
+            set_lines[name] = (no, body.strip())
+        elif key not in _SYSTEM_KEYS[backend]:
+            raise TextFormatError(f"line {no}: unknown key {key!r} for {backend}")
         elif key == "gen":
             gen_lines.append((no, rest))
-        elif key in ("p", "points", "weights", "rho", "probs"):
-            if key in fields:
-                raise TextFormatError(f"line {no}: duplicate {key!r}")
-            fields[key] = (no, rest)
+        elif key in fields:
+            raise TextFormatError(f"line {no}: duplicate {key!r}")
         else:
-            raise TextFormatError(f"line {no}: unknown key {key!r}")
+            fields[key] = (no, rest)
     if backend is None:
         raise TextFormatError("line 1: empty system description")
 
@@ -451,7 +458,7 @@ def parse_system_text(text: str):
         raise TextFormatError(str(exc))
 
     events = {}
-    for no, name, body in set_lines:
+    for name, (no, body) in set_lines.items():
         try:
             events[name] = _parse_event(sys, no, body)
         except TextFormatError:
@@ -599,9 +606,9 @@ def parse_certificate(text: str) -> Certificate:
             params[key] = _parse_int(rest)
             if params[key] < 1:
                 raise TextFormatError(f"line {no}: {key} must be at least 1, got {rest!r}")
-        elif key == "coloring":
+        elif key == "coloring" and kind.endswith("counterexample"):
             coloring = parse_word(rest)
-        elif key == "leaf":
+        elif key == "leaf" and kind.endswith("cover"):
             prefix_text, _, reasons_text = rest.partition(" ")
             if not reasons_text:
                 raise TextFormatError(f"line {no}: leaf needs a prefix and a witness")
@@ -611,7 +618,7 @@ def parse_certificate(text: str) -> Certificate:
                 parsed[reasons_text] = reasons
             leaves.append(CoverLeaf(parse_word(prefix_text), reasons))
         else:
-            raise TextFormatError(f"line {no}: unknown key {key!r}")
+            raise TextFormatError(f"line {no}: unknown key {key!r} for {kind}")
     if kind is None:
         raise TextFormatError("line 1: empty certificate")
     missing = [n for n in _CERT_PARAMS[kind] if n not in params]

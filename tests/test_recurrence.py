@@ -114,7 +114,7 @@ def test_recurrence_set_bernoulli_full_window():
     rep = recurrence_set(b, {(): {0}}, IDENT_P2, F(1, 1000), DegreeWindow(4))
     assert rep.R == frozenset(rep.elements)
     assert len(rep.elements) == 16
-    assert rep.windowed
+    assert not rep.exact
 
 
 def test_recurrence_set_zero_always_in_R():

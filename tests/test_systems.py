@@ -243,6 +243,36 @@ def test_interval_shift():
         assert u.shift(s).shift(-s) == u
 
 
+# endpoints a/d in [0, 1], with 0 and 1 drawn often: wrapping pairs, pairs
+# starting at 1 and pieces ending at 1
+_ENDPOINTS = st.one_of(
+    st.sampled_from([F(0), F(1)]),
+    st.integers(1, 12).flatmap(lambda d: st.integers(0, d).map(lambda n: F(n, d))),
+)
+
+
+def _on_arcs(pairs, x) -> bool:
+    """x in [0, 1) lies on an arc of the pairs; a pair with b < a runs from
+    a past 1 round to b."""
+    return any(a <= x < b if a <= b else (a <= x or x < b) for a, b in pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS), max_size=4), st.integers(-2, 2), st.data())
+def test_interval_union_cut_and_shift_match_a_point_oracle(pairs, turns, data):
+    U = IntervalUnion(pairs)
+    ends = {e for pair in pairs for e in pair}
+    # some shifts turn an endpoint exactly onto 1
+    onto_one = [st.sampled_from(sorted(1 - e for e in ends))] if ends else []
+    s = data.draw(st.one_of(_ENDPOINTS, *onto_one)) + turns
+    V = U.shift(s)
+    cuts = sorted({F(0), F(1)} | {e % 1 for e in ends} | {(e + s) % 1 for e in ends})
+    # each breakpoint and each midpoint between two of them
+    for x in cuts[:-1] + [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]:
+        assert any(a <= x < b for a, b in U.pieces) == _on_arcs(pairs, x)
+        assert any(a <= x < b for a, b in V.pieces) == _on_arcs(pairs, (x - s) % 1)
+
+
 def test_interval_intersection():
     a = IntervalUnion([(F(0), F(1, 2))])
     b = IntervalUnion([(F(1, 4), F(3, 4))])

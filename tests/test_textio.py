@@ -317,6 +317,33 @@ def test_system_parse_errors_carry_line_numbers():
         parse_system_text("backend finite-perm\np 2\npoints 0 1\ngen ((0 1)\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("backend rotation\nrho 1/7\ngen (0 1)\n", "line 3: unknown key 'gen' for rotation"),
+        ("backend rotation\nrho 1/7\np 5\n", "line 3: unknown key 'p' for rotation"),
+        (
+            "backend finite-perm\np 2\npoints 0 1\ngen (0 1)\nrho 1/3\n",
+            "line 5: unknown key 'rho' for finite-perm",
+        ),
+        (
+            "backend bernoulli\np 2\nprobs 1/2 1/2\nweights 1 1\n",
+            "line 4: unknown key 'weights' for bernoulli",
+        ),
+        (
+            "backend finite-perm\np 3\npoints 0 1 2\ngen (0 1 2)\nset B 0\nset B 1 2\n",
+            "line 6: duplicate set 'B'",
+        ),
+    ],
+    ids=["gen-in-rotation", "p-in-rotation", "rho-in-finite-perm", "weights-in-bernoulli",
+         "repeated-set"],
+)
+def test_system_parse_refuses_foreign_keys_and_repeated_sets(text, message):
+    # another backend's key was ignored, and a repeated set replaced the first
+    with pytest.raises(TextFormatError, match=message):
+        parse_system_text(text)
+
+
 def test_describe_system():
     assert describe_system(regular_system(5)) == "finite-perm p=5 points=5 gens=1"
     assert describe_system(RotationSystem(F(1, 7))) == "rotation rho=1/7"
@@ -476,6 +503,28 @@ def test_certificate_parse_refuses_repeated_lines(lines, message):
     text = "\n".join(["certificate hj-counterexample", "k 2", "t 2", *lines]) + "\n"
     with pytest.raises(TextFormatError, match=message):
         parse_certificate(text)
+
+
+@pytest.mark.parametrize(
+    "name, line, message",
+    [
+        ("hj-k2-t2-m1-counterexample.txt", "leaf 2 5,7", "unknown key 'leaf' for hj-counterexample"),
+        ("hj-k2-t2-m2-cover.txt", "coloring 1212", "unknown key 'coloring' for hj-cover"),
+    ],
+)
+def test_check_refuses_a_line_of_the_other_kind(tmp_path, capsys, name, line, message):
+    # a leaf in a counterexample and a coloring in a cover were read as valid
+    assert cli.main(["hj", "k=2", "t=2", "m_max=2", f"output={tmp_path}"]) == 0
+    path = tmp_path / name
+    text = path.read_text()
+    capsys.readouterr()
+    assert _check_cli(path)[0] == 0
+    path.write_text(text + line + "\n")
+    assert _check_cli(path)[0] == 1
+    lines = len(text.splitlines()) + 1
+    assert f"line {lines}: {message}" in capsys.readouterr().err
+    with pytest.raises(TextFormatError, match=f"line {lines}: {message}"):
+        parse_certificate(text + line + "\n")
 
 
 # ---------------------------------------------------------------------------
