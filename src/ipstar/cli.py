@@ -99,102 +99,70 @@ class ExperimentConfig:
     lines: dict  # key -> source line number (None for overrides/defaults)
 
 
-def _kind_posint(text: str) -> int:
+def _posint(text: str) -> int:
     v = _parse_int(text)
     if v < 1:
         raise TextFormatError("must be >= 1")
     return v
 
 
-def _kind_posfrac(text: str):
+def _posfrac(text: str):
     q = parse_fraction(text)
     if q <= 0:
         raise TextFormatError("must be positive")
     return q
 
 
-def _kind_str(text: str) -> str:
+def _str(text: str) -> str:
     if not text:
         raise TextFormatError("empty value")
     return text
 
 
-def _convert(kind: str, text: str):
-    if kind.startswith("choice:"):
-        allowed = kind.split(":", 1)[1].split(",")
-        if text not in allowed:
-            raise TextFormatError(f"must be one of {', '.join(allowed)}")
-        return text
-    return {"posint": _kind_posint, "posfrac": _kind_posfrac, "str": _kind_str}[kind](text)
+def _csv_or_report(text: str) -> str:
+    if text not in ("csv", "report"):
+        raise TextFormatError("must be one of csv, report")
+    return text
 
 
-# key -> (kind, required, default); None default means "absent unless given"
+# key -> (converter, required, default); None default means "absent unless given"
+_OUTPUT = {"output": (_str, False, ".")}
+_BUDGETED = {"budget": (_posint, False, None), **_OUTPUT}
+_MAPPED = {"system": (_str, True, None), "set": (_str, False, "B"), "phi": (_str, True, None)}
+_WINDOWED = {**_MAPPED, "epsilon": (_posfrac, True, None), "window": (_str, True, None)}
 _SPECS: dict[str, dict] = {
     "hj": {
-        "k": ("posint", True, None),
-        "t": ("posint", True, None),
-        "m_max": ("posint", False, 6),
-        "budget": ("posint", False, None),
-        "output": ("str", False, "."),
+        "k": (_posint, True, None),
+        "t": (_posint, True, None),
+        "m_max": (_posint, False, 6),
+        **_BUDGETED,
     },
     "fu-ramsey": {
-        "r": ("posint", False, None),
-        "s": ("posint", True, None),
-        "k": ("posint", True, None),
-        "r_limit": ("posint", False, None),
-        "budget": ("posint", False, None),
-        "output": ("str", False, "."),
+        "r": (_posint, False, None),
+        "s": (_posint, True, None),
+        "k": (_posint, True, None),
+        "r_limit": (_posint, False, None),
+        **_BUDGETED,
     },
     "fk-density": {
-        "r": ("posint", True, None),
-        "N": ("posint", True, None),
-        "budget": ("posint", False, None),
-        "output": ("str", False, "."),
+        "r": (_posint, True, None),
+        "N": (_posint, True, None),
+        **_BUDGETED,
     },
     "example-a": {
-        "r_max": ("posint", True, None),
+        "r_max": (_posint, True, None),
     },
-    "recurrence": {
-        "system": ("str", True, None),
-        "set": ("str", False, "B"),
-        "phi": ("str", True, None),
-        "epsilon": ("posfrac", True, None),
-        "window": ("str", True, None),
-        "format": ("choice:csv,report", False, "csv"),
-        "output": ("str", False, "."),
-    },
-    "classify": {
-        "system": ("str", True, None),
-        "set": ("str", False, "B"),
-        "phi": ("str", True, None),
-        "epsilon": ("posfrac", True, None),
-        "window": ("str", True, None),
-        "r_max": ("posint", False, 4),
-        "density_N": ("posint", False, 6),
-        "budget": ("posint", False, None),
-        "output": ("str", False, "."),
-    },
+    "recurrence": {**_WINDOWED, "format": (_csv_or_report, False, "csv"), **_OUTPUT},
+    "classify": {**_WINDOWED, "r_max": (_posint, False, 4), **_BUDGETED},
     "search": {
-        "system": ("str", True, None),
-        "x": ("str", True, None),
-        "m": ("str", True, None),
-        "epsilon": ("posfrac", True, None),
-        "gens": ("str", True, None),
+        "system": (_str, True, None),
+        "x": (_str, True, None),
+        "m": (_str, True, None),
+        "epsilon": (_posfrac, True, None),
+        "gens": (_str, True, None),
     },
-    "density": {
-        "system": ("str", True, None),
-        "set": ("str", False, "B"),
-        "phi": ("str", True, None),
-        "N": ("posint", True, None),
-    },
-    "probe": {
-        "system": ("str", True, None),
-        "set": ("str", False, "B"),
-        "phi": ("str", True, None),
-        "epsilon": ("posfrac", True, None),
-        "window": ("str", True, None),
-        "gens": ("str", True, None),
-    },
+    "density": {**_MAPPED, "N": (_posint, True, None)},
+    "probe": {**_WINDOWED, "gens": (_str, True, None)},
 }
 
 
@@ -263,12 +231,12 @@ def parse_config(text: str, command: str | None = None, overrides=()):
             errors.append(ConfigError(no, f"unknown key {key!r} for command {command}"))
             continue
         try:
-            values[key] = _convert(spec[key][0], value)
+            values[key] = spec[key][0](value)
             lines[key] = no
         except TextFormatError as exc:
             errors.append(ConfigError(no, f"{key}: {exc}"))
             broken.add(key)
-    for key, (_kind, required, default) in spec.items():
+    for key, (_conv, required, default) in spec.items():
         if key in values or key in broken:
             continue
         if required:
@@ -403,13 +371,16 @@ def _parse_gens(ring, n: int, text: str):
     return tuple(parse_element(group, p) for p in parts)
 
 
-def _experiment_inputs(cfg):
+def _mapped_inputs(cfg):
+    """The system, the event its file names by ``set`` and the map ``phi``."""
     sys_, events = _load_system(cfg)
     B = _named_event(cfg, events)
-    ring = _domain_ring(sys_)
-    phi = _resolve(cfg, "phi", lambda t: parse_poly_map(ring, sys_.acting, t))
-    window = _resolve(cfg, "window", _parse_window)
-    return sys_, B, phi, cfg.values["epsilon"], window
+    phi = _resolve(cfg, "phi", lambda t: parse_poly_map(_domain_ring(sys_), sys_.acting, t))
+    return sys_, B, phi
+
+
+def _experiment_inputs(cfg):
+    return *_mapped_inputs(cfg), cfg.values["epsilon"], _resolve(cfg, "window", _parse_window)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -595,25 +566,21 @@ def _run_recurrence(cfg, resume_file) -> int:
 def _run_classify(cfg, resume_file) -> int:
     sys_, B, phi, eps, window = _experiment_inputs(cfg)
     r_max = cfg.values["r_max"]
-    resume = None
+    level = path = None
     if resume_file is not None:
-        resume = _load_checkpoint(resume_file, cfg, "r", range(1, r_max + 1))
+        level, path = _load_checkpoint(resume_file, cfg, "r", range(1, r_max + 1))
+        if len(path) > level:  # level is the first one the search had not reached
+            raise ValueError(f"resume path {path} is longer than its level r={level}")
     rep = recurrence_set(sys_, B, phi, eps, window)
-    rep = classify_ipstar(
-        rep,
-        r_max,
-        density_N=cfg.values["density_N"],
-        budget=_resolve_budget(cfg),
-        resume=resume,
-    )
-    if resume is not None:  # printed once classify_ipstar accepted the checkpoint
-        print(f"resumed at r={resume[0]}")
+    rep = classify_ipstar(rep, r_max, budget=_resolve_budget(cfg), resume_path=path)
+    if level is not None:  # printed once classify_ipstar accepted the checkpoint
+        print(f"resumed at r={level}")
     _print_recurrence_summary(sys_, rep)
     stalled = None
     for r in sorted(rep.classification):
         v = rep.classification[r]
         if v.kind == "holds":
-            print(f"r={r}: holds{' (window-limited)' if v.window_limited else ''}")
+            print(f"r={r}: holds{' (window-limited)' if rep.window_limited(v) else ''}")
         elif v.kind == "fails":  # exact: its sums avoid R in the whole group
             w = ",".join(render_element(rep.domain, g) for g in v.witness)
             print(f"r={r}: fails witness={w}")
@@ -661,10 +628,7 @@ def _run_search(cfg, resume_file) -> int:
 
 
 def _run_density(cfg, resume_file) -> int:
-    sys_, events = _load_system(cfg)
-    B = _named_event(cfg, events)
-    ring = _domain_ring(sys_)
-    phi = _resolve(cfg, "phi", lambda t: parse_poly_map(ring, sys_.acting, t))
+    sys_, B, phi = _mapped_inputs(cfg)
     N = cfg.values["N"]
     print(f"dlim over N=1..{N}")
     for n, value in enumerate(dlim_probe(sys_, B, phi, N).values, start=1):

@@ -14,9 +14,9 @@ Subset conventions, frozen for determinism:
   in its window, in window order (``is_ip_r_star``), and a tuple qualifies
   when all its finite sums lie in the pool
 * sets of group elements are plain collections with no ambient attached:
-  the scans take S or its complement as given, the caller says whether
-  that complement is taken in the whole finite group (``exact``), and
-  ``finite_sums`` returns a frozenset of the sums
+  the scans take S or its complement as given, and ``finite_sums``
+  returns a frozenset of the sums; whether a complement is taken in the
+  whole group, and so what a "holds" claims, is the caller's to say
 * block sequences alpha_1 < ... < alpha_s require max(alpha_i) < min(alpha_{i+1})
 
 Generators may repeat and may be zero: the finite-sums definition places no
@@ -151,7 +151,6 @@ def contains_ip_r(group, S, r: int) -> tuple | None:
 @dataclass(frozen=True)
 class IpStarVerdict:
     kind: str  # "holds" | "fails" | "budget_exceeded"
-    window_limited: bool
     witness: tuple | None = None  # failing generator tuple (its sums avoid S)
     candidates: int = 0  # prefix-search nodes
     resume_path: tuple[int, ...] | None = None  # positions in the complement, nondecreasing
@@ -166,7 +165,7 @@ class IpStarVerdict:
         d fails with the d-prefix the search reached, the levels above hold
         (if it finished) or the first of them ran out of budget."""
         out = {
-            d: IpStarVerdict("fails", False, w, self.candidates)
+            d: IpStarVerdict("fails", w, self.candidates)
             for d, w in enumerate(self.prefixes, 1)
         }
         if self.kind != "fails":
@@ -176,33 +175,27 @@ class IpStarVerdict:
 
 
 def is_ip_r_star(
-    group,
-    complement,
-    r: int,
-    *,
-    exact: bool,
-    budget: int | None = None,
-    resume_path: tuple[int, ...] | None = None,
+    group, complement, r: int, *, budget: int | None = None, resume_path=None
 ) -> IpStarVerdict:
     """Does a set S meet every r-generator finite-sums family?
 
     By duality, S is IP*_r exactly when its complement holds no IP_r set,
     so the scan's pool is ``complement``, S's complement in its window as a
     sequence in window order, and its first tuple is the failing witness;
-    the scan decides every level below r on the way (``levels``).  With
-    ``exact`` the window is the whole finite group and the verdict decides
-    the claim.  Otherwise the scan finds only witnesses whose sums stay in
-    the window, a sum outside it being outside the pool, but these are
-    exact: S is exact on its window, so the sums avoid S everywhere.  Only
-    "holds" is window-limited.
+    the scan decides every level below r on the way (``levels``).  A
+    witness's sums all lie in the pool, so they stay in the window and
+    avoid S: where S is exact on its window, they avoid S everywhere.  A
+    "holds" says only that no tuple keeps its sums in the pool; it decides
+    the claim when the window is the whole group, and the caller, which
+    holds the window, says which.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     out, firsts = _first_fs_tuple(group, complement, r, budget, resume_path)
     if out.path is not None:
-        return IpStarVerdict("fails", False, firsts[-1], out.candidates, prefixes=firsts)
+        return IpStarVerdict("fails", firsts[-1], out.candidates, prefixes=firsts)
     kind = "holds" if out.status == DONE else "budget_exceeded"
-    return IpStarVerdict(kind, not exact, None, out.candidates, out.resume_path, firsts)
+    return IpStarVerdict(kind, None, out.candidates, out.resume_path, firsts)
 
 
 # ---------------------------------------------------------------------------

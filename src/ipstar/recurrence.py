@@ -11,8 +11,12 @@ r-generator finite-sums families.  Two independent assembly paths exist
 lists the window once; a report keeps the scan's rows in window order and R
 as the frozenset of their hits.  By duality R is IP*_r exactly when its
 complement holds no IP_r set, so the classification scans the non-hit rows
-in window order, and the window says whether its verdicts decide the claim
-(the whole finite group) or are window-limited.
+in window order.  The scan takes only a pool, a budget and a resume path;
+the report holds the window, so it alone says what a verdict and a density
+claim: a "holds" decides the claim on the whole finite group
+(``RecurrenceReport.exact``) and is window-limited otherwise, and the
+exceptional set's density runs only over the canonical windows inside the
+report's window.
 
 The constructive side (`isometric_recurrence_search`) drives the coloring
 machinery for one action, one system and one monomial: cover the tracked
@@ -42,13 +46,12 @@ from .systems import (
     DensityProfile,
     FinitePermSystem,
     RotationSystem,
-    compact_projection,
     cross_terms,
     folner_density,
+    folner_reach,
     khintchine_bound,
     orbit_metric,
     projected_orbit_dist_sq,
-    symm_diff_measure,
 )
 
 SEARCH_SPACE_CAP = 1 << 20
@@ -103,6 +106,12 @@ class RecurrenceReport:
     def exact(self) -> bool:
         return isinstance(self.window, FullWindow)
 
+    def window_limited(self, verdict) -> bool:
+        """Whether a verdict claims less than the whole group.  A "fails" is
+        exact in any window: R is exact on it, so the witness's sums avoid R
+        everywhere.  Any other verdict is decided on the window only."""
+        return verdict.kind != "fails" and not self.exact
+
 
 def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
     """Checked inputs and the report fields the return-set scans and the
@@ -153,30 +162,22 @@ def classify_ipstar(
     report: RecurrenceReport,
     r_max: int = 4,
     *,
-    density_N: int = 6,
     budget: int | None = None,
-    resume: tuple[int, tuple[int, ...]] | None = None,
+    resume_path: tuple[int, ...] | None = None,
 ) -> RecurrenceReport:
     """Check R against every r-generator finite-sums family, r = 1..r_max.
 
-    Window-limited verdicts never claim anything about the infinite group;
-    for those the density profile of the exceptional set along the canonical
-    averaging sequence is attached, supporting an almost-dual reading
-    (failures confined to a vanishing-density set).  One scan to level r_max
-    decides every level (``IpStarVerdict.levels``), and the budget counts
-    its nodes.  resume=(r, path), r being the level the budget ran out on,
-    resumes that scan at the path; the scan replays the nodes before it
-    without charge, so the report still lists the levels below r.
+    One scan to level r_max decides every level (``IpStarVerdict.levels``),
+    and the budget counts its nodes.  A scan resumed at ``resume_path``
+    replays the nodes before it without charge, so the report still lists
+    the levels it passed.  A windowed report also gets the density of its
+    exceptional set along the canonical averaging sequence, supporting an
+    almost-dual reading (failures confined to a vanishing-density set), over
+    the windows 1..N that lie inside its own (``folner_reach``); it has none
+    when N = 0.
     """
-    path = None
-    if resume is not None:
-        r, path = resume
-        if not 1 <= r <= r_max:
-            raise ValueError(f"resume level {r} outside 1..{r_max}")
-        if len(path or ()) > r:  # level r is the first one the search had not reached
-            raise ValueError(f"resume path {tuple(path)} is longer than its level r={r}")
     dom, pool = report.domain, report.exceptional
-    v = is_ip_r_star(dom, pool, r_max, exact=report.exact, budget=budget, resume_path=path)
+    v = is_ip_r_star(dom, pool, r_max, budget=budget, resume_path=resume_path)
     report.classification.update(v.levels(r_max))
     # a witness's sums lie in R's complement in the window exactly when
     # they stay in the window and avoid R
@@ -184,8 +185,9 @@ def classify_ipstar(
     for level in report.classification.values():
         if level.kind == "fails" and not finite_sums(dom, level.witness) <= exc:
             raise RecurrenceError("classify witness failed re-verification")
-    if not report.exact:
-        report.exceptional_density = folner_density(exc.__contains__, dom, density_N)
+    N = 0 if report.exact else folner_reach(report.window)
+    if N:
+        report.exceptional_density = folner_density(exc.__contains__, dom, N)
     return report
 
 
@@ -232,7 +234,7 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
 
 
 def theorem1_pipeline(
-    sys, B, phi: PolynomialMap, epsilon, window: Window, r_max: int = 4, **classify_kw
+    sys, B, phi: PolynomialMap, epsilon, window: Window, r_max: int = 4
 ) -> RecurrenceReport:
     """Replay the spectral proof mechanics end to end and cross-check.
 
@@ -246,17 +248,16 @@ def theorem1_pipeline(
     base = _report_fields(sys, B, phi, epsilon, window)
     B, mu, threshold = base["B"], base["mu"], base["threshold"]
     elements = tuple(window_enumerate(base["domain"], window))
-    split = compact_projection(sys, B)
-    cross_of = cross_terms(sys, B, split)
+    cross_of = cross_terms(sys, B)
     half = base["epsilon"] / 2
     rows, A, E = [], [], []
     for u in elements:
         w = poly_value(phi, _as_coords(u, phi.n))
         # independent correlation path: inclusion-exclusion through the
         # symmetric difference instead of the direct intersection measure
-        corr = mu - symm_diff_measure(sys, B, sys.shift_event(B, w)) / 2
+        corr = mu - orbit_metric(sys, B, sys.shift_event(B, w)) / 2
         cross = cross_of(w)
-        in_A = projected_orbit_dist_sq(sys, B, w, split) < half * half
+        in_A = projected_orbit_dist_sq(sys, B, w) < half * half
         in_E = in_A and cross <= -half
         hit = corr > threshold
         if in_A:
@@ -274,7 +275,7 @@ def theorem1_pipeline(
         E=tuple(E),
         chain_checked=True,
     )
-    return classify_ipstar(report, r_max, **classify_kw)
+    return classify_ipstar(report, r_max)
 
 
 # ---------------------------------------------------------------------------

@@ -62,13 +62,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
 
 from .algebra import (
     AlgebraError,
     DegreeWindow,
     FullWindow,
+    IntegerWindow,
     Integers,
     PolyRing,
     PrimeField,
@@ -514,19 +514,15 @@ MeasureSystem = FinitePermSystem | RotationSystem | BernoulliSystem
 # generic event algebra
 
 
-def symm_diff_measure(sys, B1, B2) -> Fraction:
-    """mu(B1 symmetric-difference B2) via inclusion-exclusion; exact."""
-    return sys.measure(B1) + sys.measure(B2) - 2 * sys.intersection_measure(B1, B2)
-
-
 def orbit_metric(sys, B1, B2) -> Fraction:
-    """Squared L2 distance between two indicator observables.
+    """Squared L2 distance between two indicator observables: the measure
+    of their symmetric difference, by inclusion-exclusion.
 
     Squared values keep every comparison rational: d < eps iff d^2 < eps^2
     for non-negative eps.  The acting maps are isometries for this metric,
     checked by sampling in the test suite.
     """
-    return symm_diff_measure(sys, B1, B2)
+    return sys.measure(B1) + sys.measure(B2) - 2 * sys.intersection_measure(B1, B2)
 
 
 # ---------------------------------------------------------------------------
@@ -573,26 +569,23 @@ def khintchine_bound(sys, B) -> Fraction:
     return bound
 
 
-def cross_terms(sys, B, split: SpectralSplit | None = None):
+def cross_terms(sys, B):
     """w -> <T^w (1_B - P1_B), 1_B> exactly, from one correlator: zero when
     the projection is the identity, corr(w) - mu(B)^2 for the constant
     projection."""
-    if split is None:
-        split = compact_projection(sys, B)
+    split = compact_projection(sys, B)
     if split.kind == "identity":
         return lambda w: Fraction(0)
     corr, mu2 = sys.correlator(B), split.mu**2
     return lambda w: corr(w) - mu2
 
 
-def projected_orbit_dist_sq(sys, B, w, split: SpectralSplit | None = None) -> Fraction:
+def projected_orbit_dist_sq(sys, B, w) -> Fraction:
     """||P1_B - T^w P1_B||^2: the constant part never moves; the identity
     part moves like the event itself."""
-    if split is None:
-        split = compact_projection(sys, B)
-    if split.kind == "constant":
+    if compact_projection(sys, B).kind == "constant":
         return Fraction(0)
-    return symm_diff_measure(sys, B, sys.shift_event(B, w))
+    return orbit_metric(sys, B, sys.shift_event(B, w))
 
 
 # ---------------------------------------------------------------------------
@@ -600,27 +593,43 @@ def projected_orbit_dist_sq(sys, B, w, split: SpectralSplit | None = None) -> Fr
 
 
 def folner_sets(group, N: int) -> list:
-    """The frozen canonical averaging window at index N.
+    """The frozen canonical averaging window at index N, listed by
+    ``window_enumerate``.
 
-    Integers: {0..N-1}.  Polynomial ring: degree < N.  Rationals: a/b with
-    |a| <= N, b <= N.  Prime field and vector spaces over it: everything.
-    Vector spaces over infinite rings: coordinate products of the scalar
-    window.
+    Integers: {0..N-1}.  Prime field: everything (``FullWindow``).
+    Polynomial ring: degree < N (``DegreeWindow(N)``).  Rationals: a/b with
+    |a| <= N, b <= N (``RationalWindow(N, N)``).  A vector space over a
+    prime field, the polynomials or the rationals takes its scalars' window
+    in every coordinate.
     """
     if N < 1:
         raise SystemError("averaging window index must be >= 1")
-    if isinstance(group, PrimeField):
-        return window_enumerate(group, FullWindow())
     if isinstance(group, Integers):
         return list(range(N))
-    if isinstance(group, PolyRing):
-        return window_enumerate(group, DegreeWindow(N))
-    if isinstance(group, Rationals):
-        return window_enumerate(group, RationalWindow(N, N))
-    if isinstance(group, VectorSpace):
-        scalars = folner_sets(group.ring, N)
-        return [tuple(v) for v in product(scalars, repeat=group.dim)]
-    raise SystemError(f"no canonical averaging sequence for {group}")
+    scalars = group.ring if isinstance(group, VectorSpace) else group
+    if isinstance(scalars, PrimeField):
+        window = FullWindow()
+    elif isinstance(scalars, PolyRing):
+        window = DegreeWindow(N)
+    elif isinstance(scalars, Rationals):
+        window = RationalWindow(N, N)
+    else:
+        raise SystemError(f"no canonical averaging sequence for {group}")
+    return window_enumerate(group, window)
+
+
+def folner_reach(window) -> int:
+    """The largest N whose canonical window ``folner_sets(group, N)`` lies
+    inside the bounded ``window`` (0 when none does): ``deg D`` holds the
+    degree windows n <= D, ``rat A B`` holds ``rat n n`` for n <= min(A, B),
+    and the integers [-b, b] hold {0..n-1} for n <= b + 1."""
+    if isinstance(window, DegreeWindow):
+        return window.deg_bound
+    if isinstance(window, RationalWindow):
+        return min(window.num_bound, window.den_bound)
+    if isinstance(window, IntegerWindow):
+        return window.bound + 1
+    raise SystemError(f"{window} holds every canonical averaging window")
 
 
 @dataclass(frozen=True)

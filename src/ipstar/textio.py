@@ -674,7 +674,7 @@ def report_tree(report, *, generated: str | None = None) -> dict:
     tree["classification"] = {
         str(r): {
             "kind": v.kind,
-            "window_limited": v.window_limited,
+            "window_limited": report.window_limited(v),
             "witness": None
             if v.witness is None
             else [render_element(report.domain, g) for g in v.witness],

@@ -18,7 +18,9 @@ has not reached, so these pins differ: steps 1 and 2 of ``f7-split`` and
 the checkpoint, and in ``f7-split`` the levels listed and the report).
 The checkpoint names and hashes, and the config lines of the per-level
 checkpoints below, changed again when the config hash began to cover the
-system file's contents.
+system file's contents, and once more when classify's config lost its
+``density_N`` key.  The ``bern-deg3`` report changed when its exceptional
+density stopped at the canonical windows inside ``deg 3`` (n <= 3).
 """
 
 import contextlib
@@ -108,7 +110,7 @@ GOLDEN = {
                 'r=2: holds (window-limited)\n'
                 'r=3: holds (window-limited)\n'
                 'wrote out/classify.json\n',
-                {'classify.json': 'ec88488a525eaceb6c3798a4ac99771d66fb213e4a6b03feb7370cfb7b582616'})],
+                {'classify.json': '78fe406265c9a747f2ff83d54be0499aaa9ab0d86002a8ed80801f8c89d8aef4'})],
  'f13': [(0,
           'system: finite-perm p=13 points=13 gens=1\n'
           'phi: u^2\n'
@@ -132,8 +134,8 @@ GOLDEN = {
                 'r=3: fails witness=2,2,2\n'
                 'r=4: budget exceeded after 50 candidates\n'
                 'wrote out/classify.json\n'
-                'checkpoint -> out/checkpoint-4e8596728516.txt\n',
-                {'checkpoint-4e8596728516.txt': '1924aff0cc83f165fb6c26e57dfa9fc2c4a5b5ea9bc8bf39e637e4ce3c624a1c',
+                'checkpoint -> out/checkpoint-487fe1013390.txt\n',
+                {'checkpoint-487fe1013390.txt': '802e802451cf7d73908609cf1d7119c407d1bc3f966cde530359ca4f4d1a2bc6',
                  'classify.json': 'f1520e62c39d6ddfc085387b5504362f0c86d0cb355184db150daa751c1177cc'}),
                (0,
                 'resumed at r=4\n'
@@ -178,8 +180,8 @@ GOLDEN = {
                 'r=6: fails witness=5,5,5,5,5,5\n'
                 'r=7: budget exceeded after 2000 candidates\n'
                 'wrote out/classify.json\n'
-                'checkpoint -> out/checkpoint-a915b2e59b7f.txt\n',
-                {'checkpoint-a915b2e59b7f.txt': '4d455b70c21bc6d76d364b549e8e4c3ef512ed3454f900dd41a87303b15a6636',
+                'checkpoint -> out/checkpoint-2f52dd6e4bed.txt\n',
+                {'checkpoint-2f52dd6e4bed.txt': 'cb526673b0065a1150d27ccdfcf9d0e6025a3c428e2c9506f0ac813903e80747',
                  'classify.json': 'd0ce1885922f0ed244c980bd8e22ea6b11797f953c9c9b30e9720fbbe16f927c'}),
                (2,
                 'resumed at r=7\n'
@@ -196,8 +198,8 @@ GOLDEN = {
                 'r=6: fails witness=5,5,5,5,5,5\n'
                 'r=7: budget exceeded after 2000 candidates\n'
                 'wrote out/classify.json\n'
-                'checkpoint -> out/checkpoint-a915b2e59b7f.txt\n',
-                {'checkpoint-a915b2e59b7f.txt': 'd77de28a42524b3dc1a0c02a0294ecaa4efbc042de5076a6b8421448fd0605e0',
+                'checkpoint -> out/checkpoint-2f52dd6e4bed.txt\n',
+                {'checkpoint-2f52dd6e4bed.txt': 'e65d4bcc839eed0c7ac830174b62736ef128ff0d2d3f7955dba930a084769f61',
                  'classify.json': 'd0ce1885922f0ed244c980bd8e22ea6b11797f953c9c9b30e9720fbbe16f927c'}),
                (0,
                 'resumed at r=7\n'
@@ -238,8 +240,8 @@ GOLDEN = {
                'r=2: fails witness=2,2\n'
                'r=3: budget exceeded after 2 candidates\n'
                'wrote out/classify.json\n'
-               'checkpoint -> out/checkpoint-7fb8f842e561.txt\n',
-               {'checkpoint-7fb8f842e561.txt': '88b8c31bfc720177ce197286bea7fc3414a510e9c162bf656e02d9ef04c1c1da',
+               'checkpoint -> out/checkpoint-9bcbc4d348f1.txt\n',
+               {'checkpoint-9bcbc4d348f1.txt': '7c4675e0940d657d2605ee8a5e2e8b08dbb133b3f26951745d4f7df547df1b80',
                 'classify.json': 'd47bf115019a0b9a853dcf58d75da8935f8b5f99d8c911e578f747cc0e73d4a1'}),
               (2,
                'resumed at r=3\n'
@@ -252,8 +254,8 @@ GOLDEN = {
                'r=2: fails witness=2,2\n'
                'r=3: budget exceeded after 5 candidates\n'
                'wrote out/classify.json\n'
-               'checkpoint -> out/checkpoint-7fb8f842e561.txt\n',
-               {'checkpoint-7fb8f842e561.txt': 'b120e708f354147687b8422ff6f547a2212325c6c2ad74654bf9b4c30c8e2d98',
+               'checkpoint -> out/checkpoint-9bcbc4d348f1.txt\n',
+               {'checkpoint-9bcbc4d348f1.txt': '9eac177006d74f7beff707a79091abc31f9a762c56c90de471656c867ace1f04',
                 'classify.json': 'd47bf115019a0b9a853dcf58d75da8935f8b5f99d8c911e578f747cc0e73d4a1'}),
               (0,
                'resumed at r=3\n'
@@ -279,10 +281,10 @@ def test_golden_outputs(name, tmp_path, monkeypatch):
 # checkpoints written by the per-level classify, which kept, for the level r
 # its budget ran out on, the path where that level's own scan stopped
 PER_LEVEL_CHECKPOINTS = {
-    "f7-r2": ("f7", "config 7fb8f842e561\ncandidates 1\npath 0,0\nr 2\n"),
-    "f7-r3": ("f7", "config 7fb8f842e561\ncandidates 2\npath 0,0,0\nr 3\n"),
-    "f61-r3": ("f61", "config a915b2e59b7f\ncandidates 26\npath 0,1,24\nr 3\n"),
-    "f61-r7": ("f61", "config a915b2e59b7f\ncandidates 1490\npath 2,2,8,16\nr 7\n"),
+    "f7-r2": ("f7", "config 9bcbc4d348f1\ncandidates 1\npath 0,0\nr 2\n"),
+    "f7-r3": ("f7", "config 9bcbc4d348f1\ncandidates 2\npath 0,0,0\nr 3\n"),
+    "f61-r3": ("f61", "config 2f52dd6e4bed\ncandidates 26\npath 0,1,24\nr 3\n"),
+    "f61-r7": ("f61", "config 2f52dd6e4bed\ncandidates 1490\npath 2,2,8,16\nr 7\n"),
 }
 
 

@@ -87,7 +87,7 @@ def reference_is_ip_r_star(group, window, S, r):
 def dual_scan(group, window, S, r, **kw):
     """``is_ip_r_star`` on S's complement in the window, in window order."""
     pool = [x for x in window_enumerate(group, window) if x not in S]
-    return is_ip_r_star(group, pool, r, exact=isinstance(window, FullWindow), **kw)
+    return is_ip_r_star(group, pool, r, **kw)
 
 
 @st.composite
@@ -111,8 +111,6 @@ def test_is_ip_r_star_matches_probe_per_index_scan(inst):
     want = reference_is_ip_r_star(*inst)
     v = dual_scan(*inst)
     assert (v.kind, v.witness) == ("fails" if want.found else "holds", want.value)
-    exact = isinstance(inst[1], FullWindow)
-    assert dual_scan(*inst, budget=0).window_limited == (not exact)
 
 
 @SETTINGS
@@ -136,7 +134,7 @@ def test_exact_scans_match_naive_oracle(inst):
 
 
 def _levels(v, r):
-    return {d: (u.kind, u.witness, u.window_limited) for d, u in v.levels(r).items()}
+    return {d: (u.kind, u.witness) for d, u in v.levels(r).items()}
 
 
 @SETTINGS
@@ -148,11 +146,10 @@ def test_one_scan_decides_every_level_below_it(inst):
     want = {}
     for d in range(1, r + 1):
         ref = reference_is_ip_r_star(group, window, S, d)
-        limited = not isinstance(window, FullWindow)
-        want[d] = ("fails", ref.value, False) if ref.found else ("holds", None, limited)
+        want[d] = ("fails", ref.value) if ref.found else ("holds", None)
     v = dual_scan(*inst)
     assert _levels(v, r) == want
-    assert (v.kind, v.witness, v.window_limited) == want[r]
+    assert (v.kind, v.witness) == want[r]
 
 
 @SETTINGS

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 import oracles
 from ipstar.algebra import (
+    IntegerWindow,
     Integers,
+    Monomial,
     PolyRing,
+    PolynomialMap,
     PrimeField,
     Rationals,
     VectorSpace,
@@ -34,6 +37,9 @@ from ipstar.ipsets import (
     subset_folds,
 )
 from ipstar import ipsets
+from ipstar.recurrence import classify_ipstar, recurrence_set
+from ipstar.systems import RotationSystem
+from ipstar.textio import report_tree
 from ipstar.search import ALL_OK, CoverLeaf, prefix_search, stages
 
 Z = Integers()
@@ -214,14 +220,14 @@ def test_contains_ip_r_matches_oracle():
 
 def test_ip_star_squares_mod5():
     S = {0, 1, 4}
-    v = is_ip_r_star(F5, _complement(S), 2, exact=True)
-    assert v.kind == "holds" and not v.window_limited
+    v = is_ip_r_star(F5, _complement(S), 2)
+    assert v.kind == "holds"
     ok, bad = oracles.naive_meets_every_ip_r(F5, S, 2, range(5))
     assert ok
 
 
 def test_ip_star_zero_only_fails():
-    v = is_ip_r_star(F5, _complement({0}), 2, exact=True)
+    v = is_ip_r_star(F5, _complement({0}), 2)
     assert v.kind == "fails" and v.witness == (1, 1)
     ok, bad = oracles.naive_meets_every_ip_r(F5, {0}, 2, range(5))
     assert not ok and bad == (1, 1)
@@ -229,7 +235,7 @@ def test_ip_star_zero_only_fails():
 
 def test_ip_star_full_group_holds():
     for r in (1, 2, 3):
-        assert is_ip_r_star(F5, [], r, exact=True).kind == "holds"
+        assert is_ip_r_star(F5, [], r).kind == "holds"
 
 
 def test_ip_star_monotone_in_r():
@@ -238,17 +244,17 @@ def test_ip_star_monotone_in_r():
     rng = random.Random(11)
     for _ in range(40):
         pool = _complement({x for x in range(5) if rng.random() < 0.6})
-        if is_ip_r_star(F5, pool, 1, exact=True).holds:
-            assert all(is_ip_r_star(F5, pool, r, exact=True).holds for r in (2, 3))
-        if is_ip_r_star(F5, pool, 2, exact=True).holds:
-            assert is_ip_r_star(F5, pool, 3, exact=True).holds
+        if is_ip_r_star(F5, pool, 1).holds:
+            assert all(is_ip_r_star(F5, pool, r).holds for r in (2, 3))
+        if is_ip_r_star(F5, pool, 2).holds:
+            assert is_ip_r_star(F5, pool, 3).holds
 
 
 def test_ip_star_agreement_with_oracle_random():
     rng = random.Random(12)
     for _ in range(60):
         members = {x for x in range(5) if rng.random() < 0.5}
-        v = is_ip_r_star(F5, _complement(members), 2, exact=True)
+        v = is_ip_r_star(F5, _complement(members), 2)
         ok, bad = oracles.naive_meets_every_ip_r(F5, members, 2, range(5))
         assert v.holds == ok
         if not ok:
@@ -256,14 +262,22 @@ def test_ip_star_agreement_with_oracle_random():
 
 
 def test_ip_star_windowed_is_labeled():
-    # S is the whole window [-3, 3], so its complement there is empty
-    v = is_ip_r_star(Z, [], 2, exact=False)
-    assert v.kind == "holds" and v.window_limited
+    # S is the whole window [-3, 3], so its complement there is empty; the
+    # scan knows no window, and the report that holds one labels the "holds"
+    assert is_ip_r_star(Z, [], 2).kind == "holds"
+    whole_circle = RotationSystem(Fraction(1, 7)), [(0, 1)]
+    u = PolynomialMap(Z, 1, Rationals(), ((Monomial(Z, 1, (1,)), 1),))
+    rep = recurrence_set(*whole_circle, u, Fraction(1, 10), IntegerWindow(3))
+    assert rep.R == set(range(-3, 4))
+    tree = report_tree(classify_ipstar(rep, 2))
+    assert tree["classification"]["2"] == {"kind": "holds", "window_limited": True, "witness": None}
+    # {0..n-1} lies in [-3, 3] for n <= 4
+    assert tree["exceptional_density"] == dict.fromkeys("1234", "0")
 
 
 def test_ip_star_windowed_witness_keeps_sums_inside():
     S = {-3, -2, -1, 0, 3}
-    v = is_ip_r_star(Z, [x for x in range(-3, 4) if x not in S], 2, exact=False)
+    v = is_ip_r_star(Z, [x for x in range(-3, 4) if x not in S], 2)
     assert v.kind == "fails" and v.witness == (1, 1)
     sums = finite_sums(Z, v.witness)
     assert sums <= set(range(-3, 4)) and not (sums & S)
@@ -272,9 +286,8 @@ def test_ip_star_windowed_witness_keeps_sums_inside():
 def test_ip_star_windowed_skips_escaping_sums():
     # only candidate against {-3..2} is the all-3 tuple, whose pair sum 6
     # leaves the window, so it cannot serve as a witness at r = 2
-    assert is_ip_r_star(Z, [3], 1, exact=False).kind == "fails"  # witness (3,), sums stay inside
-    v2 = is_ip_r_star(Z, [3], 2, exact=False)
-    assert v2.kind == "holds" and v2.window_limited
+    assert is_ip_r_star(Z, [3], 1).kind == "fails"  # witness (3,), sums stay inside
+    assert is_ip_r_star(Z, [3], 2).kind == "holds"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Return sets, dual-family classification, constructive coloring search."""
 
+import itertools
 import random
 from fractions import Fraction as F
 from functools import partial
@@ -39,6 +40,7 @@ from ipstar.systems import (
     SystemError,
     regular_system,
 )
+from ipstar.textio import report_tree
 from oracles import naive_map_value, naive_rotation_return_sq, reports_agree
 from test_ip_scan import MAX_TUPLES, reference_is_ip_r_star
 
@@ -82,7 +84,8 @@ def test_recurrence_set_enumerates_its_window_once(monkeypatch):
     # the report's rows are the only listing of the scan window: R, the pool
     # of the IP scan and the re-check of its witnesses are read off them.
     # The ring's own method is counted, whichever module lists the window;
-    # the density windows (degree < 1, < 2) are other windows.
+    # the exceptional density lists the canonical windows degree < 1, < 2
+    # and < 3 itself, the last being the scan window again.
     calls = []
     enumerate_window = PolyRing.enumerate_window
 
@@ -93,14 +96,15 @@ def test_recurrence_set_enumerates_its_window_once(monkeypatch):
     monkeypatch.setattr(PolyRing, "enumerate_window", counting)
     b = BernoulliSystem(2, [F(1, 2), F(1, 2)])
     args = (b, {(): {0}, (0, 1): {1}}, IDENT_P2, F(1, 100), DegreeWindow(3))
-    for run in (
-        lambda: recurrence_set(*args),
-        lambda: classify_ipstar(recurrence_set(*args), 3, density_N=2),
-        lambda: theorem1_pipeline(*args, 3, density_N=2),
+    density = [DegreeWindow(1), DegreeWindow(2), DegreeWindow(3)]
+    for run, listings in (
+        (lambda: recurrence_set(*args), [DegreeWindow(3)]),
+        (lambda: classify_ipstar(recurrence_set(*args), 3), [DegreeWindow(3), *density]),
+        (lambda: theorem1_pipeline(*args, 3), [DegreeWindow(3), *density]),
     ):
         calls.clear()
         rep = run()
-        assert calls.count(DegreeWindow(3)) == 1
+        assert calls == listings
         assert [u for u, *_ in rep.rows] == list(rep.elements) and len(rep.elements) == 8
 
 
@@ -242,7 +246,7 @@ def test_classify_full_f5_holds_all_r():
     s = regular_system(5)
     rep = classify_ipstar(recurrence_set(s, {0, 1}, SQUARE_5, F(1, 100), FullWindow()), 4)
     assert all(rep.classification[r].holds for r in range(1, 5))
-    assert not any(rep.classification[r].window_limited for r in range(1, 5))
+    assert not any(v["window_limited"] for v in report_tree(rep)["classification"].values())
     assert rep.exceptional == ()
 
 
@@ -263,7 +267,7 @@ def test_classify_refuses_a_forged_fails_witness(monkeypatch, witness):
     # each level's witness is re-checked with finite_sums, outside the scan
     def forged(group, complement, r, **kw):
         prefixes = tuple(witness[:d] for d in range(1, len(witness) + 1))
-        return IpStarVerdict("fails", False, witness, 1, prefixes=prefixes)
+        return IpStarVerdict("fails", witness, 1, prefixes=prefixes)
 
     monkeypatch.setattr(recurrence_module, "is_ip_r_star", forged)
     rep = recurrence_set(regular_system(5), {0}, SQUARE_5, F(1, 50), FullWindow())
@@ -282,20 +286,22 @@ def test_classify_levels_match_the_reference_scan_over_the_window(case):
     r_max = max([r for r in range(1, 5) if n**r <= MAX_TUPLES], default=1)
     levels = classify_ipstar(rep, r_max).classification
     assert sorted(levels) == list(range(1, r_max + 1))
+    labels = report_tree(rep)["classification"]
     for d, v in levels.items():
         ref = reference_is_ip_r_star(rep.domain, window, rep.R, d)
         want = ("fails", ref.value, False) if ref.found else ("holds", None, not rep.exact)
-        assert (v.kind, v.witness, v.window_limited) == want
+        assert (v.kind, v.witness, labels[str(d)]["window_limited"]) == want
 
 
 def test_classify_bernoulli_window_limited():
     b = BernoulliSystem(2, [F(1, 2), F(1, 2)])
     rep = classify_ipstar(recurrence_set(b, {(): {0}}, IDENT_P2, F(1, 10), DegreeWindow(3)), 3)
+    labels = report_tree(rep)["classification"]
     for r in range(1, 4):
-        v = rep.classification[r]
-        assert v.holds and v.window_limited
+        assert rep.classification[r].holds and labels[str(r)]["window_limited"]
     assert rep.exceptional == ()
-    assert rep.exceptional_density.values == (F(0),) * 6
+    # the canonical windows inside degree < 3
+    assert rep.exceptional_density.values == (F(0),) * 3
 
 
 def test_classify_bernoulli_windowed_fails_are_exact():
@@ -305,13 +311,13 @@ def test_classify_bernoulli_windowed_fails_are_exact():
     b = BernoulliSystem(2, [F(1, 2), F(1, 2)])
     B = {(): {0}, (0, 1): {1}}
     rep = classify_ipstar(recurrence_set(b, B, IDENT_P2, F(1, 100), DegreeWindow(3)), 3)
-    levels = rep.classification
-    assert (levels[1].kind, levels[1].witness, levels[1].window_limited) == (
+    levels, labels = rep.classification, report_tree(rep)["classification"]
+    assert (levels[1].kind, levels[1].witness, labels["1"]["window_limited"]) == (
         "fails",
         ((0, 1),),
         False,
     )
-    assert all(levels[r].holds and levels[r].window_limited for r in (2, 3))
+    assert all(levels[r].holds and labels[str(r)]["window_limited"] for r in (2, 3))
 
 
 PRIMES_BELOW_90 = [p for p in range(2, 90) if all(p % d for d in range(2, p))]
@@ -350,7 +356,7 @@ def test_classify_rank_of_a_linear_return_set_is_floor_p_over_L(case):
     rank = p // L
     classify_ipstar(rep, rank)
     assert [rep.classification[r].kind for r in range(1, rank + 1)] == ["fails"] * (rank - 1) + ["holds"]
-    assert not any(v.window_limited for v in rep.classification.values())
+    assert not any(v["window_limited"] for v in report_tree(rep)["classification"].values())
 
 
 def _classify_square(p, r_max=4, B=(0, 1), **kw):
@@ -389,17 +395,17 @@ def test_classify_budget_partial():
 def test_classify_split_by_budget_resumes_to_the_unsplit_verdicts(budget):
     # the one scan takes 23 nodes
     whole = _classify_square(7)
-    resume, charged = None, 0
+    level, path, charged = 1, None, 0
     while True:
-        part = _classify_square(7, budget=budget, resume=resume)
+        part = _classify_square(7, budget=budget, resume_path=path)
         assert sorted(part) == list(range(1, max(part) + 1))  # every level below is listed
         r, last = max(part.items())
         charged += last.candidates
         if last.kind != "budget_exceeded":
             break
         assert last.candidates == budget
-        assert resume is None or r >= resume[0]  # a resume never moves back a level
-        resume = (r, last.resume_path)
+        assert r >= level  # a resume never moves back a level
+        level, path = r, last.resume_path
     # the replay before the path is not charged, so the split runs charge the unsplit nodes
     assert charged == whole[4].candidates == 23
     assert {r: (v.kind, v.witness) for r, v in part.items()} == {
@@ -418,30 +424,80 @@ def test_classify_resumes_checkpoints_of_per_level_scans(p):
         regular_system(p), set(B), power_map(PrimeField(p), 1, 2), F(1, 100), FullWindow()
     )
     for r in range(1, 9):
-        scan = partial(is_ip_r_star, rep.domain, rep.exceptional, r, exact=True)
+        scan = partial(is_ip_r_star, rep.domain, rep.exceptional, r)
         nodes = scan().candidates
         for budget in sorted({1, nodes // 3, nodes // 2, nodes - 1} - {0}):
             path = scan(budget=budget).resume_path
-            part = _classify_square(p, 8, B, resume=(r, path))
+            part = _classify_square(p, 8, B, resume_path=path)
             assert {d: (v.kind, v.witness) for d, v in part.items()} == verdicts
-
-
-@pytest.mark.parametrize("level", [0, 5])
-def test_classify_refuses_a_resume_level_outside_the_run(level):
-    rep = recurrence_set(regular_system(5), {0, 1}, SQUARE_5, F(1, 100), FullWindow())
-    with pytest.raises(ValueError, match=f"resume level {level} outside 1..4"):
-        classify_ipstar(rep, 4, resume=(level, (0,)))
 
 
 def test_classify_exceptional_density_two_coordinate_cylinder():
     b = BernoulliSystem(2, [F(1, 2), F(1, 2)])
     B = {(): {0}, (0, 1): {1}}
-    rep = classify_ipstar(
-        recurrence_set(b, B, IDENT_P2, F(1, 100), DegreeWindow(3)), 2, density_N=4
-    )
+    rep = classify_ipstar(recurrence_set(b, B, IDENT_P2, F(1, 100), DegreeWindow(3)), 2)
     # only the shift by t collides the two constraints into a contradiction
     assert rep.exceptional == ((0, 1),)
-    assert rep.exceptional_density.values == (F(0), F(1, 4), F(1, 8), F(1, 16))
+    # the scan saw degree < 3 only, so the profile stops at n = 3
+    assert rep.exceptional_density.values == (F(0), F(1, 4), F(1, 8))
+
+
+@st.composite
+def bounded_windows(draw):
+    """(system, B, phi, epsilon, window): a Bernoulli system over F_p[t]
+    with a ``deg D`` window (D 0-4) or a rotation with a ``rat A B`` window
+    (A 0-4, B 1-4), and a one-variable monomial map."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([2, 3]))
+        raw = draw(st.lists(st.integers(1, 3), min_size=p, max_size=p))
+        sys = BernoulliSystem(p, [F(v, sum(raw)) for v in raw])
+        window = DegreeWindow(draw(st.integers(0, 4)))
+        letters = st.frozensets(st.integers(0, p - 1), min_size=1, max_size=p - 1)
+        coords = st.sampled_from(window_enumerate(sys.ring, DegreeWindow(2)))
+        B = draw(st.dictionaries(coords, letters, min_size=1, max_size=3))
+        coeff = draw(st.lists(st.integers(0, p - 1), max_size=2).map(tuple))
+    else:
+        sys = RotationSystem(draw(st.fractions(-2, 2, max_denominator=7)))
+        window = RationalWindow(draw(st.integers(0, 4)), draw(st.integers(1, 4)))
+        ends = st.fractions(0, 1, max_denominator=12)
+        B = draw(st.lists(st.tuples(ends, ends), max_size=3))
+        coeff = draw(st.fractions(-3, 3, max_denominator=4))
+    phi = power_map(sys.ring, coeff, draw(st.integers(1, 2)))
+    eps = draw(st.fractions(0, 1).filter(bool)) * (sys.measure(sys.event(B)) ** 2 or 1)
+    return sys, B, phi, eps, window
+
+
+def _canonical_window(sys, n) -> set:
+    """Phi_n listed plainly: polynomials of degree < n as coefficient tuples
+    without trailing zeros, or the a/b with |a| <= n and 1 <= b <= n."""
+    if isinstance(sys, BernoulliSystem):
+        out = set()
+        for c in itertools.product(range(sys.p), repeat=n):
+            while c and c[-1] == 0:
+                c = c[:-1]
+            out.add(c)
+        return out
+    return {F(a, b) for a in range(-n, n + 1) for b in range(1, n + 1)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounded_windows())
+def test_exceptional_density_covers_the_canonical_windows_inside_the_report(case):
+    # the profile runs over n = 1..N, N the largest index whose canonical
+    # window lies inside the scanned one: D for deg D, min(A, B) for rat A B
+    sys, B, phi, eps, window = case
+    rep = classify_ipstar(recurrence_set(sys, B, phi, eps, window), 1)
+    if isinstance(window, DegreeWindow):
+        N = window.deg_bound
+    else:
+        N = min(window.num_bound, window.den_bound)
+    assert report_tree(rep)["R"]["exact"] is False
+    if N == 0:
+        assert rep.exceptional_density is None
+        return
+    S = set(rep.exceptional)
+    windows = [_canonical_window(sys, n) for n in range(1, N + 1)]
+    assert list(rep.exceptional_density.values) == [F(len(S & w), len(w)) for w in windows]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from ipstar.systems import (
     orbit_metric,
     projected_orbit_dist_sq,
     regular_system,
-    symm_diff_measure,
 )
 from oracles import (
     interval_length_oracle,
@@ -561,7 +560,7 @@ def test_symm_diff_inclusion_exclusion():
         B1 = {x for x in range(7) if rng.random() < 0.5}
         B2 = {x for x in range(7) if rng.random() < 0.5}
         want = s.measure(s.event(B1 ^ B2))
-        assert symm_diff_measure(s, s.event(B1), s.event(B2)) == want
+        assert orbit_metric(s, s.event(B1), s.event(B2)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +574,8 @@ def test_folner_sets_canonical_choices():
     assert folner_sets(PrimeField(5), 1) == [0, 1, 2, 3, 4]
     assert folner_sets(PrimeField(5), 9) == [0, 1, 2, 3, 4]
     assert len(folner_sets(VectorSpace(PrimeField(2), 2), 1)) == 4
+    assert folner_sets(VectorSpace(PolyRing(2), 2), 1) == [((), ()), ((), (1,)), ((1,), ()), ((1,), (1,))]
+    assert len(folner_sets(VectorSpace(Rationals(), 2), 1)) == 9
     with pytest.raises(SystemError, match=">= 1"):
         folner_sets(Integers(), 0)
 

@@ -575,9 +575,7 @@ def test_report_tree_failing_case_carries_witness():
 def test_report_tree_windowed_density():
     b = BernoulliSystem(2, [F(1, 2), F(1, 2)])
     phi = scalar_poly_map(R2, [Monomial(R2, (1,), (1,))])
-    rep = classify_ipstar(
-        recurrence_set(b, {(): {0}}, phi, F(1, 10), DegreeWindow(3)), 2, density_N=3
-    )
+    rep = classify_ipstar(recurrence_set(b, {(): {0}}, phi, F(1, 10), DegreeWindow(3)), 2)
     tree = report_tree(rep, generated="T0")
     assert list(tree)[0] == "generated"
     assert tree["exceptional_density"] == {"1": "0", "2": "0", "3": "0"}

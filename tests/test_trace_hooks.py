@@ -60,7 +60,7 @@ def test_count_hooks_read_real_return_values(tracing):
         ("ipsets.fk", "ipsets.fk_subsets", (2, 4), fk_density_experiment(2, 4)),
         # {0, 1}'s complement in F_5, in window order
         ("ipsets.ip_scan", "ipsets.ip_tuples", (None, None, 2),
-         is_ip_r_star(PrimeField(5), [2, 3, 4], 2, exact=True)),
+         is_ip_r_star(PrimeField(5), [2, 3, 4], 2)),
         ("search.dfs", "search.dfs_nodes", (2, None),
          universal_coloring_search(2, [[], [], [(None, (0, 1, 2))]])),
     ]
