@@ -10,11 +10,16 @@ Four ground rings are supported, all with exact arithmetic:
   coefficients in ascending degree with no trailing zero; ``()`` is zero
 
 ``Integers`` and ``Rationals`` share one set of operations, Python's own
-exact ``+ - * **``; each ring's ``zero`` and ``one`` are class attributes.
+exact ``+ - *``; each ring's ``zero`` and ``one`` are class attributes.
 
 On top of the rings sit fixed-dimension vector spaces (elements are tuples of
 ring elements), monomial maps ``u -> a * u1^d1 * ... * un^dn`` and polynomial
-maps ``u -> sum_i m_i(u) * w_i`` with zero constant term.
+maps ``u -> sum_i m_i(u) * w_i`` with zero constant term, whose weights lie
+over the domain ring (or over Q for a map on Z).  Each map is evaluated
+through a compiled form, built on its first evaluation and kept (``compiled``):
+one scalar polynomial per target coordinate, its weights folded into its
+coefficients, in plain ints over F_p, Z and Q (one ``Fraction`` per value
+over Q) and in the ring's own operations over F_p[t].
 
 Window enumeration orders are frozen so that "first witness" answers from the
 search modules are deterministic:
@@ -39,6 +44,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 
@@ -135,9 +141,6 @@ class PrimeField:
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
-    def pow(self, a: int, k: int) -> int:
-        return pow(a, k, self.p)
-
     def enumerate_window(self, window: Window) -> list[int]:
         _expect_window(self, window, FullWindow)
         return list(range(self.p))
@@ -167,9 +170,6 @@ class _ExactNumbers:
 
     def mul(self, a, b):
         return a * b
-
-    def pow(self, a, k: int):
-        return a**k
 
 
 @dataclass(frozen=True)
@@ -410,6 +410,11 @@ class Monomial:
             out.extend([k] * e)
         return out
 
+    @cached_property
+    def compiled(self):
+        """The monomial at normalised coordinates, built once (``_compile``)."""
+        return _compile(self.ring, [(self.coeff, self.exponents)])
+
     def __call__(self, u: tuple):
         return eval_monomial(self, u)
 
@@ -418,21 +423,79 @@ def eval_monomial(m: Monomial, u: tuple):
     """Exact value of the monomial at a coordinate tuple from the same ring."""
     if len(u) != m.n:
         raise AlgebraError(f"monomial in {m.n} variables applied to {len(u)} coordinates")
-    return _monomial_value(m, tuple(m.ring.element(c) for c in u))
+    return m.compiled(tuple(m.ring.element(c) for c in u))
 
 
-def _monomial_value(m: Monomial, u: tuple):
-    """The monomial at normalised coordinates; its coefficient was
-    normalised when it was built.  A factor c^0 or c^1 is not computed, and
-    a coefficient equal to the ring's one is not multiplied in: the factors
-    are normalised ring elements, so the value keeps its type."""
-    r = m.ring
-    acc = None if m.coeff == r.one else m.coeff
-    for c, e in zip(u, m.exponents):
-        if e:
-            f = c if e == 1 else r.pow(c, e)
-            acc = f if acc is None else r.mul(acc, f)
-    return acc
+def _compile(ring, terms):
+    """u -> sum of a * u_1^e_1 * ... * u_n^e_n over the (a, e) in terms, a
+    function of normalised coordinates from ``ring`` (or from Z inside Q),
+    built once.
+
+    * F_p: ints mod p, each power one ``pow(u_k, e, p)``.
+    * Z and Q: integer coefficients A over their common denominator L.
+      With E_k the top power of u_k = p_k/q_k (q_k = 1 on a Z domain), the
+      value is sum A * prod p_k^e_k * q_k^(E_k - e_k) over L * prod q_k^E_k:
+      integer arithmetic and one ``Fraction`` per value, or an int over Z.
+    * F_p[t]: the ring's own operations; a coefficient equal to one is not
+      multiplied in and a first power not computed, so ``u`` returns u.
+    """
+    # each term as its coefficient and its (coordinate, power) factors
+    terms = [(a, [(k, d) for k, d in enumerate(e) if d]) for a, e in terms]
+    if isinstance(ring, PrimeField):
+        p = ring.p
+
+        def value(u):
+            total = 0
+            for a, factors in terms:
+                for k, d in factors:
+                    a = a * pow(u[k], d, p)
+                total += a
+            return total % p
+
+        return value
+    if isinstance(ring, PolyRing):
+        one, add, mul, pw = ring.one, ring.add, ring.mul, ring.pow
+        terms = [(None if a == one else a, factors) for a, factors in terms]
+
+        def value(u):
+            acc = None
+            for v, factors in terms:
+                for k, d in factors:
+                    f = u[k] if d == 1 else pw(u[k], d)
+                    v = f if v is None else mul(v, f)
+                acc = v if acc is None else add(acc, v)
+            return acc
+
+        return value
+    L = lcm(*(a.denominator for a, _ in terms))
+    tops: dict = {}  # k -> E_k
+    for _, factors in terms:
+        for k, d in factors:
+            tops[k] = max(tops.get(k, 0), d)
+    tops = list(tops.items())
+    # each term as A and its powers of the p_k and q_k: (k, e_k, E_k - e_k)
+    terms = [(a.numerator * (L // a.denominator), dict(factors)) for a, factors in terms]
+    terms = [(A, [(k, e.get(k, 0), top - e.get(k, 0)) for k, top in tops]) for A, e in terms]
+    as_int = isinstance(ring, Integers)  # then L and every q_k are 1
+
+    def value(u):
+        total = 0
+        for A, factors in terms:
+            for k, d, f in factors:
+                x = u[k]
+                if d:
+                    A *= x.numerator ** d
+                if f:
+                    A *= x.denominator ** f
+            total += A
+        if as_int:
+            return total
+        den = L
+        for k, top in tops:
+            den *= u[k].denominator ** top
+        return Fraction(total, den)
+
+    return value
 
 
 @dataclass(frozen=True)
@@ -448,12 +511,33 @@ class PolynomialMap:
     def __post_init__(self):
         if not self.terms:
             raise AlgebraError("polynomial map needs at least one term")
+        scalars = self.target.ring if isinstance(self.target, VectorSpace) else self.target
+        z_in_q = isinstance(self.ring, Integers) and isinstance(scalars, Rationals)
+        if scalars != self.ring and not z_in_q:
+            raise AlgebraError(f"a map on {self.ring} cannot take values in {self.target}")
         checked = []
         for m, w in self.terms:
             if m.ring != self.ring or m.n != self.n:
                 raise AlgebraError("monomial ring/arity mismatch in polynomial map")
             checked.append((m, self.target.element(w)))
         object.__setattr__(self, "terms", tuple(checked))
+
+    @cached_property
+    def compiled(self):
+        """The map at normalised coordinates, built once per map: each
+        target coordinate is one scalar polynomial over the target's ring,
+        its terms' weights folded into their coefficients (``_compile``).
+        A value has the target's type: an int over Z, a ``Fraction`` over Q
+        (from a Z domain too), a normalised tuple over F_p[t]."""
+        tgt = self.target
+        if not isinstance(tgt, VectorSpace):
+            return _compile(tgt, [(tgt.mul(m.coeff, w), m.exponents) for m, w in self.terms])
+        scalars = tgt.ring
+        coords = [
+            _compile(scalars, [(scalars.mul(m.coeff, w[j]), m.exponents) for m, w in self.terms])
+            for j in range(tgt.dim)
+        ]
+        return lambda u: tuple([f(u) for f in coords])
 
     def __call__(self, u: tuple):
         return eval_poly(self, u)
@@ -471,22 +555,9 @@ def eval_poly(phi: PolynomialMap, u: tuple):
 
 def poly_value(phi: PolynomialMap, u: tuple):
     """The polynomial map at normalised coordinates, such as the elements
-    ``window_enumerate`` lists.  A scalar weight equal to one is not
-    multiplied in when the target is the domain ring, so the value already
-    has the target's type, and the first term is not added to the target's
-    zero."""
-    tgt = phi.target
-    vector = isinstance(tgt, VectorSpace)
-    same = not vector and tgt == phi.ring
-    acc = None
-    for m, w in phi.terms:
-        val = _monomial_value(m, u)
-        if vector:
-            val = tgt.scale(val, w)
-        elif not (same and w == tgt.one):
-            val = tgt.mul(val, w)
-        acc = val if acc is None else tgt.add(acc, val)
-    return acc
+    ``window_enumerate`` lists, through its compiled form
+    (``PolynomialMap.compiled``), built on the map's first evaluation."""
+    return phi.compiled(u)
 
 
 def scalar_poly_map(ring: GroundRing, monomials) -> PolynomialMap:

@@ -81,12 +81,18 @@ def subset_folds(op, unit, items) -> list:
 
 
 def finite_sums(group, gens) -> frozenset:
-    """The set of the sums of the non-empty subsets of gens; equal sums
-    collapse."""
+    """The set of the sums of the non-empty subsets of gens, folded into a
+    set one generator at a time: FS(P + g) = FS(P) | {g} | (FS(P) + g), so
+    equal sums collapse as they arise; r equal generators hold r sums, not
+    a list of 2^r - 1."""
     gens = tuple(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    return frozenset(subset_folds(group.add, group.zero, gens)[1:])
+    add, zero = group.add, group.zero
+    sums: set = set()
+    for g in gens:
+        sums |= {add(s, g) for s in sums} | {add(zero, g)}
+    return frozenset(sums)
 
 
 def finite_unions(alphas) -> tuple[frozenset[int], ...]:

@@ -9,14 +9,19 @@ computed member by member with exact rationals, then classified against
 r-generator finite-sums families.  Two independent assembly paths exist
 (`recurrence_set` and `theorem1_pipeline`) and must agree exactly.  Each
 lists the window once; a report keeps the scan's rows in window order and R
-as the frozenset of their hits.  By duality R is IP*_r exactly when its
-complement holds no IP_r set, so the classification scans the non-hit rows
-in window order.  The scan takes only a pool, a budget and a resume path;
-the report holds the window, so it alone says what a verdict and a density
-claim: a "holds" decides the claim on the whole finite group
-(``RecurrenceReport.exact``) and is window-limited otherwise, and the
-exceptional set's density runs only over the canonical windows inside the
-report's window.
+as the frozenset of their hits.  ``recurrence_set`` pays per element for
+one call of the map's compiled form (``PolynomialMap.compiled``) and one
+call of the backend's kernel (``kernel(B, threshold)``), which returns the
+correlation with its hit; ``fp_probe`` takes the compiled map and the
+correlator, the kernel behind a check of w, for its few products.  By
+duality R is IP*_r exactly when its complement holds no IP_r set, so the
+classification scans the non-hit rows in window order.  The scan takes only
+a pool, a budget and a resume path; the report holds the window, so it
+alone says what a verdict and a density claim: a "holds" decides the claim
+on the whole finite group (``RecurrenceReport.exact``) and is
+window-limited otherwise, and the exceptional set's density runs only over
+the canonical windows inside the report's window, filtered from its rows.
+Each classification replaces the report's levels.
 
 The constructive side (`isometric_recurrence_search`) drives the coloring
 machinery for one action, one system and one monomial: cover the tracked
@@ -47,11 +52,11 @@ from .systems import (
     FinitePermSystem,
     RotationSystem,
     cross_terms,
-    folner_density,
     folner_reach,
     khintchine_bound,
     orbit_metric,
     projected_orbit_dist_sq,
+    window_density,
 )
 
 SEARCH_SPACE_CAP = 1 << 20
@@ -146,13 +151,11 @@ def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> Recur
     base = _report_fields(sys, B, phi, epsilon, window)
     domain, threshold = base["domain"], base["threshold"]
     elements = tuple(window_enumerate(domain, window))
-    corr_of = sys.correlator(base["B"])
-    rows = []
-    for u in elements:
-        w = poly_value(phi, _as_coords(u, phi.n))  # window elements come normalised
-        corr = corr_of(w)
-        rows.append((u, w, corr, corr > threshold))
-    report = RecurrenceReport(**base, elements=elements, rows=tuple(rows))
+    # window elements come normalised, and so do the compiled map's values
+    value_of, kernel = phi.compiled, sys.kernel(base["B"], threshold)
+    ws = map(value_of, elements if phi.n > 1 else [(u,) for u in elements])
+    rows = tuple((u, w, *kernel(w)) for u, w in zip(elements, ws))
+    report = RecurrenceReport(**base, elements=elements, rows=rows)
     if domain.zero not in report.R and domain.zero in elements:
         raise RecurrenceError("return set lost the zero element; broken invariant")
     return report
@@ -168,17 +171,17 @@ def classify_ipstar(
     """Check R against every r-generator finite-sums family, r = 1..r_max.
 
     One scan to level r_max decides every level (``IpStarVerdict.levels``),
-    and the budget counts its nodes.  A scan resumed at ``resume_path``
-    replays the nodes before it without charge, so the report still lists
-    the levels it passed.  A windowed report also gets the density of its
-    exceptional set along the canonical averaging sequence, supporting an
-    almost-dual reading (failures confined to a vanishing-density set), over
-    the windows 1..N that lie inside its own (``folner_reach``); it has none
-    when N = 0.
+    which replace any the report held, and the budget counts its nodes.  A
+    scan resumed at ``resume_path`` replays the nodes before it without
+    charge, so the report still lists the levels it passed.  A windowed
+    report also gets the density of its exceptional set along the canonical
+    averaging sequence, supporting an almost-dual reading (failures confined
+    to a vanishing-density set), over the windows 1..N that lie inside its
+    own (``folner_reach``), filtered from its rows; it has none when N = 0.
     """
     dom, pool = report.domain, report.exceptional
     v = is_ip_r_star(dom, pool, r_max, budget=budget, resume_path=resume_path)
-    report.classification.update(v.levels(r_max))
+    report.classification = v.levels(r_max)
     # a witness's sums lie in R's complement in the window exactly when
     # they stay in the window and avoid R
     exc = frozenset(pool)
@@ -187,7 +190,7 @@ def classify_ipstar(
             raise RecurrenceError("classify witness failed re-verification")
     N = 0 if report.exact else folner_reach(report.window)
     if N:
-        report.exceptional_density = folner_density(exc.__contains__, dom, N)
+        report.exceptional_density = window_density(exc.__contains__, dom, N, report.elements)
     return report
 
 
@@ -218,10 +221,11 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
     if any(g == ring.zero for g in gens):
         raise RecurrenceError("zero generator has no multiplicative content")
     products = subset_folds(ring.mul, ring.one, gens)[1:]
-    corr_of = sys.correlator(base["B"])
+    # at most 2^r - 1 products and 0: the correlator, the kernel behind a check of w
+    value_of, corr_of = phi.compiled, sys.correlator(base["B"])
 
     def in_R(u):
-        return ring.window_contains(window, u) and corr_of(poly_value(phi, (u,))) > threshold
+        return ring.window_contains(window, u) and corr_of(value_of((u,))) > threshold
 
     if ring.window_contains(window, ring.zero) and not in_R(ring.zero):
         raise RecurrenceError("return set lost the zero element; broken invariant")

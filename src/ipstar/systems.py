@@ -16,19 +16,25 @@ finite rational computation:
 Every event measure, correlation mu(B cap T^w B), squared orbit distance and
 spectral quantity is a ``fractions.Fraction``.
 
-``correlator(B)`` returns the kernel w -> mu(B cap T^w B) of one event:
-the work that depends only on (system, B) is done once, and each call pays
-only for what depends on w.  Scans (``recurrence_set``, ``fp_probe``,
-``dlim_probe``) and the constructive search's ball cover (``_BallCover``,
-d^2(T^e x, T^c x) = 2(mu(x) - mu(x cap T^(c-e) x))) take one correlator
-per scan; ``correlation(B, w)`` is ``correlator(B)(w)``, so each backend
-has one kernel.  Densities (``folner_density``, ``dlim_probe``) average
-over the canonical windows 1..N of ``folner_sets`` only.  ``dlim_probe``
-is one pass over them: it works out each element's cross term once and
-returns the whole run as a ``DensityProfile``.  The finite-perm and
-rotation kernels are integer arithmetic with one ``Fraction`` built at
-the end, and the event algebra (``shift_event``, ``intersection_measure``,
-``measure``) stays the naive reference every kernel must agree with:
+Each backend has one kernel per event, ``kernel(B, threshold)``: w ->
+(mu(B cap T^w B), whether it exceeds the threshold), for w in normal form.
+The work that depends only on (system, B) is done once, and each call pays
+only for what depends on w.  ``correlator(B)`` is that kernel behind the
+check and normalisation of w, and ``correlation(B, w)`` is
+``correlator(B)(w)``.  ``recurrence_set`` feeds the kernel the compiled
+map's values, already in normal form.  ``fp_probe`` (a few products),
+``dlim_probe`` and the constructive search's ball cover (``_BallCover``,
+d^2(T^e x, T^c x) = 2(mu(x) - mu(x cap T^(c-e) x)), whose differences
+c - e may be negative) go through the correlator.  Densities
+(``folner_density``, ``window_density``, ``dlim_probe``) average over the
+canonical windows 1..N of ``folner_sets`` only; ``window_density`` filters
+them from a listing that holds them, such as a report's rows.
+``dlim_probe`` is one pass over them: it works out each element's cross
+term once and returns the whole run as a ``DensityProfile``.  The
+finite-perm and rotation kernels are integer arithmetic with one
+``Fraction`` built at the end, and decide the hit in integers; the event
+algebra (``shift_event``, ``intersection_measure``, ``measure``) stays the
+naive reference every kernel must agree with:
 
 * finite-perm: the weights are integer numerators over one common
   denominator, and each generator has a cycle-position map x -> (x's
@@ -42,15 +48,16 @@ the end, and the event algebra (``shift_event``, ``intersection_measure``,
 * rotation: the overlap of B with its turn by s is piecewise linear in
   s mod 1, with kinks only at the differences of B's endpoints.  Over B's
   common denominator D these breakpoints are integers, at most 4P^2 for P
-  pieces; the correlator tables the integer overlap at each and the
-  integer slope after it, once per event.  A call works out w's turn as an
-  integer ratio n / M, finds its segment by bisection and builds one
-  ``Fraction``.
+  pieces; the kernel tables the integer overlap at each and the integer
+  slope after it, once per event.  A call works out w's turn as an integer
+  ratio n / M (with one angle, straight off w's numerator and
+  denominator), finds its segment by bisection and builds one ``Fraction``.
 * Bernoulli: cylinders on disjoint coordinates are independent under the
   product measure, so for w outside D = supp(B) - supp(B) the correlation
   is mu(B)^2.  On the finite set D each correlation is worked out once,
-  with the naive event algebra, and tabled; a call normalises w and looks
-  it up.
+  with the naive event algebra, and tabled with its hit; a call is one
+  dict lookup, which returns the one precomputed (mu(B)^2, hit) pair for
+  every w outside D.  Only the correlator normalises w first.
 
 The finite-field backend sits outside the hypotheses of the recurrence
 theorem being exercised (which needs an infinite ground structure); reports
@@ -84,11 +91,31 @@ class SystemError(ValueError):
     """Backend construction or usage violated an exactness invariant."""
 
 
+class _Backend:
+    """What the three backends share: ``correlator`` is the backend's one
+    kernel behind the check and normalisation of w.  ``kernel(B,
+    threshold)`` takes w in normal form, as the acting group's operations
+    and the compiled maps produce it: a scalar with one acting coordinate,
+    else a tuple."""
+
+    def correlation(self, B, w) -> Fraction:
+        return self.correlator(B)(w)
+
+    def correlator(self, B):
+        """w -> mu(B cap T^w B) for any w the acting group accepts."""
+        kernel, normalise = self.kernel(B, 0), self._normalise  # the hit is not read
+        return lambda w: kernel(normalise(w))[0]
+
+    def _normalise(self, w):
+        coords = self._coords(w)
+        return coords[0] if self.n == 1 else coords
+
+
 # ---------------------------------------------------------------------------
 # finite permutation actions
 
 
-class FinitePermSystem:
+class FinitePermSystem(_Backend):
     """Finite measure space with a vector group of commuting permutations.
 
     points: hashable labels.  weights: label -> positive rational, summing
@@ -109,7 +136,9 @@ class FinitePermSystem:
             raise SystemError("duplicate point labels")
         if set(weights) != set(self.points):
             raise SystemError("weights must cover exactly the point set")
-        self.weights = {x: Fraction(weights[x]) for x in self.points}
+        # Fraction(w) rebuilds a Fraction, so those are kept as given
+        self.weights = {x: w if isinstance(w := weights[x], Fraction) else Fraction(w)
+                        for x in self.points}
         # the weights as integer numerators over one common denominator
         self._den = den = lcm(*(w.denominator for w in self.weights.values()))
         self._num = num = {x: w.numerator * (den // w.denominator) for x, w in self.weights.items()}
@@ -174,13 +203,13 @@ class FinitePermSystem:
     def intersection_measure(self, B1: frozenset, B2: frozenset) -> Fraction:
         return self.measure(B1 & B2)
 
-    def correlation(self, B: frozenset, w) -> Fraction:
-        return self.correlator(B)(w)
-
-    def correlator(self, B: frozenset):
-        """w -> mu(B cap T^w B).  T^w preserves the weights, so this is the
-        weight of the x in B whose image lands in B."""
-        den, coords_of = self._den, self._coords
+    def kernel(self, B: frozenset, threshold):
+        """w -> (mu(B cap T^w B), whether it exceeds threshold) for w in
+        normal form.  T^w preserves the weights, so the correlation is the
+        weight of the x in B whose image lands in B: an integer total over
+        ``_den``, compared with the threshold in integers."""
+        den, td = self._den, threshold.denominator
+        bar = threshold.numerator * den  # total / den > threshold: total * td > bar
         if self.n == 1:
             # B as one bitmask per cycle it meets: T^c moves index i to
             # i + c, so the x in B landing in B are the set bits of m & rot(m, c)
@@ -191,23 +220,22 @@ class FinitePermSystem:
             rings = [(m, len(cycle), (1 << len(cycle)) - 1, self._num[cycle[0]])
                      for cycle, m in masks.values() if self._num[cycle[0]]]
 
-            def corr(w) -> Fraction:
-                (c,) = coords_of(w)
+            def kernel(c):
                 total = 0
                 for m, n, full, weight in rings:
                     s = c % n
                     total += weight * (m & ((m >> s | m << (n - s)) & full)).bit_count()
-                return Fraction(total, den)
+                return Fraction(total, den), total * td > bar
 
-            return corr
+            return kernel
         xs = tuple(B)
         nums = [self._num[x] for x in xs]
 
-        def corr(w) -> Fraction:
-            images = self._images(xs, coords_of(w))
-            return Fraction(sum(v for v, y in zip(nums, images) if y in B), den)
+        def kernel(w):
+            total = sum(v for v, y in zip(nums, self._images(xs, w)) if y in B)
+            return Fraction(total, den), total * td > bar
 
-        return corr
+        return kernel
 
 
 def _cycle_positions(g: dict, p: int) -> dict:
@@ -300,7 +328,7 @@ class IntervalUnion:
         return "IntervalUnion(" + ", ".join(f"[{a},{b})" for a, b in self.pieces) + ")"
 
 
-class RotationSystem:
+class RotationSystem(_Backend):
     """x -> x + u * rho mod 1 on the circle, rho rational, Lebesgue measure.
 
     rho may also be a tuple of rationals, in which case the acting group is
@@ -323,16 +351,20 @@ class RotationSystem:
         self.ring = Rationals()
         self.acting = VectorSpace(self.ring, self.n) if self.n > 1 else self.ring
 
-    def _turn(self, w) -> tuple[int, int]:
-        """The turn sum_i w_i * rho_i of the acting element w as integers
-        (n, M), n / M not reduced; each w_i must be a rational (an int or a
-        Fraction)."""
+    def _coords(self, w) -> tuple:
+        """The coordinates of the acting element w, each checked to be a
+        rational (an int or a Fraction), then their number."""
         coords = w if isinstance(w, tuple) else (w,)
         for c in coords:
             if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
                 raise AlgebraError(f"not a rational: {c!r}")
         if len(coords) != self.n:
             raise SystemError(f"acting element needs {self.n} coordinates")
+        return coords
+
+    def _turn(self, coords) -> tuple[int, int]:
+        """The turn sum_i w_i * rho_i of checked coordinates as integers
+        (n, M), n / M not reduced."""
         n, M = 0, 1
         for c, r in zip(coords, self.rhos):
             d = c.denominator * r.denominator
@@ -341,7 +373,7 @@ class RotationSystem:
 
     def _angle(self, w) -> Fraction:
         """The turn sum_i w_i * rho_i of the acting element w."""
-        return Fraction(*self._turn(w))
+        return Fraction(*self._turn(self._coords(w)))
 
     def event(self, pairs) -> IntervalUnion:
         return pairs if isinstance(pairs, IntervalUnion) else IntervalUnion(pairs)
@@ -355,11 +387,9 @@ class RotationSystem:
     def intersection_measure(self, B1, B2) -> Fraction:
         return B1.intersect(B2).measure
 
-    def correlation(self, B: IntervalUnion, w) -> Fraction:
-        return self.correlator(B)(w)
-
-    def correlator(self, B: IntervalUnion):
-        """w -> mu(B cap T^w B), read off a breakpoint table of B.
+    def kernel(self, B: IntervalUnion, threshold):
+        """w -> (mu(B cap T^w B), whether it exceeds threshold) for w in
+        normal form, read off a breakpoint table of B.
 
         As a function of the turn s mod 1, the overlap of B with B + s is
         piecewise linear, with kinks only where an endpoint of B + s meets
@@ -369,7 +399,10 @@ class RotationSystem:
         by ``_turned``, the arc cutter of ``IntervalUnion``, in integers),
         and each segment has an integer slope k_i.  A turn s = n / M in
         [beta_i / D, beta_(i+1) / D) then has
-        corr = (V_i * M + k_i * (n * D - beta_i * M)) / (D * M)."""
+        corr = (V_i * M + k_i * (n * D - beta_i * M)) / (D * M), compared
+        with the threshold in integers.  With one angle rho the turn is
+        read straight off w: n / M = (w.numerator * rho.numerator) /
+        (w.denominator * rho.denominator)."""
         D = lcm(*(e.denominator for piece in B.pieces for e in piece))
         ends = [(a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
                 for a, b in B.pieces]
@@ -378,14 +411,18 @@ class RotationSystem:
         values = [_overlap(ends, beta, D) for beta in starts]
         slopes = [(v1 - v0) // (b1 - b0) for v0, v1, b0, b1
                   in zip(values, values[1:] + values[:1], starts, starts[1:] + [D])]
+        td, bar = threshold.denominator, threshold.numerator * D  # corr > threshold: num * td > bar * M
+        one, turn = self.n == 1, self._turn
+        rn, rd = self.rho.numerator, self.rho.denominator
 
-        def corr(w) -> Fraction:
-            n, M = self._turn(w)
+        def kernel(w):
+            n, M = (w.numerator * rn, w.denominator * rd) if one else turn(w)
             n %= M
             i = bisect_right(starts, n * D // M) - 1
-            return Fraction(values[i] * M + slopes[i] * (n * D - starts[i] * M), D * M)
+            num = values[i] * M + slopes[i] * (n * D - starts[i] * M)
+            return Fraction(num, D * M), num * td > bar * M
 
-        return corr
+        return kernel
 
 
 def _overlap(ends, shift: int, L: int) -> int:
@@ -425,7 +462,7 @@ class Cylinder:
         return f"Cylinder({self.constraints})"
 
 
-class BernoulliSystem:
+class BernoulliSystem(_Backend):
     """i.i.d. product measure over the additive polynomial-ring group; the
     shift by w relocates a cylinder's constraints from c to c + w."""
 
@@ -484,27 +521,25 @@ class BernoulliSystem:
     def intersection_measure(self, B1, B2) -> Fraction:
         return self.measure(self.intersect(B1, B2))
 
-    def correlation(self, B: Cylinder, w) -> Fraction:
-        return self.correlator(B)(w)
+    def _normalise(self, w) -> tuple:
+        return self.ring.element(w)
 
-    def correlator(self, B: Cylinder):
-        """w -> mu(B cap T^w B).  Outside D = supp(B) - supp(B), B and its
-        shift constrain disjoint coordinates, independent under the product
-        measure, so the value is mu(B)^2; on D each value is tabled the
-        first time it is asked for, so a one-off call intersects once."""
+    def kernel(self, B: Cylinder, threshold):
+        """w -> (mu(B cap T^w B), whether it exceeds threshold) for a
+        normalised w.  Outside D = supp(B) - supp(B), B and its shift
+        constrain disjoint coordinates, independent under the product
+        measure, so every such w gets one pair, mu(B)^2 with its hit, and w
+        is never looked at beyond one dict lookup; each value on D is worked
+        out once, with the naive event algebra, and tabled with its hit."""
         ring, supp = self.ring, B.constraints
-        table = dict.fromkeys((ring.sub(d, c) for c in supp for d in supp), None)
         mu2 = self.measure(B) ** 2
-
-        def corr(w) -> Fraction:
-            w = ring.element(w)
-            if w not in table:
-                return mu2
-            if table[w] is None:
-                table[w] = self.intersection_measure(B, self.shift_event(B, w))
-            return table[w]
-
-        return corr
+        outside = (mu2, mu2 > threshold)
+        table = {}
+        for d in {ring.sub(d, c) for c in supp for d in supp}:
+            v = self.intersection_measure(B, self.shift_event(B, d))
+            table[d] = (v, v > threshold)
+        get = table.get
+        return lambda w: get(w, outside)
 
 
 MeasureSystem = FinitePermSystem | RotationSystem | BernoulliSystem
@@ -606,16 +641,32 @@ def folner_sets(group, N: int) -> list:
         raise SystemError("averaging window index must be >= 1")
     if isinstance(group, Integers):
         return list(range(N))
+    return window_enumerate(group, _canonical_window(group, N))
+
+
+def _canonical_window(group, N: int):
+    """The scalar window of ``folner_sets(group, N)`` for a group other
+    than the integers."""
     scalars = group.ring if isinstance(group, VectorSpace) else group
     if isinstance(scalars, PrimeField):
-        window = FullWindow()
-    elif isinstance(scalars, PolyRing):
-        window = DegreeWindow(N)
-    elif isinstance(scalars, Rationals):
-        window = RationalWindow(N, N)
-    else:
-        raise SystemError(f"no canonical averaging sequence for {group}")
-    return window_enumerate(group, window)
+        return FullWindow()
+    if isinstance(scalars, PolyRing):
+        return DegreeWindow(N)
+    if isinstance(scalars, Rationals):
+        return RationalWindow(N, N)
+    raise SystemError(f"no canonical averaging sequence for {group}")
+
+
+def _in_folner_set(group, N: int):
+    """u -> whether u lies in ``folner_sets(group, N)``, from the window's
+    bounds."""
+    if isinstance(group, Integers):
+        return lambda u: 0 <= u < N
+    window = _canonical_window(group, N)
+    if isinstance(group, VectorSpace):
+        contains = group.ring.window_contains
+        return lambda u: all(contains(window, c) for c in u)
+    return lambda u: group.window_contains(window, u)
 
 
 def folner_reach(window) -> int:
@@ -653,9 +704,22 @@ def _window_means(f, group, N: int) -> DensityProfile:
     return DensityProfile(out[-1], tuple(out))
 
 
+def window_density(member_pred, group, N: int, elements) -> DensityProfile:
+    """|S cap Phi_n| / |Phi_n| for n = 1..N, exact, with each canonical
+    window Phi_n filtered by its bounds from elements, a listing that holds
+    Phi_N (and so every Phi_n inside it), such as a report's rows."""
+    if N < 1:
+        raise SystemError("averaging window index must be >= 1")
+    out = []
+    for n in range(1, N + 1):
+        inside = list(filter(_in_folner_set(group, n), elements))
+        out.append(Fraction(sum(1 for u in inside if member_pred(u)), len(inside)))
+    return DensityProfile(out[-1], tuple(out))
+
+
 def folner_density(member_pred, group, N: int) -> DensityProfile:
-    """|S cap Phi_n| / |Phi_n| for n = 1..N, exact."""
-    return _window_means(lambda x: 1 if member_pred(x) else 0, group, N)
+    """|S cap Phi_n| / |Phi_n| for n = 1..N, exact, read off Phi_N."""
+    return window_density(member_pred, group, N, folner_sets(group, N))
 
 
 def dlim_probe(sys, B, phi_map, N: int) -> DensityProfile:

@@ -20,11 +20,12 @@ from ipstar.algebra import (
     VectorSpace,
     eval_monomial,
     eval_poly,
+    poly_value,
     scalar_poly_map,
     window_enumerate,
 )
 from ipstar.textio import parse_element, render_element, render_poly_map
-from oracles import counter_poly_window, telescope_check
+from oracles import counter_poly_window, naive_map_value, telescope_check
 
 RINGS = [PrimeField(2), PrimeField(5), Integers(), Rationals(), PolyRing(2), PolyRing(3)]
 
@@ -415,6 +416,70 @@ def test_eval_poly_matches_a_plain_oracle(case):
     assert got == want
     assert _types(got) == _types(want)  # e.g. a Fraction for Z -> Q, never an int
     assert phi(u) == got
+
+
+# the compiled form of a map against naive_map_value, by repr, so that an
+# int never stands in for an equal Fraction; exponents reach past p
+COMPILED_CASES = [
+    (Integers(), Integers()),
+    (Rationals(), Rationals()),
+    (Integers(), Rationals()),
+    (PrimeField(3), PrimeField(3)),
+    (PrimeField(5), PrimeField(5)),
+    (P2, P2),
+    (P3, P3),
+    (Integers(), VectorSpace(Integers(), 2)),
+    (Integers(), VectorSpace(Rationals(), 3)),
+    (Rationals(), VectorSpace(Rationals(), 2)),
+    (PrimeField(5), VectorSpace(PrimeField(5), 2)),
+    (P2, VectorSpace(P2, 2)),
+]
+
+
+@st.composite
+def compiled_cases(draw):
+    """(phi, u): one to three variables; one to four terms whose
+    coefficients and weights may be zero, rational or unnormalised;
+    exponents up to 7 over the finite rings (at least p there), 3 over Z
+    and Q."""
+    ring, target = draw(st.sampled_from(COMPILED_CASES))
+    n = draw(st.integers(1, 3))
+    scalar = target.ring if isinstance(target, VectorSpace) else target
+    if isinstance(target, VectorSpace):
+        weight = st.lists(_raw(scalar), min_size=target.dim, max_size=target.dim).map(tuple)
+    else:
+        weight = st.just(scalar.one) | _raw(scalar)
+    top = 3 if isinstance(ring, (Integers, Rationals)) else 7
+    exps = st.lists(st.integers(0, top), min_size=n, max_size=n).filter(any).map(tuple)
+    terms = draw(st.lists(st.tuples(_raw(ring), exps, weight), min_size=1, max_size=4))
+    phi = PolynomialMap(ring, n, target, tuple((Monomial(ring, c, e), w) for c, e, w in terms))
+    return phi, tuple(draw(_raw(ring)) for _ in range(n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(compiled_cases())
+def test_compiled_map_matches_the_naive_value(case):
+    phi, raw = case
+    u = tuple(phi.ring.element(c) for c in raw)
+    want = repr(naive_map_value(phi, raw))
+    assert repr(phi.compiled(u)) == repr(poly_value(phi, u)) == repr(eval_poly(phi, raw)) == want
+    assert phi.compiled is phi.compiled  # built once per map
+    for m, _w in phi.terms:
+        one = PolynomialMap(phi.ring, phi.n, phi.ring, ((m, phi.ring.one),))
+        assert repr(eval_monomial(m, raw)) == repr(naive_map_value(one, raw))
+
+
+def test_compiled_map_returns_a_first_power_itself():
+    # a unit coefficient and a first power are not computed over F_p[t]
+    u = ((1, 0, 1),)
+    assert scalar_poly_map(P2, [Monomial(P2, (1,), (1,))]).compiled(u) is u[0]
+
+
+def test_map_refuses_a_target_over_another_ring():
+    for ring, target in ((PrimeField(5), Integers()), (Rationals(), Integers()),
+                         (Integers(), VectorSpace(PrimeField(5), 2))):
+        with pytest.raises(AlgebraError, match="cannot take values"):
+            PolynomialMap(ring, 1, target, ((Monomial(ring, 1, (1,)), target.zero),))
 
 
 def test_polyring_valued_map():

@@ -10,9 +10,11 @@ before hashing.
 
 The systems reach every correlation kernel: a one-generator finite-perm
 system with two cycles, fixed points and a zero weight; a two-generator one,
-with a one- and a two-variable map; a rotation over a rational window; and a
-Bernoulli system whose window holds shifts w both inside and outside
-supp(B) - supp(B).
+with a one- and a two-variable map; a rotation over a rational window, and
+one by two angles; and a Bernoulli system whose window holds shifts w both
+inside and outside supp(B) - supp(B).  The maps reach every compiled form:
+over F_p with exponents >= p, over Q with rational coefficients, over
+F_p[t], and into a vector group from one and from two variables.
 """
 
 import contextlib
@@ -34,6 +36,7 @@ PERM2 = (
     "gen (0 1 2)(3 4 5)(6 7 8)\ngen (0 3 6)(1 4 7)(2 5 8)\nset B 0 1 4\n"
 )
 ROT = "backend rotation\nrho 2/7\nset B 1/12 1/3 1/2 3/4\n"
+ROT2 = "backend rotation\nrho 2/7 -1/3\nset B 1/12 1/3 1/2 3/4\n"
 BERN = "backend bernoulli\np 2\nprobs 1/3 2/3\nset B []:0 [0,1]:1 [1,1]:0\n"
 
 
@@ -55,6 +58,14 @@ INSTANCES = {
     "rot": (ROT, _steps("u^2 + u", "1/100", "rat 5 5", "1/2,2,3/4", 4)),
     "bern": (BERN, _steps("u^2 + u", "1/1000", "deg 4", "[0,1],[1,1],[1]", 4)),
     "bern-u": (BERN, _steps("u", "1/1000", "deg 4", "[0,1],[1,0,1]", 3)),
+    # a Q map with rational coefficients and mixed degrees, an F_p map with
+    # exponents >= p, and a rotation by two angles, with a one- and a
+    # two-variable map into Q^2
+    "rot-q": (ROT, _steps("3/2*u^3 + -2/5*u + u^2", "1/100", "rat 7 6", "1/2,-3,2/3", 3)),
+    "perm1-high": (PERM1, _steps("3*u^7 + 4*u^5 + u^2", "1/100", "full", "1,2,3", 3)),
+    "rot2": (ROT2, _steps("u*(1,2) + 1/2*u^2*(-1/3,1)", "1/100", "rat 4 3", "1/2,2", 3)),
+    "rot2-xy": (ROT2, [["recurrence", "phi=x1*(1,0) + 2/3*x1*x2^2*(1/2,1)", "epsilon=1/100",
+                        "window=rat 2 2", "output=out"]]),
 }
 
 
@@ -228,6 +239,92 @@ GOLDEN = {'bern': [(0,
           {'recurrence.csv': 'a82947d95df2d0d73f613cbee399fbde7b85f5bbdc8544b6d36e04b6b2ade685',
            'recurrence.json': '2f26eecee6df850426120fecd8d78716e79c370176aecbafa824fa8f1d753985'})]}
 
+
+# the instances after bern-u, pinned from the evaluator that preceded the
+# compiled maps
+GOLDEN.update({'perm1-high': [(0,
+                 'system: finite-perm p=5 points=13 gens=1\n'
+                 'phi: 3*u^7 + 4*u^5 + u^2\n'
+                 'mu(B) = 7/20\n'
+                 'threshold = 9/80\n'
+                 'R: 3 of 5 window elements\n'
+                 'wrote out/recurrence.csv\n',
+                 {'recurrence.csv': '81a527bbabaa8f33d85410d04b079b07e8e839dc4117378d96d4dc400ceb2edf'}),
+                (0,
+                 'system: finite-perm p=5 points=13 gens=1\n'
+                 'phi: 3*u^7 + 4*u^5 + u^2\n'
+                 'mu(B) = 7/20\n'
+                 'threshold = 9/80\n'
+                 'R: 3 of 5 window elements\n'
+                 'wrote out/recurrence.json\n',
+                 {'recurrence.csv': '81a527bbabaa8f33d85410d04b079b07e8e839dc4117378d96d4dc400ceb2edf',
+                  'recurrence.json': '476cd1d576e62d1fca46b3e30e8cc48c32d8168028bee5a1f8e901359a5285ad'}),
+                (0,
+                 'products: 1,2,2,3,3,1,1\nwitnesses: 1,3,3,1,1\nintersects: true\n',
+                 {'recurrence.csv': '81a527bbabaa8f33d85410d04b079b07e8e839dc4117378d96d4dc400ceb2edf',
+                  'recurrence.json': '476cd1d576e62d1fca46b3e30e8cc48c32d8168028bee5a1f8e901359a5285ad'}),
+                (0,
+                 'dlim over N=1..3\nN=1: 0\nN=2: 0\nN=3: 0\n',
+                 {'recurrence.csv': '81a527bbabaa8f33d85410d04b079b07e8e839dc4117378d96d4dc400ceb2edf',
+                  'recurrence.json': '476cd1d576e62d1fca46b3e30e8cc48c32d8168028bee5a1f8e901359a5285ad'})],
+ 'rot-q': [(0,
+            'system: rotation rho=2/7\n'
+            'phi: 3/2*u^3 + -2/5*u + u^2\n'
+            'mu(B) = 1/2\n'
+            'threshold = 6/25\n'
+            'R: 38 of 59 window elements\n'
+            'wrote out/recurrence.csv\n',
+            {'recurrence.csv': '8562addc0f6b769407b2b0f663dcf9d9ca2e7b735c0d1a43e46a8cbff31c27cc'}),
+           (0,
+            'system: rotation rho=2/7\n'
+            'phi: 3/2*u^3 + -2/5*u + u^2\n'
+            'mu(B) = 1/2\n'
+            'threshold = 6/25\n'
+            'R: 38 of 59 window elements\n'
+            'wrote out/recurrence.json\n',
+            {'recurrence.csv': '8562addc0f6b769407b2b0f663dcf9d9ca2e7b735c0d1a43e46a8cbff31c27cc',
+             'recurrence.json': 'dae8b2968e3c26774269cf5834e4a5d2b80d5ea7b0f3b93e326d396600501437'}),
+           (0,
+            'products: 1/2,-3,-3/2,2/3,1/3,-2,-1\nwitnesses: 1/2,1/3,-2,-1\nintersects: true\n',
+            {'recurrence.csv': '8562addc0f6b769407b2b0f663dcf9d9ca2e7b735c0d1a43e46a8cbff31c27cc',
+             'recurrence.json': 'dae8b2968e3c26774269cf5834e4a5d2b80d5ea7b0f3b93e326d396600501437'}),
+           (0,
+            'dlim over N=1..3\nN=1: 0\nN=2: 0\nN=3: 0\n',
+            {'recurrence.csv': '8562addc0f6b769407b2b0f663dcf9d9ca2e7b735c0d1a43e46a8cbff31c27cc',
+             'recurrence.json': 'dae8b2968e3c26774269cf5834e4a5d2b80d5ea7b0f3b93e326d396600501437'})],
+ 'rot2': [(0,
+           'system: rotation rho=(2/7,-1/3)\n'
+           'phi: u*(1,2) + 1/2*u^2*(-1/3,1)\n'
+           'mu(B) = 1/2\n'
+           'threshold = 6/25\n'
+           'R: 12 of 19 window elements\n'
+           'wrote out/recurrence.csv\n',
+           {'recurrence.csv': '9391eca1445ad7e677b02d62106c04a3c8aacde6165a55c91970e6c56076e5d3'}),
+          (0,
+           'system: rotation rho=(2/7,-1/3)\n'
+           'phi: u*(1,2) + 1/2*u^2*(-1/3,1)\n'
+           'mu(B) = 1/2\n'
+           'threshold = 6/25\n'
+           'R: 12 of 19 window elements\n'
+           'wrote out/recurrence.json\n',
+           {'recurrence.csv': '9391eca1445ad7e677b02d62106c04a3c8aacde6165a55c91970e6c56076e5d3',
+            'recurrence.json': 'eed24218f43e21487ed33c4692960f80ee35e33458b694ec9bb32daed61368f3'}),
+          (0,
+           'products: 1/2,2,1\nwitnesses: 2,1\nintersects: true\n',
+           {'recurrence.csv': '9391eca1445ad7e677b02d62106c04a3c8aacde6165a55c91970e6c56076e5d3',
+            'recurrence.json': 'eed24218f43e21487ed33c4692960f80ee35e33458b694ec9bb32daed61368f3'}),
+          (0,
+           'dlim over N=1..3\nN=1: 0\nN=2: 0\nN=3: 0\n',
+           {'recurrence.csv': '9391eca1445ad7e677b02d62106c04a3c8aacde6165a55c91970e6c56076e5d3',
+            'recurrence.json': 'eed24218f43e21487ed33c4692960f80ee35e33458b694ec9bb32daed61368f3'})],
+ 'rot2-xy': [(0,
+              'system: rotation rho=(2/7,-1/3)\n'
+              'phi: x1*(1,0) + 2/3*x1*x2^2*(1/2,1)\n'
+              'mu(B) = 1/2\n'
+              'threshold = 6/25\n'
+              'R: 29 of 49 window elements\n'
+              'wrote out/recurrence.csv\n',
+              {'recurrence.csv': '4aca1ead055a9351f91aa3227396a6d09b34c75c887da6679f98cfad257695e5'})]})
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_golden_outputs(name, tmp_path, monkeypatch):

@@ -164,6 +164,40 @@ def test_finite_sums_distinctness_edge():
     assert len(finite_sums(Z, (1, 1))) == 2  # collapse
 
 
+FS_GROUPS = [
+    (Z, st.integers(-20, 20)),
+    (F5, st.integers(-7, 7)),
+    (Rationals(), st.fractions(-3, 3, max_denominator=4)),
+    (PolyRing(2), st.lists(st.integers(0, 1), max_size=3).map(tuple)),  # trailing zeros too
+    (VectorSpace(F5, 2), st.tuples(st.integers(0, 4), st.integers(0, 4))),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FS_GROUPS).flatmap(
+    lambda ge: st.tuples(st.just(ge[0]), st.lists(ge[1], min_size=1, max_size=10))))
+def test_finite_sums_fold_matches_the_naive_set(case):
+    # folded into a set one generator at a time; the oracle sums every
+    # non-empty subset on its own
+    group, gens = case
+    assert finite_sums(group, gens) == oracles.naive_fs_set(group, gens)
+
+
+def test_finite_sums_of_a_repeated_generator_fold_linearly():
+    # 22 equal generators have 22 distinct sums; a list of all 2^22 - 1
+    # subset sums would take over 4 million additions (and tens of MB)
+    adds = []
+
+    class CountingZ(Integers):
+        def add(self, a, b):
+            adds.append(1)
+            return a + b
+
+    assert finite_sums(CountingZ(), (3,) * 22) == {3 * j for j in range(1, 23)}
+    # the j-th generator adds to the j - 1 sums so far and to zero
+    assert len(adds) == sum(range(1, 23))
+
+
 # ---------------------------------------------------------------------------
 # finite unions
 

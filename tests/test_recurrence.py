@@ -82,10 +82,10 @@ def test_recurrence_set_singleton_f5():
 
 def test_recurrence_set_enumerates_its_window_once(monkeypatch):
     # the report's rows are the only listing of the scan window: R, the pool
-    # of the IP scan and the re-check of its witnesses are read off them.
-    # The ring's own method is counted, whichever module lists the window;
-    # the exceptional density lists the canonical windows degree < 1, < 2
-    # and < 3 itself, the last being the scan window again.
+    # of the IP scan, the re-check of its witnesses and the exceptional
+    # density over the canonical windows degree < 1, < 2 and < 3 are read
+    # off them.  The ring's own method is counted, whichever module lists
+    # the window.
     calls = []
     enumerate_window = PolyRing.enumerate_window
 
@@ -96,15 +96,14 @@ def test_recurrence_set_enumerates_its_window_once(monkeypatch):
     monkeypatch.setattr(PolyRing, "enumerate_window", counting)
     b = BernoulliSystem(2, [F(1, 2), F(1, 2)])
     args = (b, {(): {0}, (0, 1): {1}}, IDENT_P2, F(1, 100), DegreeWindow(3))
-    density = [DegreeWindow(1), DegreeWindow(2), DegreeWindow(3)]
-    for run, listings in (
-        (lambda: recurrence_set(*args), [DegreeWindow(3)]),
-        (lambda: classify_ipstar(recurrence_set(*args), 3), [DegreeWindow(3), *density]),
-        (lambda: theorem1_pipeline(*args, 3), [DegreeWindow(3), *density]),
+    for run in (
+        lambda: recurrence_set(*args),
+        lambda: classify_ipstar(recurrence_set(*args), 3),
+        lambda: theorem1_pipeline(*args, 3),
     ):
         calls.clear()
         rep = run()
-        assert calls == listings
+        assert calls == [DegreeWindow(3)]
         assert [u for u, *_ in rep.rows] == list(rep.elements) and len(rep.elements) == 8
 
 
@@ -240,6 +239,17 @@ def test_recurrence_rows_are_the_map_and_the_correlation_of_each_element(case):
 
 # ---------------------------------------------------------------------------
 # classification
+
+
+def test_classify_replaces_the_levels_of_an_earlier_scan():
+    # a second, shorter scan on the same report keeps none of the first's
+    # levels: no "holds" is left above a level whose scan ran out
+    F7 = PrimeField(7)
+    rep = recurrence_set(regular_system(7), {0, 1}, power_map(F7, 1, 2), F(1, 100), FullWindow())
+    assert sorted(classify_ipstar(rep, 4).classification) == [1, 2, 3, 4]
+    levels = classify_ipstar(rep, 2, budget=1).classification
+    assert sorted(levels) == [1, 2]
+    assert levels[2].kind == "budget_exceeded"
 
 
 def test_classify_full_f5_holds_all_r():

@@ -166,6 +166,15 @@ def test_finite_perm_construction_rejections():
         regular_system(5).event({0, 9})
 
 
+def test_finite_perm_keeps_fraction_weights_and_converts_the_rest():
+    half, quarter = F(1, 2), F(1, 4)
+    s = FinitePermSystem(2, [0, 1, 2, 3], {0: half, 1: "1/4", 2: quarter, 3: 0},
+                         [{0: 0, 1: 2, 2: 1, 3: 3}])
+    assert s.weights[0] is half and s.weights[2] is quarter
+    assert s.weights == {0: half, 1: quarter, 2: quarter, 3: F(0)}
+    assert all(type(w) is F for w in s.weights.values())
+
+
 def test_finite_perm_acting_elements_must_be_field_elements():
     # a float or a bool is no element of F_p, as on the other backends
     s = regular_system(5)
