@@ -522,6 +522,11 @@ class PolynomialMap:
             checked.append((m, self.target.element(w)))
         object.__setattr__(self, "terms", tuple(checked))
 
+    @property
+    def domain(self):
+        """The group the map is defined on: its ring, or ring^n for n > 1."""
+        return self.ring if self.n == 1 else VectorSpace(self.ring, self.n)
+
     @cached_property
     def compiled(self):
         """The map at normalised coordinates, built once per map: each
@@ -551,6 +556,12 @@ def eval_poly(phi: PolynomialMap, u: tuple):
     if len(u) != phi.n:
         raise AlgebraError(f"polynomial map in {phi.n} variables applied to {len(u)} coordinates")
     return poly_value(phi, u)
+
+
+def as_coords(u, n: int) -> tuple:
+    """The coordinate tuple of an element of ring^n: a scalar is wrapped,
+    since a scalar may itself be a tuple (a polynomial), arity decides."""
+    return (u,) if n == 1 else u
 
 
 def poly_value(phi: PolynomialMap, u: tuple):

@@ -10,17 +10,18 @@ r-generator finite-sums families.  Two independent assembly paths exist
 (`recurrence_set` and `theorem1_pipeline`) and must agree exactly.  Each
 lists the window once; a report keeps the scan's rows in window order and R
 as the frozenset of their hits.  ``recurrence_set`` pays per element for
-one call of the map's compiled form (``PolynomialMap.compiled``) and one
-call of the backend's kernel (``kernel(B, threshold)``), which returns the
-correlation with its hit; ``fp_probe`` takes the compiled map and the
-correlator, the kernel behind a check of w, for its few products.  By
-duality R is IP*_r exactly when its complement holds no IP_r set, so the
-classification scans the non-hit rows in window order.  The scan takes only
-a pool, a budget and a resume path; the report holds the window, so it
-alone says what a verdict and a density claim: a "holds" decides the claim
-on the whole finite group (``RecurrenceReport.exact``) and is
-window-limited otherwise, and the exceptional set's density runs only over
-the canonical windows inside the report's window, filtered from its rows.
+one call of the map's compiled form (``poly_value``, through
+``PolynomialMap.compiled``) and one call of the backend's kernel
+(``kernel(B, threshold)``), which returns the correlation with its hit;
+``fp_probe`` takes the compiled map and the correlator, the kernel behind a
+check of w, for its few products.  By duality R is IP*_r exactly when its
+complement holds no IP_r set, so the classification scans the non-hit rows
+in window order.  The scan takes only a pool, a budget and a resume path;
+the report holds the window, so it alone says what a verdict and a density
+claim: a "holds" decides the claim on the whole finite group
+(``RecurrenceReport.exact``) and is window-limited otherwise, and the
+exceptional set's density runs only over the canonical windows inside the
+report's window, read off its rows in one pass (``window_means``).
 Each classification replaces the report's levels.
 
 The constructive side (`isometric_recurrence_search`) drives the coloring
@@ -44,7 +45,7 @@ from functools import cached_property, reduce
 from math import lcm
 
 from .algebra import FullWindow, Integers, Monomial, PolynomialMap, Rationals, VectorSpace, Window
-from .algebra import poly_value, window_enumerate
+from .algebra import as_coords, poly_value, window_enumerate
 from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_subset_tuples
 from .ipsets import finite_sums, is_ip_r_star, subset_folds
 from .systems import (
@@ -56,7 +57,7 @@ from .systems import (
     khintchine_bound,
     orbit_metric,
     projected_orbit_dist_sq,
-    window_density,
+    window_means,
 )
 
 SEARCH_SPACE_CAP = 1 << 20
@@ -64,15 +65,6 @@ SEARCH_SPACE_CAP = 1 << 20
 
 class RecurrenceError(ValueError):
     """Inputs outside what the exact machinery can decide."""
-
-
-def _domain_of(phi: PolynomialMap):
-    return phi.ring if phi.n == 1 else VectorSpace(phi.ring, phi.n)
-
-
-def _as_coords(u, n: int) -> tuple:
-    # scalars may themselves be tuples (polynomials), so arity decides
-    return (u,) if n == 1 else u
 
 
 @dataclass
@@ -130,7 +122,7 @@ def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
             f"map target {phi.target} does not match the acting group {sys.acting}"
         )
     B = sys.event(B)
-    domain = _domain_of(phi)
+    domain = phi.domain
     mu = sys.measure(B)
     return dict(
         system=sys,
@@ -152,8 +144,8 @@ def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> Recur
     domain, threshold = base["domain"], base["threshold"]
     elements = tuple(window_enumerate(domain, window))
     # window elements come normalised, and so do the compiled map's values
-    value_of, kernel = phi.compiled, sys.kernel(base["B"], threshold)
-    ws = map(value_of, elements if phi.n > 1 else [(u,) for u in elements])
+    kernel, n = sys.kernel(base["B"], threshold), phi.n
+    ws = (poly_value(phi, as_coords(u, n)) for u in elements)
     rows = tuple((u, w, *kernel(w)) for u, w in zip(elements, ws))
     report = RecurrenceReport(**base, elements=elements, rows=rows)
     if domain.zero not in report.R and domain.zero in elements:
@@ -177,7 +169,7 @@ def classify_ipstar(
     report also gets the density of its exceptional set along the canonical
     averaging sequence, supporting an almost-dual reading (failures confined
     to a vanishing-density set), over the windows 1..N that lie inside its
-    own (``folner_reach``), filtered from its rows; it has none when N = 0.
+    own (``folner_reach``), read off its rows; it has none when N = 0.
     """
     dom, pool = report.domain, report.exceptional
     v = is_ip_r_star(dom, pool, r_max, budget=budget, resume_path=resume_path)
@@ -190,7 +182,7 @@ def classify_ipstar(
             raise RecurrenceError("classify witness failed re-verification")
     N = 0 if report.exact else folner_reach(report.window)
     if N:
-        report.exceptional_density = window_density(exc.__contains__, dom, N, report.elements)
+        report.exceptional_density = window_means(exc.__contains__, dom, N, report.elements)
     return report
 
 
@@ -222,10 +214,12 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
         raise RecurrenceError("zero generator has no multiplicative content")
     products = subset_folds(ring.mul, ring.one, gens)[1:]
     # at most 2^r - 1 products and 0: the correlator, the kernel behind a check of w
-    value_of, corr_of = phi.compiled, sys.correlator(base["B"])
+    corr_of = sys.correlator(base["B"])
 
     def in_R(u):
-        return ring.window_contains(window, u) and corr_of(value_of((u,))) > threshold
+        if not ring.window_contains(window, u):
+            return False
+        return corr_of(poly_value(phi, as_coords(u, phi.n))) > threshold
 
     if ring.window_contains(window, ring.zero) and not in_R(ring.zero):
         raise RecurrenceError("return set lost the zero element; broken invariant")
@@ -256,7 +250,7 @@ def theorem1_pipeline(
     half = base["epsilon"] / 2
     rows, A, E = [], [], []
     for u in elements:
-        w = poly_value(phi, _as_coords(u, phi.n))
+        w = poly_value(phi, as_coords(u, phi.n))
         # independent correlation path: inclusion-exclusion through the
         # symmetric difference instead of the direct intersection measure
         corr = mu - orbit_metric(sys, B, sys.shift_event(B, w)) / 2
@@ -421,7 +415,7 @@ def isometric_recurrence_search(sys, x, m: Monomial, epsilon, gens):
     else:
         raise RecurrenceError("constructive search needs a compact backend")
     ring, n, d = m.ring, m.n, m.total_degree
-    gens = tuple(tuple(ring.element(c) for c in _as_coords(g, n)) for g in gens)
+    gens = tuple(tuple(ring.element(c) for c in as_coords(g, n)) for g in gens)
     for g in gens:
         if len(g) != n:
             raise RecurrenceError(f"generator needs {n} coordinates")

@@ -26,12 +26,12 @@ map's values, already in normal form.  ``fp_probe`` (a few products),
 ``dlim_probe`` and the constructive search's ball cover (``_BallCover``,
 d^2(T^e x, T^c x) = 2(mu(x) - mu(x cap T^(c-e) x)), whose differences
 c - e may be negative) go through the correlator.  Densities
-(``folner_density``, ``window_density``, ``dlim_probe``) average over the
-canonical windows 1..N of ``folner_sets`` only; ``window_density`` filters
-them from a listing that holds them, such as a report's rows.
-``dlim_probe`` is one pass over them: it works out each element's cross
-term once and returns the whole run as a ``DensityProfile``.  The
-finite-perm and rotation kernels are integer arithmetic with one
+(``folner_density``, ``dlim_probe`` and a windowed classify) average over
+the canonical windows 1..N of ``folner_sets`` only, through one function,
+``window_means``: one pass over a listing that holds window N (window N
+itself, or a report's rows) puts each element in the bucket of the least n
+whose window holds it, and returns the whole run as a ``DensityProfile``.
+The finite-perm and rotation kernels are integer arithmetic with one
 ``Fraction`` built at the end, and decide the hit in integers; the event
 algebra (``shift_event``, ``intersection_measure``, ``measure``) stays the
 naive reference every kernel must agree with:
@@ -82,6 +82,7 @@ from .algebra import (
     RationalWindow,
     Rationals,
     VectorSpace,
+    as_coords,
     poly_value,
     window_enumerate,
 )
@@ -641,32 +642,36 @@ def folner_sets(group, N: int) -> list:
         raise SystemError("averaging window index must be >= 1")
     if isinstance(group, Integers):
         return list(range(N))
-    return window_enumerate(group, _canonical_window(group, N))
-
-
-def _canonical_window(group, N: int):
-    """The scalar window of ``folner_sets(group, N)`` for a group other
-    than the integers."""
     scalars = group.ring if isinstance(group, VectorSpace) else group
     if isinstance(scalars, PrimeField):
-        return FullWindow()
-    if isinstance(scalars, PolyRing):
-        return DegreeWindow(N)
-    if isinstance(scalars, Rationals):
-        return RationalWindow(N, N)
-    raise SystemError(f"no canonical averaging sequence for {group}")
+        window = FullWindow()
+    elif isinstance(scalars, PolyRing):
+        window = DegreeWindow(N)
+    elif isinstance(scalars, Rationals):
+        window = RationalWindow(N, N)
+    else:
+        raise SystemError(f"no canonical averaging sequence for {group}")
+    return window_enumerate(group, window)
 
 
-def _in_folner_set(group, N: int):
-    """u -> whether u lies in ``folner_sets(group, N)``, from the window's
-    bounds."""
+def _window_rank(group):
+    """u -> the least n whose canonical window ``folner_sets(group, n)``
+    holds u (below 1 when none does): u + 1 on the integers, 1 on a prime
+    field, max(number of coefficients, 1) on the polynomials,
+    max(|numerator|, denominator) on the rationals, and the largest
+    coordinate's rank on a vector space."""
     if isinstance(group, Integers):
-        return lambda u: 0 <= u < N
-    window = _canonical_window(group, N)
-    if isinstance(group, VectorSpace):
-        contains = group.ring.window_contains
-        return lambda u: all(contains(window, c) for c in u)
-    return lambda u: group.window_contains(window, u)
+        return lambda u: u + 1
+    if isinstance(group, VectorSpace) and not isinstance(group.ring, Integers):
+        rank = _window_rank(group.ring)
+        return lambda u: max(map(rank, u))
+    if isinstance(group, PrimeField):
+        return lambda c: 1
+    if isinstance(group, PolyRing):
+        return lambda c: max(len(c), 1)
+    if isinstance(group, Rationals):
+        return lambda c: max(abs(c.numerator), c.denominator)
+    raise SystemError(f"no canonical averaging sequence for {group}")
 
 
 def folner_reach(window) -> int:
@@ -692,52 +697,43 @@ class DensityProfile:
     values: tuple[Fraction, ...]
 
 
-def _window_means(f, group, N: int) -> DensityProfile:
-    """The mean of f over each of the canonical windows 1..N, exact."""
+def window_means(f, group, N: int, elements) -> DensityProfile:
+    """The mean of f over each canonical window Phi_n, n = 1..N, exact, from
+    elements, a listing that holds Phi_N (and so every Phi_n inside it):
+    ``folner_sets(group, N)`` or a report's rows.  One pass puts each element
+    in the bucket of the least n whose window holds it (``_window_rank``);
+    Phi_n's sum and size are the running totals of buckets 1..n."""
     if N < 1:
         raise SystemError("averaging window index must be >= 1")
-    out = []
+    rank = _window_rank(group)
+    sums, sizes = [0] * (N + 1), [0] * (N + 1)
+    for u in elements:
+        n = rank(u)
+        if 1 <= n <= N:
+            sizes[n] += 1
+            t = f(u)
+            if t:  # zero terms, most of a Cesaro window, are not added
+                sums[n] += t
+    out, total, size = [], 0, 0
     for n in range(1, N + 1):
-        phi = folner_sets(group, n)
-        # zero terms, most of a Cesaro window, are not added
-        out.append(Fraction(sum(filter(None, map(f, phi))), len(phi)))
-    return DensityProfile(out[-1], tuple(out))
-
-
-def window_density(member_pred, group, N: int, elements) -> DensityProfile:
-    """|S cap Phi_n| / |Phi_n| for n = 1..N, exact, with each canonical
-    window Phi_n filtered by its bounds from elements, a listing that holds
-    Phi_N (and so every Phi_n inside it), such as a report's rows."""
-    if N < 1:
-        raise SystemError("averaging window index must be >= 1")
-    out = []
-    for n in range(1, N + 1):
-        inside = list(filter(_in_folner_set(group, n), elements))
-        out.append(Fraction(sum(1 for u in inside if member_pred(u)), len(inside)))
+        total, size = total + sums[n], size + sizes[n]
+        out.append(Fraction(total, size))
     return DensityProfile(out[-1], tuple(out))
 
 
 def folner_density(member_pred, group, N: int) -> DensityProfile:
     """|S cap Phi_n| / |Phi_n| for n = 1..N, exact, read off Phi_N."""
-    return window_density(member_pred, group, N, folner_sets(group, N))
+    return window_means(lambda u: 1 if member_pred(u) else 0, group, N, folner_sets(group, N))
 
 
 def dlim_probe(sys, B, phi_map, N: int) -> DensityProfile:
     """Cesaro averages of |<T^{phi(v)}(1_B - P1_B), 1_B>|^2 over the
-    canonical windows 1..N of the map's domain, in one pass.  Exactly zero
-    on the compact backends; must decay in N for the product backend, where
-    only finitely many v contribute.  Each element's term is worked out once
-    and kept by element, so the nested windows pay once per element of
-    window N."""
-    cross = cross_terms(sys, B)
-    domain = phi_map.ring if phi_map.n == 1 else VectorSpace(phi_map.ring, phi_map.n)
-    terms: dict = {}
+    canonical windows 1..N of the map's domain, in one pass over window N.
+    Exactly zero on the compact backends; must decay in N for the product
+    backend, where only finitely many v contribute."""
+    cross, n, domain = cross_terms(sys, B), phi_map.n, phi_map.domain
 
     def term(v):
-        t = terms.get(v)
-        if t is None:
-            # scalar domain elements may themselves be tuples (polynomials)
-            terms[v] = t = cross(poly_value(phi_map, (v,) if phi_map.n == 1 else v)) ** 2
-        return t
+        return cross(poly_value(phi_map, as_coords(v, n))) ** 2
 
-    return _window_means(term, domain, N)
+    return window_means(term, domain, N, folner_sets(domain, N))

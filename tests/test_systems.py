@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from ipstar.algebra import (
     AlgebraError,
+    DegreeWindow,
     Integers,
     Monomial,
     PolyRing,
     PolynomialMap,
     PrimeField,
+    RationalWindow,
     Rationals,
     VectorSpace,
+    window_enumerate,
 )
 from ipstar.systems import (
     BernoulliSystem,
@@ -35,6 +38,7 @@ from ipstar.systems import (
     orbit_metric,
     projected_orbit_dist_sq,
     regular_system,
+    window_means,
 )
 from oracles import (
     interval_length_oracle,
@@ -602,6 +606,43 @@ def test_folner_density_profiles():
     # singleton density decays like the window
     single = folner_density(lambda x: x == 0, Integers(), 5)
     assert single.values == (F(1), F(1, 2), F(1, 3), F(1, 4), F(1, 5))
+
+
+_V2, _VQ, _V3 = VectorSpace(PolyRing(2), 2), VectorSpace(Rationals(), 2), VectorSpace(PrimeField(3), 2)
+# (group, N, a listing that holds window N and more)
+WINDOW_MEANS_CASES = {
+    "Z": (Integers(), 5, list(range(-4, 9))),
+    "F_5": (PrimeField(5), 3, folner_sets(PrimeField(5), 1)),
+    "F_3[t]": (PolyRing(3), 3, window_enumerate(PolyRing(3), DegreeWindow(4))),
+    "Q": (Rationals(), 3, window_enumerate(Rationals(), RationalWindow(4, 5))),
+    "F_2[t]^2": (_V2, 2, window_enumerate(_V2, DegreeWindow(3))),
+    "Q^2": (_VQ, 2, window_enumerate(_VQ, RationalWindow(3, 2))),
+    "F_3^2": (_V3, 2, folner_sets(_V3, 1)),
+}
+
+
+def _term(u):
+    return F(len(repr(u)) % 3, 2)  # zero on about a third of the elements
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_MEANS_CASES))
+def test_window_means_reads_each_window_off_a_larger_listing(case):
+    group, N, listing = WINDOW_MEANS_CASES[case]
+    listing = list(listing)
+    random.Random(case).shuffle(listing)
+    want = []
+    for n in range(1, N + 1):
+        window = folner_sets(group, n)
+        want.append(F(sum(map(_term, window)), len(window)))
+    prof = window_means(_term, group, N, listing)
+    assert list(prof.values) == want and prof.value == want[-1]
+
+
+def test_window_means_refuses_a_group_without_canonical_windows():
+    with pytest.raises(SystemError, match="no canonical averaging sequence"):
+        window_means(lambda u: 1, VectorSpace(Integers(), 2), 1, [(0, 0)])
+    with pytest.raises(SystemError, match=">= 1"):
+        window_means(lambda u: 1, Integers(), 0, [0])
 
 
 def _identity_map(ring):
