@@ -347,9 +347,6 @@ class VectorSpace:
     def neg(self, u: tuple) -> tuple:
         return tuple(self.ring.neg(a) for a in u)
 
-    def scale(self, a, u: tuple) -> tuple:
-        return tuple(self.ring.mul(a, c) for c in u)
-
     def _check(self, u, v):
         if len(u) != self.dim or len(v) != self.dim:
             raise AlgebraError(f"dimension mismatch in {self}")
@@ -551,24 +548,17 @@ class PolynomialMap:
 def eval_poly(phi: PolynomialMap, u: tuple):
     """Exact value of the polynomial map; eval_poly(phi, 0) is the target zero.
 
-    The coordinates are normalised once, then ``poly_value`` evaluates."""
+    The coordinates are normalised once, then the compiled form evaluates."""
     u = tuple(phi.ring.element(c) for c in u)
     if len(u) != phi.n:
         raise AlgebraError(f"polynomial map in {phi.n} variables applied to {len(u)} coordinates")
-    return poly_value(phi, u)
+    return phi.compiled(u)
 
 
 def as_coords(u, n: int) -> tuple:
     """The coordinate tuple of an element of ring^n: a scalar is wrapped,
     since a scalar may itself be a tuple (a polynomial), arity decides."""
     return (u,) if n == 1 else u
-
-
-def poly_value(phi: PolynomialMap, u: tuple):
-    """The polynomial map at normalised coordinates, such as the elements
-    ``window_enumerate`` lists, through its compiled form
-    (``PolynomialMap.compiled``), built on the map's first evaluation."""
-    return phi.compiled(u)
 
 
 def scalar_poly_map(ring: GroundRing, monomials) -> PolynomialMap:

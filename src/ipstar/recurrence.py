@@ -8,21 +8,21 @@ The headline objects are return sets
 computed member by member with exact rationals, then classified against
 r-generator finite-sums families.  Two independent assembly paths exist
 (`recurrence_set` and `theorem1_pipeline`) and must agree exactly.  Each
-lists the window once; a report keeps the scan's rows in window order and R
-as the frozenset of their hits.  ``recurrence_set`` pays per element for
-one call of the map's compiled form (``poly_value``, through
-``PolynomialMap.compiled``) and one call of the backend's kernel
-(``kernel(B, threshold)``), which returns the correlation with its hit;
-``fp_probe`` takes the compiled map and the correlator, the kernel behind a
-check of w, for its few products.  By duality R is IP*_r exactly when its
-complement holds no IP_r set, so the classification scans the non-hit rows
-in window order.  The scan takes only a pool, a budget and a resume path;
-the report holds the window, so it alone says what a verdict and a density
-claim: a "holds" decides the claim on the whole finite group
-(``RecurrenceReport.exact``) and is window-limited otherwise, and the
-exceptional set's density runs only over the canonical windows inside the
-report's window, read off its rows in one pass (``window_means``).
-Each classification replaces the report's levels.
+lists the window once; a report keeps the scan's rows in window order, and
+builds R, the frozenset of their hits, only when a caller asks for it.
+``recurrence_set`` pays per element for one call of the map's compiled form
+(``PolynomialMap.compiled``) and one call of the backend's kernel
+(``kernel(B, threshold)``), which returns the correlation with its hit and
+builds each distinct pair once; ``fp_probe`` takes the compiled map and the
+correlator, the kernel behind a check of w, for its few products.  By
+duality R is IP*_r exactly when its complement holds no IP_r set, so the
+classification scans the non-hit rows in window order.  The scan takes
+only a pool, a budget and a resume path; the report holds the window, so it
+alone says what a verdict and a density claim: a "holds" decides the claim
+on the whole finite group (``RecurrenceReport.exact``) and is
+window-limited otherwise, and the exceptional set's density runs only over
+the canonical windows inside the report's window, read off its rows in one
+pass (``window_means``).  Each classification replaces the report's levels.
 
 The constructive side (`isometric_recurrence_search`) drives the coloring
 machinery for one action, one system and one monomial: cover the tracked
@@ -45,7 +45,7 @@ from functools import cached_property, reduce
 from math import lcm
 
 from .algebra import FullWindow, Integers, Monomial, PolynomialMap, Rationals, VectorSpace, Window
-from .algebra import as_coords, poly_value, window_enumerate
+from .algebra import as_coords, window_enumerate
 from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_subset_tuples
 from .ipsets import finite_sums, is_ip_r_star, subset_folds
 from .systems import (
@@ -91,7 +91,7 @@ class RecurrenceReport:
 
     @cached_property
     def R(self) -> frozenset:
-        """The return set: the window elements whose rows are hits."""
+        """The window elements whose rows are hits, hashed on first use only."""
         return frozenset(u for u, _w, _corr, hit in self.rows if hit)
 
     @property
@@ -139,18 +139,19 @@ def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
 
 
 def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> RecurrenceReport:
-    """Exact membership scan of the return set over the window."""
+    """Exact membership scan of the return set over the window: one row
+    (u, w, corr, hit) per element, in window order; R is not built here."""
     base = _report_fields(sys, B, phi, epsilon, window)
     domain, threshold = base["domain"], base["threshold"]
     elements = tuple(window_enumerate(domain, window))
     # window elements come normalised, and so do the compiled map's values
-    kernel, n = sys.kernel(base["B"], threshold), phi.n
-    ws = (poly_value(phi, as_coords(u, n)) for u in elements)
+    kernel, value, n = sys.kernel(base["B"], threshold), phi.compiled, phi.n
+    ws = (value(as_coords(u, n)) for u in elements)
     rows = tuple((u, w, *kernel(w)) for u, w in zip(elements, ws))
-    report = RecurrenceReport(**base, elements=elements, rows=rows)
-    if domain.zero not in report.R and domain.zero in elements:
+    # every window holds zero, and zero's row is the kernel's pair at phi(0)
+    if not kernel(value(as_coords(domain.zero, n)))[1]:
         raise RecurrenceError("return set lost the zero element; broken invariant")
-    return report
+    return RecurrenceReport(**base, elements=elements, rows=rows)
 
 
 def classify_ipstar(
@@ -219,7 +220,7 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
     def in_R(u):
         if not ring.window_contains(window, u):
             return False
-        return corr_of(poly_value(phi, as_coords(u, phi.n))) > threshold
+        return corr_of(phi.compiled(as_coords(u, phi.n))) > threshold
 
     if ring.window_contains(window, ring.zero) and not in_R(ring.zero):
         raise RecurrenceError("return set lost the zero element; broken invariant")
@@ -250,7 +251,7 @@ def theorem1_pipeline(
     half = base["epsilon"] / 2
     rows, A, E = [], [], []
     for u in elements:
-        w = poly_value(phi, as_coords(u, phi.n))
+        w = phi.compiled(as_coords(u, phi.n))
         # independent correlation path: inclusion-exclusion through the
         # symmetric difference instead of the direct intersection measure
         corr = mu - orbit_metric(sys, B, sys.shift_event(B, w)) / 2

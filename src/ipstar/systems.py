@@ -25,16 +25,17 @@ check and normalisation of w, and ``correlation(B, w)`` is
 map's values, already in normal form.  ``fp_probe`` (a few products),
 ``dlim_probe`` and the constructive search's ball cover (``_BallCover``,
 d^2(T^e x, T^c x) = 2(mu(x) - mu(x cap T^(c-e) x)), whose differences
-c - e may be negative) go through the correlator.  Densities
-(``folner_density``, ``dlim_probe`` and a windowed classify) average over
-the canonical windows 1..N of ``folner_sets`` only, through one function,
-``window_means``: one pass over a listing that holds window N (window N
-itself, or a report's rows) puts each element in the bucket of the least n
-whose window holds it, and returns the whole run as a ``DensityProfile``.
-The finite-perm and rotation kernels are integer arithmetic with one
-``Fraction`` built at the end, and decide the hit in integers; the event
-algebra (``shift_event``, ``intersection_measure``, ``measure``) stays the
-naive reference every kernel must agree with:
+c - e may be negative) go through the correlator.  Densities (``dlim_probe``
+and a windowed classify) average over the canonical windows 1..N of
+``folner_sets`` only, through one function, ``window_means``: one pass over
+a listing that holds window N (window N itself, or a report's rows) puts
+each element in the bucket of the least n whose window holds it, and
+returns the whole run as a ``DensityProfile``.  The finite-perm and
+rotation kernels are integer arithmetic, decide the hit in integers, and
+build each distinct (``Fraction``, hit) pair once, keyed on integers, in a
+table that lives and dies with the kernel; the event algebra
+(``shift_event``, ``intersection_measure``, ``measure``) stays the naive
+reference every kernel must agree with:
 
 * finite-perm: the weights are integer numerators over one common
   denominator, and each generator has a cycle-position map x -> (x's
@@ -44,14 +45,17 @@ naive reference every kernel must agree with:
   cycles, the cycle's weight times popcount(m & rot(m, c)).  With more
   generators, B's points and their numerators are listed once, each call
   maps the points along their cycles, and the numerators of those landing
-  in B are summed.  The same maps build ``transform``.
+  in B are summed.  Either way the pair is keyed on the total, below
+  ``_den``.  The same maps build ``transform``.
 * rotation: the overlap of B with its turn by s is piecewise linear in
   s mod 1, with kinks only at the differences of B's endpoints.  Over B's
   common denominator D these breakpoints are integers, at most 4P^2 for P
   pieces; the kernel tables the integer overlap at each and the integer
   slope after it, once per event.  A call works out w's turn as an integer
   ratio n / M (with one angle, straight off w's numerator and
-  denominator), finds its segment by bisection and builds one ``Fraction``.
+  denominator); a turn n mod M over M met for the first time finds its
+  segment by bisection and builds one ``Fraction``; an even map gives u
+  and -u one w, so one turn.
 * Bernoulli: cylinders on disjoint coordinates are independent under the
   product measure, so for w outside D = supp(B) - supp(B) the correlation
   is mu(B)^2.  On the finite set D each correlation is worked out once,
@@ -69,6 +73,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .algebra import (
@@ -83,7 +88,6 @@ from .algebra import (
     Rationals,
     VectorSpace,
     as_coords,
-    poly_value,
     window_enumerate,
 )
 
@@ -208,9 +212,11 @@ class FinitePermSystem(_Backend):
         """w -> (mu(B cap T^w B), whether it exceeds threshold) for w in
         normal form.  T^w preserves the weights, so the correlation is the
         weight of the x in B whose image lands in B: an integer total over
-        ``_den``, compared with the threshold in integers."""
+        ``_den``, compared with the threshold in integers.  The pair is
+        built once per distinct total and tabled in the kernel."""
         den, td = self._den, threshold.denominator
         bar = threshold.numerator * den  # total / den > threshold: total * td > bar
+        pair = cache(lambda total: (Fraction(total, den), total * td > bar))
         if self.n == 1:
             # B as one bitmask per cycle it meets: T^c moves index i to
             # i + c, so the x in B landing in B are the set bits of m & rot(m, c)
@@ -226,17 +232,12 @@ class FinitePermSystem(_Backend):
                 for m, n, full, weight in rings:
                     s = c % n
                     total += weight * (m & ((m >> s | m << (n - s)) & full)).bit_count()
-                return Fraction(total, den), total * td > bar
+                return pair(total)
 
             return kernel
         xs = tuple(B)
         nums = [self._num[x] for x in xs]
-
-        def kernel(w):
-            total = sum(v for v, y in zip(nums, self._images(xs, w)) if y in B)
-            return Fraction(total, den), total * td > bar
-
-        return kernel
+        return lambda w: pair(sum(v for v, y in zip(nums, self._images(xs, w)) if y in B))
 
 
 def _cycle_positions(g: dict, p: int) -> dict:
@@ -403,7 +404,8 @@ class RotationSystem(_Backend):
         corr = (V_i * M + k_i * (n * D - beta_i * M)) / (D * M), compared
         with the threshold in integers.  With one angle rho the turn is
         read straight off w: n / M = (w.numerator * rho.numerator) /
-        (w.denominator * rho.denominator)."""
+        (w.denominator * rho.denominator).  Each turn (n mod M, M) is worked
+        out once; its pair is tabled in the kernel."""
         D = lcm(*(e.denominator for piece in B.pieces for e in piece))
         ends = [(a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
                 for a, b in B.pieces]
@@ -416,12 +418,15 @@ class RotationSystem(_Backend):
         one, turn = self.n == 1, self._turn
         rn, rd = self.rho.numerator, self.rho.denominator
 
-        def kernel(w):
-            n, M = (w.numerator * rn, w.denominator * rd) if one else turn(w)
-            n %= M
+        @cache
+        def pair(n, M):  # the turn n / M, 0 <= n < M
             i = bisect_right(starts, n * D // M) - 1
             num = values[i] * M + slopes[i] * (n * D - starts[i] * M)
             return Fraction(num, D * M), num * td > bar * M
+
+        def kernel(w):
+            n, M = (w.numerator * rn, w.denominator * rd) if one else turn(w)
+            return pair(n % M, M)
 
         return kernel
 
@@ -721,19 +726,14 @@ def window_means(f, group, N: int, elements) -> DensityProfile:
     return DensityProfile(out[-1], tuple(out))
 
 
-def folner_density(member_pred, group, N: int) -> DensityProfile:
-    """|S cap Phi_n| / |Phi_n| for n = 1..N, exact, read off Phi_N."""
-    return window_means(lambda u: 1 if member_pred(u) else 0, group, N, folner_sets(group, N))
-
-
 def dlim_probe(sys, B, phi_map, N: int) -> DensityProfile:
     """Cesaro averages of |<T^{phi(v)}(1_B - P1_B), 1_B>|^2 over the
     canonical windows 1..N of the map's domain, in one pass over window N.
     Exactly zero on the compact backends; must decay in N for the product
     backend, where only finitely many v contribute."""
-    cross, n, domain = cross_terms(sys, B), phi_map.n, phi_map.domain
+    cross, value, n, domain = cross_terms(sys, B), phi_map.compiled, phi_map.n, phi_map.domain
 
     def term(v):
-        return cross(poly_value(phi_map, as_coords(v, n))) ** 2
+        return cross(value(as_coords(v, n))) ** 2
 
     return window_means(term, domain, N, folner_sets(domain, N))

@@ -60,7 +60,7 @@ class TextFormatError(ValueError):
 
 
 def render_fraction(q) -> str:
-    q = Fraction(q)
+    q = q if isinstance(q, Fraction) else Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -89,16 +89,24 @@ def _parse_int(text: str) -> int:
 # ring and group elements
 
 
-def render_element(group, x) -> str:
+def element_renderer(group):
+    """x -> the canonical text of x, for elements of group: the group's type
+    is resolved once, so a report binds one plain function for its rows."""
     if isinstance(group, VectorSpace):
+        coord = element_renderer(group.ring)
         if group.dim == 1:
-            return render_element(group.ring, x[0])
-        return "(" + ",".join(render_element(group.ring, c) for c in x) + ")"
+            return lambda x: coord(x[0])
+        return lambda x: "(" + ",".join(map(coord, x)) + ")"
     if isinstance(group, PolyRing):
-        return "[" + ",".join(str(c) for c in x) + "]"
+        coeff = cache(str)  # each coefficient's text once per renderer
+        return lambda x: "[" + ",".join(map(coeff, x)) + "]"
     if isinstance(group, Rationals):
-        return render_fraction(x)
-    return str(x)
+        return render_fraction
+    return str
+
+
+def render_element(group, x) -> str:
+    return element_renderer(group)(x)
 
 
 def _split_top(text: str, sep: str) -> list[str]:
@@ -323,7 +331,7 @@ def _parse_label(token: str):
     return int(token) if digits.isascii() and digits.isdigit() else token
 
 
-def _parse_cycles(no: int, text: str, points) -> dict:
+def _parse_cycles(no: int, text: str, points, label) -> dict:
     """One-line cycle notation over the given point labels; omitted points
     stay fixed.  ``()`` is the identity."""
     perm = {x: x for x in points}
@@ -344,7 +352,7 @@ def _parse_cycles(no: int, text: str, points) -> dict:
             raise TextFormatError(f"line {no}: nested parenthesis in cycles")
         if not closed:
             raise TextFormatError(f"line {no}: unbalanced parenthesis in cycles")
-        cycles.append([_parse_label(t) for t in inside.split()])
+        cycles.append(list(map(label, inside.split())))
     seen = set()
     for cycle in cycles:
         for x in cycle:
@@ -392,6 +400,8 @@ def parse_system_text(text: str):
     backend = None
     fields: dict = {}
     gen_lines: list = []
+    # the point labels recur in the gen and set lines: each token is read once
+    label = cache(_parse_label)
     set_lines: dict = {}  # name -> (line number, body)
     for no, line in _content_lines(text):
         key, _, rest = line.partition(" ")
@@ -430,16 +440,17 @@ def parse_system_text(text: str):
             no_p, p_text = need("p")
             p = _parse_int(p_text)
             no_pts, pts_text = need("points")
-            points = [_parse_label(t) for t in pts_text.split()]
+            points = list(map(label, pts_text.split()))
             if "weights" in fields:
                 no_w, w_text = fields["weights"]
                 parts = w_text.split()
                 if len(parts) != len(points):
                     raise TextFormatError(f"line {no_w}: need one weight per point")
-                weights = {x: parse_fraction(t) for x, t in zip(points, parts)}
+                # each distinct token parsed once, in line order
+                weights = dict(zip(points, map(cache(parse_fraction), parts)))
             else:
                 weights = {x: Fraction(1, len(points)) for x in points}
-            gens = [_parse_cycles(no, txt, points) for no, txt in gen_lines]
+            gens = [_parse_cycles(no, txt, points, label) for no, txt in gen_lines]
             if not gens:
                 raise TextFormatError("finite-perm needs at least one gen line")
             sys = FinitePermSystem(p, points, weights, gens)
@@ -460,7 +471,7 @@ def parse_system_text(text: str):
     events = {}
     for name, (no, body) in set_lines.items():
         try:
-            events[name] = _parse_event(sys, no, body)
+            events[name] = _parse_event(sys, no, body, label)
         except TextFormatError:
             raise
         except ValueError as exc:
@@ -468,9 +479,9 @@ def parse_system_text(text: str):
     return sys, events
 
 
-def _parse_event(sys, no: int, body: str):
+def _parse_event(sys, no: int, body: str, label):
     if isinstance(sys, FinitePermSystem):
-        return sys.event(_parse_label(t) for t in body.split())
+        return sys.event(map(label, body.split()))
     if isinstance(sys, RotationSystem):
         parts = body.split()
         if len(parts) % 2:
@@ -667,34 +678,28 @@ def report_tree(report, *, generated: str | None = None) -> dict:
     tree["system"] = describe_system(report.system)
     tree["phi"] = render_poly_map(report.phi)
     tree["epsilon"] = render_fraction(report.epsilon)
+    render = element_renderer(report.domain)
     tree["R"] = {
-        "members": [render_element(report.domain, u) for u, _w, _corr, hit in report.rows if hit],
+        "members": [render(u) for u, _w, _corr, hit in report.rows if hit],
         "exact": report.exact,
     }
-    tree["classification"] = {
+    classes = {
         str(r): {
             "kind": v.kind,
             "window_limited": report.window_limited(v),
-            "witness": None
-            if v.witness is None
-            else [render_element(report.domain, g) for g in v.witness],
+            "witness": None if v.witness is None else list(map(render, v.witness)),
         }
         for r, v in sorted(report.classification.items())
     }
-    witness = None
-    for r in sorted(report.classification):
-        v = report.classification[r]
-        if v.kind == "fails" and v.witness is not None:
-            witness = [render_element(report.domain, g) for g in v.witness]
-            break
-    tree["witness"] = witness
-    if report.exceptional_density is None:
-        tree["exceptional_density"] = None
-    else:
-        tree["exceptional_density"] = {
-            str(n): render_fraction(val)
-            for n, val in enumerate(report.exceptional_density.values, start=1)
-        }
+    tree["classification"] = classes
+    tree["witness"] = next(  # the lowest failing level's
+        (c["witness"] for c in classes.values() if c["kind"] == "fails" and c["witness"] is not None),
+        None,
+    )
+    profile = report.exceptional_density
+    tree["exceptional_density"] = None if profile is None else {
+        str(n): render_fraction(val) for n, val in enumerate(profile.values, start=1)
+    }
     tree["bounds"] = {"khintchine": render_fraction(report.khintchine)}
     return tree
 
@@ -709,15 +714,14 @@ def render_recurrence_csv(report, *, generated: str | None = None) -> str:
         out.write(f"# generated: {generated}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["w", "mu_B", "corr", "threshold", "in_R"])
-    acting = report.system.acting
+    render = element_renderer(report.system.acting)
     mu, threshold = render_fraction(report.mu), render_fraction(report.threshold)
-    # a scan meets few distinct correlations; they are keyed by their
-    # integer terms, which hash faster than the Fraction itself
-    corr_text: dict = {}
-    for _u, w, corr, hit in report.rows:
-        key = corr.numerator, corr.denominator
-        text = corr_text.get(key)
-        if text is None:
-            corr_text[key] = text = render_fraction(corr)
-        writer.writerow([render_element(acting, w), mu, text, threshold, "true" if hit else "false"])
+    # the rows share the kernel's Fractions, one per distinct pair, and keep
+    # them all alive, so an id names one value: each is rendered once
+    texts: dict = {}
+    writer.writerows(
+        [render(w), mu, texts.get(id(corr)) or texts.setdefault(id(corr), render_fraction(corr)),
+         threshold, "true" if hit else "false"]
+        for _u, w, corr, hit in report.rows
+    )
     return out.getvalue()

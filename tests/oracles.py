@@ -8,7 +8,14 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from ipstar.algebra import Monomial, VectorSpace, eval_monomial, telescope_expansion
+from ipstar.algebra import (
+    Monomial,
+    PolyRing,
+    Rationals,
+    VectorSpace,
+    eval_monomial,
+    telescope_expansion,
+)
 from ipstar.halesjewett import Line, SubsetConfig
 from ipstar.ipsets import subset_folds
 from ipstar.search import (
@@ -19,7 +26,7 @@ from ipstar.search import (
     Cut,
     prefix_search,
 )
-from ipstar.systems import RotationSystem, orbit_metric
+from ipstar.systems import DensityProfile, RotationSystem, folner_sets, orbit_metric
 
 
 def naive_subset_sums(group, gens):
@@ -63,6 +70,37 @@ def naive_window_density(members, window_elements):
     members = set(members)
     hit = sum(1 for x in window_elements if x in members)
     return Fraction(hit, len(window_elements))
+
+
+def folner_density(member_pred, group, N: int) -> DensityProfile:
+    """|S cap Phi_n| / |Phi_n| for n = 1..N, each canonical window listed
+    afresh by ``folner_sets`` and counted directly."""
+    values = []
+    for n in range(1, N + 1):
+        window = folner_sets(group, n)
+        values.append(Fraction(sum(1 for u in window if member_pred(u)), len(window)))
+    return DensityProfile(values[-1], tuple(values))
+
+
+def vector_scale(V: VectorSpace, a, u: tuple) -> tuple:
+    """a * u in the vector space V, coordinate by coordinate."""
+    return tuple(V.ring.mul(a, c) for c in u)
+
+
+def reference_render_element(group, x) -> str:
+    """The canonical text of an element, worked out afresh at every call:
+    the group's type dispatched per element, each coordinate recursed into,
+    each rational rebuilt as a ``Fraction``."""
+    if isinstance(group, VectorSpace):
+        if group.dim == 1:
+            return reference_render_element(group.ring, x[0])
+        return "(" + ",".join(reference_render_element(group.ring, c) for c in x) + ")"
+    if isinstance(group, PolyRing):
+        return "[" + ",".join(str(c) for c in x) + "]"
+    if isinstance(group, Rationals):
+        q = Fraction(x)
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return str(x)
 
 
 def interval_length_oracle(pieces):

@@ -48,7 +48,6 @@ from ipstar.systems import (
     RotationSystem,
     compact_projection,
     dlim_probe,
-    folner_density,
     khintchine_bound,
     regular_system,
 )
@@ -57,7 +56,14 @@ from ipstar.textio import (
     coloring_certificate,
     render_certificate,
 )
-from oracles import all_lines, config_points, psi_decode, reports_agree, telescope_check
+from oracles import (
+    all_lines,
+    config_points,
+    folner_density,
+    psi_decode,
+    reports_agree,
+    telescope_check,
+)
 
 Q = Rationals()
 F5 = PrimeField(5)

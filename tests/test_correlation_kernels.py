@@ -13,7 +13,10 @@ value must equal ``correlation(B, w)``, the naive event algebra,
 ``intersection_measure(B, shift_event(B, w))``, and an oracle from
 ``tests/oracles.py`` or a closed form that shares no code with either.
 Rotation turns are also drawn on the breakpoints and just either side of
-them, where the table switches segment.
+them, where the table switches segment.  Each ``kernel(B, threshold)``
+tables one (corr, hit) pair per distinct key; a shuffled window whose w
+repeat must get the oracle's pair on every call, and kernels for other
+events or thresholds on the same system must keep tables of their own.
 """
 
 from fractions import Fraction as F
@@ -23,7 +26,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipstar.algebra import AlgebraError, DegreeWindow, PolyRing, window_enumerate
+from ipstar.algebra import (
+    AlgebraError,
+    DegreeWindow,
+    PolyRing,
+    RationalWindow,
+    Rationals,
+    window_enumerate,
+)
 from ipstar.systems import BernoulliSystem, FinitePermSystem, IntervalUnion, RotationSystem
 from oracles import (
     interval_length_oracle,
@@ -363,10 +373,9 @@ def bernoulli_cases(draw):
     return sys, sys.event(constraints), ws, constraints
 
 
-@SETTINGS
-@given(bernoulli_cases())
-def test_bernoulli_kernel_matches_cylinder_oracle(case):
-    sys, B, ws, constraints = case
+def _cylinder_oracle(sys, constraints):
+    """w -> mu(B cap T^w B) for the cylinder of the constraints, from the
+    letter sets of B and its shift, met on normalised coordinates."""
 
     def want(w):
         table = {}  # B's constraints and its shift's, on normalised coordinates
@@ -376,7 +385,14 @@ def test_bernoulli_kernel_matches_cylinder_oracle(case):
                 table[moved] = table[moved] & ls if moved in table else set(ls)
         return _cylinder_prob(sys.base, table)
 
-    _agree(sys, B, ws, want)
+    return want
+
+
+@SETTINGS
+@given(bernoulli_cases())
+def test_bernoulli_kernel_matches_cylinder_oracle(case):
+    sys, B, ws, constraints = case
+    _agree(sys, B, ws, _cylinder_oracle(sys, constraints))
 
 
 def test_bernoulli_disjoint_supports_are_independent():
@@ -395,3 +411,74 @@ def test_bernoulli_disjoint_supports_are_independent():
     empty = sys.event({(1,): set()})
     assert raw == empty and sys.measure(empty) == 0
     assert sys.correlation(empty, (1,)) == sys.correlation(empty, (0, 0, 1)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the kernels' tables: one pair per distinct key, kept by each kernel alone
+
+SMALL_WINDOW = window_enumerate(Rationals(), RationalWindow(2, 2))  # -2..2 and +-1/2
+
+
+@st.composite
+def tabled_cases(draw):
+    """(system, [(B, oracle), (B', oracle')], ws, thresholds): one of the
+    five kernels (finite-perm with one generator or two, a rotation by one
+    angle or two, Bernoulli), two events on it, and a window of w in normal
+    form, squared coordinate by coordinate (so u and -u share w) or listed
+    twice, in a drawn order.  A threshold is either a correlation met in the
+    window, which is then a miss, or any rational."""
+    kind = draw(st.sampled_from(["perm1", "perm2", "rot1", "rot2", "bernoulli"]))
+    if kind in ("perm1", "perm2"):
+        sys, B, _ = draw(one_generator_perm_cases() if kind == "perm1" else perm_cases())
+        B2 = sys.event(draw(st.frozensets(st.sampled_from(sys.points))))
+        p = sys.p
+        if kind == "perm1":
+            c = draw(st.integers(1, p - 1))
+            ws = [c * u * u % p for u in range(p)]
+        else:
+            ws = [(u * u % p, v * v % p) for u, v in product(range(p), repeat=2)]
+        events = [(E, lambda w, E=E: _perm_oracle(sys, E, w)) for E in (B, B2)]
+    elif kind in ("rot1", "rot2"):
+        n = 1 if kind == "rot1" else 2
+        rhos = tuple(draw(SMALL) for _ in range(n))
+        sys = RotationSystem(rhos if n > 1 else rhos[0])
+        pieces = st.lists(st.tuples(ENDPOINTS, ENDPOINTS), max_size=3)
+        events = [(E, _interval_oracle(E.pieces, rhos)) for E in (sys.event(draw(pieces)) for _ in "ab")]
+        ws = ([u * u for u in SMALL_WINDOW] if n == 1
+              else [(a * a, b * b) for a, b in product(SMALL_WINDOW, repeat=2)])
+    else:
+        sys, B, _, constraints = draw(bernoulli_cases())
+        kept = draw(st.sets(st.sampled_from(sorted(constraints)))) if constraints else set()
+        fewer = {c: ls for c, ls in constraints.items() if c in kept}
+        events = [(B, _cylinder_oracle(sys, constraints)),
+                  (sys.event(fewer), _cylinder_oracle(sys, fewer))]
+        ws = window_enumerate(sys.ring, DegreeWindow(3)) * 2
+    met = sorted({events[0][1](w) for w in ws})
+    thresholds = [draw(st.sampled_from(met) | st.fractions(-1, 1, max_denominator=30)) for _ in "ab"]
+    return sys, events, draw(st.permutations(ws)), thresholds
+
+
+def _is_pair(pair, want, threshold):
+    corr, hit = pair
+    return isinstance(corr, F) and corr == want and hit == (want > threshold)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tabled_cases())
+def test_a_kernel_returns_the_oracle_pair_on_every_call(case):
+    sys, [(B, want), _], ws, [threshold, _] = case
+    kernel = sys.kernel(B, threshold)
+    for w in ws:
+        assert _is_pair(kernel(w), want(w), threshold)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tabled_cases())
+def test_kernels_on_one_system_do_not_share_a_table(case):
+    # another event under the same threshold, and the same event under
+    # another threshold, called in turn over the same w
+    sys, [(B, want), (B2, want2)], ws, [t, t2] = case
+    kernels = [(sys.kernel(B, t), want, t), (sys.kernel(B2, t), want2, t), (sys.kernel(B, t2), want, t2)]
+    for w in ws:
+        for kernel, want_of, threshold in kernels:
+            assert _is_pair(kernel(w), want_of(w), threshold)

@@ -14,7 +14,9 @@ with a one- and a two-variable map; a rotation over a rational window, and
 one by two angles; and a Bernoulli system whose window holds shifts w both
 inside and outside supp(B) - supp(B).  The maps reach every compiled form:
 over F_p with exponents >= p, over Q with rational coefficients, over
-F_p[t], and into a vector group from one and from two variables.
+F_p[t], and into a vector group from one and from two variables.  Three
+instances run at the size of the benchmark's windows, where many rows share
+one w, one correlation or one weight token.
 """
 
 import contextlib
@@ -38,6 +40,18 @@ PERM2 = (
 ROT = "backend rotation\nrho 2/7\nset B 1/12 1/3 1/2 3/4\n"
 ROT2 = "backend rotation\nrho 2/7 -1/3\nset B 1/12 1/3 1/2 3/4\n"
 BERN = "backend bernoulli\np 2\nprobs 1/3 2/3\nset B []:0 [0,1]:1 [1,1]:0\n"
+
+
+def _big_perm(p=251):
+    """505 points: two p-cycles and three fixed points, whose weights line
+    repeats four tokens over one denominator (2p + p + 10 = 763)."""
+    points = range(2 * p + 3)
+    weights = ["2/763"] * p + ["1/763"] * p + ["3/763", "4/763", "3/763"]
+    cycle = lambda r: "(" + " ".join(map(str, r)) + ")"
+    B = [x for x in points if x % 3 == 0 or x % 7 == 2]
+    return (f"backend finite-perm\np {p}\npoints {' '.join(map(str, points))}\n"
+            f"weights {' '.join(weights)}\ngen {cycle(range(p))}{cycle(range(p, 2 * p))}\n"
+            f"set B {' '.join(map(str, B))}\n")
 
 
 def _steps(phi, epsilon, window, gens, N):
@@ -66,6 +80,12 @@ INSTANCES = {
     "rot2": (ROT2, _steps("u*(1,2) + 1/2*u^2*(-1/3,1)", "1/100", "rat 4 3", "1/2,2", 3)),
     "rot2-xy": (ROT2, [["recurrence", "phi=x1*(1,0) + 2/3*x1*x2^2*(1/2,1)", "epsilon=1/100",
                         "window=rat 2 2", "output=out"]]),
+    # at benchmark scale: an even map on a rotation, so u and -u share w
+    # (1,295 elements, 648 distinct w), a Bernoulli window of 2,048
+    # elements, and a 505-point finite-perm system
+    "rot-even": (ROT, _steps("2*u^2", "1/100", "rat 32 32", "1/2,2,3/4", 4)),
+    "bern-deg": (BERN, _steps("u", "1/1000", "deg 11", "[0,1],[1,0,1]", 6)),
+    "perm-big": (_big_perm(), _steps("2*u^2 + u", "1/100", "full", "1,2,3", 2)),
 }
 
 
@@ -325,6 +345,97 @@ GOLDEN.update({'perm1-high': [(0,
               'R: 29 of 49 window elements\n'
               'wrote out/recurrence.csv\n',
               {'recurrence.csv': '4aca1ead055a9351f91aa3227396a6d09b34c75c887da6679f98cfad257695e5'})]})
+
+# the benchmark-scale instances, pinned from the scans that built a
+# correlation and rendered a value once per row
+GOLDEN.update({'bern-deg': [(0,
+               'system: bernoulli p=2 probs=1/3,2/3\n'
+               'phi: u\n'
+               'mu(B) = 2/27\n'
+               'threshold = 3271/729000\n'
+               'R: 2046 of 2048 window elements\n'
+               'wrote out/recurrence.csv\n',
+               {'recurrence.csv': 'cf0f679044a49aa0eb190f8b6b9e841d1134f2804eac4b943b94e56789452dc1'}),
+              (0,
+               'system: bernoulli p=2 probs=1/3,2/3\n'
+               'phi: u\n'
+               'mu(B) = 2/27\n'
+               'threshold = 3271/729000\n'
+               'R: 2046 of 2048 window elements\n'
+               'wrote out/recurrence.json\n',
+               {'recurrence.csv': 'cf0f679044a49aa0eb190f8b6b9e841d1134f2804eac4b943b94e56789452dc1',
+                'recurrence.json': '10d2cde1e8a2beee6fbea05be0b0b4e0a7ff2a237a1b7f66dc9a24f81bc6e886'}),
+              (0,
+               'products: [0,1],[1,0,1],[0,1,0,1]\n'
+               'witnesses: [1,0,1],[0,1,0,1]\n'
+               'intersects: true\n',
+               {'recurrence.csv': 'cf0f679044a49aa0eb190f8b6b9e841d1134f2804eac4b943b94e56789452dc1',
+                'recurrence.json': '10d2cde1e8a2beee6fbea05be0b0b4e0a7ff2a237a1b7f66dc9a24f81bc6e886'}),
+              (0,
+               'dlim over N=1..6\n'
+               'N=1: 1258/531441\n'
+               'N=2: 889/531441\n'
+               'N=3: 889/1062882\n'
+               'N=4: 889/2125764\n'
+               'N=5: 889/4251528\n'
+               'N=6: 889/8503056\n',
+               {'recurrence.csv': 'cf0f679044a49aa0eb190f8b6b9e841d1134f2804eac4b943b94e56789452dc1',
+                'recurrence.json': '10d2cde1e8a2beee6fbea05be0b0b4e0a7ff2a237a1b7f66dc9a24f81bc6e886'})],
+ 'perm-big': [(0,
+               'system: finite-perm p=251 points=505 gens=1\n'
+               'phi: 2*u^2 + u\n'
+               'mu(B) = 3/7\n'
+               'threshold = 851/4900\n'
+               'R: 122 of 251 window elements\n'
+               'wrote out/recurrence.csv\n',
+               {'recurrence.csv': '6a9a5f2a39af5294e28c31c726ca8ddd63f40ab0d8d1e4b0febe09ce03390c40'}),
+              (0,
+               'system: finite-perm p=251 points=505 gens=1\n'
+               'phi: 2*u^2 + u\n'
+               'mu(B) = 3/7\n'
+               'threshold = 851/4900\n'
+               'R: 122 of 251 window elements\n'
+               'wrote out/recurrence.json\n',
+               {'recurrence.csv': '6a9a5f2a39af5294e28c31c726ca8ddd63f40ab0d8d1e4b0febe09ce03390c40',
+                'recurrence.json': '51475ba8fd5df9dbb9f26dfcbaa0ea20f260835c26ae0c162bebaefb6ec769bb'}),
+              (0,
+               'products: 1,2,2,3,3,6,6\n'
+               'witnesses: 1,3,3,6,6\n'
+               'intersects: true\n',
+               {'recurrence.csv': '6a9a5f2a39af5294e28c31c726ca8ddd63f40ab0d8d1e4b0febe09ce03390c40',
+                'recurrence.json': '51475ba8fd5df9dbb9f26dfcbaa0ea20f260835c26ae0c162bebaefb6ec769bb'}),
+              (0,
+               'dlim over N=1..2\nN=1: 0\nN=2: 0\n',
+               {'recurrence.csv': '6a9a5f2a39af5294e28c31c726ca8ddd63f40ab0d8d1e4b0febe09ce03390c40',
+                'recurrence.json': '51475ba8fd5df9dbb9f26dfcbaa0ea20f260835c26ae0c162bebaefb6ec769bb'})],
+ 'rot-even': [(0,
+               'system: rotation rho=2/7\n'
+               'phi: 2*u^2\n'
+               'mu(B) = 1/2\n'
+               'threshold = 6/25\n'
+               'R: 755 of 1295 window elements\n'
+               'wrote out/recurrence.csv\n',
+               {'recurrence.csv': '7ea38715a8aa5d43af65aafd6e6f3235267fe6327b1c170aa21560d3e8a9d943'}),
+              (0,
+               'system: rotation rho=2/7\n'
+               'phi: 2*u^2\n'
+               'mu(B) = 1/2\n'
+               'threshold = 6/25\n'
+               'R: 755 of 1295 window elements\n'
+               'wrote out/recurrence.json\n',
+               {'recurrence.csv': '7ea38715a8aa5d43af65aafd6e6f3235267fe6327b1c170aa21560d3e8a9d943',
+                'recurrence.json': '0d4390b9f7fb70b45e4e279d8a5b79a2834c7d41e28ce64aafeb1f55712a851a'}),
+              (0,
+               'products: 1/2,2,1,3/4,3/8,3/2,3/4\n'
+               'witnesses: 1,3/8\n'
+               'intersects: true\n',
+               {'recurrence.csv': '7ea38715a8aa5d43af65aafd6e6f3235267fe6327b1c170aa21560d3e8a9d943',
+                'recurrence.json': '0d4390b9f7fb70b45e4e279d8a5b79a2834c7d41e28ce64aafeb1f55712a851a'}),
+              (0,
+               'dlim over N=1..4\nN=1: 0\nN=2: 0\nN=3: 0\nN=4: 0\n',
+               {'recurrence.csv': '7ea38715a8aa5d43af65aafd6e6f3235267fe6327b1c170aa21560d3e8a9d943',
+                'recurrence.json': '0d4390b9f7fb70b45e4e279d8a5b79a2834c7d41e28ce64aafeb1f55712a851a'})]})
+
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_golden_outputs(name, tmp_path, monkeypatch):

@@ -44,6 +44,7 @@ from ipstar.textio import report_tree
 from oracles import naive_map_value, naive_rotation_return_sq, reports_agree
 from test_ip_scan import MAX_TUPLES, reference_is_ip_r_star
 
+F3 = PrimeField(3)
 F5 = PrimeField(5)
 Q = Rationals()
 R2 = PolyRing(2)
@@ -130,6 +131,51 @@ def test_recurrence_set_zero_always_in_R():
         eps = F(1, rng.randrange(2, 200))
         rep = recurrence_set(s, B, phi, eps, FullWindow())
         assert 0 in rep.R
+
+
+PERM2_GRID = FinitePermSystem(
+    3, range(9), {x: F(1, 9) for x in range(9)},
+    [{x: 3 * (x // 3) + (x + 1) % 3 for x in range(9)}, {x: (x + 3) % 9 for x in range(9)}],
+)
+# (system, B, map, window) per backend, and a vector-space domain on two
+ZERO_CASES = {
+    "finite-perm": (regular_system(5), {0, 1}, SQUARE_5, FullWindow()),
+    "finite-perm-vector": (
+        PERM2_GRID, {0, 1, 4},
+        PolynomialMap(F3, 2, VectorSpace(F3, 2),
+                      ((Monomial(F3, 1, (1, 0)), (1, 0)), (Monomial(F3, 1, (1, 1)), (0, 1)))),
+        FullWindow(),
+    ),
+    "rotation": (RotationSystem(F(2, 7)), [(F(1, 12), F(1, 3))], power_map(Q, 1, 2),
+                 RationalWindow(2, 2)),
+    "rotation-vector": (
+        RotationSystem((F(2, 7), F(-1, 3))), [(F(1, 12), F(1, 3))],
+        PolynomialMap(Q, 2, VectorSpace(Q, 2),
+                      ((Monomial(Q, 1, (1, 0)), (1, 0)), (Monomial(Q, 1, (1, 1)), (0, 1)))),
+        RationalWindow(1, 2),
+    ),
+    "bernoulli": (BernoulliSystem(2, [F(1, 3), F(2, 3)]), {(): {0}, (0, 1): {1}}, IDENT_P2,
+                  DegreeWindow(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_CASES))
+def test_recurrence_set_refuses_a_kernel_that_misjudges_zero(name, monkeypatch):
+    # the scan checks zero's pair once, not R: a kernel that calls w = 0 a
+    # miss, and only that w, must still trip the invariant
+    sys, B, phi, window = ZERO_CASES[name]
+    rep = recurrence_set(sys, B, phi, F(1, 100), window)
+    assert rep.rows and "R" not in vars(rep)  # R is hashed on first use only
+    kernel = type(sys).kernel
+    zero = sys.acting.zero
+
+    def misjudging(self, B, threshold):
+        k = kernel(self, B, threshold)
+        return lambda w: (k(w)[0], False) if w == zero else k(w)
+
+    monkeypatch.setattr(type(sys), "kernel", misjudging)
+    with pytest.raises(RecurrenceError, match="return set lost the zero element"):
+        recurrence_set(sys, B, phi, F(1, 100), window)
 
 
 def test_recurrence_set_epsilon_monotone():

@@ -32,7 +32,6 @@ from ipstar.systems import (
     compact_projection,
     cross_terms,
     dlim_probe,
-    folner_density,
     folner_sets,
     khintchine_bound,
     orbit_metric,
@@ -41,6 +40,7 @@ from ipstar.systems import (
     window_means,
 )
 from oracles import (
+    folner_density,
     interval_length_oracle,
     naive_bernoulli_cylinder_prob,
     naive_dlim_values,

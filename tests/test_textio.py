@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import plain_coloring_search
+from oracles import plain_coloring_search, reference_render_element
 
 from ipstar import cli
 
@@ -40,6 +40,7 @@ from ipstar.textio import (
     check_certificate,
     coloring_certificate,
     describe_system,
+    element_renderer,
     parse_certificate,
     parse_element,
     parse_family,
@@ -183,6 +184,48 @@ def test_element_roundtrip_randomized():
         assert parse_element(grp, render_element(grp, x)) == x
 
 
+GROUND_RINGS = [Integers(), PrimeField(2), F5, PrimeField(7), Q, R2, PolyRing(3)]
+
+
+def _scalars(ring):
+    """Normalised elements of a ground ring: Q's negative, integral and
+    non-integral; F_p[t]'s the zero polynomial and coefficient lists."""
+    if isinstance(ring, Integers):
+        return st.integers(-10**12, 10**12)
+    if isinstance(ring, PrimeField):
+        return st.integers(0, ring.p - 1)
+    if isinstance(ring, Rationals):
+        return (st.integers(-50, 50).map(F)
+                | st.fractions(-10**6, 10**6, max_denominator=10**4)
+                | st.sampled_from([F(0), F(-1, 2), F(-7)]))
+    return st.just(()) | st.lists(st.integers(0, ring.p - 1), max_size=7).map(ring.element)
+
+
+@st.composite
+def group_elements(draw):
+    """(group, elements): a ground ring or a vector space of dimension 1-3
+    over one, and up to eight of its elements, repeats allowed."""
+    ring = draw(st.sampled_from(GROUND_RINGS))
+    dim = draw(st.sampled_from([None, 1, 2, 3]))
+    if dim is None:
+        return ring, draw(st.lists(_scalars(ring), min_size=1, max_size=8))
+    group = VectorSpace(ring, dim)
+    vector = st.tuples(*[_scalars(ring)] * dim).map(group.element)
+    return group, draw(st.lists(vector, min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_elements())
+def test_element_renderer_matches_the_reference(case):
+    # one renderer bound per group renders every element, as a report does
+    group, xs = case
+    render = element_renderer(group)
+    for x in xs:
+        text = render(x)
+        assert text == reference_render_element(group, x) == render_element(group, x)
+        assert parse_element(group, text) == x
+
+
 def test_element_parse_rejections():
     with pytest.raises(TextFormatError, match="coefficient list"):
         parse_element(R2, "0,1")
@@ -244,6 +287,18 @@ def test_finite_perm_system_roundtrip():
     assert sys2.weights == s.weights
     assert events["B"] == frozenset({0, 1})
     assert render_system_text(sys2, events) == text
+
+
+def test_weights_line_reads_each_token_once_and_reports_the_first_bad_one():
+    head = "backend finite-perm\np 2\npoints a b c d\n"
+    tail = "gen (a b)(c d)\nset B a c\n"
+    sys, events = parse_system_text(head + "weights 1/8 1/8 3/8 3/8\n" + tail)
+    assert sys.weights == {"a": F(1, 8), "b": F(1, 8), "c": F(3, 8), "d": F(3, 8)}
+    assert sys.weights["a"] is sys.weights["b"]  # one parse per distinct token
+    assert sys.measure(events["B"]) == F(1, 2)
+    for line, bad in [("1/8 x 1/8 y", "'x'"), ("1/8 1/8 y x", "'y'"), ("1/0 x 1/0 x", "zero denominator")]:
+        with pytest.raises(TextFormatError, match=bad):
+            parse_system_text(head + f"weights {line}\n" + tail)
 
 
 def test_finite_perm_multi_cycle_and_default_weights():
