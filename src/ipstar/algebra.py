@@ -36,7 +36,11 @@ search modules are deterministic:
   most significant (last coordinate varies fastest)
 
 A ground ring's ``window_contains`` method decides whether an element lies
-in a window from the window's bounds, without listing it.
+in a window from the window's bounds, without listing it, and a group's
+``window_size`` bounds the number of elements from above the same way:
+exactly, except on the rationals, where (2A+1)*B counts every a/b before
+reduction.  ``check_window_size`` refuses, before anything is listed, a
+window that may hold more than ``SIZE_CAP`` elements.
 """
 
 from __future__ import annotations
@@ -149,6 +153,10 @@ class PrimeField:
         _expect_window(self, window, FullWindow)
         return True
 
+    def window_size(self, window: Window) -> int:
+        _expect_window(self, window, FullWindow)
+        return self.p
+
     def __str__(self):
         return f"F_{self.p}"
 
@@ -187,6 +195,10 @@ class Integers(_ExactNumbers):
         _expect_window(self, window, IntegerWindow)
         return abs(a) <= window.bound
 
+    def window_size(self, window: Window) -> int:
+        _expect_window(self, window, IntegerWindow)
+        return 2 * window.bound + 1
+
     def __str__(self):
         return "Z"
 
@@ -220,6 +232,10 @@ class Rationals(_ExactNumbers):
     def window_contains(self, window: Window, a: Fraction) -> bool:
         _expect_window(self, window, RationalWindow)
         return abs(a.numerator) <= window.num_bound and a.denominator <= window.den_bound
+
+    def window_size(self, window: Window) -> int:
+        _expect_window(self, window, RationalWindow)
+        return (2 * window.num_bound + 1) * window.den_bound
 
     def __str__(self):
         return "Q"
@@ -299,6 +315,10 @@ class PolyRing:
         _expect_window(self, window, DegreeWindow)
         return len(a) <= window.deg_bound
 
+    def window_size(self, window: Window) -> int:
+        _expect_window(self, window, DegreeWindow)
+        return self.p**window.deg_bound
+
     def __str__(self):
         return f"F_{self.p}[t]"
 
@@ -355,6 +375,9 @@ class VectorSpace:
         scalars = self.ring.enumerate_window(window)
         return [tuple(v) for v in itertools.product(scalars, repeat=self.dim)]
 
+    def window_size(self, window: Window) -> int:
+        return self.ring.window_size(window) ** self.dim
+
     def __str__(self):
         return f"{self.ring}^{self.dim}"
 
@@ -366,6 +389,21 @@ Group = GroundRing | VectorSpace
 def window_enumerate(group: Group, window: Window) -> list:
     """All window elements, each exactly once, in the frozen canonical order."""
     return group.enumerate_window(window)
+
+
+SIZE_CAP = 1 << 20  # the most window elements listed, or words a search colours
+
+
+def check_window_size(group: Group, window: Window) -> None:
+    """Refuse a window of more than ``SIZE_CAP`` elements, by its
+    ``window_size`` bound, before anything is listed."""
+    size = group.window_size(window)
+    if size > SIZE_CAP:
+        # str() refuses ints of more than 4,300 digits: name a power of two above
+        shown = size if size < 10**18 else f"2^{size.bit_length()}"
+        raise AlgebraError(
+            f"window of {group} holds up to {shown} elements, more than the cap of {SIZE_CAP}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -630,8 +630,9 @@ def _run_search(cfg, resume_file) -> int:
 def _run_density(cfg, resume_file) -> int:
     sys_, B, phi = _mapped_inputs(cfg)
     N = cfg.values["N"]
+    profile = dlim_probe(sys_, B, phi, N)  # before any output: a refusal prints nothing
     print(f"dlim over N=1..{N}")
-    for n, value in enumerate(dlim_probe(sys_, B, phi, N).values, start=1):
+    for n, value in enumerate(profile.values, start=1):
         print(f"N={n}: {render_fraction(value)}")
     return 0
 

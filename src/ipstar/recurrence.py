@@ -45,8 +45,8 @@ from functools import cached_property, reduce
 from math import lcm
 
 from .algebra import FullWindow, Integers, Monomial, PolynomialMap, Rationals, VectorSpace, Window
-from .algebra import as_coords, window_enumerate
-from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_subset_tuples
+from .algebra import SIZE_CAP, as_coords, check_window_size, window_enumerate
+from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_gather
 from .ipsets import finite_sums, is_ip_r_star, subset_folds
 from .systems import (
     DensityProfile,
@@ -59,9 +59,6 @@ from .systems import (
     projected_orbit_dist_sq,
     window_means,
 )
-
-SEARCH_SPACE_CAP = 1 << 20
-
 
 class RecurrenceError(ValueError):
     """Inputs outside what the exact machinery can decide."""
@@ -143,6 +140,7 @@ def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> Recur
     (u, w, corr, hit) per element, in window order; R is not built here."""
     base = _report_fields(sys, B, phi, epsilon, window)
     domain, threshold = base["domain"], base["threshold"]
+    check_window_size(domain, window)
     elements = tuple(window_enumerate(domain, window))
     # window elements come normalised, and so do the compiled map's values
     kernel, value, n = sys.kernel(base["B"], threshold), phi.compiled, phi.n
@@ -246,6 +244,7 @@ def theorem1_pipeline(
     """
     base = _report_fields(sys, B, phi, epsilon, window)
     B, mu, threshold = base["B"], base["mu"], base["threshold"]
+    check_window_size(base["domain"], window)
     elements = tuple(window_enumerate(base["domain"], window))
     cross_of = cross_terms(sys, B)
     half = base["epsilon"] / 2
@@ -423,7 +422,7 @@ def isometric_recurrence_search(sys, x, m: Monomial, epsilon, gens):
     r = len(gens)
     if r < 1:
         raise RecurrenceError("need at least one generator")
-    if (1 << d) ** r > SEARCH_SPACE_CAP:
+    if (1 << d) ** r > SIZE_CAP:
         raise RecurrenceError("search space too large; fewer generators or lower degree")
     if isinstance(sys, RotationSystem) and not isinstance(ring, (Rationals, Integers)):
         raise RecurrenceError("rotation search needs a monomial over Q or Z")
@@ -431,7 +430,9 @@ def isometric_recurrence_search(sys, x, m: Monomial, epsilon, gens):
     # cells of width epsilon / 2^(d-1): the telescoping chain over the
     # 2^(d-1) same-cell pairs then stays under epsilon
     cells, used = _cells(sys, m, x, epsilon / (1 << (d - 1)), gens)
-    colors = list(map(cells.__getitem__, word_subset_tuples(d, r)))
+    colors = word_gather(d, r)(cells)
+    # (2^d)^r >= 2 indices, so the itemgetter returns a tuple, not one item
+    assert isinstance(colors, tuple)
     line = first_mono_line(1 << d, r, colors)
     proof_bound = f"hj({1 << d}, {used})"
     suff = _sufficient_length(sys, m)

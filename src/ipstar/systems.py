@@ -21,16 +21,16 @@ Each backend has one kernel per event, ``kernel(B, threshold)``: w ->
 The work that depends only on (system, B) is done once, and each call pays
 only for what depends on w.  ``correlator(B)`` is that kernel behind the
 check and normalisation of w, and ``correlation(B, w)`` is
-``correlator(B)(w)``.  ``recurrence_set`` feeds the kernel the compiled
-map's values, already in normal form.  ``fp_probe`` (a few products),
-``dlim_probe`` and the constructive search's ball cover (``_BallCover``,
-d^2(T^e x, T^c x) = 2(mu(x) - mu(x cap T^(c-e) x)), whose differences
-c - e may be negative) go through the correlator.  Densities (``dlim_probe``
-and a windowed classify) average over the canonical windows 1..N of
-``folner_sets`` only, through one function, ``window_means``: one pass over
-a listing that holds window N (window N itself, or a report's rows) puts
-each element in the bucket of the least n whose window holds it, and
-returns the whole run as a ``DensityProfile``.  The finite-perm and
+``correlator(B)(w)``.  ``recurrence_set`` and the Bernoulli ``dlim_probe``
+feed the kernel the compiled map's values, already in normal form.
+``fp_probe`` (a few products) and the constructive search's ball cover
+(``_BallCover``, d^2(T^e x, T^c x) = 2(mu(x) - mu(x cap T^(c-e) x)), whose
+differences c - e may be negative) go through the correlator.  Densities
+(``dlim_probe`` and a windowed classify) average over the canonical windows
+1..N of ``folner_sets`` only, through one function, ``window_means``: one
+pass over a listing that holds window N (window N itself, or a report's
+rows) puts each element in the bucket of the least n whose window holds it,
+and returns the whole run as a ``DensityProfile``.  The finite-perm and
 rotation kernels are integer arithmetic, decide the hit in integers, and
 build each distinct (``Fraction``, hit) pair once, keyed on integers, in a
 table that lives and dies with the kernel; the event algebra
@@ -88,6 +88,7 @@ from .algebra import (
     Rationals,
     VectorSpace,
     as_coords,
+    check_window_size,
     window_enumerate,
 )
 
@@ -141,14 +142,20 @@ class FinitePermSystem(_Backend):
             raise SystemError("duplicate point labels")
         if set(weights) != set(self.points):
             raise SystemError("weights must cover exactly the point set")
-        # Fraction(w) rebuilds a Fraction, so those are kept as given
-        self.weights = {x: w if isinstance(w := weights[x], Fraction) else Fraction(w)
-                        for x in self.points}
+        # each distinct weight object is converted and scaled once (a parsed
+        # file shares one per token); Fraction(w) rebuilds a Fraction, so
+        # those are kept as given
+        given = list(map(weights.__getitem__, self.points))
+        keys = list(map(id, given))
+        fracs = {k: w if isinstance(w, Fraction) else Fraction(w)
+                 for k, w in dict(zip(keys, given)).items()}
         # the weights as integer numerators over one common denominator
-        self._den = den = lcm(*(w.denominator for w in self.weights.values()))
-        self._num = num = {x: w.numerator * (den // w.denominator) for x, w in self.weights.items()}
-        if any(v < 0 for v in num.values()):
+        self._den = den = lcm(*{w.denominator for w in fracs.values()})
+        scaled = {k: w.numerator * (den // w.denominator) for k, w in fracs.items()}
+        if any(v < 0 for v in scaled.values()):
             raise SystemError("weights must be non-negative")
+        self.weights = dict(zip(self.points, map(fracs.__getitem__, keys)))
+        self._num = num = dict(zip(self.points, map(scaled.__getitem__, keys)))
         if sum(num.values()) != den:
             raise SystemError("weights must sum to 1")
         self.gens = tuple(dict(g) for g in gens)
@@ -156,13 +163,19 @@ class FinitePermSystem(_Backend):
             raise SystemError("need at least one generator permutation")
         self.n = len(self.gens)
         pts = set(self.points)
+        cycles = []
         for g in self.gens:
             if set(g) != pts or set(g.values()) != pts:
                 raise SystemError("generator is not a permutation of the points")
-            if any(num[g[x]] != num[x] for x in pts):
+            cycles.append(_cycles(g))
+            # g preserves the weights exactly when they are constant on its cycles
+            if any(len(set(map(num.__getitem__, c))) > 1 for c in cycles[-1] if len(c) > 1):
                 raise SystemError("generator does not preserve the measure")
+        for cs in cycles:  # g^p is the identity exactly when every cycle length divides p
+            if any(p % len(c) for c in cs):
+                raise SystemError(f"generator order does not divide {p}")
         # one cycle-position map per generator: x -> (x's cycle, x's index in it)
-        self._cycles = [_cycle_positions(g, p) for g in self.gens]
+        self._cycles = [{y: (c, i) for c in cs for i, y in enumerate(c)} for cs in cycles]
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 gi, gj = self.gens[i], self.gens[j]
@@ -240,28 +253,26 @@ class FinitePermSystem(_Backend):
         return lambda w: pair(sum(v for v, y in zip(nums, self._images(xs, w)) if y in B))
 
 
-def _cycle_positions(g: dict, p: int) -> dict:
-    """x -> (the cycle of g through x, x's index in it); g^p is the identity
-    exactly when every cycle length divides p."""
-    out = {}
+def _cycles(g: dict) -> list[tuple]:
+    """The cycles of the permutation g, each starting from its first point
+    in g's order."""
+    seen, out = set(), []
     for x in g:
-        if x in out:
+        if x in seen:
             continue
         cycle, y = [x], g[x]
         while y != x:
             cycle.append(y)
             y = g[y]
-        if p % len(cycle):
-            raise SystemError(f"generator order does not divide {p}")
-        cycle = tuple(cycle)
-        out.update((y, (cycle, i)) for i, y in enumerate(cycle))
+        seen.update(cycle)
+        out.append(tuple(cycle))
     return out
 
 
 def regular_system(p: int) -> FinitePermSystem:
     """The field acting on itself by translation, uniform weights."""
     pts = list(range(p))
-    w = {x: Fraction(1, p) for x in pts}
+    w = dict.fromkeys(pts, Fraction(1, p))
     return FinitePermSystem(p, pts, w, [{x: (x + 1) % p for x in pts}])
 
 
@@ -641,7 +652,8 @@ def folner_sets(group, N: int) -> list:
     Polynomial ring: degree < N (``DegreeWindow(N)``).  Rationals: a/b with
     |a| <= N, b <= N (``RationalWindow(N, N)``).  A vector space over a
     prime field, the polynomials or the rationals takes its scalars' window
-    in every coordinate.
+    in every coordinate.  Such a window is refused unlisted when it may hold
+    more than ``SIZE_CAP`` elements (``check_window_size``).
     """
     if N < 1:
         raise SystemError("averaging window index must be >= 1")
@@ -656,6 +668,7 @@ def folner_sets(group, N: int) -> list:
         window = RationalWindow(N, N)
     else:
         raise SystemError(f"no canonical averaging sequence for {group}")
+    check_window_size(group, window)
     return window_enumerate(group, window)
 
 
@@ -728,12 +741,26 @@ def window_means(f, group, N: int, elements) -> DensityProfile:
 
 def dlim_probe(sys, B, phi_map, N: int) -> DensityProfile:
     """Cesaro averages of |<T^{phi(v)}(1_B - P1_B), 1_B>|^2 over the
-    canonical windows 1..N of the map's domain, in one pass over window N.
-    Exactly zero on the compact backends; must decay in N for the product
-    backend, where only finitely many v contribute."""
-    cross, value, n, domain = cross_terms(sys, B), phi_map.compiled, phi_map.n, phi_map.domain
+    canonical windows 1..N of the map's domain.  Exactly zero on the compact
+    backends, where the projection is the identity, so no window is listed
+    there.  On the product backend the term is (corr - mu(B)^2)^2, read in
+    one pass over window N from the kernel's pair for phi(v) and squared
+    once per distinct pair; it must decay in N, since only finitely many v
+    contribute."""
+    split, domain = compact_projection(sys, B), phi_map.domain
+    if split.kind == "identity":
+        if N < 1:
+            raise SystemError("averaging window index must be >= 1")
+        _window_rank(domain)  # refuses a domain without canonical windows
+        return DensityProfile(Fraction(0), (Fraction(0),) * N)
+    kernel, value, n, mu2 = sys.kernel(B, 0), phi_map.compiled, phi_map.n, split.mu**2
+    squares: dict = {}  # id(pair) -> its term; the kernel keeps every pair it returns alive
 
     def term(v):
-        return cross(value(as_coords(v, n))) ** 2
+        pair = kernel(value(as_coords(v, n)))
+        t = squares.get(id(pair))
+        if t is None:
+            t = squares[id(pair)] = (pair[0] - mu2) ** 2
+        return t
 
     return window_means(term, domain, N, folner_sets(domain, N))

@@ -449,7 +449,7 @@ def parse_system_text(text: str):
                 # each distinct token parsed once, in line order
                 weights = dict(zip(points, map(cache(parse_fraction), parts)))
             else:
-                weights = {x: Fraction(1, len(points)) for x in points}
+                weights = dict.fromkeys(points, Fraction(1, len(points)))
             gens = [_parse_cycles(no, txt, points, label) for no, txt in gen_lines]
             if not gens:
                 raise TextFormatError("finite-perm needs at least one gen line")

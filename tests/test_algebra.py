@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,9 @@ from ipstar.algebra import (
     PrimeField,
     RationalWindow,
     Rationals,
+    SIZE_CAP,
     VectorSpace,
+    check_window_size,
     eval_monomial,
     eval_poly,
     scalar_poly_map,
@@ -173,6 +176,54 @@ def _window_and_element(draw):
 def test_window_contains_agrees_with_the_enumeration(case):
     ring, window, u = case
     assert ring.window_contains(window, u) == (u in window_enumerate(ring, window))
+
+
+def _small_windows():
+    """(group, window) for small windows of every kind, scalar and vector."""
+    out = [(PrimeField(p), FullWindow()) for p in (2, 3, 7)]
+    out += [(Integers(), IntegerWindow(A)) for A in range(4)]
+    out += [(Rationals(), RationalWindow(A, B)) for A in range(5) for B in range(1, 6)]
+    out += [(PolyRing(p), DegreeWindow(D)) for p in (2, 3, 5) for D in range(4)]
+    out += [(VectorSpace(PrimeField(3), n), FullWindow()) for n in (1, 2, 3)]
+    out += [(VectorSpace(Integers(), 2), IntegerWindow(2))]
+    out += [(VectorSpace(Rationals(), 2), RationalWindow(A, B)) for A, B in ((0, 1), (2, 3), (3, 2))]
+    out += [(VectorSpace(PolyRing(2), n), DegreeWindow(D)) for n in (2, 3) for D in (0, 1, 2)]
+    return out
+
+
+@pytest.mark.parametrize("group, window", _small_windows(), ids=str)
+def test_window_size_bounds_the_listing(group, window):
+    size, listed = group.window_size(window), len(window_enumerate(group, window))
+    scalars = group.ring if isinstance(group, VectorSpace) else group
+    if isinstance(scalars, Rationals):  # (2A+1)*B counts a/b before reduction
+        assert size >= listed
+    else:
+        assert size == listed
+
+
+def test_window_size_refuses_a_window_of_another_ring():
+    for ring, window in [(PrimeField(5), IntegerWindow(2)), (Integers(), FullWindow()),
+                         (Rationals(), DegreeWindow(2)), (PolyRing(2), RationalWindow(1, 1)),
+                         (VectorSpace(PrimeField(2), 2), DegreeWindow(1))]:
+        with pytest.raises(AlgebraError, match="needs a"):
+            ring.window_size(window)
+
+
+def test_check_window_size_refuses_only_above_the_cap():
+    assert SIZE_CAP == 1 << 20
+    check_window_size(PolyRing(2), DegreeWindow(20))  # exactly the cap
+    check_window_size(VectorSpace(PolyRing(2), 2), DegreeWindow(10))
+    for group, window, shown in [
+        (PolyRing(2), DegreeWindow(21), "up to 2097152 elements"),
+        (VectorSpace(PolyRing(2), 2), DegreeWindow(11), "up to 4194304 elements"),
+        (Rationals(), RationalWindow(1024, 1024), "up to 2098176 elements"),
+        (PrimeField(1048583), FullWindow(), "up to 1048583 elements"),
+        # too many digits to print: named by a power of two above it
+        (PolyRing(3), DegreeWindow(10**4), "up to 2^15850 elements"),
+    ]:
+        message = f"window of {group} holds {shown}, more than the cap of 1048576"
+        with pytest.raises(AlgebraError, match=re.escape(message)):
+            check_window_size(group, window)
 
 
 def test_window_contains_rejects_a_window_of_another_ring():

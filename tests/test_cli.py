@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ipstar import cli
+from ipstar import algebra, cli, recurrence, systems
 from ipstar.cli import ExperimentConfig, config_hash, parse_config, render_config
 from ipstar.ipsets import fk_density_experiment
 
@@ -748,6 +748,27 @@ def test_integer_windows_are_not_in_the_window_grammar(tmp_path, capsys):
             rc, _, err = _run(capsys, argv)
             assert rc == 1 and "unknown window 'int 3'" in err, (text, cmd)
             assert "'int N'" not in err
+
+
+def test_a_window_too_large_to_list_exits_1_naming_its_size(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("listed a window over the cap")
+
+    for module in (algebra, recurrence, systems):
+        monkeypatch.setattr(module, "window_enumerate", refuse)
+    bern = _sys_file(tmp_path, BERN_SYSTEM, "bern.txt")
+    rot = _sys_file(tmp_path, ROT_SYSTEM + "set B 0 1/3\n", "rot.txt")
+    keys = ["epsilon=1/2", f"output={tmp_path}"]
+    for argv, size in [
+        (["recurrence", f"system={bern}", "phi=u", "window=deg 30", *keys], 1 << 30),
+        (["classify", f"system={bern}", "phi=u", "window=deg 30", *keys], 1 << 30),
+        (["recurrence", f"system={bern}", "phi=x1*x2", "window=deg 11", *keys], 1 << 22),
+        (["classify", f"system={rot}", "phi=u", "window=rat 1024 1024", *keys], 2049 * 1024),
+        (["density", f"system={bern}", "phi=u", "N=30"], 1 << 30),
+    ]:
+        rc, out, err = _run(capsys, argv)
+        assert rc == 1 and f"holds up to {size} elements, more than the cap of 1048576" in err, argv
+        assert out == "" and not list(tmp_path.glob("*.json")) and not list(tmp_path.glob("*.csv"))
 
 
 def test_missing_config_file_and_no_command(capsys):

@@ -23,6 +23,7 @@ from ipstar.halesjewett import (
     line_to_config,
     mono_config_search,
     psi_encode,
+    word_gather,
     word_subset_tuples,
 )
 from ipstar.search import ALL_OK, BUDGET_EXCEEDED, stages
@@ -173,14 +174,18 @@ def test_packed_lane_scan_at_lane_edges(case):
 
 
 def test_word_subset_tuples_match_the_encoding():
+    rng = random.Random(5)
     for d in (1, 2, 3):
-        for r in (1, 2, 3, 4):
+        for r in (1, 2, 3, 4, 5):
             tuples = word_subset_tuples(d, r)
             assert sorted(tuples) == list(range(1 << (d * r)))
             for w, t in zip(all_words(1 << d, r), tuples):
                 masks = [t >> (r * (d - i)) & ((1 << r) - 1) for i in range(1, d + 1)]
                 sets = tuple(frozenset(j + 1 for j in range(r) if a >> j & 1) for a in masks)
                 assert sets == psi_encode(w, d)
+            cells = list(range(len(tuples)))
+            rng.shuffle(cells)
+            assert word_gather(d, r)(cells) == tuple(cells[i] for i in word_subset_tuples(d, r))
 
 
 def test_every_two_coloring_of_the_square_has_a_line():

@@ -20,6 +20,7 @@ from ipstar.algebra import (
     VectorSpace,
     window_enumerate,
 )
+from ipstar import systems
 from ipstar.systems import (
     BernoulliSystem,
     Cylinder,
@@ -665,15 +666,26 @@ def test_dlim_probe_values():
     assert dlim_probe(s, s.event({0, 1}), phi5, 3).values == (0, 0, 0)
 
 
-_F5, _Q = PrimeField(5), Rationals()
+_F5, _Q, _F3, _R2 = PrimeField(5), Rationals(), PrimeField(3), PolyRing(2)
+_GRID = [(a, b) for a in range(3) for b in range(3)]
 # (system, B, phi) per backend
 DLIM_CASES = {
     "finite-perm": (regular_system(5), {0, 1, 3},
                     PolynomialMap(_F5, 1, _F5, ((Monomial(_F5, 2, (2,)), 1),))),
+    "finite-perm-2gen": (
+        FinitePermSystem(3, _GRID, dict.fromkeys(_GRID, F(1, 9)),
+                         [{(a, b): ((a + 1) % 3, b) for a, b in _GRID},
+                          {(a, b): (a, (b + 1) % 3) for a, b in _GRID}]),
+        {(0, 0), (1, 2), (2, 2)},
+        PolynomialMap(_F3, 1, VectorSpace(_F3, 2),
+                      ((Monomial(_F3, 1, (2,)), (1, 0)), (Monomial(_F3, 2, (1,)), (0, 1))))),
     "rotation": (RotationSystem(F(2, 7)), [(F(1, 12), F(1, 3)), (F(1, 2), F(3, 4))],
                  PolynomialMap(_Q, 1, _Q, ((Monomial(_Q, 1, (2,)), 1), (Monomial(_Q, 1, (1,)), 1)))),
     "bernoulli": (BernoulliSystem(2, [F(1, 3), F(2, 3)]), {(): {0}, (0, 1): {1}},
                   _identity_map(PolyRing(2))),
+    "bernoulli-u^2+u": (BernoulliSystem(2, [F(1, 3), F(2, 3)]), {(): {0}, (0, 1): {1}, (1,): {0}},
+                        PolynomialMap(_R2, 1, _R2, ((Monomial(_R2, (1,), (2,)), (1,)),
+                                                    (Monomial(_R2, (1,), (1,)), (1,))))),
 }
 
 
@@ -685,3 +697,44 @@ def test_dlim_probe_matches_a_per_window_recomputation(backend, N):
     prof = dlim_probe(sys_, sys_.event(B), phi, N)
     assert list(prof.values) == naive_dlim_values(sys_, B, phi, windows)
     assert prof.value == prof.values[-1]
+
+
+def test_dlim_probe_lists_no_window_on_a_compact_backend(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a compact backend's profile listed a window")
+
+    monkeypatch.setattr(systems, "folner_sets", refuse)
+    monkeypatch.setattr(systems, "window_enumerate", refuse)
+    for backend in ("finite-perm", "finite-perm-2gen", "rotation"):
+        sys_, B, phi = DLIM_CASES[backend]
+        prof = dlim_probe(sys_, sys_.event(B), phi, 7)
+        assert prof.values == (0,) * 7 and prof.value == 0
+        assert all(type(v) is F for v in prof.values)
+        with pytest.raises(SystemError, match=">= 1"):
+            dlim_probe(sys_, sys_.event(B), phi, 0)
+    # a domain without canonical windows is refused, as when the window was listed
+    rot, B, _ = DLIM_CASES["rotation"]
+    phi = PolynomialMap(Integers(), 2, _Q, ((Monomial(Integers(), 1, (1, 1)), F(1)),))
+    with pytest.raises(SystemError, match="no canonical averaging sequence"):
+        dlim_probe(rot, rot.event(B), phi, 3)
+
+
+def test_finite_perm_reports_its_problems_in_a_fixed_order():
+    pts = [0, 1, 2, 3]
+    lop = {0: F(1, 2), 1: F(1, 6), 2: F(1, 6), 3: F(1, 6)}
+    swap01 = {0: 1, 1: 0, 2: 2, 3: 3}  # moves weight 1/2 onto 1/6
+    swap23 = {0: 0, 1: 1, 2: 3, 3: 2}  # keeps the weights; order 2
+    # every generator's measure is checked before any generator's order
+    with pytest.raises(SystemError, match="preserve"):
+        FinitePermSystem(3, pts, lop, [swap23, swap01])
+    with pytest.raises(SystemError, match="order"):
+        FinitePermSystem(3, pts, lop, [swap23, swap23])
+    # a weight that is no number is reported before a negative one
+    with pytest.raises(ValueError, match="'x'"):
+        FinitePermSystem(2, pts, {0: F(-1), 1: "x", 2: F(1), 3: F(1)}, [swap23])
+    # one weight object shared by every point is read once, as many equal ones are
+    shared = FinitePermSystem(2, pts, dict.fromkeys(pts, "1/4"), [swap01])
+    apart = FinitePermSystem(2, pts, {x: F(1, 4) for x in pts}, [swap01])
+    assert shared.weights == apart.weights == dict.fromkeys(pts, F(1, 4))
+    B = shared.event({0, 2})
+    assert shared.correlation(B, 1) == apart.correlation(B, 1) == F(1, 4)
