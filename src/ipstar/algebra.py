@@ -37,10 +37,10 @@ search modules are deterministic:
 
 A ground ring's ``window_contains`` method decides whether an element lies
 in a window from the window's bounds, without listing it, and a group's
-``window_size`` bounds the number of elements from above the same way:
-exactly, except on the rationals, where (2A+1)*B counts every a/b before
-reduction.  ``check_window_size`` refuses, before anything is listed, a
-window that may hold more than ``SIZE_CAP`` elements.
+``window_power`` bounds the number of elements from above the same way, as
+a power b^e left untaken: exactly, except on the rationals, where (2A+1)*B
+counts every a/b before reduction.  ``check_window_size`` refuses, before
+anything is listed, a window that may hold more than ``SIZE_CAP`` elements.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import floor, gcd, lcm, log2
 
 
 class AlgebraError(ValueError):
@@ -153,9 +153,9 @@ class PrimeField:
         _expect_window(self, window, FullWindow)
         return True
 
-    def window_size(self, window: Window) -> int:
+    def window_power(self, window: Window) -> tuple[int, int]:
         _expect_window(self, window, FullWindow)
-        return self.p
+        return self.p, 1
 
     def __str__(self):
         return f"F_{self.p}"
@@ -195,9 +195,9 @@ class Integers(_ExactNumbers):
         _expect_window(self, window, IntegerWindow)
         return abs(a) <= window.bound
 
-    def window_size(self, window: Window) -> int:
+    def window_power(self, window: Window) -> tuple[int, int]:
         _expect_window(self, window, IntegerWindow)
-        return 2 * window.bound + 1
+        return 2 * window.bound + 1, 1
 
     def __str__(self):
         return "Z"
@@ -233,9 +233,9 @@ class Rationals(_ExactNumbers):
         _expect_window(self, window, RationalWindow)
         return abs(a.numerator) <= window.num_bound and a.denominator <= window.den_bound
 
-    def window_size(self, window: Window) -> int:
+    def window_power(self, window: Window) -> tuple[int, int]:
         _expect_window(self, window, RationalWindow)
-        return (2 * window.num_bound + 1) * window.den_bound
+        return (2 * window.num_bound + 1) * window.den_bound, 1
 
     def __str__(self):
         return "Q"
@@ -315,9 +315,9 @@ class PolyRing:
         _expect_window(self, window, DegreeWindow)
         return len(a) <= window.deg_bound
 
-    def window_size(self, window: Window) -> int:
+    def window_power(self, window: Window) -> tuple[int, int]:
         _expect_window(self, window, DegreeWindow)
-        return self.p**window.deg_bound
+        return self.p, window.deg_bound
 
     def __str__(self):
         return f"F_{self.p}[t]"
@@ -375,8 +375,9 @@ class VectorSpace:
         scalars = self.ring.enumerate_window(window)
         return [tuple(v) for v in itertools.product(scalars, repeat=self.dim)]
 
-    def window_size(self, window: Window) -> int:
-        return self.ring.window_size(window) ** self.dim
+    def window_power(self, window: Window) -> tuple[int, int]:
+        base, exp = self.ring.window_power(window)
+        return base, exp * self.dim
 
     def __str__(self):
         return f"{self.ring}^{self.dim}"
@@ -396,14 +397,24 @@ SIZE_CAP = 1 << 20  # the most window elements listed, or words a search colours
 
 def check_window_size(group: Group, window: Window) -> None:
     """Refuse a window of more than ``SIZE_CAP`` elements, by its
-    ``window_size`` bound, before anything is listed."""
-    size = group.window_size(window)
-    if size > SIZE_CAP:
+    ``window_power`` bound b^e, before anything is listed.  The power is
+    taken only when it has fewer than 2^17 bits; a larger one is named by a
+    power of two above it, found from log2(b) without taking the power."""
+    base, exp = group.window_power(window)
+    # b^e has fewer than e * bit_length(b) bits: under 2^17 here, unless b = 1
+    if exp * (base.bit_length() - 1) <= 1 << 16:
+        size = base**exp
+        if size <= SIZE_CAP:
+            return
         # str() refuses ints of more than 4,300 digits: name a power of two above
         shown = size if size < 10**18 else f"2^{size.bit_length()}"
-        raise AlgebraError(
-            f"window of {group} holds up to {shown} elements, more than the cap of {SIZE_CAP}"
-        )
+    else:
+        # a margin of 2^-50 covers the float's rounding, so 2^bits exceeds b^e
+        bits = floor(exp * Fraction(log2(base)) * (1 + Fraction(1, 1 << 50))) + 1
+        shown = f"2^{bits}"
+    raise AlgebraError(
+        f"window of {group} holds up to {shown} elements, more than the cap of {SIZE_CAP}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -604,33 +615,3 @@ def scalar_poly_map(ring: GroundRing, monomials) -> PolynomialMap:
     monomials = list(monomials)
     n = monomials[0].n
     return PolynomialMap(ring, n, ring, tuple((m, ring.one) for m in monomials))
-
-
-def telescope_expansion(m: Monomial, u_gamma: tuple, alphas: list[tuple]):
-    """The 2^d signed terms of the product expansion in which each linear
-    factor u_gamma(k) is rewritten as (u_gamma(k) + u_alpha(k)) - u_alpha(k),
-    one alpha vector per factor position.
-
-    Yields (sign, value) with sign in {+1, -1}; the signed sum equals the
-    plain monomial value.
-    """
-    r = m.ring
-    coords = m.factor_coordinates()
-    d = len(coords)
-    if len(alphas) != d:
-        raise AlgebraError(f"need {d} alpha vectors, got {len(alphas)}")
-    u_gamma = tuple(r.element(c) for c in u_gamma)
-    alphas = [tuple(r.element(c) for c in a) for a in alphas]
-    if len(u_gamma) != m.n or any(len(a) != m.n for a in alphas):
-        raise AlgebraError("coordinate arity mismatch in telescope expansion")
-    for picks in itertools.product((True, False), repeat=d):
-        val = r.element(m.coeff)
-        sign = 1
-        for j, take_sum in enumerate(picks):
-            k = coords[j]
-            if take_sum:
-                val = r.mul(val, r.add(u_gamma[k], alphas[j][k]))
-            else:
-                val = r.mul(val, alphas[j][k])
-                sign = -sign
-        yield sign, val

@@ -11,10 +11,8 @@ Exit codes: 0 for any completed verdict (counterexamples included), 2 when
 a search ran out of budget (a checkpoint file is written), 1 for config or
 system errors.  ``--resume <checkpoint>`` continues an interrupted search
 of a command that takes a budget; a checkpoint names the config it came
-from by hash, and resuming with a modified config is refused.  The
-IPSTAR_BUDGET environment variable sets the default candidate budget; an
-explicit ``budget`` key wins.  Budgets count examined candidates; there is
-no wall-clock cap.
+from by hash, and resuming with a modified config is refused.  Budgets
+count examined candidates; there is no wall-clock cap.
 """
 
 from __future__ import annotations
@@ -75,8 +73,6 @@ from .textio import (
     render_subset_config,
     report_tree,
 )
-
-BUDGET_ENV = "IPSTAR_BUDGET"
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +296,6 @@ def _out_dir(cfg) -> Path:
     return path
 
 
-def _resolve_budget(cfg):
-    if cfg.values.get("budget") is not None:
-        return cfg.values["budget"]
-    env = os.environ.get(BUDGET_ENV)
-    if env is None or not env.strip():
-        return None
-    try:
-        val = int(env)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV} must be an integer, got {env!r}")
-    if val < 1:
-        raise ValueError(f"{BUDGET_ENV} must be >= 1")
-    return val
-
-
 def _resolve(cfg, key, fn):
     # attach the config location to value errors surfacing at run time
     try:
@@ -468,9 +449,12 @@ def _run_stages(cfg, resume_file, stage_range, run_stage):
     resume = None
     if resume_file is not None:
         resume = _load_checkpoint(resume_file, cfg, key, stage_range)
-    budget = _resolve_budget(cfg)
     done = stages(
-        stage_range, run_stage, lambda out: out.kind == ALL_OK, budget=budget, resume=resume
+        stage_range,
+        run_stage,
+        lambda out: out.kind == ALL_OK,
+        budget=cfg.values.get("budget"),
+        resume=resume,
     )
     if resume is not None:  # printed once the search reached the checkpoint's path
         print(resumed.format(**{**cfg.values, key: resume[0]}))
@@ -513,9 +497,9 @@ def _run_fu(cfg, resume_file) -> int:
 def _run_fk(cfg, resume_file) -> int:
     r, N = cfg.values["r"], cfg.values["N"]
     path = None
-    if resume_file is not None:  # the search replays up to the path; an old size line is ignored
+    if resume_file is not None:  # the search replays up to the path
         _, path = _load_checkpoint(resume_file, cfg)
-    res = fk_density_experiment(r, N, budget=_resolve_budget(cfg), resume_path=path)
+    res = fk_density_experiment(r, N, budget=cfg.values.get("budget"), resume_path=path)
     if res.status == BUDGET_EXCEEDED:
         print(f"fk r={r} N={N}: budget exceeded after {res.candidates} candidates")
         _write_checkpoint(_out_dir(cfg), cfg, res.resume_path, res.candidates)
@@ -572,7 +556,7 @@ def _run_classify(cfg, resume_file) -> int:
         if len(path) > level:  # level is the first one the search had not reached
             raise ValueError(f"resume path {path} is longer than its level r={level}")
     rep = recurrence_set(sys_, B, phi, eps, window)
-    rep = classify_ipstar(rep, r_max, budget=_resolve_budget(cfg), resume_path=path)
+    rep = classify_ipstar(rep, r_max, budget=cfg.values.get("budget"), resume_path=path)
     if level is not None:  # printed once classify_ipstar accepted the checkpoint
         print(f"resumed at r={level}")
     _print_recurrence_summary(sys_, rep)

@@ -61,11 +61,6 @@ def set_to_mask(alpha) -> int:
     return mask
 
 
-def family_order(r: int) -> list[frozenset[int]]:
-    """All non-empty subsets of {1..r} in ascending bitmask order."""
-    return [mask_to_set(m) for m in range(1, 1 << r)]
-
-
 def subset_folds(op, unit, items) -> list:
     """op folded over every subset of items, indexed by mask (bit i for
     items[i]): entry m is op(...op(op(unit, a), b)..., z) over the items of
@@ -212,9 +207,9 @@ def _fu_checks_by_position(r: int, s: int):
     """The hyperedge table of the claim: for each position (mask order), the
     splits completed there as (blocks, union_positions), where
     union_positions index every union of the blocks and the last one is the
-    position itself.  family_order is in ascending bitmask order, so the set
-    with mask m sits at position m - 1.  The blocks of a split of m are runs
-    of m's bits; each distinct block mask becomes a frozenset once."""
+    position itself.  Positions run over F_r in ascending bitmask order, so
+    the set with mask m sits at position m - 1.  The blocks of a split of m
+    are runs of m's bits; each distinct block mask becomes a frozenset once."""
     block_set = cache(mask_to_set)
     table = []
     for alpha in range(1, 1 << r):
@@ -263,7 +258,7 @@ def _union_positions(r: int, s: int, blocks):
         return None
     if any(not u <= frozenset(range(1, r + 1)) for u in unions):
         return None
-    return [set_to_mask(u) - 1 for u in unions]  # family_order is ascending bitmask
+    return [set_to_mask(u) - 1 for u in unions]  # F_r is in ascending bitmask order
 
 
 def fu_coloring_is_counterexample(r: int, s: int, k: int, coloring: tuple[int, ...]) -> bool:

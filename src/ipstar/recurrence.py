@@ -6,10 +6,12 @@ The headline objects are return sets
     R = {u in the window : mu(B cap T^{phi(u)} B) > mu(B)^2 - eps}
 
 computed member by member with exact rationals, then classified against
-r-generator finite-sums families.  Two independent assembly paths exist
-(`recurrence_set` and `theorem1_pipeline`) and must agree exactly.  Each
-lists the window once; a report keeps the scan's rows in window order, and
-builds R, the frozenset of their hits, only when a caller asks for it.
+r-generator finite-sums families.  ``recurrence_set`` lists the window
+once; a report keeps the scan's rows in window order, and builds R, the
+frozenset of their hits, only when a caller asks for it.  The second,
+independent assembly path, which replays the spectral proof (A, E and the
+inequality chain), lives in the test oracles (``tests/oracles.py``), and the
+two must agree exactly.
 ``recurrence_set`` pays per element for one call of the map's compiled form
 (``PolynomialMap.compiled``) and one call of the backend's kernel
 (``kernel(B, threshold)``), which returns the correlation with its hit and
@@ -52,11 +54,9 @@ from .systems import (
     DensityProfile,
     FinitePermSystem,
     RotationSystem,
-    cross_terms,
     folner_reach,
     khintchine_bound,
     orbit_metric,
-    projected_orbit_dist_sq,
     window_means,
 )
 
@@ -82,9 +82,6 @@ class RecurrenceReport:
     outside_hypotheses: bool
     classification: dict = field(default_factory=dict)  # r -> IpStarVerdict
     exceptional_density: DensityProfile | None = None
-    A: tuple | None = None
-    E: tuple | None = None
-    chain_checked: bool = False
 
     @cached_property
     def R(self) -> frozenset:
@@ -224,56 +221,6 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
         raise RecurrenceError("return set lost the zero element; broken invariant")
     witnesses = tuple(v for v in products if in_R(v))
     return FpProbe(tuple(products), witnesses, bool(witnesses))
-
-
-# ---------------------------------------------------------------------------
-# theorem pipeline: split, orbit metric, cross term, chain check
-
-
-def theorem1_pipeline(
-    sys, B, phi: PolynomialMap, epsilon, window: Window, r_max: int = 4
-) -> RecurrenceReport:
-    """Replay the spectral proof mechanics end to end and cross-check.
-
-    f is the almost-periodic part of the indicator.  A collects the u whose
-    orbit-metric displacement of f stays below eps/2 (squared comparison);
-    the cross term <T^{phi(u)}(1_B - f), 1_B> is computed per u, and E marks
-    the elements of A where it dips to -eps/2 or lower, breaking the
-    inequality chain.  A minus E provably lands in R; set inclusion is
-    checked element by element, as is agreement of R with the direct scan.
-    """
-    base = _report_fields(sys, B, phi, epsilon, window)
-    B, mu, threshold = base["B"], base["mu"], base["threshold"]
-    check_window_size(base["domain"], window)
-    elements = tuple(window_enumerate(base["domain"], window))
-    cross_of = cross_terms(sys, B)
-    half = base["epsilon"] / 2
-    rows, A, E = [], [], []
-    for u in elements:
-        w = phi.compiled(as_coords(u, phi.n))
-        # independent correlation path: inclusion-exclusion through the
-        # symmetric difference instead of the direct intersection measure
-        corr = mu - orbit_metric(sys, B, sys.shift_event(B, w)) / 2
-        cross = cross_of(w)
-        in_A = projected_orbit_dist_sq(sys, B, w) < half * half
-        in_E = in_A and cross <= -half
-        hit = corr > threshold
-        if in_A:
-            A.append(u)
-        if in_E:
-            E.append(u)
-        if in_A and not in_E and not hit:
-            raise RecurrenceError("inequality chain failed: A minus E left the return set")
-        rows.append((u, w, corr, hit))
-    report = RecurrenceReport(
-        **base,
-        elements=elements,
-        rows=tuple(rows),
-        A=tuple(A),
-        E=tuple(E),
-        chain_checked=True,
-    )
-    return classify_ipstar(report, r_max)
 
 
 # ---------------------------------------------------------------------------

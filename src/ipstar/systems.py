@@ -64,8 +64,9 @@ reference every kernel must agree with:
   every w outside D.  Only the correlator normalises w first.
 
 The finite-field backend sits outside the hypotheses of the recurrence
-theorem being exercised (which needs an infinite ground structure); reports
-downstream label it accordingly.
+theorem being exercised (which needs an infinite ground structure); its
+``outside_theorem_hypotheses`` flag says so, and a report carries the flag
+but no output renders it.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ from .algebra import (
     PrimeField,
     RationalWindow,
     Rationals,
+    SIZE_CAP,
     VectorSpace,
     as_coords,
     check_window_size,
@@ -621,25 +623,6 @@ def khintchine_bound(sys, B) -> Fraction:
     return bound
 
 
-def cross_terms(sys, B):
-    """w -> <T^w (1_B - P1_B), 1_B> exactly, from one correlator: zero when
-    the projection is the identity, corr(w) - mu(B)^2 for the constant
-    projection."""
-    split = compact_projection(sys, B)
-    if split.kind == "identity":
-        return lambda w: Fraction(0)
-    corr, mu2 = sys.correlator(B), split.mu**2
-    return lambda w: corr(w) - mu2
-
-
-def projected_orbit_dist_sq(sys, B, w) -> Fraction:
-    """||P1_B - T^w P1_B||^2: the constant part never moves; the identity
-    part moves like the event itself."""
-    if compact_projection(sys, B).kind == "constant":
-        return Fraction(0)
-    return orbit_metric(sys, B, sys.shift_event(B, w))
-
-
 # ---------------------------------------------------------------------------
 # averaging windows
 
@@ -743,7 +726,8 @@ def dlim_probe(sys, B, phi_map, N: int) -> DensityProfile:
     """Cesaro averages of |<T^{phi(v)}(1_B - P1_B), 1_B>|^2 over the
     canonical windows 1..N of the map's domain.  Exactly zero on the compact
     backends, where the projection is the identity, so no window is listed
-    there.  On the product backend the term is (corr - mu(B)^2)^2, read in
+    there, and an N over ``SIZE_CAP`` is refused before the profile is
+    built.  On the product backend the term is (corr - mu(B)^2)^2, read in
     one pass over window N from the kernel's pair for phi(v) and squared
     once per distinct pair; it must decay in N, since only finitely many v
     contribute."""
@@ -751,6 +735,8 @@ def dlim_probe(sys, B, phi_map, N: int) -> DensityProfile:
     if split.kind == "identity":
         if N < 1:
             raise SystemError("averaging window index must be >= 1")
+        if N > SIZE_CAP:
+            raise SystemError(f"averaging window index {N} is more than the cap of {SIZE_CAP}")
         _window_rank(domain)  # refuses a domain without canonical windows
         return DensityProfile(Fraction(0), (Fraction(0),) * N)
     kernel, value, n, mu2 = sys.kernel(B, 0), phi_map.compiled, phi_map.n, split.mu**2

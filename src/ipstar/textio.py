@@ -11,7 +11,7 @@ Canonical renderings (frozen; parsers accept exactly these):
 * index families: ``{1,3,4}`` ascending, ``{}`` when empty
 * words: a digit string when the alphabet fits one digit, else
   comma-separated letters
-* subset configurations: ``alpha=[{1},{}] gamma={2}``
+* subset configurations, rendered only: ``alpha=[{1},{}] gamma={2}``
 
 System description files and certificates are line oriented: ``#`` starts
 a comment, blank lines are ignored, the first content line names the kind.
@@ -192,21 +192,6 @@ def render_subset_config(cfg: SubsetConfig) -> str:
     return f"alpha=[{alphas}] gamma=" + render_family(cfg.mover)
 
 
-def parse_subset_config(text: str) -> SubsetConfig:
-    try:
-        alpha_part, gamma_part = text.strip().split(" gamma=")
-    except ValueError:
-        raise TextFormatError(f"not a configuration: {text!r}")
-    if not (alpha_part.startswith("alpha=[") and alpha_part.endswith("]")):
-        raise TextFormatError(f"not a configuration: {text!r}")
-    body = alpha_part[len("alpha=[") : -1].strip()
-    base = tuple(parse_family(t) for t in _split_top(body, ",")) if body else ()
-    try:
-        return SubsetConfig(base, parse_family(gamma_part))
-    except ValueError as exc:
-        raise TextFormatError(str(exc))
-
-
 # ---------------------------------------------------------------------------
 # monomials and polynomial maps
 #
@@ -366,26 +351,6 @@ def _parse_cycles(no: int, text: str, points, label) -> dict:
     return perm
 
 
-def _render_cycles(perm: dict, points) -> str:
-    index = {x: i for i, x in enumerate(points)}
-    seen = set()
-    cycles = []
-    for x in points:
-        if x in seen or perm[x] == x:
-            seen.add(x)
-            continue
-        cycle, cur = [], x
-        while cur not in seen:
-            seen.add(cur)
-            cycle.append(cur)
-            cur = perm[cur]
-        cycles.append(cycle)
-    if not cycles:
-        return "()"
-    cycles.sort(key=lambda c: index[c[0]])
-    return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
-
-
 # the keys each backend's description takes besides ``set``
 _SYSTEM_KEYS = {"finite-perm": ("p", "points", "weights", "gen"), "rotation": ("rho",),
                 "bernoulli": ("p", "probs")}
@@ -500,38 +465,6 @@ def _parse_event(sys, no: int, body: str, label):
         letters = {_parse_int(t) for t in letters_text.split(",")}
         constraints[coord] = letters
     return sys.event(constraints)
-
-
-def render_system_text(sys, events: dict | None = None) -> str:
-    out = [f"backend {sys.label}"]
-    if isinstance(sys, FinitePermSystem):
-        out.append(f"p {sys.p}")
-        out.append("points " + " ".join(str(x) for x in sys.points))
-        out.append("weights " + " ".join(render_fraction(sys.weights[x]) for x in sys.points))
-        for g in sys.gens:
-            out.append("gen " + _render_cycles(g, sys.points))
-    elif isinstance(sys, RotationSystem):
-        out.append("rho " + " ".join(render_fraction(q) for q in sys.rhos))
-    else:
-        out.append(f"p {sys.p}")
-        out.append("probs " + " ".join(render_fraction(q) for q in sys.base))
-    for name in sorted(events or {}):
-        out.append(f"set {name} " + _render_event(sys, events[name]))
-    return "\n".join(out) + "\n"
-
-
-def _render_event(sys, event) -> str:
-    if isinstance(sys, FinitePermSystem):
-        index = {x: i for i, x in enumerate(sys.points)}
-        return " ".join(str(x) for x in sorted(event, key=index.__getitem__))
-    if isinstance(sys, RotationSystem):
-        return " ".join(
-            f"{render_fraction(a)} {render_fraction(b)}" for a, b in event.pieces
-        )
-    return " ".join(
-        render_element(sys.ring, coord) + ":" + ",".join(str(l) for l in sorted(letters))
-        for coord, letters in event.constraints.items()
-    )
 
 
 def describe_system(sys) -> str:

@@ -9,15 +9,21 @@ from itertools import combinations, product
 from math import lcm
 
 from ipstar.algebra import (
+    AlgebraError,
     Monomial,
+    PolynomialMap,
     PolyRing,
     Rationals,
     VectorSpace,
+    Window,
+    as_coords,
+    check_window_size,
     eval_monomial,
-    telescope_expansion,
+    window_enumerate,
 )
 from ipstar.halesjewett import Line, SubsetConfig
-from ipstar.ipsets import subset_folds
+from ipstar.ipsets import mask_to_set, subset_folds
+from ipstar.recurrence import RecurrenceError, RecurrenceReport, _report_fields, classify_ipstar
 from ipstar.search import (
     ALL_OK,
     COUNTEREXAMPLE,
@@ -26,7 +32,13 @@ from ipstar.search import (
     Cut,
     prefix_search,
 )
-from ipstar.systems import DensityProfile, RotationSystem, folner_sets, orbit_metric
+from ipstar.systems import (
+    DensityProfile,
+    RotationSystem,
+    compact_projection,
+    folner_sets,
+    orbit_metric,
+)
 
 
 def naive_subset_sums(group, gens):
@@ -283,6 +295,36 @@ def per_size_fk_search(r, N, edges_by_last):
             return size, frozenset(x for x, c in enumerate(out.path, 1) if c == 0), nodes
 
 
+def telescope_expansion(m: Monomial, u_gamma: tuple, alphas: list[tuple]):
+    """The 2^d signed terms of the product expansion in which each linear
+    factor u_gamma(k) is rewritten as (u_gamma(k) + u_alpha(k)) - u_alpha(k),
+    one alpha vector per factor position.
+
+    Yields (sign, value) with sign in {+1, -1}; the signed sum equals the
+    plain monomial value.
+    """
+    r = m.ring
+    coords = m.factor_coordinates()
+    d = len(coords)
+    if len(alphas) != d:
+        raise AlgebraError(f"need {d} alpha vectors, got {len(alphas)}")
+    u_gamma = tuple(r.element(c) for c in u_gamma)
+    alphas = [tuple(r.element(c) for c in a) for a in alphas]
+    if len(u_gamma) != m.n or any(len(a) != m.n for a in alphas):
+        raise AlgebraError("coordinate arity mismatch in telescope expansion")
+    for picks in product((True, False), repeat=d):
+        val = r.element(m.coeff)
+        sign = 1
+        for j, take_sum in enumerate(picks):
+            k = coords[j]
+            if take_sum:
+                val = r.mul(val, r.add(u_gamma[k], alphas[j][k]))
+            else:
+                val = r.mul(val, alphas[j][k])
+                sign = -sign
+        yield sign, val
+
+
 def telescope_check(m: Monomial, u_gamma: tuple, alphas: list[tuple]) -> bool:
     """Validate the expansion code path: distribute into 2^d signed terms,
     sum, and compare with the directly evaluated monomial.  Always true."""
@@ -310,6 +352,69 @@ def naive_map_value(phi, u):
             term = ring.mul(val, w)
         total = tgt.add(total, term)
     return total
+
+
+def family_order(r: int) -> list[frozenset[int]]:
+    """All non-empty subsets of {1..r} in ascending bitmask order."""
+    return [mask_to_set(m) for m in range(1, 1 << r)]
+
+
+def cross_terms(sys, B):
+    """w -> <T^w (1_B - P1_B), 1_B> exactly, from one correlator: zero when
+    the projection is the identity, corr(w) - mu(B)^2 for the constant
+    projection."""
+    split = compact_projection(sys, B)
+    if split.kind == "identity":
+        return lambda w: Fraction(0)
+    corr, mu2 = sys.correlator(B), split.mu**2
+    return lambda w: corr(w) - mu2
+
+
+def projected_orbit_dist_sq(sys, B, w) -> Fraction:
+    """||P1_B - T^w P1_B||^2: the constant part never moves; the identity
+    part moves like the event itself."""
+    if compact_projection(sys, B).kind == "constant":
+        return Fraction(0)
+    return orbit_metric(sys, B, sys.shift_event(B, w))
+
+
+def theorem1_pipeline(sys, B, phi: PolynomialMap, epsilon, window: Window, r_max: int = 4):
+    """Replay the spectral proof mechanics end to end: the second,
+    independent assembly path of a classified return-set report.
+
+    f is the almost-periodic part of the indicator.  A collects the u whose
+    orbit-metric displacement of f stays below eps/2 (squared comparison);
+    the cross term <T^{phi(u)}(1_B - f), 1_B> is computed per u, and E marks
+    the elements of A where it dips to -eps/2 or lower, breaking the
+    inequality chain.  A minus E provably lands in R; set inclusion is
+    checked element by element.  Returns (report, A, E); returning at all
+    means the chain held.
+    """
+    base = _report_fields(sys, B, phi, epsilon, window)
+    B, mu, threshold = base["B"], base["mu"], base["threshold"]
+    check_window_size(base["domain"], window)
+    elements = tuple(window_enumerate(base["domain"], window))
+    cross_of = cross_terms(sys, B)
+    half = base["epsilon"] / 2
+    rows, A, E = [], [], []
+    for u in elements:
+        w = phi.compiled(as_coords(u, phi.n))
+        # independent correlation path: inclusion-exclusion through the
+        # symmetric difference instead of the direct intersection measure
+        corr = mu - orbit_metric(sys, B, sys.shift_event(B, w)) / 2
+        cross = cross_of(w)
+        in_A = projected_orbit_dist_sq(sys, B, w) < half * half
+        in_E = in_A and cross <= -half
+        hit = corr > threshold
+        if in_A:
+            A.append(u)
+        if in_E:
+            E.append(u)
+        if in_A and not in_E and not hit:
+            raise RecurrenceError("inequality chain failed: A minus E left the return set")
+        rows.append((u, w, corr, hit))
+    report = RecurrenceReport(**base, elements=elements, rows=tuple(rows))
+    return classify_ipstar(report, r_max), tuple(A), tuple(E)
 
 
 def reports_agree(a, b) -> bool:

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -193,7 +194,8 @@ def _small_windows():
 
 @pytest.mark.parametrize("group, window", _small_windows(), ids=str)
 def test_window_size_bounds_the_listing(group, window):
-    size, listed = group.window_size(window), len(window_enumerate(group, window))
+    base, exp = group.window_power(window)
+    size, listed = base**exp, len(window_enumerate(group, window))
     scalars = group.ring if isinstance(group, VectorSpace) else group
     if isinstance(scalars, Rationals):  # (2A+1)*B counts a/b before reduction
         assert size >= listed
@@ -206,7 +208,7 @@ def test_window_size_refuses_a_window_of_another_ring():
                          (Rationals(), DegreeWindow(2)), (PolyRing(2), RationalWindow(1, 1)),
                          (VectorSpace(PrimeField(2), 2), DegreeWindow(1))]:
         with pytest.raises(AlgebraError, match="needs a"):
-            ring.window_size(window)
+            ring.window_power(window)
 
 
 def test_check_window_size_refuses_only_above_the_cap():
@@ -224,6 +226,20 @@ def test_check_window_size_refuses_only_above_the_cap():
         message = f"window of {group} holds {shown}, more than the cap of 1048576"
         with pytest.raises(AlgebraError, match=re.escape(message)):
             check_window_size(group, window)
+
+
+def test_check_window_size_refuses_a_huge_window_without_its_power():
+    # p^D and its dim-th power are never taken: each refusal is immediate
+    t0 = time.perf_counter()
+    for group, window, shown in [
+        (PolyRing(3), DegreeWindow(10**9), "up to 2^1584962501 elements"),
+        (PolyRing(2), DegreeWindow(10**9), "up to 2^1000000001 elements"),
+        (VectorSpace(PolyRing(3), 3), DegreeWindow(10**6), "up to 2^4754888 elements"),
+        (PolyRing(3), DegreeWindow(10**400), "more than the cap"),
+    ]:
+        with pytest.raises(AlgebraError, match=re.escape(shown)):
+            check_window_size(group, window)
+    assert time.perf_counter() - t0 < 0.5  # 3^(10^7) alone takes seconds
 
 
 def test_window_contains_rejects_a_window_of_another_ring():

@@ -707,20 +707,6 @@ def test_probe_hits_full_return_set(tmp_path, capsys):
 # environment and error surfaces
 
 
-def test_env_budget_is_the_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.BUDGET_ENV, "2")
-    rc, out, _ = _run(capsys, ["hj", "k=2", "t=3", "m_max=4", f"output={tmp_path}"])
-    assert rc == 2 and "budget exceeded" in out
-    # an explicit key still wins
-    rc, out, _ = _run(
-        capsys, ["hj", "k=2", "t=3", "m_max=4", "budget=100000", f"output={tmp_path}"]
-    )
-    assert rc == 0
-    monkeypatch.setenv(cli.BUDGET_ENV, "soon")
-    rc, _, err = _run(capsys, ["hj", "k=2", "t=2", f"output={tmp_path}"])
-    assert rc == 1 and "must be an integer" in err
-
-
 def test_bad_system_file_and_bad_window(tmp_path, capsys):
     sysf = tmp_path / "broken.txt"
     sysf.write_text("backend finite-perm\np 5\n")
@@ -769,6 +755,18 @@ def test_a_window_too_large_to_list_exits_1_naming_its_size(tmp_path, capsys, mo
         rc, out, err = _run(capsys, argv)
         assert rc == 1 and f"holds up to {size} elements, more than the cap of 1048576" in err, argv
         assert out == "" and not list(tmp_path.glob("*.json")) and not list(tmp_path.glob("*.csv"))
+
+
+def test_density_over_the_cap_exits_1_on_a_compact_backend(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a profile over the cap")
+
+    monkeypatch.setattr(systems, "DensityProfile", refuse)
+    rot = _sys_file(tmp_path, ROT_SYSTEM + "set B 0 1/3\n", "rot.txt")
+    for system in (_sys_file(tmp_path), rot):
+        rc, out, err = _run(capsys, ["density", f"system={system}", "phi=u", f"N={(1 << 20) + 1}"])
+        assert rc == 1 and out == ""
+        assert "averaging window index 1048577 is more than the cap of 1048576" in err
 
 
 def test_missing_config_file_and_no_command(capsys):

@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 
 from ipstar.algebra import Integers, Monomial, Rationals
 from ipstar.halesjewett import line_points, line_to_config, psi_encode
-from ipstar.ipsets import family_order
 from ipstar.recurrence import _BallCover, _cells, isometric_recurrence_search
 from ipstar.systems import FinitePermSystem, RotationSystem, orbit_metric, regular_system
-from oracles import ReferenceBallCover, all_lines, per_tuple_cells
+from oracles import ReferenceBallCover, all_lines, family_order, per_tuple_cells
 
 SETTINGS = settings(max_examples=150, deadline=None)
 

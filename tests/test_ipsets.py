@@ -23,7 +23,6 @@ from ipstar.ipsets import (
     contains_ip_r,
     example_a,
     example_a_checks,
-    family_order,
     finite_sums,
     finite_unions,
     fk_density_experiment,
@@ -41,6 +40,7 @@ from ipstar.recurrence import classify_ipstar, recurrence_set
 from ipstar.systems import RotationSystem
 from ipstar.textio import report_tree
 from ipstar.search import ALL_OK, CoverLeaf, prefix_search, stages
+from oracles import family_order
 
 Z = Integers()
 F5 = PrimeField(5)

@@ -31,7 +31,6 @@ from ipstar.recurrence import (
     fp_probe,
     isometric_recurrence_search,
     recurrence_set,
-    theorem1_pipeline,
 )
 from ipstar.systems import (
     BernoulliSystem,
@@ -41,7 +40,7 @@ from ipstar.systems import (
     regular_system,
 )
 from ipstar.textio import report_tree
-from oracles import naive_map_value, naive_rotation_return_sq, reports_agree
+from oracles import naive_map_value, naive_rotation_return_sq, reports_agree, theorem1_pipeline
 from test_ip_scan import MAX_TUPLES, reference_is_ip_r_star
 
 F3 = PrimeField(3)
@@ -100,7 +99,7 @@ def test_recurrence_set_enumerates_its_window_once(monkeypatch):
     for run in (
         lambda: recurrence_set(*args),
         lambda: classify_ipstar(recurrence_set(*args), 3),
-        lambda: theorem1_pipeline(*args, 3),
+        lambda: theorem1_pipeline(*args, 3)[0],
     ):
         calls.clear()
         rep = run()
@@ -562,20 +561,19 @@ def test_exceptional_density_covers_the_canonical_windows_inside_the_report(case
 
 def test_pipeline_finite_perm_A_subset_R_E_empty():
     s = regular_system(5)
-    rep = theorem1_pipeline(s, {0, 1}, SQUARE_5, F(1, 100), FullWindow(), 2)
-    assert rep.chain_checked
-    assert rep.E == ()
-    assert set(rep.A) <= rep.R
-    assert 0 in rep.A
+    rep, A, E = theorem1_pipeline(s, {0, 1}, SQUARE_5, F(1, 100), FullWindow(), 2)
+    assert E == ()
+    assert set(A) <= rep.R
+    assert 0 in A
 
 
 def test_pipeline_bernoulli_A_window_E_finite():
     b = BernoulliSystem(2, [F(1, 2), F(1, 2)])
     B = {(): {0}, (0, 1): {1}}
-    rep = theorem1_pipeline(b, B, IDENT_P2, F(1, 100), DegreeWindow(3), 2)
-    assert rep.A == rep.elements  # constant part never moves
-    assert rep.E == ((0, 1),)  # cross term dips exactly where letters clash
-    assert set(rep.A) - set(rep.E) <= rep.R
+    rep, A, E = theorem1_pipeline(b, B, IDENT_P2, F(1, 100), DegreeWindow(3), 2)
+    assert A == rep.elements  # constant part never moves
+    assert E == ((0, 1),)  # cross term dips exactly where letters clash
+    assert set(A) - set(E) <= rep.R
 
 
 def test_pipeline_rotation_matches_direct_scan():
@@ -584,7 +582,7 @@ def test_pipeline_rotation_matches_direct_scan():
     phi = power_map(Q, F(1), 1)
     win = RationalWindow(3, 2)
     a = recurrence_set(r, B, phi, F(1, 10), win)
-    b = theorem1_pipeline(r, B, phi, F(1, 10), win, 2)
+    b, _A, _E = theorem1_pipeline(r, B, phi, F(1, 10), win, 2)
     assert reports_agree(a, b)
     assert a.R != frozenset(a.elements)  # half-turn shifts fall out
 
@@ -601,7 +599,7 @@ def test_two_path_agreement_randomized():
         eps = F(rng.randrange(1, 40), 40)
         assert reports_agree(
             recurrence_set(s, B, phi, eps, FullWindow()),
-            theorem1_pipeline(s, B, phi, eps, FullWindow(), 1),
+            theorem1_pipeline(s, B, phi, eps, FullWindow(), 1)[0],
         )
     for _ in range(17):
         a = F(rng.randrange(0, 9), 9)
@@ -612,7 +610,7 @@ def test_two_path_agreement_randomized():
         win = RationalWindow(2, 2)
         assert reports_agree(
             recurrence_set(rot, B, phi, eps, win),
-            theorem1_pipeline(rot, B, phi, eps, win, 1),
+            theorem1_pipeline(rot, B, phi, eps, win, 1)[0],
         )
     coords = [(), (1,), (0, 1), (1, 1)]
     for _ in range(16):
@@ -622,7 +620,7 @@ def test_two_path_agreement_randomized():
         eps = F(rng.randrange(1, 30), 30)
         assert reports_agree(
             recurrence_set(ber, B, phi, eps, DegreeWindow(2)),
-            theorem1_pipeline(ber, B, phi, eps, DegreeWindow(2), 1),
+            theorem1_pipeline(ber, B, phi, eps, DegreeWindow(2), 1)[0],
         )
 
 

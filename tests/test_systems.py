@@ -31,22 +31,22 @@ from ipstar.systems import (
     SpectralSplit,
     SystemError,
     compact_projection,
-    cross_terms,
     dlim_probe,
     folner_sets,
     khintchine_bound,
     orbit_metric,
-    projected_orbit_dist_sq,
     regular_system,
     window_means,
 )
 from oracles import (
+    cross_terms,
     folner_density,
     interval_length_oracle,
     naive_bernoulli_cylinder_prob,
     naive_dlim_values,
     naive_finite_correlation,
     naive_perm_power,
+    projected_orbit_dist_sq,
     rotation_orbit_point,
 )
 
