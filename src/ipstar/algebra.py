@@ -395,26 +395,31 @@ def window_enumerate(group: Group, window: Window) -> list:
 SIZE_CAP = 1 << 20  # the most window elements listed, or words a search colours
 
 
-def check_window_size(group: Group, window: Window) -> None:
-    """Refuse a window of more than ``SIZE_CAP`` elements, by its
-    ``window_power`` bound b^e, before anything is listed.  The power is
-    taken only when it has fewer than 2^17 bits; a larger one is named by a
-    power of two above it, found from log2(b) without taking the power."""
-    base, exp = group.window_power(window)
+def power_over_cap(base: int, exp: int) -> int | str | None:
+    """None when base^exp, base >= 1, is at most ``SIZE_CAP``; otherwise the
+    power, for a message.  The power is taken only when it has fewer than
+    2^17 bits; a larger one is named by a power of two above it, "2^N",
+    found from log2(base) without taking the power."""
     # b^e has fewer than e * bit_length(b) bits: under 2^17 here, unless b = 1
     if exp * (base.bit_length() - 1) <= 1 << 16:
         size = base**exp
         if size <= SIZE_CAP:
-            return
+            return None
         # str() refuses ints of more than 4,300 digits: name a power of two above
-        shown = size if size < 10**18 else f"2^{size.bit_length()}"
-    else:
-        # a margin of 2^-50 covers the float's rounding, so 2^bits exceeds b^e
-        bits = floor(exp * Fraction(log2(base)) * (1 + Fraction(1, 1 << 50))) + 1
-        shown = f"2^{bits}"
-    raise AlgebraError(
-        f"window of {group} holds up to {shown} elements, more than the cap of {SIZE_CAP}"
-    )
+        return size if size < 10**18 else f"2^{size.bit_length()}"
+    # a margin of 2^-50 covers the float's rounding, so 2^bits exceeds b^e
+    return f"2^{floor(exp * Fraction(log2(base)) * (1 + Fraction(1, 1 << 50))) + 1}"
+
+
+def check_window_size(group: Group, window: Window) -> None:
+    """Refuse a window of more than ``SIZE_CAP`` elements, by its
+    ``window_power`` bound b^e (``power_over_cap``), before anything is
+    listed."""
+    shown = power_over_cap(*group.window_power(window))
+    if shown is not None:
+        raise AlgebraError(
+            f"window of {group} holds up to {shown} elements, more than the cap of {SIZE_CAP}"
+        )
 
 
 # ---------------------------------------------------------------------------

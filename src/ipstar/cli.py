@@ -529,7 +529,7 @@ def _print_recurrence_summary(sys_, rep):
     print(f"phi: {render_poly_map(rep.phi)}")
     print(f"mu(B) = {render_fraction(rep.mu)}")
     print(f"threshold = {render_fraction(rep.threshold)}")
-    print(f"R: {sum(hit for *_, hit in rep.rows)} of {len(rep.elements)} window elements")
+    print(f"R: {sum(rep.hits())} of {len(rep.elements)} window elements")
 
 
 def _run_recurrence(cfg, resume_file) -> int:
@@ -678,7 +678,12 @@ def _run_check(path: str) -> int:
         _emit_errors([ConfigError(None, where + str(exc))])
         return 1
     desc = cert.kind + " " + " ".join(f"{n}={v}" for n, v in cert.params)
-    if check_certificate(cert):
+    try:
+        valid = check_certificate(cert)
+    except ValueError as exc:  # parameters too large to replay
+        _emit_errors([ConfigError(None, f"certificate {path!r}: {exc}")])
+        return 1
+    if valid:
         print(f"certificate valid: {desc}")
         return 0
     print(f"certificate INVALID: {desc}")

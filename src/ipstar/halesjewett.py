@@ -36,6 +36,7 @@ from functools import cache
 from itertools import combinations, product
 from operator import itemgetter
 
+from .algebra import SIZE_CAP, power_over_cap
 from .search import (
     ColoringOutcome,
     avoids_every_edge,
@@ -211,10 +212,18 @@ def find_mono_line(k: int, m: int, coloring):
 # monochromatic?  ``search.stages`` over m = 1, 2, ... finds HJ(k, t).
 
 
+def _word_count(k: int, m: int) -> int:
+    """k^m, the words of stage m, refused over ``SIZE_CAP`` before the
+    power is taken."""
+    if power_over_cap(k, m) is not None:
+        raise ValueError(f"hj k={k} m={m} has {k}^{m} words, more than the cap of {SIZE_CAP}")
+    return k**m
+
+
 def _lines_by_last_index(k: int, m: int) -> list[list[tuple]]:
     """The hyperedge table of the stage: each line as (point indices,
     point indices), listed under its largest point index."""
-    table = [[] for _ in range(k**m)]
+    table = [[] for _ in range(_word_count(k, m))]
     for _moving, step, bases in _line_families(k, m):
         for b in bases:
             idx = tuple(range(b, b + k * step, step))
@@ -246,13 +255,15 @@ def _line_positions(k: int, m: int, witness):
 
 
 def hj_check_cover(k: int, t: int, m: int, cover) -> bool:
-    return check_cover_tree(k**m, t, cover, lambda w: _line_positions(k, m, w))
+    return check_cover_tree(_word_count(k, m), t, cover, lambda w: _line_positions(k, m, w))
 
 
 def hj_coloring_is_counterexample(k: int, t: int, m: int, coloring) -> bool:
     """Verification-only: a full t-coloring with no monochromatic line."""
     # a wrong length is refused before the k^m-entry table is built
-    return len(coloring) == k**m and avoids_every_edge(coloring, t, _lines_by_last_index(k, m))
+    return len(coloring) == _word_count(k, m) and avoids_every_edge(
+        coloring, t, _lines_by_last_index(k, m)
+    )
 
 
 # ---------------------------------------------------------------------------

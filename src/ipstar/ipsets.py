@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .algebra import Integers
+from .algebra import SIZE_CAP, Integers, power_over_cap
 from .search import (
     BUDGET_EXCEEDED,
     CUT,
@@ -203,6 +203,15 @@ def is_ip_r_star(
 # the finite coloring claim over F_r
 
 
+def _position_count(r: int) -> int:
+    """2^r - 1, the positions of F_r, refused over ``SIZE_CAP`` before the
+    power is taken.  The cap is a power of two, so 2^r - 1 exceeds it
+    exactly when 2^r does."""
+    if power_over_cap(2, r) is not None:
+        raise ValueError(f"fu r={r} has 2^{r} - 1 positions, more than the cap of {SIZE_CAP}")
+    return (1 << r) - 1
+
+
 def _fu_checks_by_position(r: int, s: int):
     """The hyperedge table of the claim: for each position (mask order), the
     splits completed there as (blocks, union_positions), where
@@ -212,7 +221,7 @@ def _fu_checks_by_position(r: int, s: int):
     are runs of m's bits; each distinct block mask becomes a frozenset once."""
     block_set = cache(mask_to_set)
     table = []
-    for alpha in range(1, 1 << r):
+    for alpha in range(1, _position_count(r) + 1):
         bits = [1 << i for i in range(r) if alpha >> i & 1]
         entries = []
         for cuts in combinations(range(1, len(bits)), s - 1):
@@ -265,13 +274,14 @@ def fu_coloring_is_counterexample(r: int, s: int, k: int, coloring: tuple[int, .
     """Verification-only check that a full k-coloring of F_r has no
     monochromatic s-block union family."""
     # a wrong length is refused before the table over F_r is built
-    return len(coloring) == (1 << r) - 1 and avoids_every_edge(
+    return len(coloring) == _position_count(r) and avoids_every_edge(
         coloring, k, _fu_checks_by_position(r, s)
     )
 
 
 def fu_check_cover(r: int, s: int, k: int, cover) -> bool:
-    return check_cover_tree((1 << r) - 1, k, cover, lambda blocks: _union_positions(r, s, blocks))
+    positions = _position_count(r)
+    return check_cover_tree(positions, k, cover, lambda blocks: _union_positions(r, s, blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -7,24 +7,27 @@ The headline objects are return sets
 
 computed member by member with exact rationals, then classified against
 r-generator finite-sums families.  ``recurrence_set`` lists the window
-once; a report keeps the scan's rows in window order, and builds R, the
-frozenset of their hits, only when a caller asks for it.  The second,
-independent assembly path, which replays the spectral proof (A, E and the
-inequality chain), lives in the test oracles (``tests/oracles.py``), and the
-two must agree exactly.
-``recurrence_set`` pays per element for one call of the map's compiled form
-(``PolynomialMap.compiled``) and one call of the backend's kernel
-(``kernel(B, threshold)``), which returns the correlation with its hit and
-builds each distinct pair once; ``fp_probe`` takes the compiled map and the
-correlator, the kernel behind a check of w, for its few products.  By
-duality R is IP*_r exactly when its complement holds no IP_r set, so the
-classification scans the non-hit rows in window order.  The scan takes
-only a pool, a budget and a resume path; the report holds the window, so it
-alone says what a verdict and a density claim: a "holds" decides the claim
-on the whole finite group (``RecurrenceReport.exact``) and is
-window-limited otherwise, and the exceptional set's density runs only over
-the canonical windows inside the report's window, read off its rows in one
-pass (``window_means``).  Each classification replaces the report's levels.
+once and keeps the scan as three columns in window order: the elements,
+their values phi(u), and the kernel's (corr, hit) pair for each value.  It
+builds R, the frozenset of the hit elements, only when a caller asks for
+it.  The second, independent assembly path, which replays the spectral
+proof (A, E and the inequality chain), lives in the test oracles
+(``tests/oracles.py``), and the two must agree exactly.
+``recurrence_set`` fills each column with one ``map`` over the one before:
+the map's compiled form (``PolynomialMap.compiled``) over the elements,
+then the backend's kernel (``kernel(B, threshold)``) over the values.  The
+kernel returns the correlation with its hit and builds each distinct pair
+once, so the pair column shares them.  ``fp_probe`` takes the compiled map
+and the correlator, the kernel behind a check of w, for its few products.
+By duality R is IP*_r exactly when its complement holds no IP_r set, so
+the classification scans the non-hit elements in window order.  The scan
+takes only a pool, a budget and a resume path; the report holds the
+window, so it alone says what a verdict and a density claim: a "holds"
+decides the claim on the whole finite group (``RecurrenceReport.exact``)
+and is window-limited otherwise, and the exceptional set's density runs
+only over the canonical windows inside the report's window, read off its
+elements in one pass (``window_means``).  Each classification replaces the
+report's levels.
 
 The constructive side (`isometric_recurrence_search`) drives the coloring
 machinery for one action, one system and one monomial: cover the tracked
@@ -44,7 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import compress
 from math import lcm
+from operator import itemgetter, not_
 
 from .algebra import FullWindow, Integers, Monomial, PolynomialMap, Rationals, VectorSpace, Window
 from .algebra import SIZE_CAP, as_coords, check_window_size, window_enumerate
@@ -74,24 +79,29 @@ class RecurrenceReport:
     epsilon: Fraction
     window: Window
     domain: object
-    elements: tuple
+    elements: tuple  # the window in canonical order
     mu: Fraction
     threshold: Fraction
-    rows: tuple  # (u, w, corr, in_R) in canonical order
+    values: tuple  # phi(u) for each element, in normal form
+    pairs: tuple  # the kernel's (corr, in_R) for each value, one tuple per distinct pair
     khintchine: Fraction
     outside_hypotheses: bool
     classification: dict = field(default_factory=dict)  # r -> IpStarVerdict
     exceptional_density: DensityProfile | None = None
 
+    def hits(self):
+        """The in_R column: an iterator of one bool per element."""
+        return map(itemgetter(1), self.pairs)
+
     @cached_property
     def R(self) -> frozenset:
-        """The window elements whose rows are hits, hashed on first use only."""
-        return frozenset(u for u, _w, _corr, hit in self.rows if hit)
+        """The window elements that are hits, hashed on first use only."""
+        return frozenset(compress(self.elements, self.hits()))
 
     @property
     def exceptional(self) -> tuple:
         """R's complement in the window: the other elements, in window order."""
-        return tuple(u for u, _w, _corr, hit in self.rows if not hit)
+        return tuple(compress(self.elements, map(not_, self.hits())))
 
     @property
     def exact(self) -> bool:
@@ -133,20 +143,22 @@ def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
 
 
 def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> RecurrenceReport:
-    """Exact membership scan of the return set over the window: one row
-    (u, w, corr, hit) per element, in window order; R is not built here."""
+    """Exact membership scan of the return set over the window: the value
+    w = phi(u) and the kernel's pair (corr, hit) of every element, as
+    columns in window order; R is not built here."""
     base = _report_fields(sys, B, phi, epsilon, window)
     domain, threshold = base["domain"], base["threshold"]
     check_window_size(domain, window)
     elements = tuple(window_enumerate(domain, window))
-    # window elements come normalised, and so do the compiled map's values
+    # window elements come normalised, and so do the compiled map's values;
+    # a one-variable map takes its element as a 1-tuple of coordinates
     kernel, value, n = sys.kernel(base["B"], threshold), phi.compiled, phi.n
-    ws = (value(as_coords(u, n)) for u in elements)
-    rows = tuple((u, w, *kernel(w)) for u, w in zip(elements, ws))
-    # every window holds zero, and zero's row is the kernel's pair at phi(0)
+    values = tuple(map(value, zip(elements) if n == 1 else elements))
+    pairs = tuple(map(kernel, values))
+    # every window holds zero, and zero's pair is the kernel's at phi(0)
     if not kernel(value(as_coords(domain.zero, n)))[1]:
         raise RecurrenceError("return set lost the zero element; broken invariant")
-    return RecurrenceReport(**base, elements=elements, rows=rows)
+    return RecurrenceReport(**base, elements=elements, values=values, pairs=pairs)
 
 
 def classify_ipstar(
@@ -165,7 +177,7 @@ def classify_ipstar(
     report also gets the density of its exceptional set along the canonical
     averaging sequence, supporting an almost-dual reading (failures confined
     to a vanishing-density set), over the windows 1..N that lie inside its
-    own (``folner_reach``), read off its rows; it has none when N = 0.
+    own (``folner_reach``), read off its elements; it has none when N = 0.
     """
     dom, pool = report.domain, report.exceptional
     v = is_ip_r_star(dom, pool, r_max, budget=budget, resume_path=resume_path)
@@ -369,7 +381,9 @@ def isometric_recurrence_search(sys, x, m: Monomial, epsilon, gens):
     r = len(gens)
     if r < 1:
         raise RecurrenceError("need at least one generator")
-    if (1 << d) ** r > SIZE_CAP:
+    # (2^d)^r = 2^(d*r) words against a cap that is a power of two: compared
+    # by exponents, so an absurd degree never forms the power
+    if d * r > SIZE_CAP.bit_length() - 1:
         raise RecurrenceError("search space too large; fewer generators or lower degree")
     if isinstance(sys, RotationSystem) and not isinstance(ring, (Rationals, Integers)):
         raise RecurrenceError("rotation search needs a monomial over Q or Z")

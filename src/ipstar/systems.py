@@ -29,8 +29,8 @@ differences c - e may be negative) go through the correlator.  Densities
 (``dlim_probe`` and a windowed classify) average over the canonical windows
 1..N of ``folner_sets`` only, through one function, ``window_means``: one
 pass over a listing that holds window N (window N itself, or a report's
-rows) puts each element in the bucket of the least n whose window holds it,
-and returns the whole run as a ``DensityProfile``.  The finite-perm and
+elements) puts each element in the bucket of the least n whose window holds
+it, and returns the whole run as a ``DensityProfile``.  The finite-perm and
 rotation kernels are integer arithmetic, decide the hit in integers, and
 build each distinct (``Fraction``, hit) pair once, keyed on integers, in a
 table that lives and dies with the kernel; the event algebra
@@ -701,7 +701,7 @@ class DensityProfile:
 def window_means(f, group, N: int, elements) -> DensityProfile:
     """The mean of f over each canonical window Phi_n, n = 1..N, exact, from
     elements, a listing that holds Phi_N (and so every Phi_n inside it):
-    ``folner_sets(group, N)`` or a report's rows.  One pass puts each element
+    ``folner_sets(group, N)`` or a report's elements.  One pass puts each element
     in the bucket of the least n whose window holds it (``_window_rank``);
     Phi_n's sum and size are the running totals of buckets 1..n."""
     if N < 1:

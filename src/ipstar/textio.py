@@ -21,13 +21,13 @@ Certificates round-trip through ``parse_certificate`` and are replayed by
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from itertools import compress
+from operator import add
 
 from .algebra import (
     Integers,
@@ -91,7 +91,7 @@ def _parse_int(text: str) -> int:
 
 def element_renderer(group):
     """x -> the canonical text of x, for elements of group: the group's type
-    is resolved once, so a report binds one plain function for its rows."""
+    is resolved once, so a report binds one plain function for its columns."""
     if isinstance(group, VectorSpace):
         coord = element_renderer(group.ring)
         if group.dim == 1:
@@ -613,7 +613,7 @@ def report_tree(report, *, generated: str | None = None) -> dict:
     tree["epsilon"] = render_fraction(report.epsilon)
     render = element_renderer(report.domain)
     tree["R"] = {
-        "members": [render(u) for u, _w, _corr, hit in report.rows if hit],
+        "members": list(map(render, compress(report.elements, report.hits()))),
         "exact": report.exact,
     }
     classes = {
@@ -642,19 +642,24 @@ def render_report_json(tree: dict) -> str:
 
 
 def render_recurrence_csv(report, *, generated: str | None = None) -> str:
-    out = io.StringIO()
-    if generated is not None:
-        out.write(f"# generated: {generated}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["w", "mu_B", "corr", "threshold", "in_R"])
+    """The per-element table: a header, then one csv line
+    "w,mu_B,corr,threshold,in_R" per element in window order.  Only w's text
+    can hold a comma (a vector or a polynomial), and then it is quoted, as
+    csv's minimal quoting does; no text holds a quote or a line break."""
     render = element_renderer(report.system.acting)
     mu, threshold = render_fraction(report.mu), render_fraction(report.threshold)
-    # the rows share the kernel's Fractions, one per distinct pair, and keep
-    # them all alive, so an id names one value: each is rendered once
-    texts: dict = {}
-    writer.writerows(
-        [render(w), mu, texts.get(id(corr)) or texts.setdefault(id(corr), render_fraction(corr)),
-         threshold, "true" if hit else "false"]
-        for _u, w, corr, hit in report.rows
-    )
-    return out.getvalue()
+    pairs = report.pairs
+    # the pair column keeps every pair alive, so an id names one pair: the
+    # line tail of each distinct pair is rendered once
+    tails = {
+        i: f",{mu},{render_fraction(corr)},{threshold},{'true' if hit else 'false'}\n"
+        for i, (corr, hit) in dict(zip(map(id, pairs), pairs)).items()
+    }
+
+    def cell(w) -> str:
+        text = render(w)
+        return f'"{text}"' if "," in text else text
+
+    head = "" if generated is None else f"# generated: {generated}\n"
+    lines = map(add, map(cell, report.values), map(tails.__getitem__, map(id, pairs)))
+    return "".join([head, "w,mu_B,corr,threshold,in_R\n", *lines])

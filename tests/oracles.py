@@ -4,12 +4,14 @@ Everything here is deliberately naive: direct definitions, quadratic loops,
 no sharing with the library code paths being checked.  Slow is fine.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
 from ipstar.algebra import (
     AlgebraError,
+    FullWindow,
     Monomial,
     PolynomialMap,
     PolyRing,
@@ -19,6 +21,7 @@ from ipstar.algebra import (
     as_coords,
     check_window_size,
     eval_monomial,
+    eval_poly,
     window_enumerate,
 )
 from ipstar.halesjewett import Line, SubsetConfig
@@ -37,8 +40,10 @@ from ipstar.systems import (
     RotationSystem,
     compact_projection,
     folner_sets,
+    khintchine_bound,
     orbit_metric,
 )
+from ipstar.textio import describe_system, render_poly_map
 
 
 def naive_subset_sums(group, gens):
@@ -396,7 +401,7 @@ def theorem1_pipeline(sys, B, phi: PolynomialMap, epsilon, window: Window, r_max
     elements = tuple(window_enumerate(base["domain"], window))
     cross_of = cross_terms(sys, B)
     half = base["epsilon"] / 2
-    rows, A, E = [], [], []
+    values, pairs, A, E = [], [], [], []
     for u in elements:
         w = phi.compiled(as_coords(u, phi.n))
         # independent correlation path: inclusion-exclusion through the
@@ -412,8 +417,9 @@ def theorem1_pipeline(sys, B, phi: PolynomialMap, epsilon, window: Window, r_max
             E.append(u)
         if in_A and not in_E and not hit:
             raise RecurrenceError("inequality chain failed: A minus E left the return set")
-        rows.append((u, w, corr, hit))
-    report = RecurrenceReport(**base, elements=elements, rows=tuple(rows))
+        values.append(w)
+        pairs.append((corr, hit))
+    report = RecurrenceReport(**base, elements=elements, values=tuple(values), pairs=tuple(pairs))
     return classify_ipstar(report, r_max), tuple(A), tuple(E)
 
 
@@ -423,8 +429,59 @@ def reports_agree(a, b) -> bool:
     return (
         a.elements == b.elements
         and a.R == b.R
-        and [(u, c) for u, _, c, _ in a.rows] == [(u, c) for u, _, c, _ in b.rows]
+        and [c for c, _ in a.pairs] == [c for c, _ in b.pairs]
     )
+
+
+def reference_scan(report) -> list:
+    """(u, w, corr, hit) for each element of the report's window, in window
+    order, recomputed one element at a time: the window listed afresh, w
+    through ``eval_poly`` and corr through ``sys.correlation``."""
+    sys, B, phi = report.system, report.B, report.phi
+    threshold = sys.measure(B) ** 2 - report.epsilon
+    out = []
+    for u in window_enumerate(report.domain, report.window):
+        w = eval_poly(phi, as_coords(u, phi.n))
+        corr = sys.correlation(B, w)
+        out.append((u, w, corr, corr > threshold))
+    return out
+
+
+def reference_recurrence_renders(report) -> tuple[str, str]:
+    """The csv table and the JSON report of an unclassified return-set
+    report, written field by field from ``reference_scan``; a field holding
+    a comma is quoted, as csv's minimal quoting does."""
+    assert not report.classification and report.exceptional_density is None
+    sys, B = report.system, report.B
+    mu = sys.measure(B)
+    threshold = mu * mu - report.epsilon
+
+    def q(x) -> str:
+        return reference_render_element(Rationals(), x)
+
+    def field(text: str) -> str:
+        return f'"{text}"' if "," in text else text
+
+    scan = reference_scan(report)
+    lines = ["w,mu_B,corr,threshold,in_R"]
+    for _u, w, corr, hit in scan:
+        w_text = reference_render_element(sys.acting, w)
+        texts = [w_text, q(mu), q(corr), q(threshold), str(hit).lower()]
+        lines.append(",".join(map(field, texts)))
+    tree = {
+        "system": describe_system(sys),
+        "phi": render_poly_map(report.phi),
+        "epsilon": q(report.epsilon),
+        "R": {
+            "members": [reference_render_element(report.domain, u) for u, *_, hit in scan if hit],
+            "exact": isinstance(report.window, FullWindow),
+        },
+        "classification": {},
+        "witness": None,
+        "exceptional_density": None,
+        "bounds": {"khintchine": q(khintchine_bound(sys, B))},
+    }
+    return "".join(line + "\n" for line in lines), json.dumps(tree, indent=2) + "\n"
 
 
 def counter_poly_window(p: int, D: int) -> list:

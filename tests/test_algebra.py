@@ -24,6 +24,7 @@ from ipstar.algebra import (
     check_window_size,
     eval_monomial,
     eval_poly,
+    power_over_cap,
     scalar_poly_map,
     window_enumerate,
 )
@@ -240,6 +241,15 @@ def test_check_window_size_refuses_a_huge_window_without_its_power():
         with pytest.raises(AlgebraError, match=re.escape(shown)):
             check_window_size(group, window)
     assert time.perf_counter() - t0 < 0.5  # 3^(10^7) alone takes seconds
+
+
+def test_power_over_cap_allows_the_cap_and_refuses_one_past_it():
+    for base, exp in [(2, 20), (1 << 20, 1), (1024, 2), (32, 4), (1, 10**9), (7, 0)]:
+        assert power_over_cap(base, exp) is None
+    for base, exp, shown in [((1 << 20) + 1, 1, (1 << 20) + 1), (1025, 2, 1025**2),
+                             (2, 21, 1 << 21), (3, 13, 3**13), (10, 18, "2^60"),
+                             (2, 10**9, "2^1000000001")]:
+        assert power_over_cap(base, exp) == shown
 
 
 def test_window_contains_rejects_a_window_of_another_ring():

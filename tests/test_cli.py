@@ -769,6 +769,36 @@ def test_density_over_the_cap_exits_1_on_a_compact_backend(tmp_path, capsys, mon
         assert "averaging window index 1048577 is more than the cap of 1048576" in err
 
 
+def test_a_coloring_claim_over_the_cap_exits_1_naming_it(tmp_path, capsys):
+    for argv, message in [
+        (["hj", "k=2000000", "t=2", "m_max=1"], "hj k=2000000 m=1 has 2000000^1 words"),
+        (["fu-ramsey", "r=100000000", "s=2", "k=2"],
+         "fu r=100000000 has 2^100000000 - 1 positions"),
+    ]:
+        rc, out, err = _run(capsys, [*argv, f"output={tmp_path}"])
+        assert rc == 1 and out == "" and f"{message}, more than the cap of 1048576" in err
+        assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("certificate hj-counterexample\nk 2\nt 2\nm 100000000\ncoloring 1\n",
+         "hj k=2 m=100000000 has 2^100000000 words"),
+        ("certificate hj-cover\nk 1025\nt 2\nm 2\nleaf 1 0\n", "hj k=1025 m=2 has 1025^2 words"),
+        ("certificate fu-cover\nr 21\ns 2\nk 2\nleaf 1 {1}\n", "fu r=21 has 2^21 - 1 positions"),
+        ("certificate fu-counterexample\nr 100000000\ns 2\nk 2\ncoloring 1\n",
+         "fu r=100000000 has 2^100000000 - 1 positions"),
+    ],
+)
+def test_check_of_a_certificate_over_the_cap_exits_1_naming_it(tmp_path, capsys, text, message):
+    cert = tmp_path / "cert.txt"
+    cert.write_text(text)
+    rc, out, err = _run(capsys, ["--check", str(cert)])
+    assert rc == 1 and out == ""
+    assert f"certificate {str(cert)!r}: {message}, more than the cap of 1048576" in err
+
+
 def test_missing_config_file_and_no_command(capsys):
     rc, _, err = _run(capsys, ["hj", "-c", "/does/not/exist.conf"])
     assert rc == 1 and "cannot read config" in err

@@ -1,4 +1,5 @@
 import random
+import re
 from functools import partial
 from itertools import product
 
@@ -12,6 +13,7 @@ from ipstar.halesjewett import (
     Line,
     SubsetConfig,
     _lines_by_last_index,
+    _word_count,
     all_words,
     find_mono_line,
     first_mono_line,
@@ -256,6 +258,16 @@ def test_hj_counterexample_check_wants_a_full_coloring_in_range():
     assert not hj_coloring_is_counterexample(2, 2, 1, (1, 3))  # color 3 of 2
     assert not hj_coloring_is_counterexample(2, 2, 1, (1, 2, 1))  # three words of two
     assert not hj_coloring_is_counterexample(2, 2, 1, (1, 1))  # the only line
+
+
+def test_a_stage_over_the_word_cap_is_refused_before_its_table():
+    assert _word_count(2, 20) == _word_count(1024, 2) == 1 << 20
+    for k, m in [(2, 21), (1025, 2), (2, 10**8), ((1 << 20) + 1, 1)]:
+        message = f"hj k={k} m={m} has {k}^{m} words, more than the cap of 1048576"
+        for check in (partial(hj_stage, k, 2, m), partial(hj_check_cover, k, 2, m, ()),
+                      partial(hj_coloring_is_counterexample, k, 2, m, (1,))):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check()
 
 
 def test_cover_tamper_rejected():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -401,6 +402,16 @@ def test_fu_cover_leaves_need_s_blocks():
     forged = [CoverLeaf((1,), ((frozenset({1}),),))]
     assert not fu_check_cover(6, 3, 2, forged)
     assert fu_check_cover(6, 1, 2, forged)  # for s = 1 it is the true cover
+
+
+def test_a_claim_over_the_position_cap_is_refused_before_its_table():
+    assert ipsets._position_count(20) == (1 << 20) - 1
+    for r in (21, 10**8):
+        message = f"fu r={r} has 2^{r} - 1 positions, more than the cap of 1048576"
+        for check in (lambda: fu_ramsey_check(r, 2, 2), lambda: fu_check_cover(r, 2, 2, ()),
+                      lambda: fu_coloring_is_counterexample(r, 2, 2, (1,))):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Return sets, dual-family classification, constructive coloring search."""
 
+import contextlib
+import io
 import itertools
 import random
+import time
 from fractions import Fraction as F
 from functools import partial
 
@@ -23,6 +26,7 @@ from ipstar.algebra import (
     scalar_poly_map,
     window_enumerate,
 )
+from ipstar import cli
 from ipstar import recurrence as recurrence_module
 from ipstar.ipsets import IpStarVerdict, finite_sums, is_ip_r_star
 from ipstar.recurrence import (
@@ -39,8 +43,15 @@ from ipstar.systems import (
     SystemError,
     regular_system,
 )
-from ipstar.textio import report_tree
-from oracles import naive_map_value, naive_rotation_return_sq, reports_agree, theorem1_pipeline
+from ipstar.textio import render_recurrence_csv, render_report_json, report_tree
+from oracles import (
+    naive_map_value,
+    naive_rotation_return_sq,
+    reference_recurrence_renders,
+    reference_scan,
+    reports_agree,
+    theorem1_pipeline,
+)
 from test_ip_scan import MAX_TUPLES, reference_is_ip_r_star
 
 F3 = PrimeField(3)
@@ -69,7 +80,7 @@ def test_recurrence_set_full_f5():
     assert rep.khintchine == F(2, 5)
     assert rep.outside_hypotheses
     # correlations behind the verdict: 2/5 at 0, 1/5 on every other square
-    corr = {u: c for u, _, c, _ in rep.rows}
+    corr = {u: c for u, (c, _) in zip(rep.elements, rep.pairs)}
     assert corr[0] == F(2, 5) and corr[1] == F(1, 5) and corr[2] == F(1, 5)
 
 
@@ -77,11 +88,11 @@ def test_recurrence_set_singleton_f5():
     s = regular_system(5)
     rep = recurrence_set(s, {0}, SQUARE_5, F(1, 50), FullWindow())
     assert rep.R == frozenset({0})
-    assert all((c == F(1, 5)) == (u == 0) for u, _, c, _ in rep.rows)
+    assert all((c == F(1, 5)) == (u == 0) for u, (c, _) in zip(rep.elements, rep.pairs))
 
 
 def test_recurrence_set_enumerates_its_window_once(monkeypatch):
-    # the report's rows are the only listing of the scan window: R, the pool
+    # the report's elements are the only listing of the scan window: R, the pool
     # of the IP scan, the re-check of its witnesses and the exceptional
     # density over the canonical windows degree < 1, < 2 and < 3 are read
     # off them.  The ring's own method is counted, whichever module lists
@@ -104,7 +115,7 @@ def test_recurrence_set_enumerates_its_window_once(monkeypatch):
         calls.clear()
         rep = run()
         assert calls == [DegreeWindow(3)]
-        assert [u for u, *_ in rep.rows] == list(rep.elements) and len(rep.elements) == 8
+        assert len(rep.values) == len(rep.pairs) == len(rep.elements) == 8
 
 
 def test_recurrence_set_refuses_an_event_with_unknown_points():
@@ -164,7 +175,7 @@ def test_recurrence_set_refuses_a_kernel_that_misjudges_zero(name, monkeypatch):
     # miss, and only that w, must still trip the invariant
     sys, B, phi, window = ZERO_CASES[name]
     rep = recurrence_set(sys, B, phi, F(1, 100), window)
-    assert rep.rows and "R" not in vars(rep)  # R is hashed on first use only
+    assert rep.pairs and "R" not in vars(rep)  # R is hashed on first use only
     kernel = type(sys).kernel
     zero = sys.acting.zero
 
@@ -265,21 +276,41 @@ def scan_cases(draw):
 @given(scan_cases())
 def test_recurrence_rows_are_the_map_and_the_correlation_of_each_element(case):
     # the scan evaluates the map at window elements without normalising
-    # them again; each row must match eval_poly, which does (repr tells an
-    # int from an equal Fraction), a term-by-term oracle and a one-off
-    # correlation
+    # them again; each element's value and pair must match eval_poly, which
+    # does (repr tells an int from an equal Fraction), a term-by-term oracle
+    # and a one-off correlation
     sys, B, phi, eps, window = case
     rep = recurrence_set(sys, B, phi, eps, window)
     B = sys.event(B)
     threshold = sys.measure(B) ** 2 - eps
-    assert [u for u, *_ in rep.rows] == list(rep.elements) == window_enumerate(rep.domain, window)
-    for u, w, corr, hit in rep.rows:
+    assert len(rep.values) == len(rep.pairs) == len(rep.elements)
+    assert list(rep.elements) == window_enumerate(rep.domain, window)
+    for u, w, (corr, hit) in zip(rep.elements, rep.values, rep.pairs):
         coords = (u,) if phi.n == 1 else u
         want = eval_poly(phi, coords)
         assert repr(w) == repr(want) and w == naive_map_value(phi, coords)
         assert corr == sys.correlation(B, want)
         assert hit == (corr > threshold)
-    assert rep.R == {u for u, _w, _corr, hit in rep.rows if hit}
+    assert rep.R == {u for u, (_corr, hit) in zip(rep.elements, rep.pairs) if hit}
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_cases())
+def test_renderers_and_summary_match_a_per_element_recount(case):
+    # both renderers and the summary line read the report's columns; the
+    # reference recomputes each element and writes each field itself
+    rep = recurrence_set(*case)
+    scan = reference_scan(rep)
+    csv_text, json_text = reference_recurrence_renders(rep)
+    assert render_recurrence_csv(rep) == csv_text
+    assert render_report_json(report_tree(rep)) == json_text
+    hits = [u for u, *_, hit in scan if hit]
+    assert rep.R == frozenset(hits)
+    assert rep.exceptional == tuple(u for u, *_, hit in scan if not hit)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._print_recurrence_summary(rep.system, rep)
+    assert f"R: {len(hits)} of {len(scan)} window elements\n" in out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +364,7 @@ def test_classify_refuses_a_forged_fails_witness(monkeypatch, witness):
 @settings(max_examples=80, deadline=None)
 @given(scan_cases())
 def test_classify_levels_match_the_reference_scan_over_the_window(case):
-    # classify scans the report's non-hit rows; the reference probes every
+    # classify scans the report's non-hit elements; the reference probes every
     # tuple of the window against R, so the two share only the return set
     sys, B, phi, eps, window = case
     rep = recurrence_set(sys, B, phi, eps, window)
@@ -823,3 +854,23 @@ def test_search_input_rejections():
         isometric_recurrence_search(rot, F(0), m, F(1, 10), ())
     with pytest.raises(RecurrenceError, match="too large"):
         isometric_recurrence_search(rot, F(0), Monomial(Q, F(1), (3,)), F(1, 10), (1,) * 8)
+
+
+def test_search_space_cap_is_decided_by_exponents(monkeypatch):
+    # (2^d)^r words: d * r = 20 reaches the cover table, 21 is refused, and
+    # an absurd degree is refused before any power of it is formed
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(recurrence_module, "_cells", reached)
+    rot = RotationSystem(F(1, 7))
+    with pytest.raises(Reached):
+        isometric_recurrence_search(rot, F(0), Monomial(Q, F(1), (5,)), F(1, 10), (1, 2, 3, 4))
+    t0 = time.perf_counter()
+    for degree, r in [(3, 7), (21, 1), (100_000_000, 4)]:
+        with pytest.raises(RecurrenceError, match="search space too large"):
+            isometric_recurrence_search(rot, F(0), Monomial(Q, F(1), (degree,)), F(1, 10), (1,) * r)
+    assert time.perf_counter() - t0 < 0.5  # forming 2^(4 * 10^8) alone takes seconds
