@@ -1,31 +1,32 @@
 """Exact arithmetic for the ground structures.
 
-Four ground rings are supported, all with exact arithmetic:
+The backends' maps are defined over three ground rings, all with exact
+arithmetic:
 
 * ``PrimeField(p)``   elements are ints in ``0..p-1``, arithmetic mod p
 * ``Rationals()``     elements are ``fractions.Fraction`` (lowest terms,
   positive denominator, guaranteed by the Fraction type)
-* ``Integers()``      elements are plain ints
 * ``PolyRing(p)``     univariate polynomials over GF(p), stored as tuples of
   coefficients in ascending degree with no trailing zero; ``()`` is zero
 
-``Integers`` and ``Rationals`` share one set of operations, Python's own
-exact ``+ - *``; each ring's ``zero`` and ``one`` are class attributes.
+``Integers()`` is no ground ring: it is Z, as plain ints, only as the
+additive group that the finite-sums combinatorics scans in.  It shares its
+operations with ``Rationals``, Python's own exact ``+ - *``; each ring's
+``zero`` and ``one`` are class attributes.
 
 On top of the rings sit fixed-dimension vector spaces (elements are tuples of
 ring elements), monomial maps ``u -> a * u1^d1 * ... * un^dn`` and polynomial
 maps ``u -> sum_i m_i(u) * w_i`` with zero constant term, whose weights lie
-over the domain ring (or over Q for a map on Z).  Each map is evaluated
-through a compiled form, built on its first evaluation and kept (``compiled``):
-one scalar polynomial per target coordinate, its weights folded into its
-coefficients, in plain ints over F_p, Z and Q (one ``Fraction`` per value
-over Q) and in the ring's own operations over F_p[t].
+over the domain ring.  Each map is evaluated through a compiled form, built
+on its first evaluation and kept (``compiled``): one scalar polynomial per
+target coordinate, its weights folded into its coefficients, in plain ints
+over F_p and Q (one ``Fraction`` per value over Q) and in the ring's own
+operations over F_p[t].
 
 Window enumeration orders are frozen so that "first witness" answers from the
 search modules are deterministic:
 
 * ``PrimeField``: ``0, 1, ..., p-1``
-* ``Integers`` bound A: ``-A, ..., A``
 * ``Rationals`` bounds (A, B): every ``a/b`` in lowest terms with ``|a| <= A``
   and ``1 <= b <= B``, in ascending numeric order
 * ``PolyRing`` degree bound D: base-p counter order, i.e. the polynomial whose
@@ -77,15 +78,6 @@ class FullWindow:
 
 
 @dataclass(frozen=True)
-class IntegerWindow:
-    bound: int
-
-    def __post_init__(self):
-        if self.bound < 0:
-            raise AlgebraError("integer window bound must be >= 0")
-
-
-@dataclass(frozen=True)
 class RationalWindow:
     num_bound: int
     den_bound: int
@@ -104,13 +96,12 @@ class DegreeWindow:
             raise AlgebraError("degree window bound must be >= 0")
 
 
-Window = FullWindow | IntegerWindow | RationalWindow | DegreeWindow
+Window = FullWindow | RationalWindow | DegreeWindow
 
 
 def _expect_window(ring, window, kind) -> None:
     if not isinstance(window, kind):
-        article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise AlgebraError(f"{ring} needs {article} {kind.__name__}, got {window}")
+        raise AlgebraError(f"{ring} needs a {kind.__name__}, got {window}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,25 +173,8 @@ class _ExactNumbers:
 
 @dataclass(frozen=True)
 class Integers(_ExactNumbers):
-    def element(self, x) -> int:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise AlgebraError(f"not an integer: {x!r}")
-        return x
-
-    def enumerate_window(self, window: Window) -> list[int]:
-        _expect_window(self, window, IntegerWindow)
-        return list(range(-window.bound, window.bound + 1))
-
-    def window_contains(self, window: Window, a: int) -> bool:
-        _expect_window(self, window, IntegerWindow)
-        return abs(a) <= window.bound
-
-    def window_power(self, window: Window) -> tuple[int, int]:
-        _expect_window(self, window, IntegerWindow)
-        return 2 * window.bound + 1, 1
-
-    def __str__(self):
-        return "Z"
+    """Z as the additive group of the finite-sums scans: no map or window
+    is defined over it."""
 
 
 @dataclass(frozen=True)
@@ -323,7 +297,7 @@ class PolyRing:
         return f"F_{self.p}[t]"
 
 
-GroundRing = PrimeField | Integers | Rationals | PolyRing
+GroundRing = PrimeField | Rationals | PolyRing
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +453,13 @@ def eval_monomial(m: Monomial, u: tuple):
 
 def _compile(ring, terms):
     """u -> sum of a * u_1^e_1 * ... * u_n^e_n over the (a, e) in terms, a
-    function of normalised coordinates from ``ring`` (or from Z inside Q),
-    built once.
+    function of normalised coordinates from ``ring``, built once.
 
     * F_p: ints mod p, each power one ``pow(u_k, e, p)``.
-    * Z and Q: integer coefficients A over their common denominator L.
-      With E_k the top power of u_k = p_k/q_k (q_k = 1 on a Z domain), the
-      value is sum A * prod p_k^e_k * q_k^(E_k - e_k) over L * prod q_k^E_k:
-      integer arithmetic and one ``Fraction`` per value, or an int over Z.
+    * Q: integer coefficients A over their common denominator L.  With E_k
+      the top power of u_k = p_k/q_k, the value is sum A * prod p_k^e_k *
+      q_k^(E_k - e_k) over L * prod q_k^E_k: integer arithmetic and one
+      ``Fraction`` per value.
     * F_p[t]: the ring's own operations; a coefficient equal to one is not
       multiplied in and a first power not computed, so ``u`` returns u.
     """
@@ -527,7 +500,6 @@ def _compile(ring, terms):
     # each term as A and its powers of the p_k and q_k: (k, e_k, E_k - e_k)
     terms = [(a.numerator * (L // a.denominator), dict(factors)) for a, factors in terms]
     terms = [(A, [(k, e.get(k, 0), top - e.get(k, 0)) for k, top in tops]) for A, e in terms]
-    as_int = isinstance(ring, Integers)  # then L and every q_k are 1
 
     def value(u):
         total = 0
@@ -539,8 +511,6 @@ def _compile(ring, terms):
                 if f:
                     A *= x.denominator ** f
             total += A
-        if as_int:
-            return total
         den = L
         for k, top in tops:
             den *= u[k].denominator ** top
@@ -563,8 +533,7 @@ class PolynomialMap:
         if not self.terms:
             raise AlgebraError("polynomial map needs at least one term")
         scalars = self.target.ring if isinstance(self.target, VectorSpace) else self.target
-        z_in_q = isinstance(self.ring, Integers) and isinstance(scalars, Rationals)
-        if scalars != self.ring and not z_in_q:
+        if scalars != self.ring:
             raise AlgebraError(f"a map on {self.ring} cannot take values in {self.target}")
         checked = []
         for m, w in self.terms:
@@ -583,8 +552,8 @@ class PolynomialMap:
         """The map at normalised coordinates, built once per map: each
         target coordinate is one scalar polynomial over the target's ring,
         its terms' weights folded into their coefficients (``_compile``).
-        A value has the target's type: an int over Z, a ``Fraction`` over Q
-        (from a Z domain too), a normalised tuple over F_p[t]."""
+        A value has the target's type: an int over F_p, a ``Fraction`` over
+        Q, a normalised tuple over F_p[t]."""
         tgt = self.target
         if not isinstance(tgt, VectorSpace):
             return _compile(tgt, [(tgt.mul(m.coeff, w), m.exponents) for m, w in self.terms])

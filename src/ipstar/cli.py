@@ -322,12 +322,6 @@ def _named_event(cfg, events, key="set"):
     return events[name]
 
 
-def _domain_ring(sys_):
-    if isinstance(sys_, FinitePermSystem):
-        return sys_.field
-    return sys_.ring
-
-
 def _parse_window(text: str):
     parts = text.split()
     try:
@@ -356,7 +350,7 @@ def _mapped_inputs(cfg):
     """The system, the event its file names by ``set`` and the map ``phi``."""
     sys_, events = _load_system(cfg)
     B = _named_event(cfg, events)
-    phi = _resolve(cfg, "phi", lambda t: parse_poly_map(_domain_ring(sys_), sys_.acting, t))
+    phi = _resolve(cfg, "phi", lambda t: parse_poly_map(sys_.ring, sys_.acting, t))
     return sys_, B, phi
 
 
@@ -441,24 +435,20 @@ _CLAIMS = {
 
 def _run_stages(cfg, resume_file, stage_range, run_stage):
     """Decide the claim of an `hj` or `fu-ramsey` run at ascending stages
-    under one budget, writing a certificate per decided stage and a
-    checkpoint when the budget runs out.  Returns (exit code, the first
-    stage whose claim holds for every coloring or None)."""
+    under one budget, printing each stage's line and writing its
+    certificate as the stage is decided, and a checkpoint when the budget
+    runs out.  Returns (exit code, the first stage whose claim holds for
+    every coloring or None)."""
     family, key, head, resumed, ok_label = _CLAIMS[cfg.command]
     outd = _out_dir(cfg)
     resume = None
     if resume_file is not None:
         resume = _load_checkpoint(resume_file, cfg, key, stage_range)
-    done = stages(
-        stage_range,
-        run_stage,
-        lambda out: out.kind == ALL_OK,
-        budget=cfg.values.get("budget"),
-        resume=resume,
-    )
-    if resume is not None:  # printed once the search reached the checkpoint's path
-        print(resumed.format(**{**cfg.values, key: resume[0]}))
+    done = stages(stage_range, run_stage, budget=cfg.values.get("budget"), resume=resume)
     for n, out in done:
+        if resume is not None:  # printed once the search reached the checkpoint's path
+            print(resumed.format(**{**cfg.values, key: resume[0]}))
+            resume = None
         values = {**cfg.values, key: n}
         if out.kind == BUDGET_EXCEEDED:
             print(f"{head.format(**values)}: budget exceeded after {out.candidates} candidates")
@@ -584,7 +574,7 @@ def _run_classify(cfg, resume_file) -> int:
 
 def _run_search(cfg, resume_file) -> int:
     sys_, events = _load_system(cfg)
-    ring = _domain_ring(sys_)
+    ring = sys_.ring
     if not isinstance(sys_, (FinitePermSystem, RotationSystem)):
         raise ValueError("constructive search needs a compact backend (finite-perm or rotation)")
     if isinstance(sys_, RotationSystem):

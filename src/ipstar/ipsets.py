@@ -27,10 +27,12 @@ verdict.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import floor, log10
 
 from .algebra import SIZE_CAP, Integers, power_over_cap
 from .search import (
@@ -402,8 +404,20 @@ class BlockExample:
 
 
 def example_a(r_max: int) -> BlockExample:
+    """Blocks r = 1..r_max of the values i * 2^(2^r), i = 1..r; refused unbuilt
+    when 2^(2^r_max) has over ``SIZE_CAP`` bits, or r_max * 2^(2^r_max) more
+    digits than Python's int-to-text limit allows (counted by logarithms)."""
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
+    if power_over_cap(2, r_max) is not None:
+        raise ValueError(f"example-a r_max={r_max}: 2^(2^{r_max}) has more than {SIZE_CAP} bits")
+    digits = floor(log10(r_max) + (1 << r_max) * log10(2)) + 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 where no limit is set
+    if limit and digits > limit:
+        raise ValueError(
+            f"example-a r_max={r_max}: its largest value has {digits} digits, "
+            f"more than the limit of {limit} for integer text"
+        )
     blocks = []
     members = set()
     for r in range(1, r_max + 1):

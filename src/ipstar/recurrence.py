@@ -51,7 +51,7 @@ from itertools import compress
 from math import lcm
 from operator import itemgetter, not_
 
-from .algebra import FullWindow, Integers, Monomial, PolynomialMap, Rationals, VectorSpace, Window
+from .algebra import FullWindow, Monomial, PolynomialMap, Rationals, VectorSpace, Window
 from .algebra import SIZE_CAP, as_coords, check_window_size, window_enumerate
 from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_gather
 from .ipsets import finite_sums, is_ip_r_star, subset_folds
@@ -331,7 +331,6 @@ def _cells(s, m, x, width: Fraction, gens):
     facs = m.factor_coordinates()
     if isinstance(s, RotationSystem):
         turn = s._angle(m.coeff)  # c*rho
-        # an int or a Fraction: both carry numerator and denominator
         den = lcm(*(g[c].denominator for g in gens for c in facs))
         L = x.denominator * turn.denominator * den ** len(facs)
         start = turn.numerator * x.denominator
@@ -385,8 +384,8 @@ def isometric_recurrence_search(sys, x, m: Monomial, epsilon, gens):
     # by exponents, so an absurd degree never forms the power
     if d * r > SIZE_CAP.bit_length() - 1:
         raise RecurrenceError("search space too large; fewer generators or lower degree")
-    if isinstance(sys, RotationSystem) and not isinstance(ring, (Rationals, Integers)):
-        raise RecurrenceError("rotation search needs a monomial over Q or Z")
+    if isinstance(sys, RotationSystem) and not isinstance(ring, Rationals):
+        raise RecurrenceError("rotation search needs a monomial over Q")
 
     # cells of width epsilon / 2^(d-1): the telescoping chain over the
     # 2^(d-1) same-cell pairs then stays under epsilon

@@ -495,10 +495,10 @@ def avoids_every_edge(coloring, k: int, edges_by_last) -> bool:
     )
 
 
-def stages(stages, run_stage, until, *, budget: int | None = None, resume=None):
-    """Run a search at each stage in ascending order, up to and including
-    the first outcome that satisfies ``until`` or ran out of budget; returns
-    (stage, outcome) pairs.
+def stages(stages, run_stage, *, budget: int | None = None, resume=None):
+    """Run a search at each stage in ascending order, yielding (stage,
+    outcome) as each stage ends; the run ends after an outcome that ran out
+    of budget, and a caller that has what it needs stops drawing.
 
     ``run_stage(n, budget=..., resume_path=...)`` searches stage n and
     returns an outcome with ``candidates`` and ``resume_path``, the latter
@@ -512,13 +512,11 @@ def stages(stages, run_stage, until, *, budget: int | None = None, resume=None):
     if resume is not None:
         start, path = resume
         stages = [n for n in stages if n >= start]
-    out = []
     for n in stages:
         res = run_stage(n, budget=budget, resume_path=path)
-        out.append((n, res))
-        if res.resume_path is not None or until(res):
-            break
+        yield n, res
+        if res.resume_path is not None:
+            return
         path = None
         if budget is not None:
             budget -= res.candidates
-    return out

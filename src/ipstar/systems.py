@@ -81,8 +81,6 @@ from .algebra import (
     AlgebraError,
     DegreeWindow,
     FullWindow,
-    IntegerWindow,
-    Integers,
     PolyRing,
     PrimeField,
     RationalWindow,
@@ -137,7 +135,7 @@ class FinitePermSystem(_Backend):
     outside_theorem_hypotheses = True
 
     def __init__(self, p: int, points, weights, gens):
-        self.field = PrimeField(p)
+        self.ring = PrimeField(p)
         self.p = p
         self.points = tuple(points)
         if len(set(self.points)) != len(self.points):
@@ -183,14 +181,14 @@ class FinitePermSystem(_Backend):
                 gi, gj = self.gens[i], self.gens[j]
                 if any(gi[gj[x]] != gj[gi[x]] for x in pts):
                     raise SystemError(f"generators {i + 1} and {j + 1} do not commute")
-        self.acting = VectorSpace(self.field, self.n) if self.n > 1 else self.field
+        self.acting = VectorSpace(self.ring, self.n) if self.n > 1 else self.ring
 
     def _coords(self, w):
         if not isinstance(w, tuple):
             w = (w,)
         if len(w) != self.n:
             raise SystemError(f"acting element needs {self.n} coordinates")
-        return tuple(map(self.field.element, w))
+        return tuple(map(self.ring.element, w))
 
     def _images(self, xs, coords) -> list:
         """The images of the points xs, in order, under the acting element
@@ -631,17 +629,14 @@ def folner_sets(group, N: int) -> list:
     """The frozen canonical averaging window at index N, listed by
     ``window_enumerate``.
 
-    Integers: {0..N-1}.  Prime field: everything (``FullWindow``).
-    Polynomial ring: degree < N (``DegreeWindow(N)``).  Rationals: a/b with
-    |a| <= N, b <= N (``RationalWindow(N, N)``).  A vector space over a
-    prime field, the polynomials or the rationals takes its scalars' window
+    Prime field: everything (``FullWindow``).  Polynomial ring: degree < N
+    (``DegreeWindow(N)``).  Rationals: a/b with |a| <= N, b <= N
+    (``RationalWindow(N, N)``).  A vector space takes its scalars' window
     in every coordinate.  Such a window is refused unlisted when it may hold
     more than ``SIZE_CAP`` elements (``check_window_size``).
     """
     if N < 1:
         raise SystemError("averaging window index must be >= 1")
-    if isinstance(group, Integers):
-        return list(range(N))
     scalars = group.ring if isinstance(group, VectorSpace) else group
     if isinstance(scalars, PrimeField):
         window = FullWindow()
@@ -657,13 +652,10 @@ def folner_sets(group, N: int) -> list:
 
 def _window_rank(group):
     """u -> the least n whose canonical window ``folner_sets(group, n)``
-    holds u (below 1 when none does): u + 1 on the integers, 1 on a prime
-    field, max(number of coefficients, 1) on the polynomials,
-    max(|numerator|, denominator) on the rationals, and the largest
-    coordinate's rank on a vector space."""
-    if isinstance(group, Integers):
-        return lambda u: u + 1
-    if isinstance(group, VectorSpace) and not isinstance(group.ring, Integers):
+    holds u: 1 on a prime field, max(number of coefficients, 1) on the
+    polynomials, max(|numerator|, denominator) on the rationals, and the
+    largest coordinate's rank on a vector space."""
+    if isinstance(group, VectorSpace):
         rank = _window_rank(group.ring)
         return lambda u: max(map(rank, u))
     if isinstance(group, PrimeField):
@@ -678,14 +670,12 @@ def _window_rank(group):
 def folner_reach(window) -> int:
     """The largest N whose canonical window ``folner_sets(group, N)`` lies
     inside the bounded ``window`` (0 when none does): ``deg D`` holds the
-    degree windows n <= D, ``rat A B`` holds ``rat n n`` for n <= min(A, B),
-    and the integers [-b, b] hold {0..n-1} for n <= b + 1."""
+    degree windows n <= D, and ``rat A B`` holds ``rat n n`` for
+    n <= min(A, B)."""
     if isinstance(window, DegreeWindow):
         return window.deg_bound
     if isinstance(window, RationalWindow):
         return min(window.num_bound, window.den_bound)
-    if isinstance(window, IntegerWindow):
-        return window.bound + 1
     raise SystemError(f"{window} holds every canonical averaging window")
 
 
@@ -710,7 +700,7 @@ def window_means(f, group, N: int, elements) -> DensityProfile:
     sums, sizes = [0] * (N + 1), [0] * (N + 1)
     for u in elements:
         n = rank(u)
-        if 1 <= n <= N:
+        if n <= N:
             sizes[n] += 1
             t = f(u)
             if t:  # zero terms, most of a Cesaro window, are not added
@@ -737,7 +727,6 @@ def dlim_probe(sys, B, phi_map, N: int) -> DensityProfile:
             raise SystemError("averaging window index must be >= 1")
         if N > SIZE_CAP:
             raise SystemError(f"averaging window index {N} is more than the cap of {SIZE_CAP}")
-        _window_rank(domain)  # refuses a domain without canonical windows
         return DensityProfile(Fraction(0), (Fraction(0),) * N)
     kernel, value, n, mu2 = sys.kernel(B, 0), phi_map.compiled, phi_map.n, split.mu**2
     squares: dict = {}  # id(pair) -> its term; the kernel keeps every pair it returns alive

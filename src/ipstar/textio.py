@@ -2,7 +2,7 @@
 
 Canonical renderings (frozen; parsers accept exactly these):
 
-* integers and prime-field elements: ``3``
+* prime-field elements: ``3``
 * rationals: ``a/b``, or a bare integer when the denominator is 1
 * polynomials over F_p: little-endian coefficient list ``[c0,c1,...]``;
   the zero polynomial is ``[]``
@@ -30,7 +30,6 @@ from itertools import compress
 from operator import add
 
 from .algebra import (
-    Integers,
     Monomial,
     PolyRing,
     PolynomialMap,
@@ -146,7 +145,7 @@ def parse_element(group, text: str):
         return group.element(coeffs)
     if isinstance(group, Rationals):
         return parse_fraction(text)
-    if isinstance(group, (PrimeField, Integers)):
+    if isinstance(group, PrimeField):
         return group.element(_parse_int(text))
     raise TextFormatError(f"no element format for {group}")
 

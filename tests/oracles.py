@@ -269,6 +269,18 @@ def plain_coloring_search(k, edges_by_last):
     return ColoringOutcome(ALL_OK, None, out.leaves, out.candidates)
 
 
+def through_first_all_ok(staged) -> list:
+    """The (stage, outcome) pairs that ``search.stages`` yields, up to and
+    including the first all-colorings-ok outcome: the stages that decide
+    the least stage whose claim holds for every coloring."""
+    out = []
+    for n, res in staged:
+        out.append((n, res))
+        if res.kind == ALL_OK:
+            break
+    return out
+
+
 def per_size_fk_search(r, N, edges_by_last):
     """fk-density one size at a time, without a bound: for size = 0, 1, ...
     a depth-first search over x = 1..N tries "x in A" before "x in C", so

@@ -40,7 +40,7 @@ from ipstar.recurrence import (
     isometric_recurrence_search,
     recurrence_set,
 )
-from ipstar.search import ALL_OK, stages
+from ipstar.search import stages
 from ipstar.systems import (
     BernoulliSystem,
     RotationSystem,
@@ -63,6 +63,7 @@ from oracles import (
     reports_agree,
     telescope_check,
     theorem1_pipeline,
+    through_first_all_ok,
 )
 
 Q = Rationals()
@@ -76,7 +77,7 @@ def square_map(ring):
 
 def test_criterion_01_hj_number_two_two():
     t0 = time.perf_counter()
-    done = stages(range(1, 5), partial(hj_stage, 2, 2), lambda out: out.kind == ALL_OK)
+    done = through_first_all_ok(stages(range(1, 5), partial(hj_stage, 2, 2)))
     assert [m for m, _ in done] == [1, 2]  # HJ(2,2) = 2
     (_, first), (_, second) = done
     assert first.kind == "counterexample" and first.coloring is not None
@@ -94,11 +95,8 @@ def test_criterion_02_fu_ramsey_finite_shadow(tmp_path, capsys):
     # the least bad coloring is exactly the block-size parity coloring
     parity = tuple(1 if len(a) % 2 else 2 for a in family_order(3))
     assert res.coloring == parity
-    results = stages(
-        range(1, 5),
-        lambda r, **kw: fu_ramsey_check(r, 2, 2, **kw),
-        lambda out: out.kind == ALL_OK,
-        budget=500_000,
+    results = through_first_all_ok(
+        stages(range(1, 5), lambda r, **kw: fu_ramsey_check(r, 2, 2, **kw), budget=500_000)
     )
     # no universal r that low; every level has a witness
     assert [(r, x.kind) for r, x in results] == [(r, "counterexample") for r in range(1, 5)]

@@ -11,8 +11,6 @@ from ipstar.algebra import (
     AlgebraError,
     DegreeWindow,
     FullWindow,
-    IntegerWindow,
-    Integers,
     Monomial,
     PolyRing,
     PolynomialMap,
@@ -31,14 +29,12 @@ from ipstar.algebra import (
 from ipstar.textio import parse_element, render_element, render_poly_map
 from oracles import counter_poly_window, naive_map_value, telescope_check, vector_scale
 
-RINGS = [PrimeField(2), PrimeField(5), Integers(), Rationals(), PolyRing(2), PolyRing(3)]
+RINGS = [PrimeField(2), PrimeField(5), Rationals(), PolyRing(2), PolyRing(3)]
 
 
 def random_element(ring, rng):
     if isinstance(ring, PrimeField):
         return rng.randrange(ring.p)
-    if isinstance(ring, Integers):
-        return rng.randrange(-50, 51)
     if isinstance(ring, Rationals):
         return Fraction(rng.randrange(-30, 31), rng.randrange(1, 12))
     if isinstance(ring, PolyRing):
@@ -85,11 +81,6 @@ def test_prime_check():
 
 # ---------------------------------------------------------------------------
 # windows
-
-
-def test_integer_window_order():
-    assert window_enumerate(Integers(), IntegerWindow(3)) == [-3, -2, -1, 0, 1, 2, 3]
-    assert window_enumerate(Integers(), IntegerWindow(0)) == [0]
 
 
 def test_prime_field_window():
@@ -156,13 +147,10 @@ def test_degree_window_is_the_counter_order(p, D):
 def _window_and_element(draw):
     """(ring, window, u) with u a normal-form element up to 2 past each of
     the window's bounds."""
-    kind = draw(st.sampled_from(["field", "int", "rat", "poly"]))
+    kind = draw(st.sampled_from(["field", "rat", "poly"]))
     if kind == "field":
         p = draw(st.sampled_from([2, 3, 7]))
         return PrimeField(p), FullWindow(), draw(st.integers(0, p - 1))
-    if kind == "int":
-        A = draw(st.integers(0, 6))
-        return Integers(), IntegerWindow(A), draw(st.integers(-A - 2, A + 2))
     if kind == "rat":
         A, B = draw(st.integers(0, 5)), draw(st.integers(1, 5))
         num, den = draw(st.integers(-A - 2, A + 2)), draw(st.integers(1, B + 2))
@@ -183,11 +171,9 @@ def test_window_contains_agrees_with_the_enumeration(case):
 def _small_windows():
     """(group, window) for small windows of every kind, scalar and vector."""
     out = [(PrimeField(p), FullWindow()) for p in (2, 3, 7)]
-    out += [(Integers(), IntegerWindow(A)) for A in range(4)]
     out += [(Rationals(), RationalWindow(A, B)) for A in range(5) for B in range(1, 6)]
     out += [(PolyRing(p), DegreeWindow(D)) for p in (2, 3, 5) for D in range(4)]
     out += [(VectorSpace(PrimeField(3), n), FullWindow()) for n in (1, 2, 3)]
-    out += [(VectorSpace(Integers(), 2), IntegerWindow(2))]
     out += [(VectorSpace(Rationals(), 2), RationalWindow(A, B)) for A, B in ((0, 1), (2, 3), (3, 2))]
     out += [(VectorSpace(PolyRing(2), n), DegreeWindow(D)) for n in (2, 3) for D in (0, 1, 2)]
     return out
@@ -205,8 +191,7 @@ def test_window_size_bounds_the_listing(group, window):
 
 
 def test_window_size_refuses_a_window_of_another_ring():
-    for ring, window in [(PrimeField(5), IntegerWindow(2)), (Integers(), FullWindow()),
-                         (Rationals(), DegreeWindow(2)), (PolyRing(2), RationalWindow(1, 1)),
+    for ring, window in [(Rationals(), DegreeWindow(2)), (PolyRing(2), RationalWindow(1, 1)),
                          (VectorSpace(PrimeField(2), 2), DegreeWindow(1))]:
         with pytest.raises(AlgebraError, match="needs a"):
             ring.window_power(window)
@@ -253,21 +238,16 @@ def test_power_over_cap_allows_the_cap_and_refuses_one_past_it():
 
 
 def test_window_contains_rejects_a_window_of_another_ring():
-    for ring, window in [(PrimeField(5), IntegerWindow(2)), (Integers(), FullWindow()),
-                         (Rationals(), DegreeWindow(2)), (PolyRing(2), RationalWindow(1, 1))]:
+    for ring, window in [(Rationals(), DegreeWindow(2)), (PolyRing(2), RationalWindow(1, 1))]:
         with pytest.raises(AlgebraError, match="needs a"):
             ring.window_contains(window, ring.zero)
 
 
 def test_window_rejects_bad_parameters():
     with pytest.raises(AlgebraError):
-        IntegerWindow(-1)
-    with pytest.raises(AlgebraError):
         RationalWindow(2, 0)
     with pytest.raises(AlgebraError):
         DegreeWindow(-2)
-    with pytest.raises(AlgebraError):
-        window_enumerate(Integers(), FullWindow())
 
 
 def test_vector_window_product_order():
@@ -318,10 +298,10 @@ def test_format_conventions():
     R = PolyRing(3)
     assert render_element(R, ()) == "[]"
     assert render_element(R, (2, 0, 1)) == "[2,0,1]"
-    V = VectorSpace(Integers(), 1)
-    assert render_element(V, (7,)) == "7"  # rank-1 renders as a bare scalar
-    V2 = VectorSpace(Integers(), 2)
-    assert render_element(V2, (7, -1)) == "(7,-1)"
+    V = VectorSpace(Q, 1)
+    assert render_element(V, (Fraction(7),)) == "7"  # rank-1 renders as a bare scalar
+    V2 = VectorSpace(Q, 2)
+    assert render_element(V2, (Fraction(7), Fraction(-1))) == "(7,-1)"
     assert parse_element(V2, "(7, -1)") == (7, -1)
 
 
@@ -330,19 +310,19 @@ def test_format_conventions():
 
 
 def test_monomial_basics():
-    Z = Integers()
-    m = Monomial(Z, 3, (2, 1))  # 3 * x1^2 * x2
+    Q = Rationals()
+    m = Monomial(Q, 3, (2, 1))  # 3 * x1^2 * x2
     assert m.total_degree == 3
     assert m.factor_coordinates() == [0, 0, 1]
     assert eval_monomial(m, (2, 5)) == 60
     with pytest.raises(AlgebraError):
         eval_monomial(m, (2,))
     with pytest.raises(AlgebraError):
-        Monomial(Z, 1, (0, 0))
+        Monomial(Q, 1, (0, 0))
     with pytest.raises(AlgebraError):
-        Monomial(Z, 1, ())
+        Monomial(Q, 1, ())
     # zero coefficient is the zero map, still structurally fine
-    z = Monomial(Z, 0, (3,))
+    z = Monomial(Q, 0, (3,))
     assert eval_monomial(z, (9,)) == 0
 
 
@@ -390,8 +370,6 @@ def _plain(ring):
     if isinstance(ring, PrimeField):
         p = ring.p
         return (lambda x: x % p), (lambda a, b: (a + b) % p), (lambda a, b: a * b % p)
-    if isinstance(ring, Integers):
-        return (lambda x: x), (lambda a, b: a + b), (lambda a, b: a * b)
     if isinstance(ring, Rationals):
         return Fraction, (lambda a, b: a + b), (lambda a, b: a * b)
     p = ring.p
@@ -438,14 +416,11 @@ def _oracle_value(ring, target, terms, u):
 P2, P3 = PolyRing(2), PolyRing(3)
 EVAL_CASES = [
     (PrimeField(5), PrimeField(5)),
-    (Integers(), Integers()),
     (Rationals(), Rationals()),
-    (Integers(), Rationals()),  # an integer value lands in Q as a Fraction
     (P2, P2),
     (P3, P3),
     (PrimeField(5), VectorSpace(PrimeField(5), 2)),
     (Rationals(), VectorSpace(Rationals(), 2)),
-    (Integers(), VectorSpace(Rationals(), 3)),
     (P2, VectorSpace(P2, 2)),
 ]
 
@@ -490,22 +465,18 @@ def test_eval_poly_matches_a_plain_oracle(case):
     got = eval_poly(phi, u)
     want = _oracle_value(ring, target, terms, u)
     assert got == want
-    assert _types(got) == _types(want)  # e.g. a Fraction for Z -> Q, never an int
+    assert _types(got) == _types(want)  # e.g. a Fraction over Q, never an int
     assert phi(u) == got
 
 
 # the compiled form of a map against naive_map_value, by repr, so that an
 # int never stands in for an equal Fraction; exponents reach past p
 COMPILED_CASES = [
-    (Integers(), Integers()),
     (Rationals(), Rationals()),
-    (Integers(), Rationals()),
     (PrimeField(3), PrimeField(3)),
     (PrimeField(5), PrimeField(5)),
     (P2, P2),
     (P3, P3),
-    (Integers(), VectorSpace(Integers(), 2)),
-    (Integers(), VectorSpace(Rationals(), 3)),
     (Rationals(), VectorSpace(Rationals(), 2)),
     (PrimeField(5), VectorSpace(PrimeField(5), 2)),
     (P2, VectorSpace(P2, 2)),
@@ -516,8 +487,7 @@ COMPILED_CASES = [
 def compiled_cases(draw):
     """(phi, u): one to three variables; one to four terms whose
     coefficients and weights may be zero, rational or unnormalised;
-    exponents up to 7 over the finite rings (at least p there), 3 over Z
-    and Q."""
+    exponents up to 7 over the finite rings (at least p there), 3 over Q."""
     ring, target = draw(st.sampled_from(COMPILED_CASES))
     n = draw(st.integers(1, 3))
     scalar = target.ring if isinstance(target, VectorSpace) else target
@@ -525,7 +495,7 @@ def compiled_cases(draw):
         weight = st.lists(_raw(scalar), min_size=target.dim, max_size=target.dim).map(tuple)
     else:
         weight = st.just(scalar.one) | _raw(scalar)
-    top = 3 if isinstance(ring, (Integers, Rationals)) else 7
+    top = 3 if isinstance(ring, Rationals) else 7
     exps = st.lists(st.integers(0, top), min_size=n, max_size=n).filter(any).map(tuple)
     terms = draw(st.lists(st.tuples(_raw(ring), exps, weight), min_size=1, max_size=4))
     phi = PolynomialMap(ring, n, target, tuple((Monomial(ring, c, e), w) for c, e, w in terms))
@@ -552,8 +522,8 @@ def test_compiled_map_returns_a_first_power_itself():
 
 
 def test_map_refuses_a_target_over_another_ring():
-    for ring, target in ((PrimeField(5), Integers()), (Rationals(), Integers()),
-                         (Integers(), VectorSpace(PrimeField(5), 2))):
+    for ring, target in ((PrimeField(5), Rationals()), (Rationals(), PrimeField(5)),
+                         (Rationals(), VectorSpace(PrimeField(5), 2))):
         with pytest.raises(AlgebraError, match="cannot take values"):
             PolynomialMap(ring, 1, target, ((Monomial(ring, 1, (1,)), target.zero),))
 

@@ -1,12 +1,16 @@
 """End-to-end checks of the command line front door."""
 
 import json
+import sys
 
 import pytest
 
+import oracles
 from ipstar import algebra, cli, recurrence, systems
+from ipstar.algebra import FullWindow, PrimeField, VectorSpace, window_enumerate
 from ipstar.cli import ExperimentConfig, config_hash, parse_config, render_config
 from ipstar.ipsets import fk_density_experiment
+from ipstar.textio import _split_top, parse_element
 
 F5_SYSTEM = """backend finite-perm
 p 5
@@ -422,6 +426,24 @@ def test_example_a(capsys):
     assert out.count(": pass") == 3
 
 
+def test_example_a_too_large_to_print_or_build_is_refused_before_any_block(capsys, monkeypatch):
+    rc, out, _ = _run(capsys, ["example-a", "r_max=3"])
+    assert rc == 0 and out == (
+        "block 1: 4\nblock 2: 16 32\nblock 3: 256 512 768\n"
+        "in_block_fs: pass\ncross_block_free: pass\nfs_depth: pass\n"
+    )
+    # 14 * 2^(2^14) has 4934 digits, over Python's default limit of 4300
+    rc, out, err = _run(capsys, ["example-a", "r_max=14"])
+    assert rc == 1 and out == ""
+    assert "example-a r_max=14: its largest value has 4934 digits, more than the limit of 4300" in err
+    # with no digit limit, 2^(2^21) is refused by its size alone, unbuilt
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    for r_max in (21, 10**9):
+        rc, out, err = _run(capsys, ["example-a", f"r_max={r_max}"])
+        assert rc == 1 and out == ""
+        assert f"example-a r_max={r_max}: 2^(2^{r_max}) has more than 1048576 bits" in err
+
+
 # ---------------------------------------------------------------------------
 # measure-system experiments
 
@@ -493,6 +515,27 @@ def test_classify_run_with_witness(tmp_path, capsys):
     assert "r=2: fails witness=1,1" in out
     tree = json.loads((tmp_path / "classify.json").read_text())
     assert tree["classification"]["2"]["kind"] == "fails"
+
+
+def test_classify_of_a_two_variable_map(tmp_path, capsys):
+    # phi = x1*x2 has domain F_7^2, so the scan adds in the vector space
+    sysf = _sys_file(tmp_path, F7_SYSTEM + "set C 0 1 2\n")
+    argv = ["classify", f"system={sysf}", "set=C", "phi=x1*x2", "epsilon=1/10", "window=full"]
+    rc, out, _ = _run(capsys, [*argv, "r_max=3", f"output={tmp_path}"])
+    assert rc == 0
+    V = VectorSpace(PrimeField(7), 2)
+    window = window_enumerate(V, FullWindow())
+    tree = json.loads((tmp_path / "classify.json").read_text())
+    R = {parse_element(V, u) for u in tree["R"]["members"]}
+    verdicts = [line.split(": ", 1)[1] for line in out.splitlines() if line.startswith("r=")]
+    assert [v.split()[0] for v in verdicts] == ["fails", "fails", "holds"]
+    for r, verdict in enumerate(verdicts, 1):
+        if verdict == "holds":
+            assert oracles.naive_meets_every_ip_r(V, R, r, window) == (True, None)
+            continue
+        witness = [parse_element(V, g) for g in _split_top(verdict.split("=", 1)[1], ",")]
+        sums = oracles.naive_fs_set(V, witness)
+        assert len(witness) == r and sums <= set(window) and not sums & R
 
 
 def _classify_argv(tmp_path, r_max):
@@ -767,6 +810,17 @@ def test_density_over_the_cap_exits_1_on_a_compact_backend(tmp_path, capsys, mon
         rc, out, err = _run(capsys, ["density", f"system={system}", "phi=u", f"N={(1 << 20) + 1}"])
         assert rc == 1 and out == ""
         assert "averaging window index 1048577 is more than the cap of 1048576" in err
+
+
+def test_stages_decided_before_a_stage_over_the_cap_keep_their_certificates(tmp_path, capsys):
+    out_dir = tmp_path / "D"
+    rc, out, err = _run(capsys, ["hj", "k=1025", "t=2", "m_max=2", f"output={out_dir}"])
+    cert = out_dir / "hj-k1025-t2-m1-counterexample.txt"
+    assert rc == 1 and out == f"stage m=1: counterexample -> {cert}\n"
+    assert "hj k=1025 m=2 has 1025^2 words, more than the cap of 1048576" in err
+    assert sorted(out_dir.iterdir()) == [cert]
+    rc, out, _ = _run(capsys, ["--check", str(cert)])
+    assert rc == 0 and out == "certificate valid: hj-counterexample k=1025 t=2 m=1\n"
 
 
 def test_a_coloring_claim_over_the_cap_exits_1_naming_it(tmp_path, capsys):

@@ -16,7 +16,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipstar.algebra import Integers, Monomial, Rationals
+from ipstar.algebra import Monomial, Rationals
 from ipstar.halesjewett import line_points, line_to_config, psi_encode
 from ipstar.recurrence import _BallCover, _cells, isometric_recurrence_search
 from ipstar.systems import FinitePermSystem, RotationSystem, orbit_metric, regular_system
@@ -76,22 +76,19 @@ def monomials(draw, ring, n, max_degree):
     degree = draw(st.integers(1, max_degree))
     first = degree if n == 1 else draw(st.integers(0, degree))
     exps = (first,) if n == 1 else (first, degree - first)
-    coeff = draw(st.integers(-4, 4)) if ring == Integers() else draw(fractions)
-    return Monomial(ring, coeff, exps)
+    return Monomial(ring, draw(fractions), exps)
 
 
 @st.composite
 def rotation_searches(draw):
-    """A rotation and a monomial over Q or Z, generators with negative and
+    """A rotation and a monomial over Q, generators with negative and
     non-integer coordinates."""
-    ring = draw(st.sampled_from([Rationals(), Integers()]))
     n = draw(st.integers(1, 2))
     max_degree = draw(st.integers(1, 3))
     r = draw(st.integers(1, 4 if max_degree < 3 else 2))
     sys = RotationSystem(draw(fractions))
-    m = draw(monomials(ring, n, max_degree))
-    coord = st.integers(-12, 12) if ring == Integers() else fractions
-    gens = [tuple(draw(coord) for _ in range(n)) if n > 1 else draw(coord) for _ in range(r)]
+    m = draw(monomials(Rationals(), n, max_degree))
+    gens = [tuple(draw(fractions) for _ in range(n)) if n > 1 else draw(fractions) for _ in range(r)]
     return sys, m, draw(unit_points), draw(epsilons), gens
 
 
@@ -136,7 +133,7 @@ def perm_systems(draw):
 @st.composite
 def perm_searches(draw):
     s, x = draw(perm_systems())
-    p, ring, n = s.p, s.field, draw(st.integers(1, 2))
+    p, ring, n = s.p, s.ring, draw(st.integers(1, 2))
     exps = draw(st.sampled_from([(1,), (2,)] if n == 1 else [(1, 0), (1, 1), (0, 2)]))
     m = Monomial(ring, draw(st.integers(0, p - 1)), exps)
     r = draw(st.integers(1, 4))
@@ -209,7 +206,7 @@ def exact_radius_cases(draw):
     weights[p] = F(w * (2 * k * k - p), 2 * w * k * k)
     s = FinitePermSystem(p, points, weights, [{x: (x + 1) % p if x < p else x for x in points}])
     x = s.event(draw(st.sampled_from([{0}, {0, p}])))
-    m = Monomial(s.field, draw(st.integers(1, p - 1)), draw(st.sampled_from([(1,), (2,), (3,)])))
+    m = Monomial(s.ring, draw(st.integers(1, p - 1)), draw(st.sampled_from([(1,), (2,), (3,)])))
     gens = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
     return s, m, x, F(2, k), gens
 
@@ -222,14 +219,14 @@ def perm_cell_cases(draw):
     degree = draw(st.integers(1, 3))
     first = degree if m.n == 1 else draw(st.integers(0, degree))
     exps = (first,) if m.n == 1 else (first, degree - first)
-    m = Monomial(s.field, m.coeff, exps)
+    m = Monomial(s.ring, m.coeff, exps)
     return s, m, x, draw(st.builds(F, st.integers(1, 8), st.integers(1, 8))), gens
 
 
 @SETTINGS
 @given(any_rotation, st.builds(F, st.integers(1, 7), st.integers(1, 300)))
 def test_rotation_cell_rows_match_the_per_tuple_table(case, width):
-    # integer generators over Z, rational ones over Q; degree up to 3
+    # rational generators over Q; degree up to 3
     s, m, x, _eps, gens = case
     gens = _coords(m, gens)
     assert _cells(s, m, x, width, gens) == per_tuple_cells(s, m, x, width, gens)
@@ -270,6 +267,6 @@ def test_ball_cover_reads_the_event_keyed_cover_off_the_correlator(case):
 def test_ball_cover_radius_is_strict():
     # {0} and {1} lie at squared distance exactly 1 = (epsilon/2)^2: two cells
     s = regular_system(2)
-    m, x = Monomial(s.field, 1, (1,)), s.event({0})
+    m, x = Monomial(s.ring, 1, (1,)), s.event({0})
     _agrees_with_reference((s, m, x, F(2), (1, 1)))
     assert isometric_recurrence_search(s, x, m, F(2), (1, 1)).cells == 2

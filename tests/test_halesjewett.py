@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import all_lines, config_points, psi_decode
+from oracles import all_lines, config_points, psi_decode, through_first_all_ok
 from ipstar.halesjewett import (
     Line,
     SubsetConfig,
@@ -200,9 +200,7 @@ def test_every_two_coloring_of_the_square_has_a_line():
 
 def hj_stages(k, t, m_max, **kw):
     """The stages m = 1..m_max that decide HJ(k, t), as (m, outcome) pairs."""
-    return stages(
-        range(1, m_max + 1), partial(hj_stage, k, t), lambda out: out.kind == ALL_OK, **kw
-    )
+    return through_first_all_ok(stages(range(1, m_max + 1), partial(hj_stage, k, t), **kw))
 
 
 def hj_value(stages):

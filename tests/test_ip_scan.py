@@ -23,8 +23,6 @@ import oracles
 from ipstar.algebra import (
     DegreeWindow,
     FullWindow,
-    IntegerWindow,
-    Integers,
     PolyRing,
     PrimeField,
     RationalWindow,
@@ -41,7 +39,6 @@ MAX_TUPLES = 1500  # keeps the reference scan cheap
 AMBIENTS = [
     *[(PrimeField(p), FullWindow()) for p in (2, 3, 5, 7)],
     (VectorSpace(PrimeField(2), 2), FullWindow()),
-    *[(Integers(), IntegerWindow(b)) for b in (0, 1, 2, 3)],
     (Rationals(), RationalWindow(1, 2)),
     *[(PolyRing(p), DegreeWindow(d)) for p in (2, 3) for d in (1, 2)],
 ]

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 import oracles
 from ipstar.algebra import (
-    IntegerWindow,
     Integers,
     Monomial,
     PolyRing,
     PolynomialMap,
     PrimeField,
+    RationalWindow,
     Rationals,
     VectorSpace,
 )
@@ -40,8 +40,8 @@ from ipstar import ipsets
 from ipstar.recurrence import classify_ipstar, recurrence_set
 from ipstar.systems import RotationSystem
 from ipstar.textio import report_tree
-from ipstar.search import ALL_OK, CoverLeaf, prefix_search, stages
-from oracles import family_order
+from ipstar.search import CoverLeaf, prefix_search, stages
+from oracles import family_order, through_first_all_ok
 
 Z = Integers()
 F5 = PrimeField(5)
@@ -58,7 +58,7 @@ def test_mask_roundtrip():
 # ---------------------------------------------------------------------------
 # the subset fold
 
-FOLD_GROUPS = [Z, PrimeField(5), PolyRing(3), VectorSpace(Rationals(), 2)]
+FOLD_GROUPS = [Rationals(), PrimeField(5), PolyRing(3), VectorSpace(Rationals(), 2)]
 
 
 def _raw_element(group):
@@ -297,17 +297,18 @@ def test_ip_star_agreement_with_oracle_random():
 
 
 def test_ip_star_windowed_is_labeled():
-    # S is the whole window [-3, 3], so its complement there is empty; the
+    # S is the whole window rat 3 3, so its complement there is empty; the
     # scan knows no window, and the report that holds one labels the "holds"
     assert is_ip_r_star(Z, [], 2).kind == "holds"
     whole_circle = RotationSystem(Fraction(1, 7)), [(0, 1)]
-    u = PolynomialMap(Z, 1, Rationals(), ((Monomial(Z, 1, (1,)), 1),))
-    rep = recurrence_set(*whole_circle, u, Fraction(1, 10), IntegerWindow(3))
-    assert rep.R == set(range(-3, 4))
+    Q = Rationals()
+    u = PolynomialMap(Q, 1, Q, ((Monomial(Q, 1, (1,)), 1),))
+    rep = recurrence_set(*whole_circle, u, Fraction(1, 10), RationalWindow(3, 3))
+    assert rep.R == {Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)}
     tree = report_tree(classify_ipstar(rep, 2))
     assert tree["classification"]["2"] == {"kind": "holds", "window_limited": True, "witness": None}
-    # {0..n-1} lies in [-3, 3] for n <= 4
-    assert tree["exceptional_density"] == dict.fromkeys("1234", "0")
+    # rat n n lies in rat 3 3 for n <= 3
+    assert tree["exceptional_density"] == dict.fromkeys("123", "0")
 
 
 def test_ip_star_windowed_witness_keeps_sums_inside():
@@ -356,11 +357,8 @@ def test_fu_r2_counterexample():
 
 def fu_stages(s, k, r_limit=10, **kw):
     """The stages r = 1..r_limit that find the least universal r."""
-    return stages(
-        range(1, r_limit + 1),
-        lambda r, **opts: fu_ramsey_check(r, s, k, **opts),
-        lambda out: out.kind == ALL_OK,
-        **kw,
+    return through_first_all_ok(
+        stages(range(1, r_limit + 1), lambda r, **opts: fu_ramsey_check(r, s, k, **opts), **kw)
     )
 
 

@@ -9,11 +9,19 @@ named by a name or attribute it mentions, in any module; a class that is
 reached also reaches its class-body statements and its dunder methods,
 which Python calls implicitly.  Matching by name over-approximates
 reachability, so what the pass reports unreached is certainly unreached.
+
+A second check works by type: the ground rings of ``algebra`` are exactly
+the backends' scalar rings, and its window types exactly those the CLI's
+window grammar builds.
 """
 
 import ast
 import importlib.util
+import typing
 from pathlib import Path
+
+from ipstar import algebra, cli
+from ipstar.textio import parse_system_text
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ipstar"
@@ -94,3 +102,20 @@ def test_library_api_is_the_readme_example():
 def test_every_definition_is_reached():
     missing = "\n".join(unreached())
     assert not missing, "unreached from a command, the tracer or the library API:\n" + missing
+
+
+# one system text per backend
+BACKEND_TEXTS = [
+    "backend finite-perm\np 3\npoints 0 1 2\ngen (0 1 2)\n",
+    "backend rotation\nrho 1/7\n",
+    "backend bernoulli\np 2\nprobs 1/2 1/2\n",
+]
+
+
+def test_every_ground_ring_and_window_type_is_reached():
+    # by type: a map is defined over some backend's ring, and a window is
+    # one the CLI's window grammar builds
+    rings = [type(parse_system_text(text)[0].ring) for text in BACKEND_TEXTS]
+    assert set(typing.get_args(algebra.GroundRing)) == set(rings) and len(set(rings)) == 3
+    windows = {type(cli._parse_window(text)) for text in ("full", "deg 2", "rat 2 2")}
+    assert set(typing.get_args(algebra.Window)) == windows

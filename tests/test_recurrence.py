@@ -243,7 +243,7 @@ def scan_cases(draw):
     if backend == "finite-perm":
         p = draw(st.sampled_from([2, 3, 5]))
         sys, events = _perm_system(draw, p, draw(st.integers(1, 2)))
-        ring, scalars, window = sys.field, st.integers(-p, 2 * p), FullWindow()
+        ring, scalars, window = sys.ring, st.integers(-p, 2 * p), FullWindow()
         B = draw(events)
     elif backend == "rotation":
         rhos = tuple(draw(st.fractions(-2, 2, max_denominator=7)) for _ in range(draw(st.integers(1, 2))))
@@ -437,7 +437,7 @@ def test_classify_rank_of_a_linear_return_set_is_floor_p_over_L(case):
     # summing into R, and r - 1 copies of the u with c*u = L never do
     p, B, c, eps, L = case
     s = regular_system(p)
-    rep = recurrence_set(s, B, power_map(s.field, c, 1), eps, FullWindow())
+    rep = recurrence_set(s, B, power_map(s.ring, c, 1), eps, FullWindow())
     assert rep.R == {u for u in range(p) if min(c * u % p, -c * u % p) < L}
     rank = p // L
     classify_ipstar(rep, rank)

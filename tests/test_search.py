@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import plain_coloring_search
+from oracles import plain_coloring_search, through_first_all_ok
 
 from ipstar import halesjewett
 from ipstar.halesjewett import hj_stage
@@ -381,15 +381,11 @@ def test_cover_tree_checks_each_leaf_edge():
     assert not check_cover_tree(3, 2, bad, pigeon_positions)
 
 
-def all_ok(out):
-    return out.kind == ALL_OK
-
-
 def test_coloring_stages_stop_at_the_first_all_ok_stage():
     def run(n, **kw):
         return universal_coloring_search(2, pigeon_edges(n), **kw)
 
-    done = stages(range(1, 6), run, all_ok)
+    done = through_first_all_ok(stages(range(1, 6), run))
     assert [(n, out.kind) for n, out in done] == [
         (1, COUNTEREXAMPLE),
         (2, COUNTEREXAMPLE),
@@ -397,23 +393,39 @@ def test_coloring_stages_stop_at_the_first_all_ok_stage():
     ]
 
 
+def test_coloring_stages_yield_each_stage_as_it_ends():
+    def run(n, **kw):
+        if n == 3:
+            raise ValueError("stage 3 refused")
+        return universal_coloring_search(2, adjacent_edges(n), **kw)
+
+    staged = stages([1, 2, 3], run)
+    assert [(n, out.kind) for n, out in (next(staged), next(staged))] == [
+        (1, COUNTEREXAMPLE),
+        (2, COUNTEREXAMPLE),
+    ]
+    with pytest.raises(ValueError, match="stage 3 refused"):
+        next(staged)
+
+
 def test_coloring_stages_share_one_budget_and_resume_one_stage():
     def run(n, **kw):
         return universal_coloring_search(2, adjacent_edges(n), **kw)
 
-    full = stages([1, 2, 3, 4], run, all_ok)
+    full = through_first_all_ok(stages([1, 2, 3, 4], run))
     assert [out.kind for _, out in full] == [COUNTEREXAMPLE] * 4
     spent = full[0][1].candidates + full[1][1].candidates
     # the first two stages use up the budget, so stage 3 gets none
-    part = stages([1, 2, 3, 4], run, all_ok, budget=spent)
+    part = through_first_all_ok(stages([1, 2, 3, 4], run, budget=spent))
     n, last = part[-1]
     assert (n, last.kind, last.candidates) == (3, BUDGET_EXCEEDED, 0)
-    assert stages([1, 2, 3, 4], run, all_ok, resume=(n, last.resume_path)) == full[2:]
+    rest = through_first_all_ok(stages([1, 2, 3, 4], run, resume=(n, last.resume_path)))
+    assert rest == full[2:]
     # a budget that ends inside stage 3
-    part = stages([1, 2, 3, 4], run, all_ok, budget=spent + 2)
+    part = through_first_all_ok(stages([1, 2, 3, 4], run, budget=spent + 2))
     n, last = part[-1]
     assert (n, last.kind, last.candidates) == (3, BUDGET_EXCEEDED, 2)
-    rest = stages([1, 2, 3, 4], run, all_ok, resume=(n, last.resume_path))
+    rest = through_first_all_ok(stages([1, 2, 3, 4], run, resume=(n, last.resume_path)))
     assert [m for m, _ in rest] == [3, 4] and rest[1] == full[3]
     assert last.candidates + rest[0][1].candidates == full[2][1].candidates
 

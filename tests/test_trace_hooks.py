@@ -73,7 +73,7 @@ def test_count_hooks_read_real_return_values(tracing):
 def test_cover_table_hook_reads_a_real_search_result(tracing):
     # the search takes (sys, x, m, epsilon, gens); the hook reads words_scanned
     s = regular_system(5)
-    args = (s, s.event({0, 1}), Monomial(s.field, 1, (2,)), 1, (1, 2))
+    args = (s, s.event({0, 1}), Monomial(s.ring, 1, (2,)), 1, (1, 2))
     res = _cover_color_search(*args)
     counts = Counter()
     tracing.HOOKS["recurrence.cover_table"](counts, args, res)
