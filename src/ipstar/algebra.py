@@ -361,6 +361,11 @@ Group = GroundRing | VectorSpace
 """Anything with the additive-group slice of the ring interface."""
 
 
+def ring_power(ring: GroundRing, n: int) -> Group:
+    """ring^n: the ring itself when n = 1, else ``VectorSpace(ring, n)``."""
+    return ring if n == 1 else VectorSpace(ring, n)
+
+
 def window_enumerate(group: Group, window: Window) -> list:
     """All window elements, each exactly once, in the frozen canonical order."""
     return group.enumerate_window(window)
@@ -422,6 +427,10 @@ class Monomial:
     @property
     def n(self) -> int:
         return len(self.exponents)
+
+    @property
+    def domain(self) -> Group:
+        return ring_power(self.ring, self.n)
 
     @property
     def total_degree(self) -> int:
@@ -543,9 +552,8 @@ class PolynomialMap:
         object.__setattr__(self, "terms", tuple(checked))
 
     @property
-    def domain(self):
-        """The group the map is defined on: its ring, or ring^n for n > 1."""
-        return self.ring if self.n == 1 else VectorSpace(self.ring, self.n)
+    def domain(self) -> Group:
+        return ring_power(self.ring, self.n)
 
     @cached_property
     def compiled(self):

@@ -27,12 +27,7 @@ from datetime import datetime, timezone
 from functools import cache, partial
 from pathlib import Path
 
-from .algebra import (
-    DegreeWindow,
-    FullWindow,
-    RationalWindow,
-    VectorSpace,
-)
+from .algebra import DegreeWindow, FullWindow, RationalWindow
 from .halesjewett import hj_stage
 from .ipsets import (
     example_a,
@@ -177,10 +172,7 @@ def parse_config(text: str, command: str | None = None, overrides=()):
     errors: list[ConfigError] = []
     raw: dict[str, tuple[str, int | None]] = {}
 
-    for no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for no, line in _content_lines(text):
         if line.startswith("["):
             if not (line.endswith("]") and line[1:-1].strip()):
                 errors.append(ConfigError(no, f"malformed section header {line!r}"))
@@ -338,8 +330,7 @@ def _parse_window(text: str):
     )
 
 
-def _parse_gens(ring, n: int, text: str):
-    group = ring if n == 1 else VectorSpace(ring, n)
+def _parse_gens(group, text: str):
     parts = [p for p in (q.strip() for q in _split_top(text, ",")) if p]
     if not parts:
         raise TextFormatError("empty generator list")
@@ -582,16 +573,15 @@ def _run_search(cfg, resume_file) -> int:
     else:
         x = _named_event(cfg, events, "x")
     m = _resolve(cfg, "m", lambda t: parse_monomial(ring, t))
-    gens = _resolve(cfg, "gens", lambda t: _parse_gens(ring, m.n, t))
+    gens = _resolve(cfg, "gens", lambda t: _parse_gens(m.domain, t))
     res = isometric_recurrence_search(sys_, x, m, cfg.values["epsilon"], gens)
     print(f"status: {res.status}")
     print(f"words scanned: {res.words_scanned}")
     print(f"proof bound: {res.proof_bound}")
     print(f"cells: {res.cells}")
     if res.found:
-        domain = ring if m.n == 1 else VectorSpace(ring, m.n)
         print(f"gamma: {render_family(res.gamma)}")
-        print(f"u_gamma: {render_element(domain, res.u_gamma)}")
+        print(f"u_gamma: {render_element(m.domain, res.u_gamma)}")
         # scalar monomials give scalar exponents, whatever the acting group
         print(f"exponents: {render_element(ring, res.exponent)}")
         print(f"distance_sq: {render_fraction(res.distance_sq)}")
@@ -615,8 +605,8 @@ def _run_probe(cfg, resume_file) -> int:
     sys_, B, phi, eps, window = _experiment_inputs(cfg)
     if phi.n != 1:
         raise ValueError("finite products need a one-variable map (the domain is a vector group)")
-    ring = phi.ring
-    gens = _resolve(cfg, "gens", lambda t: _parse_gens(ring, 1, t))
+    ring = phi.ring  # the domain of a one-variable map
+    gens = _resolve(cfg, "gens", lambda t: _parse_gens(ring, t))
     out = fp_probe(sys_, B, phi, eps, window, gens)
     print("products: " + ",".join(render_element(ring, v) for v in out.products))
     print("witnesses: " + ",".join(render_element(ring, v) for v in out.witnesses))

@@ -115,11 +115,11 @@ def _bases(k: int, m: int, moving) -> list[int]:
 
 
 def _line_families(k: int, m: int):
-    """The lines in canonical order, one moving set at a time: (moving
-    positions counted from 0, step, bases ascending)."""
+    """The moving sets in canonical line order, each as (its positions
+    counted from 0, its step); its lines' bases are ``_bases``."""
     for size in range(1, m + 1):
         for moving in combinations(range(m), size):
-            yield moving, sum(k ** (m - 1 - p) for p in moving), _bases(k, m, moving)
+            yield moving, sum(k ** (m - 1 - p) for p in moving)
 
 
 # array typecode per lane width in bytes; "I" wins over "L" where both are 4
@@ -177,26 +177,23 @@ def first_mono_line(k: int, m: int, colors) -> Line | None:
     width, packed = _packed(colors)
     high = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * n, "little")
     low = ((1 << width * n) - 1) ^ high
-    for size in range(1, m + 1):
-        dense = 16 * k ** (m - size) >= n * width // 8
-        for moving in combinations(range(m), size):
-            step = sum(k ** (m - 1 - p) for p in moving)
-            if dense:
-                x = packed ^ (packed >> width * step)
-                same = ~(((x & low) + low) | x) & high
-                lines = _base_lanes(k, m, moving, width)
-                for j in range(k - 1):
-                    lines &= same >> width * step * j
-                b = ((lines & -lines).bit_length() - 1) // width if lines else None
-            else:
-                # most lines already differ on their first two points
-                pairs = (b for b in _bases(k, m, moving) if colors[b] == colors[b + step])
-                mono = (b for b in pairs if all(colors[b + j * step] == colors[b] for j in range(2, k)))
-                b = next(mono, None)
-            if b is not None:
-                letters = [b // k ** (m - 1 - p) % k + 1 for p in range(m)]
-                fixed = tuple((p + 1, letters[p]) for p in range(m) if p not in moving)
-                return Line(m, fixed, frozenset(p + 1 for p in moving))
+    for moving, step in _line_families(k, m):
+        if 16 * k ** (m - len(moving)) >= n * width // 8:  # dense
+            x = packed ^ (packed >> width * step)
+            same = ~(((x & low) + low) | x) & high
+            lines = _base_lanes(k, m, moving, width)
+            for j in range(k - 1):
+                lines &= same >> width * step * j
+            b = ((lines & -lines).bit_length() - 1) // width if lines else None
+        else:
+            # most lines already differ on their first two points
+            pairs = (b for b in _bases(k, m, moving) if colors[b] == colors[b + step])
+            mono = (b for b in pairs if all(colors[b + j * step] == colors[b] for j in range(2, k)))
+            b = next(mono, None)
+        if b is not None:
+            letters = [b // k ** (m - 1 - p) % k + 1 for p in range(m)]
+            fixed = tuple((p + 1, letters[p]) for p in range(m) if p not in moving)
+            return Line(m, fixed, frozenset(p + 1 for p in moving))
     return None
 
 
@@ -222,10 +219,17 @@ def _word_count(k: int, m: int) -> int:
 
 def _lines_by_last_index(k: int, m: int) -> list[list[tuple]]:
     """The hyperedge table of the stage: each line as (point indices,
-    point indices), listed under its largest point index."""
-    table = [[] for _ in range(_word_count(k, m))]
-    for _moving, step, bases in _line_families(k, m):
-        for b in bases:
+    point indices), listed under its largest point index.  It is refused
+    unbuilt over ``SIZE_CAP`` lines: (k+1)^m - k^m, the words over k+1
+    letters, the extra one marking the moving positions, less those with
+    none."""
+    words = _word_count(k, m)
+    total = power_over_cap(k + 1, m)  # a str names a power over 10^18, far over the cap
+    if isinstance(total, str) or total is not None and power_over_cap(total - words, 1) is not None:
+        raise ValueError(f"hj k={k} m={m} has {k + 1}^{m} - {k}^{m} lines, more than the cap of {SIZE_CAP}")
+    table = [[] for _ in range(words)]
+    for moving, step in _line_families(k, m):
+        for b in _bases(k, m, moving):
             idx = tuple(range(b, b + k * step, step))
             table[idx[-1]].append((idx, idx))
     return table

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import floor, log10
+from math import comb, floor, log10
 
 from .algebra import SIZE_CAP, Integers, power_over_cap
 from .search import (
@@ -144,11 +144,8 @@ def _first_fs_tuple(group, pool, r: int, budget=None, resume_path=None):
 
 def contains_ip_r(group, S, r: int) -> tuple | None:
     """The first generator tuple from sorted S whose finite sums all lie in
-    S, or None."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    firsts = _first_fs_tuple(group, sorted(S), r)[1]
-    return firsts[-1] if len(firsts) == r else None
+    S, or None: the witness of the scan with S as its pool."""
+    return is_ip_r_star(group, sorted(S), r).witness
 
 
 @dataclass(frozen=True)
@@ -190,10 +187,13 @@ def is_ip_r_star(
     avoid S: where S is exact on its window, they avoid S everywhere.  A
     "holds" says only that no tuple keeps its sums in the pool; it decides
     the claim when the window is the whole group, and the caller, which
-    holds the window, says which.
+    holds the window, says which.  An r over ``SIZE_CAP`` is refused before
+    the scan allocates its r levels.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
+    if power_over_cap(r, 1) is not None:
+        raise ValueError(f"an IP_r scan to r={r} has more levels than the cap of {SIZE_CAP}")
     out, firsts = _first_fs_tuple(group, complement, r, budget, resume_path)
     if out.path is not None:
         return IpStarVerdict("fails", firsts[-1], out.candidates, prefixes=firsts)
@@ -220,10 +220,17 @@ def _fu_checks_by_position(r: int, s: int):
     union_positions index every union of the blocks and the last one is the
     position itself.  Positions run over F_r in ascending bitmask order, so
     the set with mask m sits at position m - 1.  The blocks of a split of m
-    are runs of m's bits; each distinct block mask becomes a frozenset once."""
+    are runs of m's bits; each distinct block mask becomes a frozenset once.
+    The table is refused unbuilt over ``SIZE_CAP`` splits: a set of j
+    elements has C(j-1, s-1), summed exactly once r passes the position
+    cap."""
+    positions = _position_count(r)
+    splits = sum(comb(r, j) * comb(j - 1, s - 1) for j in range(1, r + 1))
+    if power_over_cap(splits, 1) is not None:
+        raise ValueError(f"fu r={r} s={s} has {splits} splits, more than the cap of {SIZE_CAP}")
     block_set = cache(mask_to_set)
     table = []
-    for alpha in range(1, _position_count(r) + 1):
+    for alpha in range(1, positions + 1):
         bits = [1 << i for i in range(r) if alpha >> i & 1]
         entries = []
         for cuts in combinations(range(1, len(bits)), s - 1):

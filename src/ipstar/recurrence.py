@@ -17,8 +17,8 @@ proof (A, E and the inequality chain), lives in the test oracles
 the map's compiled form (``PolynomialMap.compiled``) over the elements,
 then the backend's kernel (``kernel(B, threshold)``) over the values.  The
 kernel returns the correlation with its hit and builds each distinct pair
-once, so the pair column shares them.  ``fp_probe`` takes the compiled map
-and the correlator, the kernel behind a check of w, for its few products.
+once, so the pair column shares them.  ``fp_probe`` reads the hits of its
+few products off the same kernel, through the compiled map.
 By duality R is IP*_r exactly when its complement holds no IP_r set, so
 the classification scans the non-hit elements in window order.  The scan
 takes only a pool, a budget and a resume path; the report holds the
@@ -52,7 +52,7 @@ from math import lcm
 from operator import itemgetter, not_
 
 from .algebra import FullWindow, Monomial, PolynomialMap, Rationals, VectorSpace, Window
-from .algebra import SIZE_CAP, as_coords, check_window_size, window_enumerate
+from .algebra import SIZE_CAP, as_coords, check_window_size, power_over_cap, window_enumerate
 from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_gather
 from .ipsets import finite_sums, is_ip_r_star, subset_folds
 from .systems import (
@@ -210,8 +210,9 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
     product is a witness exactly when it lies in the window and its
     correlation exceeds the threshold.  Window membership is decided from
     the window's bounds, so the window is never listed; only the in-window
-    products' correlations are computed, plus the one at 0 that keeps the
-    zero-element invariant.
+    products' hits are read off the kernel, plus the one at 0 that keeps
+    the zero-element invariant.  More than ``SIZE_CAP`` products are
+    refused before any is listed.
     """
     base = _report_fields(sys, B, phi, epsilon, window)
     ring, threshold = base["domain"], base["threshold"]
@@ -220,14 +221,16 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
     gens = tuple(ring.element(g) for g in gens)
     if any(g == ring.zero for g in gens):
         raise RecurrenceError("zero generator has no multiplicative content")
+    r = len(gens)
+    if power_over_cap(2, r) is not None:
+        raise RecurrenceError(f"{r} generators have 2^{r} - 1 products, more than the cap of {SIZE_CAP}")
     products = subset_folds(ring.mul, ring.one, gens)[1:]
-    # at most 2^r - 1 products and 0: the correlator, the kernel behind a check of w
-    corr_of = sys.correlator(base["B"])
+    # the compiled map's values are in the acting group's normal form, as
+    # the kernel takes them; a one-variable map takes a 1-tuple
+    kernel, value = sys.kernel(base["B"], threshold), phi.compiled
 
     def in_R(u):
-        if not ring.window_contains(window, u):
-            return False
-        return corr_of(phi.compiled(as_coords(u, phi.n))) > threshold
+        return ring.window_contains(window, u) and kernel(value((u,)))[1]
 
     if ring.window_contains(window, ring.zero) and not in_R(ring.zero):
         raise RecurrenceError("return set lost the zero element; broken invariant")

@@ -21,11 +21,12 @@ Each backend has one kernel per event, ``kernel(B, threshold)``: w ->
 The work that depends only on (system, B) is done once, and each call pays
 only for what depends on w.  ``correlator(B)`` is that kernel behind the
 check and normalisation of w, and ``correlation(B, w)`` is
-``correlator(B)(w)``.  ``recurrence_set`` and the Bernoulli ``dlim_probe``
-feed the kernel the compiled map's values, already in normal form.
-``fp_probe`` (a few products) and the constructive search's ball cover
-(``_BallCover``, d^2(T^e x, T^c x) = 2(mu(x) - mu(x cap T^(c-e) x)), whose
-differences c - e may be negative) go through the correlator.  Densities
+``correlator(B)(w)``.  The return-set paths ask the kernel:
+``recurrence_set``, ``fp_probe`` and the Bernoulli ``dlim_probe`` feed it
+the compiled map's values, already in normal form.  The correlator remains
+for the constructive search's ball cover (``_BallCover``, d^2(T^e x, T^c x)
+= 2(mu(x) - mu(x cap T^(c-e) x)), whose differences c - e may be
+negative), for ``correlation`` and for the test oracles.  Densities
 (``dlim_probe`` and a windowed classify) average over the canonical windows
 1..N of ``folner_sets`` only, through one function, ``window_means``: one
 pass over a listing that holds window N (window N itself, or a report's
@@ -78,7 +79,6 @@ from functools import cache
 from math import lcm
 
 from .algebra import (
-    AlgebraError,
     DegreeWindow,
     FullWindow,
     PolyRing,
@@ -89,6 +89,7 @@ from .algebra import (
     VectorSpace,
     as_coords,
     check_window_size,
+    ring_power,
     window_enumerate,
 )
 
@@ -102,7 +103,8 @@ class _Backend:
     kernel behind the check and normalisation of w.  ``kernel(B,
     threshold)`` takes w in normal form, as the acting group's operations
     and the compiled maps produce it: a scalar with one acting coordinate,
-    else a tuple."""
+    else a tuple.  ``_coords`` checks w coordinate by coordinate; the
+    Bernoulli backend, whose scalars are tuples, normalises w whole."""
 
     def correlation(self, B, w) -> Fraction:
         return self.correlator(B)(w)
@@ -115,6 +117,14 @@ class _Backend:
     def _normalise(self, w):
         coords = self._coords(w)
         return coords[0] if self.n == 1 else coords
+
+    def _coords(self, w) -> tuple:
+        """The coordinates of the acting element w, each normalised by the
+        ring (``element``), then their number checked."""
+        coords = tuple(map(self.ring.element, w if isinstance(w, tuple) else (w,)))
+        if len(coords) != self.n:
+            raise SystemError(f"acting element needs {self.n} coordinates")
+        return coords
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +191,7 @@ class FinitePermSystem(_Backend):
                 gi, gj = self.gens[i], self.gens[j]
                 if any(gi[gj[x]] != gj[gi[x]] for x in pts):
                     raise SystemError(f"generators {i + 1} and {j + 1} do not commute")
-        self.acting = VectorSpace(self.ring, self.n) if self.n > 1 else self.ring
-
-    def _coords(self, w):
-        if not isinstance(w, tuple):
-            w = (w,)
-        if len(w) != self.n:
-            raise SystemError(f"acting element needs {self.n} coordinates")
-        return tuple(map(self.ring.element, w))
+        self.acting = ring_power(self.ring, self.n)
 
     def _images(self, xs, coords) -> list:
         """The images of the points xs, in order, under the acting element
@@ -362,18 +365,7 @@ class RotationSystem(_Backend):
         self.n = len(self.rhos)
         self.rho = self.rhos[0]
         self.ring = Rationals()
-        self.acting = VectorSpace(self.ring, self.n) if self.n > 1 else self.ring
-
-    def _coords(self, w) -> tuple:
-        """The coordinates of the acting element w, each checked to be a
-        rational (an int or a Fraction), then their number."""
-        coords = w if isinstance(w, tuple) else (w,)
-        for c in coords:
-            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                raise AlgebraError(f"not a rational: {c!r}")
-        if len(coords) != self.n:
-            raise SystemError(f"acting element needs {self.n} coordinates")
-        return coords
+        self.acting = ring_power(self.ring, self.n)
 
     def _turn(self, coords) -> tuple[int, int]:
         """The turn sum_i w_i * rho_i of checked coordinates as integers

@@ -255,10 +255,7 @@ def parse_monomial(ring, text: str) -> Monomial:
     terms = _poly_pieces(text)
     if len(terms) != 1:
         raise TextFormatError(f"expected a single term, got {text!r}")
-    m, weight = _build_term(ring, _poly_arity(terms), None, terms[0])
-    if weight is not None:
-        raise TextFormatError("a bare monomial takes no target weight")
-    return m
+    return _build_term(ring, _poly_arity(terms), None, terms[0])[0]  # no target, no weight
 
 
 def parse_poly_map(ring, target, text: str) -> PolynomialMap:

@@ -853,6 +853,51 @@ def test_check_of_a_certificate_over_the_cap_exits_1_naming_it(tmp_path, capsys,
     assert f"certificate {str(cert)!r}: {message}, more than the cap of 1048576" in err
 
 
+# the cap is lowered so that each run below is cheap whether or not it is refused
+
+def test_classify_and_probe_over_the_cap_exit_1_naming_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(algebra, "SIZE_CAP", 8)  # F_5 is a window of 5 elements
+    base = [f"system={_sys_file(tmp_path)}", "phi=u^2", "epsilon=1/100", "window=full"]
+    for argv, message in [
+        (["classify", "r_max=8", f"output={tmp_path / 'ok'}"], None),
+        (["classify", "r_max=9", f"output={tmp_path / 'no'}"],
+         "an IP_r scan to r=9 has more levels than the cap of"),
+        (["probe", "gens=1,2,3"], None),
+        (["probe", "gens=1,2,3,4"], "4 generators have 2^4 - 1 products, more than the cap of"),
+    ]:
+        rc, out, err = _run(capsys, [*argv, *base])
+        if message is None:
+            assert rc == 0 and out.startswith(("system:", "products:"))
+        else:
+            assert rc == 1 and out == "" and message in err
+    assert (tmp_path / "ok" / "classify.json").exists() and not (tmp_path / "no").exists()
+
+
+def test_a_stage_with_a_hyperedge_table_over_the_cap_exits_1_naming_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(algebra, "SIZE_CAP", 100)
+    # hj k=2: 2^m words and 3^m - 2^m lines, 211 at m=5; fu r=6: 63 positions
+    # and 20*1 + 15*3 + 6*6 + 1*10 = 111 splits into s=3 blocks (31 at r=5)
+    rc, out, err = _run(capsys, ["hj", "k=2", "t=5", "m_max=5", f"output={tmp_path / 'hj'}"])
+    assert rc == 1 and "hj k=2 m=5 has 3^5 - 2^5 lines, more than the cap of" in err
+    assert len(out.splitlines()) == 4 and len(list((tmp_path / "hj").iterdir())) == 4
+    rc, out, err = _run(capsys, ["fu-ramsey", "r=6", "s=3", "k=2", f"output={tmp_path / 'fu'}"])
+    assert rc == 1 and out == "" and "fu r=6 s=3 has 111 splits, more than the cap of" in err
+    assert not (tmp_path / "fu").exists() or not list((tmp_path / "fu").iterdir())
+    rc, _, _ = _run(capsys, ["fu-ramsey", "r=5", "s=3", "k=2", f"output={tmp_path / 'fu'}"])
+    assert rc == 0
+    # the replays of a counterexample build the same tables
+    for text, message in [
+        ("certificate hj-counterexample\nk 2\nt 5\nm 5\ncoloring " + "1" * 32 + "\n",
+         "hj k=2 m=5 has 3^5 - 2^5 lines"),
+        ("certificate fu-counterexample\nr 6\ns 3\nk 2\ncoloring " + "1" * 63 + "\n",
+         "fu r=6 s=3 has 111 splits"),
+    ]:
+        cert = tmp_path / "cert.txt"
+        cert.write_text(text)
+        rc, out, err = _run(capsys, ["--check", str(cert)])
+        assert rc == 1 and out == "" and f"{message}, more than the cap of" in err
+
+
 def test_missing_config_file_and_no_command(capsys):
     rc, _, err = _run(capsys, ["hj", "-c", "/does/not/exist.conf"])
     assert rc == 1 and "cannot read config" in err

@@ -11,8 +11,8 @@ which Python calls implicitly.  Matching by name over-approximates
 reachability, so what the pass reports unreached is certainly unreached.
 
 A second check works by type: the ground rings of ``algebra`` are exactly
-the backends' scalar rings, and its window types exactly those the CLI's
-window grammar builds.
+the backends' scalar rings, its window types exactly those the CLI's window
+grammar builds, and ring^n is built in ``algebra`` only (``ring_power``).
 """
 
 import ast
@@ -119,3 +119,13 @@ def test_every_ground_ring_and_window_type_is_reached():
     assert set(typing.get_args(algebra.GroundRing)) == set(rings) and len(set(rings)) == 3
     windows = {type(cli._parse_window(text)) for text in ("full", "deg 2", "rat 2 2")}
     assert set(typing.get_args(algebra.Window)) == windows
+
+
+def test_only_algebra_constructs_a_vector_space():
+    # every other module reaches ring^n through algebra.ring_power
+    builders = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "VectorSpace" in _mentions([node.func]):
+                builders.add(path.stem)
+    assert builders == {"algebra"}

@@ -723,19 +723,19 @@ def test_fp_probe_witnesses_are_the_products_in_R(backend, data):
 ])
 def test_fp_probe_never_takes_a_product_outside_the_window(backend, gens, outside, monkeypatch):
     (sys, B, phi, eps, window), _ = PROBE_CASES[backend]
-    asked = []  # every w the probe's correlator is called on
-    correlator = sys.correlator
+    asked = []  # every w the probe's kernel is called on
+    kernel = sys.kernel
 
-    def counting(event):
-        corr = correlator(event)
+    def counting(event, threshold):
+        hit = kernel(event, threshold)
 
         def counted(w):
             asked.append(w)
-            return corr(w)
+            return hit(w)
 
         return counted
 
-    monkeypatch.setattr(sys, "correlator", counting)
+    monkeypatch.setattr(sys, "kernel", counting)
     probe = fp_probe(sys, B, phi, eps, window, gens)
     monkeypatch.undo()
     rep = recurrence_set(sys, B, phi, eps, window)
