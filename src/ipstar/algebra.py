@@ -20,15 +20,18 @@ maps ``u -> sum_i m_i(u) * w_i`` with zero constant term, whose weights lie
 over the domain ring.  Each map is evaluated through a compiled form, built
 on its first evaluation and kept (``compiled``): one scalar polynomial per
 target coordinate, its weights folded into its coefficients, in plain ints
-over F_p and Q (one ``Fraction`` per value over Q) and in the ring's own
-operations over F_p[t].
+over F_p and Q and in the ring's own operations over F_p[t].  Over Q the
+polynomials make an integer core (``PolynomialMap.integer_core``):
+coordinates go in as (numerator, denominator) pairs and each target
+coordinate's reduced pair comes out; ``compiled`` wraps it in Fractions.
 
 Window enumeration orders are frozen so that "first witness" answers from the
 search modules are deterministic:
 
 * ``PrimeField``: ``0, 1, ..., p-1``
 * ``Rationals`` bounds (A, B): every ``a/b`` in lowest terms with ``|a| <= A``
-  and ``1 <= b <= B``, in ascending numeric order
+  and ``1 <= b <= B``, in ascending numeric order (``window_pairs`` lists
+  them as integer pairs, ``enumerate_window`` as Fractions)
 * ``PolyRing`` degree bound D: base-p counter order, i.e. the polynomial whose
   coefficient list is the little-endian base-p expansion of ``i`` for
   ``i = 0, 1, ..., p^D - 1`` (sorts by degree, then by coefficients from the
@@ -179,6 +182,10 @@ class Integers(_ExactNumbers):
 
 @dataclass(frozen=True)
 class Rationals(_ExactNumbers):
+    """Q, its elements Fractions.  A window is listed as integer pairs
+    (``window_pairs``), which a scan over Q keeps as its columns; the
+    Fractions of ``enumerate_window`` are built from that listing."""
+
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -189,19 +196,22 @@ class Rationals(_ExactNumbers):
             return Fraction(x)
         raise AlgebraError(f"not a rational: {x!r}")
 
-    def enumerate_window(self, window: Window) -> list[Fraction]:
+    def window_pairs(self, window: Window) -> list[tuple[int, int]]:
+        """The window in canonical order as integer pairs: each value once,
+        as (a, b) with a/b in lowest terms and b >= 1."""
         _expect_window(self, window, RationalWindow)
-        # each value once, as its lowest terms a/b; a/b = a*(M//b)/M over
-        # M = lcm(1..den_bound), so the integer a*(M//b) sorts by value
         A, B = window.num_bound, window.den_bound
-        M = lcm(*range(1, B + 1))
-        keyed = sorted(
-            (a * (M // b), a, b)
-            for b in range(1, B + 1)
-            for a in range(-A, A + 1)
-            if gcd(a, b) == 1
-        )
-        return [Fraction(a, b) for _, a, b in keyed]
+        pairs = [(a, b) for b in range(1, B + 1) for a in range(-A, A + 1) if gcd(a, b) == 1]
+        # Sorted on the quotients a / b as doubles, which is exact: two values
+        # x < y of the window differ by at least 1/(b*d) >= 1/B^2 and
+        # |x|, |y| <= A, so by a relative 1/(A*B^2) or more.  A listable window
+        # has (2A+1)*B <= SIZE_CAP = 2^20, so A*B^2 < 2^39 < 2^52: the rounding
+        # of a double, relative 2^-53, can neither merge nor swap two values.
+        pairs.sort(key=lambda pair: pair[0] / pair[1])
+        return pairs
+
+    def enumerate_window(self, window: Window) -> list[Fraction]:
+        return list(itertools.starmap(Fraction, self.window_pairs(window)))
 
     def window_contains(self, window: Window, a: Fraction) -> bool:
         _expect_window(self, window, RationalWindow)
@@ -213,6 +223,11 @@ class Rationals(_ExactNumbers):
 
     def __str__(self):
         return "Q"
+
+
+def rational_pairs(u) -> tuple:
+    """The (numerator, denominator) pair of each rational coordinate of u."""
+    return tuple([(x.numerator, x.denominator) for x in u])
 
 
 @dataclass(frozen=True)
@@ -447,7 +462,8 @@ class Monomial:
     @cached_property
     def compiled(self):
         """The monomial at normalised coordinates, built once (``_compile``)."""
-        return _compile(self.ring, [(self.coeff, self.exponents)])
+        value = _compile(self.ring, [(self.coeff, self.exponents)])
+        return _over_fractions(value) if isinstance(self.ring, Rationals) else value
 
     def __call__(self, u: tuple):
         return eval_monomial(self, u)
@@ -465,10 +481,12 @@ def _compile(ring, terms):
     function of normalised coordinates from ``ring``, built once.
 
     * F_p: ints mod p, each power one ``pow(u_k, e, p)``.
-    * Q: integer coefficients A over their common denominator L.  With E_k
-      the top power of u_k = p_k/q_k, the value is sum A * prod p_k^e_k *
-      q_k^(E_k - e_k) over L * prod q_k^E_k: integer arithmetic and one
-      ``Fraction`` per value.
+    * Q: an integer core, which takes each coordinate u_k = p_k/q_k as its
+      pair (p_k, q_k) in lowest terms and returns the value's reduced
+      (numerator, denominator).  The coefficients are integers A over their
+      common denominator L; with E_k the top power of u_k, the value is
+      sum A * prod p_k^e_k * q_k^(E_k - e_k) over L * prod q_k^E_k, reduced
+      by one gcd.  No ``Fraction`` is built (``_over_fractions`` adds them).
     * F_p[t]: the ring's own operations; a coefficient equal to one is not
       multiplied in and a first power not computed, so ``u`` returns u.
     """
@@ -514,18 +532,25 @@ def _compile(ring, terms):
         total = 0
         for A, factors in terms:
             for k, d, f in factors:
-                x = u[k]
+                p, q = u[k]
                 if d:
-                    A *= x.numerator ** d
+                    A *= p**d
                 if f:
-                    A *= x.denominator ** f
+                    A *= q**f
             total += A
         den = L
         for k, top in tops:
-            den *= u[k].denominator ** top
-        return Fraction(total, den)
+            den *= u[k][1] ** top
+        g = gcd(total, den)
+        return total // g, den // g
 
     return value
+
+
+def _over_fractions(core):
+    """A Q core (``_compile``) as a function of Fraction coordinates with a
+    Fraction value."""
+    return lambda u: Fraction(*core(rational_pairs(u)))
 
 
 @dataclass(frozen=True)
@@ -555,13 +580,11 @@ class PolynomialMap:
     def domain(self) -> Group:
         return ring_power(self.ring, self.n)
 
-    @cached_property
-    def compiled(self):
-        """The map at normalised coordinates, built once per map: each
-        target coordinate is one scalar polynomial over the target's ring,
-        its terms' weights folded into their coefficients (``_compile``).
-        A value has the target's type: an int over F_p, a ``Fraction`` over
-        Q, a normalised tuple over F_p[t]."""
+    def _assembled(self):
+        """One function of normalised coordinates over the target's compiled
+        coordinates (``_compile``): each is one scalar polynomial, its terms'
+        weights folded into their coefficients; a vector's value is the
+        tuple of its coordinates'."""
         tgt = self.target
         if not isinstance(tgt, VectorSpace):
             return _compile(tgt, [(tgt.mul(m.coeff, w), m.exponents) for m, w in self.terms])
@@ -571,6 +594,29 @@ class PolynomialMap:
             for j in range(tgt.dim)
         ]
         return lambda u: tuple([f(u) for f in coords])
+
+    @cached_property
+    def integer_core(self):
+        """Over Q, the map in integers, built once per map: its coordinates
+        go in as (numerator, denominator) pairs in lowest terms, a tuple of
+        n pairs, and each target coordinate's value comes out as its reduced
+        pair: one pair for a scalar target, a tuple of pairs for a vector."""
+        if not isinstance(self.ring, Rationals):
+            raise AlgebraError(f"a map over {self.ring} has no integer core")
+        return self._assembled()
+
+    @cached_property
+    def compiled(self):
+        """The map at normalised coordinates, built once per map.  A value
+        has the target's type: an int over F_p, a ``Fraction`` over Q (the
+        integer core's pairs, made Fractions), a normalised tuple over
+        F_p[t]."""
+        if not isinstance(self.ring, Rationals):
+            return self._assembled()
+        core = self.integer_core
+        if isinstance(self.target, VectorSpace):
+            return lambda u: tuple(itertools.starmap(Fraction, core(rational_pairs(u))))
+        return _over_fractions(core)
 
     def __call__(self, u: tuple):
         return eval_poly(self, u)

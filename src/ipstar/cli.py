@@ -510,7 +510,7 @@ def _print_recurrence_summary(sys_, rep):
     print(f"phi: {render_poly_map(rep.phi)}")
     print(f"mu(B) = {render_fraction(rep.mu)}")
     print(f"threshold = {render_fraction(rep.threshold)}")
-    print(f"R: {sum(rep.hits())} of {len(rep.elements)} window elements")
+    print(f"R: {sum(rep.hits())} of {len(rep.element_column)} window elements")
 
 
 def _run_recurrence(cfg, resume_file) -> int:

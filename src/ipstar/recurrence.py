@@ -17,8 +17,15 @@ proof (A, E and the inequality chain), lives in the test oracles
 the map's compiled form (``PolynomialMap.compiled``) over the elements,
 then the backend's kernel (``kernel(B, threshold)``) over the values.  The
 kernel returns the correlation with its hit and builds each distinct pair
-once, so the pair column shares them.  ``fp_probe`` reads the hits of its
-few products off the same kernel, through the compiled map.
+once, so the pair column shares them.  A scan over Q stays in integers:
+the element column lists the window as (numerator, denominator) pairs
+(``Rationals.window_pairs``), the map's integer core
+(``PolynomialMap.integer_core``) gives each value's reduced pairs, and the
+rotation kernel's integer entry (``RotationSystem.integer_kernel``) reads
+its turn off them.  The report builds the Fractions of ``elements`` and
+``values`` only when they are read; the renderers write the pairs' text
+straight from the columns.  ``fp_probe`` reads the hits of its few
+products off the same kernel, through the compiled map.
 By duality R is IP*_r exactly when its complement holds no IP_r set, so
 the classification scans the non-hit elements in window order.  The scan
 takes only a pool, a budget and a resume path; the report holds the
@@ -47,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import compress, product, starmap
 from math import lcm
 from operator import itemgetter, not_
 
@@ -71,7 +78,14 @@ class RecurrenceError(ValueError):
 
 @dataclass
 class RecurrenceReport:
-    """Everything known about one return set, filled in stages."""
+    """Everything known about one return set, filled in stages.
+
+    The scan's columns hold the elements and their values as the scan
+    computed them: over Q every rational coordinate is its (numerator,
+    denominator) pair in lowest terms, a scalar one pair and a vector a
+    tuple of pairs; over the other rings each entry is the element or value
+    itself.  ``elements`` and ``values`` read the columns in normal form,
+    built once, when first read."""
 
     system: object
     B: object
@@ -79,15 +93,25 @@ class RecurrenceReport:
     epsilon: Fraction
     window: Window
     domain: object
-    elements: tuple  # the window in canonical order
+    element_column: tuple  # the window in canonical order
     mu: Fraction
     threshold: Fraction
-    values: tuple  # phi(u) for each element, in normal form
+    value_column: tuple  # phi(u) for each element
     pairs: tuple  # the kernel's (corr, in_R) for each value, one tuple per distinct pair
     khintchine: Fraction
     outside_hypotheses: bool
     classification: dict = field(default_factory=dict)  # r -> IpStarVerdict
     exceptional_density: DensityProfile | None = None
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The window in canonical order, in normal form."""
+        return _normal_forms(self.element_column, self.domain)
+
+    @cached_property
+    def values(self) -> tuple:
+        """phi(u) for each element, in normal form."""
+        return _normal_forms(self.value_column, self.phi.target)
 
     def hits(self):
         """The in_R column: an iterator of one bool per element."""
@@ -112,6 +136,14 @@ class RecurrenceReport:
         exact in any window: R is exact on it, so the witness's sums avoid R
         everywhere.  Any other verdict is decided on the window only."""
         return verdict.kind != "fails" and not self.exact
+
+
+def _normal_forms(column, group) -> tuple:
+    """A report's column read as elements of group: over Q, the Fractions of
+    its (numerator, denominator) pairs; otherwise the column itself."""
+    if isinstance(group, VectorSpace) and isinstance(group.ring, Rationals):
+        return tuple([tuple(starmap(Fraction, u)) for u in column])
+    return tuple(starmap(Fraction, column)) if isinstance(group, Rationals) else column
 
 
 def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
@@ -145,20 +177,30 @@ def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
 def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> RecurrenceReport:
     """Exact membership scan of the return set over the window: the value
     w = phi(u) and the kernel's pair (corr, hit) of every element, as
-    columns in window order; R is not built here."""
+    columns in window order; R is not built here.  Over Q the columns hold
+    integer pairs (``RecurrenceReport``): the map's integer core and the
+    rotation kernel's integer entry fill them without a ``Fraction`` per
+    element."""
     base = _report_fields(sys, B, phi, epsilon, window)
-    domain, threshold = base["domain"], base["threshold"]
+    domain, threshold, n = base["domain"], base["threshold"], phi.n
     check_window_size(domain, window)
-    elements = tuple(window_enumerate(domain, window))
-    # window elements come normalised, and so do the compiled map's values;
-    # a one-variable map takes its element as a 1-tuple of coordinates
-    kernel, value, n = sys.kernel(base["B"], threshold), phi.compiled, phi.n
+    if isinstance(phi.ring, Rationals):  # a Q domain: only a rotation acts on Q
+        scalars = phi.ring.window_pairs(window)
+        elements = tuple(scalars if n == 1 else product(scalars, repeat=n))
+        kernel, value = sys.integer_kernel(base["B"], threshold), phi.integer_core
+        zero = ((0, 1),) * n
+    else:
+        elements = tuple(window_enumerate(domain, window))
+        kernel, value = sys.kernel(base["B"], threshold), phi.compiled
+        zero = as_coords(domain.zero, n)
+    # window elements come normalised, and so do the map's values; a
+    # one-variable map takes its element as a 1-tuple of coordinates
     values = tuple(map(value, zip(elements) if n == 1 else elements))
     pairs = tuple(map(kernel, values))
     # every window holds zero, and zero's pair is the kernel's at phi(0)
-    if not kernel(value(as_coords(domain.zero, n)))[1]:
+    if not kernel(value(zero))[1]:
         raise RecurrenceError("return set lost the zero element; broken invariant")
-    return RecurrenceReport(**base, elements=elements, values=values, pairs=pairs)
+    return RecurrenceReport(**base, element_column=elements, value_column=values, pairs=pairs)
 
 
 def classify_ipstar(

@@ -42,6 +42,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
+from .algebra import SIZE_CAP, power_over_cap
+
 DONE = "done"
 BUDGET_EXCEEDED = "budget_exceeded"
 
@@ -325,6 +327,7 @@ def universal_coloring_search(
     M = len(edges_by_last)
     if M < 1 or k < 1:
         raise ValueError("need M >= 1 positions and k >= 1 colors")
+    _check_color_table(M, k)
     witnesses, cells = [], []
     on = [[] for _ in range(M)]  # on[q]: the edges through position q
     for edges in edges_by_last:
@@ -424,6 +427,16 @@ def universal_coloring_search(
     return ColoringOutcome(ALL_OK, None, out.leaves, out.candidates)
 
 
+def _check_color_table(M: int, k: int) -> None:
+    """Refuse M positions in k colors when the M * k (position, color)
+    entries of a search's or a replay's tables exceed ``SIZE_CAP``."""
+    if power_over_cap(M * k, 1) is not None:
+        raise ValueError(
+            f"{M} positions in {k} colors make {M * k} (position, color) entries, "
+            f"more than the cap of {SIZE_CAP}"
+        )
+
+
 def check_cover_tree(M: int, k: int, leaves, edge_positions) -> bool:
     """Replay a cover tree and confirm it proves the all-colorings claim.
 
@@ -431,8 +444,10 @@ def check_cover_tree(M: int, k: int, leaves, edge_positions) -> bool:
     verification-only ``edge_positions(witness)`` decodes each reason into
     the positions of its hyperedge, or None when it names none, and (b) the
     leaves, in order, are exactly the pruned frontier of the canonical DFS,
-    so no full coloring escapes.  Uses no search code.
+    so no full coloring escapes.  Uses no search code.  M * k over
+    ``SIZE_CAP`` is refused before any leaf is read.
     """
+    _check_color_table(M, k)
     decode = cache(edge_positions)  # each distinct witness once
     state: list[int] = [1]
     for leaf in leaves:

@@ -23,7 +23,9 @@ only for what depends on w.  ``correlator(B)`` is that kernel behind the
 check and normalisation of w, and ``correlation(B, w)`` is
 ``correlator(B)(w)``.  The return-set paths ask the kernel:
 ``recurrence_set``, ``fp_probe`` and the Bernoulli ``dlim_probe`` feed it
-the compiled map's values, already in normal form.  The correlator remains
+the compiled map's values, already in normal form; a scan over Q feeds the
+rotation kernel's integer entry (``integer_kernel``) the integer pairs of
+the map's integer core instead.  The correlator remains
 for the constructive search's ball cover (``_BallCover``, d^2(T^e x, T^c x)
 = 2(mu(x) - mu(x cap T^(c-e) x)), whose differences c - e may be
 negative), for ``correlation`` and for the test oracles.  Densities
@@ -89,6 +91,7 @@ from .algebra import (
     VectorSpace,
     as_coords,
     check_window_size,
+    rational_pairs,
     ring_power,
     window_enumerate,
 )
@@ -367,18 +370,19 @@ class RotationSystem(_Backend):
         self.ring = Rationals()
         self.acting = ring_power(self.ring, self.n)
 
-    def _turn(self, coords) -> tuple[int, int]:
-        """The turn sum_i w_i * rho_i of checked coordinates as integers
-        (n, M), n / M not reduced."""
+    def _turn(self, pairs) -> tuple[int, int]:
+        """The turn sum_i w_i * rho_i of w, given as its coordinates'
+        (numerator, denominator) pairs, as integers (n, M), n / M not
+        reduced."""
         n, M = 0, 1
-        for c, r in zip(coords, self.rhos):
-            d = c.denominator * r.denominator
-            n, M = n * d + c.numerator * r.numerator * M, M * d
+        for (a, b), r in zip(pairs, self.rhos):
+            d = b * r.denominator
+            n, M = n * d + a * r.numerator * M, M * d
         return n, M
 
     def _angle(self, w) -> Fraction:
         """The turn sum_i w_i * rho_i of the acting element w."""
-        return Fraction(*self._turn(self._coords(w)))
+        return Fraction(*self._turn(rational_pairs(self._coords(w))))
 
     def event(self, pairs) -> IntervalUnion:
         return pairs if isinstance(pairs, IntervalUnion) else IntervalUnion(pairs)
@@ -394,7 +398,18 @@ class RotationSystem(_Backend):
 
     def kernel(self, B: IntervalUnion, threshold):
         """w -> (mu(B cap T^w B), whether it exceeds threshold) for w in
-        normal form, read off a breakpoint table of B.
+        normal form: ``integer_kernel`` fed w's numerators and
+        denominators."""
+        entry = self.integer_kernel(B, threshold)
+        if self.n == 1:
+            return lambda w: entry((w.numerator, w.denominator))
+        return lambda w: entry(rational_pairs(w))
+
+    def integer_kernel(self, B: IntervalUnion, threshold):
+        """``kernel(B, threshold)`` with w given in integers, as
+        ``PolynomialMap.integer_core`` gives it: with one angle w's
+        (numerator, denominator), else the tuple of its coordinates' pairs.
+        The pairs are read off a breakpoint table of B.
 
         As a function of the turn s mod 1, the overlap of B with B + s is
         piecewise linear, with kinks only where an endpoint of B + s meets
@@ -405,10 +420,10 @@ class RotationSystem(_Backend):
         and each segment has an integer slope k_i.  A turn s = n / M in
         [beta_i / D, beta_(i+1) / D) then has
         corr = (V_i * M + k_i * (n * D - beta_i * M)) / (D * M), compared
-        with the threshold in integers.  With one angle rho the turn is
-        read straight off w: n / M = (w.numerator * rho.numerator) /
-        (w.denominator * rho.denominator).  Each turn (n mod M, M) is worked
-        out once; its pair is tabled in the kernel."""
+        with the threshold in integers.  With one angle rho the turn of
+        w = (a, b) is n / M = (a * rho.numerator) / (b * rho.denominator).
+        Each turn (n mod M, M) is worked out once; its pair is tabled in the
+        kernel."""
         D = lcm(*(e.denominator for piece in B.pieces for e in piece))
         ends = [(a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
                 for a, b in B.pieces]
@@ -418,8 +433,6 @@ class RotationSystem(_Backend):
         slopes = [(v1 - v0) // (b1 - b0) for v0, v1, b0, b1
                   in zip(values, values[1:] + values[:1], starts, starts[1:] + [D])]
         td, bar = threshold.denominator, threshold.numerator * D  # corr > threshold: num * td > bar * M
-        one, turn = self.n == 1, self._turn
-        rn, rd = self.rho.numerator, self.rho.denominator
 
         @cache
         def pair(n, M):  # the turn n / M, 0 <= n < M
@@ -427,8 +440,18 @@ class RotationSystem(_Backend):
             num = values[i] * M + slopes[i] * (n * D - starts[i] * M)
             return Fraction(num, D * M), num * td > bar * M
 
+        if self.n == 1:
+            rn, rd = self.rho.numerator, self.rho.denominator
+
+            def kernel(w):
+                M = w[1] * rd
+                return pair(w[0] * rn % M, M)
+
+            return kernel
+        turn = self._turn
+
         def kernel(w):
-            n, M = (w.numerator * rn, w.denominator * rd) if one else turn(w)
+            n, M = turn(w)
             return pair(n % M, M)
 
         return kernel

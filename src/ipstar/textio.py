@@ -60,7 +60,13 @@ class TextFormatError(ValueError):
 
 def render_fraction(q) -> str:
     q = q if isinstance(q, Fraction) else Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return _render_pair((q.numerator, q.denominator))
+
+
+def _render_pair(q) -> str:
+    """The text of a rational given as its (numerator, denominator) pair in
+    lowest terms."""
+    return str(q[0]) if q[1] == 1 else f"{q[0]}/{q[1]}"
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -88,11 +94,10 @@ def _parse_int(text: str) -> int:
 # ring and group elements
 
 
-def element_renderer(group):
-    """x -> the canonical text of x, for elements of group: the group's type
-    is resolved once, so a report binds one plain function for its columns."""
+def _renderer(group, rational):
+    # the group's type is resolved once: one plain function per group
     if isinstance(group, VectorSpace):
-        coord = element_renderer(group.ring)
+        coord = _renderer(group.ring, rational)
         if group.dim == 1:
             return lambda x: coord(x[0])
         return lambda x: "(" + ",".join(map(coord, x)) + ")"
@@ -100,8 +105,21 @@ def element_renderer(group):
         coeff = cache(str)  # each coefficient's text once per renderer
         return lambda x: "[" + ",".join(map(coeff, x)) + "]"
     if isinstance(group, Rationals):
-        return render_fraction
+        return rational
     return str
+
+
+def element_renderer(group):
+    """x -> the canonical text of x, for elements of group."""
+    return _renderer(group, render_fraction)
+
+
+def column_renderer(group):
+    """The canonical text of an entry of a return-set report's column
+    (``RecurrenceReport``), where each rational coordinate is its
+    (numerator, denominator) pair in lowest terms: the same text as
+    ``element_renderer`` gives the entry's element."""
+    return _renderer(group, _render_pair)
 
 
 def render_element(group, x) -> str:
@@ -607,11 +625,12 @@ def report_tree(report, *, generated: str | None = None) -> dict:
     tree["system"] = describe_system(report.system)
     tree["phi"] = render_poly_map(report.phi)
     tree["epsilon"] = render_fraction(report.epsilon)
-    render = element_renderer(report.domain)
+    members = compress(report.element_column, report.hits())
     tree["R"] = {
-        "members": list(map(render, compress(report.elements, report.hits()))),
+        "members": list(map(column_renderer(report.domain), members)),
         "exact": report.exact,
     }
+    render = element_renderer(report.domain)
     classes = {
         str(r): {
             "kind": v.kind,
@@ -642,7 +661,7 @@ def render_recurrence_csv(report, *, generated: str | None = None) -> str:
     "w,mu_B,corr,threshold,in_R" per element in window order.  Only w's text
     can hold a comma (a vector or a polynomial), and then it is quoted, as
     csv's minimal quoting does; no text holds a quote or a line break."""
-    render = element_renderer(report.system.acting)
+    render = column_renderer(report.system.acting)
     mu, threshold = render_fraction(report.mu), render_fraction(report.threshold)
     pairs = report.pairs
     # the pair column keeps every pair alive, so an id names one pair: the
@@ -657,5 +676,5 @@ def render_recurrence_csv(report, *, generated: str | None = None) -> str:
         return f'"{text}"' if "," in text else text
 
     head = "" if generated is None else f"# generated: {generated}\n"
-    lines = map(add, map(cell, report.values), map(tails.__getitem__, map(id, pairs)))
+    lines = map(add, map(cell, report.value_column), map(tails.__getitem__, map(id, pairs)))
     return "".join([head, "w,mu_B,corr,threshold,in_R\n", *lines])

@@ -1,7 +1,9 @@
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from ipstar.algebra import (
     eval_monomial,
     eval_poly,
     power_over_cap,
+    rational_pairs,
     scalar_poly_map,
     window_enumerate,
 )
@@ -124,6 +127,33 @@ def test_rational_window_matches_the_naive_enumeration():
             got = window_enumerate(Rationals(), RationalWindow(A, B))
             assert got == _naive_rational_window(A, B), (A, B)
             assert all(type(q) is Fraction for q in got)
+            # the integer listing the Fractions are built from
+            assert Rationals().window_pairs(RationalWindow(A, B)) == list(rational_pairs(got))
+
+
+# the listing sorts on quotients as doubles; checked in integers at the cap's
+# largest A*B^2, (1, 349525), and at its largest A*B, (723, 723), which holds
+# the neighbours a/b < c/d closest relative to their size, 1/(b*c) apart
+@pytest.mark.parametrize("A, B", [(1, 349525), (723, 723)])
+def test_rational_window_listing_increases_strictly_near_the_cap(A, B):
+    window = RationalWindow(A, B)
+    check_window_size(Rationals(), window)
+    pairs = Rationals().window_pairs(window)
+    assert all(a * d < c * b for (a, b), (c, d) in zip(pairs, pairs[1:]))
+    assert all(abs(a) <= A and 1 <= b <= B and gcd(a, b) == 1 for a, b in pairs)
+    if A == 1:  # 0 and every +-1/b
+        assert len(pairs) == 2 * B + 1
+
+
+def test_listing_a_long_rational_window_takes_little_memory():
+    tracemalloc.start()
+    try:
+        listed = window_enumerate(Rationals(), RationalWindow(1, 20000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(listed) == 40001
+    assert peak < 30 * 2**20
 
 
 def test_degree_window_base_p_order():
@@ -484,11 +514,11 @@ COMPILED_CASES = [
 
 
 @st.composite
-def compiled_cases(draw):
+def compiled_cases(draw, cases=COMPILED_CASES):
     """(phi, u): one to three variables; one to four terms whose
     coefficients and weights may be zero, rational or unnormalised;
     exponents up to 7 over the finite rings (at least p there), 3 over Q."""
-    ring, target = draw(st.sampled_from(COMPILED_CASES))
+    ring, target = draw(st.sampled_from(cases))
     n = draw(st.integers(1, 3))
     scalar = target.ring if isinstance(target, VectorSpace) else target
     if isinstance(target, VectorSpace):
@@ -513,6 +543,26 @@ def test_compiled_map_matches_the_naive_value(case):
     for m, _w in phi.terms:
         one = PolynomialMap(phi.ring, phi.n, phi.ring, ((m, phi.ring.one),))
         assert repr(eval_monomial(m, raw)) == repr(naive_map_value(one, raw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(compiled_cases([c for c in COMPILED_CASES if isinstance(c[0], Rationals)]))
+def test_integer_core_gives_the_reduced_pairs_of_eval_poly(case):
+    # Q and Q^2 points, rational coefficients, scalar and vector targets
+    phi, raw = case
+    got = phi.integer_core(rational_pairs(tuple(map(phi.ring.element, raw))))
+    want = eval_poly(phi, raw)
+    if isinstance(phi.target, VectorSpace):
+        assert got == rational_pairs(want)
+    else:
+        assert got == (want.numerator, want.denominator)
+    assert phi.integer_core is phi.integer_core  # built once per map
+
+
+def test_only_a_map_over_q_has_an_integer_core():
+    phi = scalar_poly_map(P2, [Monomial(P2, (1,), (1,))])
+    with pytest.raises(AlgebraError, match="no integer core"):
+        phi.integer_core
 
 
 def test_compiled_map_returns_a_first_power_itself():

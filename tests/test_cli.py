@@ -853,6 +853,36 @@ def test_check_of_a_certificate_over_the_cap_exits_1_naming_it(tmp_path, capsys,
     assert f"certificate {str(cert)!r}: {message}, more than the cap of 1048576" in err
 
 
+def test_a_color_count_over_the_cap_exits_1_naming_it(tmp_path, capsys):
+    # positions times colors bound the search's per-color tables and a
+    # replay's open colors, whatever the words or positions alone allow
+    for argv, message in [
+        (["hj", "k=2", "t=1000000", "m_max=2"], "2 positions in 1000000 colors make 2000000"),
+        (["fu-ramsey", "r=3", "s=2", "k=1000000"], "7 positions in 1000000 colors make 7000000"),
+    ]:
+        rc, out, err = _run(capsys, [*argv, f"output={tmp_path}"])
+        assert rc == 1 and out == ""
+        assert f"{message} (position, color) entries, more than the cap of 1048576" in err
+        assert not list(tmp_path.iterdir())
+    for text, message in [
+        ("certificate hj-cover\nk 2\nt 1000000\nm 1\nleaf 1 0,1\n", "2 positions in 1000000 colors"),
+        ("certificate fu-cover\nr 3\ns 2\nk 1000000\nleaf 1 {1}\n", "7 positions in 1000000 colors"),
+    ]:
+        cert = tmp_path / "cert.txt"
+        cert.write_text(text)
+        rc, out, err = _run(capsys, ["--check", str(cert)])
+        assert rc == 1 and out == ""
+        assert f"certificate {str(cert)!r}: {message}" in err and "more than the cap of 1048576" in err
+
+
+def test_fk_density_over_the_cap_exits_1_before_listing_a_tuple(tmp_path, capsys):
+    rc, out, err = _run(capsys, ["fk-density", "r=2", "N=5000", f"output={tmp_path}"])
+    assert rc == 1 and out == ""
+    assert "fk r=2 N=5000 has more than 13273 generator tuples" in err
+    assert "exceed the cap of 1048576 words" in err
+    assert not list(tmp_path.iterdir())
+
+
 # the cap is lowered so that each run below is cheap whether or not it is refused
 
 def test_classify_and_probe_over_the_cap_exit_1_naming_it(tmp_path, capsys, monkeypatch):

@@ -32,6 +32,7 @@ from ipstar.algebra import (
     PolyRing,
     RationalWindow,
     Rationals,
+    rational_pairs,
     window_enumerate,
 )
 from ipstar.systems import BernoulliSystem, FinitePermSystem, IntervalUnion, RotationSystem
@@ -193,6 +194,22 @@ def test_rotation_kernel_matches_the_one_arc_closed_form(case):
         return max(F(0), b - min(s, 1 - s))
 
     _agree(sys, B, ws, closed_form)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rotation_cases() | breakpoint_cases(), st.fractions(-1, 1, max_denominator=30))
+def test_rotation_integer_entry_gives_the_pair_of_the_kernel(case, threshold):
+    # w's numerators and denominators, as a Q scan's integer core gives them,
+    # against w in normal form; each entry keeps a table of its own
+    sys, B, ws, rhos = case
+    kernel, entry = sys.kernel(B, threshold), sys.integer_kernel(B, threshold)
+    for w in ws:
+        if len(rhos) == 1:
+            w = F(w)
+            assert entry((w.numerator, w.denominator)) == kernel(w)
+        else:
+            w = tuple(map(F, w))
+            assert entry(rational_pairs(w)) == kernel(w)
 
 
 def test_one_angle_correlator_takes_a_scalar_or_a_1_tuple():

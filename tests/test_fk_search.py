@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 
 import oracles
 from ipstar import ipsets
+from ipstar.algebra import SIZE_CAP
 from ipstar.ipsets import (
     BUDGET_EXCEEDED,
     DONE,
     _fk_edges_by_last,
+    _fk_tuple_count,
     fk_blocks,
     fk_density_experiment,
 )
@@ -76,6 +78,37 @@ def test_budget_stops_after_exactly_b_nodes_and_resume_completes(r, N, data):
 def test_fk_blocks_matches_brute_force(r, N, data):
     A = data.draw(st.sets(st.integers(1, N)), label="A")
     assert fk_blocks(r, N, A) == oracles.naive_fk_blocks(r, N, A)
+
+
+def _tuples(r, N):
+    """Every nondecreasing r-tuple of positive ints with total at most N."""
+    level = [()]
+    for left in range(r, 0, -1):
+        level = [t + (g,) for t in level for g in range(t[-1] if t else 1, (N - sum(t)) // left + 1)]
+    return level
+
+
+def _sums(t):
+    return {sum(c) for k in range(1, len(t) + 1) for c in combinations(t, k)}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_edge_table_holds_the_minimal_sum_sets_under_their_largest_element(r):
+    # every distinct sum set, against every other one
+    for N in range(1, 25):
+        edges = {frozenset(_sums(t)) for t in _tuples(r, N)}
+        minimal = {e for e in edges if not any(f < e for f in edges)}
+        table = _fk_edges_by_last(r, N)
+        listed = [(x, frozenset(y for y in range(N + 1) if e >> y & 1))
+                  for x, es in enumerate(table) for e in es]
+        assert len(listed) == len(minimal), N
+        assert all(max(e) == x for x, e in listed) and {e for _x, e in listed} == minimal, N
+        assert _fk_tuple_count(r, N, SIZE_CAP) == len(_tuples(r, N)), N
+
+
+def test_tuple_count_stops_past_its_limit():
+    assert [_fk_tuple_count(2, 10, limit) for limit in (100, 25, 24, 0)] == [25, 25, 25, 1]
+    assert _fk_tuple_count(1, 10**9, 5) == 6 and _fk_tuple_count(10**9, 5, 5) == 0
 
 
 def test_r3_n30():

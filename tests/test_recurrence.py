@@ -176,14 +176,18 @@ def test_recurrence_set_refuses_a_kernel_that_misjudges_zero(name, monkeypatch):
     sys, B, phi, window = ZERO_CASES[name]
     rep = recurrence_set(sys, B, phi, F(1, 100), window)
     assert rep.pairs and "R" not in vars(rep)  # R is hashed on first use only
-    kernel = type(sys).kernel
-    zero = sys.acting.zero
+    # a scan over Q asks the rotation kernel's integer entry, which takes
+    # zero as (0, 1) pairs
+    entry, zero = "kernel", sys.acting.zero
+    if isinstance(sys, RotationSystem):
+        entry, zero = "integer_kernel", (0, 1) if sys.n == 1 else ((0, 1),) * sys.n
+    kernel = getattr(type(sys), entry)
 
     def misjudging(self, B, threshold):
         k = kernel(self, B, threshold)
         return lambda w: (k(w)[0], False) if w == zero else k(w)
 
-    monkeypatch.setattr(type(sys), "kernel", misjudging)
+    monkeypatch.setattr(type(sys), entry, misjudging)
     with pytest.raises(RecurrenceError, match="return set lost the zero element"):
         recurrence_set(sys, B, phi, F(1, 100), window)
 
