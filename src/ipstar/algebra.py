@@ -230,6 +230,23 @@ def rational_pairs(u) -> tuple:
     return tuple([(x.numerator, x.denominator) for x in u])
 
 
+def pair_column(group, items) -> tuple:
+    """Elements of group as a return-set report's column holds them: over Q
+    each rational coordinate as its (numerator, denominator) pair, a scalar
+    one pair and a vector a tuple of pairs; over the other rings the
+    elements themselves.  ``column_elements`` reads such a column back."""
+    if isinstance(group, VectorSpace) and isinstance(group.ring, Rationals):
+        return tuple(map(rational_pairs, items))
+    return rational_pairs(items) if isinstance(group, Rationals) else tuple(items)
+
+
+def column_elements(group, column) -> tuple:
+    """The elements of group, in normal form, that a ``pair_column`` holds."""
+    if isinstance(group, VectorSpace) and isinstance(group.ring, Rationals):
+        return tuple([tuple(itertools.starmap(Fraction, u)) for u in column])
+    return tuple(itertools.starmap(Fraction, column)) if isinstance(group, Rationals) else column
+
+
 @dataclass(frozen=True)
 class PolyRing:
     """Univariate polynomials over GF(p), the additive-group workhorse for

@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, floor, log10
 
 from .algebra import SIZE_CAP, Integers, power_over_cap
@@ -316,82 +316,35 @@ def fk_blocks(r: int, N: int, A) -> bool:
     return contains_ip_r(Integers(), set(range(1, N + 1)) - set(A), r) is None
 
 
-def _fk_tuple_count(r: int, N: int, limit: int) -> int:
-    """The nondecreasing r-tuples of positive ints with total at most N,
-    counted without listing them, up to limit + 1 (a larger count reads
-    limit + 1).  Taking 1 from each entry leaves a partition of some
-    m <= N - r into at most r parts, or by conjugation into parts of size
-    at most r; the partitions of m into parts of size at most j number
-    q(m, j) = q(m, j - 1) + q(m - j, j).  The rows m = 0, 1, ... are summed
-    until the total passes the limit; each adds at least 1."""
-    rows: list[list[int]] = []  # rows[m][j] = q(m, j) for j <= min(m, r)
-    total = 0
-    for m in range(N - r + 1):
-        row = [1 if m == 0 else 0]
-        for j in range(1, min(m, r) + 1):
-            below = rows[m - j]
-            row.append(row[-1] + below[min(j, len(below) - 1)])
-        rows.append(row)
-        total += row[-1]
-        if total > limit:
-            return limit + 1
-    return total
-
-
 def _fk_edges_by_last(r: int, N: int) -> list[list[int]]:
-    """The search's hyperedges: the subset sums of each nondecreasing r-tuple
-    with total at most N, as bitmasks (bit x stands for x).  Only the minimal
-    ones are kept, listed under their largest element, the tuple's total.
-    Minimality is decided from each edge's own elements
-    (``_holds_smaller_edge``), not against the other edges.  Each edge is a
-    mask of up to N + 1 bits, 1 + N // 64 machine words: the tuples are
-    counted first, and more than ``SIZE_CAP`` words are refused before any
-    tuple is listed."""
+    """The search's hyperedges: the distinct subset-sum sets of the
+    nondecreasing r-tuples with total at most N, as bitmasks (bit x stands
+    for x), each listed under its largest element, the tuple's total, fewest
+    elements first.  Non-minimal sets stay: one never cuts a node that the
+    smaller set inside it has not cut already, at or before its own last
+    element.  Each edge is a mask of up to N + 1 bits, 1 + N // 64 machine
+    words, and a level of prefixes is listed only up to ``SIZE_CAP`` words
+    of them: every prefix extends to a tuple of its own (repeat its last
+    generator), so a level over the cap means the tuples are over it too."""
     most = SIZE_CAP // (1 + N // 64)
-    if _fk_tuple_count(r, N, most) > most:
-        raise ValueError(
-            f"fk r={r} N={N} has more than {most} generator tuples, whose {N + 1}-bit "
-            f"edges exceed the cap of {SIZE_CAP} words"
-        )
     level = [(0, 1, 0)]  # (sums of the prefix, least next generator, its total)
     for left in range(r, 0, -1):
-        level = [
+        level = list(islice((
             (sums | 1 << g | sums << g, g, total + g)
             for sums, low, total in level
             for g in range(low, (N - total) // left + 1)
-        ]
+        ), most + 1))
+        if len(level) > most:
+            raise ValueError(
+                f"fk r={r} N={N} has more than {most} generator tuples, whose {N + 1}-bit "
+                f"edges exceed the cap of {SIZE_CAP} words"
+            )
         if not level:
             break
     by_last: list[list[int]] = [[] for _ in range(N + 1)]
     for edge in sorted({sums for sums, _, _ in level}, key=int.bit_count):
-        xs, rest = [], edge  # the edge's elements, ascending
-        while rest:
-            low = rest & -rest
-            xs.append(low.bit_length() - 1)
-            rest ^= low
-        if not _holds_smaller_edge(edge, xs, 0, 0, r):
-            by_last[xs[-1]].append(edge)
+        by_last[edge.bit_length() - 1].append(edge)
     return by_last
-
-
-def _holds_smaller_edge(edge: int, xs: list, sums: int, start: int, left: int) -> bool:
-    """Whether ``left`` more generators from xs[start:], nondecreasing, keep
-    every subset sum with the prefix's sums inside the edge and end short of
-    it.  A smaller edge inside this one is exactly such a tuple: its
-    generators are sums, so elements xs of the edge, and its total, which
-    the remaining generators, each at least the next one, can only raise,
-    is at most the edge's largest element xs[-1]."""
-    if not left:
-        return sums != edge
-    room = xs[-1] - max(sums.bit_length() - 1, 0)  # what the prefix's total leaves
-    for i in range(start, len(xs)):
-        g = xs[i]
-        if g * left > room:
-            break
-        more = sums | 1 << g | sums << g
-        if not more & ~edge and _holds_smaller_edge(edge, xs, more, i, left - 1):
-            return True
-    return False
 
 
 def fk_density_experiment(

@@ -54,12 +54,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import compress, product, starmap
+from itertools import compress, product
 from math import lcm
 from operator import itemgetter, not_
 
 from .algebra import FullWindow, Monomial, PolynomialMap, Rationals, VectorSpace, Window
-from .algebra import SIZE_CAP, as_coords, check_window_size, power_over_cap, window_enumerate
+from .algebra import SIZE_CAP, as_coords, check_window_size, column_elements, pair_column
+from .algebra import power_over_cap, window_enumerate
 from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_gather
 from .ipsets import finite_sums, is_ip_r_star, subset_folds
 from .systems import (
@@ -106,12 +107,12 @@ class RecurrenceReport:
     @cached_property
     def elements(self) -> tuple:
         """The window in canonical order, in normal form."""
-        return _normal_forms(self.element_column, self.domain)
+        return column_elements(self.domain, self.element_column)
 
     @cached_property
     def values(self) -> tuple:
         """phi(u) for each element, in normal form."""
-        return _normal_forms(self.value_column, self.phi.target)
+        return column_elements(self.phi.target, self.value_column)
 
     def hits(self):
         """The in_R column: an iterator of one bool per element."""
@@ -136,14 +137,6 @@ class RecurrenceReport:
         exact in any window: R is exact on it, so the witness's sums avoid R
         everywhere.  Any other verdict is decided on the window only."""
         return verdict.kind != "fails" and not self.exact
-
-
-def _normal_forms(column, group) -> tuple:
-    """A report's column read as elements of group: over Q, the Fractions of
-    its (numerator, denominator) pairs; otherwise the column itself."""
-    if isinstance(group, VectorSpace) and isinstance(group.ring, Rationals):
-        return tuple([tuple(starmap(Fraction, u)) for u in column])
-    return tuple(starmap(Fraction, column)) if isinstance(group, Rationals) else column
 
 
 def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
@@ -188,11 +181,10 @@ def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> Recur
         scalars = phi.ring.window_pairs(window)
         elements = tuple(scalars if n == 1 else product(scalars, repeat=n))
         kernel, value = sys.integer_kernel(base["B"], threshold), phi.integer_core
-        zero = ((0, 1),) * n
     else:
         elements = tuple(window_enumerate(domain, window))
         kernel, value = sys.kernel(base["B"], threshold), phi.compiled
-        zero = as_coords(domain.zero, n)
+    zero = as_coords(pair_column(domain, [domain.zero])[0], n)  # as the column holds it
     # window elements come normalised, and so do the map's values; a
     # one-variable map takes its element as a 1-tuple of coordinates
     values = tuple(map(value, zip(elements) if n == 1 else elements))

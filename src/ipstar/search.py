@@ -42,7 +42,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
-from .algebra import SIZE_CAP, power_over_cap
+from .algebra import SIZE_CAP
 
 DONE = "done"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -429,11 +429,13 @@ def universal_coloring_search(
 
 def _check_color_table(M: int, k: int) -> None:
     """Refuse M positions in k colors when the M * k (position, color)
-    entries of a search's or a replay's tables exceed ``SIZE_CAP``."""
-    if power_over_cap(M * k, 1) is not None:
+    entries of a search's or a replay's tables exceed 2 * ``SIZE_CAP``: two
+    colors, the least that splits anything, of as many positions as the
+    other caps admit."""
+    if M * k > 2 * SIZE_CAP:
         raise ValueError(
-            f"{M} positions in {k} colors make {M * k} (position, color) entries, "
-            f"more than the cap of {SIZE_CAP}"
+            f"{M} positions in {k} colors make more (position, color) entries "
+            f"than twice the cap of {SIZE_CAP}"
         )
 
 
@@ -444,7 +446,7 @@ def check_cover_tree(M: int, k: int, leaves, edge_positions) -> bool:
     verification-only ``edge_positions(witness)`` decodes each reason into
     the positions of its hyperedge, or None when it names none, and (b) the
     leaves, in order, are exactly the pruned frontier of the canonical DFS,
-    so no full coloring escapes.  Uses no search code.  M * k over
+    so no full coloring escapes.  Uses no search code.  M * k over twice
     ``SIZE_CAP`` is refused before any leaf is read.
     """
     _check_color_table(M, k)

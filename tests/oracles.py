@@ -22,7 +22,7 @@ from ipstar.algebra import (
     check_window_size,
     eval_monomial,
     eval_poly,
-    rational_pairs,
+    pair_column,
     window_enumerate,
 )
 from ipstar.halesjewett import Line, SubsetConfig
@@ -434,19 +434,11 @@ def theorem1_pipeline(sys, B, phi: PolynomialMap, epsilon, window: Window, r_max
         pairs.append((corr, hit))
     report = RecurrenceReport(
         **base,
-        element_column=_report_column(elements, base["domain"]),
-        value_column=_report_column(values, phi.target),
+        element_column=pair_column(base["domain"], elements),
+        value_column=pair_column(phi.target, values),
         pairs=tuple(pairs),
     )
     return classify_ipstar(report, r_max), tuple(A), tuple(E)
-
-
-def _report_column(items, group) -> tuple:
-    """Normal forms as a report holds them: over Q, every rational
-    coordinate as its (numerator, denominator) pair."""
-    if isinstance(group, VectorSpace) and isinstance(group.ring, Rationals):
-        return tuple(map(rational_pairs, items))
-    return rational_pairs(items) if isinstance(group, Rationals) else tuple(items)
 
 
 def reports_agree(a, b) -> bool:

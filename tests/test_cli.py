@@ -856,23 +856,36 @@ def test_check_of_a_certificate_over_the_cap_exits_1_naming_it(tmp_path, capsys,
 def test_a_color_count_over_the_cap_exits_1_naming_it(tmp_path, capsys):
     # positions times colors bound the search's per-color tables and a
     # replay's open colors, whatever the words or positions alone allow
-    for argv, message in [
-        (["hj", "k=2", "t=1000000", "m_max=2"], "2 positions in 1000000 colors make 2000000"),
-        (["fu-ramsey", "r=3", "s=2", "k=1000000"], "7 positions in 1000000 colors make 7000000"),
-    ]:
-        rc, out, err = _run(capsys, [*argv, f"output={tmp_path}"])
-        assert rc == 1 and out == ""
-        assert f"{message} (position, color) entries, more than the cap of 1048576" in err
-        assert not list(tmp_path.iterdir())
+    out_dir = tmp_path / "D"
+    rc, out, err = _run(capsys, ["hj", "k=2", "t=1000000", "m_max=2", f"output={out_dir}"])
+    cert = out_dir / "hj-k2-t1000000-m1-counterexample.txt"
+    assert rc == 1 and out == f"stage m=1: counterexample -> {cert}\n"  # 2 words: 2 * 10^6 entries
+    assert ("4 positions in 1000000 colors make more (position, color) entries "
+            "than twice the cap of 1048576") in err
+    assert sorted(out_dir.iterdir()) == [cert]
+    rc, out, err = _run(capsys, ["fu-ramsey", "r=3", "s=2", "k=1000000", f"output={tmp_path}"])
+    assert rc == 1 and out == ""
+    assert "7 positions in 1000000 colors make more (position, color) entries" in err
+    assert sorted(tmp_path.iterdir()) == [out_dir]
     for text, message in [
-        ("certificate hj-cover\nk 2\nt 1000000\nm 1\nleaf 1 0,1\n", "2 positions in 1000000 colors"),
+        ("certificate hj-cover\nk 2\nt 1000000\nm 2\nleaf 1 0,1\n", "4 positions in 1000000 colors"),
         ("certificate fu-cover\nr 3\ns 2\nk 1000000\nleaf 1 {1}\n", "7 positions in 1000000 colors"),
     ]:
         cert = tmp_path / "cert.txt"
         cert.write_text(text)
         rc, out, err = _run(capsys, ["--check", str(cert)])
         assert rc == 1 and out == ""
-        assert f"certificate {str(cert)!r}: {message}" in err and "more than the cap of 1048576" in err
+        assert f"certificate {str(cert)!r}: {message}" in err and "twice the cap of 1048576" in err
+
+
+def test_two_colors_of_a_stage_at_the_word_cap_are_searched(tmp_path, capsys):
+    # 1024^2 words, exactly the cap, in two colors: the stage runs to its budget
+    rc, out, err = _run(capsys, ["hj", "k=1024", "t=2", "m_max=2", "budget=1100", f"output={tmp_path}"])
+    assert rc == 2 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == f"stage m=1: counterexample -> {tmp_path / 'hj-k1024-t2-m1-counterexample.txt'}"
+    assert lines[1] == "stage m=2: budget exceeded after 75 candidates"
+    assert lines[2].startswith(f"checkpoint -> {tmp_path}") and len(lines) == 3
 
 
 def test_fk_density_over_the_cap_exits_1_before_listing_a_tuple(tmp_path, capsys):

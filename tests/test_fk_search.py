@@ -19,12 +19,10 @@ from hypothesis import strategies as st
 
 import oracles
 from ipstar import ipsets
-from ipstar.algebra import SIZE_CAP
 from ipstar.ipsets import (
     BUDGET_EXCEEDED,
     DONE,
     _fk_edges_by_last,
-    _fk_tuple_count,
     fk_blocks,
     fk_density_experiment,
 )
@@ -93,22 +91,25 @@ def _sums(t):
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
-def test_edge_table_holds_the_minimal_sum_sets_under_their_largest_element(r):
-    # every distinct sum set, against every other one
+def test_edge_table_holds_every_distinct_sum_set_under_its_largest_element(r):
     for N in range(1, 25):
         edges = {frozenset(_sums(t)) for t in _tuples(r, N)}
-        minimal = {e for e in edges if not any(f < e for f in edges)}
         table = _fk_edges_by_last(r, N)
         listed = [(x, frozenset(y for y in range(N + 1) if e >> y & 1))
                   for x, es in enumerate(table) for e in es]
-        assert len(listed) == len(minimal), N
-        assert all(max(e) == x for x, e in listed) and {e for _x, e in listed} == minimal, N
-        assert _fk_tuple_count(r, N, SIZE_CAP) == len(_tuples(r, N)), N
+        assert len(listed) == len(edges) and {e for _x, e in listed} == edges, N
+        assert all(max(e) == x for x, e in listed), N
+        assert all([e.bit_count() for e in es] == sorted(e.bit_count() for e in es) for es in table)
 
 
-def test_tuple_count_stops_past_its_limit():
-    assert [_fk_tuple_count(2, 10, limit) for limit in (100, 25, 24, 0)] == [25, 25, 25, 1]
-    assert _fk_tuple_count(1, 10**9, 5) == 6 and _fk_tuple_count(10**9, 5, 5) == 0
+@pytest.mark.parametrize("r, N", [(1, 10), (2, 10), (3, 12), (4, 20)])
+def test_edge_table_is_refused_exactly_when_its_tuples_pass_the_cap(r, N, monkeypatch):
+    tuples = len(_tuples(r, N))  # N < 64: each edge is one machine word
+    monkeypatch.setattr(ipsets, "SIZE_CAP", tuples)
+    assert any(_fk_edges_by_last(r, N))
+    monkeypatch.setattr(ipsets, "SIZE_CAP", tuples - 1)
+    with pytest.raises(ValueError, match=f"fk r={r} N={N} has more than {tuples - 1} generator tuples"):
+        _fk_edges_by_last(r, N)
 
 
 def test_r3_n30():
