@@ -50,7 +50,6 @@ anything is listed, a window that may hold more than ``SIZE_CAP`` elements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, lcm, log2
@@ -72,31 +71,69 @@ def is_prime(p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# frozen values
+
+
+class Value:
+    """A value type's shared base.  Its fields (``_fields``) are set once, by
+    ``__init__`` through ``_init``, and never reassigned.  Two values are
+    equal when they have the same type and equal fields; the hash is over
+    the fields, so it is the same in every run.  The repr shows each field."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete {name!r}: a {type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+
+# ---------------------------------------------------------------------------
 # window specifications
 
 
-@dataclass(frozen=True)
-class FullWindow:
+class FullWindow(Value):
     """The whole (finite) ring; only valid for PrimeField."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class RationalWindow:
-    num_bound: int
-    den_bound: int
 
-    def __post_init__(self):
-        if self.num_bound < 0 or self.den_bound < 1:
+class RationalWindow(Value):
+    __slots__ = _fields = ("num_bound", "den_bound")
+
+    def __init__(self, num_bound: int, den_bound: int):
+        if num_bound < 0 or den_bound < 1:
             raise AlgebraError("rational window needs num_bound >= 0, den_bound >= 1")
+        self._init(num_bound, den_bound)
 
 
-@dataclass(frozen=True)
-class DegreeWindow:
-    deg_bound: int  # polynomials of degree < deg_bound
+class DegreeWindow(Value):
+    __slots__ = _fields = ("deg_bound",)  # polynomials of degree < deg_bound
 
-    def __post_init__(self):
-        if self.deg_bound < 0:
+    def __init__(self, deg_bound: int):
+        if deg_bound < 0:
             raise AlgebraError("degree window bound must be >= 0")
+        self._init(deg_bound)
 
 
 Window = FullWindow | RationalWindow | DegreeWindow
@@ -109,18 +146,18 @@ def _expect_window(ring, window, kind) -> None:
 
 # ---------------------------------------------------------------------------
 # ground rings
-# (zero and one are unannotated class attributes, so not dataclass fields)
+# (zero and one are class attributes, not fields)
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    p: int
+class PrimeField(Value):
+    __slots__ = _fields = ("p",)
     zero = 0
     one = 1
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise AlgebraError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise AlgebraError(f"{p} is not prime")
+        self._init(p)
 
     def element(self, x) -> int:
         if isinstance(x, bool) or not isinstance(x, int):
@@ -155,9 +192,10 @@ class PrimeField:
         return f"F_{self.p}"
 
 
-class _ExactNumbers:
+class _ExactNumbers(Value):
     """Z and Q: Python's own operators are exact on ints and Fractions."""
 
+    __slots__ = ()
     zero = 0
     one = 1
 
@@ -174,18 +212,19 @@ class _ExactNumbers:
         return a * b
 
 
-@dataclass(frozen=True)
 class Integers(_ExactNumbers):
     """Z as the additive group of the finite-sums scans: no map or window
     is defined over it."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Rationals(_ExactNumbers):
     """Q, its elements Fractions.  A window is listed as integer pairs
     (``window_pairs``), which a scan over Q keeps as its columns; the
     Fractions of ``enumerate_window`` are built from that listing."""
 
+    __slots__ = ()
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -247,18 +286,18 @@ def column_elements(group, column) -> tuple:
     return tuple(itertools.starmap(Fraction, column)) if isinstance(group, Rationals) else column
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(Value):
     """Univariate polynomials over GF(p), the additive-group workhorse for
     the countably infinite finite-characteristic case."""
 
-    p: int
+    __slots__ = _fields = ("p",)
     zero = ()
     one = (1,)
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise AlgebraError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise AlgebraError(f"{p} is not prime")
+        self._init(p)
 
     def element(self, x) -> tuple:
         if isinstance(x, int) and not isinstance(x, bool):
@@ -336,8 +375,7 @@ GroundRing = PrimeField | Rationals | PolyRing
 # vector spaces
 
 
-@dataclass(frozen=True)
-class VectorSpace:
+class VectorSpace(Value):
     """A fixed-dimension coordinate space over a ground ring.
 
     Elements are tuples of ring elements.  Shares the additive-group method
@@ -345,12 +383,12 @@ class VectorSpace:
     machinery can treat either uniformly.
     """
 
-    ring: GroundRing
-    dim: int
+    __slots__ = _fields = ("ring", "dim")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, ring: GroundRing, dim: int):
+        if dim < 1:
             raise AlgebraError("vector space dimension must be >= 1")
+        self._init(ring, dim)
 
     @property
     def zero(self) -> tuple:
@@ -437,24 +475,23 @@ def check_window_size(group: Group, window: Window) -> None:
 # monomial and polynomial maps
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Value):
     """u -> coeff * u_1^{e_1} * ... * u_n^{e_n} with the exponents not all zero.
 
     A zero coeff is allowed and yields the zero map.
     """
 
-    ring: GroundRing
-    coeff: object
-    exponents: tuple[int, ...]
+    _fields = ("ring", "coeff", "exponents")
+    __slots__ = (*_fields, "__dict__")  # the __dict__ holds the cached_property
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", self.ring.element(self.coeff))
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
-        if not self.exponents or any(e < 0 for e in self.exponents):
+    def __init__(self, ring: GroundRing, coeff, exponents: tuple[int, ...]):
+        coeff = ring.element(coeff)
+        exponents = tuple(int(e) for e in exponents)
+        if not exponents or any(e < 0 for e in exponents):
             raise AlgebraError("exponents must be a non-empty tuple of ints >= 0")
-        if all(e == 0 for e in self.exponents):
+        if all(e == 0 for e in exponents):
             raise AlgebraError("exponents must not all be zero")
+        self._init(ring, coeff, exponents)
 
     @property
     def n(self) -> int:
@@ -570,28 +607,26 @@ def _over_fractions(core):
     return lambda u: Fraction(*core(rational_pairs(u)))
 
 
-@dataclass(frozen=True)
-class PolynomialMap:
+class PolynomialMap(Value):
     """u -> sum_i m_i(u) * w_i, a map with zero constant term from ring^n into
-    a target additive group (a vector space over the ring, or the ring itself)."""
+    a target additive group (a vector space over the ring, or the ring itself).
+    ``terms`` holds the (Monomial, target element) pairs."""
 
-    ring: GroundRing
-    n: int
-    target: Group
-    terms: tuple  # of (Monomial, target element) pairs
+    _fields = ("ring", "n", "target", "terms")
+    __slots__ = (*_fields, "__dict__")  # the __dict__ holds the cached_properties
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, ring: GroundRing, n: int, target: Group, terms: tuple):
+        if not terms:
             raise AlgebraError("polynomial map needs at least one term")
-        scalars = self.target.ring if isinstance(self.target, VectorSpace) else self.target
-        if scalars != self.ring:
-            raise AlgebraError(f"a map on {self.ring} cannot take values in {self.target}")
+        scalars = target.ring if isinstance(target, VectorSpace) else target
+        if scalars != ring:
+            raise AlgebraError(f"a map on {ring} cannot take values in {target}")
         checked = []
-        for m, w in self.terms:
-            if m.ring != self.ring or m.n != self.n:
+        for m, w in terms:
+            if m.ring != ring or m.n != n:
                 raise AlgebraError("monomial ring/arity mismatch in polynomial map")
-            checked.append((m, self.target.element(w)))
-        object.__setattr__(self, "terms", tuple(checked))
+            checked.append((m, target.element(w)))
+        self._init(ring, n, target, tuple(checked))
 
     @property
     def domain(self) -> Group:

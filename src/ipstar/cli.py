@@ -22,8 +22,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
+import time
+from collections import namedtuple
 from functools import cache, partial
 from pathlib import Path
 
@@ -74,20 +74,18 @@ from .textio import (
 # config parsing
 
 
-@dataclass(frozen=True)
-class ConfigError:
-    line: int | None
-    message: str
+class ConfigError(namedtuple("ConfigError", "line message")):
+    __slots__ = ()
 
     def __str__(self):
         return self.message if self.line is None else f"line {self.line}: {self.message}"
 
 
-@dataclass
-class ExperimentConfig:
-    command: str
-    values: dict
-    lines: dict  # key -> source line number (None for overrides/defaults)
+ExperimentConfig = namedtuple("ExperimentConfig", [
+    "command",
+    "values",
+    "lines",  # key -> source line number (None for overrides/defaults)
+])
 
 
 def _posint(text: str) -> int:
@@ -279,7 +277,7 @@ def _read_file(what: str, path, binary=False):
 
 
 def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def _out_dir(cfg) -> Path:

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 from operator import itemgetter
 
-from .algebra import SIZE_CAP, power_over_cap
+from .algebra import SIZE_CAP, Value, power_over_cap
 from .search import (
     ColoringOutcome,
     avoids_every_edge,
@@ -49,25 +48,22 @@ def all_words(k: int, m: int) -> list[tuple[int, ...]]:
     return [w for w in product(range(1, k + 1), repeat=m)]
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(Value):
     """A combinatorial line: fixed positions with their letters, and a
-    non-empty moving set swept through the alphabet in unison."""
+    non-empty moving set swept through the alphabet in unison.  ``fixed``
+    holds the (position, letter) pairs sorted by position."""
 
-    m: int
-    fixed: tuple  # ((position, letter), ...) sorted by position
-    moving: frozenset[int]
+    __slots__ = _fields = ("m", "fixed", "moving")
 
-    def __post_init__(self):
-        fixed = tuple(sorted((int(p), int(v)) for p, v in self.fixed))
-        moving = frozenset(int(p) for p in self.moving)
-        object.__setattr__(self, "fixed", fixed)
-        object.__setattr__(self, "moving", moving)
+    def __init__(self, m: int, fixed: tuple, moving: frozenset[int]):
+        fixed = tuple(sorted((int(p), int(v)) for p, v in fixed))
+        moving = frozenset(int(p) for p in moving)
         if not moving:
             raise ValueError("moving set must be non-empty")
         positions = {p for p, _ in fixed} | moving
-        if len(fixed) + len(moving) != self.m or positions != set(range(1, self.m + 1)):
+        if len(fixed) + len(moving) != m or positions != set(range(1, m + 1)):
             raise ValueError("fixed and moving parts must partition the positions")
+        self._init(m, fixed, moving)
 
 
 def line_points(L: Line, k: int) -> list[tuple[int, ...]]:
@@ -285,25 +281,23 @@ def psi_encode(w: tuple[int, ...], d: int) -> tuple[frozenset[int], ...]:
     )
 
 
-@dataclass(frozen=True)
-class SubsetConfig:
+class SubsetConfig(Value):
     """d base index sets plus a mover disjoint from all of them; the induced
     points are (alpha_1 + eta_1, ..., alpha_d + eta_d) over eta_i in
-    {nothing, mover}."""
+    {nothing, mover}.  ``base`` holds alpha_1..alpha_d as frozensets, which
+    may be empty."""
 
-    base: tuple  # (alpha_1..alpha_d) as frozensets, may be empty sets
-    mover: frozenset[int]
+    __slots__ = _fields = ("base", "mover")
 
-    def __post_init__(self):
-        base = tuple(frozenset(a) for a in self.base)
-        mover = frozenset(self.mover)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "mover", mover)
+    def __init__(self, base: tuple, mover: frozenset[int]):
+        base = tuple(frozenset(a) for a in base)
+        mover = frozenset(mover)
         if not mover:
             raise ValueError("mover must be non-empty")
         for a in base:
             if a & mover:
                 raise ValueError("mover must be disjoint from every base set")
+        self._init(base, mover)
 
     @property
     def d(self) -> int:

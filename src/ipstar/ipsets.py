@@ -28,7 +28,7 @@ verdict.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, islice
@@ -148,13 +148,14 @@ def contains_ip_r(group, S, r: int) -> tuple | None:
     return is_ip_r_star(group, sorted(S), r).witness
 
 
-@dataclass(frozen=True)
-class IpStarVerdict:
-    kind: str  # "holds" | "fails" | "budget_exceeded"
-    witness: tuple | None = None  # failing generator tuple (its sums avoid S)
-    candidates: int = 0  # prefix-search nodes
-    resume_path: tuple[int, ...] | None = None  # positions in the complement, nondecreasing
-    prefixes: tuple[tuple, ...] = ()  # the failing witness of every level the search reached
+class IpStarVerdict(namedtuple("IpStarVerdict", [
+    "kind",  # "holds" | "fails" | "budget_exceeded"
+    "witness",  # failing generator tuple (its sums avoid S)
+    "candidates",  # prefix-search nodes
+    "resume_path",  # positions in the complement, nondecreasing
+    "prefixes",  # the failing witness of every level the search reached
+], defaults=(None, 0, None, ()))):
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -170,7 +171,7 @@ class IpStarVerdict:
         }
         if self.kind != "fails":
             top = r if self.holds else len(out) + 1
-            out.update(dict.fromkeys(range(len(out) + 1, top + 1), replace(self, prefixes=())))
+            out.update(dict.fromkeys(range(len(out) + 1, top + 1), self._replace(prefixes=())))
         return out
 
 
@@ -297,23 +298,24 @@ def fu_check_cover(r: int, s: int, k: int, cover) -> bool:
 # density floor experiment
 
 
-@dataclass(frozen=True)
-class FkResult:
-    r: int
-    N: int
-    status: str  # DONE or BUDGET_EXCEEDED
-    value: Fraction | None  # min |A|/N over blocking sets A
-    witness: frozenset | None  # a minimum blocking set
-    candidates: int  # search nodes
-    resume_path: tuple | None = None  # where a BUDGET_EXCEEDED search restarts
+FkResult = namedtuple("FkResult", [
+    "r",
+    "N",
+    "status",  # DONE or BUDGET_EXCEEDED
+    "value",  # min |A|/N over blocking sets A
+    "witness",  # a minimum blocking set
+    "candidates",  # search nodes
+    "resume_path",  # where a BUDGET_EXCEEDED search restarts
+], defaults=(None,))
 
 
 def fk_blocks(r: int, N: int, A) -> bool:
     """Verification-only: no r generators from C = {1..N} - A keep every
     subset sum in C.  ``contains_ip_r`` scans nondecreasing tuples of sorted C
     and refuses a generator as soon as a new sum leaves C; it shares nothing
-    with the search's edge table."""
-    return contains_ip_r(Integers(), set(range(1, N + 1)) - set(A), r) is None
+    with the search's edge table.  When r > N every set blocks, with no
+    scan: r generators from {1..N} sum to more than N."""
+    return r > N or contains_ip_r(Integers(), set(range(1, N + 1)) - set(A), r) is None
 
 
 def _fk_edges_by_last(r: int, N: int) -> list[list[int]]:
@@ -408,11 +410,12 @@ def fk_odds_certificate(N: int) -> tuple[frozenset, Fraction, bool]:
 # the doubly-exponential block example
 
 
-@dataclass(frozen=True)
-class BlockExample:
-    r_max: int
-    blocks: tuple  # (r, tuple of values i * 2^(2^r), i = 1..r) per r
-    members: frozenset
+class BlockExample(namedtuple("BlockExample", [
+    "r_max",
+    "blocks",  # (r, tuple of values i * 2^(2^r), i = 1..r) per r
+    "members",
+])):
+    __slots__ = ()
 
     def block_of(self, x: int) -> int | None:
         for r, vals in self.blocks:

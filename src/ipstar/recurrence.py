@@ -51,7 +51,7 @@ never trusted from the search itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress, product
@@ -61,7 +61,7 @@ from operator import itemgetter, not_
 from .algebra import FullWindow, Monomial, PolynomialMap, Rationals, VectorSpace, Window
 from .algebra import SIZE_CAP, as_coords, check_window_size, column_elements, pair_column
 from .algebra import power_over_cap, window_enumerate
-from .halesjewett import SubsetConfig, first_mono_line, line_to_config, word_gather
+from .halesjewett import first_mono_line, line_to_config, word_gather
 from .ipsets import finite_sums, is_ip_r_star, subset_folds
 from .systems import (
     DensityProfile,
@@ -77,7 +77,6 @@ class RecurrenceError(ValueError):
     """Inputs outside what the exact machinery can decide."""
 
 
-@dataclass
 class RecurrenceReport:
     """Everything known about one return set, filled in stages.
 
@@ -88,21 +87,20 @@ class RecurrenceReport:
     itself.  ``elements`` and ``values`` read the columns in normal form,
     built once, when first read."""
 
-    system: object
-    B: object
-    phi: PolynomialMap
-    epsilon: Fraction
-    window: Window
-    domain: object
-    element_column: tuple  # the window in canonical order
-    mu: Fraction
-    threshold: Fraction
-    value_column: tuple  # phi(u) for each element
-    pairs: tuple  # the kernel's (corr, in_R) for each value, one tuple per distinct pair
-    khintchine: Fraction
-    outside_hypotheses: bool
-    classification: dict = field(default_factory=dict)  # r -> IpStarVerdict
-    exceptional_density: DensityProfile | None = None
+    def __init__(
+        self, system, B, phi: PolynomialMap, epsilon: Fraction, window: Window, domain,
+        element_column: tuple, mu: Fraction, threshold: Fraction, value_column: tuple,
+        pairs: tuple, khintchine: Fraction, outside_hypotheses: bool,
+        classification: dict | None = None, exceptional_density: DensityProfile | None = None,
+    ):
+        self.system, self.B, self.phi, self.epsilon = system, B, phi, epsilon
+        self.window, self.domain, self.mu, self.threshold = window, domain, mu, threshold
+        self.element_column = element_column  # the window in canonical order
+        self.value_column = value_column  # phi(u) for each element
+        self.pairs = pairs  # the kernel's (corr, in_R) for each value, one tuple per distinct pair
+        self.khintchine, self.outside_hypotheses = khintchine, outside_hypotheses
+        self.classification = {} if classification is None else classification  # r -> IpStarVerdict
+        self.exceptional_density = exceptional_density
 
     @cached_property
     def elements(self) -> tuple:
@@ -228,11 +226,11 @@ def classify_ipstar(
     return report
 
 
-@dataclass(frozen=True)
-class FpProbe:
-    products: tuple  # subset products in family order, duplicates kept
-    witnesses: tuple  # those that land in R
-    intersects: bool
+FpProbe = namedtuple("FpProbe", [
+    "products",  # subset products in family order, duplicates kept
+    "witnesses",  # those that land in R
+    "intersects",
+])
 
 
 def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpProbe:
@@ -276,18 +274,19 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
 # constructive search: cover, color, extract a finite union
 
 
-@dataclass(frozen=True)
-class IsoSearchResult:
-    status: str  # "found" | "absent"
-    gamma: frozenset | None
-    u_gamma: object | None
-    exponent: object | None  # the acting exponent m(u_gamma)
-    distance_sq: Fraction | None
-    config: SubsetConfig | None
-    cells: int  # the cover size actually used
-    proof_bound: str
-    sufficient_length: int | None
-    words_scanned: int
+class IsoSearchResult(namedtuple("IsoSearchResult", [
+    "status",  # "found" | "absent"
+    "gamma",
+    "u_gamma",
+    "exponent",  # the acting exponent m(u_gamma)
+    "distance_sq",
+    "config",  # a SubsetConfig
+    "cells",  # the cover size actually used
+    "proof_bound",
+    "sufficient_length",
+    "words_scanned",
+])):
+    __slots__ = ()
 
     @property
     def found(self) -> bool:

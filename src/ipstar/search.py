@@ -38,8 +38,8 @@ search resumes at (stage, path).
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 
 from .algebra import SIZE_CAP
@@ -48,13 +48,14 @@ DONE = "done"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 
-@dataclass(frozen=True)
-class ScanOutcome:
-    status: str  # DONE or BUDGET_EXCEEDED
-    index: int | None  # least hit index, None if absent or budget ran out
-    value: object  # probe payload at the hit index
-    candidates: int  # candidates examined by this call
-    resume_index: int | None  # where to restart after BUDGET_EXCEEDED
+class ScanOutcome(namedtuple("ScanOutcome", [
+    "status",  # DONE or BUDGET_EXCEEDED
+    "index",  # least hit index, None if absent or budget ran out
+    "value",  # probe payload at the hit index
+    "candidates",  # candidates examined by this call
+    "resume_index",  # where to restart after BUDGET_EXCEEDED
+])):
+    __slots__ = ()
 
     @property
     def found(self) -> bool:
@@ -110,14 +111,12 @@ class Cut:
 CUT = Cut()
 
 
-@dataclass(frozen=True, slots=True)
-class CoverLeaf:
+class CoverLeaf(namedtuple("CoverLeaf", "prefix witness")):
     """One pruned DFS branch: the prefix assignment and what its cut named;
     in a coloring cover, the tuple of edges that refutes the prefix.  A
     ``LeafLog`` stores none; it builds one per leaf as it is read."""
 
-    prefix: tuple[int, ...]
-    witness: object
+    __slots__ = ()
 
 
 class LeafLog(Sequence):
@@ -188,13 +187,13 @@ class LeafLog(Sequence):
         return f"LeafLog({list(self)!r})"
 
 
-@dataclass(frozen=True)
-class PrefixOutcome:
-    status: str  # DONE or BUDGET_EXCEEDED
-    path: tuple[int, ...] | None  # the first full path, None if absent or budget ran out
-    leaves: LeafLog  # the witnessed cuts before the search stopped, in DFS order
-    candidates: int  # nodes charged by this call
-    resume_path: tuple[int, ...] | None = None  # where a BUDGET_EXCEEDED search restarts
+PrefixOutcome = namedtuple("PrefixOutcome", [
+    "status",  # DONE or BUDGET_EXCEEDED
+    "path",  # the first full path, None if absent or budget ran out
+    "leaves",  # a LeafLog: the witnessed cuts before the search stopped, in DFS order
+    "candidates",  # nodes charged by this call
+    "resume_path",  # where a BUDGET_EXCEEDED search restarts
+], defaults=(None,))
 
 
 def prefix_search(
@@ -282,13 +281,13 @@ ALL_OK = "all-colorings-ok"
 COUNTEREXAMPLE = "counterexample"
 
 
-@dataclass(frozen=True)
-class ColoringOutcome:
-    kind: str  # ALL_OK, COUNTEREXAMPLE or BUDGET_EXCEEDED
-    coloring: tuple[int, ...] | None  # the least counterexample
-    cover: LeafLog | None  # the cover tree proving ALL_OK
-    candidates: int
-    resume_path: tuple[int, ...] | None = None  # where a BUDGET_EXCEEDED search restarts
+ColoringOutcome = namedtuple("ColoringOutcome", [
+    "kind",  # ALL_OK, COUNTEREXAMPLE or BUDGET_EXCEEDED
+    "coloring",  # the least counterexample
+    "cover",  # a LeafLog or None: the cover tree proving ALL_OK
+    "candidates",
+    "resume_path",  # where a BUDGET_EXCEEDED search restarts
+], defaults=(None,))
 
 
 def universal_coloring_search(

@@ -75,7 +75,7 @@ but no output renders it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -596,8 +596,7 @@ def orbit_metric(sys, B1, B2) -> Fraction:
 # spectral split
 
 
-@dataclass(frozen=True)
-class SpectralSplit:
+class SpectralSplit(namedtuple("SpectralSplit", "kind mu norm2_f norm2_compact norm2_residual")):
     """Exact decomposition of an indicator into its almost-periodic part and
     the orthogonal residual.
 
@@ -607,15 +606,12 @@ class SpectralSplit:
     residual 1_B - mu(B) decorrelates along the shift (product measure).
     """
 
-    kind: str  # "identity" | "constant"
-    mu: Fraction
-    norm2_f: Fraction
-    norm2_compact: Fraction
-    norm2_residual: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.norm2_f != self.norm2_compact + self.norm2_residual:
+    def __new__(cls, kind, mu, norm2_f, norm2_compact, norm2_residual):
+        if norm2_f != norm2_compact + norm2_residual:
             raise SystemError("split violates the Pythagoras identity")
+        return super().__new__(cls, kind, mu, norm2_f, norm2_compact, norm2_residual)
 
 
 def compact_projection(sys, B) -> SpectralSplit:
@@ -694,13 +690,11 @@ def folner_reach(window) -> int:
     raise SystemError(f"{window} holds every canonical averaging window")
 
 
-@dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(namedtuple("DensityProfile", "value values")):
     """Exact density in the window at N together with the whole run 1..N,
     so the limsup behaviour can be eyeballed."""
 
-    value: Fraction
-    values: tuple[Fraction, ...]
+    __slots__ = ()
 
 
 def window_means(f, group, N: int, elements) -> DensityProfile:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
 from itertools import compress
@@ -507,12 +507,13 @@ _CERT_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: str
-    params: tuple  # ((name, int), ...) in the kind's canonical order
-    coloring: tuple[int, ...] | None  # counterexample kinds
-    leaves: LeafLog | None  # cover kinds; any sequence of CoverLeaf renders and checks
+class Certificate(namedtuple("Certificate", [
+    "kind",
+    "params",  # ((name, int), ...) in the kind's canonical order
+    "coloring",  # counterexample kinds
+    "leaves",  # a LeafLog, cover kinds; any sequence of CoverLeaf renders and checks
+])):
+    __slots__ = ()
 
     def param(self, name: str) -> int:
         return dict(self.params)[name]

@@ -13,6 +13,7 @@ from ipstar.algebra import (
     AlgebraError,
     DegreeWindow,
     FullWindow,
+    Integers,
     Monomial,
     PolyRing,
     PolynomialMap,
@@ -29,6 +30,7 @@ from ipstar.algebra import (
     scalar_poly_map,
     window_enumerate,
 )
+from ipstar.halesjewett import Line, SubsetConfig
 from ipstar.textio import parse_element, render_element, render_poly_map
 from oracles import counter_poly_window, naive_map_value, telescope_check, vector_scale
 
@@ -389,6 +391,78 @@ def test_poly_map_mismatch_errors():
     phi = scalar_poly_map(Q, [Monomial(Q, 1, (1, 1))])
     with pytest.raises(AlgebraError):
         eval_poly(phi, (Fraction(1),))
+
+
+
+# ---------------------------------------------------------------------------
+# value types: equal and hashed by type and fields, frozen, shown field by field
+
+F5 = PrimeField(5)
+# each value type built twice, positionally and by keyword, from equal inputs
+VALUE_PAIRS = [
+    (FullWindow(), FullWindow()),
+    (RationalWindow(4, 4), RationalWindow(num_bound=4, den_bound=4)),
+    (DegreeWindow(3), DegreeWindow(deg_bound=3)),
+    (PrimeField(5), PrimeField(p=5)),
+    (Integers(), Integers()),
+    (Rationals(), Rationals()),
+    (PolyRing(2), PolyRing(p=2)),
+    (VectorSpace(F5, 2), VectorSpace(ring=PrimeField(5), dim=2)),
+    (Monomial(F5, 1, (2,)), Monomial(ring=F5, coeff=6, exponents=[2])),
+    (
+        scalar_poly_map(F5, [Monomial(F5, 1, (2,))]),
+        PolynomialMap(ring=F5, n=1, target=F5, terms=[(Monomial(F5, 6, (2,)), 6)]),
+    ),
+    (Line(2, ((2, 1),), {1}), Line(m=2, fixed=[(2, 1)], moving=frozenset({1}))),
+    (SubsetConfig(({3},), {1}), SubsetConfig(base=(frozenset({3}),), mover=frozenset({1}))),
+]
+VALUE_IDS = [type(a).__name__ for a, _ in VALUE_PAIRS]
+
+
+@pytest.mark.parametrize("a, b", VALUE_PAIRS, ids=VALUE_IDS)
+def test_equal_values_built_apart_are_equal_and_hash_equal(a, b):
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+
+
+@pytest.mark.parametrize("a, b", VALUE_PAIRS, ids=VALUE_IDS)
+def test_values_refuse_assignment_and_deletion(a, b):
+    for name in a._fields or ("p",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+
+
+def test_values_of_distinct_types_are_unequal():
+    assert len({FullWindow(), Integers(), Rationals()}) == 3
+    assert PrimeField(2) != PolyRing(2) and PrimeField(2) != PrimeField(3)
+    assert PrimeField(2) != (2,) and FullWindow() != ()
+
+
+def test_value_repr_shows_each_field():
+    assert repr(RationalWindow(4, 4)) == "RationalWindow(num_bound=4, den_bound=4)"
+    assert repr(FullWindow()) == "FullWindow()"
+    assert repr(Monomial(F5, 6, (2,))) == "Monomial(ring=PrimeField(p=5), coeff=1, exponents=(2,))"
+    with pytest.raises(AlgebraError, match=r"needs a DegreeWindow, got RationalWindow\(num_bound=1,"):
+        PolyRing(2).window_power(RationalWindow(1, 1))
+
+
+def test_value_validations_fire():
+    for build in [
+        lambda: PrimeField(4),
+        lambda: PolyRing(1),
+        lambda: VectorSpace(F5, 0),
+        lambda: RationalWindow(-1, 1),
+        lambda: DegreeWindow(-1),
+        lambda: Monomial(F5, True, (1,)),
+        lambda: Monomial(F5, 1, (1, -1)),
+        lambda: PolynomialMap(F5, 1, F5, ()),
+        lambda: PolynomialMap(F5, 1, Rationals(), ((Monomial(F5, 1, (1,)), 1),)),
+    ]:
+        with pytest.raises(AlgebraError):
+            build()
 
 
 # eval_poly against a plain oracle: sum of coeff * prod u_i^e_i * w, with

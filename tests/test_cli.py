@@ -1,7 +1,9 @@
 """End-to-end checks of the command line front door."""
 
 import json
+import re
 import sys
+from datetime import datetime, timezone
 
 import pytest
 
@@ -878,6 +880,22 @@ def test_a_color_count_over_the_cap_exits_1_naming_it(tmp_path, capsys):
         assert f"certificate {str(cert)!r}: {message}" in err and "twice the cap of 1048576" in err
 
 
+def test_generated_stamp_is_utc_iso_seconds(tmp_path, capsys):
+    argv = ["recurrence", f"system={_sys_file(tmp_path)}", "phi=u^2", "epsilon=1/100", "window=full"]
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    assert _run(capsys, [*argv, f"output={tmp_path}"])[0] == 0
+    assert _run(capsys, [*argv, "format=report", f"output={tmp_path}"])[0] == 0
+    after = datetime.now(timezone.utc)
+    head = (tmp_path / "recurrence.csv").read_text().splitlines()[0]
+    assert head.startswith("# generated: ")
+    tree = json.loads((tmp_path / "recurrence.json").read_text())
+    for stamp in (head.removeprefix("# generated: "), tree["generated"]):
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+        # the text datetime's isoformat writes for the same instant
+        when = datetime.fromisoformat(stamp)
+        assert before <= when <= after and stamp == when.isoformat(timespec="seconds")
+
+
 def test_two_colors_of_a_stage_at_the_word_cap_are_searched(tmp_path, capsys):
     # 1024^2 words, exactly the cap, in two colors: the stage runs to its budget
     rc, out, err = _run(capsys, ["hj", "k=1024", "t=2", "m_max=2", "budget=1100", f"output={tmp_path}"])
@@ -894,6 +912,14 @@ def test_fk_density_over_the_cap_exits_1_before_listing_a_tuple(tmp_path, capsys
     assert "fk r=2 N=5000 has more than 13273 generator tuples" in err
     assert "exceed the cap of 1048576 words" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_fk_density_with_more_generators_than_n_blocks_with_the_empty_set(tmp_path, capsys):
+    # r generators from {1..N} sum to more than N when r > N, so every set
+    # blocks, and the witness check runs no scan of r levels
+    rc, out, err = _run(capsys, ["fk-density", "r=1000000000", "N=5", f"output={tmp_path}"])
+    assert rc == 0 and err == ""
+    assert out == "fk r=1000000000 N=5: minimum blocking density 0\nwitness: {}\n"
 
 
 # the cap is lowered so that each run below is cheap whether or not it is refused

@@ -13,7 +13,6 @@ tested in ``test_fk_search.py``).  One scan to level r decides every level
 d <= r on the way, so its levels are checked against the reference at each d.
 """
 
-from dataclasses import replace
 from functools import partial
 
 from hypothesis import given, settings
@@ -199,7 +198,7 @@ def _split_and_resume(search, data):
         return
     assert (part.kind, part.candidates) == (BUDGET_EXCEEDED, budget)
     rest = search(budget=full.candidates - budget, resume_path=part.resume_path)
-    assert rest == replace(full, candidates=rest.candidates)
+    assert rest == full._replace(candidates=rest.candidates)
     assert part.candidates + rest.candidates == full.candidates
 
 

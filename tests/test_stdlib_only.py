@@ -3,6 +3,7 @@
 its own modules by relative import."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +33,17 @@ def test_src_imports_only_the_standard_library():
     stray = {f"{path.name}: {name}" for path in files
              for name in imported_top_levels(path.read_text()) - ALLOWED}
     assert stray == set()
+
+
+def test_cli_import_loads_every_module_and_no_slow_helper():
+    """``import ipstar.cli`` loads every module of the package, none deferred,
+    so that timing the import times what a command pays; and it loads none
+    of ``dataclasses`` (with ``inspect``) or ``datetime``, which the package
+    does without.  ``-S`` keeps the site hooks from importing anything."""
+    code = f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import ipstar.cli; print(*sys.modules)"
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    assert {"dataclasses", "inspect", "datetime"}.isdisjoint(loaded)
+    modules = {f"ipstar.{path.stem}" for path in SRC.glob("*.py") if path.stem != "__init__"}
+    assert len(modules) > 1 and modules <= loaded
