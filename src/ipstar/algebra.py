@@ -20,10 +20,11 @@ maps ``u -> sum_i m_i(u) * w_i`` with zero constant term, whose weights lie
 over the domain ring.  Each map is evaluated through a compiled form, built
 on its first evaluation and kept (``compiled``): one scalar polynomial per
 target coordinate, its weights folded into its coefficients, in plain ints
-over F_p and Q and in the ring's own operations over F_p[t].  Over Q the
-polynomials make an integer core (``PolynomialMap.integer_core``):
-coordinates go in as (numerator, denominator) pairs and each target
-coordinate's reduced pair comes out; ``compiled`` wraps it in Fractions.
+over F_p and Q and in the ring's own operations over F_p[t].  Compiled
+maps, the backends' kernels and the return-set scans speak one form, the
+column form (``pair_column``): over Q each coordinate is its (numerator,
+denominator) pair in lowest terms, elsewhere the element itself.
+``window_column`` lists a window in it; ``column_elements`` reads it back.
 
 Window enumeration orders are frozen so that "first witness" answers from the
 search modules are deterministic:
@@ -31,7 +32,7 @@ search modules are deterministic:
 * ``PrimeField``: ``0, 1, ..., p-1``
 * ``Rationals`` bounds (A, B): every ``a/b`` in lowest terms with ``|a| <= A``
   and ``1 <= b <= B``, in ascending numeric order (``window_pairs`` lists
-  them as integer pairs, ``enumerate_window`` as Fractions)
+  them in column form, ``enumerate_window`` as Fractions)
 * ``PolyRing`` degree bound D: base-p counter order, i.e. the polynomial whose
   coefficient list is the little-endian base-p expansion of ``i`` for
   ``i = 0, 1, ..., p^D - 1`` (sorts by degree, then by coefficients from the
@@ -221,8 +222,8 @@ class Integers(_ExactNumbers):
 
 class Rationals(_ExactNumbers):
     """Q, its elements Fractions.  A window is listed as integer pairs
-    (``window_pairs``), which a scan over Q keeps as its columns; the
-    Fractions of ``enumerate_window`` are built from that listing."""
+    (``window_pairs``), the column form a scan over Q keeps; the Fractions
+    of ``enumerate_window`` are built from that listing."""
 
     __slots__ = ()
     zero = Fraction(0)
@@ -284,6 +285,16 @@ def column_elements(group, column) -> tuple:
     if isinstance(group, VectorSpace) and isinstance(group.ring, Rationals):
         return tuple([tuple(itertools.starmap(Fraction, u)) for u in column])
     return tuple(itertools.starmap(Fraction, column)) if isinstance(group, Rationals) else column
+
+
+def window_column(group, window) -> tuple:
+    """The window of group in canonical order and column form: over Q
+    listed as integer pairs (``window_pairs``), no Fraction built."""
+    scalars = group.ring if isinstance(group, VectorSpace) else group
+    if not isinstance(scalars, Rationals):
+        return tuple(window_enumerate(group, window))
+    pairs = scalars.window_pairs(window)
+    return tuple(pairs if group is scalars else itertools.product(pairs, repeat=group.dim))
 
 
 class PolyRing(Value):
@@ -481,8 +492,7 @@ class Monomial(Value):
     A zero coeff is allowed and yields the zero map.
     """
 
-    _fields = ("ring", "coeff", "exponents")
-    __slots__ = (*_fields, "__dict__")  # the __dict__ holds the cached_property
+    __slots__ = _fields = ("ring", "coeff", "exponents")
 
     def __init__(self, ring: GroundRing, coeff, exponents: tuple[int, ...]):
         coeff = ring.element(coeff)
@@ -513,34 +523,26 @@ class Monomial(Value):
             out.extend([k] * e)
         return out
 
-    @cached_property
-    def compiled(self):
-        """The monomial at normalised coordinates, built once (``_compile``)."""
-        value = _compile(self.ring, [(self.coeff, self.exponents)])
-        return _over_fractions(value) if isinstance(self.ring, Rationals) else value
-
     def __call__(self, u: tuple):
         return eval_monomial(self, u)
 
 
 def eval_monomial(m: Monomial, u: tuple):
-    """Exact value of the monomial at a coordinate tuple from the same ring."""
-    if len(u) != m.n:
-        raise AlgebraError(f"monomial in {m.n} variables applied to {len(u)} coordinates")
-    return m.compiled(tuple(m.ring.element(c) for c in u))
+    """Exact value of the monomial: ``eval_poly`` of the one-term map."""
+    return eval_poly(scalar_poly_map(m.ring, [m]), u)
 
 
 def _compile(ring, terms):
     """u -> sum of a * u_1^e_1 * ... * u_n^e_n over the (a, e) in terms, a
-    function of normalised coordinates from ``ring``, built once.
+    function of coordinates from ``ring`` in column form, built once.
 
     * F_p: ints mod p, each power one ``pow(u_k, e, p)``.
-    * Q: an integer core, which takes each coordinate u_k = p_k/q_k as its
-      pair (p_k, q_k) in lowest terms and returns the value's reduced
-      (numerator, denominator).  The coefficients are integers A over their
-      common denominator L; with E_k the top power of u_k, the value is
-      sum A * prod p_k^e_k * q_k^(E_k - e_k) over L * prod q_k^E_k, reduced
-      by one gcd.  No ``Fraction`` is built (``_over_fractions`` adds them).
+    * Q: integers in column form: each coordinate u_k = p_k/q_k comes as
+      its pair (p_k, q_k) in lowest terms and the value goes out as its
+      reduced (numerator, denominator).  The coefficients are integers A
+      over their common denominator L; with E_k the top power of u_k, the
+      value is sum A * prod p_k^e_k * q_k^(E_k - e_k) over
+      L * prod q_k^E_k, reduced by one gcd.  No ``Fraction`` is built.
     * F_p[t]: the ring's own operations; a coefficient equal to one is not
       multiplied in and a first power not computed, so ``u`` returns u.
     """
@@ -601,19 +603,13 @@ def _compile(ring, terms):
     return value
 
 
-def _over_fractions(core):
-    """A Q core (``_compile``) as a function of Fraction coordinates with a
-    Fraction value."""
-    return lambda u: Fraction(*core(rational_pairs(u)))
-
-
 class PolynomialMap(Value):
     """u -> sum_i m_i(u) * w_i, a map with zero constant term from ring^n into
     a target additive group (a vector space over the ring, or the ring itself).
     ``terms`` holds the (Monomial, target element) pairs."""
 
     _fields = ("ring", "n", "target", "terms")
-    __slots__ = (*_fields, "__dict__")  # the __dict__ holds the cached_properties
+    __slots__ = (*_fields, "__dict__")  # the __dict__ holds the cached_property
 
     def __init__(self, ring: GroundRing, n: int, target: Group, terms: tuple):
         if not terms:
@@ -632,11 +628,12 @@ class PolynomialMap(Value):
     def domain(self) -> Group:
         return ring_power(self.ring, self.n)
 
-    def _assembled(self):
-        """One function of normalised coordinates over the target's compiled
-        coordinates (``_compile``): each is one scalar polynomial, its terms'
-        weights folded into their coefficients; a vector's value is the
-        tuple of its coordinates'."""
+    @cached_property
+    def compiled(self):
+        """The map in column form (``pair_column``), n coordinates in and the
+        target's entry out, built once per map: one scalar polynomial per
+        target coordinate (``_compile``), its terms' weights folded into its
+        coefficients; a vector's value is the tuple of its coordinates'."""
         tgt = self.target
         if not isinstance(tgt, VectorSpace):
             return _compile(tgt, [(tgt.mul(m.coeff, w), m.exponents) for m, w in self.terms])
@@ -647,29 +644,6 @@ class PolynomialMap(Value):
         ]
         return lambda u: tuple([f(u) for f in coords])
 
-    @cached_property
-    def integer_core(self):
-        """Over Q, the map in integers, built once per map: its coordinates
-        go in as (numerator, denominator) pairs in lowest terms, a tuple of
-        n pairs, and each target coordinate's value comes out as its reduced
-        pair: one pair for a scalar target, a tuple of pairs for a vector."""
-        if not isinstance(self.ring, Rationals):
-            raise AlgebraError(f"a map over {self.ring} has no integer core")
-        return self._assembled()
-
-    @cached_property
-    def compiled(self):
-        """The map at normalised coordinates, built once per map.  A value
-        has the target's type: an int over F_p, a ``Fraction`` over Q (the
-        integer core's pairs, made Fractions), a normalised tuple over
-        F_p[t]."""
-        if not isinstance(self.ring, Rationals):
-            return self._assembled()
-        core = self.integer_core
-        if isinstance(self.target, VectorSpace):
-            return lambda u: tuple(itertools.starmap(Fraction, core(rational_pairs(u))))
-        return _over_fractions(core)
-
     def __call__(self, u: tuple):
         return eval_poly(self, u)
 
@@ -677,11 +651,12 @@ class PolynomialMap(Value):
 def eval_poly(phi: PolynomialMap, u: tuple):
     """Exact value of the polynomial map; eval_poly(phi, 0) is the target zero.
 
-    The coordinates are normalised once, then the compiled form evaluates."""
+    The coordinates are normalised once, then the compiled form evaluates
+    them in column form."""
     u = tuple(phi.ring.element(c) for c in u)
     if len(u) != phi.n:
         raise AlgebraError(f"polynomial map in {phi.n} variables applied to {len(u)} coordinates")
-    return phi.compiled(u)
+    return column_elements(phi.target, [phi.compiled(pair_column(phi.ring, u))])[0]
 
 
 def as_coords(u, n: int) -> tuple:

@@ -13,19 +13,17 @@ builds R, the frozenset of the hit elements, only when a caller asks for
 it.  The second, independent assembly path, which replays the spectral
 proof (A, E and the inequality chain), lives in the test oracles
 (``tests/oracles.py``), and the two must agree exactly.
-``recurrence_set`` fills each column with one ``map`` over the one before:
-the map's compiled form (``PolynomialMap.compiled``) over the elements,
-then the backend's kernel (``kernel(B, threshold)``) over the values.  The
-kernel returns the correlation with its hit and builds each distinct pair
-once, so the pair column shares them.  A scan over Q stays in integers:
-the element column lists the window as (numerator, denominator) pairs
-(``Rationals.window_pairs``), the map's integer core
-(``PolynomialMap.integer_core``) gives each value's reduced pairs, and the
-rotation kernel's integer entry (``RotationSystem.integer_kernel``) reads
-its turn off them.  The report builds the Fractions of ``elements`` and
-``values`` only when they are read; the renderers write the pairs' text
-straight from the columns.  ``fp_probe`` reads the hits of its few
-products off the same kernel, through the compiled map.
+``recurrence_set`` lists the window (``algebra.window_column``), then fills
+each further column with one ``map`` over the one before: the map's
+compiled form (``PolynomialMap.compiled``) over the elements, then the
+backend's kernel (``kernel(B, threshold)``) over the values.  All three
+speak the column form of ``algebra`` on every ring, so a scan over Q stays
+in (numerator, denominator) pairs.  The kernel returns the correlation
+with its hit and builds each distinct pair once, so the pair column shares
+them.  The report builds the Fractions of ``elements`` and ``values`` only
+when they are read; the renderers write the pairs' text straight from the
+columns.  ``fp_probe`` reads the hits of its few products off the same
+kernel, through the compiled map.
 By duality R is IP*_r exactly when its complement holds no IP_r set, so
 the classification scans the non-hit elements in window order.  The scan
 takes only a pool, a budget and a resume path; the report holds the
@@ -54,13 +52,13 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import compress, product
+from itertools import compress
 from math import lcm
 from operator import itemgetter, not_
 
 from .algebra import FullWindow, Monomial, PolynomialMap, Rationals, VectorSpace, Window
 from .algebra import SIZE_CAP, as_coords, check_window_size, column_elements, pair_column
-from .algebra import power_over_cap, window_enumerate
+from .algebra import power_over_cap, window_column
 from .halesjewett import first_mono_line, line_to_config, word_gather
 from .ipsets import finite_sums, is_ip_r_star, subset_folds
 from .systems import (
@@ -80,12 +78,10 @@ class RecurrenceError(ValueError):
 class RecurrenceReport:
     """Everything known about one return set, filled in stages.
 
-    The scan's columns hold the elements and their values as the scan
-    computed them: over Q every rational coordinate is its (numerator,
-    denominator) pair in lowest terms, a scalar one pair and a vector a
-    tuple of pairs; over the other rings each entry is the element or value
-    itself.  ``elements`` and ``values`` read the columns in normal form,
-    built once, when first read."""
+    The scan's columns hold the elements and their values in column form
+    (``algebra.pair_column``: over Q each rational coordinate as its pair).
+    ``elements`` and ``values`` read the columns in normal form, built
+    once, when first read."""
 
     def __init__(
         self, system, B, phi: PolynomialMap, epsilon: Fraction, window: Window, domain,
@@ -168,27 +164,19 @@ def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
 def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> RecurrenceReport:
     """Exact membership scan of the return set over the window: the value
     w = phi(u) and the kernel's pair (corr, hit) of every element, as
-    columns in window order; R is not built here.  Over Q the columns hold
-    integer pairs (``RecurrenceReport``): the map's integer core and the
-    rotation kernel's integer entry fill them without a ``Fraction`` per
-    element."""
+    columns in window order; R is not built here.  The columns are in the
+    column form that the compiled map and the kernel take, so over Q no
+    ``Fraction`` is built per element."""
     base = _report_fields(sys, B, phi, epsilon, window)
-    domain, threshold, n = base["domain"], base["threshold"], phi.n
+    domain, n = base["domain"], phi.n
     check_window_size(domain, window)
-    if isinstance(phi.ring, Rationals):  # a Q domain: only a rotation acts on Q
-        scalars = phi.ring.window_pairs(window)
-        elements = tuple(scalars if n == 1 else product(scalars, repeat=n))
-        kernel, value = sys.integer_kernel(base["B"], threshold), phi.integer_core
-    else:
-        elements = tuple(window_enumerate(domain, window))
-        kernel, value = sys.kernel(base["B"], threshold), phi.compiled
-    zero = as_coords(pair_column(domain, [domain.zero])[0], n)  # as the column holds it
-    # window elements come normalised, and so do the map's values; a
-    # one-variable map takes its element as a 1-tuple of coordinates
+    elements = window_column(domain, window)
+    kernel, value = sys.kernel(base["B"], base["threshold"]), phi.compiled
+    # a one-variable map takes its element as a 1-tuple of coordinates
     values = tuple(map(value, zip(elements) if n == 1 else elements))
     pairs = tuple(map(kernel, values))
     # every window holds zero, and zero's pair is the kernel's at phi(0)
-    if not kernel(value(zero))[1]:
+    if not kernel(value(pair_column(phi.ring, (phi.ring.zero,) * n)))[1]:
         raise RecurrenceError("return set lost the zero element; broken invariant")
     return RecurrenceReport(**base, element_column=elements, value_column=values, pairs=pairs)
 
@@ -257,12 +245,12 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
     if power_over_cap(2, r) is not None:
         raise RecurrenceError(f"{r} generators have 2^{r} - 1 products, more than the cap of {SIZE_CAP}")
     products = subset_folds(ring.mul, ring.one, gens)[1:]
-    # the compiled map's values are in the acting group's normal form, as
-    # the kernel takes them; a one-variable map takes a 1-tuple
+    # the compiled map takes and gives column form, as the kernel takes it;
+    # a one-variable map takes a 1-tuple
     kernel, value = sys.kernel(base["B"], threshold), phi.compiled
 
     def in_R(u):
-        return ring.window_contains(window, u) and kernel(value((u,)))[1]
+        return ring.window_contains(window, u) and kernel(value(pair_column(ring, (u,))))[1]
 
     if ring.window_contains(window, ring.zero) and not in_R(ring.zero):
         raise RecurrenceError("return set lost the zero element; broken invariant")

@@ -17,15 +17,14 @@ Every event measure, correlation mu(B cap T^w B), squared orbit distance and
 spectral quantity is a ``fractions.Fraction``.
 
 Each backend has one kernel per event, ``kernel(B, threshold)``: w ->
-(mu(B cap T^w B), whether it exceeds the threshold), for w in normal form.
-The work that depends only on (system, B) is done once, and each call pays
-only for what depends on w.  ``correlator(B)`` is that kernel behind the
-check and normalisation of w, and ``correlation(B, w)`` is
+(mu(B cap T^w B), whether it exceeds the threshold), for w in column form
+(``algebra.pair_column``: over Q each coordinate as its pair).  The work
+that depends only on (system, B) is done once, and each call pays only for
+what depends on w.  ``correlator(B)`` is that kernel behind the check of w
+and its conversion to column form, and ``correlation(B, w)`` is
 ``correlator(B)(w)``.  The return-set paths ask the kernel:
 ``recurrence_set``, ``fp_probe`` and the Bernoulli ``dlim_probe`` feed it
-the compiled map's values, already in normal form; a scan over Q feeds the
-rotation kernel's integer entry (``integer_kernel``) the integer pairs of
-the map's integer core instead.  The correlator remains
+the compiled map's values, already in column form.  The correlator remains
 for the constructive search's ball cover (``_BallCover``, d^2(T^e x, T^c x)
 = 2(mu(x) - mu(x cap T^(c-e) x)), whose differences c - e may be
 negative), for ``correlation`` and for the test oracles.  Densities
@@ -104,9 +103,9 @@ class SystemError(ValueError):
 class _Backend:
     """What the three backends share: ``correlator`` is the backend's one
     kernel behind the check and normalisation of w.  ``kernel(B,
-    threshold)`` takes w in normal form, as the acting group's operations
-    and the compiled maps produce it: a scalar with one acting coordinate,
-    else a tuple.  ``_coords`` checks w coordinate by coordinate; the
+    threshold)`` takes w in column form, as the compiled maps produce it: a
+    scalar with one acting coordinate, else a tuple, a rational as its
+    pair.  ``_coords`` checks w coordinate by coordinate, in that form; the
     Bernoulli backend, whose scalars are tuples, normalises w whole."""
 
     def correlation(self, B, w) -> Fraction:
@@ -370,6 +369,10 @@ class RotationSystem(_Backend):
         self.ring = Rationals()
         self.acting = ring_power(self.ring, self.n)
 
+    def _coords(self, w) -> tuple:
+        """The checked coordinates of w as (numerator, denominator) pairs."""
+        return rational_pairs(super()._coords(w))
+
     def _turn(self, pairs) -> tuple[int, int]:
         """The turn sum_i w_i * rho_i of w, given as its coordinates'
         (numerator, denominator) pairs, as integers (n, M), n / M not
@@ -382,7 +385,7 @@ class RotationSystem(_Backend):
 
     def _angle(self, w) -> Fraction:
         """The turn sum_i w_i * rho_i of the acting element w."""
-        return Fraction(*self._turn(rational_pairs(self._coords(w))))
+        return Fraction(*self._turn(self._coords(w)))
 
     def event(self, pairs) -> IntervalUnion:
         return pairs if isinstance(pairs, IntervalUnion) else IntervalUnion(pairs)
@@ -398,18 +401,9 @@ class RotationSystem(_Backend):
 
     def kernel(self, B: IntervalUnion, threshold):
         """w -> (mu(B cap T^w B), whether it exceeds threshold) for w in
-        normal form: ``integer_kernel`` fed w's numerators and
-        denominators."""
-        entry = self.integer_kernel(B, threshold)
-        if self.n == 1:
-            return lambda w: entry((w.numerator, w.denominator))
-        return lambda w: entry(rational_pairs(w))
-
-    def integer_kernel(self, B: IntervalUnion, threshold):
-        """``kernel(B, threshold)`` with w given in integers, as
-        ``PolynomialMap.integer_core`` gives it: with one angle w's
-        (numerator, denominator), else the tuple of its coordinates' pairs.
-        The pairs are read off a breakpoint table of B.
+        column form, as ``PolynomialMap.compiled`` gives it: with one angle
+        w's (numerator, denominator), else the tuple of its coordinates'
+        pairs.  The pairs are read off a breakpoint table of B.
 
         As a function of the turn s mod 1, the overlap of B with B + s is
         piecewise linear, with kinks only where an endpoint of B + s meets

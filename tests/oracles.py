@@ -416,7 +416,7 @@ def theorem1_pipeline(sys, B, phi: PolynomialMap, epsilon, window: Window, r_max
     half = base["epsilon"] / 2
     values, pairs, A, E = [], [], [], []
     for u in elements:
-        w = phi.compiled(as_coords(u, phi.n))
+        w = eval_poly(phi, as_coords(u, phi.n))
         # independent correlation path: inclusion-exclusion through the
         # symmetric difference instead of the direct intersection measure
         corr = mu - orbit_metric(sys, B, sys.shift_event(B, w)) / 2

@@ -23,8 +23,10 @@ from ipstar.algebra import (
     SIZE_CAP,
     VectorSpace,
     check_window_size,
+    column_elements,
     eval_monomial,
     eval_poly,
+    pair_column,
     power_over_cap,
     rational_pairs,
     scalar_poly_map,
@@ -609,10 +611,12 @@ def compiled_cases(draw, cases=COMPILED_CASES):
 @settings(max_examples=400, deadline=None)
 @given(compiled_cases())
 def test_compiled_map_matches_the_naive_value(case):
+    # the compiled map takes and gives column form: over Q reduced pairs
     phi, raw = case
-    u = tuple(phi.ring.element(c) for c in raw)
-    want = repr(naive_map_value(phi, raw))
-    assert repr(phi.compiled(u)) == repr(eval_poly(phi, raw)) == want
+    u = pair_column(phi.ring, [phi.ring.element(c) for c in raw])
+    want = naive_map_value(phi, raw)
+    assert repr(phi.compiled(u)) == repr(pair_column(phi.target, [want])[0])
+    assert repr(eval_poly(phi, raw)) == repr(want)
     assert phi.compiled is phi.compiled  # built once per map
     for m, _w in phi.terms:
         one = PolynomialMap(phi.ring, phi.n, phi.ring, ((m, phi.ring.one),))
@@ -621,22 +625,14 @@ def test_compiled_map_matches_the_naive_value(case):
 
 @settings(max_examples=300, deadline=None)
 @given(compiled_cases([c for c in COMPILED_CASES if isinstance(c[0], Rationals)]))
-def test_integer_core_gives_the_reduced_pairs_of_eval_poly(case):
+def test_compiled_map_over_q_gives_the_reduced_pairs_of_eval_poly(case):
     # Q and Q^2 points, rational coefficients, scalar and vector targets
     phi, raw = case
-    got = phi.integer_core(rational_pairs(tuple(map(phi.ring.element, raw))))
+    got = phi.compiled(rational_pairs(tuple(map(phi.ring.element, raw))))
     want = eval_poly(phi, raw)
-    if isinstance(phi.target, VectorSpace):
-        assert got == rational_pairs(want)
-    else:
-        assert got == (want.numerator, want.denominator)
-    assert phi.integer_core is phi.integer_core  # built once per map
-
-
-def test_only_a_map_over_q_has_an_integer_core():
-    phi = scalar_poly_map(P2, [Monomial(P2, (1,), (1,))])
-    with pytest.raises(AlgebraError, match="no integer core"):
-        phi.integer_core
+    pairs = got if isinstance(phi.target, VectorSpace) else (got,)
+    assert all(type(a) is type(b) is int and b >= 1 and gcd(a, b) == 1 for a, b in pairs)
+    assert column_elements(phi.target, [got]) == (want,)
 
 
 def test_compiled_map_returns_a_first_power_itself():

@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 import pytest
 
 import oracles
-from ipstar import algebra, cli, recurrence, systems
+from ipstar import algebra, cli, systems
 from ipstar.algebra import FullWindow, PrimeField, VectorSpace, window_enumerate
 from ipstar.cli import ExperimentConfig, config_hash, parse_config, render_config
 from ipstar.ipsets import fk_density_experiment
@@ -785,8 +785,11 @@ def test_a_window_too_large_to_list_exits_1_naming_its_size(tmp_path, capsys, mo
     def refuse(*args):
         raise AssertionError("listed a window over the cap")
 
-    for module in (algebra, recurrence, systems):
+    # a scan lists its window through algebra (a Q window as integer pairs),
+    # a density's through systems
+    for module in (algebra, systems):
         monkeypatch.setattr(module, "window_enumerate", refuse)
+    monkeypatch.setattr(algebra.Rationals, "window_pairs", refuse)
     bern = _sys_file(tmp_path, BERN_SYSTEM, "bern.txt")
     rot = _sys_file(tmp_path, ROT_SYSTEM + "set B 0 1/3\n", "rot.txt")
     keys = ["epsilon=1/2", f"output={tmp_path}"]

@@ -14,9 +14,10 @@ value must equal ``correlation(B, w)``, the naive event algebra,
 ``tests/oracles.py`` or a closed form that shares no code with either.
 Rotation turns are also drawn on the breakpoints and just either side of
 them, where the table switches segment.  Each ``kernel(B, threshold)``
-tables one (corr, hit) pair per distinct key; a shuffled window whose w
-repeat must get the oracle's pair on every call, and kernels for other
-events or thresholds on the same system must keep tables of their own.
+takes w in column form and tables one (corr, hit) pair per distinct key; a
+shuffled window whose w repeat must get the oracle's pair on every call,
+kernels for other events or thresholds on the same system must keep tables
+of their own, and the correlator must be the kernel behind normalisation.
 """
 
 from fractions import Fraction as F
@@ -32,7 +33,8 @@ from ipstar.algebra import (
     PolyRing,
     RationalWindow,
     Rationals,
-    rational_pairs,
+    column_elements,
+    pair_column,
     window_enumerate,
 )
 from ipstar.systems import BernoulliSystem, FinitePermSystem, IntervalUnion, RotationSystem
@@ -194,22 +196,6 @@ def test_rotation_kernel_matches_the_one_arc_closed_form(case):
         return max(F(0), b - min(s, 1 - s))
 
     _agree(sys, B, ws, closed_form)
-
-
-@settings(max_examples=100, deadline=None)
-@given(rotation_cases() | breakpoint_cases(), st.fractions(-1, 1, max_denominator=30))
-def test_rotation_integer_entry_gives_the_pair_of_the_kernel(case, threshold):
-    # w's numerators and denominators, as a Q scan's integer core gives them,
-    # against w in normal form; each entry keeps a table of its own
-    sys, B, ws, rhos = case
-    kernel, entry = sys.kernel(B, threshold), sys.integer_kernel(B, threshold)
-    for w in ws:
-        if len(rhos) == 1:
-            w = F(w)
-            assert entry((w.numerator, w.denominator)) == kernel(w)
-        else:
-            w = tuple(map(F, w))
-            assert entry(rational_pairs(w)) == kernel(w)
 
 
 def test_one_angle_correlator_takes_a_scalar_or_a_1_tuple():
@@ -440,9 +426,11 @@ SMALL_WINDOW = window_enumerate(Rationals(), RationalWindow(2, 2))  # -2..2 and 
 def tabled_cases(draw):
     """(system, [(B, oracle), (B', oracle')], ws, thresholds): one of the
     five kernels (finite-perm with one generator or two, a rotation by one
-    angle or two, Bernoulli), two events on it, and a window of w in normal
-    form, squared coordinate by coordinate (so u and -u share w) or listed
-    twice, in a drawn order.  A threshold is either a correlation met in the
+    angle or two, Bernoulli), two events on it, and a window of w in column
+    form, as the scans feed the kernels (a rotation's coordinates as
+    (numerator, denominator) pairs), squared coordinate by coordinate (so u
+    and -u share w) or listed twice, in a drawn order; the oracles take w
+    in column form too.  A threshold is either a correlation met in the
     window, which is then a miss, or any rational."""
     kind = draw(st.sampled_from(["perm1", "perm2", "rot1", "rot2", "bernoulli"]))
     if kind in ("perm1", "perm2"):
@@ -460,9 +448,10 @@ def tabled_cases(draw):
         rhos = tuple(draw(SMALL) for _ in range(n))
         sys = RotationSystem(rhos if n > 1 else rhos[0])
         pieces = st.lists(st.tuples(ENDPOINTS, ENDPOINTS), max_size=3)
-        events = [(E, _interval_oracle(E.pieces, rhos)) for E in (sys.event(draw(pieces)) for _ in "ab")]
-        ws = ([u * u for u in SMALL_WINDOW] if n == 1
-              else [(a * a, b * b) for a, b in product(SMALL_WINDOW, repeat=2)])
+        events = [(E, lambda w, want=_interval_oracle(E.pieces, rhos): want(_element(sys, w)))
+                  for E in (sys.event(draw(pieces)) for _ in "ab")]
+        ws = list(pair_column(sys.acting, [u * u for u in SMALL_WINDOW] if n == 1
+                              else [(a * a, b * b) for a, b in product(SMALL_WINDOW, repeat=2)]))
     else:
         sys, B, _, constraints = draw(bernoulli_cases())
         kept = draw(st.sets(st.sampled_from(sorted(constraints)))) if constraints else set()
@@ -473,6 +462,11 @@ def tabled_cases(draw):
     met = sorted({events[0][1](w) for w in ws})
     thresholds = [draw(st.sampled_from(met) | st.fractions(-1, 1, max_denominator=30)) for _ in "ab"]
     return sys, events, draw(st.permutations(ws)), thresholds
+
+
+def _element(sys, w):
+    """The acting element whose column form is w."""
+    return column_elements(sys.acting, [w])[0]
 
 
 def _is_pair(pair, want, threshold):
@@ -499,3 +493,17 @@ def test_kernels_on_one_system_do_not_share_a_table(case):
     for w in ws:
         for kernel, want_of, threshold in kernels:
             assert _is_pair(kernel(w), want_of(w), threshold)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tabled_cases())
+def test_the_correlator_is_the_kernel_behind_normalisation(case):
+    # an element normalises to its column form, where the kernel's pair
+    # holds the correlator's value and the hit of corr > threshold
+    sys, [(B, _), _], ws, [threshold, _] = case
+    kernel, correlator = sys.kernel(B, threshold), sys.correlator(B)
+    for w in ws:
+        u = _element(sys, w)
+        assert sys._normalise(u) == w
+        corr, hit = kernel(sys._normalise(u))
+        assert corr == correlator(u) and hit == (corr > threshold)

@@ -13,6 +13,9 @@ reachability, so what the pass reports unreached is certainly unreached.
 A second check works by type: the ground rings of ``algebra`` are exactly
 the backends' scalar rings, its window types exactly those the CLI's window
 grammar builds, and ring^n is built in ``algebra`` only (``ring_power``).
+A third works by call: a rational window is listed as integer pairs in
+``algebra`` only, and rationals are made pairs only there and in
+``systems``.
 """
 
 import ast
@@ -121,11 +124,23 @@ def test_every_ground_ring_and_window_type_is_reached():
     assert set(typing.get_args(algebra.Window)) == windows
 
 
-def test_only_algebra_constructs_a_vector_space():
-    # every other module reaches ring^n through algebra.ring_power
-    builders = set()
+def _callers(name: str) -> set[str]:
+    """The modules of ``src/ipstar`` with a call whose callee mentions name."""
+    out = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and "VectorSpace" in _mentions([node.func]):
-                builders.add(path.stem)
-    assert builders == {"algebra"}
+            if isinstance(node, ast.Call) and name in _mentions([node.func]):
+                out.add(path.stem)
+    return out
+
+
+def test_only_algebra_constructs_a_vector_space():
+    # every other module reaches ring^n through algebra.ring_power
+    assert _callers("VectorSpace") == {"algebra"}
+
+
+def test_only_algebra_and_systems_read_rationals_as_pairs():
+    # a scan lists a window in column form through algebra.window_column,
+    # and only the rotation backend turns its acting element into pairs
+    assert _callers("window_pairs") == {"algebra"}
+    assert _callers("rational_pairs") == {"algebra", "systems"}

@@ -23,6 +23,7 @@ from ipstar.algebra import (
     Rationals,
     VectorSpace,
     eval_poly,
+    pair_column,
     scalar_poly_map,
     window_enumerate,
 )
@@ -176,18 +177,14 @@ def test_recurrence_set_refuses_a_kernel_that_misjudges_zero(name, monkeypatch):
     sys, B, phi, window = ZERO_CASES[name]
     rep = recurrence_set(sys, B, phi, F(1, 100), window)
     assert rep.pairs and "R" not in vars(rep)  # R is hashed on first use only
-    # a scan over Q asks the rotation kernel's integer entry, which takes
-    # zero as (0, 1) pairs
-    entry, zero = "kernel", sys.acting.zero
-    if isinstance(sys, RotationSystem):
-        entry, zero = "integer_kernel", (0, 1) if sys.n == 1 else ((0, 1),) * sys.n
-    kernel = getattr(type(sys), entry)
+    # every kernel takes zero in column form: over Q as (0, 1) pairs
+    zero, kernel = pair_column(sys.acting, [sys.acting.zero])[0], type(sys).kernel
 
     def misjudging(self, B, threshold):
         k = kernel(self, B, threshold)
         return lambda w: (k(w)[0], False) if w == zero else k(w)
 
-    monkeypatch.setattr(type(sys), entry, misjudging)
+    monkeypatch.setattr(type(sys), "kernel", misjudging)
     with pytest.raises(RecurrenceError, match="return set lost the zero element"):
         recurrence_set(sys, B, phi, F(1, 100), window)
 
@@ -744,9 +741,9 @@ def test_fp_probe_never_takes_a_product_outside_the_window(backend, gens, outsid
     monkeypatch.undo()
     rep = recurrence_set(sys, B, phi, eps, window)
     assert outside in probe.products and outside not in rep.elements
-    # only 0 and the in-window products are correlated
+    # only 0 and the in-window products are correlated, each in column form
     inside = [v for v in probe.products if v in rep.elements]
-    assert asked == [phi((v,)) for v in [rep.domain.zero, *inside]]
+    assert asked == list(pair_column(phi.target, [phi((v,)) for v in [rep.domain.zero, *inside]]))
     # its correlation clears the threshold, so only the window keeps it out
     assert sys.correlation(rep.B, phi((outside,))) > rep.threshold
     assert outside not in probe.witnesses and probe.witnesses
