@@ -61,6 +61,10 @@ class AlgebraError(ValueError):
 
 
 def is_prime(p: int) -> bool:
+    """Trial division, refused for p of ``SIZE_CAP``^2 or more before any
+    step: below it, at most ``SIZE_CAP`` divisors are tried."""
+    if p >= SIZE_CAP * SIZE_CAP:
+        raise AlgebraError(f"p = {p} is at least the cap of {SIZE_CAP}^2")
     if p < 2:
         return False
     d = 2
@@ -92,6 +96,8 @@ class Value:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()

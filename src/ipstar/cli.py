@@ -48,6 +48,7 @@ from .textio import (
     TextFormatError,
     _content_lines,
     _parse_int,
+    _records,
     _split_top,
     check_certificate,
     describe_system,
@@ -379,17 +380,11 @@ def _load_checkpoint(path: str, cfg, key=None, stages=()) -> tuple[int | None, t
     line with one of this run's ``stages``.  Without a ``key`` the stage is
     None and any stage line is ignored."""
     text = _read_file("checkpoint", path)
-    fields: dict[str, str] = {}
-    for no, line in _content_lines(text):
-        name, _, rest = line.partition(" ")
-        if not fields and (name != "checkpoint" or not rest.strip()):
-            raise ValueError(f"checkpoint {path!r}: line {no}: not a checkpoint file")
-        if name in fields:
-            raise ValueError(f"checkpoint {path!r}: line {no}: duplicate {name!r}")
-        fields[name] = rest.strip()
-    if not fields:
-        raise ValueError(f"checkpoint {path!r}: empty file")
-    command = fields["checkpoint"]
+    try:  # any key: a line no run reads, as an older checkpoint's, is skipped
+        command, lines = _records(text, "checkpoint", "command", lambda command: (None, ()))
+    except TextFormatError as exc:
+        raise ValueError(f"checkpoint {path!r}: {exc}") from None
+    fields = {name: rest for name, (_no, rest) in lines.items()}
     if command != cfg.command:
         raise ValueError(f"checkpoint is for command {command!r}, not {cfg.command!r}")
     if fields.get("config") != config_hash(cfg):

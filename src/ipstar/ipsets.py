@@ -234,7 +234,9 @@ def _fu_checks_by_position(r: int, s: int):
     for alpha in range(1, positions + 1):
         bits = [1 << i for i in range(r) if alpha >> i & 1]
         entries = []
-        for cuts in combinations(range(1, len(bits)), s - 1):
+        # fewer elements than blocks have no split; combinations would still
+        # allocate its s - 1 indices
+        for cuts in combinations(range(1, len(bits)), s - 1) if s <= len(bits) else ():
             bounds = (0, *cuts, len(bits))
             blocks = [sum(bits[a:b]) for a, b in zip(bounds, bounds[1:])]
             unions = subset_folds(int.__or__, 0, blocks)[1:]

@@ -13,10 +13,15 @@ Canonical renderings (frozen; parsers accept exactly these):
   comma-separated letters
 * subset configurations, rendered only: ``alpha=[{1},{}] gamma={2}``
 
-System description files and certificates are line oriented: ``#`` starts
-a comment, blank lines are ignored, the first content line names the kind.
+System description files, certificates and checkpoints are read by one
+record reader, ``_records``: ``#`` starts a comment, blank lines are
+ignored, the first content line is ``backend|certificate|checkpoint
+<kind>`` and each later line is ``key rest``.  Each kind names the keys it
+takes once and the keys that may repeat; a second line of a single key, or
+a key the kind does not take, is refused with its line number.
 Certificates round-trip through ``parse_certificate`` and are replayed by
-``check_certificate`` using only verification code paths.
+``check_certificate`` using only verification code paths; ``_FAMILIES``
+holds all that differs between the hj and fu certificate families.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import json
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import compress
 from operator import add
 
@@ -69,6 +74,11 @@ def _render_pair(q) -> str:
     return str(q[0]) if q[1] == 1 else f"{q[0]}/{q[1]}"
 
 
+# an exponent of Fraction's text form, which it reads by building 10^e in full
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
+_MAX_EXPONENT = 4300  # Python's limit on the digits of an int read from text
+
+
 def parse_fraction(text: str) -> Fraction:
     text = text.strip()
     num, slash, den = text.partition("/")
@@ -76,11 +86,17 @@ def parse_fraction(text: str) -> Fraction:
         # plain a, -a and a/b in ASCII digits skip Fraction's text parser
         if text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
             return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-        return Fraction(text)
+        exponent = _EXPONENT.search(text)
+        # too large an exponent is refused unbuilt, once the text before it reads
+        big = exponent is not None and abs(int(exponent[1])) > _MAX_EXPONENT
+        q = Fraction(text[: exponent.start()] + "e0" if big else text)
     except ZeroDivisionError:
         raise TextFormatError(f"zero denominator in {text!r}")
     except ValueError:
         raise TextFormatError(f"not a rational: {text!r}")
+    if big:
+        raise TextFormatError(f"exponent above {_MAX_EXPONENT} in {text!r}")
+    return q
 
 
 def _parse_int(text: str) -> int:
@@ -313,7 +329,7 @@ def render_poly_map(phi: PolynomialMap) -> str:
 
 
 # ---------------------------------------------------------------------------
-# system description files
+# keyed-line files: system descriptions, certificates, checkpoints
 
 
 def _content_lines(text: str):
@@ -321,6 +337,47 @@ def _content_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield no, line
+
+
+def _records(text: str, head: str, noun: str, keys_of):
+    """The keyed lines of a system file, certificate or checkpoint.
+
+    The first content line is ``<head> <kind>``; each later line is a key,
+    then the rest of the line.  ``keys_of(kind)`` gives the kind's (single
+    keys, repeated keys), with None for single keys when the kind takes any
+    key, or None for a kind that does not exist (``noun`` names the kind in
+    that refusal).  Returns (kind, fields): the head and each single key map
+    to their (line number, rest), and each repeated key to the list of its
+    lines' pairs.  A second line of a single key, and a key the kind does
+    not take, are refused with the line's number.
+    """
+    lines = _content_lines(text)
+    no, line = next(lines, (1, ""))
+    key, _, kind = line.partition(" ")
+    kind = kind.strip()
+    if key != head:
+        raise TextFormatError(f"line {no}: expected {head!r}, got {key!r}")
+    keys = keys_of(kind)
+    if keys is None:
+        raise TextFormatError(f"line {no}: unknown {noun} {kind!r}")
+    single, repeated = keys
+    fields = {head: (no, kind), **{name: [] for name in repeated}}
+    for no, line in lines:
+        key, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if key in repeated:
+            fields[key].append((no, rest))
+        elif key in fields:
+            raise TextFormatError(f"line {no}: duplicate {key!r}")
+        elif single is None or key in single:
+            fields[key] = (no, rest)
+        else:
+            raise TextFormatError(f"line {no}: unknown key {key!r} for {kind}")
+    return kind, fields
+
+
+# ---------------------------------------------------------------------------
+# system description files
 
 
 def _parse_label(token: str):
@@ -365,9 +422,12 @@ def _parse_cycles(no: int, text: str, points, label) -> dict:
     return perm
 
 
-# the keys each backend's description takes besides ``set``
-_SYSTEM_KEYS = {"finite-perm": ("p", "points", "weights", "gen"), "rotation": ("rho",),
-                "bernoulli": ("p", "probs")}
+# each backend's (single keys, repeated keys)
+_SYSTEM_KEYS = {
+    "finite-perm": (("p", "points", "weights"), ("gen", "set")),
+    "rotation": (("rho",), ("set",)),
+    "bernoulli": (("p", "probs"), ("set",)),
+}
 
 
 def parse_system_text(text: str):
@@ -376,50 +436,29 @@ def parse_system_text(text: str):
     Returns (system, {name: event}).  Raises TextFormatError with the line
     number on the first problem.
     """
-    backend = None
-    fields: dict = {}
-    gen_lines: list = []
-    # the point labels recur in the gen and set lines: each token is read once
-    label = cache(_parse_label)
+    backend, fields = _records(text, "backend", "backend", _SYSTEM_KEYS.get)
     set_lines: dict = {}  # name -> (line number, body)
-    for no, line in _content_lines(text):
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if backend is None:
-            if key != "backend":
-                raise TextFormatError(f"line {no}: expected 'backend', got {key!r}")
-            if rest not in _SYSTEM_KEYS:
-                raise TextFormatError(f"line {no}: unknown backend {rest!r}")
-            backend = rest
-        elif key == "set":
-            name, _, body = rest.partition(" ")
-            if not name:
-                raise TextFormatError(f"line {no}: set needs a name")
-            if name in set_lines:
-                raise TextFormatError(f"line {no}: duplicate set {name!r}")
-            set_lines[name] = (no, body.strip())
-        elif key not in _SYSTEM_KEYS[backend]:
-            raise TextFormatError(f"line {no}: unknown key {key!r} for {backend}")
-        elif key == "gen":
-            gen_lines.append((no, rest))
-        elif key in fields:
-            raise TextFormatError(f"line {no}: duplicate {key!r}")
-        else:
-            fields[key] = (no, rest)
-    if backend is None:
-        raise TextFormatError("line 1: empty system description")
+    for no, rest in fields["set"]:
+        name, _, body = rest.partition(" ")
+        if not name:
+            raise TextFormatError(f"line {no}: set needs a name")
+        if name in set_lines:
+            raise TextFormatError(f"line {no}: duplicate set {name!r}")
+        set_lines[name] = (no, body.strip())
 
     def need(key):
         if key not in fields:
             raise TextFormatError(f"missing required key {key!r} for {backend}")
-        return fields[key]
+        return fields[key][1]
 
+    # the point labels recur in the gen and set lines: each token is read once
+    label = cache(_parse_label)
     try:
         if backend == "finite-perm":
-            no_p, p_text = need("p")
-            p = _parse_int(p_text)
-            no_pts, pts_text = need("points")
-            points = list(map(label, pts_text.split()))
+            p = _parse_int(need("p"))
+            points = list(map(label, need("points").split()))
+            if not points:
+                raise TextFormatError(f"line {fields['points'][0]}: points needs at least one point")
             if "weights" in fields:
                 no_w, w_text = fields["weights"]
                 parts = w_text.split()
@@ -429,19 +468,16 @@ def parse_system_text(text: str):
                 weights = dict(zip(points, map(cache(parse_fraction), parts)))
             else:
                 weights = dict.fromkeys(points, Fraction(1, len(points)))
-            gens = [_parse_cycles(no, txt, points, label) for no, txt in gen_lines]
+            gens = [_parse_cycles(no, txt, points, label) for no, txt in fields["gen"]]
             if not gens:
                 raise TextFormatError("finite-perm needs at least one gen line")
             sys = FinitePermSystem(p, points, weights, gens)
         elif backend == "rotation":
-            no_r, r_text = need("rho")
-            rhos = [parse_fraction(t) for t in r_text.split()]
+            rhos = [parse_fraction(t) for t in need("rho").split()]
             sys = RotationSystem(rhos[0] if len(rhos) == 1 else tuple(rhos))
         else:
-            no_p, p_text = need("p")
-            p = _parse_int(p_text)
-            no_q, q_text = need("probs")
-            sys = BernoulliSystem(p, [parse_fraction(t) for t in q_text.split()])
+            p = _parse_int(need("p"))
+            sys = BernoulliSystem(p, [parse_fraction(t) for t in need("probs").split()])
     except TextFormatError:
         raise
     except ValueError as exc:
@@ -494,114 +530,99 @@ def describe_system(sys) -> str:
 # ---------------------------------------------------------------------------
 # certificates
 
-_ENUMERATION_NOTES = {
-    "hj": "# positions: words over the alphabet 1..k of length m, lexicographic, leftmost most significant",
-    "fu": "# positions: non-empty subsets of {1..r} by ascending bitmask",
-}
-
-_CERT_PARAMS = {
-    "hj-counterexample": ("k", "t", "m"),
-    "hj-cover": ("k", "t", "m"),
-    "fu-counterexample": ("r", "s", "k"),
-    "fu-cover": ("r", "s", "k"),
-}
-
-
-class Certificate(namedtuple("Certificate", [
+Certificate = namedtuple("Certificate", [
     "kind",
     "params",  # ((name, int), ...) in the kind's canonical order
     "coloring",  # counterexample kinds
     "leaves",  # a LeafLog, cover kinds; any sequence of CoverLeaf renders and checks
-])):
-    __slots__ = ()
+])
 
-    def param(self, name: str) -> int:
-        return dict(self.params)[name]
+# per certificate family: its parameters in canonical order, the one that
+# counts the colours, the comment saying how a coloring's positions are
+# listed, the text of one edge a leaf's witness names and its parser, and the
+# verification-only replays of a cover's leaves and of a counterexample's
+# coloring
+_Family = namedtuple("_Family", "params colors note reason_text parse_reason check_cover is_counterexample")
+
+# a certificate kind is "<family>-cover" or "<family>-counterexample"; the
+# checks are looked up at call time, so a wrapper bound to their module
+# names (as perfbench's tracer binds) is the one called
+_FAMILIES = {
+    "hj": _Family(
+        ("k", "t", "m"), "t",
+        "# positions: words over the alphabet 1..k of length m, lexicographic, leftmost most significant",
+        lambda line: ",".join(map(str, line)),
+        lambda text: tuple(_parse_int(t) for t in text.split(",")),
+        lambda *args: hj_check_cover(*args),
+        lambda *args: hj_coloring_is_counterexample(*args),
+    ),
+    "fu": _Family(
+        ("r", "s", "k"), "k",
+        "# positions: non-empty subsets of {1..r} by ascending bitmask",
+        lambda blocks: ";".join(map(render_family, blocks)),
+        lambda text: tuple(parse_family(t) for t in text.split(";")),
+        lambda *args: fu_check_cover(*args),
+        lambda *args: fu_coloring_is_counterexample(*args),
+    ),
+}
 
 
-def _witness_to_text(kind: str, witness) -> str:
-    if kind.startswith("hj"):
-        return ",".join(str(i) for i in witness)
-    return ";".join(render_family(b) for b in witness)
-
-
-def _witness_from_text(kind: str, text: str):
-    if kind.startswith("hj"):
-        return tuple(_parse_int(t) for t in text.split(","))
-    return tuple(parse_family(t) for t in text.split(";"))
+def _certificate_keys(kind: str):
+    family, _, shape = kind.partition("-")
+    if family not in _FAMILIES or shape not in ("cover", "counterexample"):
+        return None
+    params = _FAMILIES[family].params
+    return (params, ("leaf",)) if shape == "cover" else ((*params, "coloring"), ())
 
 
 def render_certificate(cert: Certificate) -> str:
-    n_colors = cert.param("t") if cert.kind.startswith("hj") else cert.param("k")
-    out = [f"certificate {cert.kind}", _ENUMERATION_NOTES[cert.kind[:2]]]
+    family = _FAMILIES[cert.kind.partition("-")[0]]
+    n_colors = dict(cert.params)[family.colors]
+    out = [f"certificate {cert.kind}", family.note]
     out.extend(f"{name} {value}" for name, value in cert.params)
     if cert.coloring is not None:
         out.append("coloring " + render_word(cert.coloring, n_colors))
-    edge_text = cache(partial(_witness_to_text, cert.kind))  # leaves share their edges
+    reason_text = cache(family.reason_text)  # leaves share their edges
     for leaf in cert.leaves or ():
-        reasons = " ".join(map(edge_text, leaf.witness))
+        reasons = " ".join(map(reason_text, leaf.witness))
         out.append(f"leaf {render_word(leaf.prefix, n_colors)} {reasons}")
     return "\n".join(out) + "\n"
 
 
 def parse_certificate(text: str) -> Certificate:
-    kind = None
-    params = {}
-    coloring = None
-    leaves = LeafLog()
-    parsed = {}  # reasons text -> its one parsed tuple of edges
-    for no, line in _content_lines(text):
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if kind is None:
-            if key != "certificate":
-                raise TextFormatError(f"line {no}: expected 'certificate', got {key!r}")
-            if rest not in _CERT_PARAMS:
-                raise TextFormatError(f"line {no}: unknown certificate kind {rest!r}")
-            kind = rest
-        elif key in params or (key == "coloring" and coloring is not None):
-            raise TextFormatError(f"line {no}: duplicate {key!r}")
-        elif key in _CERT_PARAMS[kind]:
-            params[key] = _parse_int(rest)
-            if params[key] < 1:
-                raise TextFormatError(f"line {no}: {key} must be at least 1, got {rest!r}")
-        elif key == "coloring" and kind.endswith("counterexample"):
-            coloring = parse_word(rest)
-        elif key == "leaf" and kind.endswith("cover"):
-            prefix_text, _, reasons_text = rest.partition(" ")
-            if not reasons_text:
-                raise TextFormatError(f"line {no}: leaf needs a prefix and a witness")
-            reasons = parsed.get(reasons_text)
-            if reasons is None:
-                reasons = tuple(_witness_from_text(kind, t) for t in reasons_text.split())
-                parsed[reasons_text] = reasons
-            leaves.append(CoverLeaf(parse_word(prefix_text), reasons))
-        else:
-            raise TextFormatError(f"line {no}: unknown key {key!r} for {kind}")
-    if kind is None:
-        raise TextFormatError("line 1: empty certificate")
-    missing = [n for n in _CERT_PARAMS[kind] if n not in params]
+    kind, fields = _records(text, "certificate", "certificate kind", _certificate_keys)
+    family = _FAMILIES[kind.partition("-")[0]]
+    missing = [n for n in family.params if n not in fields]
     if missing:
         raise TextFormatError(f"missing certificate parameters: {', '.join(missing)}")
-    if kind.endswith("counterexample") and coloring is None:
+    params = []
+    for name in family.params:
+        no, rest = fields[name]
+        value = _parse_int(rest)
+        if value < 1:
+            raise TextFormatError(f"line {no}: {name} must be at least 1, got {rest!r}")
+        params.append((name, value))
+    if kind.endswith("counterexample") and "coloring" not in fields:
         raise TextFormatError("counterexample certificate needs a coloring line")
-    return Certificate(
-        kind,
-        tuple((n, params[n]) for n in _CERT_PARAMS[kind]),
-        coloring,
-        leaves or None,
-    )
+    coloring = parse_word(fields["coloring"][1]) if "coloring" in fields else None
+    leaves = LeafLog()
+    # leaves share their edges: each distinct reasons text is parsed once
+    reasons_of = cache(lambda text: tuple(map(family.parse_reason, text.split())))
+    for no, rest in fields.get("leaf", ()):
+        prefix_text, _, reasons_text = rest.partition(" ")
+        if not reasons_text:
+            raise TextFormatError(f"line {no}: leaf needs a prefix and a witness")
+        leaves.append(CoverLeaf(parse_word(prefix_text), reasons_of(reasons_text)))
+    return Certificate(kind, tuple(params), coloring, leaves or None)
 
 
 def check_certificate(cert: Certificate) -> bool:
     """Replay a certificate using verification-only code paths."""
+    family = _FAMILIES[cert.kind.partition("-")[0]]
     values = [v for _name, v in cert.params]
-    hj = cert.kind.startswith("hj")
     if cert.kind.endswith("cover"):
-        check_cover = hj_check_cover if hj else fu_check_cover
-        return check_cover(*values, cert.leaves or ())
-    is_counterexample = hj_coloring_is_counterexample if hj else fu_coloring_is_counterexample
-    return cert.coloring is not None and is_counterexample(*values, cert.coloring)
+        return family.check_cover(*values, cert.leaves or ())
+    return cert.coloring is not None and family.is_counterexample(*values, cert.coloring)
 
 
 def coloring_certificate(family: str, values, outcome) -> Certificate:
@@ -610,7 +631,7 @@ def coloring_certificate(family: str, values, outcome) -> Certificate:
     if outcome.kind == "budget_exceeded":
         raise TextFormatError("budget-exceeded outcomes carry no certificate")
     kind = f"{family}-cover" if outcome.kind == "all-colorings-ok" else f"{family}-counterexample"
-    params = tuple((name, values[name]) for name in _CERT_PARAMS[kind])
+    params = tuple((name, values[name]) for name in _FAMILIES[family].params)
     return Certificate(kind, params, outcome.coloring, outcome.cover)
 
 

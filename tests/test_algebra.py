@@ -86,6 +86,16 @@ def test_prime_check():
     PrimeField(13)
 
 
+def test_a_prime_is_refused_from_the_square_of_the_cap_before_trial_division():
+    # 2^40 - 87 and 2^40 + 15 are the primes nearest the cap's square; past
+    # it trial division would try more than 2^20 divisors
+    assert PolyRing(SIZE_CAP * SIZE_CAP - 87).p == SIZE_CAP * SIZE_CAP - 87
+    for p in (SIZE_CAP * SIZE_CAP, SIZE_CAP * SIZE_CAP + 15, 10**18 + 3):
+        for ring in (PrimeField, PolyRing):
+            with pytest.raises(AlgebraError, match=rf"p = {p} is at least the cap of 1048576\^2"):
+                ring(p)
+
+
 # ---------------------------------------------------------------------------
 # windows
 
@@ -425,6 +435,15 @@ VALUE_IDS = [type(a).__name__ for a, _ in VALUE_PAIRS]
 def test_equal_values_built_apart_are_equal_and_hash_equal(a, b):
     assert a is not b and a == b and not a != b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
+
+
+@pytest.mark.parametrize("a, b", VALUE_PAIRS, ids=VALUE_IDS)
+def test_a_value_equals_itself_without_reading_its_fields(a, b, monkeypatch):
+    def refuse(self):
+        raise AssertionError("read the fields of one object to compare it with itself")
+
+    monkeypatch.setattr(type(a), "_values", refuse)
+    assert a == a and not a != a
 
 
 @pytest.mark.parametrize("a, b", VALUE_PAIRS, ids=VALUE_IDS)

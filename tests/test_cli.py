@@ -277,6 +277,20 @@ def test_checkpoint_with_a_repeated_line_refused(tmp_path, capsys, line):
     assert "resumed" not in out
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "line 1: expected 'checkpoint', got ''"),
+        ("config 0\n", "line 1: expected 'checkpoint', got 'config'"),
+    ],
+)
+def test_a_checkpoint_without_its_head_line_is_refused(tmp_path, capsys, text, message):
+    ck = tmp_path / "checkpoint.txt"
+    ck.write_text(text)
+    rc, out, err = _run(capsys, ["hj", "k=2", "t=3", f"output={tmp_path}", "--resume", str(ck)])
+    assert rc == 1 and out == "" and f"checkpoint {str(ck)!r}: {message}" in err
+
+
 def test_checkpoint_for_wrong_command_refused(tmp_path, capsys):
     _run(capsys, ["hj", "k=2", "t=3", "m_max=4", "budget=5", f"output={tmp_path}"])
     ck = next(tmp_path.glob("checkpoint-*.txt"))
@@ -350,6 +364,18 @@ def test_check_refuses_a_non_ascii_digit(tmp_path, capsys, text):
     rc, out, err = _run(capsys, ["--check", str(cert)])
     assert rc == 1 and out == ""
     assert "not a word" in err
+
+
+def test_fu_with_more_blocks_than_elements_certifies_the_all_ones_coloring(tmp_path, capsys):
+    # no set of F_4 splits into s blocks; asking combinations for s - 1 of
+    # at most 3 cut points ended in a MemoryError
+    s = 2999999999999
+    rc, out, err = _run(capsys, ["fu-ramsey", "r=4", f"s={s}", "k=2", f"output={tmp_path}"])
+    cert = tmp_path / f"fu-r4-s{s}-k2-counterexample.txt"
+    assert rc == 0 and err == "" and f"fu r=4 s={s} k=2: counterexample -> {cert}" in out
+    assert "coloring 111111111111111\n" in cert.read_text()
+    rc, out, _ = _run(capsys, ["--check", str(cert)])
+    assert rc == 0 and f"certificate valid: fu-counterexample r=4 s={s} k=2" in out
 
 
 def test_fu_minimal_mode_reports_absence(tmp_path, capsys):
@@ -768,6 +794,24 @@ def test_bad_system_file_and_bad_window(tmp_path, capsys):
     assert rc == 1 and "unknown window" in err
     errors = json.loads(err.strip().splitlines()[-1])["errors"]
     assert errors and "window" in errors[0]["message"]
+
+
+@pytest.mark.parametrize("points", ["points", "points # c"])
+def test_a_system_without_points_exits_1_naming_the_points_line(tmp_path, capsys, points):
+    sysf = _sys_file(tmp_path, f"backend finite-perm\np 5\n{points}\ngen ()\nset B\n")
+    argv = ["recurrence", f"system={sysf}", "phi=u", "epsilon=1/2", "window=full", f"output={tmp_path}"]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 1 and out == "" and "Traceback" not in err
+    assert f"system file {sysf!r}: line 3: points needs at least one point" in err
+
+
+def test_a_system_over_a_prime_past_the_cap_exits_1_naming_the_cap(tmp_path, capsys):
+    # 2^40 + 15, the least prime past the cap: trial division would try
+    # more than 2^20 divisors (10^9 for p = 10^18 + 3)
+    sysf = _sys_file(tmp_path, "backend bernoulli\np 1099511627791\nprobs 1/2 1/2\nset B []:0\n")
+    rc, out, err = _run(capsys, ["density", f"system={sysf}", "phi=u", "N=1"])
+    assert rc == 1 and out == ""
+    assert "p = 1099511627791 is at least the cap of 1048576^2" in err
 
 
 def test_integer_windows_are_not_in_the_window_grammar(tmp_path, capsys):

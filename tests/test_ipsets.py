@@ -402,6 +402,25 @@ def test_fu_cover_leaves_need_s_blocks():
     assert fu_check_cover(6, 1, 2, forged)  # for s = 1 it is the true cover
 
 
+def test_a_set_of_fewer_than_s_elements_asks_for_no_split(monkeypatch):
+    # combinations(pool, n) allocates its n indices before it finds that n
+    # exceeds the pool, so a huge s ended in a MemoryError
+    real = ipsets.combinations
+
+    def bounded(pool, n):
+        pool = tuple(pool)
+        if n > len(pool):
+            raise AssertionError(f"asked for {n} of {len(pool)} items")
+        return real(pool, n)
+
+    monkeypatch.setattr(ipsets, "combinations", bounded)
+    assert ipsets._fu_checks_by_position(4, 6) == [[]] * 15
+    res = fu_ramsey_check(4, 6, 2)
+    assert res.kind == "counterexample" and res.coloring == (1,) * 15
+    assert fu_coloring_is_counterexample(4, 6, 2, res.coloring)
+    assert ipsets._fu_checks_by_position(3, 3)[-1]  # {1,2,3} still splits into 3 blocks
+
+
 def test_a_claim_over_the_position_cap_is_refused_before_its_table():
     assert ipsets._position_count(20) == (1 << 20) - 1
     for r in (21, 10**8):

@@ -90,7 +90,8 @@ def _fraction_texts():
     plain = st.builds(lambda s, a: s + a, sign, digits)
     ratio = st.builds(lambda s, a, b: f"{s}{a}/{b}", sign, digits, st.sampled_from(["0", "5", "00", "12"]) | digits)
     decimal = st.builds(lambda s, a, b: f"{s}{a}.{b}", sign, digits, digits)
-    odd = st.sampled_from(["0/5", "1/0", "-0", "3/", "/3", "1/-2", "1e3", "\u0661\u0662", "2\u00b2", "1_000", ""])
+    odd = st.sampled_from(["0/5", "1/0", "-0", "3/", "/3", "1/-2", "1e3", "\u0661\u0662", "2\u00b2", "1_000", "",
+                           "1e4300", "-2.5E-4301", "1e99999", "-/1e9999"])
     body = plain | ratio | decimal | odd | st.text("0123456789-+/. e", max_size=8)
     return st.builds(lambda a, b, c: a + b + c, pad, body, pad)
 
@@ -105,7 +106,13 @@ def test_parse_fraction_agrees_with_fraction(text):
         with pytest.raises(TextFormatError, match=kind):
             parse_fraction(text)
     else:
-        assert parse_fraction(text) == expect
+        # Fraction builds 10^e for an exponent e: past 4300 the text is refused
+        _, e, exponent = text.strip().lower().rpartition("e")
+        if e and abs(int(exponent)) > 4300:
+            with pytest.raises(TextFormatError, match="exponent above 4300"):
+                parse_fraction(text)
+        else:
+            assert parse_fraction(text) == expect
 
 
 def test_parse_fraction_messages_quote_the_stripped_text():
@@ -115,11 +122,15 @@ def test_parse_fraction_messages_quote_the_stripped_text():
         ("3/", "not a rational: '3/'"),
         ("1/-2", "not a rational: '1/-2'"),
         ("--1", "not a rational: '--1'"),
+        ("1e10000000", "exponent above 4300 in '1e10000000'"),  # seconds to build 10^e
+        (" 1e-10000000", "exponent above 4300 in '1e-10000000'"),
+        ("x1e10000000", "not a rational: 'x1e10000000'"),
     ]:
         with pytest.raises(TextFormatError) as info:
             parse_fraction(text)
         assert str(info.value) == message
     assert parse_fraction(" 0/5 ") == 0 and parse_fraction("-6/4") == F(-3, 2)
+    assert parse_fraction("1e4300") == 10**4300 and parse_fraction("-1E-4300") == F(-1, 10**4300)
 
 
 def test_cycle_notation_errors():
@@ -383,6 +394,27 @@ def test_system_parse_refuses_foreign_keys_and_repeated_sets(text, message):
         parse_system_text(text)
 
 
+@pytest.mark.parametrize("points", ["points", "points # c", "points\nweights"])
+def test_a_finite_perm_file_without_points_is_refused_at_its_points_line(points):
+    # the uniform weight 1/len(points) divided by zero
+    text = f"backend finite-perm\np 2\n{points}\ngen ()\n"
+    with pytest.raises(TextFormatError, match="line 3: points needs at least one point"):
+        parse_system_text(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "line 1: expected 'backend', got ''"),
+        ("# only a comment\n\n", "line 1: expected 'backend', got ''"),
+        ("backend rotation\nrho 1/7\nbackend rotation\n", "line 3: duplicate 'backend'"),
+    ],
+)
+def test_system_parse_refuses_an_empty_file_and_a_second_head(text, message):
+    with pytest.raises(TextFormatError, match=message):
+        parse_system_text(text)
+
+
 def test_describe_system():
     assert describe_system(regular_system(5)) == "finite-perm p=5 points=5 gens=1"
     assert describe_system(RotationSystem(F(1, 7))) == "rotation rho=1/7"
@@ -522,6 +554,11 @@ def test_budget_exceeded_outcome_has_no_certificate():
 def test_certificate_parse_errors():
     with pytest.raises(TextFormatError, match="unknown certificate kind"):
         parse_certificate("certificate magic\n")
+    for kind in ("hj", "hj-", "fu-leaf", "k-cover"):
+        with pytest.raises(TextFormatError, match=f"line 1: unknown certificate kind '{kind}'"):
+            parse_certificate(f"certificate {kind}\nk 2\n")
+    with pytest.raises(TextFormatError, match="line 1: expected 'certificate', got ''"):
+        parse_certificate("\n# nothing\n")
     with pytest.raises(TextFormatError, match="missing certificate parameters"):
         parse_certificate("certificate hj-cover\nk 2\n")
     with pytest.raises(TextFormatError, match="needs a coloring"):
