@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import floor, gcd, lcm, log2
 
 
@@ -535,7 +535,13 @@ class Monomial(Value):
 
 def eval_monomial(m: Monomial, u: tuple):
     """Exact value of the monomial: ``eval_poly`` of the one-term map."""
-    return eval_poly(scalar_poly_map(m.ring, [m]), u)
+    return eval_poly(_monomial_map(m), u)
+
+
+@cache
+def _monomial_map(m: Monomial) -> PolynomialMap:
+    """The one-term map of a monomial, built and compiled once per monomial."""
+    return scalar_poly_map(m.ring, [m])
 
 
 def _compile(ring, terms):

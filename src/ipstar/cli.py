@@ -314,16 +314,13 @@ def _named_event(cfg, events, key="set"):
 
 
 def _parse_window(text: str):
-    parts = text.split()
-    try:
-        if parts[0] == "full" and len(parts) == 1:
-            return FullWindow()
-        if parts[0] == "deg" and len(parts) == 2:
-            return DegreeWindow(_parse_int(parts[1]))
-        if parts[0] == "rat" and len(parts) == 3:
-            return RationalWindow(_parse_int(parts[1]), _parse_int(parts[2]))
-    except IndexError:
-        pass
+    parts = text.split()  # never empty: the value has passed _str
+    if parts[0] == "full" and len(parts) == 1:
+        return FullWindow()
+    if parts[0] == "deg" and len(parts) == 2:
+        return DegreeWindow(_parse_int(parts[1]))
+    if parts[0] == "rat" and len(parts) == 3:
+        return RationalWindow(_parse_int(parts[1]), _parse_int(parts[2]))
     raise TextFormatError(
         f"unknown window {text!r}; use 'full', 'deg N', or 'rat A B'"
     )
@@ -499,24 +496,27 @@ def _run_example_a(cfg, resume_file) -> int:
 
 
 def _print_recurrence_summary(sys_, rep):
-    print(f"system: {describe_system(sys_)}")
-    print(f"phi: {render_poly_map(rep.phi)}")
-    print(f"mu(B) = {render_fraction(rep.mu)}")
-    print(f"threshold = {render_fraction(rep.threshold)}")
-    print(f"R: {sum(rep.hits())} of {len(rep.element_column)} window elements")
+    # one print of text rendered in full: a refused rendering prints nothing
+    print(
+        f"system: {describe_system(sys_)}\n"
+        f"phi: {render_poly_map(rep.phi)}\n"
+        f"mu(B) = {render_fraction(rep.mu)}\n"
+        f"threshold = {render_fraction(rep.threshold)}\n"
+        f"R: {sum(rep.hits())} of {len(rep.element_column)} window elements"
+    )
 
 
 def _run_recurrence(cfg, resume_file) -> int:
     sys_, B, phi, eps, window = _experiment_inputs(cfg)
     rep = recurrence_set(sys_, B, phi, eps, window)
-    _print_recurrence_summary(sys_, rep)
-    outd = _out_dir(cfg)
+    # rendered before the summary, so a refused rendering prints nothing
     if cfg.values["format"] == "csv":
-        path = outd / "recurrence.csv"
-        _write_text(path, render_recurrence_csv(rep, generated=_now()))
+        name, text = "recurrence.csv", render_recurrence_csv(rep, generated=_now())
     else:
-        path = outd / "recurrence.json"
-        _write_text(path, render_report_json(report_tree(rep, generated=_now())))
+        name, text = "recurrence.json", render_report_json(report_tree(rep, generated=_now()))
+    _print_recurrence_summary(sys_, rep)
+    path = _out_dir(cfg) / name
+    _write_text(path, text)
     print(f"wrote {path}")
     return 0
 
@@ -531,6 +531,7 @@ def _run_classify(cfg, resume_file) -> int:
             raise ValueError(f"resume path {path} is longer than its level r={level}")
     rep = recurrence_set(sys_, B, phi, eps, window)
     rep = classify_ipstar(rep, r_max, budget=cfg.values.get("budget"), resume_path=path)
+    text = render_report_json(report_tree(rep, generated=_now()))  # before any line is printed
     if level is not None:  # printed once classify_ipstar accepted the checkpoint
         print(f"resumed at r={level}")
     _print_recurrence_summary(sys_, rep)
@@ -547,7 +548,7 @@ def _run_classify(cfg, resume_file) -> int:
             stalled = (r, v)
     outd = _out_dir(cfg)
     path = outd / "classify.json"
-    _write_text(path, render_report_json(report_tree(rep, generated=_now())))
+    _write_text(path, text)
     print(f"wrote {path}")
     if stalled is not None:
         r, v = stalled

@@ -198,7 +198,7 @@ def is_ip_r_star(
     out, firsts = _first_fs_tuple(group, complement, r, budget, resume_path)
     if out.path is not None:
         return IpStarVerdict("fails", firsts[-1], out.candidates, prefixes=firsts)
-    kind = "holds" if out.status == DONE else "budget_exceeded"
+    kind = "holds" if out.status == DONE else BUDGET_EXCEEDED
     return IpStarVerdict(kind, None, out.candidates, out.resume_path, firsts)
 
 

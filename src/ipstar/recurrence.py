@@ -6,24 +6,22 @@ The headline objects are return sets
     R = {u in the window : mu(B cap T^{phi(u)} B) > mu(B)^2 - eps}
 
 computed member by member with exact rationals, then classified against
-r-generator finite-sums families.  ``recurrence_set`` lists the window
-once and keeps the scan as three columns in window order: the elements,
-their values phi(u), and the kernel's (corr, hit) pair for each value.  It
-builds R, the frozenset of the hit elements, only when a caller asks for
-it.  The second, independent assembly path, which replays the spectral
-proof (A, E and the inequality chain), lives in the test oracles
+r-generator finite-sums families.  ``recurrence_set`` keeps the scan as
+three columns in window order.  It lists the window once
+(``algebra.window_column``), then fills each further column with one
+``map`` over the one before: the map's compiled form
+(``PolynomialMap.compiled``) gives the value phi(u) of each element, and
+the backend's kernel (``kernel(B, threshold)``) the (corr, hit) pair of
+each value.  All three columns speak the column form of ``algebra`` on
+every ring, so a scan over Q stays in (numerator, denominator) pairs.  The
+kernel builds each distinct pair once, so the pair column shares them.
+R, the frozenset of the hit elements, and the Fractions of ``elements``
+and ``values`` are built only when a caller reads them; the renderers
+write the pairs' text straight from the columns.  ``fp_probe`` reads the
+hits of its few products off the same kernel, through the compiled map.
+The second, independent assembly path, which replays the spectral proof
+(A, E and the inequality chain), lives in the test oracles
 (``tests/oracles.py``), and the two must agree exactly.
-``recurrence_set`` lists the window (``algebra.window_column``), then fills
-each further column with one ``map`` over the one before: the map's
-compiled form (``PolynomialMap.compiled``) over the elements, then the
-backend's kernel (``kernel(B, threshold)``) over the values.  All three
-speak the column form of ``algebra`` on every ring, so a scan over Q stays
-in (numerator, denominator) pairs.  The kernel returns the correlation
-with its hit and builds each distinct pair once, so the pair column shares
-them.  The report builds the Fractions of ``elements`` and ``values`` only
-when they are read; the renderers write the pairs' text straight from the
-columns.  ``fp_probe`` reads the hits of its few products off the same
-kernel, through the compiled map.
 By duality R is IP*_r exactly when its complement holds no IP_r set, so
 the classification scans the non-hit elements in window order.  The scan
 takes only a pool, a budget and a resume path; the report holds the
@@ -51,10 +49,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import compress
 from math import lcm
-from operator import itemgetter, not_
+from operator import iadd, itemgetter, not_
 
 from .algebra import FullWindow, Monomial, PolynomialMap, Rationals, VectorSpace, Window
 from .algebra import SIZE_CAP, as_coords, check_window_size, column_elements, pair_column
@@ -286,54 +284,27 @@ class _BallCover:
     radius, centred at orbit points named by their exponents: each new
     exponent joins the first existing cell whose center is strictly closer
     than the radius, or founds a new cell.  Two members of one cell are
-    then strictly within twice the radius of each other.
+    then strictly within twice the radius of each other.  ``cell`` places
+    each exponent once, at its first call (``functools.cache``), so the
+    order of first calls decides the order in which cells are founded.
 
     T preserves mu, so d^2(T^e x, T^c x) = 2(mu(x) - mu(x cap T^(c-e) x)):
     each distance is one call of the event's correlator, and strictly inside
     the radius reads corr(c - e) > mu(x) - radius^2 / 2."""
 
     def __init__(self, sys, x, radius_sq: Fraction):
-        self.corr = sys.correlator(x)
-        self.floor = sys.measure(x) - radius_sq / 2
-        self.centers: list = []
-        self.known: dict = {}  # exponent -> cell
+        corr, floor = sys.correlator(x), sys.measure(x) - radius_sq / 2
+        self.centers = centers = []
 
-    def cell(self, e) -> int:
-        """Cell of T^e applied to the tracked event."""
-        if e not in self.known:
-            close = (self.corr(c - e) > self.floor for c in self.centers)
-            i = next((j for j, hit in enumerate(close) if hit), len(self.centers))
-            if i == len(self.centers):
-                self.centers.append(e)
-            self.known[e] = i
-        return self.known[e]
+        @cache
+        def cell(e) -> int:
+            """Cell of T^e applied to the tracked event."""
+            i = next((j for j, c in enumerate(centers) if corr(c - e) > floor), len(centers))
+            if i == len(centers):
+                centers.append(e)
+            return i
 
-
-def _product_rows(start, columns, L, last_row) -> list:
-    """last_row(start * q_1 * ... * q_(deg-1) mod L) concatenated over every
-    tuple (q_1..q_(deg-1)) drawn from the columns, lexicographic with the
-    first column outermost.  The row below a partial product p at a level
-    is the same wherever (level, p) recurs, so it is built at its first
-    occurrence and copied from the table at every later one; the memo holds
-    offsets into the table, not rows."""
-    out: list = []
-    built: dict = {}  # (level, partial product) -> slice of its row in out
-
-    def row(level, p):
-        span = built.get((level, p))
-        if span is not None:
-            out.extend(out[span])
-            return
-        at = len(out)
-        if level == len(columns):
-            out.extend(last_row(p))
-        else:
-            for q in columns[level]:
-                row(level + 1, p * q % L)
-        built[level, p] = slice(at, len(out))
-
-    row(0, start)
-    return out
+        self.cell = cell
 
 
 def _cells(s, m, x, width: Fraction, gens):
@@ -347,11 +318,13 @@ def _cells(s, m, x, width: Fraction, gens):
     (every subset sum's divides it) and those of x and c*rho, x + c*rho*E is
     N / L with L = den(x) * den(c*rho) * den^deg, so the cell
     floor(((x + c*rho*E) mod 1) * cover) is ((N mod L) * cover) // L.  The
-    table is built row by row (``_product_rows``), each row once per
-    distinct (slot, partial product): at most L rows per slot.  Ball cells
-    are founded in slot-tuple order, as a cell-by-cell scan would found
-    them: a copied row repeats only exponents that its first occurrence,
-    earlier in that order, has already placed."""
+    partial products of the leading columns come from one fold, in slot
+    order; the last column's row below a partial product is built once per
+    distinct product (``functools.cache``), at its first occurrence, and
+    the rows are joined in the partial products' order, each copied onto
+    one fresh list (``reduce(iadd, ..., [])`` never extends a cached row).
+    So ball cells are founded in slot-tuple order, as a cell-by-cell scan
+    would found them."""
     facs = m.factor_coordinates()
     if isinstance(s, RotationSystem):
         turn = s._angle(m.coeff)  # c*rho
@@ -363,15 +336,17 @@ def _cells(s, m, x, width: Fraction, gens):
         L, start = s.p, m.coeff
     folds = {c: subset_folds(lambda a, b: (a + b) % L, 0, [g[c] for g in gens]) for c in set(facs)}
     *columns, last = [folds[c] for c in facs]
+    partials = [start % L]
+    for column in columns:
+        partials = [p * q % L for p in partials for q in column]
     if isinstance(s, RotationSystem):
         cover = (width.denominator + width.numerator - 1) // width.numerator
         shift = x.numerator * (L // x.denominator)
-        return _product_rows(
-            start % L, columns, L, lambda p: [(shift + p * q) % L * cover // L for q in last]
-        ), cover
+        row = cache(lambda p: [(shift + p * q) % L * cover // L for q in last])
+        return reduce(iadd, map(row, partials), []), cover
     balls = _BallCover(s, x, (width / 2) ** 2)
-    cells = _product_rows(start % L, columns, L, lambda p: [balls.cell(p * q % L) for q in last])
-    return cells, len(balls.centers)
+    row = cache(lambda p: [balls.cell(p * q % L) for q in last])
+    return reduce(iadd, map(row, partials), []), len(balls.centers)
 
 
 def isometric_recurrence_search(sys, x, m: Monomial, epsilon, gens):

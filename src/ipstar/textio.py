@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress
 from operator import add
+from sys import get_int_max_str_digits
 
 from .algebra import (
     Monomial,
@@ -51,7 +52,7 @@ from .ipsets import (
     fu_check_cover,
     fu_coloring_is_counterexample,
 )
-from .search import CoverLeaf, LeafLog
+from .search import ALL_OK, BUDGET_EXCEEDED, CoverLeaf, LeafLog
 from .systems import BernoulliSystem, FinitePermSystem, RotationSystem
 
 
@@ -70,8 +71,12 @@ def render_fraction(q) -> str:
 
 def _render_pair(q) -> str:
     """The text of a rational given as its (numerator, denominator) pair in
-    lowest terms."""
-    return str(q[0]) if q[1] == 1 else f"{q[0]}/{q[1]}"
+    lowest terms.  A part longer than Python's int-text limit is refused."""
+    try:
+        return str(q[0]) if q[1] == 1 else f"{q[0]}/{q[1]}"
+    except ValueError:
+        limit = get_int_max_str_digits()
+        raise TextFormatError(f"a rational with more than {limit} digits has no text form") from None
 
 
 # an exponent of Fraction's text form, which it reads by building 10^e in full
@@ -628,9 +633,9 @@ def check_certificate(cert: Certificate) -> bool:
 def coloring_certificate(family: str, values, outcome) -> Certificate:
     """The certificate of a decided coloring claim: ``family`` is "hj" or
     "fu", ``values`` maps each of the family's parameters to its value."""
-    if outcome.kind == "budget_exceeded":
+    if outcome.kind == BUDGET_EXCEEDED:
         raise TextFormatError("budget-exceeded outcomes carry no certificate")
-    kind = f"{family}-cover" if outcome.kind == "all-colorings-ok" else f"{family}-counterexample"
+    kind = f"{family}-cover" if outcome.kind == ALL_OK else f"{family}-counterexample"
     params = tuple((name, values[name]) for name in _FAMILIES[family].params)
     return Certificate(kind, params, outcome.coloring, outcome.cover)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipstar import algebra
 from ipstar.algebra import (
     AlgebraError,
     DegreeWindow,
@@ -374,6 +375,17 @@ def test_monomial_mod_p():
     F = PrimeField(5)
     m = Monomial(F, 2, (3,))
     assert eval_monomial(m, (3,)) == (2 * 27) % 5
+
+
+def test_a_monomial_is_compiled_once_over_its_evaluations(monkeypatch):
+    calls = []
+    compile_ = algebra._compile
+    monkeypatch.setattr(algebra, "_compile", lambda *a: calls.append(a) or compile_(*a))
+    # a monomial no other test evaluates, so no earlier call has compiled it
+    m = Monomial(PrimeField(31), 29, (7, 11))
+    assert eval_monomial(m, (2, 3)) == 29 * 2**7 * 3**11 % 31
+    assert eval_monomial(m, (5, 1)) == 29 * 5**7 % 31
+    assert len(calls) == 1
 
 
 def test_poly_map_eval():

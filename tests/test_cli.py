@@ -1,11 +1,18 @@
 """End-to-end checks of the command line front door."""
 
+import io
 import json
 import re
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import datetime, timezone
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ipstar import algebra, cli, systems
@@ -1033,3 +1040,107 @@ def test_mentioning_phi_line_in_late_errors(tmp_path, capsys):
     rc, _, err = _run(capsys, ["recurrence", "-c", str(conf)])
     assert rc == 1
     assert "config key 'phi' (line 3)" in err
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("recurrence", ["phi=u^100000", "epsilon=1/100", "output={tmp}"]),
+        ("recurrence", ["phi=u", "epsilon=1/1{zeros4299}", "output={tmp}"]),
+        ("probe", ["phi=u", "epsilon=1/100", "gens=1{zeros3000},1{zeros3000}"]),
+    ],
+)
+def test_a_rational_past_the_int_text_limit_exits_1_naming_the_limit(tmp_path, capsys, command, keys):
+    # (1/2)^100000, the threshold 1/49 - 10^-4299 and (10^3000)^2 have more
+    # digits than Python writes as text
+    sysf = _sys_file(tmp_path, ROT_SYSTEM + "set B 0 1/7\n")
+    keys = [k.format(tmp=tmp_path, zeros4299="0" * 4299, zeros3000="0" * 3000) for k in keys]
+    rc, out, err = _run(capsys, [command, f"system={sysf}", "window=rat 2 2", *keys])
+    assert rc == 1 and out == "" and "Traceback" not in err
+    assert f"a rational with more than {sys.get_int_max_str_digits()} digits has no text form" in err
+    assert "set_int_max_str_digits" not in err
+    assert not (tmp_path / "recurrence.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hj", "k=0", "t=2"], "k: must be >= 1"),
+        (["recurrence", "{system}", "phi=u", "epsilon=-1/2", "window=full"], "epsilon: must be positive"),
+        (["recurrence", "{system}", "phi=u", "epsilon=1/2", "window=full", "output="], "output: empty value"),
+        (
+            ["recurrence", "{system}", "phi=u", "epsilon=1/2", "window=full", "format=xml"],
+            "format: must be one of csv, report",
+        ),
+        (["recurrence", "-c", "{config}"], "line 2: expected 'key = value', got 'system sys.txt'"),
+        (
+            ["recurrence", "{system}", "set=Z", "phi=u", "epsilon=1/2", "window=full"],
+            "system file defines no set named 'Z' (sets: B, S)",
+        ),
+        (["probe", "{system}", "phi=u", "epsilon=1/2", "window=full", "gens=,"], "config key 'gens': empty generator list"),
+        (
+            ["probe", "{system}", "phi=x1*x2", "epsilon=1/2", "window=full", "gens=1"],
+            "finite products need a one-variable map",
+        ),
+    ],
+)
+def test_refused_inputs_exit_1_with_their_message(tmp_path, capsys, argv, message):
+    conf = tmp_path / "exp.conf"
+    conf.write_text("command = recurrence\nsystem sys.txt\n")
+    fill = {"system": f"system={_sys_file(tmp_path)}", "config": str(conf)}
+    rc, out, err = _run(capsys, [a.format(**fill) for a in argv])
+    assert rc == 1 and out == "" and "Traceback" not in err
+    assert f"error: {message}" in err
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations
+
+
+@st.composite
+def arc_rotations_and_cycles(draw):
+    """p, a, a non-empty set M of residues mod p, integer coefficients c_k of
+    u^k (none divisible by p) and epsilon."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    a = draw(st.integers(1, p - 1))
+    M = draw(st.sets(st.integers(0, p - 1), min_size=1))
+    coeffs = draw(st.dictionaries(st.integers(1, 3), st.integers(-9, 9).filter(lambda c: c % p), min_size=1))
+    epsilon = draw(st.builds(Fraction, st.integers(1, 20), st.integers(1, 100)))
+    return p, a, M, coeffs, epsilon
+
+
+def _csv_rows(argv, system_text):
+    """The per-element rows of a ``recurrence`` run, each split at its commas."""
+    with tempfile.TemporaryDirectory() as tmp:
+        system = Path(tmp) / "sys.txt"
+        system.write_text(system_text)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert cli.main(["recurrence", f"system={system}", f"output={tmp}", *argv]) == 0
+        lines = (Path(tmp) / "recurrence.csv").read_text().splitlines()
+    assert lines[1] == "w,mu_B,corr,threshold,in_R"
+    return [line.split(",") for line in lines[2:]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(arc_rotations_and_cycles())
+def test_a_rotation_by_a_over_p_on_arcs_is_the_p_cycle_on_points(case):
+    # rotating by a/p maps the arc [x/p, (x+1)/p) onto the arc of x + a, so
+    # on the integers the rotation's return set is the p-cycle's at a*phi(u)
+    # mod p, with no oracle for either
+    p, a, M, coeffs, epsilon = case
+    arcs = " ".join(f"{x}/{p} {x + 1}/{p}" for x in sorted(M))
+    rotation = f"backend rotation\nrho {a}/{p}\nset B {arcs}\n"
+    cycle = (
+        f"backend finite-perm\np {p}\npoints {' '.join(map(str, range(p)))}\n"
+        f"gen ({' '.join(map(str, range(p)))})\nset B {' '.join(map(str, sorted(M)))}\n"
+    )
+    eps = f"epsilon={epsilon.numerator}/{epsilon.denominator}"
+    phi = " + ".join(f"{c}*u^{k}" for k, c in sorted(coeffs.items()))
+    on_arcs = _csv_rows([f"phi={phi}", eps, f"window=rat {2 * p} 1"], rotation)
+    phi = " + ".join(f"{a * c % p}*u^{k}" for k, c in sorted(coeffs.items()))
+    on_points = _csv_rows([f"phi={phi}", eps, "window=full"], cycle)
+    assert len(on_arcs) == 4 * p + 1 and len(on_points) == p
+    for i, row in enumerate(on_arcs):
+        u = -2 * p + i
+        assert row[1:] == on_points[u % p][1:], (u, row, on_points[u % p])
+        assert int(row[0]) * a % p == int(on_points[u % p][0])

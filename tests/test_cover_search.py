@@ -81,10 +81,10 @@ def monomials(draw, ring, n, max_degree):
 
 @st.composite
 def rotation_searches(draw):
-    """A rotation and a monomial over Q, generators with negative and
-    non-integer coordinates."""
+    """A rotation and a monomial over Q of degree up to 4, generators with
+    negative and non-integer coordinates; at most two from degree 3."""
     n = draw(st.integers(1, 2))
-    max_degree = draw(st.integers(1, 3))
+    max_degree = draw(st.integers(1, 4))
     r = draw(st.integers(1, 4 if max_degree < 3 else 2))
     sys = RotationSystem(draw(fractions))
     m = draw(monomials(Rationals(), n, max_degree))
@@ -213,20 +213,22 @@ def exact_radius_cases(draw):
 
 @st.composite
 def perm_cell_cases(draw):
-    """A finite-perm search with a monomial of degree up to 3, so that
-    partial products of different lengths can coincide."""
+    """A finite-perm search with a monomial of degree up to 4, so that
+    partial products of one, two and three columns can coincide; at most
+    two generators at degree 4."""
     s, m, x, _eps, gens = draw(perm_searches())
-    degree = draw(st.integers(1, 3))
+    degree = draw(st.integers(1, 4))
     first = degree if m.n == 1 else draw(st.integers(0, degree))
     exps = (first,) if m.n == 1 else (first, degree - first)
     m = Monomial(s.ring, m.coeff, exps)
+    gens = gens[:2] if degree == 4 else gens
     return s, m, x, draw(st.builds(F, st.integers(1, 8), st.integers(1, 8))), gens
 
 
 @SETTINGS
 @given(any_rotation, st.builds(F, st.integers(1, 7), st.integers(1, 300)))
 def test_rotation_cell_rows_match_the_per_tuple_table(case, width):
-    # rational generators over Q; degree up to 3
+    # rational generators over Q; degree up to 4
     s, m, x, _eps, gens = case
     gens = _coords(m, gens)
     assert _cells(s, m, x, width, gens) == per_tuple_cells(s, m, x, width, gens)
