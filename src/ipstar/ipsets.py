@@ -31,7 +31,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, islice
+from itertools import islice
 from math import comb, floor, log10
 
 from .algebra import SIZE_CAP, Integers, power_over_cap
@@ -48,10 +48,6 @@ from .search import (
 
 # ---------------------------------------------------------------------------
 # index-set plumbing
-
-
-def mask_to_set(mask: int) -> frozenset[int]:
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def set_to_mask(alpha) -> int:
@@ -74,7 +70,7 @@ def subset_folds(op, unit, items) -> list:
 
 
 # ---------------------------------------------------------------------------
-# finite sums and unions
+# finite sums
 
 
 def finite_sums(group, gens) -> frozenset:
@@ -90,17 +86,6 @@ def finite_sums(group, gens) -> frozenset:
     for g in gens:
         sums |= {add(s, g) for s in sums} | {add(zero, g)}
     return frozenset(sums)
-
-
-def finite_unions(alphas) -> tuple[frozenset[int], ...]:
-    """The 2^s - 1 unions of ordered blocks alpha_1 < ... < alpha_s."""
-    alphas = [frozenset(a) for a in alphas]
-    if not alphas or any(not a for a in alphas):
-        raise ValueError("blocks must be non-empty")
-    for a, b in zip(alphas, alphas[1:]):
-        if max(a) >= min(b):
-            raise ValueError(f"blocks out of order: max {max(a)} >= min {min(b)}")
-    return tuple(subset_folds(frozenset.union, frozenset(), alphas)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -218,31 +203,46 @@ def _position_count(r: int) -> int:
 def _fu_checks_by_position(r: int, s: int):
     """The hyperedge table of the claim: for each position (mask order), the
     splits completed there as (blocks, union_positions), where
-    union_positions index every union of the blocks and the last one is the
-    position itself.  Positions run over F_r in ascending bitmask order, so
-    the set with mask m sits at position m - 1.  The blocks of a split of m
-    are runs of m's bits; each distinct block mask becomes a frozenset once.
-    The table is refused unbuilt over ``SIZE_CAP`` splits: a set of j
-    elements has C(j-1, s-1), summed exactly once r passes the position
-    cap."""
+    union_positions index every union of the blocks, in ``subset_folds``
+    order, and the last one is the position itself.  Positions run over F_r
+    in ascending bitmask order, so the set with mask m sits at position
+    m - 1.  The blocks of a split of m are runs of m's bits: the first is
+    the lowest j bits of m, for j ascending, and a split of the rest into
+    s - 1 runs follows it.  The splits of each (rest, runs) pair are built
+    once, and each distinct block mask becomes a frozenset once.  The table
+    is refused unbuilt over ``SIZE_CAP`` splits: a set of j elements has
+    C(j-1, s-1), summed exactly once r passes the position cap."""
     positions = _position_count(r)
     splits = sum(comb(r, j) * comb(j - 1, s - 1) for j in range(1, r + 1))
     if power_over_cap(splits, 1) is not None:
         raise ValueError(f"fu r={r} s={s} has {splits} splits, more than the cap of {SIZE_CAP}")
-    block_set = cache(mask_to_set)
-    table = []
-    for alpha in range(1, positions + 1):
-        bits = [1 << i for i in range(r) if alpha >> i & 1]
-        entries = []
-        # fewer elements than blocks have no split; combinations would still
-        # allocate its s - 1 indices
-        for cuts in combinations(range(1, len(bits)), s - 1) if s <= len(bits) else ():
-            bounds = (0, *cuts, len(bits))
-            blocks = [sum(bits[a:b]) for a, b in zip(bounds, bounds[1:])]
-            unions = subset_folds(int.__or__, 0, blocks)[1:]
-            entries.append((tuple(map(block_set, blocks)), tuple(u - 1 for u in unions)))
-        table.append(entries)
-    return table
+
+    @cache
+    def block_set(mask: int) -> frozenset[int]:  # built on the set of its lower bits
+        top = mask.bit_length()
+        return block_set(mask ^ 1 << top - 1) | {top} if mask else frozenset()
+
+    @cache
+    def runs(rest: int, t: int):
+        # the splits of rest's bits into t runs, as table entries whose
+        # unions are the first run, then for each union p of the later
+        # runs, p and p with the first run; the runs are disjoint, so a
+        # union's mask, and so its position, is a sum
+        if t == 1:
+            return [((block_set(rest),), (rest - 1,))]
+        out = []
+        first = 0
+        while rest.bit_count() >= t:
+            low = rest & -rest
+            first |= low
+            rest ^= low
+            head = block_set(first)
+            for blocks, unions in runs(rest, t - 1):
+                both = [v for p in unions for v in (p, p + first)]
+                out.append(((head, *blocks), (first - 1, *both)))
+        return out
+
+    return [runs(alpha, s) for alpha in range(1, positions + 1)]
 
 
 def fu_ramsey_check(
@@ -270,16 +270,15 @@ def fu_ramsey_check(
 
 def _union_positions(r: int, s: int, blocks):
     """Verification-only: the positions of every union of s ordered blocks
-    inside {1..r}, or None when the blocks are not such a family."""
-    if len(blocks) != s:
+    inside {1..r}, in ``subset_folds`` order, or None when the blocks are
+    not such a family.  On masks, a block precedes the next one when it is
+    below the next one's lowest bit."""
+    if len(blocks) != s or not blocks or any(not 1 <= i <= r for b in blocks for i in b):
         return None
-    try:
-        unions = finite_unions(blocks)
-    except ValueError:
+    masks = [set_to_mask(b) for b in blocks]
+    if not all(masks) or any(a >= b & -b for a, b in zip(masks, masks[1:])):
         return None
-    if any(not u <= frozenset(range(1, r + 1)) for u in unions):
-        return None
-    return [set_to_mask(u) - 1 for u in unions]  # F_r is in ascending bitmask order
+    return [u - 1 for u in subset_folds(int.__or__, 0, masks)[1:]]  # F_r in ascending mask order
 
 
 def fu_coloring_is_counterexample(r: int, s: int, k: int, coloring: tuple[int, ...]) -> bool:
@@ -357,36 +356,55 @@ def fk_density_experiment(
     """min |A|/N over A subseteq {1..N} whose complement contains no full
     finite-sums family of r generators, by one branch and bound.  A
     ``prefix_search`` places x = 1..N, trying "x in A" (choice 0) before "x
-    in C" (choice 1).  "x in C" is cut when an edge ending at x lies wholly
-    in C; "x in A" once A would be as large as the least blocking set found
-    so far.  A full path is recorded as that set and cut.  The search meets
-    full paths in lexicographic order and records only strictly smaller
-    sets, so the last one recorded is the least blocking set in (size,
-    lexicographic) order.  A search resumed at ``resume_path`` rebuilds that
-    set while it replays the nodes before the path.
+    in C" (choice 1).  "x in C" is cut when an edge ending at x misses A,
+    so lies wholly in C.  Either child is cut by a packing bound (the
+    matching bound of LP duality, used as the bounding step of Land and
+    Doig, Econometrica 1960): the live edges, those that miss A and reach
+    past x, are taken in one fixed order (size, then value) and kept
+    greedily while their parts above x are pairwise disjoint; each kept
+    edge needs an element of A of its own, so a prefix is cut once |A| plus
+    their number reaches the size of the least blocking set found so far.
+    The edges are scanned only where the elements above x could make that
+    many.  The table is kept once, not per prefix, so memory stays that of
+    the edge table.
+    A full path is recorded as that set and cut.  The search meets full
+    paths in lexicographic order and records only strictly smaller sets,
+    and no cut subtree holds a strictly smaller one, so the last one
+    recorded is the least blocking set in (size, lexicographic) order.  A
+    search resumed at ``resume_path`` rebuilds that set while it replays
+    the nodes before the path.
     """
     if r < 1 or N < 1:
         raise ValueError("r and N must be >= 1")
     edges_by_last = _fk_edges_by_last(r, N)
+    edges = sorted((e for es in edges_by_last for e in es), key=lambda e: (e.bit_count(), e))
     best = [N + 1, None]  # the least blocking set so far: its size and path
 
     def extend(state, depth, choice, path):
-        # state: (C, |A|); bit x of C stands for x
-        C, size = state
+        # state: (A, |A|); bit x of A stands for x
+        A, size = state
+        x = depth + 1
         if choice == 0:
+            A |= 1 << x
             size += 1
-            if size >= best[0]:
-                return CUT
-        else:
-            x = depth + 1
-            C |= 1 << x
-            for e in edges_by_last[x]:
-                if e & C == e:
-                    return CUT
-        if depth + 1 < N:
-            return C, size
-        best[:] = size, path[:]
-        return CUT
+        elif any(not e & A for e in edges_by_last[x]):  # an edge ending at x lies in C
+            return CUT
+        room = best[0] - size  # the elements A may still take
+        if room <= 0:
+            return CUT
+        if x == N:
+            best[:] = size, path[:]
+            return CUT
+        if room <= N - x:  # the packing keeps at most one edge per element above x
+            used = 0
+            for e in edges:
+                above = e >> x + 1
+                if above and not (above & used or e & A):
+                    used |= above
+                    room -= 1
+                    if not room:
+                        return CUT
+        return A, size
 
     out = prefix_search(
         (0, 0), N, lambda state, depth: (0, 2), extend, budget=budget, resume_path=resume_path

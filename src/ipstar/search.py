@@ -451,19 +451,24 @@ def check_cover_tree(M: int, k: int, leaves, edge_positions) -> bool:
     _check_color_table(M, k)
     decode = cache(edge_positions)  # each distinct witness once
     state: list[int] = [1]
+    tops: list[int] = [1]  # tops[i]: the largest color in state[: i + 1]
     for leaf in leaves:
         prefix = tuple(leaf.prefix)
-        # descend leftward (always color 1) until the pruned prefix is reached
-        while tuple(state) != prefix:
-            if len(state) >= M:
-                return False
-            state.append(1)
+        # the leaf extends the state leftward (always color 1), up to M positions
+        n = len(state)
+        if len(prefix) > M or prefix[:n] != tuple(state) or prefix[n:].count(1) != len(prefix) - n:
+            return False
+        tops += [tops[-1] if tops else 1] * (len(prefix) - n)
+        state += [1] * (len(prefix) - n)
         if not _refutes(M, k, prefix, leaf.witness, decode):
             return False
         while state:
             last = state.pop()
-            if last < min(k, max(state, default=0) + 1):  # canonical: no color skipped
+            tops.pop()
+            top = tops[-1] if tops else 0
+            if last < min(k, top + 1):  # canonical: no color skipped
                 state.append(last + 1)
+                tops.append(max(top, last + 1))
                 break
     return not state
 
@@ -474,14 +479,20 @@ def _refutes(M: int, k: int, prefix, reasons, decode) -> bool:
     which loses that color and takes the one color left when only one is
     left.  Only the last edge, and it must, ends in a conflict: the edge
     is monochromatic or its free position has no color left."""
-    colors = dict(enumerate(prefix))
+    n = len(prefix)  # positions below n take their color from the prefix
+    forced: dict[int, int] = {}  # the colors that reasons forced on positions past it
     left: dict[int, set] = {}  # the colors open to each free position an edge reached
     for i, witness in enumerate(reasons, 1):
         positions = decode(witness)
         if positions is None or any(not 0 <= q < M for q in positions):
             return False
-        free = {q for q in positions if q not in colors}
-        shades = {colors[q] for q in positions if q in colors}
+        free, shades = set(), set()
+        for q in positions:
+            c = prefix[q] if q < n else forced.get(q)
+            if c is None:
+                free.add(q)
+            else:
+                shades.add(c)
         if len(shades) != 1 or len(free) > 1:
             return False
         if free:
@@ -492,7 +503,7 @@ def _refutes(M: int, k: int, prefix, reasons, decode) -> bool:
                 return False
             open_.discard(c)
             if len(open_) == 1:
-                colors[q] = min(open_)
+                forced[q] = min(open_)
             if open_:
                 continue
         return i == len(reasons)  # a conflict, which only the last edge may reach

@@ -26,7 +26,7 @@ from ipstar.algebra import (
     window_enumerate,
 )
 from ipstar.halesjewett import Line, SubsetConfig
-from ipstar.ipsets import mask_to_set, subset_folds
+from ipstar.ipsets import subset_folds
 from ipstar.recurrence import RecurrenceError, RecurrenceReport, _report_fields, classify_ipstar
 from ipstar.search import (
     ALL_OK,
@@ -215,6 +215,106 @@ def naive_fu_families(r, s):
             unions.append(u)
         fams.append((blocks, unions))
     return fams
+
+
+def mask_to_set(mask: int) -> frozenset[int]:
+    """The index set of a bitmask: bit i - 1 stands for i."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def finite_unions(alphas) -> tuple[frozenset[int], ...]:
+    """The 2^s - 1 unions of ordered blocks alpha_1 < ... < alpha_s, in
+    ``subset_folds`` order."""
+    alphas = [frozenset(a) for a in alphas]
+    if not alphas or any(not a for a in alphas):
+        raise ValueError("blocks must be non-empty")
+    for a, b in zip(alphas, alphas[1:]):
+        if max(a) >= min(b):
+            raise ValueError(f"blocks out of order: max {max(a)} >= min {min(b)}")
+    return tuple(subset_folds(frozenset.union, frozenset(), alphas)[1:])
+
+
+def union_positions_by_sets(r, s, blocks):
+    """The positions of every union of s ordered blocks inside {1..r}, or
+    None when the blocks are not such a family, decoded on frozensets by
+    ``finite_unions``."""
+    if len(blocks) != s:
+        return None
+    try:
+        unions = finite_unions(blocks)
+    except ValueError:
+        return None
+    if any(not u <= frozenset(range(1, r + 1)) for u in unions):
+        return None
+    return [sum(1 << i - 1 for i in u) - 1 for u in unions]
+
+
+def per_split_fu_table(r, s):
+    """The finite-unions hyperedge table built one split at a time: for each
+    position, the cuts of its bits into s runs in ``combinations`` order,
+    each as (blocks, union positions) with the unions in ``subset_folds``
+    order."""
+    table = []
+    for alpha in range(1, 1 << r):
+        bits = [1 << i for i in range(r) if alpha >> i & 1]
+        entries = []
+        for cuts in combinations(range(1, len(bits)), s - 1) if s <= len(bits) else ():
+            bounds = (0, *cuts, len(bits))
+            blocks = [sum(bits[a:b]) for a, b in zip(bounds, bounds[1:])]
+            unions = subset_folds(int.__or__, 0, blocks)[1:]
+            entries.append((tuple(map(mask_to_set, blocks)), tuple(u - 1 for u in unions)))
+        table.append(entries)
+    return table
+
+
+def stepwise_check_cover_tree(M, k, leaves, edge_positions):
+    """A cover tree's replay one descent step at a time: the state of the
+    canonical DFS grows by color 1 until it equals the leaf's prefix (at
+    most M positions), the leaf's reasons must refute that prefix, and the
+    state then backs up to its next canonical sibling; every leaf is met
+    and the tree exhausted.  Prefix colors are read from a dict of the
+    prefix."""
+    state = [1]
+    for leaf in leaves:
+        prefix = tuple(leaf.prefix)
+        while tuple(state) != prefix:
+            if len(state) >= M:
+                return False
+            state.append(1)
+        if not _stepwise_refutes(M, k, prefix, leaf.witness, edge_positions):
+            return False
+        while state:
+            last = state.pop()
+            if last < min(k, max(state, default=0) + 1):
+                state.append(last + 1)
+                break
+    return not state
+
+
+def _stepwise_refutes(M, k, prefix, reasons, edge_positions):
+    colors = dict(enumerate(prefix))
+    left = {}
+    for i, witness in enumerate(reasons, 1):
+        positions = edge_positions(witness)
+        if positions is None or any(not 0 <= q < M for q in positions):
+            return False
+        free = {q for q in positions if q not in colors}
+        shades = {colors[q] for q in positions if q in colors}
+        if len(shades) != 1 or len(free) > 1:
+            return False
+        if free:
+            (q,) = free
+            (c,) = shades
+            open_ = left.setdefault(q, set(range(1, k + 1)))
+            if c not in open_:
+                return False
+            open_.discard(c)
+            if len(open_) == 1:
+                colors[q] = min(open_)
+            if open_:
+                continue
+        return i == len(reasons)
+    return False
 
 
 def naive_coloring_avoids_fu(r, s, color_of):

@@ -403,7 +403,7 @@ def test_fk_density_with_even_blocker(capsys, tmp_path):
     assert rc == 1 and "cannot read checkpoint" in err
 
 
-@pytest.mark.parametrize("r, N, budget", [(2, 12, 100), (3, 16, 700), (2, 8, 1)])
+@pytest.mark.parametrize("r, N, budget", [(2, 12, 40), (3, 16, 100), (2, 8, 1)])
 def test_fk_density_split_run_resumes_to_the_unsplit_stdout(capsys, tmp_path, r, N, budget):
     keys = [f"r={r}", f"N={N}", f"output={tmp_path}"]
     rc, whole, _ = _run(capsys, ["fk-density", *keys])
@@ -422,17 +422,31 @@ def test_fk_density_split_run_resumes_to_the_unsplit_stdout(capsys, tmp_path, r,
 
 
 def test_fk_density_resumes_progress_under_a_budget_below_one_size(capsys, tmp_path):
-    # the search takes 212,942 nodes, so a run with this budget finishes
-    # only because each resume goes on from the checkpoint's path
-    keys = ["r=3", "N=30", f"output={tmp_path}", "budget=100000"]
+    # the search takes 1,052 nodes, so a run with this budget finishes only
+    # because each resume goes on from the checkpoint's path
+    keys = ["r=3", "N=30", f"output={tmp_path}", "budget=400"]
     rc, out, _ = _run(capsys, ["fk-density", *keys])
+    resumes = 0
     for _ in range(4):
         if rc != 2:
             break
         (ckpt,) = tmp_path.glob("checkpoint-*.txt")
         rc, out, _ = _run(capsys, ["fk-density", "--resume", str(ckpt), *keys])
-    assert rc == 0
+        resumes += 1
+    assert rc == 0 and resumes == 2
     assert out == "fk r=3 N=30: minimum blocking density 3/10\nwitness: {2,4,6,8,10,12,14,16,18}\n"
+
+
+def test_fk_density_checkpoint_at_a_node_the_packing_bound_cuts_is_refused(capsys, tmp_path):
+    # the search without the packing bound stopped here under budget=1000;
+    # the bound cuts a prefix of this path, so the resume cannot replay to it
+    keys = ["r=3", "N=30", f"output={tmp_path}"]
+    rc, _, _ = _run(capsys, ["fk-density", *keys, "budget=1"])
+    (ckpt,) = tmp_path.glob("checkpoint-*.txt")
+    head = ckpt.read_text().split("\npath ")[0]
+    ckpt.write_text(f"{head}\npath 0,0,0,0,0,0,0,1,0,1,1,1,1,1,1,1,0,1\n")
+    rc, out, err = _run(capsys, ["fk-density", "--resume", str(ckpt), *keys])
+    assert rc == 1 and out == "" and "is never reached by this search" in err
 
 
 @pytest.mark.parametrize(

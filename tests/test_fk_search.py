@@ -118,12 +118,21 @@ def test_r3_n30():
     res = fk_density_experiment(3, 30)
     assert res.value == Fraction(3, 10)
     assert res.witness == frozenset(range(2, 19, 2))
-    assert res.candidates == 212942
+    assert res.candidates == 1052
+
+
+def test_r3_n42():
+    # the value and witness that the search without the packing bound
+    # reaches in 5,128,312 nodes
+    res = fk_density_experiment(3, 42)
+    assert res.value == Fraction(13, 42)
+    assert res.witness == frozenset({1, 2, 3, 4, *range(10, 19)})
+    assert res.candidates == 1718
 
 
 @pytest.mark.parametrize(
     "r, N, nodes",
-    [(2, 16, 1102), (2, 17, 1120), (2, 18, 1958), (3, 12, 368), (2, 24, 10222)],
+    [(2, 16, 108), (2, 17, 126), (2, 18, 128), (3, 12, 106), (2, 24, 248)],
 )
 def test_node_counts(r, N, nodes):
     # the search's work as a machine-independent count; more nodes with the

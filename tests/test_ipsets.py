@@ -25,14 +25,12 @@ from ipstar.ipsets import (
     example_a,
     example_a_checks,
     finite_sums,
-    finite_unions,
     fk_density_experiment,
     fk_odds_certificate,
     fu_check_cover,
     fu_coloring_is_counterexample,
     fu_ramsey_check,
     is_ip_r_star,
-    mask_to_set,
     set_to_mask,
     subset_folds,
 )
@@ -41,7 +39,7 @@ from ipstar.recurrence import classify_ipstar, recurrence_set
 from ipstar.systems import RotationSystem
 from ipstar.textio import report_tree
 from ipstar.search import CoverLeaf, prefix_search, stages
-from oracles import family_order, through_first_all_ok
+from oracles import family_order, finite_unions, mask_to_set, through_first_all_ok
 
 Z = Integers()
 F5 = PrimeField(5)
@@ -104,6 +102,47 @@ def test_subset_folds_products_and_unions_match_a_per_mask_fold(data):
     assert subset_folds(frozenset.union, frozenset(), blocks) == _per_mask(
         frozenset.union, frozenset(), blocks
     )
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_fu_table_matches_the_per_split_builder_entry_for_entry(r):
+    # the prefix-mask splits list the same entries in the same order
+    for s in range(1, r + 1):
+        assert ipsets._fu_checks_by_position(r, s) == oracles.per_split_fu_table(r, s), s
+
+
+@st.composite
+def _block_tuples(draw):
+    """(r, s, blocks): an ordered family cut from the runs of a random set
+    of {1..r}, or blocks drawn at random (empty, overlapping, out of order or
+    out of range); then perhaps one block dropped, repeated or swapped, and
+    s perhaps one off the count."""
+    r = draw(st.integers(1, 8), label="r")
+    if draw(st.booleans()):
+        items = sorted(draw(st.sets(st.integers(1, r), min_size=1)))
+        cuts = sorted(draw(st.sets(st.integers(1, len(items) - 1), max_size=3))) if len(items) > 1 else []
+        bounds = [0, *cuts, len(items)]
+        blocks = [frozenset(items[a:b]) for a, b in zip(bounds, bounds[1:])]
+    else:
+        block = st.frozensets(st.integers(-1, r + 2), max_size=4)
+        blocks = draw(st.lists(block, max_size=5), label="blocks")
+    edit = draw(st.sampled_from(["none", "drop", "repeat", "swap"]))
+    if blocks and edit == "drop":
+        del blocks[draw(st.integers(0, len(blocks) - 1))]
+    elif blocks and edit == "repeat":
+        i = draw(st.integers(0, len(blocks) - 1))
+        blocks.insert(i, blocks[i])
+    elif len(blocks) > 1 and edit == "swap":
+        blocks[0], blocks[-1] = blocks[-1], blocks[0]
+    s = max(0, len(blocks) + draw(st.sampled_from([0, 0, -1, 1])))
+    return r, s, tuple(blocks)
+
+
+@given(_block_tuples())
+@settings(max_examples=400, deadline=None)
+def test_union_positions_on_masks_match_the_decode_by_finite_unions(case):
+    r, s, blocks = case
+    assert ipsets._union_positions(r, s, blocks) == oracles.union_positions_by_sets(r, s, blocks)
 
 
 @given(st.integers(1, 7), st.integers(1, 4))
@@ -402,18 +441,10 @@ def test_fu_cover_leaves_need_s_blocks():
     assert fu_check_cover(6, 1, 2, forged)  # for s = 1 it is the true cover
 
 
-def test_a_set_of_fewer_than_s_elements_asks_for_no_split(monkeypatch):
-    # combinations(pool, n) allocates its n indices before it finds that n
-    # exceeds the pool, so a huge s ended in a MemoryError
-    real = ipsets.combinations
-
-    def bounded(pool, n):
-        pool = tuple(pool)
-        if n > len(pool):
-            raise AssertionError(f"asked for {n} of {len(pool)} items")
-        return real(pool, n)
-
-    monkeypatch.setattr(ipsets, "combinations", bounded)
+def test_a_set_of_fewer_than_s_elements_asks_for_no_split():
+    # a split peels off one run at a time and stops when fewer bits are left
+    # than runs are owed, so a huge s allocates nothing per run
+    assert ipsets._fu_checks_by_position(4, 10**9) == [[]] * 15
     assert ipsets._fu_checks_by_position(4, 6) == [[]] * 15
     res = fu_ramsey_check(4, 6, 2)
     assert res.kind == "counterexample" and res.coloring == (1,) * 15

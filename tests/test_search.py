@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import plain_coloring_search, through_first_all_ok
+from oracles import plain_coloring_search, stepwise_check_cover_tree, through_first_all_ok
 
 from ipstar import halesjewett
 from ipstar.halesjewett import hj_stage
@@ -265,6 +265,85 @@ def test_propagation_agrees_with_the_plain_search(problem, data):
         rest = universal_coloring_search(k, table, resume_path=part.resume_path)
         assert (rest.kind, rest.coloring, rest.cover) == (out.kind, out.coloring, out.cover)
         assert part.candidates + rest.candidates == out.candidates
+
+
+# ---------------------------------------------------------------------------
+# the cover replay against the one that rebuilds its state each step
+
+
+def _mutated(leaves, M, k, draw):
+    """A cover with up to three edits drawn: a leaf whose prefix skips a
+    color, jumps ahead, grows (or is padded with color 1 to M positions),
+    shrinks or repeats; a leaf dropped, repeated or moved; reasons dropped
+    or reordered; the whole cover repeated."""
+    leaves = list(leaves)
+    for _ in range(draw(st.integers(0, 3), label="edits")):
+        if not leaves:
+            break
+        i = draw(st.integers(0, len(leaves) - 1), label="leaf")
+        prefix, reasons = list(leaves[i].prefix), leaves[i].witness
+        edit = draw(st.sampled_from([
+            "skip", "jump", "grow", "pad", "shrink", "digit", "drop", "repeat", "move",
+            "reasons", "reorder", "twice",
+        ]), label="edit")
+        if not prefix and edit in ("skip", "jump", "shrink", "digit"):
+            edit = "grow"
+        if edit == "skip":  # a color above every one before it plus one
+            j = draw(st.integers(0, len(prefix) - 1))
+            prefix[j] = max(prefix[:j], default=0) + 2
+        elif edit == "jump":  # the last choice one further
+            prefix[-1] += 1
+        elif edit == "grow":
+            prefix.append(draw(st.integers(1, k + 1)))
+        elif edit == "pad":
+            prefix += [1] * (M - len(prefix))
+        elif edit == "shrink":
+            prefix.pop()
+        elif edit == "digit":
+            prefix[draw(st.integers(0, len(prefix) - 1))] = draw(st.integers(0, k + 1))
+        elif edit == "drop":
+            del leaves[i]
+            continue
+        elif edit == "repeat":
+            leaves.insert(i, leaves[i])
+            continue
+        elif edit == "move":
+            leaves.insert(draw(st.integers(0, len(leaves) - 1)), leaves.pop(i))
+            continue
+        elif edit == "reasons":
+            reasons = reasons[: draw(st.integers(0, max(len(reasons) - 1, 0)))]
+        elif edit == "reorder":
+            reasons = tuple(reversed(reasons))
+        else:
+            leaves += leaves
+            continue
+        leaves[i] = CoverLeaf(tuple(prefix), reasons)
+    return leaves
+
+
+@settings(max_examples=300, deadline=None)
+@given(hyperedge_tables(), st.data())
+def test_cover_replay_agrees_with_the_stepwise_replay_on_mutated_covers(problem, data):
+    k, table, decode = problem
+    M = len(table)
+    out = universal_coloring_search(k, table)
+    leaves = out.cover if out.kind == ALL_OK else plain_coloring_search(k, pigeon_edges(M)).cover
+    decode = decode if out.kind == ALL_OK else pigeon_positions
+    if leaves is None:  # M <= k: no cover to mutate
+        leaves = [CoverLeaf((1,), ())]
+    cover = _mutated(leaves, M, k, data.draw)
+    M_, k_ = (data.draw(st.integers(max(n - 1, 1), n + 1), label=n) for n in (M, k))
+    assert check_cover_tree(M_, k_, cover, decode) == stepwise_check_cover_tree(M_, k_, cover, decode)
+
+
+def test_cover_replay_refuses_a_leaf_longer_than_m():
+    # with one color, the prefix (1, 1, 1) makes the pair (0, 1)
+    # monochromatic, but only a claim over 3 positions has a third one
+    leaves = [CoverLeaf((1, 1, 1), ((0, 1),))]
+    assert check_cover_tree(3, 1, leaves, adjacent_positions)
+    assert stepwise_check_cover_tree(3, 1, leaves, adjacent_positions)
+    assert not check_cover_tree(2, 1, leaves, adjacent_positions)
+    assert not stepwise_check_cover_tree(2, 1, leaves, adjacent_positions)
 
 
 # ---------------------------------------------------------------------------
