@@ -295,7 +295,10 @@ def column_elements(group, column) -> tuple:
 
 def window_column(group, window) -> tuple:
     """The window of group in canonical order and column form: over Q
-    listed as integer pairs (``window_pairs``), no Fraction built."""
+    listed as integer pairs (``window_pairs``), no Fraction built.  A window
+    of more than ``SIZE_CAP`` elements is refused unlisted
+    (``check_window_size``)."""
+    check_window_size(group, window)
     scalars = group.ring if isinstance(group, VectorSpace) else group
     if not isinstance(scalars, Rationals):
         return tuple(window_enumerate(group, window))
@@ -357,9 +360,13 @@ class PolyRing(Value):
         return tuple(out)
 
     def pow(self, a: tuple, k: int) -> tuple:
+        """a^k by square-and-multiply over k's bits, the leading one first:
+        at most 2 * log2(k) + 2 products, each by a or a square."""
         out = self.one
-        for _ in range(k):
-            out = self.mul(out, a)
+        for bit in f"{k:b}":
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
         return out
 
     def enumerate_window(self, window: Window) -> list[tuple]:
@@ -485,6 +492,43 @@ def check_window_size(group: Group, window: Window) -> None:
     if shown is not None:
         raise AlgebraError(
             f"window of {group} holds up to {shown} elements, more than the cap of {SIZE_CAP}"
+        )
+
+
+VALUE_CAP = 1 << 26  # the most coefficient products (F_p[t]) or bits (Q) of a run's map values
+
+
+def check_value_size(phi: PolynomialMap, window: Window, count: int) -> None:
+    """Refuse, before any is built, count values of phi at elements of the
+    window that may take more than ``VALUE_CAP`` in all.  A term's value has
+    a size of at most twice the largest of its coefficient's and weights'
+    plus its degree times a coordinate's, and a value at most the sum over
+    its terms.  Over F_p[t] a size is a length (degree + 1), a coordinate
+    counted by its degree, below the window's bound, and a value of length
+    L takes L^2 coefficient products.  Over Q a size is the bits of the
+    numerator and the denominator, a coordinate's at most those of the
+    window's larger bound, and a value takes its bits.  Over F_p a value is
+    a residue, and a map of bare coordinates (each term of degree 1, its
+    coefficient and weights 0 or 1) only adds coordinates."""
+    ring, vector = phi.ring, isinstance(phi.target, VectorSpace)
+    terms = [(m.total_degree, {m.coeff, *(w if vector else (w,))}) for m, w in phi.terms]
+    if isinstance(ring, PrimeField) or all(d == 1 and c <= {ring.zero, ring.one} for d, c in terms):
+        return
+    poly = isinstance(ring, PolyRing)
+    _expect_window(ring, window, DegreeWindow if poly else RationalWindow)
+    coordinate = (max(window.deg_bound - 1, 0) if poly
+                  else max(window.num_bound, window.den_bound).bit_length())
+
+    def size(x) -> int:
+        return len(x) if poly else x.numerator.bit_length() + x.denominator.bit_length()
+
+    value = sum(2 * max(map(size, c)) + d * coordinate for d, c in terms)
+    work = count * value**2 if poly else count * value
+    if work > VALUE_CAP:
+        shown = work if work < 10**18 else f"2^{work.bit_length()}"  # str() refuses long ints
+        unit = "coefficient products" if poly else "bits"
+        raise AlgebraError(
+            f"{count} values of the map take up to {shown} {unit}, more than the cap of {VALUE_CAP}"
         )
 
 

@@ -27,12 +27,12 @@ verdict.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import islice
 from math import comb, floor, log10
+from sys import get_int_max_str_digits
 
 from .algebra import SIZE_CAP, Integers, power_over_cap
 from .search import (
@@ -453,7 +453,7 @@ def example_a(r_max: int) -> BlockExample:
     if power_over_cap(2, r_max) is not None:
         raise ValueError(f"example-a r_max={r_max}: 2^(2^{r_max}) has more than {SIZE_CAP} bits")
     digits = floor(log10(r_max) + (1 << r_max) * log10(2)) + 1
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 where no limit is set
+    limit = get_int_max_str_digits()  # 0 when the limit is switched off
     if limit and digits > limit:
         raise ValueError(
             f"example-a r_max={r_max}: its largest value has {digits} digits, "

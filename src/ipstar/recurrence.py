@@ -55,12 +55,11 @@ from math import lcm
 from operator import iadd, itemgetter, not_
 
 from .algebra import FullWindow, Monomial, PolynomialMap, Rationals, VectorSpace, Window
-from .algebra import SIZE_CAP, as_coords, check_window_size, column_elements, pair_column
-from .algebra import power_over_cap, window_column
+from .algebra import SIZE_CAP, as_coords, column_elements, pair_column
+from .algebra import check_value_size, power_over_cap, window_column
 from .halesjewett import first_mono_line, line_to_config, word_gather
 from .ipsets import finite_sums, is_ip_r_star, subset_folds
 from .systems import (
-    DensityProfile,
     FinitePermSystem,
     RotationSystem,
     folner_reach,
@@ -76,25 +75,28 @@ class RecurrenceError(ValueError):
 class RecurrenceReport:
     """Everything known about one return set, filled in stages.
 
-    The scan's columns hold the elements and their values in column form
+    A report is built from its inputs, its threshold mu(B)^2 - epsilon and
+    the scan's three columns; the domain, mu(B), the Khintchine bound and
+    the theorem-hypotheses flag are read off phi, the system and B.  The
+    columns hold the elements and their values in column form
     (``algebra.pair_column``: over Q each rational coordinate as its pair).
     ``elements`` and ``values`` read the columns in normal form, built
     once, when first read."""
 
     def __init__(
-        self, system, B, phi: PolynomialMap, epsilon: Fraction, window: Window, domain,
-        element_column: tuple, mu: Fraction, threshold: Fraction, value_column: tuple,
-        pairs: tuple, khintchine: Fraction, outside_hypotheses: bool,
-        classification: dict | None = None, exceptional_density: DensityProfile | None = None,
+        self, system, B, phi: PolynomialMap, epsilon: Fraction, window: Window,
+        threshold: Fraction, element_column: tuple, value_column: tuple, pairs: tuple,
     ):
         self.system, self.B, self.phi, self.epsilon = system, B, phi, epsilon
-        self.window, self.domain, self.mu, self.threshold = window, domain, mu, threshold
+        self.window, self.threshold = window, threshold
         self.element_column = element_column  # the window in canonical order
         self.value_column = value_column  # phi(u) for each element
         self.pairs = pairs  # the kernel's (corr, in_R) for each value, one tuple per distinct pair
-        self.khintchine, self.outside_hypotheses = khintchine, outside_hypotheses
-        self.classification = {} if classification is None else classification  # r -> IpStarVerdict
-        self.exceptional_density = exceptional_density
+        self.domain, self.mu = phi.domain, system.measure(B)
+        self.khintchine = khintchine_bound(system, B)
+        self.outside_hypotheses = system.outside_theorem_hypotheses
+        self.classification = {}  # r -> IpStarVerdict
+        self.exceptional_density = None  # a DensityProfile, once a windowed classify ran
 
     @cached_property
     def elements(self) -> tuple:
@@ -131,10 +133,13 @@ class RecurrenceReport:
         return verdict.kind != "fails" and not self.exact
 
 
-def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
-    """Checked inputs and the report fields the return-set scans and the
-    probe share.  The scans list the window themselves; the probe never
-    does."""
+def _checked_kernel(sys, B, phi: PolynomialMap, epsilon, window: Window, count: int):
+    """What the return-set scan and the probe share: the checked inputs,
+    then (B as an event, epsilon, the threshold, the kernel, the compiled
+    map).  The count values the caller builds at elements of the window
+    are refused before any is built when they would take more than
+    ``VALUE_CAP`` (``check_value_size``).  Zero's pair is checked: every
+    window holds zero, and corr(0) = mu(B) lies above the threshold."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise RecurrenceError("epsilon must be a positive rational")
@@ -143,20 +148,14 @@ def _report_fields(sys, B, phi: PolynomialMap, epsilon, window: Window) -> dict:
             f"map target {phi.target} does not match the acting group {sys.acting}"
         )
     B = sys.event(B)
-    domain = phi.domain
+    check_value_size(phi, window, count)
     mu = sys.measure(B)
-    return dict(
-        system=sys,
-        B=B,
-        phi=phi,
-        epsilon=epsilon,
-        window=window,
-        domain=domain,
-        mu=mu,
-        threshold=mu * mu - epsilon,
-        khintchine=khintchine_bound(sys, B),
-        outside_hypotheses=sys.outside_theorem_hypotheses,
-    )
+    threshold = mu * mu - epsilon
+    kernel, value = sys.kernel(B, threshold), phi.compiled
+    # the compiled map takes and gives column form, as the kernel takes it
+    if not kernel(value(pair_column(phi.ring, (phi.ring.zero,) * phi.n)))[1]:
+        raise RecurrenceError("return set lost the zero element; broken invariant")
+    return B, epsilon, threshold, kernel, value
 
 
 def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> RecurrenceReport:
@@ -164,19 +163,14 @@ def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> Recur
     w = phi(u) and the kernel's pair (corr, hit) of every element, as
     columns in window order; R is not built here.  The columns are in the
     column form that the compiled map and the kernel take, so over Q no
-    ``Fraction`` is built per element."""
-    base = _report_fields(sys, B, phi, epsilon, window)
-    domain, n = base["domain"], phi.n
-    check_window_size(domain, window)
-    elements = window_column(domain, window)
-    kernel, value = sys.kernel(base["B"], base["threshold"]), phi.compiled
+    ``Fraction`` is built per element.  A window of more than ``SIZE_CAP``
+    elements is refused before anything else (``window_column``)."""
+    elements = window_column(phi.domain, window)
+    B, epsilon, threshold, kernel, value = _checked_kernel(sys, B, phi, epsilon, window, len(elements))
     # a one-variable map takes its element as a 1-tuple of coordinates
-    values = tuple(map(value, zip(elements) if n == 1 else elements))
+    values = tuple(map(value, zip(elements) if phi.n == 1 else elements))
     pairs = tuple(map(kernel, values))
-    # every window holds zero, and zero's pair is the kernel's at phi(0)
-    if not kernel(value(pair_column(phi.ring, (phi.ring.zero,) * n)))[1]:
-        raise RecurrenceError("return set lost the zero element; broken invariant")
-    return RecurrenceReport(**base, element_column=elements, value_column=values, pairs=pairs)
+    return RecurrenceReport(sys, B, phi, epsilon, window, threshold, elements, values, pairs)
 
 
 def classify_ipstar(
@@ -229,11 +223,11 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
     correlation exceeds the threshold.  Window membership is decided from
     the window's bounds, so the window is never listed; only the in-window
     products' hits are read off the kernel, plus the one at 0 that keeps
-    the zero-element invariant.  More than ``SIZE_CAP`` products are
-    refused before any is listed.
+    the zero-element invariant (``_checked_kernel``).  More than
+    ``SIZE_CAP`` products are refused before any is listed, and products
+    whose values would take more than ``VALUE_CAP`` before any is built.
     """
-    base = _report_fields(sys, B, phi, epsilon, window)
-    ring, threshold = base["domain"], base["threshold"]
+    ring = phi.domain
     if isinstance(ring, VectorSpace):
         raise RecurrenceError("finite products need a ring, not a vector group")
     gens = tuple(ring.element(g) for g in gens)
@@ -243,16 +237,10 @@ def fp_probe(sys, B, phi: PolynomialMap, epsilon, window: Window, gens) -> FpPro
     if power_over_cap(2, r) is not None:
         raise RecurrenceError(f"{r} generators have 2^{r} - 1 products, more than the cap of {SIZE_CAP}")
     products = subset_folds(ring.mul, ring.one, gens)[1:]
-    # the compiled map takes and gives column form, as the kernel takes it;
+    *_, kernel, value = _checked_kernel(sys, B, phi, epsilon, window, len(products) + 1)
     # a one-variable map takes a 1-tuple
-    kernel, value = sys.kernel(base["B"], threshold), phi.compiled
-
-    def in_R(u):
-        return ring.window_contains(window, u) and kernel(value(pair_column(ring, (u,))))[1]
-
-    if ring.window_contains(window, ring.zero) and not in_R(ring.zero):
-        raise RecurrenceError("return set lost the zero element; broken invariant")
-    witnesses = tuple(v for v in products if in_R(v))
+    witnesses = tuple(v for v in products if ring.window_contains(window, v)
+                      and kernel(value(pair_column(ring, (v,))))[1])
     return FpProbe(tuple(products), witnesses, bool(witnesses))
 
 

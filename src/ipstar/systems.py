@@ -87,8 +87,10 @@ from .algebra import (
     RationalWindow,
     Rationals,
     SIZE_CAP,
+    Value,
     VectorSpace,
     as_coords,
+    check_value_size,
     check_window_size,
     rational_pairs,
     ring_power,
@@ -142,7 +144,6 @@ class FinitePermSystem(_Backend):
     commute with the others, checked here.
     """
 
-    label = "finite-perm"
     is_compact = True
     outside_theorem_hypotheses = True
 
@@ -293,13 +294,14 @@ def _turned(a, b, s, L) -> list:
     return [(start, end)] if end <= L else [(start, L), (0, end - L)]
 
 
-class IntervalUnion:
+class IntervalUnion(Value):
     """Finite union of half-open rational subintervals of [0, 1), kept
-    sorted, disjoint and merged, so set equality is tuple equality.  A
-    wrapping pair and a shift are cut at 1 by ``_turned``, the one arc
-    cutter, which the rotation kernel's ``_overlap`` shares over Z/D."""
+    sorted, disjoint and merged, so set equality is equality of the
+    ``Value`` field ``pieces``.  A wrapping pair and a shift are cut at 1
+    by ``_turned``, the one arc cutter, which the rotation kernel's
+    ``_overlap`` shares over Z/D."""
 
-    __slots__ = ("pieces",)
+    __slots__ = _fields = ("pieces",)
 
     def __init__(self, pairs):
         raw = []
@@ -317,7 +319,7 @@ class IntervalUnion:
                 merged[-1][1] = max(merged[-1][1], b)
             else:
                 merged.append([a, b])
-        self.pieces = tuple((a, b) for a, b in merged)
+        self._init(tuple((a, b) for a, b in merged))
 
     @property
     def measure(self) -> Fraction:
@@ -336,15 +338,6 @@ class IntervalUnion:
                     out.append((lo, hi))
         return IntervalUnion(out)
 
-    def __eq__(self, other):
-        return isinstance(other, IntervalUnion) and self.pieces == other.pieces
-
-    def __hash__(self):
-        return hash(self.pieces)
-
-    def __repr__(self):
-        return "IntervalUnion(" + ", ".join(f"[{a},{b})" for a, b in self.pieces) + ")"
-
 
 class RotationSystem(_Backend):
     """x -> x + u * rho mod 1 on the circle, rho rational, Lebesgue measure.
@@ -353,7 +346,6 @@ class RotationSystem(_Backend):
     the rational vector group acting componentwise: x -> x + sum u_i rho_i.
     """
 
-    label = "rotation"
     is_compact = True
     outside_theorem_hypotheses = False
 
@@ -462,13 +454,15 @@ def _overlap(ends, shift: int, L: int) -> int:
 # Bernoulli shifts over the polynomial-ring group
 
 
-class Cylinder:
+class Cylinder(Value):
     """Finitely many coordinate constraints: group element -> allowed letter
-    set.  Constraints allowing every letter are dropped at construction.
+    set, a dict in coordinate order, so set equality is equality of the
+    ``Value`` field ``constraints`` (a dict, so a cylinder is unhashable).
+    Constraints allowing every letter are dropped at construction.
     Coordinates are taken as given, so two that name one element must come
     normalised, as ``BernoulliSystem.event`` makes them."""
 
-    __slots__ = ("constraints",)
+    __slots__ = _fields = ("constraints",)
 
     def __init__(self, constraints, alphabet_size: int):
         table = {}
@@ -479,20 +473,13 @@ class Cylinder:
             if len(letters) == alphabet_size:
                 continue
             table[tuple(coord)] = letters
-        self.constraints = dict(sorted(table.items()))
-
-    def __eq__(self, other):
-        return isinstance(other, Cylinder) and self.constraints == other.constraints
-
-    def __repr__(self):
-        return f"Cylinder({self.constraints})"
+        self._init(dict(sorted(table.items())))
 
 
 class BernoulliSystem(_Backend):
     """i.i.d. product measure over the additive polynomial-ring group; the
     shift by w relocates a cylinder's constraints from c to c + w."""
 
-    label = "bernoulli"
     is_compact = False
     outside_theorem_hypotheses = False
 
@@ -723,7 +710,9 @@ def dlim_probe(sys, B, phi_map, N: int) -> DensityProfile:
     built.  On the product backend the term is (corr - mu(B)^2)^2, read in
     one pass over window N from the kernel's pair for phi(v) and squared
     once per distinct pair; it must decay in N, since only finitely many v
-    contribute."""
+    contribute.  There a window over ``SIZE_CAP`` elements, or values over
+    it past ``VALUE_CAP`` (``check_value_size``), are refused before any
+    value is built."""
     split, domain = compact_projection(sys, B), phi_map.domain
     if split.kind == "identity":
         if N < 1:
@@ -731,6 +720,8 @@ def dlim_probe(sys, B, phi_map, N: int) -> DensityProfile:
         if N > SIZE_CAP:
             raise SystemError(f"averaging window index {N} is more than the cap of {SIZE_CAP}")
         return DensityProfile(Fraction(0), (Fraction(0),) * N)
+    elements = folner_sets(domain, N)
+    check_value_size(phi_map, DegreeWindow(N), len(elements))  # window N of F_p[t]
     kernel, value, n, mu2 = sys.kernel(B, 0), phi_map.compiled, phi_map.n, split.mu**2
     squares: dict = {}  # id(pair) -> its term; the kernel keeps every pair it returns alive
 
@@ -741,4 +732,4 @@ def dlim_probe(sys, B, phi_map, N: int) -> DensityProfile:
             t = squares[id(pair)] = (pair[0] - mu2) ** 2
         return t
 
-    return window_means(term, domain, N, folner_sets(domain, N))
+    return window_means(term, domain, N, elements)

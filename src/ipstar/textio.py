@@ -81,7 +81,9 @@ def _render_pair(q) -> str:
 
 # an exponent of Fraction's text form, which it reads by building 10^e in full
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
-_MAX_EXPONENT = 4300  # Python's limit on the digits of an int read from text
+# a fixed bound, equal to Python's default limit on the digits of an int read
+# from text, that holds even where that limit is switched off
+_MAX_EXPONENT = 4300
 
 
 def parse_fraction(text: str) -> Fraction:

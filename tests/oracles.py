@@ -27,7 +27,7 @@ from ipstar.algebra import (
 )
 from ipstar.halesjewett import Line, SubsetConfig
 from ipstar.ipsets import subset_folds
-from ipstar.recurrence import RecurrenceError, RecurrenceReport, _report_fields, classify_ipstar
+from ipstar.recurrence import RecurrenceError, RecurrenceReport, classify_ipstar
 from ipstar.search import (
     ALL_OK,
     COUNTEREXAMPLE,
@@ -508,12 +508,13 @@ def theorem1_pipeline(sys, B, phi: PolynomialMap, epsilon, window: Window, r_max
     checked element by element.  Returns (report, A, E); returning at all
     means the chain held.
     """
-    base = _report_fields(sys, B, phi, epsilon, window)
-    B, mu, threshold = base["B"], base["mu"], base["threshold"]
-    check_window_size(base["domain"], window)
-    elements = tuple(window_enumerate(base["domain"], window))
+    epsilon, B, domain = Fraction(epsilon), sys.event(B), phi.domain
+    mu = sys.measure(B)
+    threshold = mu * mu - epsilon
+    check_window_size(domain, window)
+    elements = tuple(window_enumerate(domain, window))
     cross_of = cross_terms(sys, B)
-    half = base["epsilon"] / 2
+    half = epsilon / 2
     values, pairs, A, E = [], [], [], []
     for u in elements:
         w = eval_poly(phi, as_coords(u, phi.n))
@@ -533,10 +534,8 @@ def theorem1_pipeline(sys, B, phi: PolynomialMap, epsilon, window: Window, r_max
         values.append(w)
         pairs.append((corr, hit))
     report = RecurrenceReport(
-        **base,
-        element_column=pair_column(base["domain"], elements),
-        value_column=pair_column(phi.target, values),
-        pairs=tuple(pairs),
+        sys, B, phi, epsilon, window, threshold,
+        pair_column(domain, elements), pair_column(phi.target, values), tuple(pairs),
     )
     return classify_ipstar(report, r_max), tuple(A), tuple(E)
 

@@ -23,6 +23,7 @@ from ipstar.algebra import (
     Rationals,
     SIZE_CAP,
     VectorSpace,
+    check_value_size,
     check_window_size,
     column_elements,
     eval_monomial,
@@ -273,6 +274,30 @@ def test_check_window_size_refuses_a_huge_window_without_its_power():
     assert time.perf_counter() - t0 < 0.5  # 3^(10^7) alone takes seconds
 
 
+def test_check_value_size_counts_products_and_bits_but_spares_bare_coordinates():
+    F2t, Q = PolyRing(2), Rationals()
+
+    def power(ring, k):
+        return scalar_poly_map(ring, [Monomial(ring, 1, (k,))])
+
+    check_value_size(power(F2t, 1), DegreeWindow(20), SIZE_CAP)  # u builds nothing new
+    check_value_size(power(PrimeField(5), 10**9), FullWindow(), SIZE_CAP)  # residues
+    check_value_size(power(F2t, 2000), DegreeWindow(2), 4)
+    check_value_size(power(Q, 100000), RationalWindow(2, 2), 7)
+    for phi, window, count, shown in [
+        (power(F2t, 2), DegreeWindow(20), SIZE_CAP,
+         "1048576 values of the map take up to 1677721600 coefficient products"),
+        (power(F2t, 8000), DegreeWindow(2), 4,
+         "4 values of the map take up to 256128016 coefficient products"),
+        (power(Q, 10**8), RationalWindow(2, 2), 7, "7 values of the map take up to 1400000028 bits"),
+        # too many digits to print: named by a power of two above it
+        (power(F2t, 10**30), DegreeWindow(2), 4,
+         "4 values of the map take up to 2^202 coefficient products"),
+    ]:
+        with pytest.raises(AlgebraError, match=re.escape(f"{shown}, more than the cap of {1 << 26}")):
+            check_value_size(phi, window, count)
+
+
 def test_power_over_cap_allows_the_cap_and_refuses_one_past_it():
     for base, exp in [(2, 20), (1 << 20, 1), (1024, 2), (32, 4), (1, 10**9), (7, 0)]:
         assert power_over_cap(base, exp) is None
@@ -309,7 +334,8 @@ def test_vector_space_ops():
     u = V.element([Fraction(1, 2), 3])
     v = V.element([Fraction(1, 2), -1])
     assert V.add(u, v) == (Fraction(1), Fraction(2))
-    assert V.sub(u, u) == V.zero
+    assert V.sub(u, u) == V.zero == V.add(u, V.neg(u))
+    assert V.neg(u) == (Fraction(-1, 2), Fraction(-3))
     assert vector_scale(V, Fraction(2), u) == (Fraction(1), Fraction(6))
     with pytest.raises(AlgebraError):
         V.element([1])

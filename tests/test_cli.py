@@ -5,13 +5,14 @@ import json
 import re
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -1158,3 +1159,101 @@ def test_a_rotation_by_a_over_p_on_arcs_is_the_p_cycle_on_points(case):
         u = -2 * p + i
         assert row[1:] == on_points[u % p][1:], (u, row, on_points[u % p])
         assert int(row[0]) * a % p == int(on_points[u % p][0])
+
+
+def _classify_tree(argv, system_text):
+    """The ``classify.json`` tree of a ``classify`` run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        system = Path(tmp) / "sys.txt"
+        system.write_text(system_text)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert cli.main(["classify", f"system={system}", f"output={tmp}", *argv]) == 0
+        return json.loads((Path(tmp) / "classify.json").read_text())
+
+
+@st.composite
+def cycle_events(draw):
+    """A p-cycle system with a non-empty event B, an exponent e of u^e and
+    two epsilons, the first no larger than the second."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    B = draw(st.sets(st.integers(0, p - 1), min_size=1))
+    cycle = (
+        f"backend finite-perm\np {p}\npoints {' '.join(map(str, range(p)))}\n"
+        f"gen ({' '.join(map(str, range(p)))})\nset B {' '.join(map(str, sorted(B)))}\n"
+    )
+    e = draw(st.integers(1, 3))
+    eps = sorted(draw(st.lists(st.builds(Fraction, st.integers(1, 10), st.integers(10, 200)),
+                               min_size=2, max_size=2)))
+    return p, cycle, e, [f"epsilon={x.numerator}/{x.denominator}" for x in eps]
+
+
+# B = {0, 1, 3} in the 7-cycle under u^2: epsilon 1/50 leaves R = {0} and
+# fails at every level, epsilon 1/20 takes all 7 elements and holds from r = 1
+SEVEN_CYCLE_CASE = (7, F7_SYSTEM.replace("set B 0 1", "set B 0 1 3"), 2, ["epsilon=1/50", "epsilon=1/20"])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(cycle_events())
+@example(SEVEN_CYCLE_CASE)
+def test_a_map_that_ignores_a_variable_has_its_return_set_times_the_field(case):
+    # phi(x1, x2) = x1^e takes x2 nowhere, so R is R(u^e) x F_p, and an IP_r
+    # set avoids one exactly when its projection to x1 avoids the other
+    p, cycle, e, (eps, _) = case
+    one = _classify_tree([f"phi=u^{e}", eps, "window=full", "r_max=4"], cycle)
+    two = _classify_tree([f"phi=x1^{e} + 0*x2", eps, "window=full", "r_max=4"], cycle)
+    assert set(two["R"]["members"]) == {f"({x},{y})" for x in one["R"]["members"] for y in range(p)}
+    kinds = [{r: v["kind"] for r, v in tree["classification"].items()} for tree in (one, two)]
+    assert kinds[0] == kinds[1] and len(kinds[0]) == 4
+
+
+def _least_holding_level(tree) -> int:
+    """The least r whose verdict is "holds", or one past r_max when none is."""
+    levels = tree["classification"]
+    return min((int(r) for r, v in levels.items() if v["kind"] == "holds"), default=len(levels) + 1)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(cycle_events())
+@example(SEVEN_CYCLE_CASE)
+def test_a_larger_epsilon_keeps_every_element_of_the_return_set(case):
+    # the threshold mu(B)^2 - epsilon falls as epsilon grows, so R grows, and
+    # a superset of an IP*_r set is IP*_r: the least "holds" r cannot rise
+    _p, cycle, e, (small, large) = case
+    trees = [_classify_tree([f"phi=u^{e}", eps, "window=full", "r_max=6"], cycle) for eps in (small, large)]
+    assert set(trees[0]["R"]["members"]) <= set(trees[1]["R"]["members"])
+    assert _least_holding_level(trees[0]) >= _least_holding_level(trees[1])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["recurrence", "{bern}", "phi=u^8000", "epsilon=1/100", "window=deg 2", "output={tmp}"],
+         "4 values of the map take up to 256128016 coefficient products"),
+        (["density", "{bern}", "phi=u^8000", "N=2"],
+         "4 values of the map take up to 256128016 coefficient products"),
+        (["recurrence", "{rot}", "phi=u^100000000", "epsilon=1/100", "window=rat 2 2", "output={tmp}"],
+         "7 values of the map take up to 1400000028 bits"),
+    ],
+)
+def test_a_huge_power_is_refused_before_its_values_are_built(tmp_path, capsys, argv, message):
+    # u^8000 on four F_2[t] elements took seconds and u^100000000 over Q built
+    # its values before the text limit refused them
+    rot = _sys_file(tmp_path, ROT_SYSTEM + "set B 0 1/4\n", "rot.txt")
+    fill = {"bern": f"system={_sys_file(tmp_path, BERN_SYSTEM, 'bern.txt')}", "rot": f"system={rot}",
+            "tmp": str(tmp_path)}
+    start = time.perf_counter()
+    rc, out, err = _run(capsys, [a.format(**fill) for a in argv])
+    assert time.perf_counter() - start < 1
+    assert rc == 1 and out == "" and "Traceback" not in err
+    assert f"error: {message}, more than the cap of {algebra.VALUE_CAP}" in err
+    assert not list(tmp_path.glob("recurrence.*"))
+
+
+def test_a_large_power_within_the_cap_still_runs(tmp_path, capsys):
+    # 2^100000 and (1/2)^100000, the values at +-2 and +-1/2, have 100,001
+    # bits, well within the cap; the report holds no value, so it renders
+    sysf = _sys_file(tmp_path, ROT_SYSTEM + "set B 0 1/4\n")
+    rc, out, err = _run(capsys, ["recurrence", f"system={sysf}", "phi=u^100000", "epsilon=1/100",
+                                 "window=rat 2 2", "format=report", f"output={tmp_path}"])
+    assert rc == 0 and err == "" and "R: 5 of 7 window elements" in out
+    assert json.loads((tmp_path / "recurrence.json").read_text())["phi"] == "u^100000"

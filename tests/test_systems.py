@@ -203,6 +203,10 @@ def test_interval_union_normalization():
     u = IntervalUnion([(F(1, 2), F(3, 4)), (F(0), F(1, 4))])
     assert u.pieces == ((F(0), F(1, 4)), (F(1, 2), F(3, 4)))
     assert IntervalUnion([(F(0), F(1, 2)), (F(1, 4), F(3, 4))]).pieces == ((F(0), F(3, 4)),)
+    # one set from two pair lists: equal, with one hash
+    a = IntervalUnion([(F(0), F(1, 2)), (F(1, 4), F(3, 4))])
+    b = IntervalUnion([(F(1, 4), F(3, 4)), (F(0), F(1, 4))])
+    assert a == b and hash(a) == hash(b) and a != IntervalUnion([(F(0), F(1, 2))])
     # half-open adjacency merges
     assert IntervalUnion([(F(0), F(1, 2)), (F(1, 2), F(3, 4))]).pieces == ((F(0), F(3, 4)),)
     # a wrapping pair splits at 1
