@@ -12,13 +12,18 @@ three columns in window order.  It lists the window once
 ``map`` over the one before: the map's compiled form
 (``PolynomialMap.compiled``) gives the value phi(u) of each element, and
 the backend's kernel (``kernel(B, threshold)``) the (corr, hit) pair of
-each value.  All three columns speak the column form of ``algebra`` on
-every ring, so a scan over Q stays in (numerator, denominator) pairs.  The
-kernel builds each distinct pair once, so the pair column shares them.
-R, the frozenset of the hit elements, and the Fractions of ``elements``
-and ``values`` are built only when a caller reads them; the renderers
-write the pairs' text straight from the columns.  ``fp_probe`` reads the
-hits of its few products off the same kernel, through the compiled map.
+each value, corr as its reduced (numerator, denominator) int pair.  All
+three columns speak the column form of ``algebra`` on every ring, so a
+scan over Q stays in (numerator, denominator) pairs, and no column holds a
+``Fraction``.  mu(B) is measured once, and the report and its Khintchine
+bound take that value.  The kernel builds each distinct pair once, so the
+pair column shares them.  R, the frozenset of the hit elements, and the
+Fractions of ``elements`` and ``values`` are built only when a caller
+reads them; the renderers work by column: the window's texts come from its
+product structure (``textio.window_texts``), a report's members are
+``compress``ed out of them by the hit column, and each distinct pair's
+text is written once.  ``fp_probe`` reads the hits of its few products
+off the same kernel, through the compiled map.
 The second, independent assembly path, which replays the spectral proof
 (A, E and the inequality chain), lives in the test oracles
 (``tests/oracles.py``), and the two must agree exactly.
@@ -40,9 +45,9 @@ configuration.  Several commuting generators are one action of a vector
 group (a finite-perm system with several generators, a rotation with a
 tuple of angles), not several actions.  The search computes exponents in
 their cyclic group, F_p or Z/L on the circle, and reads ball cells off the
-tracked event's correlator.  Every returned certificate, and every failing
-classify witness, is re-verified by exact arithmetic after the search,
-never trusted from the search itself.
+hits of the tracked event's kernel.  Every returned certificate, and every
+failing classify witness, is re-verified by exact arithmetic after the
+search, never trusted from the search itself.
 """
 
 from __future__ import annotations
@@ -62,8 +67,9 @@ from .ipsets import finite_sums, is_ip_r_star, subset_folds
 from .systems import (
     FinitePermSystem,
     RotationSystem,
+    SpectralSplit,
+    check_map_target,
     folner_reach,
-    khintchine_bound,
     orbit_metric,
     window_means,
 )
@@ -75,25 +81,26 @@ class RecurrenceError(ValueError):
 class RecurrenceReport:
     """Everything known about one return set, filled in stages.
 
-    A report is built from its inputs, its threshold mu(B)^2 - epsilon and
-    the scan's three columns; the domain, mu(B), the Khintchine bound and
-    the theorem-hypotheses flag are read off phi, the system and B.  The
-    columns hold the elements and their values in column form
-    (``algebra.pair_column``: over Q each rational coordinate as its pair).
-    ``elements`` and ``values`` read the columns in normal form, built
-    once, when first read."""
+    A report is built from its inputs, mu(B), its threshold mu(B)^2 -
+    epsilon and the scan's three columns; the domain, the Khintchine bound
+    and the theorem-hypotheses flag are read off phi, the system and mu(B).
+    The columns hold the elements and their values in column form
+    (``algebra.pair_column``: over Q each rational coordinate as its pair),
+    and the kernel's pairs, each correlation a reduced (numerator,
+    denominator) int pair.  ``elements`` and ``values`` read the columns in
+    normal form, built once, when first read."""
 
     def __init__(
-        self, system, B, phi: PolynomialMap, epsilon: Fraction, window: Window,
+        self, system, B, phi: PolynomialMap, epsilon: Fraction, window: Window, mu: Fraction,
         threshold: Fraction, element_column: tuple, value_column: tuple, pairs: tuple,
     ):
         self.system, self.B, self.phi, self.epsilon = system, B, phi, epsilon
-        self.window, self.threshold = window, threshold
+        self.window, self.mu, self.threshold = window, mu, threshold
         self.element_column = element_column  # the window in canonical order
         self.value_column = value_column  # phi(u) for each element
         self.pairs = pairs  # the kernel's (corr, in_R) for each value, one tuple per distinct pair
-        self.domain, self.mu = phi.domain, system.measure(B)
-        self.khintchine = khintchine_bound(system, B)
+        self.domain = phi.domain
+        self.khintchine = SpectralSplit.of(system, mu).khintchine
         self.outside_hypotheses = system.outside_theorem_hypotheses
         self.classification = {}  # r -> IpStarVerdict
         self.exceptional_density = None  # a DensityProfile, once a windowed classify ran
@@ -135,18 +142,15 @@ class RecurrenceReport:
 
 def _checked_kernel(sys, B, phi: PolynomialMap, epsilon, window: Window, count: int):
     """What the return-set scan and the probe share: the checked inputs,
-    then (B as an event, epsilon, the threshold, the kernel, the compiled
-    map).  The count values the caller builds at elements of the window
-    are refused before any is built when they would take more than
-    ``VALUE_CAP`` (``check_value_size``).  Zero's pair is checked: every
+    then (B as an event, epsilon, mu(B), the threshold, the kernel, the
+    compiled map), mu(B) measured once.  The count values the caller builds
+    at elements of the window are refused before any is built when they
+    would take more than ``VALUE_CAP`` (``check_value_size``).  Zero's pair is checked: every
     window holds zero, and corr(0) = mu(B) lies above the threshold."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise RecurrenceError("epsilon must be a positive rational")
-    if phi.target != sys.acting:
-        raise RecurrenceError(
-            f"map target {phi.target} does not match the acting group {sys.acting}"
-        )
+    check_map_target(sys, phi, RecurrenceError)
     B = sys.event(B)
     check_value_size(phi, window, count)
     mu = sys.measure(B)
@@ -155,7 +159,7 @@ def _checked_kernel(sys, B, phi: PolynomialMap, epsilon, window: Window, count: 
     # the compiled map takes and gives column form, as the kernel takes it
     if not kernel(value(pair_column(phi.ring, (phi.ring.zero,) * phi.n)))[1]:
         raise RecurrenceError("return set lost the zero element; broken invariant")
-    return B, epsilon, threshold, kernel, value
+    return B, epsilon, mu, threshold, kernel, value
 
 
 def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> RecurrenceReport:
@@ -166,11 +170,11 @@ def recurrence_set(sys, B, phi: PolynomialMap, epsilon, window: Window) -> Recur
     ``Fraction`` is built per element.  A window of more than ``SIZE_CAP``
     elements is refused before anything else (``window_column``)."""
     elements = window_column(phi.domain, window)
-    B, epsilon, threshold, kernel, value = _checked_kernel(sys, B, phi, epsilon, window, len(elements))
+    B, epsilon, mu, threshold, kernel, value = _checked_kernel(sys, B, phi, epsilon, window, len(elements))
     # a one-variable map takes its element as a 1-tuple of coordinates
     values = tuple(map(value, zip(elements) if phi.n == 1 else elements))
     pairs = tuple(map(kernel, values))
-    return RecurrenceReport(sys, B, phi, epsilon, window, threshold, elements, values, pairs)
+    return RecurrenceReport(sys, B, phi, epsilon, window, mu, threshold, elements, values, pairs)
 
 
 def classify_ipstar(
@@ -277,17 +281,18 @@ class _BallCover:
     order of first calls decides the order in which cells are founded.
 
     T preserves mu, so d^2(T^e x, T^c x) = 2(mu(x) - mu(x cap T^(c-e) x)):
-    each distance is one call of the event's correlator, and strictly inside
-    the radius reads corr(c - e) > mu(x) - radius^2 / 2."""
+    strictly inside the radius reads corr(c - e) > mu(x) - radius^2 / 2,
+    the hit of one call of the event's kernel at that threshold, on the
+    difference normalised into the acting group."""
 
     def __init__(self, sys, x, radius_sq: Fraction):
-        corr, floor = sys.correlator(x), sys.measure(x) - radius_sq / 2
+        kernel, normalise = sys.kernel(x, sys.measure(x) - radius_sq / 2), sys._normalise
         self.centers = centers = []
 
         @cache
         def cell(e) -> int:
             """Cell of T^e applied to the tracked event."""
-            i = next((j for j, c in enumerate(centers) if corr(c - e) > floor), len(centers))
+            i = next((j for j, c in enumerate(centers) if kernel(normalise(c - e))[1]), len(centers))
             if i == len(centers):
                 centers.append(e)
             return i

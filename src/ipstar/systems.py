@@ -14,28 +14,32 @@ finite rational computation:
   sets constraining finitely many coordinates to letter sets.
 
 Every event measure, correlation mu(B cap T^w B), squared orbit distance and
-spectral quantity is a ``fractions.Fraction``.
+spectral quantity the public functions return is a ``fractions.Fraction``.
 
 Each backend has one kernel per event, ``kernel(B, threshold)``: w ->
-(mu(B cap T^w B), whether it exceeds the threshold), for w in column form
-(``algebra.pair_column``: over Q each coordinate as its pair).  The work
-that depends only on (system, B) is done once, and each call pays only for
-what depends on w.  ``correlator(B)`` is that kernel behind the check of w
-and its conversion to column form, and ``correlation(B, w)`` is
-``correlator(B)(w)``.  The return-set paths ask the kernel:
-``recurrence_set``, ``fp_probe`` and the Bernoulli ``dlim_probe`` feed it
-the compiled map's values, already in column form.  The correlator remains
-for the constructive search's ball cover (``_BallCover``, d^2(T^e x, T^c x)
-= 2(mu(x) - mu(x cap T^(c-e) x)), whose differences c - e may be
-negative), for ``correlation`` and for the test oracles.  Densities
+(corr, hit), corr = mu(B cap T^w B) as its reduced (numerator,
+denominator) int pair, the form values over Q take in the scans, and hit
+whether corr exceeds the threshold, for w in column form
+(``algebra.pair_column``: over Q each coordinate as its pair).  No kernel
+does ``Fraction`` arithmetic per call or per tabled value.  The work that
+depends only on (system, B) is done once, and each call pays only for what
+depends on w.  ``correlator(B)`` is that kernel behind the check of w and
+its conversion to column form, its pair read back as a ``Fraction``, and
+``correlation(B, w)`` is ``correlator(B)(w)``.  The return-set paths ask
+the kernel: ``recurrence_set``, ``fp_probe`` and the Bernoulli
+``dlim_probe`` feed it the compiled map's values, already in column form,
+and so does the constructive search's ball cover (``_BallCover``,
+d^2(T^e x, T^c x) = 2(mu(x) - mu(x cap T^(c-e) x)), which reads only the
+hit of the normalised difference c - e).  The correlator remains for
+``correlation`` and for the test oracles.  Densities
 (``dlim_probe`` and a windowed classify) average over the canonical windows
 1..N of ``folner_sets`` only, through one function, ``window_means``: one
 pass over a listing that holds window N (window N itself, or a report's
 elements) puts each element in the bucket of the least n whose window holds
-it, and returns the whole run as a ``DensityProfile``.  The finite-perm and
-rotation kernels are integer arithmetic, decide the hit in integers, and
-build each distinct (``Fraction``, hit) pair once, keyed on integers, in a
-table that lives and dies with the kernel; the event algebra
+it, and returns the whole run as a ``DensityProfile``.  The kernels are
+integer arithmetic, decide the hit in integers, and build each distinct
+pair once, keyed on integers (Bernoulli: on the shifts in D), in a table
+that lives and dies with the kernel; the event algebra
 (``shift_event``, ``intersection_measure``, ``measure``) stays the naive
 reference every kernel must agree with:
 
@@ -56,14 +60,17 @@ reference every kernel must agree with:
   slope after it, once per event.  A call works out w's turn as an integer
   ratio n / M (with one angle, straight off w's numerator and
   denominator); a turn n mod M over M met for the first time finds its
-  segment by bisection and builds one ``Fraction``; an even map gives u
-  and -u one w, so one turn.
+  segment by bisection and reduces its value by one gcd; an even map
+  gives u and -u one w, so one turn.
 * Bernoulli: cylinders on disjoint coordinates are independent under the
   product measure, so for w outside D = supp(B) - supp(B) the correlation
-  is mu(B)^2.  On the finite set D each correlation is worked out once,
-  with the naive event algebra, and tabled with its hit; a call is one
-  dict lookup, which returns the one precomputed (mu(B)^2, hit) pair for
-  every w outside D.  Only the correlator normalises w first.
+  is mu(B)^2.  The letter probabilities are integer weights over one
+  common denominator q, and on the finite set D each correlation is a
+  product of letter-set weights over a power of q, worked out once from
+  the overlapping coordinate pairs of each shift (no ``Cylinder`` is
+  built) and tabled with its hit; a call is one dict lookup, which
+  returns the one precomputed (mu(B)^2, hit) pair for every w outside D.
+  Only the correlator normalises w first.
 
 The finite-field backend sits outside the hypotheses of the recurrence
 theorem being exercised (which needs an infinite ground structure); its
@@ -77,7 +84,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm, prod
 
 from .algebra import (
     DegreeWindow,
@@ -114,9 +121,10 @@ class _Backend:
         return self.correlator(B)(w)
 
     def correlator(self, B):
-        """w -> mu(B cap T^w B) for any w the acting group accepts."""
+        """w -> mu(B cap T^w B), a ``Fraction``, for any w the acting group
+        accepts."""
         kernel, normalise = self.kernel(B, 0), self._normalise  # the hit is not read
-        return lambda w: kernel(normalise(w))[0]
+        return lambda w: Fraction(*kernel(normalise(w))[0])
 
     def _normalise(self, w):
         coords = self._coords(w)
@@ -229,13 +237,14 @@ class FinitePermSystem(_Backend):
 
     def kernel(self, B: frozenset, threshold):
         """w -> (mu(B cap T^w B), whether it exceeds threshold) for w in
-        normal form.  T^w preserves the weights, so the correlation is the
-        weight of the x in B whose image lands in B: an integer total over
+        normal form, the correlation as its reduced (numerator, denominator)
+        pair.  T^w preserves the weights, so the correlation is the weight
+        of the x in B whose image lands in B: an integer total over
         ``_den``, compared with the threshold in integers.  The pair is
         built once per distinct total and tabled in the kernel."""
         den, td = self._den, threshold.denominator
         bar = threshold.numerator * den  # total / den > threshold: total * td > bar
-        pair = cache(lambda total: (Fraction(total, den), total * td > bar))
+        pair = cache(lambda total: (_reduced(total, den), total * td > bar))
         if self.n == 1:
             # B as one bitmask per cycle it meets: T^c moves index i to
             # i + c, so the x in B landing in B are the set bits of m & rot(m, c)
@@ -257,6 +266,12 @@ class FinitePermSystem(_Backend):
         xs = tuple(B)
         nums = [self._num[x] for x in xs]
         return lambda w: pair(sum(v for v, y in zip(nums, self._images(xs, w)) if y in B))
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num / den (den > 0) as its pair in lowest terms, by one gcd."""
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _cycles(g: dict) -> list[tuple]:
@@ -406,9 +421,10 @@ class RotationSystem(_Backend):
         and each segment has an integer slope k_i.  A turn s = n / M in
         [beta_i / D, beta_(i+1) / D) then has
         corr = (V_i * M + k_i * (n * D - beta_i * M)) / (D * M), compared
-        with the threshold in integers.  With one angle rho the turn of
-        w = (a, b) is n / M = (a * rho.numerator) / (b * rho.denominator).
-        Each turn (n mod M, M) is worked out once; its pair is tabled in the
+        with the threshold in integers and reduced by one gcd to the pair
+        the kernel returns.  With one angle rho the turn of w = (a, b) is
+        n / M = (a * rho.numerator) / (b * rho.denominator).  Each turn
+        (n mod M, M) is worked out once; its pair is tabled in the
         kernel."""
         D = lcm(*(e.denominator for piece in B.pieces for e in piece))
         ends = [(a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
@@ -424,7 +440,7 @@ class RotationSystem(_Backend):
         def pair(n, M):  # the turn n / M, 0 <= n < M
             i = bisect_right(starts, n * D // M) - 1
             num = values[i] * M + slopes[i] * (n * D - starts[i] * M)
-            return Fraction(num, D * M), num * td > bar * M
+            return _reduced(num, D * M), num * td > bar * M
 
         if self.n == 1:
             rn, rd = self.rho.numerator, self.rho.denominator
@@ -539,18 +555,42 @@ class BernoulliSystem(_Backend):
 
     def kernel(self, B: Cylinder, threshold):
         """w -> (mu(B cap T^w B), whether it exceeds threshold) for a
-        normalised w.  Outside D = supp(B) - supp(B), B and its shift
-        constrain disjoint coordinates, independent under the product
+        normalised w, the correlation as its reduced (numerator,
+        denominator) pair.  The letter probabilities are integer weights
+        over one common denominator q, so a cylinder constraining k
+        coordinates has an integer measure over q^k.  T^d B constrains
+        c + d to B's letters at c, so for d = a - c with a, c in supp(B)
+        the coordinate a holds both letter sets; the overlapping pairs
+        (a, c) of each d in D = supp(B) - supp(B) are grouped once, and
+        mu(B cap T^d B) is the product of the overlaps' weights and of the
+        other constraints' over q^(2k - overlaps).  Outside D, B and its
+        shift constrain disjoint coordinates, independent under the product
         measure, so every such w gets one pair, mu(B)^2 with its hit, and w
-        is never looked at beyond one dict lookup; each value on D is worked
-        out once, with the naive event algebra, and tabled with its hit."""
-        ring, supp = self.ring, B.constraints
-        mu2 = self.measure(B) ** 2
-        outside = (mu2, mu2 > threshold)
+        is never looked at beyond one dict lookup."""
+        q = lcm(*(x.denominator for x in self.base))
+        weights = [x.numerator * (q // x.denominator) for x in self.base]
+        weight = cache(lambda letters: sum(map(weights.__getitem__, letters)))
+        supp, tn, td = B.constraints, threshold.numerator, threshold.denominator
+
+        def pair(num: int, k: int):  # num / q^k
+            den = q**k
+            return _reduced(num, den), num * td > tn * den
+
+        alone = {c: weight(letters) for c, letters in supp.items()}
+        overlaps: dict = {}  # d -> [(a, c), ...] with a - c = d
+        for a in supp:
+            for c in supp:
+                overlaps.setdefault(self.ring.sub(a, c), []).append((a, c))
+        k = len(supp)
         table = {}
-        for d in {ring.sub(d, c) for c in supp for d in supp}:
-            v = self.intersection_measure(B, self.shift_event(B, d))
-            table[d] = (v, v > threshold)
+        for d, both in overlaps.items():
+            mine, theirs = dict(alone), dict(alone)  # B's constraints, then T^d B's
+            num = 1
+            for a, c in both:
+                num *= weight(supp[a] & supp[c])
+                del mine[a], theirs[c]
+            table[d] = pair(num * prod(mine.values()) * prod(theirs.values()), 2 * k - len(both))
+        outside = pair(prod(alone.values()) ** 2, 2 * k)
         get = table.get
         return lambda w: get(w, outside)
 
@@ -594,23 +634,25 @@ class SpectralSplit(namedtuple("SpectralSplit", "kind mu norm2_f norm2_compact n
             raise SystemError("split violates the Pythagoras identity")
         return super().__new__(cls, kind, mu, norm2_f, norm2_compact, norm2_residual)
 
+    @classmethod
+    def of(cls, sys, mu: Fraction) -> "SpectralSplit":
+        """The split of an event of measure mu on sys."""
+        if sys.is_compact:
+            return cls("identity", mu, mu, mu, Fraction(0))
+        # product measure: constants are the only almost-periodic component of a
+        # cylinder indicator; norms: ||1_B||^2 = mu, ||mu||^2 = mu^2
+        return cls("constant", mu, mu, mu * mu, mu - mu * mu)
+
+    @property
+    def khintchine(self) -> Fraction:
+        """||P 1_B||^2, which can never fall below mu(B)^2."""
+        if self.norm2_compact < self.mu**2:
+            raise SystemError("projection norm fell below the square of the measure")
+        return self.norm2_compact
+
 
 def compact_projection(sys, B) -> SpectralSplit:
-    mu = sys.measure(B)
-    if sys.is_compact:
-        return SpectralSplit("identity", mu, mu, mu, Fraction(0))
-    # product measure: constants are the only almost-periodic component of a
-    # cylinder indicator; norms: ||1_B||^2 = mu, ||mu||^2 = mu^2
-    return SpectralSplit("constant", mu, mu, mu * mu, mu - mu * mu)
-
-
-def khintchine_bound(sys, B) -> Fraction:
-    """||P 1_B||^2, which can never fall below mu(B)^2."""
-    split = compact_projection(sys, B)
-    bound = split.norm2_compact
-    if bound < split.mu**2:
-        raise SystemError("projection norm fell below the square of the measure")
-    return bound
+    return SpectralSplit.of(sys, sys.measure(B))
 
 
 # ---------------------------------------------------------------------------
@@ -702,17 +744,26 @@ def window_means(f, group, N: int, elements) -> DensityProfile:
     return DensityProfile(out[-1], tuple(out))
 
 
+def check_map_target(sys, phi, error) -> None:
+    """Refuse, by raising error, a map whose values are not elements of the
+    group acting on sys."""
+    if phi.target != sys.acting:
+        raise error(f"map target {phi.target} does not match the acting group {sys.acting}")
+
+
 def dlim_probe(sys, B, phi_map, N: int) -> DensityProfile:
     """Cesaro averages of |<T^{phi(v)}(1_B - P1_B), 1_B>|^2 over the
-    canonical windows 1..N of the map's domain.  Exactly zero on the compact
-    backends, where the projection is the identity, so no window is listed
-    there, and an N over ``SIZE_CAP`` is refused before the profile is
-    built.  On the product backend the term is (corr - mu(B)^2)^2, read in
-    one pass over window N from the kernel's pair for phi(v) and squared
-    once per distinct pair; it must decay in N, since only finitely many v
-    contribute.  There a window over ``SIZE_CAP`` elements, or values over
-    it past ``VALUE_CAP`` (``check_value_size``), are refused before any
-    value is built."""
+    canonical windows 1..N of the map's domain, for a map into the acting
+    group (``check_map_target``).  Exactly zero on the compact backends,
+    where the projection is the identity, so no window is listed there, and
+    an N over ``SIZE_CAP`` is refused before the profile is built.  On the
+    product backend the term is (corr - mu(B)^2)^2, read in one pass over
+    window N from the kernel's pair for phi(v), its correlation an integer
+    pair, and squared once per distinct pair; it must decay in N, since
+    only finitely many v contribute.  There a window over ``SIZE_CAP``
+    elements, or values over it past ``VALUE_CAP`` (``check_value_size``),
+    are refused before any value is built."""
+    check_map_target(sys, phi_map, SystemError)
     split, domain = compact_projection(sys, B), phi_map.domain
     if split.kind == "identity":
         if N < 1:
@@ -722,14 +773,16 @@ def dlim_probe(sys, B, phi_map, N: int) -> DensityProfile:
         return DensityProfile(Fraction(0), (Fraction(0),) * N)
     elements = folner_sets(domain, N)
     check_value_size(phi_map, DegreeWindow(N), len(elements))  # window N of F_p[t]
-    kernel, value, n, mu2 = sys.kernel(B, 0), phi_map.compiled, phi_map.n, split.mu**2
+    kernel, value, n = sys.kernel(B, 0), phi_map.compiled, phi_map.n
+    a, b = split.mu.numerator ** 2, split.mu.denominator ** 2  # mu(B)^2 = a / b
     squares: dict = {}  # id(pair) -> its term; the kernel keeps every pair it returns alive
 
     def term(v):
         pair = kernel(value(as_coords(v, n)))
         t = squares.get(id(pair))
         if t is None:
-            t = squares[id(pair)] = (pair[0] - mu2) ** 2
+            (c, d), _hit = pair  # (c / d - a / b)^2
+            t = squares[id(pair)] = Fraction((c * b - a * d) ** 2, (d * b) ** 2)
         return t
 
     return window_means(term, domain, N, elements)

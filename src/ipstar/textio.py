@@ -26,13 +26,13 @@ holds all that differs between the hj and fu certificate families.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import compress
-from operator import add
+from json.encoder import encode_basestring_ascii
+from operator import add, is_
 from sys import get_int_max_str_digits
 
 from .algebra import (
@@ -42,6 +42,7 @@ from .algebra import (
     PrimeField,
     Rationals,
     VectorSpace,
+    window_column,
 )
 from .halesjewett import (
     SubsetConfig,
@@ -147,6 +148,42 @@ def column_renderer(group):
 
 def render_element(group, x) -> str:
     return element_renderer(group)(x)
+
+
+def window_texts(group, window, column) -> list[str]:
+    """The canonical texts of a window's elements, in window order, column
+    being the window in column form (``algebra.window_column``).  They are
+    built from the window's product structure where it has one: a ``deg D``
+    window of F_p[t] joins each element's lowest coefficient's text to a
+    suffix text that p elements share, one concatenation per element, and
+    a vector window joins its coordinates' texts.  Any other window takes
+    ``column_renderer`` once per entry of column."""
+    if isinstance(group, VectorSpace):
+        coords = window_texts(group.ring, window, window_column(group.ring, window))
+        if group.dim == 1:
+            return coords
+        # coordinate 1 most significant, as the window lists them
+        texts = ["(" + c for c in coords]
+        mids = ["," + c for c in coords]
+        for _ in range(group.dim - 2):
+            texts = [t + m for t in texts for m in mids]
+        ends = ["," + c + ")" for c in coords]
+        return [t + e for t in texts for e in ends]
+    if isinstance(group, PolyRing):
+        # the polynomials of n + 1 coefficients run with the leading one
+        # outermost and the constant fastest: each is a head "[c0" and a
+        # tail ",c1,...,lead]" shared by the p heads, and the tails of n + 1
+        # coefficients put ",c1" before those of n
+        digits = list(map(str, range(group.p)))
+        texts = ["[]"] + (["[" + c + "]" for c in digits[1:]] if window.deg_bound else [])
+        heads, mids = ["[" + c for c in digits], ["," + c for c in digits]
+        tails = ["," + c + "]" for c in digits[1:]]
+        for n in range(1, window.deg_bound):
+            if n > 1:
+                tails = [m + t for t in tails for m in mids]
+            texts += [h + t for t in tails for h in heads]
+        return texts
+    return list(map(column_renderer(group), column))
 
 
 def _split_top(text: str, sep: str) -> list[str]:
@@ -654,11 +691,8 @@ def report_tree(report, *, generated: str | None = None) -> dict:
     tree["system"] = describe_system(report.system)
     tree["phi"] = render_poly_map(report.phi)
     tree["epsilon"] = render_fraction(report.epsilon)
-    members = compress(report.element_column, report.hits())
-    tree["R"] = {
-        "members": list(map(column_renderer(report.domain), members)),
-        "exact": report.exact,
-    }
+    texts = window_texts(report.domain, report.window, report.element_column)
+    tree["R"] = {"members": list(compress(texts, report.hits())), "exact": report.exact}
     render = element_renderer(report.domain)
     classes = {
         str(r): {
@@ -682,28 +716,61 @@ def report_tree(report, *, generated: str | None = None) -> dict:
 
 
 def render_report_json(tree: dict) -> str:
-    return json.dumps(tree, indent=2) + "\n"
+    """The report tree's text: byte for byte ``json.dumps(tree, indent=2)``
+    and a line break, for the values a tree holds (dicts with string keys,
+    lists, strings, booleans, None and ints)."""
+    return _json(tree, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """value as ``json.dumps(value, indent=2)`` writes it at the depth whose
+    line break and indent are newline.  A list of strings is joined in one
+    call, each string encoded by json's own (C) encoder."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        try:
+            items = list(map(encode_basestring_ascii, value))
+        except TypeError:  # not all strings
+            items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"no JSON text for a {type(value).__name__}")
 
 
 def render_recurrence_csv(report, *, generated: str | None = None) -> str:
     """The per-element table: a header, then one csv line
     "w,mu_B,corr,threshold,in_R" per element in window order.  Only w's text
     can hold a comma (a vector or a polynomial), and then it is quoted, as
-    csv's minimal quoting does; no text holds a quote or a line break."""
-    render = column_renderer(report.system.acting)
+    csv's minimal quoting does; no text holds a quote or a line break.
+    When every value is its element's own object (``operator.is_`` over the
+    two columns, as under phi = u), the w cells are the window's texts
+    (``window_texts``); otherwise each value is rendered."""
+    values, elements = report.value_column, report.element_column
+    if all(map(is_, values, elements)):
+        texts = window_texts(report.domain, report.window, elements)
+    else:
+        texts = map(column_renderer(report.system.acting), values)
     mu, threshold = render_fraction(report.mu), render_fraction(report.threshold)
     pairs = report.pairs
     # the pair column keeps every pair alive, so an id names one pair: the
     # line tail of each distinct pair is rendered once
     tails = {
-        i: f",{mu},{render_fraction(corr)},{threshold},{'true' if hit else 'false'}\n"
+        i: f",{mu},{_render_pair(corr)},{threshold},{'true' if hit else 'false'}\n"
         for i, (corr, hit) in dict(zip(map(id, pairs), pairs)).items()
     }
-
-    def cell(w) -> str:
-        text = render(w)
-        return f'"{text}"' if "," in text else text
-
     head = "" if generated is None else f"# generated: {generated}\n"
-    lines = map(add, map(cell, report.value_column), map(tails.__getitem__, map(id, pairs)))
+    cells = (f'"{text}"' if "," in text else text for text in texts)
+    lines = map(add, cells, map(tails.__getitem__, map(id, pairs)))
     return "".join([head, "w,mu_B,corr,threshold,in_R\n", *lines])

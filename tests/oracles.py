@@ -41,7 +41,6 @@ from ipstar.systems import (
     RotationSystem,
     compact_projection,
     folner_sets,
-    khintchine_bound,
     orbit_metric,
 )
 from ipstar.textio import describe_system, render_poly_map
@@ -477,6 +476,12 @@ def family_order(r: int) -> list[frozenset[int]]:
     return [mask_to_set(m) for m in range(1, 1 << r)]
 
 
+def khintchine_bound(sys, B) -> Fraction:
+    """||P 1_B||^2 of an event, measured afresh: the bound a report reads
+    off its own mu(B) (``SpectralSplit.khintchine``)."""
+    return compact_projection(sys, B).khintchine
+
+
 def cross_terms(sys, B):
     """w -> <T^w (1_B - P1_B), 1_B> exactly, from one correlator: zero when
     the projection is the identity, corr(w) - mu(B)^2 for the constant
@@ -532,9 +537,9 @@ def theorem1_pipeline(sys, B, phi: PolynomialMap, epsilon, window: Window, r_max
         if in_A and not in_E and not hit:
             raise RecurrenceError("inequality chain failed: A minus E left the return set")
         values.append(w)
-        pairs.append((corr, hit))
+        pairs.append(((corr.numerator, corr.denominator), hit))
     report = RecurrenceReport(
-        sys, B, phi, epsilon, window, threshold,
+        sys, B, phi, epsilon, window, mu, threshold,
         pair_column(domain, elements), pair_column(phi.target, values), tuple(pairs),
     )
     return classify_ipstar(report, r_max), tuple(A), tuple(E)

@@ -46,7 +46,6 @@ from ipstar.systems import (
     RotationSystem,
     compact_projection,
     dlim_probe,
-    khintchine_bound,
     regular_system,
 )
 from ipstar.textio import (
@@ -59,6 +58,7 @@ from oracles import (
     config_points,
     family_order,
     folner_density,
+    khintchine_bound,
     psi_decode,
     reports_agree,
     telescope_check,

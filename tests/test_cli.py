@@ -1224,6 +1224,38 @@ def test_a_larger_epsilon_keeps_every_element_of_the_return_set(case):
     assert _least_holding_level(trees[0]) >= _least_holding_level(trees[1])
 
 
+@st.composite
+def unit_scalings(draw):
+    """A p-cycle system with a non-empty event B, a map sum c_k u^k (k <= 3,
+    no c_k divisible by p), a unit a mod p and an epsilon."""
+    p = draw(st.sampled_from([5, 7, 11]))
+    B = draw(st.sets(st.integers(0, p - 1), min_size=1))
+    cycle = (
+        f"backend finite-perm\np {p}\npoints {' '.join(map(str, range(p)))}\n"
+        f"gen ({' '.join(map(str, range(p)))})\nset B {' '.join(map(str, sorted(B)))}\n"
+    )
+    coeffs = draw(st.dictionaries(st.integers(1, 3), st.integers(1, p - 1), min_size=1))
+    a = draw(st.integers(1, p - 1))
+    eps = draw(st.builds(Fraction, st.integers(1, 10), st.integers(10, 200)))
+    return p, cycle, coeffs, a, f"epsilon={eps.numerator}/{eps.denominator}"
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(unit_scalings())
+def test_a_unit_scaling_of_the_domain_scales_the_return_set_by_its_inverse(case):
+    # u -> a*u is an additive automorphism of F_p, so phi(a*u) returns at u
+    # exactly when phi returns at a*u: R(phi(a*u)) = a^-1 R(phi), and the
+    # automorphism maps IP_r sets avoiding one R onto those avoiding the other
+    p, cycle, coeffs, a, eps = case
+    phi = " + ".join(f"{c}*u^{k}" for k, c in sorted(coeffs.items()))
+    scaled = " + ".join(f"{c * a**k % p}*u^{k}" for k, c in sorted(coeffs.items()))
+    trees = [_classify_tree([f"phi={f}", eps, "window=full", "r_max=4"], cycle) for f in (phi, scaled)]
+    inverse = pow(a, -1, p)
+    assert {str(int(x) * inverse % p) for x in trees[0]["R"]["members"]} == set(trees[1]["R"]["members"])
+    kinds = [{r: v["kind"] for r, v in tree["classification"].items()} for tree in trees]
+    assert kinds[0] == kinds[1] and len(kinds[0]) == 4
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -14,7 +14,8 @@ value must equal ``correlation(B, w)``, the naive event algebra,
 ``tests/oracles.py`` or a closed form that shares no code with either.
 Rotation turns are also drawn on the breakpoints and just either side of
 them, where the table switches segment.  Each ``kernel(B, threshold)``
-takes w in column form and tables one (corr, hit) pair per distinct key; a
+takes w in column form and tables one (corr, hit) pair per distinct key,
+corr as the reduced (numerator, denominator) pair of the oracle's value; a
 shuffled window whose w repeat must get the oracle's pair on every call,
 kernels for other events or thresholds on the same system must keep tables
 of their own, and the correlator must be the kernel behind normalisation.
@@ -398,6 +399,20 @@ def test_bernoulli_kernel_matches_cylinder_oracle(case):
     _agree(sys, B, ws, _cylinder_oracle(sys, constraints))
 
 
+@settings(max_examples=200, deadline=None)
+@given(bernoulli_cases(), st.fractions(-1, 1, max_denominator=30))
+def test_bernoulli_integer_kernel_matches_the_event_algebra(case, threshold):
+    # the kernel's D-table is integer letter weights over one common
+    # denominator; each of its pairs, and the one outside D, must be the
+    # reduced pair of the naive intersection of B with its shift
+    sys, B, ws, _constraints = case
+    kernel = sys.kernel(B, threshold)
+    supp = list(B.constraints)
+    for w in [sys.ring.sub(a, c) for a in supp for c in supp] + [sys.ring.element(w) for w in ws]:
+        want = sys.intersection_measure(B, sys.shift_event(B, w))
+        assert kernel(w) == ((want.numerator, want.denominator), want > threshold)
+
+
 def test_bernoulli_disjoint_supports_are_independent():
     sys = BernoulliSystem(2, [F(1, 3), F(2, 3)])
     B = sys.event({(): {0}, (0, 1): {1}})
@@ -470,8 +485,9 @@ def _element(sys, w):
 
 
 def _is_pair(pair, want, threshold):
+    # the correlation comes as the oracle value's reduced (numerator, denominator)
     corr, hit = pair
-    return isinstance(corr, F) and corr == want and hit == (want > threshold)
+    return corr == (want.numerator, want.denominator) and hit == (want > threshold)
 
 
 @settings(max_examples=150, deadline=None)
@@ -506,4 +522,4 @@ def test_the_correlator_is_the_kernel_behind_normalisation(case):
         u = _element(sys, w)
         assert sys._normalise(u) == w
         corr, hit = kernel(sys._normalise(u))
-        assert corr == correlator(u) and hit == (corr > threshold)
+        assert F(*corr) == correlator(u) and hit == (F(*corr) > threshold)

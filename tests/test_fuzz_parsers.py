@@ -1,12 +1,18 @@
-"""Mutated system files, certificates and checkpoints.
+"""Mutated system files, certificates, checkpoints and argument lists.
 
-Each case takes a valid file, drops, repeats, swaps or truncates some of
-its lines and swaps some tokens for drawn ones.  The parsers may read the
-result or refuse it, but only with ``TextFormatError`` or another
+Each file case takes a valid file, drops, repeats, swaps or truncates some
+of its lines and swaps some tokens for drawn ones.  The parsers may read
+the result or refuse it, but only with ``TextFormatError`` or another
 ``ValueError``; a run resumed from a mutated checkpoint exits 0, 1 or 2
-with no traceback.  Every case must finish within two seconds."""
+with no traceback.  Each argument-list case takes a valid ``recurrence``
+(csv or report), ``classify``, ``probe`` or ``density`` command on a small
+system file of one of the three backends, drops, repeats or rekeys some of
+its arguments and swaps or adds values; run through ``cli.main``
+in-process, it exits 0, 1 or 2, and no exception but ``SystemExit``
+escapes.  Every case must finish within two seconds."""
 
 import io
+import os
 import signal
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
@@ -171,3 +177,91 @@ def test_each_value_on_each_line_is_read_or_refused(checkpoint, kind):
         for text in _with_each_value(seed):
             with _deadline():
                 read(text)
+
+
+# ---------------------------------------------------------------------------
+# argument lists of the return-set commands
+
+# (system text, phi, window, probe generators) per backend
+RETURN_SET_SYSTEMS = {
+    "finite-perm": (SYSTEMS[0], "u^2 + 2*u", "full", "1,2"),
+    "rotation": ("backend rotation\nrho 2/7\nset B 0 1/3 1/2 3/4\n", "3*u^2", "rat 3 2", "1/2,2"),
+    "bernoulli": ("backend bernoulli\np 2\nprobs 1/3 2/3\nset B []:0 [0,1]:1\n", "u^2 + u", "deg 3",
+                  "[0,1],[1,1]"),
+}
+# values a key may take instead of its own: other backends' phis, windows and
+# generators, maps of several variables, zero and huge powers, and the
+# special tokens
+VALUES = st.sampled_from([
+    "u", "x1*x2", "x1 + x2", "0*u", "u^0", "u^100000", "u^2*(1,0)", "2*u^3 + u",
+    "full", "deg 0", "deg 40", "rat 0 1", "rat 1000 1000", "rat 2", "deg -1",
+    "0", "1,0", "[],[1]", "1/0", "3/2", "csv", "report", "B", "C", *SPECIAL,
+])
+KEYS = ["system", "set", "phi", "epsilon", "window", "format", "r_max", "gens", "N", "budget", "r", "x"]
+
+
+def _return_set_runs(system: str, backend: str) -> list[list[str]]:
+    """One argument list per return-set command on one system file."""
+    _text, phi, window, gens = RETURN_SET_SYSTEMS[backend]
+    common = [f"system={system}", f"phi={phi}", "epsilon=1/20", f"window={window}"]
+    return [
+        ["recurrence", *common],
+        ["recurrence", *common, "format=report"],
+        ["classify", *common, "r_max=3"],
+        ["probe", *common, f"gens={gens}"],
+        ["density", f"system={system}", f"phi={phi}", "N=3"],
+    ]
+
+
+def _mutate_args(data, args: list[str]) -> list[str]:
+    """args (the command word first) with some arguments dropped, repeated,
+    given another key or value, or added."""
+    head, args = args[:1], list(args[1:])
+    for _ in range(data.draw(st.integers(1, 2))):
+        op = data.draw(st.sampled_from(["drop", "repeat", "key", "value", "add"]))
+        if op == "add" or not args:
+            args.append(f"{data.draw(st.sampled_from(KEYS))}={data.draw(VALUES)}")
+            continue
+        i = data.draw(st.integers(0, len(args) - 1))
+        key, _, value = args[i].partition("=")
+        if op == "drop":
+            del args[i]
+        elif op == "repeat":
+            args.insert(i, args[i])
+        elif op == "key":
+            args[i] = f"{data.draw(st.sampled_from(KEYS))}={value}"
+        else:
+            args[i] = f"{key}={data.draw(VALUES)}"
+    return head + args
+
+
+@pytest.fixture(scope="module")
+def return_set_files(tmp_path_factory):
+    """A directory holding one small system file per backend; runs write
+    their outputs there and start in it, so no mutated value reaches
+    another directory."""
+    root = tmp_path_factory.mktemp("fuzz-args")
+    for backend, (text, *_rest) in RETURN_SET_SYSTEMS.items():
+        (root / f"{backend}.txt").write_text(text)
+    return root
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(RETURN_SET_SYSTEMS)), st.integers(0, 4), st.data())
+def test_a_mutated_return_set_argument_list_exits_0_1_or_2(return_set_files, backend, run, data):
+    args = _mutate_args(data, _return_set_runs(f"{backend}.txt", backend)[run])
+    # the output directory comes last, so no mutated argument replaces it
+    argv = [*args, f"output={return_set_files}"] if args[0] in ("recurrence", "classify") else args
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(return_set_files)
+    try:
+        with _deadline(), redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses an argument list by exiting 2
+                rc = exc.code
+    finally:
+        os.chdir(cwd)
+    assert rc in (0, 1, 2), (argv, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()

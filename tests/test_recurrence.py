@@ -81,7 +81,7 @@ def test_recurrence_set_full_f5():
     assert rep.khintchine == F(2, 5)
     assert rep.outside_hypotheses
     # correlations behind the verdict: 2/5 at 0, 1/5 on every other square
-    corr = {u: c for u, (c, _) in zip(rep.elements, rep.pairs)}
+    corr = {u: F(*c) for u, (c, _) in zip(rep.elements, rep.pairs)}
     assert corr[0] == F(2, 5) and corr[1] == F(1, 5) and corr[2] == F(1, 5)
 
 
@@ -89,7 +89,7 @@ def test_recurrence_set_singleton_f5():
     s = regular_system(5)
     rep = recurrence_set(s, {0}, SQUARE_5, F(1, 50), FullWindow())
     assert rep.R == frozenset({0})
-    assert all((c == F(1, 5)) == (u == 0) for u, (c, _) in zip(rep.elements, rep.pairs))
+    assert all((F(*c) == F(1, 5)) == (u == 0) for u, (c, _) in zip(rep.elements, rep.pairs))
 
 
 def test_recurrence_set_enumerates_its_window_once(monkeypatch):
@@ -290,8 +290,8 @@ def test_recurrence_rows_are_the_map_and_the_correlation_of_each_element(case):
         coords = (u,) if phi.n == 1 else u
         want = eval_poly(phi, coords)
         assert repr(w) == repr(want) and w == naive_map_value(phi, coords)
-        assert corr == sys.correlation(B, want)
-        assert hit == (corr > threshold)
+        assert F(*corr) == sys.correlation(B, want)
+        assert hit == (F(*corr) > threshold)
     assert rep.R == {u for u, (_corr, hit) in zip(rep.elements, rep.pairs) if hit}
 
 

@@ -33,7 +33,6 @@ from ipstar.systems import (
     compact_projection,
     dlim_probe,
     folner_sets,
-    khintchine_bound,
     orbit_metric,
     regular_system,
     window_means,
@@ -42,6 +41,7 @@ from oracles import (
     cross_terms,
     folner_density,
     interval_length_oracle,
+    khintchine_bound,
     naive_bernoulli_cylinder_prob,
     naive_dlim_values,
     naive_finite_correlation,
@@ -712,6 +712,20 @@ def test_dlim_probe_lists_no_window_on_a_compact_backend(monkeypatch):
         assert all(type(v) is F for v in prof.values)
         with pytest.raises(SystemError, match=">= 1"):
             dlim_probe(sys_, sys_.event(B), phi, 0)
+
+
+def test_dlim_probe_refuses_a_map_into_another_group():
+    # u^2 over F_3[t] on a system acted on by F_2[t]: unchecked, its F_3[t]
+    # values would be looked up in the F_2[t] kernel's table and averaged
+    b = BernoulliSystem(2, [F(1, 2), F(1, 2)])
+    R3 = PolyRing(3)
+    square = PolynomialMap(R3, 1, R3, ((Monomial(R3, (1,), (2,)), (1,)),))
+    with pytest.raises(SystemError, match=r"map target F_3\[t\] does not match the acting group F_2\[t\]"):
+        dlim_probe(b, b.event({(): {0}}), square, 2)
+    # a compact backend refuses it too, though its profile needs no value
+    s = regular_system(5)
+    with pytest.raises(SystemError, match="does not match the acting group F_5"):
+        dlim_probe(s, s.event({0}), _identity_map(PolyRing(2)), 2)
 
 
 def test_finite_perm_reports_its_problems_in_a_fixed_order():

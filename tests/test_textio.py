@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import random
 from fractions import Fraction as F
 
@@ -19,9 +20,12 @@ from ipstar.algebra import (
     Monomial,
     PolyRing,
     PrimeField,
+    RationalWindow,
     Rationals,
     VectorSpace,
     scalar_poly_map,
+    window_column,
+    window_enumerate,
 )
 from ipstar.halesjewett import SubsetConfig, _lines_by_last_index, hj_stage
 from ipstar.ipsets import _fu_checks_by_position, fu_ramsey_check
@@ -58,6 +62,7 @@ from ipstar.textio import (
     render_subset_config,
     render_word,
     report_tree,
+    window_texts,
 )
 
 F5 = PrimeField(5)
@@ -228,6 +233,39 @@ def test_element_renderer_matches_the_reference(case):
         text = render(x)
         assert text == reference_render_element(group, x) == render_element(group, x)
         assert parse_element(group, text) == x
+
+
+WINDOWS = [
+    *[(PrimeField(p), FullWindow()) for p in (2, 3, 5, 7)],
+    *[(Q, RationalWindow(a, b)) for a, b in [(0, 1), (1, 1), (2, 3), (5, 4)]],
+    *[(PolyRing(p), DegreeWindow(d)) for p in (2, 3, 5, 7) for d in range(5 if p < 7 else 4)],
+    *[(VectorSpace(PrimeField(p), n), FullWindow()) for p in (2, 5) for n in (1, 2, 3)],
+    (VectorSpace(PolyRing(3), 2), DegreeWindow(2)),
+    (VectorSpace(Q, 2), RationalWindow(1, 2)),
+]
+
+
+@pytest.mark.parametrize("group, window", WINDOWS, ids=lambda x: str(x))
+def test_window_texts_are_the_texts_of_the_listed_elements(group, window):
+    # built from the window's structure, the texts must be the per-element
+    # renderer's over the window listed in normal form, in window order
+    texts = window_texts(group, window, window_column(group, window))
+    assert texts == list(map(element_renderer(group), window_enumerate(group, window)))
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-10**30, 10**30)
+                | st.text(max_size=6) | st.sampled_from(["", "1/2", "[0,1]", "(1,2)", 'q"\\\n\u00e9\U0001f600']))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=5), st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(st.text(max_size=4), max_size=5)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20,
+), max_size=6))
+def test_the_report_writer_is_json_dumps_with_indent_2(tree):
+    assert render_report_json(tree) == json.dumps(tree, indent=2) + "\n"
 
 
 def test_element_parse_rejections():
