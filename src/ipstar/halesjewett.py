@@ -14,26 +14,29 @@ Frozen conventions:
   moving set, base ascending is fixed letters lexicographic
 * bit i of the encoding is worth 2^(i-1): bit 1 is least significant
 
-The line scan (``first_mono_line``) compares whole color tables at once:
-the colors are packed into one int with a fixed-width lane per word, and a
-moving set's lines are found with a few shifts, XORs and masks over all
-lanes (a zero-lane test that keeps carries inside their lane).  That costs
-the same for every moving set, so only the sets with many lines are
-scanned that way; the rest test their bases one at a time.
-
-The encoding side keeps, per (d, r), the subset-tuple number of every word
-in word order (``word_subset_tuples``, an immutable tuple) and one
-``operator.itemgetter`` over it (``word_gather``), so a color table indexed
-by subset tuple reaches word order in one C-level gather.
+Two line scans return the first monochromatic line, one engine
+(``_first_line``) on two layouts of the color table.  ``first_mono_line``
+reads a table in word order, over any alphabet; it serves
+``find_mono_line`` and ``mono_config_search``.  ``first_mono_subset_line``
+reads the cover table of the constructive search in the order that builds
+it, by subset tuple (a_1..a_d), with no reordering into word order.  In
+either layout letter v at position p adds a fixed offset to a word's
+index, so the points of a line are its base plus the offsets of its
+moving letter.  The engine packs the table into one int with a
+fixed-width lane per word, finds the lines of a moving set with many of
+them with a few shifts, XORs and masks over all lanes (a zero-lane test
+that keeps carries inside their lane), and tests the bases of a set with
+few lines one at a time, on their first two points first.  Either way the
+line returned is the first in the canonical order above.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from functools import cache
-from itertools import combinations, product
-from operator import itemgetter
+from functools import partial
+from itertools import combinations, compress, product
+from operator import eq, itemgetter
 
 from .algebra import SIZE_CAP, Value, power_over_cap
 from .search import (
@@ -119,78 +122,177 @@ def _line_families(k: int, m: int):
 
 
 # array typecode per lane width in bytes; "I" wins over "L" where both are 4
-_LANE_TYPES = {array(t).itemsize: t for t in "LIHB"}
+_LANE_TYPES = {array(t).itemsize: t for t in "LIH"}
 
 
-def _packed(colors) -> tuple[int, int]:
-    """(lane width in bits, the colors as one int): color i sits in lane i,
-    little-endian, in the narrowest of 1, 2 or 4 bytes that holds the
-    largest color.  Colors of 2^32 or more are first renumbered densely in
-    order of appearance, which keeps equality and so every line."""
-    try:
-        return 8, int.from_bytes(bytes(colors), "little")
-    except ValueError:  # a color of 256 or more
-        top = max(colors)
+def lanes(top: int):
+    """The constructor of a flat table of ints in 0..top, in the narrowest
+    lanes that hold top: a ``bytearray`` of 1-byte lanes, an ``array`` of
+    2- or 4-byte lanes, or a ``list`` from 2^32 on.  Called with no
+    argument it gives an empty table, which ``+=`` extends at C level."""
+    if top < 1 << 8:
+        return bytearray
+    if top >= 1 << 32:
+        return list
+    return partial(array, _LANE_TYPES[2 if top < 1 << 16 else 4])
+
+
+def _lane_table(colors):
+    """The colors as a table of lanes (``lanes``): a table of lanes is kept
+    as it is; colors of 2^32 or more are first renumbered densely in order
+    of appearance, which keeps equality and so every line."""
+    if isinstance(colors, (bytearray, array)):
+        return colors
+    top = max(colors)
     if top >= 1 << 32:
         index: dict = {}
         colors = [index.setdefault(c, len(index)) for c in colors]
         top = len(index) - 1
-    width = 2 if top < 1 << 16 else 4
-    lanes = array(_LANE_TYPES[width], colors)
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return 8 * width, int.from_bytes(lanes.tobytes(), "little")
+    return lanes(top)(colors)
 
 
-def _base_lanes(k: int, m: int, moving, width: int) -> int:
-    """The top bit of every base lane of the moving set: a one-lane block
-    grows position by position from the least significant one, repeated k
-    times on a fixed position and followed by zero lanes on a moving one."""
+def _packed(table) -> tuple[int, int, int, int]:
+    """(lane width in bits, the table as one int, the top bit of every
+    lane, every lane's other bits): lane i holds table[i], little-endian."""
+    width, n = 8 * memoryview(table).itemsize, len(table)
+    if sys.byteorder == "big" and width > 8:
+        table = array(table.typecode, table)
+        table.byteswap()
+    high = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * n, "little")
+    return width, int.from_bytes(table, "little"), high, ((1 << width * n) - 1) ^ high
+
+
+def _base_lanes(layout, moving, width: int) -> int:
+    """The top bit of every base lane of the moving set: the lanes whose
+    digits (``_first_line``'s layout) are 0 on every moving position.  A
+    one-lane block grows digit by digit from the least significant one,
+    repeated radix times on a fixed position's digit and followed by zero
+    lanes on a moving one."""
     block = bytes(width // 8 - 1) + b"\x80"
-    for p in reversed(range(m)):
-        block = block + bytes((k - 1) * len(block)) if p in moving else block * k
+    for radix, p, _weight in layout:
+        block = block + bytes((radix - 1) * len(block)) if p in moving else block * radix
     return int.from_bytes(block, "little")
+
+
+def _first_line(k: int, m: int, layout, table) -> Line | None:
+    """First line (canonical order) whose points share a color, or None.
+    ``table`` lists the colors of the k^m words as ints >= 0, as a table of
+    lanes (``lanes``) or any sequence, which is packed first, in the order
+    that ``layout`` gives: a word's index has one mixed-radix digit per
+    entry (radix, position, weight) of the layout, least significant first,
+    and its letters (from 0) are the sums of digit * weight over their
+    position's digits.  So letter v at position p adds a fixed offset, and
+    the k points of the line with moving positions M and base t (the point
+    with moving letter 1) are t plus the offsets of v over M, v = 0..k-1.
+
+    A moving set with many lines is tested on all of them at once, on the
+    table packed into one int, one fixed-width lane per word (``_packed``):
+    joining each v to its parent v & (v - 1), the XOR table
+    X = C ^ (C >> (difference of their offsets) lanes) is zero in lane b
+    exactly where the two points of the line based at b agree, once shifted
+    down by the parent's offset.  The OR of those k-1 tables is zero
+    exactly in the lanes of the bases of monochromatic lines, and in some
+    lanes that are no base; the zero lanes are found without carries
+    crossing lanes as the top bits of (((Y & LO) + LO) | Y) & HI, flipped,
+    HI being every lane's top bit and LO its other bits.  Lane 0 is a base,
+    and the least word; any other zero lane is kept only if it has no
+    moving digit (``_base_lanes``), and the least word among those is the
+    least base.  Lanes the shifts fill with zeros lie past every base's
+    last point, so they never reach the result.  Such a test costs O(k^m)
+    lane bytes, so it runs only where the set has at least one line per 16
+    such bytes.  A sparser set tests its bases one by one in word order, on
+    their first two points first: the bases below its last few free
+    positions are listed per set from the per-position offsets, and the
+    block of offsets over those last positions, at most 2^8 of them, is
+    built once per call and read below each such base by one C-level
+    gather."""
+    table = _lane_table(table)
+    width, packed, high, low = _packed(table)
+    n = len(table)
+    offsets, place = [[0] * k for _ in range(m)], 1  # of letter v at position p
+    for radix, p, weight in layout:
+        for v in range(k):
+            offsets[p][v] += v // weight % radix * place
+        place *= radix
+    blocks, span = {}, next((j for j in range(8, 0, -1) if k**j <= 1 << 8), 1)  # positions per block
+
+    def letters(t: int) -> list[int]:
+        """The letters, from 0, of the word at index t."""
+        out = [0] * m
+        for radix, p, weight in layout:
+            t, digit = divmod(t, radix)
+            out[p] += digit * weight
+        return out
+
+    def dense(moving, points) -> int | None:
+        xors, y = {}, 0
+        for v in range(1, k):
+            parent = v & (v - 1)
+            diff = points[v] - points[parent]
+            if diff not in xors:
+                xors[diff] = packed ^ (packed >> width * diff)
+            y |= xors[diff] >> width * points[parent]
+        lines = (((y & low) + low) | y) & high ^ high
+        if not lines or lines & 1 << width - 1:
+            return 0 if lines else None
+        lines &= _base_lanes(layout, moving, width)
+        flags, bases = lines.to_bytes(n * width // 8, "little"), []
+        at = flags.find(0x80)
+        while at >= 0:
+            bases.append(at // (width // 8))
+            at = flags.find(0x80, at + 1)
+        return min(bases, key=letters, default=None)
+
+    def sparse(free, points) -> int | None:
+        cut = max(0, len(free) - span)
+        tail = tuple(free[cut:])
+        if tail not in blocks:
+            block = [0]
+            for p in tail:
+                block = [b + o for b in block for o in offsets[p]]
+            blocks[tail] = block, itemgetter(*block)
+        block, gather = blocks[tail]
+        heads = [0]
+        for p in free[:cut]:
+            heads = [h + o for h in heads for o in offsets[p]]
+        second, rest = points[1], points[2:]
+        # most lines already differ on their first two points
+        return next((h + b for h in heads
+                     for b in compress(block, map(eq, gather(view[h:]), gather(view[h + second:])))
+                     if all(table[h + b + o] == table[h + b] for o in rest)), None)
+
+    with memoryview(table) as view:
+        for moving, _step in _line_families(k, m):
+            points = [sum(offsets[p][v] for p in moving) for v in range(k)]
+            free = [p for p in range(m) if p not in moving]
+            if free and 16 * k ** len(free) < n * width // 8:
+                base = sparse(free, points)
+            else:
+                base = dense(moving, points)
+            if base is not None:
+                word = letters(base)
+                fixed = tuple((p + 1, word[p] + 1) for p in free)
+                return Line(m, fixed, frozenset(p + 1 for p in moving))
+    return None
 
 
 def first_mono_line(k: int, m: int, colors) -> Line | None:
     """First line (canonical order) whose points share a color, or None.
-    ``colors`` lists the color of every word by word index, as ints >= 0.
+    ``colors`` lists the color of every word by word index, as ints >= 0:
+    one base-k digit per position, position 1 most significant."""
+    return _first_line(k, m, [(k, p, 1) for p in reversed(range(m))], colors)
 
-    The colors are packed into one int, one fixed-width lane per word
-    (``_packed``), so one moving set of step s is tested on all its lines
-    at once: X = C ^ (C >> s lanes) is zero exactly in the lanes b where
-    colors[b] == colors[b + s], found without carries crossing lanes as
-    the top bits of ~(((X & LO) + LO) | X), LO being every lane's low
-    bits.  The k-1 shifted copies of that test, ANDed with the top bits of
-    the set's base lanes, leave the monochromatic lines, and the lowest
-    set bit is the least base.  Lanes the shift fills with zeros lie past
-    every base's last point, so they never reach the result.  Such a scan
-    costs O(k^m) lane bytes per moving set, so it runs only where the set
-    has at least one line per 16 such bytes: k^m/16 lines at one-byte lanes,
-    k^m/4 at four.  The sparser sets filter their bases one by one on their
-    first two points instead."""
-    n = k**m
-    width, packed = _packed(colors)
-    high = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * n, "little")
-    low = ((1 << width * n) - 1) ^ high
-    for moving, step in _line_families(k, m):
-        if 16 * k ** (m - len(moving)) >= n * width // 8:  # dense
-            x = packed ^ (packed >> width * step)
-            same = ~(((x & low) + low) | x) & high
-            lines = _base_lanes(k, m, moving, width)
-            for j in range(k - 1):
-                lines &= same >> width * step * j
-            b = ((lines & -lines).bit_length() - 1) // width if lines else None
-        else:
-            # most lines already differ on their first two points
-            pairs = (b for b in _bases(k, m, moving) if colors[b] == colors[b + step])
-            mono = (b for b in pairs if all(colors[b + j * step] == colors[b] for j in range(2, k)))
-            b = next(mono, None)
-        if b is not None:
-            letters = [b // k ** (m - 1 - p) % k + 1 for p in range(m)]
-            fixed = tuple((p + 1, letters[p]) for p in range(m) if p not in moving)
-            return Line(m, fixed, frozenset(p + 1 for p in moving))
-    return None
+
+def first_mono_subset_line(d: int, r: int, table) -> Line | None:
+    """First line (canonical order) over the 2^d-letter alphabet at r
+    positions whose points share a color, or None.  ``table`` lists the
+    color of every word in subset-tuple order: by the number
+    sum_i a_i * 2^(r*(d-i)) of its masks (a_1..a_d) under ``psi_encode``,
+    bit j of a mask being position j+1.  So bit b of the index is bit
+    i = d-1 - b // r (from 0) of the letter at position b % r (from 0),
+    and the points of a line are its base plus the sums of the shifted
+    masks S_i = M << r*(d-1-i) over the bits i of v (``_first_line``)."""
+    return _first_line(1 << d, r, [(2, b % r, 1 << d - 1 - b // r) for b in range(d * r)], table)
 
 
 def find_mono_line(k: int, m: int, coloring):
@@ -310,33 +412,6 @@ def line_to_config(L: Line, d: int) -> SubsetConfig:
     points are then exactly the encodings of the line's points."""
     first = line_points(L, 1 << d)[0]
     return SubsetConfig(psi_encode(first, d), frozenset(L.moving))
-
-
-@cache
-def word_subset_tuples(d: int, r: int) -> tuple[int, ...]:
-    """For each word index over the 2^d-letter alphabet, the number
-    sum_i a_i * 2^(r*(d-i)) of its subset masks (a_1..a_d) under ``psi_encode``,
-    where bit j of a mask is index j+1 and sits at word position j+1.
-    Built once per (d, r) as an outer sum of per-position offset tables: a
-    letter v at position p (counted from 0) contributes the bits of v - 1
-    shifted to p, and position 0 is outermost, as in the word order.  The
-    tuple is shared by every caller."""
-    letter_bits = [sum(1 << r * (d - 1 - i) for i in range(d) if v >> i & 1) for v in range(1 << d)]
-    out = [0]
-    for p in range(r):
-        offsets = [bits << p for bits in letter_bits]
-        out = [a + b for a in out for b in offsets]
-    return tuple(out)
-
-
-@cache
-def word_gather(d: int, r: int) -> itemgetter:
-    """cells -> the tuple (cells[t] for t in word_subset_tuples(d, r)): a
-    table indexed by subset tuple, read in word order by one C-level
-    gather.  Built once per (d, r) over the shared tuple, which costs about
-    40 bytes per word (a pointer and its int): 0.7 MB at 2^14 words, 40 MB
-    at 2^20."""
-    return itemgetter(*word_subset_tuples(d, r))
 
 
 def mono_config_search(d: int, r: int, coloring):

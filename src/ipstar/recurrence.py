@@ -62,7 +62,7 @@ from operator import iadd, itemgetter, not_
 from .algebra import FullWindow, Monomial, PolynomialMap, Rationals, VectorSpace, Window
 from .algebra import SIZE_CAP, as_coords, column_elements, pair_column
 from .algebra import check_value_size, power_over_cap, window_column
-from .halesjewett import first_mono_line, line_to_config, word_gather
+from .halesjewett import first_mono_subset_line, lanes, line_to_config
 from .ipsets import finite_sums, is_ip_r_star, subset_folds
 from .systems import (
     FinitePermSystem,
@@ -315,9 +315,17 @@ def _cells(s, m, x, width: Fraction, gens):
     order; the last column's row below a partial product is built once per
     distinct product (``functools.cache``), at its first occurrence, and
     the rows are joined in the partial products' order, each copied onto
-    one fresh list (``reduce(iadd, ..., [])`` never extends a cached row).
-    So ball cells are founded in slot-tuple order, as a cell-by-cell scan
-    would found them."""
+    one fresh table (``reduce(iadd, ..., pack())`` never extends a cached
+    row).  So ball cells are founded in slot-tuple order, as a cell-by-cell
+    scan would found them.
+
+    The table is one flat buffer in slot-tuple order, which is the
+    subset-tuple order ``halesjewett.first_mono_subset_line`` scans: its
+    rows are 1-, 2- or 4-byte lanes (``halesjewett.lanes``), the narrowest
+    that hold every cell the cover can give (below ``cover`` on the
+    circle; below the group's order and the table's size for balls), and
+    each row is appended at C level.  A cover of more than 2^32 cells
+    gives a list."""
     facs = m.factor_coordinates()
     if isinstance(s, RotationSystem):
         turn = s._angle(m.coeff)  # c*rho
@@ -335,11 +343,13 @@ def _cells(s, m, x, width: Fraction, gens):
     if isinstance(s, RotationSystem):
         cover = (width.denominator + width.numerator - 1) // width.numerator
         shift = x.numerator * (L // x.denominator)
-        row = cache(lambda p: [(shift + p * q) % L * cover // L for q in last])
-        return reduce(iadd, map(row, partials), []), cover
+        pack = lanes(cover - 1)
+        row = cache(lambda p: pack([(shift + p * q) % L * cover // L for q in last]))
+        return reduce(iadd, map(row, partials), pack()), cover
     balls = _BallCover(s, x, (width / 2) ** 2)
-    row = cache(lambda p: [balls.cell(p * q % L) for q in last])
-    return reduce(iadd, map(row, partials), []), len(balls.centers)
+    pack = lanes(min(L, len(partials) * len(last)) - 1)
+    row = cache(lambda p: pack([balls.cell(p * q % L) for q in last]))
+    return reduce(iadd, map(row, partials), pack()), len(balls.centers)
 
 
 def isometric_recurrence_search(sys, x, m: Monomial, epsilon, gens):
@@ -352,6 +362,12 @@ def isometric_recurrence_search(sys, x, m: Monomial, epsilon, gens):
     runs at smaller r and reports absence when no configuration exists.
     Distances: arc length on the circle backend, squared indicator norm on
     the finite backend; both compared squared against epsilon^2.
+
+    The line is read off the cover table as ``_cells`` builds it, in
+    subset-tuple order (``halesjewett.first_mono_subset_line``): the table
+    is never reordered into word order, and the line found is the first in
+    the canonical line order.  ``words_scanned`` is the table's size,
+    (2^d)^r entries.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -382,15 +398,12 @@ def isometric_recurrence_search(sys, x, m: Monomial, epsilon, gens):
     # cells of width epsilon / 2^(d-1): the telescoping chain over the
     # 2^(d-1) same-cell pairs then stays under epsilon
     cells, used = _cells(sys, m, x, epsilon / (1 << (d - 1)), gens)
-    colors = word_gather(d, r)(cells)
-    # (2^d)^r >= 2 indices, so the itemgetter returns a tuple, not one item
-    assert isinstance(colors, tuple)
-    line = first_mono_line(1 << d, r, colors)
+    line = first_mono_subset_line(d, r, cells)
     proof_bound = f"hj({1 << d}, {used})"
     suff = _sufficient_length(sys, m)
     if line is None:
         return IsoSearchResult(
-            "absent", None, None, None, None, None, used, proof_bound, suff, len(colors)
+            "absent", None, None, None, None, None, used, proof_bound, suff, len(cells)
         )
     gamma = frozenset(line.moving)
     # summed afresh from the generators, not read from the search's table
@@ -409,7 +422,7 @@ def isometric_recurrence_search(sys, x, m: Monomial, epsilon, gens):
         used,
         proof_bound,
         suff,
-        len(colors),
+        len(cells),
     )
 
 

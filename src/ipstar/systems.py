@@ -159,9 +159,10 @@ class FinitePermSystem(_Backend):
         self.ring = PrimeField(p)
         self.p = p
         self.points = tuple(points)
-        if len(set(self.points)) != len(self.points):
+        self._point_set = pts = frozenset(self.points)  # read by every event check
+        if len(pts) != len(self.points):
             raise SystemError("duplicate point labels")
-        if set(weights) != set(self.points):
+        if set(weights) != pts:
             raise SystemError("weights must cover exactly the point set")
         # each distinct weight object is converted and scaled once (a parsed
         # file shares one per token); Fraction(w) rebuilds a Fraction, so
@@ -183,7 +184,6 @@ class FinitePermSystem(_Backend):
         if not self.gens:
             raise SystemError("need at least one generator permutation")
         self.n = len(self.gens)
-        pts = set(self.points)
         cycles = []
         for g in self.gens:
             if set(g) != pts or set(g.values()) != pts:
@@ -220,7 +220,7 @@ class FinitePermSystem(_Backend):
 
     def event(self, members) -> frozenset:
         members = frozenset(members)
-        stray = members - set(self.points)
+        stray = members - self._point_set
         if stray:
             raise SystemError(f"unknown points in event: {sorted(map(str, stray))}")
         return members

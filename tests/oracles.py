@@ -6,8 +6,10 @@ no sharing with the library code paths being checked.  Slow is fine.
 
 import json
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import lcm
+from operator import itemgetter
 
 from ipstar.algebra import (
     AlgebraError,
@@ -640,7 +642,8 @@ def naive_dlim_values(sys, B, phi, windows) -> list:
 
 
 # words, lines and configurations listed directly: the references for the
-# word-index line scan and the subset-tuple encoding in ipstar.halesjewett
+# word-index and subset-tuple line scans and the subset-tuple encoding in
+# ipstar.halesjewett
 
 
 def all_lines(k: int, m: int) -> list[Line]:
@@ -668,6 +671,32 @@ def psi_decode(alphas, r: int) -> tuple[int, ...]:
                 val |= 1 << (i - 1)
         out.append(val + 1)
     return tuple(out)
+
+
+@cache
+def word_subset_tuples(d: int, r: int) -> tuple[int, ...]:
+    """For each word index over the 2^d-letter alphabet, the number
+    sum_i a_i * 2^(r*(d-i)) of its subset masks (a_1..a_d) under ``psi_encode``,
+    where bit j of a mask is index j+1 and sits at word position j+1: the
+    subset-tuple order in which ``halesjewett.first_mono_subset_line`` reads
+    its table, listed in word order.  Built as an outer sum of per-position
+    offset tables: a letter v at position p (counted from 0) contributes
+    the bits of v - 1 shifted to p, and position 0 is outermost, as in the
+    word order."""
+    letter_bits = [sum(1 << r * (d - 1 - i) for i in range(d) if v >> i & 1) for v in range(1 << d)]
+    out = [0]
+    for p in range(r):
+        offsets = [bits << p for bits in letter_bits]
+        out = [a + b for a in out for b in offsets]
+    return tuple(out)
+
+
+@cache
+def word_gather(d: int, r: int) -> itemgetter:
+    """cells -> the tuple (cells[t] for t in word_subset_tuples(d, r)): a
+    table in subset-tuple order, read in word order by one C-level gather,
+    as ``halesjewett.first_mono_line`` takes it."""
+    return itemgetter(*word_subset_tuples(d, r))
 
 
 def config_points(cfg: SubsetConfig) -> list[tuple[frozenset[int], ...]]:

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import all_lines, config_points, psi_decode, through_first_all_ok
+from oracles import (
+    all_lines,
+    config_points,
+    psi_decode,
+    through_first_all_ok,
+    word_gather,
+    word_subset_tuples,
+)
 from ipstar.halesjewett import (
     Line,
     SubsetConfig,
@@ -17,16 +24,16 @@ from ipstar.halesjewett import (
     all_words,
     find_mono_line,
     first_mono_line,
+    first_mono_subset_line,
     hj_check_cover,
     hj_coloring_is_counterexample,
     hj_stage,
     is_line_point_tuple,
+    lanes,
     line_points,
     line_to_config,
     mono_config_search,
     psi_encode,
-    word_gather,
-    word_subset_tuples,
 )
 from ipstar.search import ALL_OK, BUDGET_EXCEEDED, stages
 
@@ -188,6 +195,79 @@ def test_word_subset_tuples_match_the_encoding():
             cells = list(range(len(tuples)))
             rng.shuffle(cells)
             assert word_gather(d, r)(cells) == tuple(cells[i] for i in word_subset_tuples(d, r))
+
+
+# table tops around the lane edges of ``lanes``: 1-byte lanes to 255,
+# 2-byte to 65535, 4-byte above; from 2^32 a list, which the scan renumbers
+SUBSET_TOPS = [1, 7, 255, 256, 5000, 65535, 65536, 10**6, 2**32]
+
+
+@st.composite
+def _subset_tables(draw):
+    """(d, r, kind, table): a colour table over the 2^d-letter words at r
+    positions in subset-tuple order, in the lanes ``lanes`` gives its top.
+    "palette" tables reuse a few colours and mostly have lines; "distinct"
+    ones have none.  The others are distinct but for a few lines of one or
+    two moving sets, at bases drawn away from 0 where the set has other
+    bases, so the scan has to pick the least base in word order among
+    several: "planted" lines share one colour; in "near" lines every point
+    but one does, so they are no lines, and only the second set's lines,
+    when drawn, are planted whole."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    r = draw(st.integers(1, {1: 8, 2: 5, 3: 3}[d]))
+    k, n = 1 << d, 1 << d * r
+    top = draw(st.sampled_from(SUBSET_TOPS))
+    kind = draw(st.sampled_from(["palette", "distinct", "planted", "near"]))
+    if kind == "palette":
+        palette = draw(st.lists(st.integers(max(0, top - 3), top), min_size=1, max_size=4))
+        return d, r, kind, lanes(top)(draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n)))
+    start = max(0, top - n + 1)
+    colors = [start + i for i in draw(st.permutations(range(n)))]
+    subset = word_subset_tuples(d, r)
+    sets = {"distinct": 0, "planted": 1, "near": draw(st.integers(1, 2))}[kind]
+    for whole in [kind == "planted", True][:sets]:
+        moving = draw(st.sets(st.integers(0, r - 1), min_size=1))
+        free = [p for p in range(r) if p not in moving]
+        step = sum(k ** (r - 1 - p) for p in moving)
+        for _ in range(draw(st.integers(1, 3))):
+            letters = {p: draw(st.integers(0, k - 1)) for p in free}
+            if free and not any(letters.values()):
+                letters[draw(st.sampled_from(free))] = draw(st.integers(1, k - 1))
+            base = sum(v * k ** (r - 1 - p) for p, v in letters.items())
+            odd = None if whole else draw(st.integers(1, k - 1))
+            for j in range(1, k):
+                if j != odd:
+                    colors[subset[base + j * step]] = colors[subset[base]]
+    return d, r, kind, lanes(max(colors))(colors)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_subset_tables())
+def test_the_subset_tuple_scan_finds_the_word_scans_line(case):
+    # both scans run one engine on two layouts, so the naive reference
+    # checks them both, on the tables small enough for it
+    d, r, kind, table = case
+    words = word_gather(d, r)(table)
+    want = first_mono_line(1 << d, r, words)
+    assert first_mono_subset_line(d, r, table) == want
+    if len(words) <= 256:
+        assert want == _first_mono_reference(1 << d, r, words)
+    if kind in ("distinct", "planted"):
+        assert (want is None) == (kind == "distinct")
+
+
+def test_the_least_base_is_picked_in_word_order():
+    # d = 2, r = 2: the line of moving set {2} with letter 2 at position 1
+    # has base 4 in subset-tuple order, the one with letter 3 base 1, so
+    # subset-tuple order alone would pick the later word
+    table = list(range(16))
+    for base, points in [(4, (12, 6, 14)), (1, (9, 3, 11))]:
+        for t in points:
+            table[t] = table[base]
+    want = Line(2, ((1, 2),), frozenset({2}))
+    assert first_mono_line(4, 2, word_gather(2, 2)(table)) == want
+    for top in (15, 300, 70000):
+        assert first_mono_subset_line(2, 2, lanes(top)(table)) == want
 
 
 def test_every_two_coloring_of_the_square_has_a_line():

@@ -171,6 +171,16 @@ def test_finite_perm_construction_rejections():
         regular_system(5).event({0, 9})
 
 
+def test_an_event_is_checked_against_the_point_set_of_the_system():
+    s = FinitePermSystem(2, ["a", "b", 3], {"a": F(1, 4), "b": F(1, 4), 3: F(1, 2)},
+                         [{"a": "b", "b": "a", 3: 3}])
+    assert s.event(["b", 3, "b"]) == frozenset({"b", 3})
+    assert s.event(()) == frozenset()
+    with pytest.raises(SystemError) as refused:
+        s.event({"a", 4, "c"})
+    assert str(refused.value) == "unknown points in event: ['4', 'c']"
+
+
 def test_finite_perm_keeps_fraction_weights_and_converts_the_rest():
     half, quarter = F(1, 2), F(1, 4)
     s = FinitePermSystem(2, [0, 1, 2, 3], {0: half, 1: "1/4", 2: quarter, 3: 0},
