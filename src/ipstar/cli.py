@@ -9,10 +9,11 @@ byte for byte, except for one timestamp line in reports.
 
 Exit codes: 0 for any completed verdict (counterexamples included), 2 when
 a search ran out of budget (a checkpoint file is written), 1 for config or
-system errors.  ``--resume <checkpoint>`` continues an interrupted search
-of a command that takes a budget; a checkpoint names the config it came
-from by hash, and resuming with a modified config is refused.  Budgets
-count examined candidates; there is no wall-clock cap.
+system errors and for argument lists the command line refuses.
+``--resume <checkpoint>`` continues an interrupted search of a command that
+takes a budget; a checkpoint names the config it came from by hash, and
+resuming with a modified config is refused.  Budgets count examined
+candidates; there is no wall-clock cap.
 """
 
 from __future__ import annotations
@@ -664,9 +665,18 @@ def _run_check(path: str) -> int:
     return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad argument list with a ``ValueError``, not by exiting 2,
+    so that ``main`` reports it as an input error; its subcommand parsers
+    share the class.  ``--help`` still prints and exits 0."""
+
+    def error(self, message):
+        raise ValueError(f"{message} (see {self.prog} --help)")
+
+
 @cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ipstar",
         description="exact finite-sums structure, coloring claims, and return sets",
     )
@@ -687,7 +697,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except ValueError as exc:
+        _emit_errors([ConfigError(None, str(exc))])
+        return 1
     if args.check is not None:
         return _run_check(args.check)
     if args.command is None:

@@ -37,14 +37,10 @@ from array import array
 from functools import partial
 from itertools import combinations, compress, product
 from operator import eq, itemgetter
+from struct import pack
 
 from .algebra import SIZE_CAP, Value, power_over_cap
-from .search import (
-    ColoringOutcome,
-    avoids_every_edge,
-    check_cover_tree,
-    universal_coloring_search,
-)
+from .search import ColoringOutcome, check_cover_tree, universal_coloring_search
 
 
 def all_words(k: int, m: int) -> list[tuple[int, ...]]:
@@ -125,16 +121,23 @@ def _line_families(k: int, m: int):
 _LANE_TYPES = {array(t).itemsize: t for t in "LIH"}
 
 
+def _wide_lanes(width: int, values=()) -> array:
+    # one struct.pack of the list, in native order: cheaper than
+    # array(typecode, list), which converts the list item by item
+    return array(_LANE_TYPES[width], pack(f"={len(values)}{'HI'[width // 4]}", *values))
+
+
 def lanes(top: int):
     """The constructor of a flat table of ints in 0..top, in the narrowest
     lanes that hold top: a ``bytearray`` of 1-byte lanes, an ``array`` of
-    2- or 4-byte lanes, or a ``list`` from 2^32 on.  Called with no
-    argument it gives an empty table, which ``+=`` extends at C level."""
+    2- or 4-byte lanes (from a list), or a ``list`` from 2^32 on.  Called
+    with no argument it gives an empty table, which ``+=`` extends at C
+    level."""
     if top < 1 << 8:
         return bytearray
     if top >= 1 << 32:
         return list
-    return partial(array, _LANE_TYPES[2 if top < 1 << 16 else 4])
+    return partial(_wide_lanes, 2 if top < 1 << 16 else 4)
 
 
 def _lane_table(colors):
@@ -315,16 +318,21 @@ def _word_count(k: int, m: int) -> int:
     return k**m
 
 
-def _lines_by_last_index(k: int, m: int) -> list[list[tuple]]:
-    """The hyperedge table of the stage: each line as (point indices,
-    point indices), listed under its largest point index.  It is refused
-    unbuilt over ``SIZE_CAP`` lines: (k+1)^m - k^m, the words over k+1
-    letters, the extra one marking the moving positions, less those with
-    none."""
-    words = _word_count(k, m)
+def _refuse_over_line_cap(k: int, m: int, words: int) -> None:
+    """Refuse a stage of over ``SIZE_CAP`` lines: (k+1)^m - k^m, the words
+    over k+1 letters, the extra one marking the moving positions, less
+    those with none."""
     total = power_over_cap(k + 1, m)  # a str names a power over 10^18, far over the cap
     if isinstance(total, str) or total is not None and power_over_cap(total - words, 1) is not None:
         raise ValueError(f"hj k={k} m={m} has {k + 1}^{m} - {k}^{m} lines, more than the cap of {SIZE_CAP}")
+
+
+def _lines_by_last_index(k: int, m: int) -> list[list[tuple]]:
+    """The hyperedge table of the stage: each line as (point indices,
+    point indices), listed under its largest point index; refused unbuilt
+    over the word or the line cap."""
+    words = _word_count(k, m)
+    _refuse_over_line_cap(k, m, words)
     table = [[] for _ in range(words)]
     for moving, step in _line_families(k, m):
         for b in _bases(k, m, moving):
@@ -361,11 +369,23 @@ def hj_check_cover(k: int, t: int, m: int, cover) -> bool:
 
 
 def hj_coloring_is_counterexample(k: int, t: int, m: int, coloring) -> bool:
-    """Verification-only: a full t-coloring with no monochromatic line."""
-    # a wrong length is refused before the k^m-entry table is built
-    return len(coloring) == _word_count(k, m) and avoids_every_edge(
-        coloring, t, _lines_by_last_index(k, m)
-    )
+    """Verification-only: a full t-coloring with no monochromatic line.  The
+    lines are listed here, apart from the search's table: one per word
+    over the letters 0..k with at least one k, which marks the moving
+    positions.  Its point j puts letter j on them, and a word's index is
+    its big-endian base-k value, so the points are base + j * step."""
+    if len(coloring) != _word_count(k, m):  # before the lines are counted
+        return False
+    _refuse_over_line_cap(k, m, len(coloring))
+    if any(not 1 <= c <= t for c in coloring):
+        return False
+    for marks in product(range(k + 1), repeat=m):
+        base = step = 0
+        for a in marks:
+            base, step = base * k + a % k, step * k + (a == k)
+        if step and len({coloring[base + j * step] for j in range(k)}) == 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import combinations, islice
 from math import comb, floor, log10
 from sys import get_int_max_str_digits
 
@@ -40,7 +40,6 @@ from .search import (
     CUT,
     DONE,
     ColoringOutcome,
-    avoids_every_edge,
     check_cover_tree,
     prefix_search,
     universal_coloring_search,
@@ -92,11 +91,13 @@ def finite_sums(group, gens) -> frozenset:
 # IP_r detection and the dual verdict
 
 
-def _first_fs_tuple(group, pool, r: int, budget=None, resume_path=None):
+def _first_fs_tuple(group, pool, r: int, budget=None, resume_path=None, admit=None):
     """The first nondecreasing d-tuple of pool positions, lexicographically,
     whose finite sums all lie in the pool, for each depth d = 1..r one
     ``prefix_search`` reaches; its path holds the positions and its state is
     (sums, last position).  Returns the outcome and those tuples of elements.
+    ``admit(depth, path)``, when given, is one more rule, tested after the
+    sums: a prefix it refuses is cut, and the tuples qualify under both.
 
     Prefixes of a qualifying tuple qualify, and the search reaches the uncut
     prefixes of each length in lexicographic order, so the first it reaches
@@ -117,7 +118,7 @@ def _first_fs_tuple(group, pool, r: int, budget=None, resume_path=None):
         sums, g = state[0], pool[i]
         new = {g}
         new.update([add(s, g) for s in sums])
-        if not new <= inside:
+        if not new <= inside or admit is not None and not admit(depth, path):
             return CUT
         if len(firsts) == depth:  # the first uncut prefix of this length
             firsts.append(tuple(pool[j] for j in path[: depth + 1]))
@@ -200,6 +201,14 @@ def _position_count(r: int) -> int:
     return (1 << r) - 1
 
 
+def _refuse_over_split_cap(r: int, s: int) -> None:
+    """Refuse a claim of over ``SIZE_CAP`` splits: a set of j elements has
+    C(j-1, s-1), summed exactly once r passes the position cap."""
+    splits = sum(comb(r, j) * comb(j - 1, s - 1) for j in range(1, r + 1))
+    if power_over_cap(splits, 1) is not None:
+        raise ValueError(f"fu r={r} s={s} has {splits} splits, more than the cap of {SIZE_CAP}")
+
+
 def _fu_checks_by_position(r: int, s: int):
     """The hyperedge table of the claim: for each position (mask order), the
     splits completed there as (blocks, union_positions), where
@@ -210,12 +219,9 @@ def _fu_checks_by_position(r: int, s: int):
     the lowest j bits of m, for j ascending, and a split of the rest into
     s - 1 runs follows it.  The splits of each (rest, runs) pair are built
     once, and each distinct block mask becomes a frozenset once.  The table
-    is refused unbuilt over ``SIZE_CAP`` splits: a set of j elements has
-    C(j-1, s-1), summed exactly once r passes the position cap."""
+    is refused unbuilt over the position or the split cap."""
     positions = _position_count(r)
-    splits = sum(comb(r, j) * comb(j - 1, s - 1) for j in range(1, r + 1))
-    if power_over_cap(splits, 1) is not None:
-        raise ValueError(f"fu r={r} s={s} has {splits} splits, more than the cap of {SIZE_CAP}")
+    _refuse_over_split_cap(r, s)
 
     @cache
     def block_set(mask: int) -> frozenset[int]:  # built on the set of its lower bits
@@ -283,11 +289,23 @@ def _union_positions(r: int, s: int, blocks):
 
 def fu_coloring_is_counterexample(r: int, s: int, k: int, coloring: tuple[int, ...]) -> bool:
     """Verification-only check that a full k-coloring of F_r has no
-    monochromatic s-block union family."""
-    # a wrong length is refused before the table over F_r is built
-    return len(coloring) == _position_count(r) and avoids_every_edge(
-        coloring, k, _fu_checks_by_position(r, s)
-    )
+    monochromatic s-block union family.  The families are listed here,
+    apart from the search's table: the ordered s-tuples of blocks whose
+    union is U are the splits of sorted U into s runs, one per choice of
+    s - 1 cuts, and ``_union_positions`` decodes each."""
+    if len(coloring) != _position_count(r):  # before the splits are counted
+        return False
+    _refuse_over_split_cap(r, s)
+    if any(not 1 <= c <= k for c in coloring):
+        return False
+    for j in range(s, r + 1):
+        for union in combinations(range(1, r + 1), j):
+            for cuts in combinations(range(1, j), s - 1):
+                ends = (0, *cuts, j)
+                blocks = [union[a:b] for a, b in zip(ends, ends[1:])]
+                if len({coloring[q] for q in _union_positions(r, s, blocks)}) == 1:
+                    return False
+    return True
 
 
 def fu_check_cover(r: int, s: int, k: int, cover) -> bool:
@@ -476,29 +494,20 @@ def example_a_checks(ex: BlockExample) -> dict[str, bool]:
     in_block_fs: block r equals the finite sums of r copies of its base value.
     cross_block_free: no 3-generator tuple mixing two blocks keeps all its
     sums inside the set.  Permuting the generators keeps both conditions,
-    so only nondecreasing tuples of the sorted set are scanned.
+    so one scan of the sorted set, admitting a third generator only when
+    the three span two blocks, finds no full tuple.
     fs_depth: within block r the deepest full finite-sums family has exactly
     r generators, so one scan to depth r + 1 reaches depth r and no further.
     """
-    members = ex.members
-    pool = sorted(members)
+    pool = sorted(ex.members)
 
-    def extend(state, n, i, path):
-        # state: (sums, blocks, last position) of the n generators so far;
-        # the third generator must bring a second block
-        sums, blocks, _ = state
-        g = pool[i]
-        new = {g, *(s + g for s in sums)}
-        blocks = blocks | {ex.block_of(g)}
-        if new <= members and (n < 2 or len(blocks) > 1):
-            return sums | new, blocks, i
-        return CUT
+    def mixed(depth, path):
+        return depth < 2 or len({ex.block_of(pool[i]) for i in path[:3]}) > 1
 
-    start = (frozenset(), frozenset(), 0)
-    mixed = prefix_search(start, 3, lambda s, d: (s[2], len(pool)), extend)
-    in_block = depth = True
     Z = Integers()
+    cross_free = _first_fs_tuple(Z, pool, 3, admit=mixed)[0].path is None
+    in_block = depth = True
     for r, vals in ex.blocks:  # vals ascend
         in_block = in_block and finite_sums(Z, (vals[0],) * r) == frozenset(vals)
         depth = depth and len(_first_fs_tuple(Z, vals, r + 1)[1]) == r
-    return {"in_block_fs": in_block, "cross_block_free": mixed.path is None, "fs_depth": depth}
+    return {"in_block_fs": in_block, "cross_block_free": cross_free, "fs_depth": depth}

@@ -510,18 +510,6 @@ def _refutes(M: int, k: int, prefix, reasons, decode) -> bool:
     return False
 
 
-def avoids_every_edge(coloring, k: int, edges_by_last) -> bool:
-    """Verification-only: is this a full coloring of the positions, in colors
-    1..k, with no monochromatic hyperedge?"""
-    if len(coloring) != len(edges_by_last) or any(not 1 <= c <= k for c in coloring):
-        return False
-    return all(
-        len({coloring[q] for q in positions}) > 1
-        for edges in edges_by_last
-        for _witness, positions in edges
-    )
-
-
 def stages(stages, run_stage, *, budget: int | None = None, resume=None):
     """Run a search at each stage in ascending order, yielding (stage,
     outcome) as each stage ends; the run ends after an outcome that ran out

@@ -348,6 +348,18 @@ def naive_fk_min_density(r, N):
     return Fraction(best, N)
 
 
+def avoids_every_edge(coloring, k: int, edges_by_last) -> bool:
+    """Is this a full coloring of the positions, in colors 1..k, with no
+    monochromatic hyperedge of the table?"""
+    if len(coloring) != len(edges_by_last) or any(not 1 <= c <= k for c in coloring):
+        return False
+    return all(
+        len({coloring[q] for q in positions}) > 1
+        for edges in edges_by_last
+        for _witness, positions in edges
+    )
+
+
 def plain_coloring_search(k, edges_by_last):
     """The coloring search without propagation: positions in index order,
     colors ascending with canonical first use, a branch cut only when the

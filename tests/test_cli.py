@@ -1043,6 +1043,27 @@ def test_missing_config_file_and_no_command(capsys):
     assert rc == 1 and "no command given" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hj", "--bogus"], "unrecognized arguments: --bogus"),
+    (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+    (["--check"], "argument --check: expected one argument"),
+])
+def test_a_refused_argument_list_exits_1_with_a_json_line(capsys, argv, message):
+    # an input error, reported as every other one: exit 2 means a budget ran out
+    rc, out, err = _run(capsys, argv)
+    assert rc == 1 and out == ""
+    human, record = err.splitlines()
+    assert human.startswith(f"error: {message}") and human.endswith("(see ipstar --help)")
+    assert json.loads(record) == {"errors": [{"line": None, "message": human.removeprefix("error: ")}]}
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["hj", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: ipstar")
+
+
 def test_mentioning_phi_line_in_late_errors(tmp_path, capsys):
     conf = tmp_path / "exp.conf"
     conf.write_text(

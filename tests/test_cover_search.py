@@ -13,6 +13,7 @@ same table size and the same first configuration.
 from fractions import Fraction as F
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -234,6 +235,18 @@ def test_rotation_cell_rows_match_the_per_tuple_table(case, width):
     gens = _coords(m, gens)
     table, cells = _cells(s, m, x, width, gens)
     assert (list(table), cells) == per_tuple_cells(s, m, x, width, gens)
+
+
+@pytest.mark.parametrize("cover, itemsize", [(1000, 2), (100000, 4)])
+def test_rotation_rows_over_255_and_65535_cells_match_the_per_tuple_table(cover, itemsize):
+    # rows in 2- and 4-byte lanes, each packed from one list of cells
+    s = RotationSystem(F(1, 101))
+    m = Monomial(s.ring, F(3), (2,))
+    gens = _coords(m, [F(20), F(1, 3), F(82), F(5, 2), F(67)])
+    table, cells = _cells(s, m, F(1, 7), F(1, cover), gens)
+    assert table.itemsize == itemsize and cells == cover
+    assert len(set(table)) > 255
+    assert (list(table), cells) == per_tuple_cells(s, m, F(1, 7), F(1, cover), gens)
 
 
 @SETTINGS

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ipstar import halesjewett
 from oracles import (
     all_lines,
     config_points,
@@ -336,6 +337,29 @@ def test_hj_counterexample_check_wants_a_full_coloring_in_range():
     assert not hj_coloring_is_counterexample(2, 2, 1, (1, 3))  # color 3 of 2
     assert not hj_coloring_is_counterexample(2, 2, 1, (1, 2, 1))  # three words of two
     assert not hj_coloring_is_counterexample(2, 2, 1, (1, 1))  # the only line
+
+
+@pytest.mark.parametrize("k, t, m, q, i", [(2, 2, 2, 3, 2), (3, 2, 2, 8, 2), (2, 3, 3, 7, 6)])
+def test_a_table_missing_a_line_cannot_certify_its_counterexample(monkeypatch, k, t, m, q, i):
+    # HJ(2,2) = 2, HJ(3,2) > 2 and HJ(2,3) = 3: with line i under word q
+    # dropped, the search returns a colouring the check lists a line for
+    table = _lines_by_last_index(k, m)
+    del table[q][i]
+    monkeypatch.setattr(halesjewett, "_lines_by_last_index", lambda k_, m_: table)
+    forged = hj_stage(k, t, m)
+    assert forged.kind == "counterexample"
+    assert not hj_coloring_is_counterexample(k, t, m, forged.coloring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_the_counterexample_check_agrees_with_the_search_table(k, t, m, rng):
+    table = _lines_by_last_index(k, m)
+    found = hj_stage(k, t, m).coloring
+    colorings = [tuple(rng.randint(1, t) for _ in table) for _ in range(3)]
+    for coloring in colorings + ([found] if found else []):
+        want = oracles.avoids_every_edge(coloring, t, table)
+        assert hj_coloring_is_counterexample(k, t, m, coloring) == want
 
 
 def test_a_stage_over_the_word_cap_is_refused_before_its_table():

@@ -389,6 +389,29 @@ def test_fu_r3_counterexample_is_size_parity():
     assert oracles.naive_coloring_avoids_fu(3, 2, by_set)
 
 
+def test_a_table_missing_splits_cannot_certify_its_counterexample(monkeypatch):
+    # every 2-colouring of F_5 has a monochromatic 2-block family; with the
+    # two splits of {2,3,4} (position 13) dropped, the search returns a
+    # colouring the check lists a family for
+    table = ipsets._fu_checks_by_position(5, 2)
+    table[13] = []
+    monkeypatch.setattr(ipsets, "_fu_checks_by_position", lambda r, s: table)
+    forged = fu_ramsey_check(5, 2, 2)
+    assert forged.kind == "counterexample"
+    assert not fu_coloring_is_counterexample(5, 2, 2, forged.coloring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_the_fu_counterexample_check_agrees_with_the_search_table(r, s, k, rng):
+    table = ipsets._fu_checks_by_position(r, s)
+    found = fu_ramsey_check(r, s, k).coloring
+    colorings = [tuple(rng.randint(1, k) for _ in table) for _ in range(3)]
+    for coloring in colorings + ([found] if found else []):
+        want = oracles.avoids_every_edge(coloring, k, table)
+        assert fu_coloring_is_counterexample(r, s, k, coloring) == want
+
+
 def test_fu_r2_counterexample():
     res = fu_ramsey_check(2, 2, 2)
     assert res.coloring == (1, 1, 2)

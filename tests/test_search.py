@@ -5,7 +5,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import plain_coloring_search, stepwise_check_cover_tree, through_first_all_ok
+from oracles import (
+    avoids_every_edge,
+    plain_coloring_search,
+    stepwise_check_cover_tree,
+    through_first_all_ok,
+)
 
 from ipstar import halesjewett
 from ipstar.halesjewett import hj_stage
@@ -18,7 +23,6 @@ from ipstar.search import (
     Cut,
     CoverLeaf,
     LeafLog,
-    avoids_every_edge,
     check_cover_tree,
     first_hit,
     prefix_search,

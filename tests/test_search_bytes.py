@@ -1,11 +1,12 @@
-"""Same bytes for ``search``: the benchmark's ``cover-search`` commands
-against their pinned digests, and searches at the lane widths and sizes the
-workload does not reach.
+"""Same bytes: every command of the benchmark's three workloads against its
+pinned digest, and searches at the lane widths and sizes the
+``cover-search`` workload does not reach.
 
-The digests in ``tests/search_bytes.json`` were written by
-``tests/make_search_bytes.py`` from the code that read the cover table in
-word order (a gather over a per-(d, r) tuple of subset-tuple numbers), and
-every pinned text below is that code's standard output too."""
+The digests in ``tests/search_bytes.json`` are written by
+``tests/make_search_bytes.py``; each covers a command's exit code, standard
+output, standard error and written files.  The pinned ``search`` texts below
+are the standard output of the code that read the cover table in word order
+(a gather over a per-(d, r) tuple of subset-tuple numbers)."""
 
 import contextlib
 import io
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from ipstar import cli
-from make_search_bytes import PINS, search_digests
+from make_search_bytes import PINS, digests
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PERM_211 = (
@@ -27,11 +28,13 @@ PERM_211 = (
 GENS_10 = "gens=1,2,3,4,5,6,7,8,9,10"
 
 
-def test_cover_search_commands_print_the_pinned_bytes(tmp_path):
+def test_every_benchmark_command_leaves_the_pinned_bytes(tmp_path):
     pinned = json.loads(PINS.read_text())
-    got = search_digests(tmp_path)
-    assert len(got) == 64 and got.keys() == pinned.keys()
-    assert [label for label in got if got[label] != pinned[label]] == []
+    got = digests(tmp_path)
+    assert {label.split("/")[0] for label in got} == {"coloring", "recurrence", "cover-search"}
+    assert got.keys() == pinned.keys()
+    moved = [label for label in got if got[label] != pinned[label]]
+    assert not moved, "bytes moved: " + ", ".join(moved)
 
 
 def _search(tmp_path, system: str, *args) -> tuple[int, str]:
