@@ -697,8 +697,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args, rest = parser.parse_known_args(argv)
+        # overrides after an option are left over: they follow the others,
+        # in command-line order, so the later one wins
+        options = [a for a in rest if a.startswith("-")]
+        if options:
+            parser.error(f"unrecognized arguments: {' '.join(options)}")
     except ValueError as exc:
         _emit_errors([ConfigError(None, str(exc))])
         return 1
@@ -712,7 +718,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _emit_errors([ConfigError(None, str(exc))])
         return 1
-    cfg, errors = parse_config(text, command=args.command, overrides=args.overrides)
+    cfg, errors = parse_config(text, command=args.command, overrides=[*args.overrides, *rest])
     # a command resumes exactly when it takes a budget
     if not errors and args.resume is not None and "budget" not in _SPECS[cfg.command]:
         errors = [ConfigError(None, f"{cfg.command} does not support --resume")]

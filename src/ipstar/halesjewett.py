@@ -76,26 +76,24 @@ def line_points(L: Line, k: int) -> list[tuple[int, ...]]:
 
 def is_line_point_tuple(k: int, m: int, indices) -> bool:
     """Verification-only: do these word indices, in order, list the points of
-    some line?  Used when replaying certificates."""
-    if len(indices) != k or len(set(indices)) != k:
+    some line?  Used when replaying certificates.  They do when they are
+    base + j * step below k^m, step > 0 with base-k digits 0 and 1 (the
+    moving positions) and base with digit 0 on them."""
+    if len(indices) != k:
         return False
-    words = []
-    for idx in indices:
-        if not 0 <= idx < k**m:
+    if k == 1:  # one letter: the one word is a line
+        return 0 <= indices[0] < k**m
+    base, step = indices[0], indices[1] - indices[0]
+    if base < 0 or step <= 0 or indices[-1] >= k**m:
+        return False
+    if tuple(indices) != tuple(range(base, base + k * step, step)):
+        return False
+    while step:
+        step, s = divmod(step, k)
+        base, b = divmod(base, k)
+        if s > 1 or s and b:
             return False
-        letters = []
-        for _ in range(m):
-            idx, d = divmod(idx, k)
-            letters.append(d + 1)
-        words.append(tuple(reversed(letters)))
-    moving = {p for p in range(m) if len({w[p] for w in words}) > 1}
-    if not moving:
-        return k == 1  # one letter: the only word lies on every line
-    for letter, w in enumerate(words, start=1):
-        if any(w[p] != letter for p in moving):
-            return False
-    fixed = {p: words[0][p] for p in range(m) if p not in moving}
-    return all(w[p] == v for w in words for p, v in fixed.items())
+    return True
 
 
 def _bases(k: int, m: int, moving) -> list[int]:
@@ -359,13 +357,9 @@ def hj_stage(
     return universal_coloring_search(t, table, budget=budget, resume_path=resume_path)
 
 
-def _line_positions(k: int, m: int, witness):
-    indices = tuple(witness)
-    return indices if is_line_point_tuple(k, m, indices) else None
-
-
 def hj_check_cover(k: int, t: int, m: int, cover) -> bool:
-    return check_cover_tree(_word_count(k, m), t, cover, lambda w: _line_positions(k, m, w))
+    words = _word_count(k, m)
+    return check_cover_tree(words, t, cover, lambda w: w if is_line_point_tuple(k, m, w) else None)
 
 
 def hj_coloring_is_counterexample(k: int, t: int, m: int, coloring) -> bool:

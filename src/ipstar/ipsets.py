@@ -290,21 +290,21 @@ def _union_positions(r: int, s: int, blocks):
 def fu_coloring_is_counterexample(r: int, s: int, k: int, coloring: tuple[int, ...]) -> bool:
     """Verification-only check that a full k-coloring of F_r has no
     monochromatic s-block union family.  The families are listed here,
-    apart from the search's table: the ordered s-tuples of blocks whose
-    union is U are the splits of sorted U into s runs, one per choice of
-    s - 1 cuts, and ``_union_positions`` decodes each."""
+    apart from the search's table: those of union mask U are the cuts of
+    U's bits, lowest first, into s runs, and their unions the masks u that
+    ``subset_folds`` ORs from the runs, the set of mask u at position u - 1."""
     if len(coloring) != _position_count(r):  # before the splits are counted
         return False
     _refuse_over_split_cap(r, s)
     if any(not 1 <= c <= k for c in coloring):
         return False
-    for j in range(s, r + 1):
-        for union in combinations(range(1, r + 1), j):
-            for cuts in combinations(range(1, j), s - 1):
-                ends = (0, *cuts, j)
-                blocks = [union[a:b] for a, b in zip(ends, ends[1:])]
-                if len({coloring[q] for q in _union_positions(r, s, blocks)}) == 1:
-                    return False
+    for union in range(1, len(coloring) + 1) if s <= r else ():  # no s blocks fit when s > r
+        lows = [union & (2 << i) - 1 for i in range(union.bit_length() - 1) if union >> i & 1]
+        for cuts in combinations(lows, s - 1):  # where each run but the last ends
+            ends = (0, *cuts, union)
+            runs = [b ^ a for a, b in zip(ends, ends[1:])]
+            if len({coloring[u - 1] for u in subset_folds(int.__or__, 0, runs)[1:]}) == 1:
+                return False
     return True
 
 

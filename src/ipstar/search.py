@@ -449,7 +449,12 @@ def check_cover_tree(M: int, k: int, leaves, edge_positions) -> bool:
     ``SIZE_CAP`` is refused before any leaf is read.
     """
     _check_color_table(M, k)
-    decode = cache(edge_positions)  # each distinct witness once
+
+    @cache  # each distinct witness once; a position outside 0..M-1 names no edge
+    def decode(witness):
+        positions = edge_positions(witness)
+        return None if positions is None or any(not 0 <= q < M for q in positions) else positions
+
     state: list[int] = [1]
     tops: list[int] = [1]  # tops[i]: the largest color in state[: i + 1]
     for leaf in leaves:
@@ -460,7 +465,7 @@ def check_cover_tree(M: int, k: int, leaves, edge_positions) -> bool:
             return False
         tops += [tops[-1] if tops else 1] * (len(prefix) - n)
         state += [1] * (len(prefix) - n)
-        if not _refutes(M, k, prefix, leaf.witness, decode):
+        if not _refutes(k, prefix, leaf.witness, decode):
             return False
         while state:
             last = state.pop()
@@ -473,7 +478,7 @@ def check_cover_tree(M: int, k: int, leaves, edge_positions) -> bool:
     return not state
 
 
-def _refutes(M: int, k: int, prefix, reasons, decode) -> bool:
+def _refutes(k: int, prefix, reasons, decode) -> bool:
     """Replay the reasons of one leaf from its prefix coloring: each edge
     has its colored positions in one color and at most one free position,
     which loses that color and takes the one color left when only one is
@@ -484,7 +489,7 @@ def _refutes(M: int, k: int, prefix, reasons, decode) -> bool:
     left: dict[int, set] = {}  # the colors open to each free position an edge reached
     for i, witness in enumerate(reasons, 1):
         positions = decode(witness)
-        if positions is None or any(not 0 <= q < M for q in positions):
+        if positions is None:
             return False
         free, shades = set(), set()
         for q in positions:

@@ -250,6 +250,24 @@ def union_positions_by_sets(r, s, blocks):
     return [sum(1 << i - 1 for i in u) - 1 for u in unions]
 
 
+def fu_counterexample_by_cut_tuples(r, s, k, coloring) -> bool:
+    """Is this a full k-coloring of F_r with no monochromatic s-block union
+    family?  The families are listed on element tuples: for each size j >= s,
+    each union as a sorted j-tuple, each choice of s - 1 cut indices into it,
+    and the runs decoded by ``union_positions_by_sets``.  No cap: callers
+    keep r small."""
+    if len(coloring) != (1 << r) - 1 or any(not 1 <= c <= k for c in coloring):
+        return False
+    for j in range(s, r + 1):
+        for union in combinations(range(1, r + 1), j):
+            for cuts in combinations(range(1, j), s - 1):
+                ends = (0, *cuts, j)
+                blocks = [union[a:b] for a, b in zip(ends, ends[1:])]
+                if len({coloring[q] for q in union_positions_by_sets(r, s, blocks)}) == 1:
+                    return False
+    return True
+
+
 def per_split_fu_table(r, s):
     """The finite-unions hyperedge table built one split at a time: for each
     position, the cuts of its bits into s runs in ``combinations`` order,
@@ -668,6 +686,32 @@ def all_lines(k: int, m: int) -> list[Line]:
             for letters in product(range(1, k + 1), repeat=len(rest)):
                 out.append(Line(m, tuple(zip(rest, letters)), frozenset(moving)))
     return out
+
+
+def word_decoded_line_tuple(k: int, m: int, indices) -> bool:
+    """Do these word indices, in order, list the points of some line?  Each
+    index is decoded into its word (big-endian base k, letters from 1); the
+    positions where the words differ must carry letter j in word j, and
+    the others one letter throughout."""
+    if len(indices) != k or len(set(indices)) != k:
+        return False
+    words = []
+    for idx in indices:
+        if not 0 <= idx < k**m:
+            return False
+        letters = []
+        for _ in range(m):
+            idx, d = divmod(idx, k)
+            letters.append(d + 1)
+        words.append(tuple(reversed(letters)))
+    moving = {p for p in range(m) if len({w[p] for w in words}) > 1}
+    if not moving:
+        return k == 1  # one letter: the only word lies on every line
+    for letter, w in enumerate(words, start=1):
+        if any(w[p] != letter for p in moving):
+            return False
+    fixed = {p: words[0][p] for p in range(m) if p not in moving}
+    return all(w[p] == v for w in words for p, v in fixed.items())
 
 
 def psi_decode(alphas, r: int) -> tuple[int, ...]:

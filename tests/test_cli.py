@@ -186,6 +186,38 @@ def test_hj_budget_checkpoint_resume_cycle(tmp_path, capsys):
     assert not cks[0].exists()  # consumed on success
 
 
+# where the overrides go around the options: all before them, all after,
+# split by them, and split with an earlier t=2 that the later t=3 replaces
+OVERRIDE_ORDERS = {
+    "before": lambda opts, kv: [*kv, *opts],
+    "after": lambda opts, kv: [*opts, *kv],
+    "split": lambda opts, kv: [kv[0], *opts[:2], *kv[1:], *opts[2:]],
+    "replaced": lambda opts, kv: ["t=2", *opts[:2], *kv, *opts[2:]],
+}
+
+
+def _budgeted_hj_then_resumed(capsys, monkeypatch, where, order):
+    """stdout and written files of a budgeted `hj -c FILE` run and its
+    `--resume`, with the overrides placed by ``order``."""
+    where.mkdir()
+    monkeypatch.chdir(where)
+    (where / "hj.conf").write_text("command = hj\nm_max = 4\n")
+    place = OVERRIDE_ORDERS[order]
+    outs = [_run(capsys, ["hj", *place(["-c", "hj.conf"], ["k=2", "t=3", "budget=5"])])]
+    ck = next(where.glob("checkpoint-*.txt")).name
+    outs.append(_run(capsys, ["hj", *place(["-c", "hj.conf", "--resume", ck], ["k=2", "t=3"])]))
+    return outs, {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+
+
+def test_overrides_may_come_before_after_or_between_the_options(tmp_path, capsys, monkeypatch):
+    runs = {o: _budgeted_hj_then_resumed(capsys, monkeypatch, tmp_path / o, o) for o in OVERRIDE_ORDERS}
+    (first, second), files = runs["before"]
+    assert first[0] == 2 and second[0] == 0 and second[1].endswith("HJ(2,3) = 3\n")
+    assert "hj-k2-t3-m3-cover.txt" in files
+    for order, run in runs.items():
+        assert run == runs["before"], order
+
+
 @pytest.mark.parametrize(
     "argv, budget, cert",
     [

@@ -8,8 +8,13 @@ with no traceback.  Each argument-list case takes a valid ``recurrence``
 (csv or report), ``classify``, ``probe`` or ``density`` command on a small
 system file of one of the three backends, drops, repeats or rekeys some of
 its arguments and swaps or adds values; run through ``cli.main``
-in-process, it exits 0, 1 or 2, and no exception escapes.  Every case must
-finish within two seconds."""
+in-process, it exits 0, 1 or 2, and no exception escapes.  The argument
+lists of ``hj``, ``fu-ramsey``, ``fk-density``, ``search``, ``example-a``,
+``--check`` and ``--resume``, some with a config given by ``-c``, are
+mutated alike; their options are placed anywhere among the overrides, and
+must run as they do placed first, or one more option, perhaps without its
+value, is put anywhere.  The key = value lines of those configs are
+mutated alike too.  Every case must finish within two seconds."""
 
 import io
 import os
@@ -213,14 +218,15 @@ def _return_set_runs(system: str, backend: str) -> list[list[str]]:
     ]
 
 
-def _mutate_args(data, args: list[str]) -> list[str]:
+def _mutate_args(data, args: list[str], keys=KEYS, values=VALUES) -> list[str]:
     """args (the command word first) with some arguments dropped, repeated,
-    given another key or value, or added."""
+    given another key or value, or added, keys and values drawn from those
+    given."""
     head, args = args[:1], list(args[1:])
     for _ in range(data.draw(st.integers(1, 2))):
         op = data.draw(st.sampled_from(["drop", "repeat", "key", "value", "add"]))
         if op == "add" or not args:
-            args.append(f"{data.draw(st.sampled_from(KEYS))}={data.draw(VALUES)}")
+            args.append(f"{data.draw(st.sampled_from(keys))}={data.draw(values)}")
             continue
         i = data.draw(st.integers(0, len(args) - 1))
         key, _, value = args[i].partition("=")
@@ -229,9 +235,9 @@ def _mutate_args(data, args: list[str]) -> list[str]:
         elif op == "repeat":
             args.insert(i, args[i])
         elif op == "key":
-            args[i] = f"{data.draw(st.sampled_from(KEYS))}={value}"
+            args[i] = f"{data.draw(st.sampled_from(keys))}={value}"
         else:
-            args[i] = f"{key}={data.draw(VALUES)}"
+            args[i] = f"{key}={data.draw(values)}"
     return head + args
 
 
@@ -262,3 +268,153 @@ def test_a_mutated_return_set_argument_list_exits_0_1_or_2(return_set_files, bac
         os.chdir(cwd)
     assert rc in (0, 1, 2), (argv, rc, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# argument lists of the colouring, fk and block commands, of `search`, of
+# --check and --resume, and of configs given with -c
+
+# (file name, text) of every file these runs read; the checkpoints are
+# written by the ``coloring_files`` fixture
+COLORING_FILES = {
+    "perm.txt": SYSTEMS[0],
+    "rot.txt": "backend rotation\nrho 2/7\nset B 0 1/3 1/2 3/4\n",
+    "hj.conf": "command = hj\nk = 2\nm_max = 3\n",
+    "fu.conf": "command = fu-ramsey\n[claim]\ns = 2\nk = 2\n",
+    "fk.conf": "command = fk-density\nr = 2\nN = 8\n",
+    "search.conf": "command = search\nsystem = rot.txt\nx = 0\nm = u^2\nepsilon = 1/4\n",
+    "a.conf": "command = example-a\nr_max = 3\n",
+    "hj-cert.txt": CERTIFICATES[1],
+    "fu-cert.txt": CERTIFICATES[2],
+}
+# one argument list per command form, the budgeted ones marked: those get a
+# small budget appended after every mutation, so that no mutated argument
+# replaces it and every run stays small
+COLORING_RUNS = [
+    (True, ["hj", "k=2", "t=3", "m_max=4"]),
+    (True, ["hj", "-c", "hj.conf", "t=2"]),
+    (True, ["hj", "--resume", "hj-ck.txt", "k=2", "t=3", "m_max=4"]),
+    (True, ["fu-ramsey", "r_limit=5", "s=2", "k=2"]),
+    (True, ["fu-ramsey", "r=3", "-c", "fu.conf"]),
+    (True, ["fu-ramsey", "--resume", "fu-ck.txt", "r_limit=6", "s=2", "k=2"]),
+    (True, ["fk-density", "r=2", "N=8"]),
+    (True, ["fk-density", "--resume", "fk-ck.txt", "-c", "fk.conf"]),
+    (False, ["search", "system=perm.txt", "x=B", "m=u^2", "epsilon=1/2", "gens=1,2"]),
+    (False, ["search", "-c", "search.conf", "gens=1,2,3"]),
+    (False, ["example-a", "r_max=3"]),
+    (False, ["example-a", "-c", "a.conf"]),
+    (False, ["--check", "hj-cert.txt"]),
+    (False, ["--check", "fu-cert.txt"]),
+]
+COLORING_KEYS = ["k", "t", "m_max", "r", "s", "r_limit", "N", "r_max", "system", "x", "m",
+                 "epsilon", "gens", "budget", "command"]
+# small values only: a run with r = 17 builds a table of half a million splits
+COLORING_VALUES = st.sampled_from([
+    "0", "1", "2", "3", "4", "x", "B", "u", "u^2", "2*u^2", "u^100000", "1,2", "1,2,3,4,1",
+    "1/2", "1/4", "hj", "search", *SPECIAL,
+])
+# options a run may gain: each with its value, or with none (then it takes
+# the next argument, or is missing its own at the end)
+OPTIONS = [
+    ["-c", "hj.conf"], ["-c", "fu.conf"], ["-c", "search.conf"], ["-c", "nosuch.conf"],
+    ["--resume", "hj-ck.txt"], ["--resume", "fk-ck.txt"], ["--resume", "perm.txt"],
+    ["-c"], ["--resume"], ["--check", "fu-cert.txt"], ["--bogus"], ["--help"],
+]
+
+
+def _placed_runs(data, args: list[str]) -> tuple[list[str], list[str] | None]:
+    """(argv, reference): args with its overrides perhaps mutated as by
+    ``_mutate_args``, and its options, each with its value, put at drawn
+    places among them; the reference puts the options first, which must
+    run alike.  Or, with no reference, argv with one more option, which
+    may lack its value, put anywhere after the command word."""
+    head = args[:2] if args[0] == "--check" else args[:1]
+    options, overrides, rest = [], [], iter(args[len(head):])
+    for a in rest:
+        if a.startswith("-"):
+            options.append([a, next(rest)])
+        else:
+            overrides.append(a)
+    if data.draw(st.booleans()):
+        overrides = _mutate_args(data, head[:1] + overrides, COLORING_KEYS, COLORING_VALUES)[1:]
+    placed = list(overrides)
+    for pair in options:
+        at = data.draw(st.integers(0, len(placed)))
+        placed[at:at] = pair
+    if data.draw(st.booleans()):
+        return [*head, *placed], [*head, *(a for pair in options for a in pair), *overrides]
+    at = data.draw(st.integers(1, len(head) + len(placed)))
+    argv = [*head, *placed]
+    argv[at:at] = data.draw(st.sampled_from(OPTIONS))
+    return argv, None
+
+
+@pytest.fixture(scope="module")
+def coloring_files(tmp_path_factory):
+    """A directory holding every file of ``COLORING_FILES`` and one
+    checkpoint per resumed command; ``restore`` writes them all again, as a
+    resumed run deletes its checkpoint."""
+    root = tmp_path_factory.mktemp("fuzz-coloring")
+    files = dict(COLORING_FILES)
+    for name, argv in [("hj-ck.txt", ["hj", "k=2", "t=3", "m_max=4", "budget=5"]),
+                       ("fu-ck.txt", ["fu-ramsey", "r_limit=6", "s=2", "k=2", "budget=20"]),
+                       ("fk-ck.txt", ["fk-density", "r=2", "N=8", "budget=20"])]:
+        out = root / name.removesuffix(".txt")
+        with redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, f"output={out}"]) == 2
+        files[name] = next(out.glob("checkpoint-*.txt")).read_text()
+
+    def restore():
+        for name, text in files.items():
+            (root / name).write_text(text)
+
+    restore.root = root
+    return restore
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, len(COLORING_RUNS) - 1), st.integers(1, 40), st.data())
+def test_a_mutated_coloring_or_search_argument_list_exits_0_1_or_2(coloring_files, run, budget, data):
+    budgeted, args = COLORING_RUNS[run]
+    argv, reference = _placed_runs(data, args)
+    tail = [f"budget={budget}"] if budgeted else []
+    got = _run_in(coloring_files, argv + tail)
+    if reference is not None and reference != argv:  # options placed among the overrides
+        assert got == _run_in(coloring_files, reference + tail), (argv, reference)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["hj.conf", "fu.conf", "fk.conf", "search.conf", "a.conf"]), st.data())
+def test_a_run_from_a_mutated_config_exits_0_1_or_2(coloring_files, name, data):
+    # the config's key = value lines mutated as overrides are, under its
+    # command line; the searches keep a small budget given on the command line
+    command, *lines = (ln for ln in COLORING_FILES[name].splitlines() if "=" in ln)
+    word = command.removeprefix("command = ")
+    pairs = [ln.replace(" = ", "=", 1) for ln in lines]
+    pairs = _mutate_args(data, [word, *pairs], COLORING_KEYS, COLORING_VALUES)[1:]
+    text = "\n".join([command, *(p.replace("=", " = ", 1) for p in pairs)]) + "\n"
+    tail = ["budget=20"] if word in ("hj", "fu-ramsey", "fk-density") else []
+    (coloring_files.root / "mutated.conf").write_text(text)
+    _run_in(coloring_files, [word, "-c", "mutated.conf", *tail])
+
+
+def _run_in(files, argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of argv run in the files' directory,
+    after the files are written again; --help's exit code counts as its
+    return code."""
+    files()
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(files.root)
+    try:
+        with _deadline(), redirect_stdout(out), redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # only --help exits through argparse
+                assert "--help" in argv, argv
+                rc = exc.code
+    finally:
+        os.chdir(cwd)
+    assert rc in (0, 1, 2), (argv, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return rc, out.getvalue(), err.getvalue()

@@ -387,6 +387,66 @@ def test_is_line_point_tuple_rejects_fakes():
     assert not is_line_point_tuple(1, 3, (1,))
 
 
+# the (k, m) word spaces the line decode is compared on, k = 1 included
+LINE_SPACES = [(1, 3), (2, 1), (2, 3), (3, 2), (3, 3), (4, 3), (5, 2)]
+
+
+def _line_indices(k: int, m: int) -> list[tuple[int, ...]]:
+    """Every line's point indices, from ``oracles.all_lines``."""
+    def index(word):
+        return sum((v - 1) * k ** (m - 1 - p) for p, v in enumerate(word))
+
+    return [tuple(map(index, line_points(L, k))) for L in all_lines(k, m)]
+
+
+@pytest.mark.parametrize("k, m", LINE_SPACES)
+def test_every_line_decodes_and_no_reversed_one_does(k, m):
+    for line in _line_indices(k, m):
+        assert is_line_point_tuple(k, m, line) and oracles.word_decoded_line_tuple(k, m, line)
+        back = line[::-1]
+        assert is_line_point_tuple(k, m, back) == oracles.word_decoded_line_tuple(k, m, back) == (k == 1)
+
+
+@st.composite
+def _index_tuples(draw):
+    """(k, m, indices): a line, reversed, cut short, lengthened, with a
+    repeated entry or one entry moved (perhaps out of range); an arithmetic
+    progression of any base and step, negative ones included; or any
+    tuple of indices around 0..k^m - 1."""
+    k, m = draw(st.sampled_from(LINE_SPACES))
+    top = k**m
+    near = st.integers(-top - 2, 2 * top + 2)
+    kind = draw(st.sampled_from(["line", "progression", "any"]))
+    if kind == "progression":  # mostly within the words, where a step may carry
+        base, step = draw(near | st.integers(0, top)), draw(st.integers(-top, top // max(k - 1, 1) + 1))
+        return k, m, tuple(base + j * step for j in range(k))
+    if kind == "any":
+        return k, m, tuple(draw(st.lists(near, max_size=k + 1)))
+    line = list(draw(st.sampled_from(_line_indices(k, m))))
+    edit = draw(st.sampled_from(["none", "reverse", "short", "long", "repeat", "move", "shift"]))
+    i = draw(st.integers(0, k - 1))
+    if edit == "reverse":
+        line.reverse()
+    elif edit == "short":
+        del line[i]
+    elif edit == "long":
+        line.append(draw(near))
+    elif edit == "repeat":
+        line[i] = line[draw(st.integers(0, k - 1))]
+    elif edit == "move":
+        line[i] = draw(near)
+    elif edit == "shift":
+        line = [x + draw(st.sampled_from([-top, top, -1, 1])) for x in line]
+    return k, m, tuple(line)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_index_tuples())
+def test_the_line_decode_agrees_with_the_word_decode(case):
+    k, m, indices = case
+    assert is_line_point_tuple(k, m, indices) == oracles.word_decoded_line_tuple(k, m, indices)
+
+
 # ---------------------------------------------------------------------------
 # encoding
 

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
@@ -410,6 +411,33 @@ def test_the_fu_counterexample_check_agrees_with_the_search_table(r, s, k, rng):
     for coloring in colorings + ([found] if found else []):
         want = oracles.avoids_every_edge(coloring, k, table)
         assert fu_coloring_is_counterexample(r, s, k, coloring) == want
+
+
+@cache
+def _fu_counterexample(r, s, k):
+    return fu_ramsey_check(r, s, k).coloring
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 3), st.data())
+def test_the_fu_counterexample_check_agrees_with_the_cut_tuple_reference(r, s, k, data):
+    # the search's counterexample when it has one, else any colouring; then
+    # perhaps one position recoloured, given a colour out of range, or the
+    # colouring cut short or lengthened
+    n = (1 << r) - 1
+    coloring = list(_fu_counterexample(r, s, k) or data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n)))
+    edit = data.draw(st.sampled_from(["none", "flip", "range", "short", "long"]))
+    i = data.draw(st.integers(0, len(coloring) - 1))
+    if edit == "flip":
+        coloring[i] = data.draw(st.integers(1, k))
+    elif edit == "range":
+        coloring[i] = data.draw(st.sampled_from([0, k + 1]))
+    elif edit == "short":
+        del coloring[i]
+    elif edit == "long":
+        coloring.append(data.draw(st.integers(1, k)))
+    want = oracles.fu_counterexample_by_cut_tuples(r, s, k, coloring)
+    assert fu_coloring_is_counterexample(r, s, k, tuple(coloring)) == want
 
 
 def test_fu_r2_counterexample():
